@@ -77,7 +77,7 @@ void BM_CostIfSwapDoUndo(benchmark::State& state) {
   for (auto _ : state) {
     const int a = i % n;
     const int b = (i * 7 + 1) % n;
-    if (a != b) benchmark::DoNotOptimize(p.cost_if_swap(a, b));
+    if (a != b) benchmark::DoNotOptimize(p.cost() + p.delta_cost(a, b));
     ++i;
   }
   state.SetItemsProcessed(state.iterations());

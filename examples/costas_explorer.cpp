@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
   flags.add_bool("construct", false, "use algebraic constructions instead of search");
   flags.add_bool("info", false, "print the order's database status and exit");
   flags.add_bool("ambiguity", false, "also print the radar ambiguity analysis");
-  flags.add_bool("mpi-style", false, "use the MPI-style communicator multi-walk");
   flags.add_bool("verbose", false, "print grid and difference triangle");
   flags.add_bool("no-chang", false, "disable the Chang half-triangle optimization");
   flags.add_bool("err-unit", false, "use ERR(d)=1 instead of n^2-d^2");
@@ -140,9 +139,7 @@ int main(int argc, char** argv) {
       core::AdaptiveSearch<costas::CostasProblem> eng(problem, cfg);
       return eng.solve(stop);
     };
-    const auto result = flags.get_bool("mpi-style")
-                            ? par::run_multiwalk_mpi_style(walkers, seed, walker)
-                            : par::run_multiwalk(walkers, seed, walker);
+    const auto result = par::run_multiwalk(walkers, seed, walker);
     if (!result.solved) {
       std::printf("no solution found\n");
       return 1;

@@ -6,9 +6,8 @@
 // many-core host it directly reproduces the left edge of Table III; the
 // simulator extrapolates the rest via order statistics (DESIGN.md §4).
 //
-// Built on the solver runtime: each cell is a declarative SolveRequest
-// executed by the registered strategy ("multiwalk" or "mpi"), so this
-// driver is a thin scenario loop over runtime::solve.
+// Built on the solver runtime: each cell is a declarative "multiwalk"
+// SolveRequest, so this driver is a thin scenario loop over runtime::solve.
 //
 //   $ ./parallel_scaling --n 16 --reps 10 --max-walkers 8
 #include <cstdio>
@@ -29,7 +28,6 @@ int main(int argc, char** argv) {
   flags.add_int("reps", 10, "repetitions per walker count");
   flags.add_int("max-walkers", 8, "largest multi-walk width (powers of two up to this)");
   flags.add_int("seed", 2012, "master seed");
-  flags.add_bool("mpi-style", false, "use the MPI-style communicator implementation");
   if (!flags.parse(argc, argv)) return 0;
 
   const int n = static_cast<int>(flags.get_int("n"));
@@ -46,7 +44,7 @@ int main(int argc, char** argv) {
   runtime::SolveRequest base;
   base.problem = "costas";
   base.size = n;
-  base.strategy = flags.get_bool("mpi-style") ? "mpi" : "multiwalk";
+  base.strategy = "multiwalk";
 
   util::Table table("Real-thread multi-walk (wall seconds)");
   table.header({"walkers", "avg", "med", "min", "max", "speedup", "winner iters (avg)"});

@@ -47,7 +47,6 @@
 #include "par/cooperative.hpp"
 #include "par/multiwalk.hpp"
 #include "par/neighborhood.hpp"
-#include "par/portfolio.hpp"
 #include "par/thread_pool.hpp"
 
 // The unified solver runtime: registries, strategies, SolverService.

@@ -36,7 +36,7 @@
 namespace cas::core {
 
 /// The legacy problem surface the adapter can lift: everything in
-/// LocalSearchProblem except delta_cost/cost_if_swap/errors.
+/// LocalSearchProblem except delta_cost/errors.
 template <typename B>
 concept SwapRevertibleProblem = requires(B b, const B& cb, int i, int j, Rng& rng,
                                          std::span<Cost> errs) {
@@ -71,7 +71,6 @@ class DoUndoAdapter {
     b.apply_swap(i, j);
     return after - before;
   }
-  [[nodiscard]] Cost cost_if_swap(int i, int j) const { return cost() + delta_cost(i, j); }
 
   /// Baseline semantics: a full from-scratch projection per query (what
   /// every engine paid per iteration before the incremental API).

@@ -25,12 +25,10 @@
 //                       LazyErrors below). Engines read it once per
 //                       iteration instead of re-projecting from scratch.
 //
-// cost_if_swap(i, j) is kept as a convenience; models define it as
-// cost() + delta_cost(i, j), so it is an identity, NOT an independent
-// oracle. The real oracles the tests pin the incremental members against
-// are applying the swap (on a copy) and reading cost(), the stateless
-// full evaluation where a model has one, and the from-scratch
-// compute_errors(errs) projection for the errors() table.
+// The oracles the tests pin the incremental members against are applying
+// the swap (on a copy) and reading cost(), the stateless full evaluation
+// where a model has one, and the from-scratch compute_errors(errs)
+// projection for the errors() table.
 //
 // The engines are templates over this concept: the per-iteration hot path
 // (error read + move scan) compiles with no virtual dispatch.
@@ -67,9 +65,6 @@ concept LocalSearchProblem = requires(P p, const P& cp, int i, int j, Rng& rng,
   // Cost change the configuration would see after swapping variables i and
   // j. Pure: no mutation, no do/undo; safe to call from concurrent readers.
   { cp.delta_cost(i, j) } -> std::convertible_to<Cost>;
-  // Absolute form of delta_cost (== cost() + delta_cost(i, j)); kept as the
-  // cross-check oracle of the incremental API.
-  { cp.cost_if_swap(i, j) } -> std::convertible_to<Cost>;
   // Swap variables i and j, updating cost and bookkeeping incrementally.
   { p.apply_swap(i, j) };
   // Per-variable error projection, maintained by the problem across

@@ -65,7 +65,6 @@ class CostasProblem {
   /// batch otherwise. Exactly equal to n - 1 scalar delta_cost calls; the
   /// parity fuzz suite pins that lane by lane.
   void delta_costs_row(int i, std::span<Cost> out) const;
-  [[nodiscard]] Cost cost_if_swap(int i, int j) const { return cost_ + delta_cost(i, j); }
   void apply_swap(int i, int j);
   [[nodiscard]] std::span<const Cost> errors() const { return {errs_.data(), errs_.size()}; }
   void compute_errors(std::span<Cost> errs) const;

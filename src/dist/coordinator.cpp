@@ -382,10 +382,12 @@ void Coordinator::handle_join(Peer& p, const util::Json& j) {
       return;
     }
   }
-  if (!welcomed_ || !hunting_) {
-    enqueue(p, make_abort(!welcomed_ ? "coordinator: join refused — world still in rendezvous"
-                                     : "coordinator: join refused — hunt already complete")
-                   .dump(0));
+  if (!welcomed_) {
+    enqueue(p, make_abort("coordinator: join refused — world still in rendezvous").dump(0));
+    return;
+  }
+  if (!hunting_) {
+    answer_with_outcome(p.fd.get());
     return;
   }
   if (const util::Json* fo = j.find("failover"); fo != nullptr && fo->is_string())
@@ -393,6 +395,15 @@ void Coordinator::handle_join(Peer& p, const util::Json& j) {
   p.pending_join = true;
   pending_join_fds_.push_back(p.fd.get());
   stats_.joins.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Coordinator::answer_with_outcome(int fd) {
+  for (const std::string& frame : final_answer_) {
+    const auto it = peers_.find(fd);
+    if (it == peers_.end()) return;  // died while pending, or a write error dropped it
+    it->second->pending_join = false;
+    enqueue(*it->second, frame);
+  }
 }
 
 void Coordinator::handle_epoch(Peer& /*p*/, const util::Json& j) {
@@ -503,12 +514,6 @@ void Coordinator::complete_wave(bool final) {
 
   if (final) {
     hunting_ = false;
-    // Pending joiners can no longer participate; refuse them cleanly.
-    for (const int fd : pending_join_fds_) {
-      if (peers_.count(fd) != 0)
-        enqueue(*peers_.at(fd), make_abort("coordinator: hunt already complete").dump(0));
-    }
-    pending_join_fds_.clear();
   } else {
     // Retire leaving members, then admit the pending joiners.
     for (auto& [id, m] : members_) {
@@ -587,6 +592,13 @@ void Coordinator::complete_wave(bool final) {
       summaries.push_back(std::move(row));
     }
     base["summaries"] = std::move(summaries);
+    // A join that arrives from now on (or is still pending) comes too late
+    // to take part: it is answered with the outcome, as a non-member.
+    util::Json late = base;
+    late["your_rank"] = -1;
+    final_answer_ = {make_welcome(-1, ranks).dump(0), late.dump(0)};
+    for (const int fd : pending_join_fds_) answer_with_outcome(fd);
+    pending_join_fds_.clear();
   }
 
   // Personalized delivery: joiners were just welcomed (member id assigned),

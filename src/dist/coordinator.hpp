@@ -201,6 +201,10 @@ class Coordinator {
 
   // Elastic wave machine (router thread only).
   void handle_join(Peer& p, const util::Json& j);
+  /// Answer a join that comes too late to take part (pending at, or
+  /// arriving after, the final wave) with final_answer_. No-op if the peer
+  /// is gone.
+  void answer_with_outcome(int fd);
   void handle_epoch(Peer& p, const util::Json& j);
   void evict_member(int member, const std::string& why);
   void maybe_complete_wave();
@@ -258,6 +262,9 @@ class Coordinator {
   bool wave_anchored_ = false;
   int64_t ckpt_epoch_ = -1;  // last wave every active member checkpointed
   bool hunting_ = true;      // false once the final rebalance went out
+  /// Set with the final wave: a welcome naming no member (rank -1) and the
+  /// final rebalance with your_rank -1, winner included.
+  std::vector<std::string> final_answer_;
   bool have_winner_ = false;
   uint64_t winner_seg_ = 0;
   uint64_t winner_id_ = 0;

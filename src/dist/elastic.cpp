@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <random>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -21,6 +20,7 @@
 #include "dist/wire.hpp"
 #include "net/retry.hpp"
 #include "par/collectives.hpp"
+#include "par/thread_pool.hpp"
 #include "runtime/problems.hpp"
 #include "util/histogram.hpp"
 #include "util/strings.hpp"
@@ -29,27 +29,6 @@
 namespace cas::dist {
 
 namespace {
-
-// Same contiguous-slice partition solve_distributed uses: walker ids
-// [offset, offset + share) belong to dense rank r.
-int share_of(int walkers, int ranks, int rank) {
-  return walkers / ranks + (rank < walkers % ranks ? 1 : 0);
-}
-
-int offset_of(int walkers, int ranks, int rank) {
-  return rank * (walkers / ranks) + std::min(rank, walkers % ranks);
-}
-
-uint64_t draw_seed() {
-  std::random_device rd;
-  uint64_t s = 0;
-  while (s == 0) s = (static_cast<uint64_t>(rd()) << 32) | rd();
-  return s;
-}
-
-const runtime::ProblemEntry& entry_of(const runtime::SolveRequest& req) {
-  return runtime::problem_registry().at(req.problem, "problem");
-}
 
 /// The segment index a solve at iteration count `iters` happened in.
 uint64_t seg_of(uint64_t iters, uint64_t ckpt_iters) {
@@ -80,34 +59,6 @@ uint64_t advance_to(OwnedWalker& w, uint64_t target, uint64_t ckpt_iters) {
     if (st.iterations == step_start) break;  // budget refused: walker is capped
   }
   return w.walk->stats().iterations - before;
-}
-
-/// Advance every unsolved owned walker to `target` on up to `num_threads`
-/// OS threads (0 = hardware concurrency). Returns iterations executed.
-uint64_t advance_all(std::map<int, OwnedWalker>& owned, uint64_t target, uint64_t ckpt_iters,
-                     unsigned num_threads) {
-  std::vector<OwnedWalker*> work;
-  work.reserve(owned.size());
-  for (auto& [id, w] : owned)
-    if (!w.solved) work.push_back(&w);
-  if (work.empty()) return 0;
-
-  std::atomic<uint64_t> executed{0};
-  std::atomic<size_t> next{0};
-  auto body = [&] {
-    for (;;) {
-      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= work.size()) return;
-      executed.fetch_add(advance_to(*work[i], target, ckpt_iters), std::memory_order_relaxed);
-    }
-  };
-  unsigned threads = num_threads == 0 ? std::thread::hardware_concurrency() : num_threads;
-  threads = std::max(1u, std::min<unsigned>(threads, static_cast<unsigned>(work.size())));
-  std::vector<std::thread> pool;
-  for (unsigned t = 0; t + 1 < threads; ++t) pool.emplace_back(body);
-  body();
-  for (auto& th : pool) th.join();
-  return executed.load(std::memory_order_relaxed);
 }
 
 /// Read every wave-`epoch` walker file in `dir` into an id -> snapshot-JSON
@@ -143,6 +94,7 @@ struct ElasticRun {
   RankComm* comm = nullptr;
   const ElasticOptions* opts = nullptr;
   runtime::SolveRequest* resolved = nullptr;
+  par::ThreadPool* executor = nullptr;  // null: each wave fans out on jthreads
 
   std::vector<uint64_t> seeds;  // global walker id -> engine seed
   std::function<std::unique_ptr<runtime::ResumableWalk>(uint64_t)> factory;
@@ -220,6 +172,25 @@ struct ElasticRun {
       }
       owned.emplace(id, std::move(w));
     }
+  }
+
+  /// Advance every unsolved owned walker one segment, to `target`
+  /// iterations, as par::fan_out workers. A wave's outcome does not depend
+  /// on how its segments interleave, so without a num_threads cap it takes
+  /// one worker per core rather than one per walker. Returns iterations
+  /// executed.
+  uint64_t advance_wave(uint64_t target) {
+    std::vector<OwnedWalker*> work;
+    for (auto& [id, w] : owned)
+      if (!w.solved) work.push_back(&w);
+    const unsigned cap = resolved->num_threads != 0 ? resolved->num_threads
+                                                    : std::thread::hardware_concurrency();
+    std::atomic<uint64_t> executed{0};
+    par::fan_out(static_cast<int>(work.size()), cap, executor, [&](int i) {
+      executed.fetch_add(advance_to(*work[static_cast<size_t>(i)], target, opts->ckpt_iters),
+                         std::memory_order_relaxed);
+    });
+    return executed.load(std::memory_order_relaxed);
   }
 
   [[nodiscard]] uint64_t owned_iters() const {
@@ -315,7 +286,7 @@ void fill_outcome(runtime::SolveReport& report, const util::Json& final_frame) {
   report.winner = static_cast<int>(frame_u64(*winner, "id"));
   if (const util::Json* stats = winner->find("stats"); stats != nullptr)
     report.winner_stats = run_stats_from_json(*stats);
-  const auto& entry = entry_of(report.request);
+  const auto& entry = runtime::entry_of(report.request);
   if (entry.check != nullptr && !report.winner_stats.solution.empty()) {
     report.checked = true;
     report.check_passed = entry.check(report.winner_stats.solution);
@@ -332,7 +303,8 @@ void note_failover_from(World& world, const util::Json& rb) {
   world.note_failover(frame_int(rb, "standby_member"), sa->as_string(), frame_u64(rb, "epoch"));
 }
 
-void run_elastic(World& world, runtime::SolveRequest& resolved, const ElasticOptions& opts,
+void run_elastic(World& world, runtime::SolveRequest& resolved,
+                 const runtime::StrategyContext& ctx, const ElasticOptions& opts,
                  runtime::SolveReport& report) {
   if (resolved.strategy != "multiwalk")
     throw std::invalid_argument(
@@ -350,6 +322,7 @@ void run_elastic(World& world, runtime::SolveRequest& resolved, const ElasticOpt
   run.comm = &comm;
   run.opts = &opts;
   run.resolved = &resolved;
+  run.executor = ctx.executor;
 
   uint64_t epoch = 0;     // wave index the next segment executes
   int64_t cut = -1;       // latest consistent checkpoint wave we know of
@@ -358,8 +331,9 @@ void run_elastic(World& world, runtime::SolveRequest& resolved, const ElasticOpt
   util::Json first_rebalance;
 
   if (joiner) {
-    // The coordinator welcomed us at a wave boundary; the rebalance frame
-    // right behind the welcome carries everything we need to start.
+    // The coordinator welcomed us at a wave boundary — or, when the hunt had
+    // already completed, as a non-member answered with the outcome; either
+    // way the rebalance frame right behind the welcome carries what we need.
     auto ctl = comm.take_control(opts.control_timeout_seconds);
     if (!ctl) throw CommError("elastic: joiner saw no rebalance frame within the timeout");
     first_rebalance = std::move(*ctl);
@@ -367,7 +341,7 @@ void run_elastic(World& world, runtime::SolveRequest& resolved, const ElasticOpt
     if (frame_bool(first_rebalance, "final", false)) {
       fill_outcome(report, first_rebalance);
       report.extras = util::Json::object();
-      return;  // the hunt ended in the same wave that admitted us
+      return;  // the hunt ended before we could take part
     }
     resolved.seed = frame_u64(first_rebalance, "seed");
     const int hunt_walkers = frame_int(first_rebalance, "walkers");
@@ -400,7 +374,7 @@ void run_elastic(World& world, runtime::SolveRequest& resolved, const ElasticOpt
     // Stochastic request: member 0 draws, everyone adopts (the report then
     // echoes the drawn seed, keeping the run replayable).
     std::vector<int64_t> wire(1, 0);
-    if (comm.rank() == 0) wire[0] = std::bit_cast<int64_t>(draw_seed());
+    if (comm.rank() == 0) wire[0] = std::bit_cast<int64_t>(runtime::draw_seed());
     wire = par::collective_broadcast(comm, comm.next_seq(), 0, std::move(wire));
     resolved.seed = std::bit_cast<uint64_t>(wire[0]);
   }
@@ -412,8 +386,9 @@ void run_elastic(World& world, runtime::SolveRequest& resolved, const ElasticOpt
 
   run.seeds = core::ChaoticSeedSequence::generate(resolved.seed,
                                                   static_cast<size_t>(resolved.walkers));
-  run.factory = entry_of(resolved).make_resumable_walker
-                    ? entry_of(resolved).make_resumable_walker(resolved)
+  const auto& entry = runtime::entry_of(resolved);
+  run.factory = entry.make_resumable_walker
+                    ? entry.make_resumable_walker(resolved)
                     : throw std::invalid_argument("elastic: problem '" + resolved.problem +
                                                   "' has no resumable walker factory");
   run.adopt_view(my_rank, ranks, epoch, cut);
@@ -429,8 +404,7 @@ void run_elastic(World& world, runtime::SolveRequest& resolved, const ElasticOpt
 
     // 1. Advance every unsolved owned walker one segment.
     const uint64_t boundary = (epoch + 1) * opts.ckpt_iters;
-    const uint64_t delta =
-        advance_all(run.owned, boundary, opts.ckpt_iters, resolved.num_threads);
+    const uint64_t delta = run.advance_wave(boundary);
     run.executed_local += delta;
     ++run.epochs_executed;
     bool any_unsolved = false;
@@ -605,7 +579,7 @@ std::string elastic_hunt_key(const runtime::SolveRequest& resolved) {
 }
 
 runtime::SolveReport solve_elastic(World& world, const runtime::SolveRequest& req,
-                                   const runtime::StrategyContext& /*ctx*/,
+                                   const runtime::StrategyContext& ctx,
                                    const ElasticOptions& opts) {
   runtime::SolveReport report;
   try {
@@ -627,7 +601,7 @@ runtime::SolveReport solve_elastic(World& world, const runtime::SolveRequest& re
   //     is the double-failure case and aborts immediately).
   // The winner rule is membership- and timing-invariant and the rewound
   // wave replays idempotently, so no recovery can change the verified
-  // outcome. Deliberate refusals (hunt complete, key mismatch) are final.
+  // outcome. A deliberate refusal (key mismatch) is final.
   ElasticOptions eopts = opts;
   int rejoins = 0;
   int failovers = 0;
@@ -635,7 +609,7 @@ runtime::SolveReport solve_elastic(World& world, const runtime::SolveRequest& re
   for (;;) {
     report.error.clear();
     try {
-      run_elastic(world, report.request, eopts, report);
+      run_elastic(world, report.request, ctx, eopts, report);
     } catch (const CommError& e) {
       if (world.is_host() || !net::retry_enabled() || backoff.exhausted()) {
         report.error = util::strf("elastic (member %d): %s", world.comm().member(), e.what());

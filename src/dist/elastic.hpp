@@ -102,6 +102,9 @@ struct ElasticOptions {
 /// contract: member 0 returns the merged world report (extras.dist carries
 /// the per-member rows, membership counters, and checkpoint provenance);
 /// other members return a participation stub that still names the winner.
+/// Each wave advances the owned walkers through par::fan_out on
+/// ctx.executor (jthreads when null), at most num_threads (default: one
+/// per core) at a time.
 /// Errors come back in report.error — the call does not throw.
 runtime::SolveReport solve_elastic(World& world, const runtime::SolveRequest& req,
                                    const runtime::StrategyContext& ctx,

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
-#include <random>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -89,30 +88,6 @@ core::RunStats runstats_from_payload(const std::vector<int64_t>& p) {
   return st;
 }
 
-// --- walker partitioning ----------------------------------------------------
-// W walkers over R ranks, remainder to the low ranks; offsets preserve the
-// global walker-id space so the merged report's `winner` means the same
-// thing as in a single-process run.
-
-int share_of(int walkers, int ranks, int rank) {
-  return walkers / ranks + (rank < walkers % ranks ? 1 : 0);
-}
-
-int offset_of(int walkers, int ranks, int rank) {
-  return rank * (walkers / ranks) + std::min(rank, walkers % ranks);
-}
-
-uint64_t draw_seed() {
-  std::random_device rd;
-  uint64_t s = 0;
-  while (s == 0) s = (static_cast<uint64_t>(rd()) << 32) | rd();
-  return s;
-}
-
-const runtime::ProblemEntry& entry_of(const runtime::SolveRequest& req) {
-  return runtime::problem_registry().at(req.problem, "problem");
-}
-
 /// Best-effort SOLUTION_FOUND broadcast: called from walker/background
 /// threads, where a CommError must not unwind through the runner's thread
 /// pool — a dead communicator already stops everyone via remote_stop.
@@ -128,19 +103,25 @@ struct LocalOutcome {
   std::string error;  // local walk failure (the epilogue still runs)
 };
 
-/// The independent-walk strategies (multiwalk / mpi / collective): this
-/// rank runs its share through the plain thread runner with the remote-stop
-/// latch wired in; the first locally solved walker announces to the world.
-LocalOutcome run_local_multiwalk(RankComm& comm, const runtime::SolveRequest& req, int share,
-                                 uint64_t rank_seed, const runtime::StrategyContext& ctx,
-                                 bool use_executor) {
-  LocalOutcome out;
-  const auto& entry = entry_of(req);
+/// This rank's multi-walk options: the request's thread cap and deadline,
+/// the caller's executor, and the remote-stop latch a SOLUTION_FOUND from
+/// another rank flips.
+par::MultiWalkOptions local_options(RankComm& comm, const runtime::SolveRequest& req,
+                                    const runtime::StrategyContext& ctx) {
   par::MultiWalkOptions opts;
   opts.num_threads = req.num_threads;
-  opts.executor = use_executor ? ctx.executor : nullptr;
+  opts.executor = ctx.executor;
   opts.timeout_seconds = req.timeout_seconds;
   opts.external_stop = &comm.remote_stop();
+  return opts;
+}
+
+/// The multiwalk strategy: this rank runs its share through run_multiwalk;
+/// the first locally solved walker announces to the world.
+LocalOutcome run_local_multiwalk(RankComm& comm, const runtime::SolveRequest& req, int share,
+                                 uint64_t rank_seed, const runtime::StrategyContext& ctx) {
+  LocalOutcome out;
+  const auto& entry = runtime::entry_of(req);
   try {
     const auto walker = entry.make_walker(req);
     std::atomic<bool> announced{false};
@@ -151,7 +132,7 @@ LocalOutcome run_local_multiwalk(RankComm& comm, const runtime::SolveRequest& re
           if (st.solved && !announced.exchange(true)) announce_solution(comm);
           return st;
         },
-        opts);
+        local_options(comm, req, ctx));
   } catch (const std::exception& e) {
     out.error = e.what();
   }
@@ -169,7 +150,7 @@ LocalOutcome run_local_cooperative(RankComm& comm, const runtime::SolveRequest& 
                                    double adopt, double round_seconds, par::Blackboard& board,
                                    int64_t& rounds_out) {
   LocalOutcome out;
-  const auto& entry = entry_of(req);
+  const auto& entry = runtime::entry_of(req);
   if (entry.run_cooperative == nullptr) {
     out.error = "problem '" + req.problem + "' cannot share configurations";
     return out;
@@ -177,11 +158,7 @@ LocalOutcome run_local_cooperative(RankComm& comm, const runtime::SolveRequest& 
   runtime::SolveRequest local = req;
   local.walkers = share;
   local.seed = rank_seed;
-  par::MultiWalkOptions opts;
-  opts.num_threads = req.num_threads;
-  opts.executor = ctx.executor;
-  opts.timeout_seconds = req.timeout_seconds;
-  opts.external_stop = &comm.remote_stop();
+  const par::MultiWalkOptions opts = local_options(comm, req, ctx);
 
   std::atomic<bool> local_done{false};
   std::atomic<bool> local_solved{false};
@@ -292,14 +269,10 @@ runtime::SolveReport solve_distributed(World& world, const runtime::SolveRequest
     // left waiting inside a collective for a rank that bailed early.
     runtime::SolveRequest resolved = runtime::resolve(req);
     const std::string& strategy = resolved.strategy;
-    const bool is_multiwalk = strategy == "multiwalk";
-    const bool is_mpi = strategy == "mpi";
-    const bool is_collective = strategy == "collective";
     const bool is_cooperative = strategy == "cooperative";
-    if (!is_multiwalk && !is_mpi && !is_collective && !is_cooperative)
-      throw std::invalid_argument(
-          "strategy '" + strategy +
-          "' is not distributable (use multiwalk, mpi, collective, or cooperative)");
+    if (strategy != "multiwalk" && !is_cooperative)
+      throw std::invalid_argument("strategy '" + strategy +
+                                  "' is not distributable (use multiwalk or cooperative)");
     if (resolved.walkers < R)
       throw std::invalid_argument("distributed run needs walkers >= ranks (" +
                                   std::to_string(resolved.walkers) + " < " +
@@ -315,27 +288,19 @@ runtime::SolveReport solve_distributed(World& world, const runtime::SolveRequest
         throw std::invalid_argument("cooperative: round_seconds must be > 0");
     }
     knobs.finish();
-    if (is_mpi || is_collective) {
-      // Mirror the in-process contract: these strategies own their
-      // parallelism; a num_threads cap would be silently dishonoured.
-      if (resolved.num_threads != 0)
-        throw std::invalid_argument("strategy '" + strategy +
-                                    "' does not support num_threads in distributed mode");
-    }
 
     // --- stochastic requests: ONE seed for the whole world. Rank 0 draws
     // and broadcasts it, so every rank derives the same per-rank seeds and
     // the echoed request is replayable.
     if (resolved.seed == 0) {
       std::vector<int64_t> wire(1);
-      if (rank == 0) wire[0] = std::bit_cast<int64_t>(draw_seed());
+      if (rank == 0) wire[0] = std::bit_cast<int64_t>(runtime::draw_seed());
       wire = par::collective_broadcast(comm, comm.next_seq(), 0, std::move(wire));
       resolved.seed = std::bit_cast<uint64_t>(wire[0]);
     }
     report.request = resolved;
 
     const int share = share_of(resolved.walkers, R, rank);
-    const int offset = offset_of(resolved.walkers, R, rank);
     const uint64_t rank_seed =
         core::ChaoticSeedSequence::generate(resolved.seed, static_cast<size_t>(R))[rank];
 
@@ -346,8 +311,7 @@ runtime::SolveReport solve_distributed(World& world, const runtime::SolveRequest
         is_cooperative
             ? run_local_cooperative(comm, resolved, share, rank_seed, ctx, adopt, round_seconds,
                                     board, rounds)
-            : run_local_multiwalk(comm, resolved, share, rank_seed, ctx,
-                                  /*use_executor=*/is_multiwalk);
+            : run_local_multiwalk(comm, resolved, share, rank_seed, ctx);
 
     // --- epilogue on the communicator, same fixed order on every rank ---
     // Barrier first: after it, every rank's walk has finished, so every
@@ -395,34 +359,6 @@ runtime::SolveReport solve_distributed(World& world, const runtime::SolveRequest
     mine.winner_local = local.res.winner;
     const auto summaries = par::gather_summaries(comm, mine);
 
-    // The collective strategy's statistics epilogue, combined INSIDE the
-    // communicator exactly like the in-process runner does.
-    int64_t agg_total = 0, agg_max = 0, agg_min = 0, agg_solved_walkers = 0;
-    if (is_collective) {
-      int64_t local_max = 0;
-      int64_t local_min = kNoWall;
-      int64_t local_solved_walkers = 0;
-      for (const auto& st : local.res.walker_stats) {
-        if (st.iterations == 0 && !st.solved) continue;
-        const auto it = static_cast<int64_t>(st.iterations);
-        local_max = std::max(local_max, it);
-        local_min = std::min(local_min, it);
-        if (st.solved) ++local_solved_walkers;
-      }
-      if (local_min == kNoWall) local_min = 0;
-      const auto sums = par::collective_allreduce(
-          comm, comm.next_seq(), comm.next_seq(),
-          {mine.iterations, local_solved_walkers}, par::ReduceOp::kSum);
-      const auto maxs = par::collective_allreduce(comm, comm.next_seq(), comm.next_seq(),
-                                                  {local_max}, par::ReduceOp::kMax);
-      const auto mins = par::collective_allreduce(comm, comm.next_seq(), comm.next_seq(),
-                                                  {local_min}, par::ReduceOp::kMin);
-      agg_total = sums[0];
-      agg_solved_walkers = sums[1];
-      agg_max = maxs[0];
-      agg_min = mins[0];
-    }
-
     // Final barrier: every rank is past every collective of this request,
     // so the epoch boundary (drain stray SOLUTION_FOUND frames, re-arm the
     // remote-stop latch) cannot eat a peer's still-needed frame.
@@ -465,18 +401,12 @@ runtime::SolveReport solve_distributed(World& world, const runtime::SolveRequest
       report.total_iterations = static_cast<uint64_t>(total_iterations);
       report.walkers_run = static_cast<int>(walkers_run);
       if (!solved) report.wall_seconds = static_cast<double>(max_wall) / 1e6;
-      const auto& entry = entry_of(resolved);
+      const auto& entry = runtime::entry_of(resolved);
       if (solved && entry.check != nullptr) {
         report.checked = true;
         report.check_passed = entry.check(report.winner_stats.solution);
       }
       util::Json extras = util::Json::object();
-      if (is_collective) {
-        extras["allreduce_total_iterations"] = agg_total;
-        extras["allreduce_max_iterations"] = agg_max;
-        extras["allreduce_min_iterations"] = agg_min;
-        extras["solved_ranks"] = agg_solved_walkers;
-      }
       if (is_cooperative) {
         extras["blackboard_offers"] = static_cast<int64_t>(board.offers());
         extras["blackboard_improvements"] = static_cast<int64_t>(board.improvements());
@@ -505,7 +435,6 @@ runtime::SolveReport solve_distributed(World& world, const runtime::SolveRequest
     // A local walk failure surfaces AFTER the epilogue so the world stays
     // in lockstep; the other ranks saw this rank as done-unsolved.
     if (!local.error.empty()) report.error = local.error;
-    (void)offset;
   } catch (const std::exception& e) {
     report.error = e.what();
   }

@@ -1,9 +1,9 @@
-// The distributed strategy runner: executes one SolveRequest as ONE rank
-// of a multi-process world, using the SAME strategy semantics the
-// in-process runtime implements — walkers are split across ranks, each
-// rank runs its share through the existing par runners, and the
-// cross-process parts (first-win termination, cooperation rounds, the
-// statistics epilogue) go through par/collectives.hpp over the socket
+// The distributed strategy runner: executes one multiwalk or cooperative
+// SolveRequest as ONE rank of a multi-process world, using the SAME
+// strategy semantics the in-process runtime implements — walkers are split
+// across ranks, each rank runs its share through par::run_multiwalk, and
+// the cross-process parts (first-win termination, cooperation rounds, the
+// merged report) go through par/collectives.hpp over the socket
 // communicator.
 //
 // The cooperation-round protocol is factored into PURE pieces —

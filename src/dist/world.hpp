@@ -9,6 +9,7 @@
 // launcher uses to fork the sibling ranks with --coordinator=host:port.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -19,6 +20,18 @@
 #include "util/json.hpp"
 
 namespace cas::dist {
+
+/// The walker partition of every distributed runner: W walkers over R
+/// dense ranks in contiguous slices, remainder to the low ranks. Walker ids
+/// [offset_of, offset_of + share_of) belong to rank r, so a merged report's
+/// `winner` means the same thing as in a single-process run.
+inline int share_of(int walkers, int ranks, int rank) {
+  return walkers / ranks + (rank < walkers % ranks ? 1 : 0);
+}
+
+inline int offset_of(int walkers, int ranks, int rank) {
+  return rank * (walkers / ranks) + std::min(rank, walkers % ranks);
+}
 
 struct WorldOptions {
   int rank = 0;
@@ -69,8 +82,9 @@ class World {
   /// tear down the failed communicator and dial back in through the late-
   /// join handshake (`hunt_key` re-authenticates). The process comes back
   /// as a NEW member — its old identity is evicted at the wave boundary and
-  /// its walkers flow back via the usual rebalance. Throws CommError on
-  /// refusal (hunt complete, key mismatch) and on the coordinator-hosting
+  /// its walkers flow back via the usual rebalance (or, when the hunt has
+  /// completed meanwhile, the final rebalance answers the join). Throws
+  /// CommError on refusal (key mismatch) and on the coordinator-hosting
   /// member, which has nothing left to dial.
   void rejoin(const std::string& hunt_key);
 

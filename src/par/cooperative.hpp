@@ -113,7 +113,6 @@ class CooperativeProblem {
   {
     inner_.evaluate_batch(batch, bound, out);
   }
-  [[nodiscard]] core::Cost cost_if_swap(int i, int j) const { return inner_.cost_if_swap(i, j); }
   void apply_swap(int i, int j) {
     inner_.apply_swap(i, j);
     // Publish strict improvements over this walker's own best. The offer
@@ -196,39 +195,26 @@ class CooperativeProblem {
   bool last_reset_deferred_ = false;
 };
 
-struct CooperativeOptions {
-  double adopt_probability = 0.25;
-  unsigned num_threads = 0;
-  /// Shared executor + deadline + external cancellation, forwarded to the
-  /// underlying multi-walk runner (see MultiWalkOptions).
-  ThreadPool* executor = nullptr;
-  double timeout_seconds = 0.0;
-  std::atomic<bool>* external_stop = nullptr;
-};
-
-/// Cooperative multi-walk driver: like run_multiwalk, but walkers share a
-/// blackboard. `make_problem(walker_id)` builds each walker's inner problem;
-/// `make_config(walker_id, seed)` its engine configuration.
+/// Cooperative multi-walk driver: run_multiwalk over walkers that share a
+/// blackboard, each adopting its crossroad with `adopt_probability` at
+/// reset time. `make_problem(walker_id)` builds each walker's inner
+/// problem; `make_config(walker_id, seed)` its engine configuration.
 template <SharableProblem P, typename MakeProblem, typename MakeConfig>
 MultiWalkResult run_multiwalk_cooperative(int num_walkers, uint64_t master_seed,
                                           MakeProblem&& make_problem, MakeConfig&& make_config,
-                                          const CooperativeOptions& opts = {},
+                                          double adopt_probability,
+                                          const MultiWalkOptions& opts = {},
                                           Blackboard* board_out = nullptr) {
   Blackboard local_board;
   Blackboard* board = board_out != nullptr ? board_out : &local_board;
-  MultiWalkOptions mw;
-  mw.num_threads = opts.num_threads;
-  mw.executor = opts.executor;
-  mw.timeout_seconds = opts.timeout_seconds;
-  mw.external_stop = opts.external_stop;
   return run_multiwalk(
       num_walkers, master_seed,
       [&](int id, uint64_t seed, core::StopToken stop) {
-        CooperativeProblem<P> problem(make_problem(id), board, opts.adopt_probability);
+        CooperativeProblem<P> problem(make_problem(id), board, adopt_probability);
         core::AdaptiveSearch<CooperativeProblem<P>> engine(problem, make_config(id, seed));
         return engine.solve(stop);
       },
-      mw);
+      opts);
 }
 
 }  // namespace cas::par

@@ -4,30 +4,23 @@
 //  of the classical fork-join paradigm, parallel AS shall terminate as soon
 //  as a solution is found, not wait until all the processes have finished."
 //
-// Two interchangeable implementations are provided:
-//   * run_multiwalk(): walkers are threads sharing one atomic stop flag —
-//     the lightweight form used by benches and the cluster simulator's
-//     validation mode;
-//   * run_multiwalk_mpi_style(): walkers are ranks of a par::Comm; the
-//     winner broadcasts a SOLUTION_FOUND message and every walker polls its
-//     mailbox every `probe_interval` iterations — the exact control flow of
-//     the paper's OpenMPI implementation.
-// Both produce identical semantics (first solution wins; everyone else is
-// cancelled); a test asserts this equivalence.
+// run_multiwalk() is the one in-process walker runner: walkers share one
+// atomic stop flag that the first solver raises (first win cancels the
+// rest), and run as fan_out() workers — chunks on a shared ThreadPool when
+// one is given, jthreads otherwise. Every strategy that races walkers
+// (sequential, multiwalk, portfolio, cooperative, and each rank's share of
+// a distributed run) goes through it; the elastic wave hands its segments
+// to the same fan_out().
 #pragma once
 
 #include <atomic>
 #include <functional>
-#include <future>
 #include <mutex>
-#include <optional>
-#include <thread>
 #include <vector>
 
 #include "core/chaotic_seed.hpp"
 #include "core/problem.hpp"
 #include "core/stats.hpp"
-#include "par/comm.hpp"
 #include "par/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -47,7 +40,7 @@ struct MultiWalkResult {
   }
 };
 
-/// Execution knobs shared by the thread-based runners.
+/// Execution knobs of run_multiwalk.
 struct MultiWalkOptions {
   /// Cap on concurrently running walkers. 0 = one worker per walker (or
   /// the executor's width when one is given). Values below the walker
@@ -57,9 +50,7 @@ struct MultiWalkOptions {
   /// Run walker chunks on this shared pool instead of spawning fresh
   /// jthreads per call — the form SolverService uses so that many
   /// concurrent solve requests share one set of OS threads instead of
-  /// oversubscribing the machine. The caller's thread only blocks waiting
-  /// for the chunks; walker tasks never submit further pool work, so
-  /// batches cannot deadlock the pool.
+  /// oversubscribing the machine.
   ThreadPool* executor = nullptr;
   /// > 0: every walker's stop token also fires once this many wall-clock
   /// seconds elapse (measured from entry), whichever comes first with the
@@ -78,9 +69,11 @@ struct MultiWalkOptions {
 /// every cfg.probe_interval iterations) and return promptly once stopping.
 ///
 /// Per-walker seeds come from the chaotic-map sequence (paper Sec. III-B3).
+/// A walker that throws cancels the others; the exception is rethrown once
+/// every walker has returned.
 template <typename WalkerFn>
 MultiWalkResult run_multiwalk(int num_walkers, uint64_t master_seed, WalkerFn&& fn,
-                              const MultiWalkOptions& opts) {
+                              const MultiWalkOptions& opts = {}) {
   MultiWalkResult result;
   result.walker_stats.resize(static_cast<size_t>(num_walkers));
   const auto seeds =
@@ -92,155 +85,39 @@ MultiWalkResult run_multiwalk(int num_walkers, uint64_t master_seed, WalkerFn&& 
   util::WallTimer timer;
   double winner_time = 0.0;
 
-  std::atomic<int> next_walker{0};
-  unsigned workers = opts.num_threads != 0    ? opts.num_threads
-                     : opts.executor != nullptr ? opts.executor->size()
-                                                : static_cast<unsigned>(num_walkers);
-  workers = std::min<unsigned>(std::max(1u, workers), static_cast<unsigned>(num_walkers));
-
-  const auto worker_body = [&] {
-    while (true) {
-      const int id = next_walker.fetch_add(1, std::memory_order_relaxed);
-      if (id >= num_walkers) return;
-      if (stop_flag.load(std::memory_order_relaxed) ||
-          (opts.external_stop != nullptr &&
-           opts.external_stop->load(std::memory_order_relaxed))) {
-        // A solution already exists; unstarted walkers record nothing.
-        return;
-      }
-      core::RunStats st;
-      if (opts.timeout_seconds > 0.0 || opts.external_stop != nullptr) {
-        // Combined per-walker token: first-win flag OR external stop OR
-        // shared deadline. Lives on this worker's stack for the duration
-        // of the walk (StopToken stores a pointer to it).
-        const std::function<bool()> combined = [&] {
-          return stop_flag.load(std::memory_order_relaxed) ||
-                 (opts.external_stop != nullptr &&
-                  opts.external_stop->load(std::memory_order_relaxed)) ||
-                 (opts.timeout_seconds > 0.0 && timer.seconds() >= opts.timeout_seconds);
-        };
-        st = fn(id, seeds[static_cast<size_t>(id)], core::StopToken(&combined));
-      } else {
-        st = fn(id, seeds[static_cast<size_t>(id)], core::StopToken(&stop_flag));
-      }
-      if (st.solved) {
-        int expected = -1;
-        if (winner.compare_exchange_strong(expected, id)) {
-          // First finisher: freeze the clock and cancel everyone else.
-          std::scoped_lock lock(result_mu);
-          winner_time = timer.seconds();
-          stop_flag.store(true, std::memory_order_relaxed);
-        }
-      }
-      std::scoped_lock lock(result_mu);
-      result.walker_stats[static_cast<size_t>(id)] = std::move(st);
-    }
+  const auto stopped_externally = [&] {
+    return opts.external_stop != nullptr && opts.external_stop->load(std::memory_order_relaxed);
   };
+  // Combined token for runs with a deadline or an external stop: first-win
+  // flag OR external stop OR shared deadline. Read-only, so every walker
+  // can poll the same one.
+  const std::function<bool()> combined = [&] {
+    return stop_flag.load(std::memory_order_relaxed) || stopped_externally() ||
+           (opts.timeout_seconds > 0.0 && timer.seconds() >= opts.timeout_seconds);
+  };
+  const core::StopToken stop = opts.timeout_seconds > 0.0 || opts.external_stop != nullptr
+                                   ? core::StopToken(&combined)
+                                   : core::StopToken(&stop_flag);
 
-  if (opts.executor != nullptr) {
-    std::vector<std::future<void>> chunks;
-    chunks.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) chunks.push_back(opts.executor->submit(worker_body));
-    // Every chunk must be joined before this frame unwinds — the chunks
-    // reference stack state. If one throws, cancel the rest, drain them
-    // all, then rethrow the first error.
-    std::exception_ptr first_error;
-    for (auto& c : chunks) {
-      try {
-        c.get();
-      } catch (...) {
-        if (first_error == nullptr) first_error = std::current_exception();
+  fan_out(num_walkers, opts.num_threads, opts.executor, [&](int id) {
+    // A solution already exists: unstarted walkers record nothing.
+    if (stop_flag.load(std::memory_order_relaxed) || stopped_externally()) return;
+    core::RunStats st;
+    try {
+      st = fn(id, seeds[static_cast<size_t>(id)], stop);
+    } catch (...) {
+      stop_flag.store(true, std::memory_order_relaxed);
+      throw;
+    }
+    if (st.solved) {
+      int expected = -1;
+      if (winner.compare_exchange_strong(expected, id)) {
+        // First finisher: freeze the clock and cancel everyone else.
+        std::scoped_lock lock(result_mu);
+        winner_time = timer.seconds();
         stop_flag.store(true, std::memory_order_relaxed);
       }
     }
-    if (first_error != nullptr) std::rethrow_exception(first_error);
-  } else {
-    std::vector<std::jthread> threads;
-    threads.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) threads.emplace_back(worker_body);
-  }  // join
-
-  const int w = winner.load();
-  if (w >= 0) {
-    result.solved = true;
-    result.winner = w;
-    result.wall_seconds = winner_time;
-    result.winner_stats = result.walker_stats[static_cast<size_t>(w)];
-  } else {
-    result.wall_seconds = timer.seconds();
-  }
-  return result;
-}
-
-/// Historical signature: `num_threads` caps the number of concurrent OS
-/// threads (0 = one thread per walker), allowing oversubscribed runs where
-/// #walkers exceeds cores.
-template <typename WalkerFn>
-MultiWalkResult run_multiwalk(int num_walkers, uint64_t master_seed, WalkerFn&& fn,
-                              unsigned num_threads = 0) {
-  MultiWalkOptions opts;
-  opts.num_threads = num_threads;
-  return run_multiwalk(num_walkers, master_seed, std::forward<WalkerFn>(fn), opts);
-}
-
-/// run_multiwalk with a wall-clock budget: every walker's stop token fires
-/// either when a winner exists (the paper's first-win cancellation) or when
-/// `timeout_seconds` elapse — whichever comes first. The paper's own
-/// experiments live under exactly this kind of budget (scheduler walltime
-/// caps, Sec. V-B); downstream users get it as a first-class knob.
-template <typename WalkerFn>
-MultiWalkResult run_multiwalk_timed(int num_walkers, uint64_t master_seed,
-                                    double timeout_seconds, WalkerFn&& fn,
-                                    unsigned num_threads = 0) {
-  MultiWalkOptions opts;
-  opts.num_threads = num_threads;
-  opts.timeout_seconds = timeout_seconds;
-  return run_multiwalk(num_walkers, master_seed, std::forward<WalkerFn>(fn), opts);
-}
-
-/// Aggregate statistics computed *inside* the communicator by the
-/// collective-enabled runner (what a real MPI deployment would compute with
-/// MPI_Reduce instead of shipping every rank's stats to the driver).
-struct CollectiveStats {
-  int64_t total_iterations = 0;   // sum over ranks
-  int64_t max_iterations = 0;     // slowest rank
-  int64_t min_iterations = 0;     // fastest rank
-  int64_t solved_ranks = 0;       // ranks that independently reached cost 0
-  std::vector<int64_t> per_rank_iterations;  // gathered at the driver
-};
-
-/// The paper's MPI control flow on the in-process communicator: each rank
-/// runs the walker with a stop predicate that probes its mailbox; the
-/// winner broadcasts SOLUTION_FOUND to all other ranks.
-template <typename WalkerFn>
-MultiWalkResult run_multiwalk_mpi_style(int num_walkers, uint64_t master_seed, WalkerFn&& fn) {
-  MultiWalkResult result;
-  result.walker_stats.resize(static_cast<size_t>(num_walkers));
-  const auto seeds =
-      core::ChaoticSeedSequence::generate(master_seed, static_cast<size_t>(num_walkers));
-
-  Comm comm(num_walkers);
-  std::atomic<int> winner{-1};
-  std::mutex result_mu;
-  util::WallTimer timer;
-  double winner_time = 0.0;
-
-  comm.run([&](RankCtx& ctx) {
-    const int id = ctx.rank();
-    // Non-blocking mailbox probe, evaluated by the engine every
-    // probe_interval iterations — the paper's "every c iterations" test.
-    const std::function<bool()> probe = [&ctx] { return ctx.termination_pending(); };
-    core::RunStats st = fn(id, seeds[static_cast<size_t>(id)], core::StopToken(&probe));
-    if (st.solved) {
-      int expected = -1;
-      if (winner.compare_exchange_strong(expected, id)) {
-        {
-          std::scoped_lock lock(result_mu);
-          winner_time = timer.seconds();
-        }
-        ctx.broadcast_others(Message{kTagSolutionFound, id, {}});
-      }
-    }
     std::scoped_lock lock(result_mu);
     result.walker_stats[static_cast<size_t>(id)] = std::move(st);
   });
@@ -255,78 +132,6 @@ MultiWalkResult run_multiwalk_mpi_style(int num_walkers, uint64_t master_seed, W
     result.wall_seconds = timer.seconds();
   }
   return result;
-}
-
-/// Full MPI-style deployment exercising the collective layer end to end:
-/// the walk itself is identical to run_multiwalk_mpi_style (first winner
-/// broadcasts SOLUTION_FOUND), then every rank joins a barrier and the
-/// run statistics are combined *inside* the communicator — an allreduce for
-/// the totals and a gather at rank 0 for the per-rank breakdown, exactly
-/// what a production OpenMPI build would do before MPI_Finalize.
-template <typename WalkerFn>
-std::pair<MultiWalkResult, CollectiveStats> run_multiwalk_collective(int num_walkers,
-                                                                     uint64_t master_seed,
-                                                                     WalkerFn&& fn) {
-  MultiWalkResult result;
-  result.walker_stats.resize(static_cast<size_t>(num_walkers));
-  const auto seeds =
-      core::ChaoticSeedSequence::generate(master_seed, static_cast<size_t>(num_walkers));
-
-  CollectiveStats agg;
-  Comm comm(num_walkers);
-  std::atomic<int> winner{-1};
-  std::mutex result_mu;
-  util::WallTimer timer;
-  double winner_time = 0.0;
-
-  comm.run([&](RankCtx& ctx) {
-    const int id = ctx.rank();
-    const std::function<bool()> probe = [&ctx] { return ctx.termination_pending(); };
-    core::RunStats st = fn(id, seeds[static_cast<size_t>(id)], core::StopToken(&probe));
-    if (st.solved) {
-      int expected = -1;
-      if (winner.compare_exchange_strong(expected, id)) {
-        {
-          std::scoped_lock lock(result_mu);
-          winner_time = timer.seconds();
-        }
-        ctx.broadcast_others(Message{kTagSolutionFound, id, {}});
-      }
-    }
-
-    // Post-walk epilogue on the communicator. The barrier guarantees no
-    // rank is still inside its walk (so every SOLUTION_FOUND has been
-    // posted) before statistics are combined.
-    ctx.barrier();
-    const auto iters = static_cast<int64_t>(st.iterations);
-    const auto solved = static_cast<int64_t>(st.solved ? 1 : 0);
-    const auto sums = ctx.allreduce({iters, solved}, ReduceOp::kSum);
-    const auto maxs = ctx.allreduce({iters}, ReduceOp::kMax);
-    const auto mins = ctx.allreduce({iters}, ReduceOp::kMin);
-    const auto per_rank = ctx.gather(0, {iters});
-
-    std::scoped_lock lock(result_mu);
-    result.walker_stats[static_cast<size_t>(id)] = std::move(st);
-    if (id == 0) {
-      agg.total_iterations = sums[0];
-      agg.solved_ranks = sums[1];
-      agg.max_iterations = maxs[0];
-      agg.min_iterations = mins[0];
-      agg.per_rank_iterations.reserve(per_rank.size());
-      for (const auto& v : per_rank) agg.per_rank_iterations.push_back(v.at(0));
-    }
-  });
-
-  const int w = winner.load();
-  if (w >= 0) {
-    result.solved = true;
-    result.winner = w;
-    result.wall_seconds = winner_time;
-    result.winner_stats = result.walker_stats[static_cast<size_t>(w)];
-  } else {
-    result.wall_seconds = timer.seconds();
-  }
-  return {result, agg};
 }
 
 }  // namespace cas::par

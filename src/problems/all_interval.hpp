@@ -69,8 +69,6 @@ class AllIntervalProblem {
     return delta;
   }
 
-  [[nodiscard]] Cost cost_if_swap(int i, int j) const { return cost_ + delta_cost(i, j); }
-
   [[nodiscard]] std::span<const Cost> errors() const { return lazy_errors_.get(*this); }
 
   void compute_errors(std::span<Cost> errs) const {

@@ -48,7 +48,6 @@ class AlphaProblem {
   /// Pure swap delta: only equations where the two letters' multiplicities
   /// differ move; O(#equations) with an early skip for untouched ones.
   [[nodiscard]] Cost delta_cost(int i, int j) const;
-  [[nodiscard]] Cost cost_if_swap(int i, int j) const { return cost_ + delta_cost(i, j); }
   void apply_swap(int i, int j);
   [[nodiscard]] std::span<const Cost> errors() const { return lazy_errors_.get(*this); }
   void compute_errors(std::span<Cost> errs) const;

@@ -65,8 +65,6 @@ class LangfordProblem {
     return delta;
   }
 
-  [[nodiscard]] Cost cost_if_swap(int i, int j) const { return cost_ + delta_cost(i, j); }
-
   void apply_swap(int i, int j) {
     const int a = perm_[static_cast<size_t>(i)];
     const int b = perm_[static_cast<size_t>(j)];

@@ -54,8 +54,6 @@ class PartitionProblem {
     return cost_of(sum_a_ + ds, sq_a_ + dq) - cost_;
   }
 
-  [[nodiscard]] Cost cost_if_swap(int i, int j) const { return cost_ + delta_cost(i, j); }
-
   void apply_swap(int i, int j) {
     const auto [ds, dq] = swap_delta(i, j);
     std::swap(perm_[static_cast<size_t>(i)], perm_[static_cast<size_t>(j)]);

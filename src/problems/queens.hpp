@@ -76,8 +76,6 @@ class QueensProblem {
     return delta;
   }
 
-  [[nodiscard]] Cost cost_if_swap(int i, int j) const { return cost_ + delta_cost(i, j); }
-
   [[nodiscard]] std::span<const Cost> errors() const { return lazy_errors_.get(*this); }
 
   void compute_errors(std::span<Cost> errs) const {

@@ -124,12 +124,6 @@ ProblemEntry entry_for(std::string description, int default_size,
             "strategy 'cooperative' runs Adaptive Search walkers; set engine to 'as'");
       const auto base_cfg = make_as_config(engine_params_for(req, b.base_as(req)));
       b.make(req);  // eager probe, as in make_walker
-      par::CooperativeOptions opts;
-      opts.adopt_probability = adopt_probability;
-      opts.num_threads = exec.num_threads;
-      opts.executor = exec.executor;
-      opts.timeout_seconds = exec.timeout_seconds;
-      opts.external_stop = exec.external_stop;
       return par::run_multiwalk_cooperative<P>(
           req.walkers, req.seed, [b, req](int /*walker_id*/) { return b.make(req); },
           [base_cfg](int /*walker_id*/, uint64_t seed) {
@@ -137,7 +131,7 @@ ProblemEntry entry_for(std::string description, int default_size,
             cfg.seed = seed;
             return cfg;
           },
-          opts, board);
+          adopt_probability, exec, board);
     };
   }
 
@@ -408,6 +402,10 @@ const Registry<ProblemEntry>& problem_registry() {
     return r;
   }();
   return registry;
+}
+
+const ProblemEntry& entry_of(const SolveRequest& req) {
+  return problem_registry().at(req.problem, "problem");
 }
 
 }  // namespace cas::runtime

@@ -101,4 +101,7 @@ struct ProblemEntry {
 /// magic-square, langford, partition, alpha.
 const Registry<ProblemEntry>& problem_registry();
 
+/// The catalog entry of req.problem; throws naming the known problems.
+const ProblemEntry& entry_of(const SolveRequest& req);
+
 }  // namespace cas::runtime

@@ -147,8 +147,7 @@ void SolverService::auto_calibrate_locked(const SolveReport& report) {
     ++stats_.diversification_samples;
   }
   const SolveRequest& req = report.request;
-  if (req.strategy != "sequential" && req.strategy != "multiwalk" && req.strategy != "mpi")
-    return;
+  if (req.strategy != "sequential" && req.strategy != "multiwalk") return;
   const int k = report.walkers_run;
   if (k < 1 || report.wall_seconds <= 0) return;
   // Minimum of k exponential walkers, scaled by k, is distributed like one

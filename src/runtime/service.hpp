@@ -122,7 +122,7 @@ class SolverService {
     double admission_budget_walker_seconds = 0.0;
     /// Refit the cost model's (problem, size) price from the service's own
     /// completed reports. Samples come from clean SOLVED executions of the
-    /// first-win strategies (sequential/multiwalk/mpi), normalized to
+    /// first-win strategies (sequential/multiwalk), normalized to
     /// single-walker-equivalents (wall * walkers); unsolved or errored
     /// runs are censored observations and never contribute.
     bool auto_calibrate = true;

@@ -39,8 +39,8 @@ struct SolveRequest {
   std::string strategy = "multiwalk";
   int walkers = 4;
   /// Cap on concurrent OS threads (0 = one per walker / executor width).
-  /// Only meaningful for the multi-walk-based strategies; mpi, collective,
-  /// and neighborhood own one thread per rank/replica and reject it.
+  /// Only meaningful for the multi-walk-based strategies; neighborhood
+  /// owns one thread per replica and rejects it.
   unsigned num_threads = 0;
   /// Strategy-specific knobs, e.g. {"adopt_probability": 0.25} for
   /// cooperative or {"engines": ["as", "tabu"]} for portfolio.
@@ -90,7 +90,7 @@ struct SolveReport {
   bool checked = false;
   bool check_passed = false;
 
-  /// Strategy-specific extras (e.g. collective aggregate stats, blackboard
+  /// Strategy-specific extras (e.g. the portfolio's winner engine, blackboard
   /// improvement counts). Null when the strategy has none.
   util::Json extras;
 

@@ -1,6 +1,5 @@
 #include "runtime/strategy.hpp"
 
-#include <memory>
 #include <random>
 #include <stdexcept>
 
@@ -14,22 +13,6 @@
 namespace cas::runtime {
 
 namespace {
-
-/// Wrap a walker so its stop token also fires at a shared wall-clock
-/// deadline — used by the strategies whose underlying runner has no
-/// timeout knob of its own (mpi, collective). The timer starts when the
-/// wrapper is built, i.e. at strategy entry.
-Walker with_deadline(Walker inner, double timeout_seconds) {
-  if (timeout_seconds <= 0) return inner;
-  auto timer = std::make_shared<util::WallTimer>();
-  return [inner = std::move(inner), timer, timeout_seconds](int id, uint64_t seed,
-                                                            core::StopToken outer) {
-    const std::function<bool()> combined = [timer, timeout_seconds, outer] {
-      return outer.stop_requested() || timer->seconds() >= timeout_seconds;
-    };
-    return inner(id, seed, core::StopToken(&combined));
-  };
-}
 
 par::MultiWalkOptions multiwalk_options(const SolveRequest& req, const StrategyContext& ctx) {
   par::MultiWalkOptions opts;
@@ -55,36 +38,30 @@ void fill_from_result(SolveReport& report, const par::MultiWalkResult& res,
   }
 }
 
-const ProblemEntry& entry_of(const SolveRequest& req) {
-  return problem_registry().at(req.problem, "problem");
-}
-
 /// Spec reader over strategy_config, labelled for this strategy's errors.
 KnobReader strategy_knobs(const SolveRequest& req) {
   return KnobReader(req.strategy_config, "strategy '" + req.strategy + "'");
 }
 
-/// The communicator-backed and replica-backed runners manage their own
-/// threads (one per rank / replica); a num_threads cap cannot be honoured
-/// there, and silently ignoring an accepted knob breaks the runtime's
-/// fail-loudly contract. The shared executor likewise cannot carry their
-/// walkers — that is recorded visibly in the report's extras instead of
-/// erroring, because batches may legitimately mix these strategies in.
+/// The neighborhood engine manages its own replica threads; a num_threads
+/// cap cannot be honoured there, and silently ignoring an accepted knob
+/// breaks the runtime's fail-loudly contract. The shared executor likewise
+/// cannot carry its replicas — that is recorded visibly in the report's
+/// extras instead of erroring, because batches may legitimately mix it in.
 void reject_num_threads(const SolveRequest& req) {
   if (req.num_threads != 0)
     throw std::invalid_argument("strategy '" + req.strategy +
-                                "' runs one thread per walker; num_threads is not supported");
+                                "' runs one thread per replica; num_threads is not supported");
 }
 
 void note_strategy_owned_threads(const StrategyContext& ctx, SolveReport& report) {
   if (ctx.executor == nullptr) return;
   if (report.extras.is_null()) report.extras = util::Json::object();
   report.extras["thread_ownership"] =
-      "strategy-managed: one thread per rank/replica (shared executor not used)";
+      "strategy-managed: one thread per replica (shared executor not used)";
 }
 
-void run_multiwalk_strategy(const SolveRequest& req, const StrategyContext& ctx,
-                            SolveReport& report) {
+void multiwalk_strategy(const SolveRequest& req, const StrategyContext& ctx, SolveReport& report) {
   strategy_knobs(req).finish();
   const auto& entry = entry_of(req);
   const auto res =
@@ -92,43 +69,14 @@ void run_multiwalk_strategy(const SolveRequest& req, const StrategyContext& ctx,
   fill_from_result(report, res, entry);
 }
 
-void run_mpi_strategy(const SolveRequest& req, const StrategyContext& ctx,
-                      SolveReport& report) {
-  strategy_knobs(req).finish();
-  reject_num_threads(req);
-  const auto& entry = entry_of(req);
-  const auto res = par::run_multiwalk_mpi_style(
-      req.walkers, req.seed, with_deadline(entry.make_walker(req), req.timeout_seconds));
-  fill_from_result(report, res, entry);
-  note_strategy_owned_threads(ctx, report);
-}
-
-void run_collective_strategy(const SolveRequest& req, const StrategyContext& ctx,
-                             SolveReport& report) {
-  strategy_knobs(req).finish();
-  reject_num_threads(req);
-  const auto& entry = entry_of(req);
-  const auto [res, agg] = par::run_multiwalk_collective(
-      req.walkers, req.seed, with_deadline(entry.make_walker(req), req.timeout_seconds));
-  fill_from_result(report, res, entry);
-  util::Json extras = util::Json::object();
-  extras["allreduce_total_iterations"] = agg.total_iterations;
-  extras["allreduce_max_iterations"] = agg.max_iterations;
-  extras["allreduce_min_iterations"] = agg.min_iterations;
-  extras["solved_ranks"] = agg.solved_ranks;
-  report.extras = std::move(extras);
-  note_strategy_owned_threads(ctx, report);
-}
-
-void run_portfolio_strategy(const SolveRequest& req, const StrategyContext& ctx,
-                            SolveReport& report) {
+void portfolio_strategy(const SolveRequest& req, const StrategyContext& ctx, SolveReport& report) {
   // The portfolio's engine mix comes exclusively from strategy_config; a
   // non-default engine field would be silently ignored, so reject it.
   if (req.engine != "as")
     throw std::invalid_argument(
         "strategy 'portfolio' selects engines via strategy_config {\"engines\": [...]}; "
         "the request's engine field is not used");
-  // Default mix: the four engines of the par::run_portfolio ablation.
+  // Default mix: the four engines of the portfolio ablation bench.
   std::vector<std::string> engines{"as", "tabu", "dialectic", "sa"};
   KnobReader knobs = strategy_knobs(req);
   if (const auto* j = knobs.take("engines")) {
@@ -161,8 +109,8 @@ void run_portfolio_strategy(const SolveRequest& req, const StrategyContext& ctx,
   report.extras = std::move(extras);
 }
 
-void run_cooperative_strategy(const SolveRequest& req, const StrategyContext& ctx,
-                              SolveReport& report) {
+void cooperative_strategy(const SolveRequest& req, const StrategyContext& ctx,
+                          SolveReport& report) {
   double adopt = 0.25;
   KnobReader knobs = strategy_knobs(req);
   knobs.read("adopt_probability", adopt);
@@ -180,8 +128,8 @@ void run_cooperative_strategy(const SolveRequest& req, const StrategyContext& ct
   report.extras = std::move(extras);
 }
 
-void run_neighborhood_strategy(const SolveRequest& req, const StrategyContext& ctx,
-                               SolveReport& report) {
+void neighborhood_strategy(const SolveRequest& req, const StrategyContext& ctx,
+                           SolveReport& report) {
   strategy_knobs(req).finish();
   reject_num_threads(req);
   const auto& entry = entry_of(req);
@@ -219,35 +167,21 @@ const Registry<StrategyInfo>& strategy_registry() {
     Registry<StrategyInfo> r;
     // resolve() pins walkers to 1 for "sequential", so the echoed request
     // always describes what actually ran; the execution is plain multiwalk.
-    r.add("sequential", {"one walker, no parallelism (paper Table I setting)",
-                         [](const SolveRequest& req, const StrategyContext& ctx,
-                            SolveReport& rep) { run_multiwalk_strategy(req, ctx, rep); }});
-    r.add("multiwalk", {"independent multi-walk, first win cancels (paper Sec. V-A)",
-                        [](const SolveRequest& req, const StrategyContext& ctx,
-                           SolveReport& rep) { run_multiwalk_strategy(req, ctx, rep); }});
-    r.add("mpi", {"the paper's OpenMPI control flow on the in-process communicator",
-                  [](const SolveRequest& req, const StrategyContext& ctx, SolveReport& rep) {
-                    run_mpi_strategy(req, ctx, rep);
-                  }});
-    r.add("collective", {"mpi plus allreduce/gather statistics epilogue",
-                         [](const SolveRequest& req, const StrategyContext& ctx,
-                            SolveReport& rep) { run_collective_strategy(req, ctx, rep); }});
-    r.add("portfolio", {"heterogeneous engines racing on one instance",
-                        [](const SolveRequest& req, const StrategyContext& ctx,
-                           SolveReport& rep) { run_portfolio_strategy(req, ctx, rep); }});
-    r.add("cooperative", {"dependent multi-walk over a shared blackboard (Sec. VI)",
-                          [](const SolveRequest& req, const StrategyContext& ctx,
-                             SolveReport& rep) { run_cooperative_strategy(req, ctx, rep); }});
-    r.add("neighborhood", {"single-walk parallel neighborhood scan (other Sec. V branch)",
-                           [](const SolveRequest& req, const StrategyContext& ctx,
-                              SolveReport& rep) { run_neighborhood_strategy(req, ctx, rep); }});
+    r.add("sequential", {"one walker, no parallelism (paper Table I setting)", multiwalk_strategy});
+    r.add("multiwalk",
+          {"independent multi-walk, first win cancels (paper Sec. V-A)", multiwalk_strategy});
+    r.add("portfolio", {"heterogeneous engines racing on one instance", portfolio_strategy});
+    r.add("cooperative",
+          {"dependent multi-walk over a shared blackboard (Sec. VI)", cooperative_strategy});
+    r.add("neighborhood",
+          {"single-walk parallel neighborhood scan (other Sec. V branch)", neighborhood_strategy});
     return r;
   }();
   return registry;
 }
 
 SolveRequest resolve(SolveRequest req) {
-  const auto& entry = problem_registry().at(req.problem, "problem");
+  const auto& entry = entry_of(req);
   engine_catalog().at(req.engine, "engine").validate(
       [&] {
         EngineParams p;
@@ -263,20 +197,12 @@ SolveRequest resolve(SolveRequest req) {
   return req;
 }
 
-namespace {
-
-/// Fresh nonzero seed for stochastic (seed = 0) requests. Drawn per
-/// execution — NOT in resolve(), so a request's canonical key (computed on
-/// the resolved form) still reads seed 0 and identical stochastic requests
-/// coalesce under dedup while bypassing the report cache.
 uint64_t draw_seed() {
   std::random_device rd;
   uint64_t s = 0;
   while (s == 0) s = (static_cast<uint64_t>(rd()) << 32) | rd();
   return s;
 }
-
-}  // namespace
 
 SolveReport solve(const SolveRequest& req, const StrategyContext& ctx) {
   SolveReport report;

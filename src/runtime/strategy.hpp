@@ -5,19 +5,19 @@
 //   multiwalk     independent multi-walk threads, first win cancels the rest
 //                 (paper Sec. V-A); honours num_threads oversubscription,
 //                 a shared executor, and the wall-clock deadline
-//   mpi           the paper's OpenMPI control flow on the in-process
-//                 communicator (winner broadcasts SOLUTION_FOUND)
-//   collective    mpi plus the allreduce/gather statistics epilogue
 //   portfolio     heterogeneous engines racing on the same instance
 //   cooperative   dependent multi-walk sharing a best-configuration
 //                 blackboard (the paper's Sec. VI future work)
 //   neighborhood  single-walk parallelism: replicas scan the move
 //                 neighborhood of ONE walk (the other Sec. V branch)
 //
+// The first four race their walkers through the one runner,
+// par::run_multiwalk, and differ only in the walker they hand it.
 // Strategies are registry entries, so `cas_run --strategy=...` and the
-// SolverService pick them by name at runtime; the templated par runners sit
-// beneath this layer and are not duplicated.
+// SolverService pick them by name at runtime.
 #pragma once
+
+#include <cstdint>
 
 #include "par/thread_pool.hpp"
 #include "runtime/registry.hpp"
@@ -28,10 +28,9 @@ namespace cas::runtime {
 /// Execution environment handed to a strategy by the caller. The
 /// multi-walk-based strategies (sequential, multiwalk, portfolio,
 /// cooperative) run their walkers on `executor` when provided (the
-/// SolverService's shared pool) instead of spawning fresh threads. The
-/// communicator/replica strategies (mpi, collective, neighborhood)
-/// inherently own one thread per rank/replica: they ignore the executor
-/// and reject a num_threads cap rather than silently dishonour it.
+/// SolverService's shared pool) instead of spawning fresh threads.
+/// neighborhood owns one thread per replica: it ignores the executor and
+/// rejects a num_threads cap rather than silently dishonour it.
 struct StrategyContext {
   par::ThreadPool* executor = nullptr;
 };
@@ -57,5 +56,11 @@ SolveRequest resolve(SolveRequest req);
 /// Resolve and execute one request. Never throws: validation and execution
 /// failures come back in SolveReport::error.
 SolveReport solve(const SolveRequest& req, const StrategyContext& ctx = {});
+
+/// Fresh nonzero seed for a stochastic (seed = 0) request. Drawn per
+/// execution — NOT in resolve(), so a request's canonical key (computed on
+/// the resolved form) still reads seed 0 and identical stochastic requests
+/// coalesce under dedup while bypassing the report cache.
+uint64_t draw_seed();
 
 }  // namespace cas::runtime

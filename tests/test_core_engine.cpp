@@ -40,7 +40,6 @@ class SortProblem {
     const int vi = perm_[static_cast<size_t>(i)], vj = perm_[static_cast<size_t>(j)];
     return mism(i, vj) + mism(j, vi) - mism(i, vi) - mism(j, vj);
   }
-  [[nodiscard]] Cost cost_if_swap(int i, int j) const { return cost_ + delta_cost(i, j); }
   [[nodiscard]] std::span<const Cost> errors() const { return lazy_errors_.get(*this); }
   void compute_errors(std::span<Cost> errs) const {
     for (int i = 0; i < size(); ++i)
@@ -71,7 +70,6 @@ class CustomResetProbe {
   void randomize(Rng& rng) { inner_.randomize(rng); }
   void apply_swap(int i, int j) { inner_.apply_swap(i, j); }
   [[nodiscard]] Cost delta_cost(int i, int j) const { return inner_.delta_cost(i, j); }
-  [[nodiscard]] Cost cost_if_swap(int i, int j) const { return inner_.cost_if_swap(i, j); }
   [[nodiscard]] std::span<const Cost> errors() const { return inner_.errors(); }
   void compute_errors(std::span<Cost> errs) const { inner_.compute_errors(errs); }
   bool custom_reset(Rng& rng) {

@@ -46,8 +46,8 @@ TEST_P(ModelConsistency, CostIfSwapPredictsApplySwap) {
     int j = static_cast<int>(rng.below(static_cast<uint64_t>(param.n)));
     if (i == j) continue;
     const auto before = p.permutation();
-    const core::Cost predicted = p.cost_if_swap(i, j);
-    ASSERT_EQ(p.permutation(), before) << "cost_if_swap must not mutate";
+    const core::Cost predicted = p.cost() + p.delta_cost(i, j);
+    ASSERT_EQ(p.permutation(), before) << "delta_cost must not mutate";
     p.apply_swap(i, j);
     ASSERT_EQ(p.cost(), predicted);
   }

@@ -1,5 +1,5 @@
 // The distributed strategy runner end to end, whole worlds inside one test
-// process: multiwalk/mpi/collective/cooperative requests split across
+// process: multiwalk and cooperative requests split across
 // socket ranks, the merged rank-0 report (global winner id, per-rank
 // provenance, comm counters), the broadcast stochastic seed, epoch reuse of
 // one world across successive requests, and the pure decide_round()
@@ -155,18 +155,6 @@ TEST(DistRunner, CooperativeSharesConfigurationsAcrossRanks) {
   EXPECT_NE(root.extras.find("blackboard_offers"), nullptr);
 }
 
-TEST(DistRunner, CollectiveEpilogueAggregatesInsideTheCommunicator) {
-  const auto reports = run_world(2, {costas_request("collective", 12, 4, 404)});
-  const runtime::SolveReport& root = reports[0][0];
-  ASSERT_TRUE(root.error.empty()) << root.error;
-  EXPECT_TRUE(root.solved);
-  const int64_t total = root.extras.find("allreduce_total_iterations")->as_int();
-  EXPECT_EQ(total, static_cast<int64_t>(root.total_iterations));
-  EXPECT_GE(root.extras.find("solved_ranks")->as_int(), 1);
-  EXPECT_GE(root.extras.find("allreduce_max_iterations")->as_int(),
-            root.extras.find("allreduce_min_iterations")->as_int());
-}
-
 TEST(DistRunner, StochasticSeedIsDrawnOnceAndBroadcast) {
   const auto reports = run_world(2, {costas_request("multiwalk", 11, 4, 0)});
   const uint64_t seed0 = reports[0][0].request.seed;
@@ -181,7 +169,7 @@ TEST(DistRunner, OneWorldServesSuccessiveRequests) {
   // frames from request k must not leak into request k+1.
   const auto reports = run_world(2, {costas_request("multiwalk", 12, 4, 1),
                                      costas_request("cooperative", 12, 4, 2),
-                                     costas_request("mpi", 11, 2, 3)});
+                                     costas_request("multiwalk", 11, 2, 3)});
   for (int r = 0; r < 2; ++r) {
     ASSERT_EQ(reports[static_cast<size_t>(r)].size(), 3u);
     for (const auto& rep : reports[static_cast<size_t>(r)]) {

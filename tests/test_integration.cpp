@@ -137,7 +137,8 @@ TEST(Integration, RealThreadMultiWalkBeatsSingleWalkOnAverage) {
   const int reps = 6;
   for (int r = 0; r < reps; ++r) {
     const auto s1 = par::run_multiwalk(1, 9000 + static_cast<uint64_t>(r), walker);
-    const auto s4 = par::run_multiwalk(4, 9000 + static_cast<uint64_t>(r), walker, 2);
+    const auto s4 = par::run_multiwalk(4, 9000 + static_cast<uint64_t>(r), walker,
+                                       par::MultiWalkOptions{.num_threads = 2});
     ASSERT_TRUE(s1.solved && s4.solved);
     single += s1.winner_stats.iterations;
     multi += s4.winner_stats.iterations;

@@ -1,20 +1,15 @@
 // MPI-style collectives on the in-process communicator: barrier semantics,
 // broadcast/reduce/allreduce/gather correctness, interleaving with
-// point-to-point traffic (the solution-found protocol), sequence alignment
-// under stress, and the collective-enabled multi-walk runner end to end.
+// point-to-point traffic (the solution-found protocol), and sequence
+// alignment under stress.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <limits>
-#include <numeric>
 #include <thread>
 
-#include "core/adaptive_search.hpp"
-#include "costas/checker.hpp"
-#include "costas/model.hpp"
+#include "core/rng.hpp"
 #include "par/comm.hpp"
-#include "par/multiwalk.hpp"
 
 namespace cas::par {
 namespace {
@@ -223,60 +218,6 @@ TEST(CollectiveStress, SingleRankAllOps) {
     ASSERT_EQ(g.size(), 1u);
     EXPECT_EQ(g[0], (std::vector<int64_t>{1, 2}));
   });
-}
-
-// ---------- the collective-enabled multi-walk runner ----------
-
-TEST(MultiwalkCollective, SolvesAndAggregatesConsistently) {
-  const int walkers = 4, n = 12;
-  const auto [result, agg] = run_multiwalk_collective(
-      walkers, 2012, [&](int /*id*/, uint64_t seed, core::StopToken stop) {
-        costas::CostasProblem p(n);
-        auto cfg = costas::recommended_config(n, seed);
-        cfg.probe_interval = 16;
-        core::AdaptiveSearch<costas::CostasProblem> engine(p, cfg);
-        return engine.solve(stop);
-      });
-
-  ASSERT_TRUE(result.solved);
-  EXPECT_TRUE(costas::is_costas(result.winner_stats.solution));
-  EXPECT_GE(agg.solved_ranks, 1);
-
-  // The aggregates computed inside the communicator must match the stats
-  // shipped back to the driver.
-  int64_t total = 0, mx = 0;
-  int64_t mn = std::numeric_limits<int64_t>::max();
-  for (const auto& st : result.walker_stats) {
-    const auto it = static_cast<int64_t>(st.iterations);
-    total += it;
-    mx = std::max(mx, it);
-    mn = std::min(mn, it);
-  }
-  EXPECT_EQ(agg.total_iterations, total);
-  EXPECT_EQ(agg.max_iterations, mx);
-  EXPECT_EQ(agg.min_iterations, mn);
-  ASSERT_EQ(agg.per_rank_iterations.size(), static_cast<size_t>(walkers));
-  for (int w = 0; w < walkers; ++w) {
-    EXPECT_EQ(agg.per_rank_iterations[static_cast<size_t>(w)],
-              static_cast<int64_t>(result.walker_stats[static_cast<size_t>(w)].iterations));
-  }
-}
-
-TEST(MultiwalkCollective, MatchesAtomicFlagRunnerOnOutcome) {
-  // Same seeds, same engine: the collective runner and the plain runner
-  // must both solve (winners may differ by timing, outcomes not).
-  const int walkers = 3, n = 11;
-  auto walker = [&](int /*id*/, uint64_t seed, core::StopToken stop) {
-    costas::CostasProblem p(n);
-    auto cfg = costas::recommended_config(n, seed);
-    core::AdaptiveSearch<costas::CostasProblem> engine(p, cfg);
-    return engine.solve(stop);
-  };
-  const auto plain = run_multiwalk(walkers, 77, walker);
-  const auto [collective, agg] = run_multiwalk_collective(walkers, 77, walker);
-  EXPECT_TRUE(plain.solved);
-  EXPECT_TRUE(collective.solved);
-  EXPECT_EQ(agg.per_rank_iterations.size(), static_cast<size_t>(walkers));
 }
 
 }  // namespace

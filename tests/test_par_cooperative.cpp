@@ -105,7 +105,7 @@ TEST(CooperativeMultiWalk, SolvesCostas) {
   const auto result = run_multiwalk_cooperative<costas::CostasProblem>(
       4, 2012, [](int) { return costas::CostasProblem(13); },
       [](int, uint64_t seed) { return costas::recommended_config(13, seed); },
-      CooperativeOptions{0.3, 0}, &board);
+      /*adopt_probability=*/0.3, {}, &board);
   ASSERT_TRUE(result.solved);
   EXPECT_TRUE(costas::is_costas(result.winner_stats.solution));
   EXPECT_GT(board.offers(), 0u);
@@ -115,7 +115,7 @@ TEST(CooperativeMultiWalk, AdoptProbabilityZeroStillSolves) {
   const auto result = run_multiwalk_cooperative<costas::CostasProblem>(
       3, 99, [](int) { return costas::CostasProblem(12); },
       [](int, uint64_t seed) { return costas::recommended_config(12, seed); },
-      CooperativeOptions{0.0, 0});
+      /*adopt_probability=*/0.0);
   ASSERT_TRUE(result.solved);
   EXPECT_TRUE(costas::is_costas(result.winner_stats.solution));
 }

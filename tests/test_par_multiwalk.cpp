@@ -1,12 +1,15 @@
 // Independent multi-walk engine (paper Sec. V-A): first-win semantics,
 // cancellation of losers, seed distribution, thread-capped oversubscription,
-// and equivalence between the atomic-flag and MPI-style implementations.
+// the wall-clock deadline, the shared-pool executor, and error propagation.
 #include "par/multiwalk.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "core/adaptive_search.hpp"
 #include "costas/checker.hpp"
@@ -18,44 +21,53 @@ namespace {
 using core::RunStats;
 using core::StopToken;
 
-/// Walker that "solves" after a seed-dependent number of polls. Lets the
-/// tests control exactly who wins without real search noise.
-RunStats scripted_walker(int id, uint64_t seed, StopToken stop, int solve_after,
-                         std::atomic<int>* cancelled) {
-  RunStats st;
-  for (int i = 0; i < 1000000; ++i) {
-    if (stop.stop_requested()) {
-      if (cancelled) cancelled->fetch_add(1);
-      return st;  // unsolved
+/// A scripted race of `walkers` walkers, one worker each. Walker 1
+/// "solves" once every walker has started and it has polled `solve_after`
+/// times; every other walker polls until its stop token fires and returns
+/// unsolved. Only walker 1 can finish, and every loser is running when it
+/// does, so neither the winner nor the cancellations depend on thread
+/// start order.
+struct ScriptedRace {
+  int walkers;
+  uint64_t solve_after;
+  std::atomic<int> started{0};
+  std::atomic<int> cancelled{0};
+
+  RunStats walk(int id, uint64_t seed, StopToken stop) {
+    started.fetch_add(1);
+    RunStats st;
+    while (id != 1 || started.load() < walkers || st.iterations < solve_after) {
+      if (stop.stop_requested()) {
+        cancelled.fetch_add(1);
+        return st;  // unsolved
+      }
+      ++st.iterations;
+      std::this_thread::yield();
     }
-    ++st.iterations;
-    if (id == 0 ? false : (i >= solve_after * id)) break;  // walker 0 never solves
-    std::this_thread::yield();
+    st.solved = true;
+    st.solution = {id, static_cast<int>(seed & 0xFF)};
+    return st;
   }
-  st.solved = true;
-  st.solution = {id, static_cast<int>(seed & 0xFF)};
-  return st;
-}
+};
 
 TEST(MultiWalk, FirstSolverWins) {
-  std::atomic<int> cancelled{0};
-  const auto result = run_multiwalk(4, 1, [&](int id, uint64_t seed, StopToken stop) {
-    return scripted_walker(id, seed, stop, 500, &cancelled);
-  });
+  ScriptedRace race{4, 500};
+  const auto result = run_multiwalk(
+      4, 1, [&](int id, uint64_t seed, StopToken stop) { return race.walk(id, seed, stop); });
   ASSERT_TRUE(result.solved);
-  // Walker 1 has the shortest script (id * 50).
   EXPECT_EQ(result.winner, 1);
   EXPECT_TRUE(result.winner_stats.solved);
 }
 
 TEST(MultiWalk, LosersAreCancelled) {
-  std::atomic<int> cancelled{0};
-  const auto result = run_multiwalk(4, 2, [&](int id, uint64_t seed, StopToken stop) {
-    return scripted_walker(id, seed, stop, 2000, &cancelled);
-  });
+  ScriptedRace race{4, 2000};
+  const auto result = run_multiwalk(
+      4, 2, [&](int id, uint64_t seed, StopToken stop) { return race.walk(id, seed, stop); });
   ASSERT_TRUE(result.solved);
-  // Walker 0 never solves on its own; it must have been cancelled.
-  EXPECT_GE(cancelled.load(), 1);
+  // Every other walker was running and never solves on its own: all three
+  // must have been cancelled.
+  EXPECT_EQ(race.cancelled.load(), 3);
+  for (const int id : {0, 2, 3}) EXPECT_FALSE(result.walker_stats[static_cast<size_t>(id)].solved);
 }
 
 TEST(MultiWalk, UnsolvableReportsFailure) {
@@ -106,7 +118,7 @@ TEST(MultiWalk, ThreadCapOversubscription) {
         RunStats st;  // nobody solves: every walker must execute
         return st;
       },
-      /*num_threads=*/2);
+      MultiWalkOptions{.num_threads = 2});
   EXPECT_FALSE(result.solved);
   EXPECT_EQ(ran.load(), 32);
 }
@@ -124,7 +136,7 @@ TEST(MultiWalk, ThreadCapStopsLaunchingAfterWin) {
         st.solution = {1};
         return st;
       },
-      /*num_threads=*/1);
+      MultiWalkOptions{.num_threads = 1});
   EXPECT_TRUE(result.solved);
   EXPECT_EQ(ran.load(), 1);
 }
@@ -140,31 +152,20 @@ TEST(MultiWalk, WallSecondsPopulated) {
   EXPECT_LT(result.wall_seconds, 30.0);
 }
 
-TEST(MultiWalkMpiStyle, SameWinnerSemanticsAsAtomic) {
-  std::atomic<int> cancelled{0};
-  const auto result = run_multiwalk_mpi_style(4, 1, [&](int id, uint64_t seed, StopToken stop) {
-    return scripted_walker(id, seed, stop, 500, &cancelled);
-  });
-  ASSERT_TRUE(result.solved);
-  EXPECT_EQ(result.winner, 1);
-}
-
-TEST(MultiWalkMpiStyle, SeedsMatchAtomicVariant) {
-  // Both implementations must hand identical seeds to walker i, so a given
-  // (master_seed, walker count) searches the same portfolio either way.
-  std::mutex mu;
-  std::vector<uint64_t> atomic_seeds(3), mpi_seeds(3);
-  run_multiwalk(3, 123, [&](int id, uint64_t seed, StopToken) {
-    std::scoped_lock lock(mu);
-    atomic_seeds[static_cast<size_t>(id)] = seed;
-    return RunStats{};
-  });
-  run_multiwalk_mpi_style(3, 123, [&](int id, uint64_t seed, StopToken) {
-    std::scoped_lock lock(mu);
-    mpi_seeds[static_cast<size_t>(id)] = seed;
-    return RunStats{};
-  });
-  EXPECT_EQ(atomic_seeds, mpi_seeds);
+TEST(MultiWalk, WalkerErrorCancelsTheRestAndPropagates) {
+  // Walker 0 throws; the others poll until the error cancels them (they
+  // never stop otherwise). Both executor forms join every walker, then
+  // rethrow.
+  ThreadPool pool(4);
+  for (ThreadPool* executor : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const auto walker = [](int id, uint64_t, StopToken stop) {
+      if (id == 0) throw std::runtime_error("walker 0 failed");
+      while (!stop.stop_requested()) std::this_thread::yield();
+      return RunStats{};
+    };
+    EXPECT_THROW(run_multiwalk(4, 3, walker, MultiWalkOptions{.executor = executor}),
+                 std::runtime_error);
+  }
 }
 
 TEST(MultiWalk, SolvesRealCostasInstance) {
@@ -181,39 +182,27 @@ TEST(MultiWalk, SolvesRealCostasInstance) {
   EXPECT_EQ(static_cast<size_t>(4), result.walker_stats.size());
 }
 
-TEST(MultiWalkMpiStyle, SolvesRealCostasInstance) {
-  const int n = 12;
-  auto walker = [n](int, uint64_t seed, StopToken stop) {
-    costas::CostasProblem problem(n);
-    core::AdaptiveSearch<costas::CostasProblem> engine(problem,
-                                                       costas::recommended_config(n, seed));
-    return engine.solve(stop);
-  };
-  const auto result = run_multiwalk_mpi_style(4, 2012, walker);
-  ASSERT_TRUE(result.solved);
-  EXPECT_TRUE(costas::is_costas(result.winner_stats.solution));
-}
-
 TEST(MultiWalk, CancellationLatencyBounded) {
   // After the winner finishes, losers polling every iteration must exit
-  // quickly; the whole run should take far less than the losers' full
-  // budget (which is ~1e6 yields each).
+  // quickly. They never stop on their own, so the run ends only through
+  // the cancellation.
   util::WallTimer timer;
-  const auto result = run_multiwalk(4, 9, [&](int id, uint64_t seed, StopToken stop) {
-    return scripted_walker(id, seed, stop, 1, nullptr);
-  });
+  ScriptedRace race{4, 1};
+  const auto result = run_multiwalk(
+      4, 9, [&](int id, uint64_t seed, StopToken stop) { return race.walk(id, seed, stop); });
   EXPECT_TRUE(result.solved);
   EXPECT_LT(timer.seconds(), 10.0);
 }
 
 TEST(MultiWalkTimed, GenerousBudgetSolves) {
-  const auto result = run_multiwalk_timed(2, 5, /*timeout_seconds=*/60.0,
-                                          [&](int, uint64_t seed, StopToken stop) {
-                                            costas::CostasProblem p(11);
-                                            core::AdaptiveSearch<costas::CostasProblem> e(
-                                                p, costas::recommended_config(11, seed));
-                                            return e.solve(stop);
-                                          });
+  const auto result = run_multiwalk(
+      2, 5,
+      [&](int, uint64_t seed, StopToken stop) {
+        costas::CostasProblem p(11);
+        core::AdaptiveSearch<costas::CostasProblem> e(p, costas::recommended_config(11, seed));
+        return e.solve(stop);
+      },
+      MultiWalkOptions{.timeout_seconds = 60.0});
   ASSERT_TRUE(result.solved);
   EXPECT_TRUE(costas::is_costas(result.winner_stats.solution));
 }
@@ -222,14 +211,16 @@ TEST(MultiWalkTimed, DeadlineFiresOnHardInstance) {
   // CAP 19 cannot be solved in 50 ms on this box (paper Table I: ~30 s on
   // a much faster machine); every walker must give up at the deadline.
   util::WallTimer timer;
-  const auto result = run_multiwalk_timed(2, 7, /*timeout_seconds=*/0.05,
-                                          [&](int, uint64_t seed, StopToken stop) {
-                                            costas::CostasProblem p(19);
-                                            auto cfg = costas::recommended_config(19, seed);
-                                            cfg.probe_interval = 16;
-                                            core::AdaptiveSearch<costas::CostasProblem> e(p, cfg);
-                                            return e.solve(stop);
-                                          });
+  const auto result = run_multiwalk(
+      2, 7,
+      [&](int, uint64_t seed, StopToken stop) {
+        costas::CostasProblem p(19);
+        auto cfg = costas::recommended_config(19, seed);
+        cfg.probe_interval = 16;
+        core::AdaptiveSearch<costas::CostasProblem> e(p, cfg);
+        return e.solve(stop);
+      },
+      MultiWalkOptions{.timeout_seconds = 0.05});
   EXPECT_FALSE(result.solved);
   EXPECT_LT(timer.seconds(), 2.0);  // deadline + one probe window + slack
   for (const auto& st : result.walker_stats) EXPECT_FALSE(st.solved);
@@ -242,8 +233,8 @@ TEST(MultiWalkTimed, DeadlineReachesOversubscribedWalkers) {
   // in a bounded time instead of 8 x budget.
   util::WallTimer timer;
   std::atomic<int> ran{0};
-  const auto result = run_multiwalk_timed(
-      8, 21, /*timeout_seconds=*/0.05,
+  const auto result = run_multiwalk(
+      8, 21,
       [&](int, uint64_t, StopToken stop) {
         ran.fetch_add(1);
         RunStats st;
@@ -254,7 +245,7 @@ TEST(MultiWalkTimed, DeadlineReachesOversubscribedWalkers) {
         }
         return st;
       },
-      /*num_threads=*/2);
+      MultiWalkOptions{.num_threads = 2, .timeout_seconds = 0.05});
   EXPECT_FALSE(result.solved);
   EXPECT_EQ(ran.load(), 8);
   EXPECT_EQ(result.walker_stats.size(), 8u);
@@ -300,15 +291,13 @@ TEST(MultiWalkExecutor, FirstWinSemanticsOnSharedPool) {
   ThreadPool pool(4);
   MultiWalkOptions opts;
   opts.executor = &pool;
-  std::atomic<int> cancelled{0};
+  ScriptedRace race{4, 500};
   const auto result = run_multiwalk(
-      4, 1,
-      [&](int id, uint64_t seed, StopToken stop) {
-        return scripted_walker(id, seed, stop, 500, &cancelled);
-      },
+      4, 1, [&](int id, uint64_t seed, StopToken stop) { return race.walk(id, seed, stop); },
       opts);
   ASSERT_TRUE(result.solved);
   EXPECT_EQ(result.winner, 1);  // same script, same winner as the jthread form
+  EXPECT_EQ(race.cancelled.load(), 3);
 }
 
 TEST(MultiWalkExecutor, PoolSurvivesManySequentialRuns) {
@@ -352,13 +341,14 @@ TEST(MultiWalkTimed, FirstWinStillCancelsBeforeDeadline) {
   // A huge timeout must not delay the first-win cancellation: the whole
   // run ends as soon as one walker solves the easy instance.
   util::WallTimer timer;
-  const auto result = run_multiwalk_timed(3, 11, /*timeout_seconds=*/300.0,
-                                          [&](int, uint64_t seed, StopToken stop) {
-                                            costas::CostasProblem p(10);
-                                            core::AdaptiveSearch<costas::CostasProblem> e(
-                                                p, costas::recommended_config(10, seed));
-                                            return e.solve(stop);
-                                          });
+  const auto result = run_multiwalk(
+      3, 11,
+      [&](int, uint64_t seed, StopToken stop) {
+        costas::CostasProblem p(10);
+        core::AdaptiveSearch<costas::CostasProblem> e(p, costas::recommended_config(10, seed));
+        return e.solve(stop);
+      },
+      MultiWalkOptions{.timeout_seconds = 300.0});
   ASSERT_TRUE(result.solved);
   EXPECT_LT(timer.seconds(), 30.0);
 }

@@ -22,7 +22,7 @@ void check_incremental_consistency(P& p, MakeFresh&& make_fresh, int steps, uint
     const int i = static_cast<int>(rng.below(static_cast<uint64_t>(n)));
     int j = static_cast<int>(rng.below(static_cast<uint64_t>(n)));
     if (i == j) j = (j + 1) % n;
-    const auto predicted = p.cost_if_swap(i, j);
+    const auto predicted = p.cost() + p.delta_cost(i, j);
     p.apply_swap(i, j);
     ASSERT_EQ(p.cost(), predicted) << "step " << s;
     auto fresh = make_fresh(p);
@@ -124,7 +124,7 @@ TEST(AllInterval, IncrementalConsistency) {
     const int i = static_cast<int>(rng.below(14));
     int j = static_cast<int>(rng.below(14));
     if (i == j) continue;
-    const auto predicted = p.cost_if_swap(i, j);
+    const auto predicted = p.cost() + p.delta_cost(i, j);
     p.apply_swap(i, j);
     ASSERT_EQ(p.cost(), predicted);
     // Independent recount.
@@ -144,7 +144,7 @@ TEST(AllInterval, AdjacentSwapConsistency) {
   core::Rng rng(4);
   p.randomize(rng);
   for (int i = 0; i + 1 < 10; ++i) {
-    const auto predicted = p.cost_if_swap(i, i + 1);
+    const auto predicted = p.cost() + p.delta_cost(i, i + 1);
     p.apply_swap(i, i + 1);
     ASSERT_EQ(p.cost(), predicted) << "i=" << i;
   }
@@ -191,7 +191,7 @@ TEST(MagicSquare, IncrementalConsistency) {
     const int i = static_cast<int>(rng.below(16));
     int j = static_cast<int>(rng.below(16));
     if (i == j) continue;
-    const auto predicted = p.cost_if_swap(i, j);
+    const auto predicted = p.cost() + p.delta_cost(i, j);
     p.apply_swap(i, j);
     ASSERT_EQ(p.cost(), predicted);
   }

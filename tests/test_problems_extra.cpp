@@ -50,7 +50,7 @@ TEST(Langford, IncrementalCostMatchesRebuild) {
     const int i = static_cast<int>(rng.below(12));
     const int j = static_cast<int>(rng.below(12));
     if (i == j) continue;
-    const auto pred = p.cost_if_swap(i, j);
+    const auto pred = p.cost() + p.delta_cost(i, j);
     p.apply_swap(i, j);
     ASSERT_EQ(p.cost(), pred) << "t=" << t;
     // Independent recomputation through a fresh problem.
@@ -131,7 +131,7 @@ TEST(Partition, IncrementalCostMatchesPrediction) {
     const int i = static_cast<int>(rng.below(16));
     const int j = static_cast<int>(rng.below(16));
     if (i == j) continue;
-    const auto pred = p.cost_if_swap(i, j);
+    const auto pred = p.cost() + p.delta_cost(i, j);
     p.apply_swap(i, j);
     ASSERT_EQ(p.cost(), pred) << "t=" << t;
   }
@@ -142,8 +142,8 @@ TEST(Partition, WithinGroupSwapsAreCostNeutral) {
   core::Rng rng(5);
   p.randomize(rng);
   const auto before = p.cost();
-  EXPECT_EQ(p.cost_if_swap(0, 3), before);   // both in group A
-  EXPECT_EQ(p.cost_if_swap(7, 11), before);  // both in group B
+  EXPECT_EQ(p.cost() + p.delta_cost(0, 3), before);   // both in group A
+  EXPECT_EQ(p.cost() + p.delta_cost(7, 11), before);  // both in group B
 }
 
 class PartitionSolveSweep : public ::testing::TestWithParam<int> {};
@@ -215,7 +215,7 @@ TEST(Alpha, IncrementalCostMatchesPrediction) {
     const int i = static_cast<int>(rng.below(26));
     const int j = static_cast<int>(rng.below(26));
     if (i == j) continue;
-    const auto pred = p.cost_if_swap(i, j);
+    const auto pred = p.cost() + p.delta_cost(i, j);
     p.apply_swap(i, j);
     ASSERT_EQ(p.cost(), pred) << "t=" << t;
   }

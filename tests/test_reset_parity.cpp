@@ -376,11 +376,10 @@ TEST(ResetTrajectoryIdentity, CooperativeSingleWalkerWithCustomResets) {
   const int n = 12;
   auto make_run = [&](simd::Isa isa) {
     simd::ScopedIsa guard(isa);
-    par::CooperativeOptions opts;
-    opts.adopt_probability = 0.5;
     return par::run_multiwalk_cooperative<costas::CostasProblem>(
         1, 2025, [&](int) { return costas::CostasProblem(n); },
-        [&](int, uint64_t seed) { return costas::recommended_config(n, seed); }, opts);
+        [&](int, uint64_t seed) { return costas::recommended_config(n, seed); },
+        /*adopt_probability=*/0.5);
   };
   const auto scalar_res = make_run(simd::Isa::kScalar);
   const auto simd_res = make_run(simd::best_supported_isa());

@@ -66,8 +66,21 @@ TEST(Strategy, IterationBudgetStopsUnsolvedRuns) {
   EXPECT_LE(report.total_iterations, 3u * 50u + 3u);
 }
 
+TEST(Strategy, UnknownStrategyErrorNamesTheValidOnes) {
+  for (const char* name : {"mpi", "collective"}) {
+    const auto report = solve(small_costas(name));
+    EXPECT_FALSE(report.solved) << name;
+    EXPECT_NE(report.error.find(std::string("unknown strategy '") + name + "'"), std::string::npos)
+        << report.error;
+    EXPECT_NE(report.error.find("(known: cooperative, multiwalk, neighborhood, portfolio, "
+                                "sequential)"),
+              std::string::npos)
+        << report.error;
+  }
+}
+
 TEST(Strategy, TimeoutStopsUnsolvedRuns) {
-  for (const char* name : {"multiwalk", "mpi"}) {
+  for (const char* name : {"multiwalk", "cooperative"}) {
     SolveRequest req = small_costas(name);
     req.size = 19;  // paper Table I: ~30 s on faster hardware; hopeless in 50 ms
     req.timeout_seconds = 0.05;
@@ -89,6 +102,38 @@ TEST(Strategy, PortfolioReportsWinnerEngineAndHonoursCustomMix) {
   EXPECT_TRUE(report.solved);
   const std::string winner_engine = report.extras.at("winner_engine").as_string();
   EXPECT_TRUE(winner_engine == "as" || winner_engine == "tabu") << winner_engine;
+}
+
+TEST(Strategy, EverySingleEnginePortfolioSolves) {
+  for (const char* engine : {"as", "tabu", "dialectic", "sa"}) {
+    SolveRequest req = small_costas("portfolio");
+    req.size = 9;
+    req.walkers = 2;
+    req.seed = 13;
+    req.strategy_config = util::Json::parse(std::string(R"({"engines": [")") + engine + "\"]}");
+    const auto report = solve(req);
+    ASSERT_TRUE(report.error.empty()) << engine << ": " << report.error;
+    EXPECT_TRUE(report.solved) << engine;
+    EXPECT_TRUE(report.check_passed) << engine;
+    EXPECT_EQ(report.extras.at("winner_engine").as_string(), engine);
+  }
+}
+
+TEST(Strategy, PortfolioCancelsTheSlowMember) {
+  // AS (fast on CAP) races SA (slow). Whichever finishes first, the other
+  // member stops at its next probe (or never starts) instead of running out
+  // its cap.
+  SolveRequest req = small_costas("portfolio");
+  req.size = 12;
+  req.walkers = 2;
+  req.seed = 31;
+  req.probe_interval = 8;
+  req.max_iterations = 20'000'000;
+  req.strategy_config = util::Json::parse(R"({"engines": ["as", "sa"]})");
+  const auto report = solve(req);
+  ASSERT_TRUE(report.error.empty()) << report.error;
+  ASSERT_TRUE(report.solved);
+  EXPECT_LT(report.total_iterations - report.winner_stats.iterations, req.max_iterations);
 }
 
 TEST(Strategy, PortfolioRejectsUnknownEngine) {
@@ -149,17 +194,6 @@ TEST(Strategy, UnknownStrategyKnobThrows) {
   EXPECT_NE(report.error.find("adopt_probability"), std::string::npos) << report.error;
 }
 
-TEST(Strategy, CollectiveAggregatesMatchWalkerStats) {
-  SolveRequest req = small_costas("collective");
-  const auto report = solve(req);
-  ASSERT_TRUE(report.error.empty()) << report.error;
-  // The allreduce total computed inside the communicator must equal the
-  // driver-side sum over walker stats.
-  EXPECT_EQ(static_cast<uint64_t>(report.extras.at("allreduce_total_iterations").as_int()),
-            report.total_iterations);
-  EXPECT_GE(report.extras.at("solved_ranks").as_int(), 1);
-}
-
 TEST(Strategy, SequentialUsesExactlyOneWalker) {
   SolveRequest req = small_costas("sequential");
   req.walkers = 8;  // normalized away: sequential always runs one walker
@@ -171,16 +205,14 @@ TEST(Strategy, SequentialUsesExactlyOneWalker) {
   EXPECT_EQ(report.request.walkers, 1);
 }
 
-TEST(Strategy, ThreadOwningStrategiesRejectNumThreadsCap) {
-  // mpi/collective/neighborhood spawn one thread per rank/replica; an
-  // accepted-but-ignored num_threads would break the fail-loudly contract.
-  for (const char* name : {"mpi", "collective", "neighborhood"}) {
-    SolveRequest req = small_costas(name);
-    req.num_threads = 2;
-    const auto report = solve(req);
-    EXPECT_FALSE(report.error.empty()) << name;
-    EXPECT_NE(report.error.find("num_threads"), std::string::npos) << report.error;
-  }
+TEST(Strategy, NeighborhoodRejectsNumThreadsCap) {
+  // neighborhood spawns one thread per replica; an accepted-but-ignored
+  // num_threads would break the fail-loudly contract.
+  SolveRequest neighborhood = small_costas("neighborhood");
+  neighborhood.num_threads = 2;
+  const auto report = solve(neighborhood);
+  EXPECT_FALSE(report.error.empty());
+  EXPECT_NE(report.error.find("num_threads"), std::string::npos) << report.error;
   // The multi-walk strategies do honour it.
   SolveRequest req = small_costas("multiwalk");
   req.num_threads = 2;

@@ -43,8 +43,7 @@ TEST(Umbrella, AllMajorTypesReachable) {
   EXPECT_GT(wfit.shape, 0);
   const auto sp = cas::analysis::predict_speedup({0.0, 10.0}, 4);
   EXPECT_DOUBLE_EQ(sp.speedup, 4.0);
-  EXPECT_STREQ(cas::par::engine_kind_name(cas::par::EngineKind::kAdaptiveSearch),
-               "adaptive-search");
+  EXPECT_TRUE(cas::runtime::strategy_registry().contains("portfolio"));
   EXPECT_GT(fit.lambda, 0);
   EXPECT_EQ(cp.count_solutions(), 116u);  // n=6
   (void)rng;
