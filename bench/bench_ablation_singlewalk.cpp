@@ -12,7 +12,11 @@
 //
 // Both schemes are the runtime's registered strategies ("neighborhood" and
 // "multiwalk"); each cell is a SolveRequest differing only in the strategy
-// name and thread count.
+// name and thread count. The neighborhood cells run on the baseline's
+// seeds: a neighborhood request replays the sequential request's walk, so
+// the iteration means must match exactly (the bench exits 1 otherwise) and
+// the single-walk speedup measures only the per-iteration cost of the
+// parallel scan.
 #include <cstdio>
 
 #include "common.hpp"
@@ -25,13 +29,18 @@ using namespace cas::bench;
 
 namespace {
 
-double mean_time(int n, const std::string& strategy, int walkers, int reps, uint64_t seed) {
+struct Cell {
+  double seconds = 0;       // mean time to solution
+  uint64_t iterations = 0;  // summed over the reps
+};
+
+Cell run_cell(int n, const std::string& strategy, int walkers, int reps, uint64_t seed) {
   runtime::SolveRequest req;
   req.problem = "costas";
   req.size = n;
   req.strategy = strategy;
   req.walkers = walkers;
-  double total = 0;
+  Cell cell;
   for (int r = 0; r < reps; ++r) {
     req.seed = seed + static_cast<uint64_t>(1000 * r);
     const auto report = runtime::solve(req);
@@ -39,9 +48,10 @@ double mean_time(int n, const std::string& strategy, int walkers, int reps, uint
       std::fprintf(stderr, "error: %s\n", report.error.c_str());
       std::exit(1);
     }
-    total += report.wall_seconds;
+    cell.seconds += report.wall_seconds / reps;
+    cell.iterations += report.total_iterations;
   }
-  return total / reps;
+  return cell;
 }
 
 }  // namespace
@@ -66,19 +76,32 @@ int main(int argc, char** argv) {
   std::printf("CAP %d, %d runs per cell. Sequential AS is the baseline for both columns.\n\n",
               n, reps);
 
-  const double base = mean_time(n, "sequential", 1, reps, seed);
+  const Cell base = run_cell(n, "sequential", 1, reps, seed);
+  const auto mean_iters = [reps](const Cell& c) {
+    return util::strf("%.1f", static_cast<double>(c.iterations) / reps);
+  };
 
   util::Table table("speedup = sequential mean time / scheme mean time");
-  table.header({"threads", "single-walk time", "single-walk speedup", "multi-walk time",
-                "multi-walk speedup"});
-  table.row({"1 (seq)", util::strf("%.4f", base), "1.00", util::strf("%.4f", base), "1.00"});
+  table.header({"threads", "single-walk time", "single-walk iters", "single-walk speedup",
+                "multi-walk time", "multi-walk speedup"});
+  table.row({"1 (seq)", util::strf("%.4f", base.seconds), mean_iters(base), "1.00",
+             util::strf("%.4f", base.seconds), "1.00"});
+  bool same_walks = true;
   for (int t : {2, 4}) {
-    const double sw = mean_time(n, "neighborhood", t, reps, seed + 7);
-    const double mw = mean_time(n, "multiwalk", t, reps, seed + 13);
-    table.row({util::strf("%d", t), util::strf("%.4f", sw), util::strf("%.2f", base / sw),
-               util::strf("%.4f", mw), util::strf("%.2f", base / mw)});
+    const Cell sw = run_cell(n, "neighborhood", t, reps, seed);
+    const Cell mw = run_cell(n, "multiwalk", t, reps, seed + 13);
+    same_walks = same_walks && sw.iterations == base.iterations;
+    table.row({util::strf("%d", t), util::strf("%.4f", sw.seconds), mean_iters(sw),
+               util::strf("%.2f", base.seconds / sw.seconds), util::strf("%.4f", mw.seconds),
+               util::strf("%.2f", base.seconds / mw.seconds)});
   }
   std::printf("%s\n", table.to_text().c_str());
+  if (!same_walks) {
+    std::fprintf(stderr,
+                 "error: the neighborhood cells did not replay the sequential walks "
+                 "(mean iterations differ)\n");
+    return 1;
+  }
   std::printf(
       "Shape check: multi-walk speedup grows with threads (the paper's scheme);\n"
       "single-walk stays near or below 1.0 because the CAP neighborhood (n-1\n"

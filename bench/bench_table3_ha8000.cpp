@@ -1,7 +1,7 @@
 // Experiment E3 — Table III of the paper: CAP execution times on the
 // HA8000 supercomputer, 1..256 cores.
 //
-// Substitution (DESIGN.md §4): independent multi-walk wall-clock time on k
+// Substitution (sim/cluster_sim.hpp): independent multi-walk wall-clock time on k
 // cores equals the minimum of k i.i.d. sequential run times, so the table
 // is regenerated by (1) recording a bank of real sequential run lengths on
 // this machine, (2) resampling min-of-k, (3) converting iterations to
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   flags.add_bool("skip-validation", false, "skip the real-thread multiwalk validation");
   if (!flags.parse(argc, argv)) return 0;
 
-  print_banner("Table III — execution times on HA8000 (simulated; see DESIGN.md §4)");
+  print_banner("Table III — execution times on HA8000 (simulated; see src/sim/cluster_sim.hpp)");
 
   ParallelBenchPlan plan;
   plan.core_counts = {1, 32, 64, 128, 256};

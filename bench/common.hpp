@@ -237,7 +237,7 @@ inline std::string bank_cache_path(int n, int samples, uint64_t seed) {
 inline const char* kBenchBannerNote =
     "Reproduction of Diaz et al., 'Parallel local search for the Costas Array\n"
     "Problem' (IPPS 2012). Paper values are printed alongside for shape\n"
-    "comparison; absolute times differ with hardware. See EXPERIMENTS.md.\n";
+    "comparison; absolute times differ with hardware.\n";
 
 inline void print_banner(const char* title) {
   std::printf("==============================================================================\n");

@@ -4,7 +4,7 @@
 //
 // This is the ground-truth companion to the cluster simulator: on a
 // many-core host it directly reproduces the left edge of Table III; the
-// simulator extrapolates the rest via order statistics (DESIGN.md §4).
+// simulator extrapolates the rest via order statistics (sim/cluster_sim.hpp).
 //
 // Built on the solver runtime: each cell is a declarative "multiwalk"
 // SolveRequest, so this driver is a thin scenario loop over runtime::solve.

@@ -1,5 +1,5 @@
 // Percentile-bootstrap confidence intervals for the summary statistics the
-// bench tables report. Used to qualify simulator outputs in EXPERIMENTS.md.
+// bench tables report, e.g. to qualify the cluster simulator's outputs.
 #pragma once
 
 #include <algorithm>

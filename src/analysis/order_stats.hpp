@@ -1,6 +1,6 @@
 // Minimum-of-k order statistics over an empirical run-time distribution.
 //
-// The key identity behind the cluster simulator (DESIGN.md §4): with
+// The key identity behind the cluster simulator (sim/cluster_sim.hpp): with
 // independent multi-walk and terminate-on-first-solution, the wall-clock
 // time on k cores IS the minimum of k i.i.d. draws from the sequential
 // run-time distribution. Given a sample bank, these helpers compute the

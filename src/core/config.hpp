@@ -39,7 +39,7 @@ struct AsConfig {
   // its best perturbation forever. The reference implementation does not
   // cycle, so it must carry some residual stochasticity here; this knob is
   // our (documented) equivalent. With it, sequential iteration counts match
-  // the paper's Table I closely (see EXPERIMENTS.md).
+  // the paper's Table I closely (bench_table1_sequential prints both).
   bool hybrid_reset = true;
 
   // --- Restart ---

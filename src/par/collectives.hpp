@@ -7,10 +7,9 @@
 // a consequence of this sharing, and a parity test pins it.
 //
 // On top of the raw vector<int64_t> collectives sit the typed wrappers the
-// cooperative/collective strategies actually call (the mpi_collective
-// idiom: named operations over typed values instead of raw buffers):
-// allreduce_minloc for "who holds the best cost", broadcast_values for
-// elite-configuration shipping, and gather of per-rank RankSummary rows.
+// distributed runner's epilogue calls (named operations over typed values
+// instead of raw buffers): allreduce_minloc for "which rank solved first"
+// and gather of per-rank RankSummary rows.
 #pragma once
 
 #include <algorithm>
@@ -156,9 +155,9 @@ std::vector<std::vector<int64_t>> collective_gather(EP& ep, int64_t seq, int roo
 }
 
 // --- typed wrappers --------------------------------------------------------
-// These are the operations the cooperative/collective strategies speak.
-// Each one burns sequence numbers through the endpoint's next_seq() so the
-// raw and typed forms can interleave freely.
+// The operations dist::solve_distributed closes every request with. Each
+// one burns sequence numbers through the endpoint's next_seq() so the raw
+// and typed forms can interleave freely.
 
 /// "Which rank holds the minimum value?" — MPI_MINLOC. Ties break to the
 /// LOWEST rank on every backend (value is compared first, then rank), so
@@ -188,14 +187,6 @@ MinLoc allreduce_minloc(EP& ep, int64_t value) {
   }
   decision = collective_broadcast(ep, ep.next_seq(), 0, std::move(decision));
   return MinLoc{decision[0], static_cast<int>(decision[1])};
-}
-
-/// Broadcast a configuration (permutation) from `root` to every rank.
-template <CollectiveEndpoint EP>
-std::vector<int> broadcast_config(EP& ep, int root, std::span<const int> config) {
-  std::vector<int64_t> wide(config.begin(), config.end());
-  const auto out = collective_broadcast(ep, ep.next_seq(), root, std::move(wide));
-  return {out.begin(), out.end()};
 }
 
 /// Per-rank run summary combined inside the communicator at the end of a

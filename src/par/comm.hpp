@@ -4,12 +4,12 @@
 // if there is a message indicating that some other process has found a
 // solution"), and a terminate-everyone broadcast by the winner.
 //
-// This is the substitution for OpenMPI documented in DESIGN.md §4: ranks
-// are threads, each with a mutex-guarded mailbox (par/mailbox.hpp). The
-// control flow of the paper's implementation is preserved exactly; only the
-// transport differs. The collective algorithms live in par/collectives.hpp,
-// shared verbatim with the socket-backed distributed communicator
-// (dist::RankComm) — one implementation, two transports.
+// This stands in for the paper's OpenMPI runs: ranks are threads, each
+// with a mutex-guarded mailbox (par/mailbox.hpp). The control flow of the
+// paper's implementation is preserved exactly; only the transport differs.
+// The collective algorithms live in par/collectives.hpp, shared verbatim
+// with the socket-backed distributed communicator (dist::RankComm) — one
+// implementation, two transports.
 #pragma once
 
 #include <cstdint>

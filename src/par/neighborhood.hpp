@@ -1,305 +1,149 @@
-// Single-walk parallelism: parallel exploration of the min-conflict
-// neighborhood inside ONE Adaptive Search walk — the other branch of the
-// paper's Sec. V taxonomy ("single-walk methods consist in using
-// parallelism inside a single search process, e.g., for parallelizing the
-// exploration of the neighborhood", citing Luong et al.'s GPU version).
+// Single-walk parallelism: ONE Adaptive Search walk whose min-conflict
+// neighborhood is scanned in parallel — the other branch of the paper's
+// Sec. V taxonomy ("single-walk methods consist in using parallelism
+// inside a single search process, e.g., for parallelizing the exploration
+// of the neighborhood", citing Luong et al.'s GPU version).
 //
-// Each worker thread owns a full replica of the problem; per iteration the
-// driver publishes the culprit variable and the replicas scan disjoint
-// slices of the swap neighborhood between two std::barrier phases. All
-// other AS machinery (tabu, plateau probability, resets) is identical to
-// the sequential engine, so the iteration *count* behaves like sequential
-// AS while the iteration *latency* is what parallelism can or cannot buy.
-//
-// The ablation bench shows what the paper's authors knew: for the CAP the
-// neighborhood is O(n) cheap moves, so barrier latency swamps the scan and
-// single-walk parallelism buys nothing — which is exactly why the paper
-// parallelizes across walks instead.
+// The walk is core::AdaptiveSearch itself, over SplitRowProblem: a
+// forwarding wrapper whose delta_costs_row(i, out) is the only parallel
+// step. The split row equals the native row lane for lane, so the walk is
+// the one core::AdaptiveSearch takes on the same config at any thread
+// count; only the iteration latency changes. bench_ablation_singlewalk
+// measures it: for the CAP a row is n - 1 cheap incremental evaluations,
+// so two barrier phases per iteration cost more than the split saves —
+// which is why the paper parallelizes across walks instead.
 #pragma once
 
 #include <algorithm>
 #include <barrier>
-#include <limits>
 #include <span>
 #include <thread>
-#include <utility>
 #include <vector>
 
+#include "core/adaptive_search.hpp"
 #include "core/config.hpp"
 #include "core/problem.hpp"
 #include "core/stats.hpp"
-#include "util/timer.hpp"
 
 namespace cas::par {
 
-using core::Cost;
-
-/// Problems usable by the replica scheme additionally expose their full
-/// configuration so replicas can resynchronize after a reset.
-template <typename P>
-concept ReplicableProblem =
-    core::LocalSearchProblem<P> && std::copy_constructible<P> &&
-    requires(P p, const P& cp, std::span<const int> perm) {
-      { cp.permutation() } -> std::convertible_to<const std::vector<int>&>;
-      { p.set_permutation(perm) };
-    };
-
-template <ReplicableProblem P>
-class ParallelNeighborhoodSearch {
+/// Forwards every LocalSearchProblem member to the caller's problem and
+/// splits delta_costs_row across `threads` scan slices. The threads - 1
+/// scan workers start with the wrapper and are joined when it is destroyed.
+template <core::LocalSearchProblem P>
+class SplitRowProblem {
  public:
-  /// `threads` replicas scan the neighborhood (>= 1).
-  ParallelNeighborhoodSearch(P& problem, core::AsConfig config, int threads)
-      : problem_(problem),
-        cfg_(config),
-        rng_(config.seed),
-        threads_(threads < 1 ? 1 : threads) {}
+  SplitRowProblem(P& inner, int threads) : inner_(inner), slices_(threads), phase_(threads) {
+    try {
+      for (int w = 1; w < slices_; ++w)
+        scanners_.emplace_back([this, w] {
+          while (true) {
+            phase_.arrive_and_wait();  // a row was published, or shutdown
+            if (done_) return;
+            fill_slice(w);
+            phase_.arrive_and_wait();  // this slice is filled
+          }
+        });
+    } catch (...) {
+      // A scanner failed to start: arrive for it and every later one, so
+      // the started scanners can be released and joined.
+      for (auto w = scanners_.size() + 1; w < static_cast<size_t>(slices_); ++w)
+        phase_.arrive_and_drop();
+      release();
+      throw;
+    }
+  }
+  SplitRowProblem(const SplitRowProblem&) = delete;
+  SplitRowProblem& operator=(const SplitRowProblem&) = delete;
+  ~SplitRowProblem() { release(); }
 
-  core::RunStats solve(core::StopToken stop = {}) {
-    problem_.randomize(rng_);
-    return solve_from_current(stop);
+  // --- LocalSearchProblem forwarding ---
+  [[nodiscard]] int size() const { return inner_.size(); }
+  [[nodiscard]] core::Cost cost() const { return inner_.cost(); }
+  [[nodiscard]] int value(int i) const { return inner_.value(i); }
+  void randomize(core::Rng& rng) { inner_.randomize(rng); }
+  [[nodiscard]] core::Cost delta_cost(int i, int j) const { return inner_.delta_cost(i, j); }
+  void apply_swap(int i, int j) { inner_.apply_swap(i, j); }
+  [[nodiscard]] std::span<const core::Cost> errors() const { return inner_.errors(); }
+  void compute_errors(std::span<core::Cost> errs) const { inner_.compute_errors(errs); }
+
+  /// The parallel step: out[j] = delta_cost(i, j), out[i] = kExcludedDelta
+  /// (the core fallback's row). The caller's thread fills the first
+  /// contiguous slice, each scanner another, all reading the one shared
+  /// configuration: delta_cost is safe for concurrent readers, and nothing
+  /// mutates the problem while a row is being filled.
+  void delta_costs_row(int i, std::span<core::Cost> out) const {
+    culprit_ = i;
+    row_ = out;
+    phase_.arrive_and_wait();  // publish the row
+    fill_slice(0);
+    phase_.arrive_and_wait();  // every slice is filled
   }
 
-  core::RunStats solve_from_current(core::StopToken stop = {}) {
-    util::WallTimer timer;
-    core::RunStats st;
-    const int n = problem_.size();
-    tabu_until_.assign(static_cast<size_t>(n), 0);
-    results_.assign(static_cast<size_t>(threads_), {});
-
-    // Shared per-round command block, written by the driver strictly
-    // between barrier phases, read by the workers.
-    cmd_ = Command::kResync;  // round 0: workers copy the randomized state
-    culprit_ = -1;
-    pending_swap_ = {-1, -1};
-    resync_perm_ = problem_.permutation();
-
-    std::barrier phase(threads_ + 1);
-    std::vector<std::jthread> workers;
-    workers.reserve(static_cast<size_t>(threads_));
-    for (int w = 0; w < threads_; ++w) {
-      workers.emplace_back([this, w, n, &phase] {
-        P replica = problem_;  // private replica, synced via commands
-        while (true) {
-          phase.arrive_and_wait();  // driver published a command
-          if (cmd_ == Command::kStop) {
-            phase.arrive_and_wait();
-            return;
-          }
-          if (cmd_ == Command::kResync) {
-            replica.set_permutation(resync_perm_);
-          } else if (pending_swap_.first >= 0) {
-            replica.apply_swap(pending_swap_.first, pending_swap_.second);
-          }
-          WorkerResult& res = results_[static_cast<size_t>(w)];
-          res = {};
-          if (culprit_ >= 0) {
-            // Disjoint slice of the neighborhood: j = w, w+T, w+2T, ...
-            // Replicas stay in lockstep with the driver, so deltas from a
-            // replica are deltas for the driver's configuration too. The
-            // pure delta_cost also means a replica scan writes nothing —
-            // no do/undo churn inside the barrier window.
-            for (int j = w; j < n; j += threads_) {
-              if (j == culprit_) continue;
-              const Cost d = replica.delta_cost(culprit_, j);
-              ++res.evaluations;
-              if (d < res.best_delta) {
-                res.best_delta = d;
-                res.ties.clear();
-                res.ties.push_back(j);
-              } else if (d == res.best_delta) {
-                res.ties.push_back(j);
-              }
-            }
-          }
-          phase.arrive_and_wait();  // results ready for the driver
-        }
-      });
-    }
-
-    // Drive round 0 (pure resync, no scan: culprit_ == -1).
-    phase.arrive_and_wait();
-    phase.arrive_and_wait();
-
-    uint64_t next_probe = cfg_.probe_interval;
-    bool need_resync = false;
-    std::pair<int, int> last_swap{-1, -1};
-
-    while (problem_.cost() > 0) {
-      if (cfg_.max_iterations != 0 && st.iterations >= cfg_.max_iterations) break;
-      if (st.iterations >= next_probe) {
-        if (stop.stop_requested()) break;
-        next_probe += cfg_.probe_interval;
-      }
-      ++st.iterations;
-
-      const int culprit = select_culprit(st.iterations);
-      if (culprit < 0) {
-        diversify(st);
-        need_resync = true;
-        continue;
-      }
-
-      // Publish the round: replicas first catch up (swap or resync), then
-      // scan their slices for this culprit.
-      cmd_ = need_resync ? Command::kResync : Command::kScan;
-      if (need_resync) resync_perm_ = problem_.permutation();
-      pending_swap_ = need_resync ? std::pair<int, int>{-1, -1} : last_swap;
-      culprit_ = culprit;
-      need_resync = false;
-      last_swap = {-1, -1};
-      phase.arrive_and_wait();  // workers catch up + scan
-      phase.arrive_and_wait();  // results ready
-
-      // Merge the per-worker results with uniform tie-breaking.
-      Cost best_delta = std::numeric_limits<Cost>::max();
-      merged_ties_.clear();
-      for (const auto& res : results_) {
-        st.move_evaluations += res.evaluations;
-        if (res.ties.empty()) continue;
-        if (res.best_delta < best_delta) {
-          best_delta = res.best_delta;
-          merged_ties_.clear();
-        }
-        if (res.best_delta == best_delta)
-          merged_ties_.insert(merged_ties_.end(), res.ties.begin(), res.ties.end());
-      }
-      const int best_j =
-          merged_ties_.empty()
-              ? -1
-              : merged_ties_[rng_.below(static_cast<uint64_t>(merged_ties_.size()))];
-
-      if (best_j >= 0 && best_delta < 0) {
-        problem_.apply_swap(culprit, best_j);
-        ++st.swaps;
-        last_swap = {culprit, best_j};
-        continue;
-      }
-      if (best_j >= 0 && best_delta == 0 && rng_.chance(cfg_.plateau_probability)) {
-        problem_.apply_swap(culprit, best_j);
-        ++st.swaps;
-        ++st.plateau_moves;
-        last_swap = {culprit, best_j};
-        continue;
-      }
-      if (best_j >= 0 && best_delta == 0) ++st.plateau_refused;
-
-      ++st.local_minima;
-      tabu_until_[static_cast<size_t>(culprit)] =
-          st.iterations + static_cast<uint64_t>(cfg_.tabu_tenure);
-      if (count_tabu(st.iterations) >= cfg_.reset_limit) {
-        diversify(st);
-        need_resync = true;
-      }
-    }
-
-    // Shut the replicas down.
-    cmd_ = Command::kStop;
-    phase.arrive_and_wait();
-    phase.arrive_and_wait();
-    workers.clear();
-
-    st.solved = problem_.cost() == 0;
-    st.final_cost = problem_.cost();
-    st.wall_seconds = timer.seconds();
-    if (st.solved) {
-      st.solution.resize(static_cast<size_t>(n));
-      for (int i = 0; i < n; ++i) st.solution[static_cast<size_t>(i)] = problem_.value(i);
-    }
-    return st;
+  // Reset hook and its telemetry, forwarded so the engine runs the
+  // problem's own reset and reports its counters.
+  bool custom_reset(core::Rng& rng)
+    requires core::HasCustomReset<P>
+  {
+    return inner_.custom_reset(rng);
   }
-
-  [[nodiscard]] int threads() const { return threads_; }
+  [[nodiscard]] int reset_candidates_evaluated() const
+    requires requires(const P& p) { p.reset_candidates_evaluated(); }
+  {
+    return inner_.reset_candidates_evaluated();
+  }
+  [[nodiscard]] int reset_chunks_escaped() const
+    requires requires(const P& p) { p.reset_chunks_escaped(); }
+  {
+    return inner_.reset_chunks_escaped();
+  }
 
  private:
-  enum class Command { kScan, kResync, kStop };
-
-  struct WorkerResult {
-    Cost best_delta = std::numeric_limits<Cost>::max();
-    std::vector<int> ties;
-    uint64_t evaluations = 0;
-  };
-
-  int select_culprit(uint64_t iter) {
-    const int n = problem_.size();
-    const std::span<const Cost> errors = problem_.errors();
-    Cost best_err = -1;
-    int culprit = -1;
-    int ties = 0;
-    for (int i = 0; i < n; ++i) {
-      if (tabu_until_[static_cast<size_t>(i)] > iter) continue;
-      const Cost e = errors[static_cast<size_t>(i)];
-      if (e > best_err) {
-        best_err = e;
-        culprit = i;
-        ties = 1;
-      } else if (e == best_err) {
-        ++ties;
-        if (rng_.below(static_cast<uint64_t>(ties)) == 0) culprit = i;
-      }
-    }
-    return culprit;
+  void release() {  // the scanners return; their jthreads then join
+    done_ = true;
+    phase_.arrive_and_wait();
   }
 
-  int count_tabu(uint64_t iter) const {
-    int c = 0;
-    for (uint64_t t : tabu_until_)
-      if (t > iter) ++c;
-    return c;
+  void fill_slice(int w) const {
+    const int n = inner_.size();
+    const int end = (w + 1) * n / slices_;
+    for (int j = w * n / slices_; j < end; ++j)
+      row_[static_cast<size_t>(j)] =
+          j == culprit_ ? core::kExcludedDelta : inner_.delta_cost(culprit_, j);
   }
 
-  void diversify(core::RunStats& st) {
-    ++st.resets;
-    // Timed like the sequential engine's reset phase: the driver resets
-    // alone between barrier rounds, so this is pure single-walk reset
-    // latency (served by the model's batched candidate pipeline).
-    const util::WallTimer reset_timer;
-    if constexpr (core::HasCustomReset<P>) {
-      if (cfg_.use_custom_reset) {
-        const bool escaped = problem_.custom_reset(rng_);
-        if constexpr (requires { problem_.reset_candidates_evaluated(); })
-          st.reset_candidates += static_cast<uint64_t>(problem_.reset_candidates_evaluated());
-        if constexpr (requires { problem_.reset_chunks_escaped(); })
-          st.reset_escape_chunks += static_cast<uint64_t>(problem_.reset_chunks_escaped());
-        if (escaped)
-          ++st.custom_reset_escapes;
-        else if (cfg_.hybrid_reset)
-          generic_reset();
-        std::fill(tabu_until_.begin(), tabu_until_.end(), uint64_t{0});
-        st.reset_seconds += reset_timer.seconds();
-        return;
-      }
-    }
-    generic_reset();
-    std::fill(tabu_until_.begin(), tabu_until_.end(), uint64_t{0});
-    st.reset_seconds += reset_timer.seconds();
+  P& inner_;
+  int slices_;
+  // Round state: written by the engine's thread before the first barrier
+  // phase, read by the scanners after it. Mutable because the engines
+  // score rows through a const problem.
+  mutable int culprit_ = -1;
+  mutable std::span<core::Cost> row_;
+  bool done_ = false;
+  mutable std::barrier<> phase_;
+  std::vector<std::jthread> scanners_;  // last: joined before phase_ dies
+};
+
+/// One Adaptive Search walk over `problem` with each move row split across
+/// `threads` (>= 1) scan threads, the caller's included.
+template <core::LocalSearchProblem P>
+class ParallelNeighborhoodSearch {
+ public:
+  ParallelNeighborhoodSearch(P& problem, core::AsConfig config, int threads)
+      : problem_(problem), cfg_(config), threads_(std::max(threads, 1)) {}
+
+  /// Randomize, then search: the walk core::AdaptiveSearch<P>(problem,
+  /// config).solve(stop) takes. The scan workers live for this call.
+  core::RunStats solve(core::StopToken stop = {}) {
+    SplitRowProblem<P> split(problem_, threads_);
+    core::AdaptiveSearch<SplitRowProblem<P>> engine(split, cfg_);
+    return engine.solve(stop);
   }
 
-  void generic_reset() {
-    const int n = problem_.size();
-    int k = static_cast<int>(std::max(2.0, cfg_.reset_fraction * n + 0.5));
-    k = std::min(k, n);
-    for (int t = 0; t < k; ++t) {
-      const int i = static_cast<int>(rng_.below(static_cast<uint64_t>(n)));
-      int j = static_cast<int>(rng_.below(static_cast<uint64_t>(n - 1)));
-      if (j >= i) ++j;
-      problem_.apply_swap(i, j);
-    }
-  }
-
+ private:
   P& problem_;
   core::AsConfig cfg_;
-  core::Rng rng_;
   int threads_;
-
-  std::vector<uint64_t> tabu_until_;
-  std::vector<int> merged_ties_;
-
-  // Shared round state (written by driver strictly between barrier phases).
-  Command cmd_ = Command::kScan;
-  int culprit_ = -1;
-  std::pair<int, int> pending_swap_{-1, -1};
-  std::vector<int> resync_perm_;
-  std::vector<WorkerResult> results_;
 };
 
 }  // namespace cas::par

@@ -118,8 +118,8 @@ CostEstimate CostModel::estimate(const SolveRequest& resolved) const {
       resolved.num_threads > 0 ? std::min<int>(static_cast<int>(resolved.num_threads), k) : k;
 
   if (resolved.strategy == "neighborhood") {
-    // Single-walk parallelism: replicas accelerate ONE walk, so there is
-    // no min-of-k latency win to price; machine time is replicas x wall.
+    // Single-walk parallelism: k scan threads split the rows of ONE walk, so
+    // there is no min-of-k latency win to price; machine time is k x wall.
     est.expected_wall_seconds = est.fit.mean();
     est.expected_walker_seconds = k * est.expected_wall_seconds;
   } else {

@@ -5,9 +5,9 @@
 #include <set>
 #include <stdexcept>
 
+#include "core/chaotic_seed.hpp"
 #include "costas/checker.hpp"
 #include "costas/model.hpp"
-#include "par/neighborhood.hpp"
 #include "problems/all_interval.hpp"
 #include "problems/alpha.hpp"
 #include "problems/langford.hpp"
@@ -18,6 +18,12 @@
 #include "runtime/knobs.hpp"
 
 namespace cas::runtime {
+
+/// par::ParallelNeighborhoodSearch<P>(problem, cfg, threads).solve(stop),
+/// defined and instantiated per model in neighborhood.cpp.
+template <typename P>
+core::RunStats solve_neighborhood(P& problem, const core::AsConfig& cfg, int threads,
+                                  core::StopToken stop);
 
 namespace {
 
@@ -148,18 +154,17 @@ ProblemEntry entry_for(std::string description, int default_size,
     };
   };
 
-  if constexpr (par::ReplicableProblem<P>) {
-    e.run_neighborhood = [b](const SolveRequest& req, int threads, core::StopToken stop) {
-      if (req.engine != "as")
-        throw std::invalid_argument(
-            "strategy 'neighborhood' parallelizes the Adaptive Search scan; set engine to 'as'");
-      P problem = b.make(req);
-      auto cfg = make_as_config(engine_params_for(req, b.base_as(req)));
-      cfg.seed = req.seed;
-      par::ParallelNeighborhoodSearch<P> engine(problem, cfg, threads);
-      return engine.solve(stop);
-    };
-  }
+  e.run_neighborhood = [b](const SolveRequest& req, int threads, core::StopToken stop) {
+    if (req.engine != "as")
+      throw std::invalid_argument(
+          "strategy 'neighborhood' parallelizes the Adaptive Search scan; set engine to 'as'");
+    P problem = b.make(req);
+    auto cfg = make_as_config(engine_params_for(req, b.base_as(req)));
+    // Seeded like walker 0 of a one-walker multiwalk: the split scan then
+    // replays the 'sequential' request's walk at any thread count.
+    cfg.seed = core::ChaoticSeedSequence::generate(req.seed, 1)[0];
+    return solve_neighborhood(problem, cfg, threads, stop);
+  };
 
   return e;
 }

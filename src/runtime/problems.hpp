@@ -10,8 +10,8 @@
 //                                builds its own private problem replica,
 //   * make_cooperative_walker  — blackboard-sharing walker (only for models
 //                                whose full configuration is exportable),
-//   * run_neighborhood         — the single-walk parallel engine (only for
-//                                replicable models),
+//   * run_neighborhood         — one Adaptive Search walk with its move
+//                                scan split across threads (every model),
 // so the strategy layer and SolverService never mention a model type.
 #pragma once
 
@@ -79,8 +79,8 @@ struct ProblemEntry {
                                      const par::MultiWalkOptions& exec, par::Blackboard* board)>
       run_cooperative;
 
-  /// Single-walk parallel neighborhood search — null when the model is not
-  /// replicable. `threads` replicas scan the swap neighborhood.
+  /// Single-walk parallel neighborhood search: the `sequential` walk for
+  /// req.seed, its move rows split across `threads` scan threads.
   std::function<core::RunStats(const SolveRequest& req, int threads, core::StopToken stop)>
       run_neighborhood;
 

@@ -40,7 +40,7 @@ struct SolveRequest {
   int walkers = 4;
   /// Cap on concurrent OS threads (0 = one per walker / executor width).
   /// Only meaningful for the multi-walk-based strategies; neighborhood
-  /// owns one thread per replica and rejects it.
+  /// runs exactly `walkers` scan threads and rejects it.
   unsigned num_threads = 0;
   /// Strategy-specific knobs, e.g. {"adopt_probability": 0.25} for
   /// cooperative or {"engines": ["as", "tabu"]} for portfolio.

@@ -43,15 +43,15 @@ KnobReader strategy_knobs(const SolveRequest& req) {
   return KnobReader(req.strategy_config, "strategy '" + req.strategy + "'");
 }
 
-/// The neighborhood engine manages its own replica threads; a num_threads
-/// cap cannot be honoured there, and silently ignoring an accepted knob
-/// breaks the runtime's fail-loudly contract. The shared executor likewise
-/// cannot carry its replicas — that is recorded visibly in the report's
-/// extras instead of erroring, because batches may legitimately mix it in.
+/// The neighborhood engine runs its own scan threads; a num_threads cap
+/// cannot be honoured there, and silently ignoring an accepted knob breaks
+/// the runtime's fail-loudly contract. The shared executor likewise cannot
+/// carry them (see StrategyContext) — that is recorded visibly in the
+/// report's extras instead of erroring, because batches may mix it in.
 void reject_num_threads(const SolveRequest& req) {
   if (req.num_threads != 0)
     throw std::invalid_argument("strategy '" + req.strategy +
-                                "' runs one thread per replica; num_threads is not supported");
+                                "' runs its own scan threads; num_threads is not supported");
 }
 
 void note_strategy_owned_threads(const StrategyContext& ctx, SolveReport& report) {
@@ -133,10 +133,7 @@ void neighborhood_strategy(const SolveRequest& req, const StrategyContext& ctx,
   strategy_knobs(req).finish();
   reject_num_threads(req);
   const auto& entry = entry_of(req);
-  if (entry.run_neighborhood == nullptr)
-    throw std::invalid_argument("problem '" + req.problem +
-                                "' is not replicable (no neighborhood walker)");
-  // `walkers` is the scan width: replica threads inside the single walk.
+  // `walkers` is the scan width: threads splitting the single walk's rows.
   util::WallTimer timer;
   core::RunStats st;
   if (req.timeout_seconds > 0) {

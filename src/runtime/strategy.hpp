@@ -8,8 +8,8 @@
 //   portfolio     heterogeneous engines racing on the same instance
 //   cooperative   dependent multi-walk sharing a best-configuration
 //                 blackboard (the paper's Sec. VI future work)
-//   neighborhood  single-walk parallelism: replicas scan the move
-//                 neighborhood of ONE walk (the other Sec. V branch)
+//   neighborhood  single-walk parallelism: the sequential walk, its move
+//                 rows split across threads (the other Sec. V branch)
 //
 // The first four race their walkers through the one runner,
 // par::run_multiwalk, and differ only in the walker they hand it.
@@ -29,8 +29,9 @@ namespace cas::runtime {
 /// multi-walk-based strategies (sequential, multiwalk, portfolio,
 /// cooperative) run their walkers on `executor` when provided (the
 /// SolverService's shared pool) instead of spawning fresh threads.
-/// neighborhood owns one thread per replica: it ignores the executor and
-/// rejects a num_threads cap rather than silently dishonour it.
+/// neighborhood's scan threads meet at a barrier every iteration, which a
+/// FIFO pool shared with other requests cannot promise: it runs its own,
+/// ignores the executor and rejects a num_threads cap.
 struct StrategyContext {
   par::ThreadPool* executor = nullptr;
 };

@@ -1,5 +1,5 @@
-// Cluster-scale multi-walk simulator — the documented substitution for
-// HA8000 / GRID'5000 / JUGENE (DESIGN.md §4).
+// Cluster-scale multi-walk simulator — the stand-in for the paper's
+// HA8000 / GRID'5000 / JUGENE runs.
 //
 // Premise (paper Sec. V-A + Verhoeven & Aarts): with independent multi-walk
 // and terminate-on-first-solution, the wall-clock time of a k-core run is

@@ -16,7 +16,7 @@ double Platform::iterations_in(double secs, int n) const {
   return secs * cellops_per_second / (static_cast<double>(n) * static_cast<double>(n));
 }
 
-// Calibration notes (details in EXPERIMENTS.md):
+// Calibration notes:
 //   Xeon W5580 : Table I n=18/19/20 gives it/s * n^2 = 36.7e6 / 33.0e6 /
 //                32.8e6 cellops/s; we use 33e6.
 //   HA8000     : Table III 1-core avg vs Table I avg: 3.49/6.76 (n=18),

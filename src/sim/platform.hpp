@@ -12,7 +12,7 @@
 // Constants are calibrated from the paper's own published numbers (Table I
 // for the Xeon reference, 1-core columns of Tables III/V for HA8000 and
 // GRID'5000, and the Table IV / Table III cross-ratio for JUGENE's PPC450);
-// the derivations are reproduced in DESIGN.md §4 and EXPERIMENTS.md.
+// the derivations are the calibration notes in platform.cpp.
 #pragma once
 
 #include <string>

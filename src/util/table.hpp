@@ -1,6 +1,6 @@
 // Fixed-width text table writer used by every bench binary to print
 // paper-style tables (Tables I-V of the paper). Also renders GitHub
-// markdown for EXPERIMENTS.md.
+// markdown tables.
 #pragma once
 
 #include <string>

@@ -25,7 +25,8 @@ TEST(KnownCounts, PaperQuotedValues) {
 }
 
 TEST(KnownCounts, MatchesDesignDocKnownAnswers) {
-  // The n <= 13 counts used throughout the test suite (DESIGN.md Sec. 6).
+  // The n <= 13 counts used throughout the test suite (the known
+  // enumeration results the database reproduces).
   const int64_t expected[] = {1,    2,    4,    12,   40,   116,  200,
                               444,  760,  2160, 4368, 7852, 12828};
   for (int n = 1; n <= 13; ++n)

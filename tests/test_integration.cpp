@@ -122,7 +122,7 @@ TEST(Integration, SimulatedSpeedupShapeFromRealBank) {
 
 TEST(Integration, RealThreadMultiWalkBeatsSingleWalkOnAverage) {
   // Wall-clock validation of the mechanism itself on the host's cores
-  // (DESIGN.md: the thread multiwalk validates what the simulator models).
+  // (the thread multiwalk validates what the simulator models).
   // Compare total ITERATIONS of the winning walk rather than raw seconds to
   // stay robust on loaded CI machines: expected winner iterations shrink
   // with more walkers.

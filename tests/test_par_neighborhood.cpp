@@ -1,9 +1,12 @@
-// Single-walk parallel engine (ParallelNeighborhoodSearch): equivalence
-// with sequential AS on outcomes, replica-consistency under resets,
+// Single-walk parallel engine (ParallelNeighborhoodSearch): the exact
+// sequential AS walk at every scan width, consistency under resets,
 // budget/stop handling, and scan partitioning.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/adaptive_search.hpp"
 #include "costas/checker.hpp"
@@ -12,6 +15,14 @@
 
 namespace cas::par {
 namespace {
+
+/// Everything in RunStats but the clocks: the walk itself.
+auto walk_of(const core::RunStats& s) {
+  return std::tuple(s.solved, s.final_cost, s.iterations, s.swaps, s.local_minima,
+                    s.plateau_moves, s.plateau_refused, s.resets, s.custom_reset_escapes,
+                    s.restarts, s.move_evaluations, s.reset_candidates, s.reset_escape_chunks,
+                    s.solution);
+}
 
 TEST(ParallelNeighborhood, SolvesSmallCostasWithOneThread) {
   costas::CostasProblem p(10);
@@ -90,11 +101,10 @@ TEST(ParallelNeighborhood, StopTokenHonored) {
 }
 
 TEST(ParallelNeighborhood, SurvivesManyResets) {
-  // A small instance with a tight budget forces many custom resets and
-  // resyncs; the run must stay consistent (replicas never diverge: a
-  // diverged replica would return move costs inconsistent with the master,
-  // which would show up as a non-decreasing-cost crash or a wrong
-  // solution).
+  // A small instance forces many custom resets between split scans; the
+  // run must stay consistent (a scanner reading a stale configuration
+  // would return move costs inconsistent with the engine thread's, which would
+  // show up as a non-decreasing-cost crash or a wrong solution).
   costas::CostasProblem p(14);
   auto cfg = costas::recommended_config(14, 6);
   ParallelNeighborhoodSearch<costas::CostasProblem> engine(p, cfg, 4);
@@ -104,27 +114,32 @@ TEST(ParallelNeighborhood, SurvivesManyResets) {
   EXPECT_GE(st.resets, 1u);  // n = 14 never solves reset-free in practice
 }
 
-TEST(ParallelNeighborhood, IterationCountsComparableToSequentialAs) {
-  // Same algorithm, different tie-break sampling: expect the same order of
-  // magnitude of iterations as sequential AS (not equality). Guards against
-  // the parallel scan accidentally changing the search behaviour.
-  const int n = 12;
-  uint64_t seq_total = 0, par_total = 0;
-  const int reps = 6;
-  for (int r = 0; r < reps; ++r) {
+TEST(ParallelNeighborhood, ReplaysSequentialAsExactly) {
+  // The split row equals the native row lane for lane, so the walk is the
+  // one core::AdaptiveSearch takes on the same config, at any scan width —
+  // restarts and kept tabu marks included.
+  auto restarting = costas::recommended_config(15, 77);
+  restarting.restart_interval = 300;
+  restarting.keep_tabu_on_reset = true;
+  const std::vector<std::pair<int, core::AsConfig>> cases = {
+      {10, costas::recommended_config(10, 100)},
+      {12, costas::recommended_config(12, 101)},
+      {13, costas::recommended_config(13, 102)},
+      {15, restarting},
+  };
+  for (const auto& [n, cfg] : cases) {
     costas::CostasProblem ps(n);
-    core::AdaptiveSearch<costas::CostasProblem> seq(
-        ps, costas::recommended_config(n, static_cast<uint64_t>(100 + r)));
-    seq_total += seq.solve().iterations;
-
-    costas::CostasProblem pp(n);
-    ParallelNeighborhoodSearch<costas::CostasProblem> par(
-        pp, costas::recommended_config(n, static_cast<uint64_t>(100 + r)), 2);
-    par_total += par.solve().iterations;
+    const auto seq = core::AdaptiveSearch<costas::CostasProblem>(ps, cfg).solve();
+    ASSERT_TRUE(seq.solved) << "n=" << n;
+    if (n == 15) {
+      EXPECT_GT(seq.restarts, 0u);  // the restarting config
+    }
+    for (int threads : {1, 2, 3, 5}) {
+      costas::CostasProblem pp(n);
+      const auto par = ParallelNeighborhoodSearch<costas::CostasProblem>(pp, cfg, threads).solve();
+      EXPECT_EQ(walk_of(par), walk_of(seq)) << "n=" << n << " threads=" << threads;
+    }
   }
-  const double ratio = static_cast<double>(par_total) / static_cast<double>(seq_total);
-  EXPECT_GT(ratio, 0.1);
-  EXPECT_LT(ratio, 10.0);
 }
 
 }  // namespace

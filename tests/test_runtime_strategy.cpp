@@ -1,11 +1,14 @@
 // The Strategy layer: every registered strategy executes the same
 // SolveRequest -> SolveReport contract, reports are verified against the
 // problems' independent checkers, budgets are honoured, and capability
-// gaps (cooperative/neighborhood on non-sharable models) fail with clear
-// errors instead of crashing.
+// gaps (cooperative on non-sharable models, neighborhood off Adaptive
+// Search) fail with clear errors instead of crashing.
 #include "runtime/strategy.hpp"
 
 #include <gtest/gtest.h>
+
+#include <tuple>
+#include <utility>
 
 #include "runtime/problems.hpp"
 #include "util/timer.hpp"
@@ -170,11 +173,36 @@ TEST(Strategy, CooperativeRequiresSharableProblem) {
   EXPECT_NE(report.error.find("cooperative"), std::string::npos) << report.error;
 }
 
-TEST(Strategy, NeighborhoodRequiresReplicableProblem) {
-  SolveRequest req = small_costas("neighborhood");
-  req.problem = "queens";
-  req.size = 16;
-  EXPECT_FALSE(solve(req).error.empty());
+TEST(Strategy, NeighborhoodReplaysTheSequentialWalk) {
+  // neighborhood splits the move rows of the walk `sequential` takes for
+  // the same seed, so everything in winner_stats but the clocks matches at
+  // every scan width, on every model. Both instances reset at least once:
+  // Costas through its custom reset, queens through the generic one.
+  const auto walk_of = [](const core::RunStats& s) {
+    return std::tuple(s.solved, s.final_cost, s.iterations, s.swaps, s.local_minima,
+                      s.plateau_moves, s.plateau_refused, s.resets, s.custom_reset_escapes,
+                      s.restarts, s.move_evaluations, s.reset_candidates,
+                      s.reset_escape_chunks, s.solution);
+  };
+  for (const auto& [problem, size] : {std::pair<const char*, int>{"costas", 14}, {"queens", 8}}) {
+    SolveRequest seq = small_costas("sequential");
+    seq.problem = problem;
+    seq.size = size;
+    seq.seed = 77;
+    const auto expected = solve(seq);
+    ASSERT_TRUE(expected.error.empty()) << problem << ": " << expected.error;
+    ASSERT_TRUE(expected.solved) << problem;
+    EXPECT_GT(expected.winner_stats.resets, 0u) << problem;
+    for (int walkers : {1, 2, 4}) {
+      SolveRequest req = seq;
+      req.strategy = "neighborhood";
+      req.walkers = walkers;
+      const auto report = solve(req);
+      ASSERT_TRUE(report.error.empty()) << problem << ": " << report.error;
+      EXPECT_EQ(walk_of(report.winner_stats), walk_of(expected.winner_stats))
+          << problem << " walkers=" << walkers;
+    }
+  }
 }
 
 TEST(Strategy, NeighborhoodAndCooperativeRequireAdaptiveSearch) {
@@ -206,7 +234,7 @@ TEST(Strategy, SequentialUsesExactlyOneWalker) {
 }
 
 TEST(Strategy, NeighborhoodRejectsNumThreadsCap) {
-  // neighborhood spawns one thread per replica; an accepted-but-ignored
+  // neighborhood runs its own scan threads; an accepted-but-ignored
   // num_threads would break the fail-loudly contract.
   SolveRequest neighborhood = small_costas("neighborhood");
   neighborhood.num_threads = 2;

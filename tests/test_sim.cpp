@@ -1,5 +1,5 @@
 // Platform profiles, sample banks and the cluster simulator (the
-// supercomputer substitution of DESIGN.md §4).
+// stand-in for the paper's supercomputer runs).
 #include <gtest/gtest.h>
 
 #include <cstdio>

@@ -83,10 +83,8 @@ runtime::SolveRequest request_from_flags(const util::Flags& flags) {
 void print_catalogs() {
   std::printf("problems:\n");
   for (const auto& [name, entry] : runtime::problem_registry()) {
-    std::printf("  %-14s %s (default size %d%s%s)\n", name.c_str(),
-                entry.description.c_str(), entry.default_size,
-                entry.run_cooperative != nullptr ? ", cooperative" : "",
-                entry.run_neighborhood != nullptr ? ", neighborhood" : "");
+    std::printf("  %-14s %s (default size %d%s)\n", name.c_str(), entry.description.c_str(),
+                entry.default_size, entry.run_cooperative != nullptr ? ", cooperative" : "");
   }
   std::printf("engines:\n");
   for (const auto& [name, info] : runtime::engine_catalog())

@@ -18,6 +18,10 @@ Escape hatches, stated in the fence info string:
   ```jsonc          — annotated example (comments / `...` ellipses), parse skipped
   ```cpp fragment   — illustrative fragment, compile skipped
 
+The default run also checks the code: every `*.md` file a file under
+src/, tests/, bench/, examples/ or tools/ names (a comment citation, a
+printed banner) must exist in the repo, by path or by file name.
+
 Usage: tools/check_docs.py [FILE.md ...]     (default: README.md docs/*.md)
 Exits nonzero listing every failure; CI runs it as the docs-lint job.
 """
@@ -34,6 +38,8 @@ INCLUDE_DIR = os.path.join(REPO, "src")
 CXX = os.environ.get("CXX", "g++")
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+MD_NAME_RE = re.compile(r"[\w./-]*\w\.md\b")
+CODE_DIRS = ("src", "tests", "bench", "examples", "tools")
 FENCE_RE = re.compile(r"^```(\S*)\s*(.*)$")
 
 CPP_MAIN_WRAP = '#include "cas.hpp"\nint main() {\n%s\nreturn 0;\n}\n'
@@ -150,6 +156,37 @@ def check_file(path):
             check_cpp(path, lineno, body)
 
 
+def repo_markdown():
+    """Repo-relative paths of every markdown file outside build trees."""
+    found = []
+    for root, dirs, files in os.walk(REPO):
+        dirs[:] = [d for d in dirs if not d.startswith(("build", "."))]
+        rel = os.path.relpath(root, REPO)
+        found += [os.path.normpath(os.path.join(rel, f)) for f in files if f.endswith(".md")]
+    return found
+
+
+def check_code_citations():
+    """Every *.md a code file names must exist (by path or file name)."""
+    known = repo_markdown()
+    this_file = os.path.abspath(__file__)
+    for top in CODE_DIRS:
+        for root, dirs, files in os.walk(os.path.join(REPO, top)):
+            dirs[:] = [d for d in dirs if d != "__pycache__"]
+            for name in files:
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8", errors="ignore") as f:
+                    lines = f.read().splitlines()
+                for lineno, line in enumerate(lines, 1):
+                    for ref in MD_NAME_RE.findall(line):
+                        if path == this_file and ref == "FILE.md" and "Usage:" in line:
+                            continue  # the placeholder in this script's usage line
+                        ref = os.path.normpath(ref)
+                        if not any(k == ref or k.endswith(os.sep + ref) for k in known):
+                            fail(os.path.relpath(path, REPO), lineno,
+                                 f"names {ref}, which is not in the repo")
+
+
 def main():
     targets = sys.argv[1:]
     if not targets:
@@ -159,6 +196,7 @@ def main():
             targets += sorted(
                 os.path.join(docs, n) for n in os.listdir(docs) if n.endswith(".md")
             )
+        check_code_citations()
     for path in targets:
         check_file(path)
     if failures:
