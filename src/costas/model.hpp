@@ -129,8 +129,8 @@ class CostasProblem {
   /// Kernel chunks the LAST custom_reset aborted early because every lane
   /// had reached the shared best-so-far bound — how much dead work the
   /// batched walk pruned. ISA-independent; feeds the engines'
-  /// reset_escape_chunks stat (and, via the report, the cost model's
-  /// future per-instance diversification pricing).
+  /// reset_escape_chunks stat (and, via the report,
+  /// winner_reset_escape_chunks).
   [[nodiscard]] int reset_chunks_escaped() const { return reset_escaped_chunks_; }
 
  private:

@@ -2,11 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "analysis/speedup_predictor.hpp"
+#include "sim/platform.hpp"
 
 namespace cas::runtime {
+
+namespace {
+
+/// Length of the Costas rate probe, and the weight its rate carries against
+/// the busy seconds of recorded runs.
+constexpr double kProbeSeconds = 0.01;
+
+}  // namespace
 
 util::Json CostEstimate::to_json() const {
   util::Json j = util::Json::object();
@@ -14,64 +22,60 @@ util::Json CostEstimate::to_json() const {
   j["effective_walkers"] = effective_walkers;
   j["expected_wall_seconds"] = expected_wall_seconds;
   j["expected_walker_seconds"] = expected_walker_seconds;
-  j["fit_mu"] = fit.mu;
-  j["fit_lambda"] = fit.lambda;
-  if (diversification_known) {
-    util::Json d = util::Json::object();
-    d["mean_escape_chunks_per_reset"] = mean_escape_chunks_per_reset;
-    d["p95_escape_chunks_per_reset"] = p95_escape_chunks_per_reset;
-    d["expected_reset_fraction"] = expected_reset_fraction;
-    d["expected_reset_seconds"] = expected_reset_seconds;
-    j["diversification"] = std::move(d);
-  }
+  j["fit_mu_iterations"] = fit.mu;
+  j["fit_lambda_iterations"] = fit.lambda;
+  j["iterations_per_second"] = iterations_per_second;
   return j;
 }
 
-void CostModel::record_diversification(const SolveReport& report) {
-  if (!report.error.empty() || !report.solved) return;
-  const core::RunStats& st = report.winner_stats;
-  if (st.wall_seconds <= 0) return;
-  DiversificationProfile& prof =
-      diversification_[{report.request.problem, report.request.size}];
-  prof.runs += 1;
-  prof.resets += st.resets;
-  prof.reset_seconds += st.reset_seconds;
-  prof.wall_seconds += st.wall_seconds;
-  // Chunks-per-reset is only defined when the run diversified at all; a
-  // reset-free run still sharpens the fraction (it pulls it toward zero).
-  if (st.resets > 0)
-    prof.escape_chunks.add(static_cast<double>(st.reset_escape_chunks) /
-                           static_cast<double>(st.resets));
-}
-
-uint64_t CostModel::diversification_samples(const std::string& problem, int size) const {
-  const auto it = diversification_.find({problem, size});
-  return it == diversification_.end() ? 0 : it->second.runs;
-}
-
 CostModel::CostModel() {
-  // Costas single-walker mean run time by order, measured on the reference
-  // machine (RelWithDebInfo, AS engine, tuned defaults; n = 18 geometric
-  // extrapolation). mu = 0: the instances live in the paper's
-  // pure-exponential regime. Order-of-magnitude admission defaults —
-  // recalibrate from live samples for sharper gating.
+  // Costas single-walker iterations to solution by order: the
+  // analysis::fit_shifted_exponential fit of
+  //   sim::collect_costas_bank(n, costas::recommended_config(n), opts)
+  // with opts.master_seed = 20120521 (the BankOptions default) and
+  // opts.num_samples = 1000 for n <= 17, 300 for n = 18. Iteration counts
+  // are the same on every host and ISA, so any host reproduces them.
+  struct Point {
+    int n;
+    double mu, lambda;
+  };
   Curve& costas = curves_["costas"];
-  for (const auto& [n, mean_seconds] :
-       std::vector<std::pair<int, double>>{{8, 5e-5},
-                                           {10, 1.5e-4},
-                                           {12, 4e-4},
-                                           {13, 1.6e-3},
-                                           {14, 5e-3},
-                                           {15, 2.5e-2},
-                                           {16, 0.12},
-                                           {17, 1.25},
-                                           {18, 10.0}})
-    costas[n] = analysis::ShiftedExponential{0.0, mean_seconds};
+  for (const Point& p : {Point{8, 0, 5.325}, Point{9, 0, 11.73}, Point{10, 1, 16.74},
+                         Point{11, 1, 39.05}, Point{12, 1, 114.3}, Point{13, 2, 290.2},
+                         Point{14, 4, 1141}, Point{15, 10, 4252}, Point{16, 6, 20775},
+                         Point{17, 42, 105837}, Point{18, 3648, 590797}})
+    costas[p.n] = analysis::ShiftedExponential{p.mu, p.lambda};
 }
 
 void CostModel::calibrate(const std::string& problem, int size,
-                          const std::vector<double>& run_seconds) {
-  curves_[problem][size] = analysis::fit_shifted_exponential(run_seconds);
+                          const std::vector<double>& iterations) {
+  curves_[problem][size] = analysis::fit_shifted_exponential(iterations);
+}
+
+void CostModel::record_rate(const std::string& problem, int size, double iterations,
+                            double busy_seconds) {
+  Rate& r = rates_[{problem, size}];
+  r.iterations += iterations;
+  r.seconds += busy_seconds;
+}
+
+double CostModel::rate_for(const std::string& problem, int size) const {
+  auto it = rates_.find({problem, size});
+  if (it == rates_.end()) {
+    // Only the Costas kernel has a probe; any other rate must be recorded.
+    if (problem != "costas") return 0;
+    ++probes_;
+    Rate probed;  // cached even when the probe fails, so it runs once
+    try {
+      const sim::Platform host = sim::calibrate_local(size, kProbeSeconds);
+      probed = {host.iterations_in(kProbeSeconds, size), kProbeSeconds};
+    } catch (...) {
+      // Unpriced: an empty rate.
+    }
+    it = rates_.emplace(std::make_pair(problem, size), probed).first;
+  }
+  const Rate& r = it->second;
+  return r.seconds > 0 ? r.iterations / r.seconds : 0;
 }
 
 analysis::ShiftedExponential CostModel::fit_for(const Curve& curve, int size) const {
@@ -107,52 +111,46 @@ CostEstimate CostModel::estimate(const SolveRequest& resolved) const {
   CostEstimate est;
   const auto curve = curves_.find(resolved.problem);
   if (curve == curves_.end() || curve->second.empty()) return est;  // unknown: admit
+  const double rate = rate_for(resolved.problem, resolved.size);
+  if (!(rate > 0)) return est;
 
   est.known = true;
   est.fit = fit_for(curve->second, resolved.size);
+  est.iterations_per_second = rate;
   const int k = std::max(1, resolved.walkers);
   est.effective_walkers = k;
   // Walkers may time-share fewer OS threads; the bill is unchanged but
   // wall time stretches by the oversubscription factor.
   const int concurrency =
-      resolved.num_threads > 0 ? std::min<int>(static_cast<int>(resolved.num_threads), k) : k;
+      resolved.num_threads > 0
+          ? static_cast<int>(std::min(resolved.num_threads, static_cast<unsigned>(k)))
+          : k;
 
+  double wall_iterations = 0;
+  double walker_iterations = 0;
   if (resolved.strategy == "neighborhood") {
     // Single-walk parallelism: k scan threads split the rows of ONE walk, so
     // there is no min-of-k latency win to price; machine time is k x wall.
-    est.expected_wall_seconds = est.fit.mean();
-    est.expected_walker_seconds = k * est.expected_wall_seconds;
+    wall_iterations = est.fit.mean();
+    walker_iterations = k * wall_iterations;
   } else {
-    est.expected_wall_seconds = analysis::predict_speedup(est.fit, k).expected_time;
-    est.expected_walker_seconds = analysis::expected_walker_seconds(est.fit, k);
-    if (concurrency < k)
-      est.expected_wall_seconds *= static_cast<double>(k) / concurrency;
+    wall_iterations = analysis::predict_speedup(est.fit, k).expected_time;
+    walker_iterations = analysis::expected_walker_seconds(est.fit, k);  // k*mu + lambda
+    if (concurrency < k) wall_iterations *= static_cast<double>(k) / concurrency;
   }
-
-  // Budget caps bound the bill from above.
+  // Budget caps bound the bill from above: an iteration cap per walker...
+  if (resolved.max_iterations > 0) {
+    const double cap = static_cast<double>(resolved.max_iterations);
+    wall_iterations = std::min(wall_iterations, cap * k / concurrency);
+    walker_iterations = std::min(walker_iterations, cap * k);
+  }
+  est.expected_wall_seconds = wall_iterations / rate;
+  est.expected_walker_seconds = walker_iterations / rate;
+  // ...and a wall-clock timeout.
   if (resolved.timeout_seconds > 0) {
     est.expected_wall_seconds = std::min(est.expected_wall_seconds, resolved.timeout_seconds);
     est.expected_walker_seconds =
         std::min(est.expected_walker_seconds, concurrency * resolved.timeout_seconds);
-  }
-  if (resolved.max_iterations > 0 && iterations_per_second_ > 0) {
-    const double per_walker_cap = static_cast<double>(resolved.max_iterations) / iterations_per_second_;
-    est.expected_wall_seconds =
-        std::min(est.expected_wall_seconds, per_walker_cap * k / concurrency);
-    est.expected_walker_seconds = std::min(est.expected_walker_seconds, k * per_walker_cap);
-  }
-
-  // Diversification pricing: apply the instance's observed reset-time
-  // share to the (possibly budget-capped) wall estimate.
-  const auto div = diversification_.find({resolved.problem, resolved.size});
-  if (div != diversification_.end() && div->second.runs > 0) {
-    const DiversificationProfile& prof = div->second;
-    est.diversification_known = true;
-    est.mean_escape_chunks_per_reset = prof.escape_chunks.mean();
-    est.p95_escape_chunks_per_reset = prof.escape_chunks.percentile(0.95);
-    est.expected_reset_fraction =
-        prof.wall_seconds > 0 ? std::min(1.0, prof.reset_seconds / prof.wall_seconds) : 0.0;
-    est.expected_reset_seconds = est.expected_reset_fraction * est.expected_wall_seconds;
   }
   return est;
 }

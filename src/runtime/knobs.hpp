@@ -6,6 +6,8 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -29,12 +31,13 @@ class KnobReader {
     return obj_.find(key);
   }
 
-  // Typed convenience: overwrite `out` iff the key is present.
+  // Typed convenience: overwrite `out` iff the key is present. Integers
+  // outside the target type throw instead of wrapping.
   void read(const std::string& key, int& out) {
-    if (const auto* v = take(key)) out = static_cast<int>(v->as_int());
+    if (const auto* v = take(key)) out = narrow<int>(key, v->as_int());
   }
   void read(const std::string& key, unsigned& out) {
-    if (const auto* v = take(key)) out = static_cast<unsigned>(v->as_int());
+    if (const auto* v = take(key)) out = narrow<unsigned>(key, v->as_int());
   }
   void read(const std::string& key, uint64_t& out) {
     if (const auto* v = take(key)) out = static_cast<uint64_t>(v->as_int());
@@ -59,6 +62,13 @@ class KnobReader {
   }
 
  private:
+  template <typename T>
+  T narrow(const std::string& key, int64_t v) const {
+    if (v < std::numeric_limits<T>::min() || v > std::numeric_limits<T>::max())
+      throw std::invalid_argument(what_ + ": '" + key + "' is out of range");
+    return static_cast<T>(v);
+  }
+
   const util::Json& obj_;
   std::string what_;
   std::vector<std::string> consumed_;

@@ -102,12 +102,13 @@ class AsResumableWalk final : public ResumableWalk {
 };
 
 template <typename P>
-ProblemEntry entry_for(std::string description, int default_size,
+ProblemEntry entry_for(std::string description, int default_size, int max_size,
                        std::function<int(int)> adjust_size, Binding<P> b,
                        std::function<bool(const std::vector<int>&)> check) {
   ProblemEntry e;
   e.description = std::move(description);
   e.default_size = default_size;
+  e.max_size = max_size;
   e.adjust_size = std::move(adjust_size);
   e.check = std::move(check);
 
@@ -303,7 +304,7 @@ const Registry<ProblemEntry>& problem_registry() {
 
     r.add("costas",
           entry_for<costas::CostasProblem>(
-              "Costas Array Problem (the paper's target; tuned model of Sec. IV)", 14,
+              "Costas Array Problem (the paper's target; tuned model of Sec. IV)", 14, 64,
               [](int n) { return std::max(1, n); },
               {[](const SolveRequest& req) {
                  return costas::CostasProblem(req.size, costas_options_from(req));
@@ -313,6 +314,7 @@ const Registry<ProblemEntry>& problem_registry() {
 
     r.add("queens", entry_for<problems::QueensProblem>(
                         "N-Queens as a permutation problem (rows fixed, diagonals free)", 100,
+                        100000,
                         [](int n) { return std::max(1, n); },
                         {[](const SolveRequest& req) {
                            require_no_problem_config(req);
@@ -328,7 +330,7 @@ const Registry<ProblemEntry>& problem_registry() {
                         check_queens));
 
     r.add("all-interval", entry_for<problems::AllIntervalProblem>(
-                              "All-Interval Series (CSPLib prob007)", 14,
+                              "All-Interval Series (CSPLib prob007)", 14, 100000,
                               [](int n) { return std::max(2, n); },
                               {[](const SolveRequest& req) {
                                  require_no_problem_config(req);
@@ -345,7 +347,7 @@ const Registry<ProblemEntry>& problem_registry() {
                               check_all_interval));
 
     r.add("magic-square", entry_for<problems::MagicSquareProblem>(
-                              "Magic Square (CSPLib prob019); size = the order", 5,
+                              "Magic Square (CSPLib prob019); size = the order", 5, 300,
                               [](int n) { return std::max(3, n); },
                               {[](const SolveRequest& req) {
                                  require_no_problem_config(req);
@@ -363,7 +365,7 @@ const Registry<ProblemEntry>& problem_registry() {
 
     r.add("langford",
           entry_for<problems::LangfordProblem>(
-              "Langford pairing L(2,n); size rounded up to n = 0 or 3 (mod 4)", 16,
+              "Langford pairing L(2,n); size rounded up to n = 0 or 3 (mod 4)", 16, 100000,
               [](int n) {
                 n = std::max(3, n);
                 while (!problems::LangfordProblem::solvable(n)) ++n;
@@ -380,7 +382,7 @@ const Registry<ProblemEntry>& problem_registry() {
           entry_for<problems::PartitionProblem>(
               "Number partitioning (equal sums and sums of squares); size rounded up to a "
               "multiple of 4",
-              40,
+              40, 100000,
               [](int n) {
                 n = std::max(4, n);
                 return n % 4 == 0 ? n : n + (4 - n % 4);
@@ -393,7 +395,7 @@ const Registry<ProblemEntry>& problem_registry() {
               check_partition));
 
     r.add("alpha", entry_for<problems::AlphaProblem>(
-                       "The alpha cryptarithm (26 letters, 20 equations); size is fixed", 26,
+                       "The alpha cryptarithm (26 letters, 20 equations); size is fixed", 26, 26,
                        [](int) { return 26; },
                        {[](const SolveRequest& req) {
                           require_no_problem_config(req);

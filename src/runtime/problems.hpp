@@ -66,6 +66,9 @@ struct ProblemEntry {
   /// Round a requested size up to the nearest feasible instance (Langford's
   /// n = 0,3 mod 4; partition's multiples of 4). Null = any size >= min.
   std::function<int(int)> adjust_size;
+  /// Largest size resolve() admits once adjusted: a walker replica stays
+  /// within a few MB, and a Costas cost probe within ~10 ms.
+  int max_size = 0;
 
   /// Build a walker for the request's {engine, engine_config}. Throws on
   /// unknown engines or malformed knobs. The returned closure is safe to

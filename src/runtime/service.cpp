@@ -30,7 +30,6 @@ util::Json ServiceStats::to_json() const {
   j["cache_expired"] = cache_expired;
   j["estimated_walker_seconds"] = estimated_walker_seconds;
   j["cost_model_calibrations"] = cost_model_calibrations;
-  j["diversification_samples"] = diversification_samples;
   j["total_iterations"] = total_iterations;
   j["total_wall_seconds"] = total_wall_seconds;
   // Per-outcome service latency percentiles (milliseconds). An outcome
@@ -135,28 +134,22 @@ void SolverService::run_leader(const SolveRequest& req, const std::string& key,
 
 void SolverService::auto_calibrate_locked(const SolveReport& report) {
   // Only clean, solved, first-win executions are usable: an unsolved or
-  // errored run is a censored observation of the run-time distribution,
+  // errored run is a censored observation of the run-length distribution,
   // and non-first-win strategies (cooperative adoption, portfolio
   // heterogeneity, single-walk neighborhood) change the law itself.
   if (!report.error.empty() || !report.solved) return;
-  // Diversification is observational, not a run-time law — every clean
-  // solved run feeds the per-instance escape-chunk histogram regardless of
-  // strategy.
-  if (report.winner_stats.wall_seconds > 0) {
-    cost_model_.record_diversification(report);
-    ++stats_.diversification_samples;
-  }
   const SolveRequest& req = report.request;
   if (req.strategy != "sequential" && req.strategy != "multiwalk") return;
-  const int k = report.walkers_run;
-  if (k < 1 || report.wall_seconds <= 0) return;
-  // Minimum of k exponential walkers, scaled by k, is distributed like one
-  // walker: the sample is a single-walker-equivalent draw.
-  const double sample = report.wall_seconds * k;
+  const core::RunStats& winner = report.winner_stats;
+  if (winner.wall_seconds > 0)
+    cost_model_.record_rate(req.problem, req.size, static_cast<double>(winner.iterations),
+                            winner.wall_seconds);
+  // k first-win walkers stop together, so their summed iterations are k
+  // times the minimum of k exponential draws: one single-walker draw.
   auto& samples = calibration_samples_[{req.problem, req.size}];
   constexpr size_t kWindow = 64;
   if (samples.size() >= kWindow) samples.erase(samples.begin());
-  samples.push_back(sample);
+  samples.push_back(static_cast<double>(report.total_iterations));
   if (samples.size() < static_cast<size_t>(std::max(2, opts_.auto_calibrate_min_samples)))
     return;
   cost_model_.calibrate(req.problem, req.size, samples);
@@ -329,12 +322,6 @@ CostEstimate SolverService::estimate(const SolveRequest& req) const {
 void SolverService::set_admission_budget(double walker_seconds) {
   std::scoped_lock lock(mu_);
   opts_.admission_budget_walker_seconds = walker_seconds;
-}
-
-void SolverService::calibrate_cost_model(const std::string& problem, int size,
-                                         const std::vector<double>& run_seconds) {
-  std::scoped_lock lock(mu_);
-  cost_model_.calibrate(problem, size, run_seconds);
 }
 
 CostModel SolverService::cost_model() const {

@@ -16,18 +16,19 @@
 //              (seed 0 — a fresh seed is drawn per execution) are
 //              dedup-only; an unsolved timeout-bounded run is also never
 //              cached (a retry might do better).
-//   admission  a CostModel priced off the analysis layer's run-time
-//              distribution fits predicts each request's expected
-//              walker-seconds; with a budget configured, requests priced
-//              over it are rejected up front (served_by = "rejected",
-//              error names the estimate) instead of burning pool time.
-//              The model auto-calibrates from the service's OWN completed
-//              reports: every clean solved first-win execution contributes
-//              a single-walker-equivalent sample (wall * walkers — for an
-//              exponential run-time law the minimum of k walkers scaled by
-//              k IS a single-walker draw), and once a (problem, size) cell
-//              has enough samples its built-in/extrapolated price is
-//              replaced by a fit of what this machine actually measured.
+//   admission  a CostModel predicts each request's expected walker-seconds
+//              from a fit of iterations to solution and the iteration rate
+//              measured on this host; with a budget configured, requests
+//              priced over it are rejected up front (served_by =
+//              "rejected", error names the estimate) instead of burning
+//              pool time. The model auto-calibrates from the service's OWN
+//              completed reports: every clean solved first-win execution
+//              refines the rate with its winner's iterations over busy
+//              seconds, and contributes its total iterations as a
+//              single-walker-equivalent sample (for an exponential law the
+//              minimum of k walkers scaled by k IS a single-walker draw);
+//              once a (problem, size) cell has enough samples its built-in
+//              or extrapolated curve point is replaced by a fit of them.
 //
 // Each request keeps its own first-win cancellation: run_multiwalk gives
 // every request a private stop flag, so a winner in one request never
@@ -87,9 +88,6 @@ struct ServiceStats {
   /// Times the cost model was refit from the service's own completed
   /// reports (auto-calibration).
   uint64_t cost_model_calibrations = 0;
-  /// Clean solved runs whose reset counters fed the cost model's
-  /// per-instance diversification histogram.
-  uint64_t diversification_samples = 0;
 
   // Real work only: dedup/cache servings do not double-count.
   uint64_t total_iterations = 0;
@@ -122,9 +120,10 @@ class SolverService {
     double admission_budget_walker_seconds = 0.0;
     /// Refit the cost model's (problem, size) price from the service's own
     /// completed reports. Samples come from clean SOLVED executions of the
-    /// first-win strategies (sequential/multiwalk), normalized to
-    /// single-walker-equivalents (wall * walkers); unsolved or errored
-    /// runs are censored observations and never contribute.
+    /// first-win strategies (sequential/multiwalk): the winner's iteration
+    /// rate, and the total iterations as a single-walker-equivalent draw;
+    /// unsolved or errored runs are censored observations and never
+    /// contribute.
     bool auto_calibrate = true;
     /// Samples a (problem, size) cell needs before its first refit; each
     /// later sample refits again over a rolling window of the most recent
@@ -183,19 +182,13 @@ class SolverService {
 
   /// Price a request on the live cost model WITHOUT submitting it — the
   /// server front-end's load-shedding hook (reject with the estimate
-  /// before queueing). Returns an unknown estimate for unresolvable
+  /// before queueing). The first price of a Costas size runs the model's
+  /// ~10 ms rate probe. Returns an unknown estimate for unresolvable
   /// requests; never throws.
   [[nodiscard]] CostEstimate estimate(const SolveRequest& req) const;
 
   /// Reconfigure the admission budget at runtime (0 = admit everything).
   void set_admission_budget(double walker_seconds);
-  /// Refit the admission price list for (problem, size) from measured
-  /// single-walker run times. Synchronized against concurrent submits —
-  /// the cost model is only ever touched under the service mutex, so a
-  /// long-running service can recalibrate from its own completed reports
-  /// while traffic flows.
-  void calibrate_cost_model(const std::string& problem, int size,
-                            const std::vector<double>& run_seconds);
   /// Snapshot of the admission price list (copy: the live model is only
   /// accessed under the service mutex).
   [[nodiscard]] CostModel cost_model() const;
@@ -236,7 +229,7 @@ class SolverService {
   ReportCache cache_;
   std::map<std::string, std::shared_ptr<Inflight>> inflight_by_key_;
   uint64_t inflight_ = 0;
-  /// (problem, size) -> rolling single-walker-equivalent run-time samples
+  /// (problem, size) -> rolling single-walker-equivalent iteration samples
   /// feeding the cost model's auto-calibration.
   std::map<std::pair<std::string, int>, std::vector<double>> calibration_samples_;
 };

@@ -1,7 +1,9 @@
 #include "runtime/strategy.hpp"
 
+#include <algorithm>
 #include <random>
 #include <stdexcept>
+#include <string>
 
 #include "par/cooperative.hpp"
 #include "par/multiwalk.hpp"
@@ -187,9 +189,18 @@ SolveRequest resolve(SolveRequest req) {
       }());
   strategy_registry().at(req.strategy, "strategy");
   if (req.size <= 0) req.size = entry.default_size;
-  if (entry.adjust_size != nullptr) req.size = entry.adjust_size(req.size);
+  const int asked = req.size;
+  // Clamped so that rounding up cannot overflow; a size past the limit
+  // stays past it.
+  if (entry.adjust_size != nullptr)
+    req.size = entry.adjust_size(std::min(req.size, entry.max_size + 1));
+  if (req.size > entry.max_size)
+    throw std::invalid_argument("size " + std::to_string(asked) + " exceeds problem '" +
+                                req.problem + "' limit of " + std::to_string(entry.max_size));
   if (req.strategy == "sequential") req.walkers = 1;
   if (req.walkers < 1) throw std::invalid_argument("walkers must be >= 1");
+  if (req.walkers > kMaxWalkers)
+    throw std::invalid_argument("walkers must be <= " + std::to_string(kMaxWalkers));
   if (req.timeout_seconds < 0) throw std::invalid_argument("timeout_seconds must be >= 0");
   return req;
 }

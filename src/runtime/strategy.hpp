@@ -48,10 +48,14 @@ struct StrategyInfo {
 /// The string-keyed strategy catalog.
 const Registry<StrategyInfo>& strategy_registry();
 
+/// Largest walker count resolve() admits: 8x the paper's 8,192 cores.
+inline constexpr int kMaxWalkers = 1 << 16;
+
 /// Validate a request and fill derived defaults: problem/engine/strategy
-/// names must exist, the size is defaulted and rounded to a feasible
-/// instance, walkers >= 1. Throws std::invalid_argument with a message
-/// naming the valid alternatives.
+/// names must exist, the size is defaulted, rounded to a feasible instance
+/// and at most the problem's max_size, 1 <= walkers <= kMaxWalkers. Throws
+/// std::invalid_argument with a message naming the valid alternatives or
+/// the limit.
 SolveRequest resolve(SolveRequest req);
 
 /// Resolve and execute one request. Never throws: validation and execution

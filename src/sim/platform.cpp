@@ -1,5 +1,6 @@
 #include "sim/platform.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "core/adaptive_search.hpp"
@@ -61,18 +62,27 @@ double scheduler_walltime_cap(const Platform& platform, int cores) {
 }
 
 Platform calibrate_local(int n, double budget_seconds) {
-  // Run the real kernel for ~budget_seconds and count iterations.
+  // Run the real kernel for ~budget_seconds and count iterations: one walk,
+  // advanced in chunks (a fresh walk once it solves). A chunk at most
+  // doubles the last one and never outruns the time left at the rate
+  // measured so far, so the budget holds from ~5 us iterations (n = 17) to
+  // the ~9 ms resets of n = 128.
   costas::CostasProblem problem(n);
-  auto cfg = costas::recommended_config(n, /*seed=*/0xCA11B7A7Eull);
+  core::AdaptiveSearch<costas::CostasProblem> engine(
+      problem, costas::recommended_config(n, /*seed=*/0xCA11B7A7Eull));
   util::WallTimer timer;
   uint64_t total_iters = 0;
-  uint64_t seed = 1;
+  uint64_t chunk = 1;
+  engine.begin_walk();
   while (timer.seconds() < budget_seconds) {
-    cfg.seed = seed++;
-    cfg.max_iterations = 200000;  // chunks, so we respect the budget
-    core::AdaptiveSearch<costas::CostasProblem> engine(problem, cfg);
-    const auto st = engine.solve();
-    total_iters += st.iterations;
+    const uint64_t before = engine.walk_stats().iterations;
+    const bool solved = engine.advance_walk(chunk);
+    total_iters += engine.walk_stats().iterations - before;
+    if (solved) engine.begin_walk();
+    const double spent = timer.seconds();
+    const double fits = (budget_seconds - spent) * static_cast<double>(total_iters) /
+                        std::max(spent, 1e-9);
+    chunk = static_cast<uint64_t>(std::clamp(fits, 1.0, 2.0 * static_cast<double>(chunk)));
   }
   const double elapsed = timer.seconds();
   Platform p;

@@ -64,7 +64,9 @@ const Platform& jugene();
 double scheduler_walltime_cap(const Platform& platform, int cores);
 
 /// Calibrate a profile for the machine running this process by timing the
-/// actual solver kernel (used when the harness reports "local" numbers).
+/// actual solver kernel (used when the harness reports "local" numbers, and
+/// as runtime::CostModel's ~10 ms rate probe). Stays near budget_seconds at
+/// any n where one reset does; throws what CostasProblem(n) throws.
 Platform calibrate_local(int n = 14, double budget_seconds = 1.0);
 
 const std::vector<Platform>& all_reference_platforms();

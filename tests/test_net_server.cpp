@@ -190,6 +190,22 @@ TEST(NetServer, MaxInflightOverflowRejectsBeforeQueueing) {
   EXPECT_EQ(ts.server.service().stats().executions, 1u);
 }
 
+TEST(NetServer, OversizedSolveIsRejectedNamingTheLimit) {
+  // A size or walker count past resolve()'s caps would ask for gigabytes
+  // per walker; it comes back as an error report instead of an allocation.
+  TestServer ts(fast_options());
+  BlockingClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", ts.port())) << client.error();
+  ASSERT_TRUE(client.send_json(solve_frame("huge-n", 20000, 1)));
+  const util::Json n = await_report(client, "huge-n");
+  ASSERT_TRUE(client.send_json(solve_frame("huge-k", 12, 1, /*timeout=*/0, 100000000)));
+  const util::Json k = await_report(client, "huge-k");
+  ASSERT_TRUE(n.is_object() && k.is_object());
+  EXPECT_NE(n.at("error").as_string().find("limit of 64"), std::string::npos);
+  EXPECT_NE(k.at("error").as_string().find("walkers must be <="), std::string::npos);
+  EXPECT_EQ(ts.server.service().stats().solved, 0u);
+}
+
 TEST(NetServer, BackpressurePausesStalledReaderThenRecovers) {
   ServerOptions opts = fast_options();
   opts.write_buffer_limit = 4096;  // tiny high-water mark

@@ -194,6 +194,35 @@ TEST(Resolve, RoundsInfeasibleSizesUp) {
   EXPECT_EQ(resolve(req).size, 26);
 }
 
+TEST(Resolve, SizeAndWalkersAreBounded) {
+  SolveRequest req;
+  req.problem = "costas";
+  req.size = problem_registry().at("costas", "problem").max_size;
+  EXPECT_EQ(resolve(req).size, req.size);
+  req.size += 1;
+  EXPECT_THROW(resolve(req), std::invalid_argument);
+  req.size = 20000;  // ~6.4 GB of difference tables per walker replica
+  try {
+    (void)resolve(req);
+    ADD_FAILURE() << "size 20000 resolved";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("limit of 64"), std::string::npos) << e.what();
+  }
+  req.size = 14;
+  req.walkers = kMaxWalkers;
+  EXPECT_EQ(resolve(req).walkers, kMaxWalkers);
+  req.walkers = 100000000;  // ~14 GB of walker stats
+  EXPECT_THROW(resolve(req), std::invalid_argument);
+  // The rounding happens first, and cannot overflow at the top of int.
+  req.walkers = 4;
+  req.problem = "partition";
+  req.size = 2147483647;
+  EXPECT_THROW(resolve(req), std::invalid_argument);
+  req.problem = "queens";  // the largest size a scenario uses
+  req.size = 64;
+  EXPECT_EQ(resolve(req).size, 64);
+}
+
 TEST(Resolve, UnknownNamesThrow) {
   SolveRequest req;
   req.problem = "sudoku";

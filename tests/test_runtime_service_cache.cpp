@@ -5,9 +5,12 @@
 // ONE strategy execution — lives here.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/cost_model.hpp"
@@ -170,8 +173,8 @@ TEST(ServiceAdmission, RejectsOverBudgetServesCheapAndCached) {
   opts.admission_budget_walker_seconds = 0.05;  // ~50 ms of machine time
   SolverService service(opts);
 
-  // Costas 17 costs ~1 walker-second by the built-in curve: rejected
-  // before touching the pool.
+  // Costas 17 takes ~1e5 iterations, tenths of a walker-second at any
+  // plausible rate: rejected before touching the pool.
   const auto rejected = service.submit(costas_request("big", 17, 1)).get();
   EXPECT_EQ(rejected.served_by, "rejected");
   EXPECT_NE(rejected.error.find("admission rejected"), std::string::npos) << rejected.error;
@@ -202,10 +205,10 @@ TEST(ServiceAdmission, TimeoutCapMakesBigRequestsAdmissible) {
   SolverService::Options opts;
   opts.pool_threads = 2;
   opts.cache_capacity = 0;
-  opts.admission_budget_walker_seconds = 0.5;
+  opts.admission_budget_walker_seconds = 0.2;
   SolverService service(opts);
-  // Unbounded costas 17 is over budget, but a wall-clock cap bounds the
-  // bill at walkers x timeout, which fits.
+  // Unbounded costas 17 (~1e5 iterations) is over budget, but a wall-clock
+  // cap bounds the bill at walkers x timeout, which fits.
   auto req = costas_request("bounded", 17, 1);
   req.walkers = 2;
   req.timeout_seconds = 0.05;
@@ -287,7 +290,7 @@ TEST(ServiceAutoCalibration, CensoredRunsNeverContribute) {
 
 // ---------- CostModel ----------
 
-TEST(CostModel, CostasCurveGrowsWithSizeAndIsWalkerInvariantAtMuZero) {
+TEST(CostModel, CostasIterationCurveGrowsWithSizeAndIsWalkerInvariantNearMuZero) {
   CostModel model;
   SolveRequest req = costas_request("", 13, 1);
   const auto e13 = model.estimate(resolve(req));
@@ -295,24 +298,32 @@ TEST(CostModel, CostasCurveGrowsWithSizeAndIsWalkerInvariantAtMuZero) {
   const auto e16 = model.estimate(resolve(req));
   ASSERT_TRUE(e13.known);
   ASSERT_TRUE(e16.known);
+  // The curve is in iterations, the same on every host: n = 16 takes ~70x
+  // the iterations of n = 13.
+  EXPECT_GT(e16.fit.mean(), 20 * e13.fit.mean());
   EXPECT_GT(e16.expected_walker_seconds, e13.expected_walker_seconds);
-  // mu = 0 regime: the machine-time bill is lambda no matter how wide the
+  // Seconds are the bill in iterations at the rate probed on this host.
+  ASSERT_GT(e16.iterations_per_second, 0.0);
+  EXPECT_NEAR(e16.expected_walker_seconds,
+              (2 * e16.fit.mu + e16.fit.lambda) / e16.iterations_per_second,
+              1e-9 * e16.expected_walker_seconds);
+  // mu ~ 0 regime: the machine-time bill is ~lambda no matter how wide the
   // race — parallelism buys latency only.
   req.walkers = 16;
   const auto wide = model.estimate(resolve(req));
   EXPECT_NEAR(wide.expected_walker_seconds, e16.expected_walker_seconds,
-              1e-9 + 0.01 * e16.expected_walker_seconds);
+              0.01 * e16.expected_walker_seconds);
   EXPECT_LT(wide.expected_wall_seconds, e16.expected_wall_seconds);
 }
 
 TEST(CostModel, InterpolatesAndExtrapolatesGeometrically) {
   CostModel model;
   SolveRequest req = costas_request("", 15, 1);
-  const double at15 = model.estimate(resolve(req)).expected_walker_seconds;
+  const double at15 = model.estimate(resolve(req)).fit.mean();
   req.size = 16;
-  const double at16 = model.estimate(resolve(req)).expected_walker_seconds;
+  const double at16 = model.estimate(resolve(req)).fit.mean();
   req.size = 19;  // beyond the curve: log-linear extrapolation keeps growing
-  const double at19 = model.estimate(resolve(req)).expected_walker_seconds;
+  const double at19 = model.estimate(resolve(req)).fit.mean();
   EXPECT_GT(at16, at15);
   EXPECT_GT(at19, 10 * at16);
 }
@@ -325,106 +336,132 @@ TEST(CostModel, UnknownProblemsAreNotPriced) {
   EXPECT_FALSE(model.estimate(resolve(req)).known);
 }
 
-TEST(CostModel, CalibrateOverridesFromMeasuredSamples) {
+/// Ten measured single-walker runs around 2e5 iterations.
+const std::vector<double> kQueensIterations{1.8e5,  2.0e5, 2.2e5, 1.9e5,  2.1e5,
+                                            2.0e5, 1.95e5, 2.05e5, 2.15e5, 1.85e5};
+
+TEST(CostModel, CalibrateInstallsAnIterationFitPricedAtTheRecordedRate) {
   CostModel model;
-  // Ten measured single-walker runs around 2 s install a sharper point
-  // than the built-in curve (analysis::fit_shifted_exponential underneath).
-  model.calibrate("queens", 32, {1.8, 2.0, 2.2, 1.9, 2.1, 2.0, 1.95, 2.05, 2.15, 1.85});
+  model.calibrate("queens", 32, kQueensIterations);
   SolveRequest req;
   req.problem = "queens";
   req.size = 32;
   req.walkers = 4;
+  // Only the Costas kernel has a probe: the fit alone cannot be priced.
+  EXPECT_FALSE(model.estimate(resolve(req)).known);
+  model.record_rate("queens", 32, 1e5, 1.0);
   const auto est = model.estimate(resolve(req));
   ASSERT_TRUE(est.known);
-  // k*mu + lambda with mu ~= 1.8, lambda ~= 0.2: around 7.4 walker-seconds.
+  EXPECT_EQ(model.probes(), 0);
+  EXPECT_DOUBLE_EQ(est.iterations_per_second, 1e5);
+  // k*mu + lambda with mu ~= 1.8e5, lambda ~= 0.2e5 iterations at 1e5
+  // iterations/s: around 7.4 walker-seconds.
   EXPECT_GT(est.expected_walker_seconds, 5.0);
   EXPECT_LT(est.expected_walker_seconds, 10.0);
 }
 
-// ---------- diversification pricing (reset escape-chunk histogram) -------
-
-SolveReport diversified_report(const std::string& problem, int size, uint64_t resets,
-                               uint64_t escape_chunks, double reset_seconds,
-                               double wall_seconds) {
-  SolveReport r;
-  r.solved = true;
-  r.request.problem = problem;
-  r.request.size = size;
-  r.winner_stats.solved = true;
-  r.winner_stats.resets = resets;
-  r.winner_stats.reset_escape_chunks = escape_chunks;
-  r.winner_stats.reset_seconds = reset_seconds;
-  r.winner_stats.wall_seconds = wall_seconds;
-  return r;
+TEST(CostModel, OneIterationFitAtTwoRatesPricesInInverseProportion) {
+  // Two hosts, one three times faster: the same built-in Costas n=17 fit
+  // and the same iteration-fitted queens point, at each host's rate.
+  CostModel slow;
+  CostModel fast;
+  for (CostModel* m : {&slow, &fast}) m->calibrate("queens", 32, kQueensIterations);
+  slow.record_rate("costas", 17, 1e5, 1.0);
+  fast.record_rate("costas", 17, 6e5, 2.0);
+  slow.record_rate("queens", 32, 2e4, 0.5);
+  fast.record_rate("queens", 32, 1.2e5, 1.0);
+  SolveRequest costas = costas_request("", 17, 1);
+  costas.walkers = 8;
+  SolveRequest queens = costas;
+  queens.problem = "queens";
+  queens.size = 32;
+  for (const SolveRequest& req : {costas, queens}) {
+    const auto s = slow.estimate(resolve(req));
+    const auto f = fast.estimate(resolve(req));
+    ASSERT_TRUE(s.known && f.known) << req.problem;
+    EXPECT_EQ(s.fit.mu, f.fit.mu);
+    EXPECT_EQ(s.fit.lambda, f.fit.lambda);
+    EXPECT_NEAR(s.expected_walker_seconds / f.expected_walker_seconds, 3.0, 1e-9);
+    EXPECT_NEAR(s.expected_wall_seconds / f.expected_wall_seconds, 3.0, 1e-9);
+  }
+  EXPECT_EQ(slow.probes() + fast.probes(), 0);  // recorded rates need no probe
 }
 
-TEST(CostModel, DiversificationPricesResetShareFromRecordedRuns) {
+TEST(CostModel, ProbesOncePerCostasSizeAndNeverOnConstruction) {
   CostModel model;
-  // Two solved runs at (costas, 17): 40 and 60 escape chunks per reset,
-  // each spending a quarter of its wall inside diversification.
-  model.record_diversification(diversified_report("costas", 17, 10, 400, 0.25, 1.0));
-  model.record_diversification(diversified_report("costas", 17, 10, 600, 0.25, 1.0));
-  EXPECT_EQ(model.diversification_samples("costas", 17), 2u);
+  EXPECT_EQ(model.probes(), 0);
+  SolverService service({/*pool_threads=*/2});
+  EXPECT_EQ(service.cost_model().probes(), 0);
 
-  SolveRequest req = costas_request("", 17, 1);
-  const auto est = model.estimate(resolve(req));
-  ASSERT_TRUE(est.known);
-  ASSERT_TRUE(est.diversification_known);
-  EXPECT_DOUBLE_EQ(est.mean_escape_chunks_per_reset, 50.0);
-  EXPECT_GE(est.p95_escape_chunks_per_reset, est.mean_escape_chunks_per_reset);
-  EXPECT_LE(est.p95_escape_chunks_per_reset, 60.0);  // histogram clamps to max
-  EXPECT_DOUBLE_EQ(est.expected_reset_fraction, 0.25);
-  EXPECT_DOUBLE_EQ(est.expected_reset_seconds, 0.25 * est.expected_wall_seconds);
+  const auto first = model.estimate(resolve(costas_request("", 12, 1)));
+  ASSERT_TRUE(first.known);
+  EXPECT_GT(first.iterations_per_second, 0.0);
+  EXPECT_EQ(model.probes(), 1);
+  // The rate is cached: another request at the size reuses it.
+  SolveRequest wide = costas_request("", 12, 2);
+  wide.walkers = 8;
+  EXPECT_EQ(model.estimate(resolve(wide)).iterations_per_second, first.iterations_per_second);
+  EXPECT_EQ(model.probes(), 1);
+  (void)model.estimate(resolve(costas_request("", 13, 1)));
+  EXPECT_EQ(model.probes(), 2);
 
-  // The pricing rides the estimate JSON under a dedicated block.
-  const util::Json j = est.to_json();
-  ASSERT_TRUE(j.contains("diversification"));
-  EXPECT_DOUBLE_EQ(j.at("diversification").at("expected_reset_fraction").as_number(), 0.25);
-
-  // Strictly per instance: a size nobody recorded carries no block.
-  req.size = 12;
-  const auto elsewhere = model.estimate(resolve(req));
-  ASSERT_TRUE(elsewhere.known);
-  EXPECT_FALSE(elsewhere.diversification_known);
-  EXPECT_FALSE(elsewhere.to_json().contains("diversification"));
+  // A failed probe (no Costas instance of order 1) leaves the size unpriced,
+  // once: the failure is cached too.
+  const SolveRequest tiny = resolve(costas_request("", 1, 1));
+  EXPECT_FALSE(model.estimate(tiny).known);
+  EXPECT_FALSE(model.estimate(tiny).known);
+  EXPECT_EQ(model.probes(), 3);
 }
 
-TEST(CostModel, DiversificationIgnoresDirtyRunsAndCountsResetFreeOnes) {
+TEST(CostModel, IterationSamplesRefitTheCurveRateSamplesOnlyTheRate) {
   CostModel model;
-  // Errored and unsolved reports never contribute — winner_stats is
-  // meaningless there.
-  SolveReport bad = diversified_report("costas", 16, 5, 100, 0.1, 1.0);
-  bad.error = "boom";
-  model.record_diversification(bad);
-  SolveReport unsolved = diversified_report("costas", 16, 5, 100, 0.1, 1.0);
-  unsolved.solved = false;
-  model.record_diversification(unsolved);
-  EXPECT_EQ(model.diversification_samples("costas", 16), 0u);
+  const SolveRequest req = resolve(costas_request("", 13, 1));
+  model.record_rate("costas", 13, 2e5, 1.0);
+  const auto built_in = model.estimate(req);
+  ASSERT_TRUE(built_in.known);
 
-  // A reset-free run adds no chunks-per-reset sample but pulls the
-  // observed reset fraction toward zero.
-  model.record_diversification(diversified_report("costas", 16, 4, 200, 0.5, 1.0));
-  model.record_diversification(diversified_report("costas", 16, 0, 0, 0.0, 1.0));
-  SolveRequest req = costas_request("", 16, 1);
-  const auto est = model.estimate(resolve(req));
-  ASSERT_TRUE(est.diversification_known);
-  EXPECT_DOUBLE_EQ(est.mean_escape_chunks_per_reset, 50.0);
-  EXPECT_DOUBLE_EQ(est.expected_reset_fraction, 0.25);
+  model.calibrate("costas", 13, {100, 300, 500, 700});
+  const auto refit = model.estimate(req);
+  EXPECT_DOUBLE_EQ(refit.fit.mu, 100);
+  EXPECT_DOUBLE_EQ(refit.fit.lambda, 300);
+  EXPECT_NE(refit.fit.lambda, built_in.fit.lambda);
+  EXPECT_EQ(refit.iterations_per_second, built_in.iterations_per_second);
+
+  // Rates pool as total iterations over total busy seconds.
+  model.record_rate("costas", 13, 1e5, 1.0);
+  const auto rerated = model.estimate(req);
+  EXPECT_DOUBLE_EQ(rerated.iterations_per_second, 1.5e5);
+  EXPECT_EQ(rerated.fit.mu, refit.fit.mu);
+  EXPECT_EQ(rerated.fit.lambda, refit.fit.lambda);
+  EXPECT_EQ(model.probes(), 0);
 }
 
-TEST(ServiceAutoCalibration, FeedsDiversificationHistogramFromOwnRuns) {
+TEST(ServiceAutoCalibration, ConcurrentEstimatesWhileExecutionsComplete) {
+  // Pricing threads (probing new sizes) race executions whose completions
+  // record rates and refit curves: every model access is under the service
+  // mutex.
   SolverService::Options opts;
   opts.pool_threads = 2;
-  opts.cache_capacity = 0;  // every request must really execute
+  opts.cache_capacity = 0;
+  opts.auto_calibrate_min_samples = 2;
   SolverService service(opts);
-  for (int s = 1; s <= 3; ++s)
-    service.submit(costas_request("d" + std::to_string(s), 12, static_cast<uint64_t>(s)))
-        .get();
-  EXPECT_GE(service.stats().diversification_samples, 1u);
-  const CostModel model = service.cost_model();
-  EXPECT_GE(model.diversification_samples("costas", 12), 1u);
-  SolveRequest probe = costas_request("probe", 12, 7);
-  EXPECT_TRUE(model.estimate(resolve(probe)).diversification_known);
+  std::atomic<bool> done{false};
+  std::vector<std::thread> pricers;
+  for (int t = 0; t < 3; ++t)
+    pricers.emplace_back([&, t] {
+      for (int i = 0; !done.load(); ++i) {
+        const CostEstimate est = service.estimate(costas_request("p", 9 + (t + i) % 5, 1));
+        EXPECT_TRUE(est.known);
+        EXPECT_TRUE(std::isfinite(est.expected_walker_seconds));
+      }
+    });
+  std::vector<std::future<SolveReport>> runs;
+  for (int s = 1; s <= 8; ++s)
+    runs.push_back(service.submit(costas_request("r", 10 + s % 3, static_cast<uint64_t>(s))));
+  for (auto& f : runs) EXPECT_TRUE(f.get().solved);
+  done = true;
+  for (auto& t : pricers) t.join();
+  EXPECT_GE(service.stats().cost_model_calibrations, 1u);
 }
 
 // ---------- streaming submission + per-outcome latency histograms --------

@@ -313,7 +313,8 @@ int main(int argc, char** argv) {
   flags.add_int("cache", 0, "report-cache capacity in entries (0 = caching off)");
   flags.add_double("cache-ttl", 0.0, "report-cache TTL in seconds (0 = never expires)");
   flags.add_double("admit-budget", 0.0,
-                   "reject requests whose estimated cost exceeds this many walker-seconds "
+                   "reject requests whose estimated cost (fitted iterations to solution / this "
+                   "host's measured iteration rate) exceeds this many walker-seconds "
                    "(0 = admit everything)");
   flags.add_bool("auto-calibrate", true,
                  "refit the admission cost model from this run's own completed reports");

@@ -35,8 +35,9 @@ int main(int argc, char** argv) {
   flags.add_int("max-connections", 1024, "refuse connections beyond this many open");
   flags.add_int("max-inflight", 256, "reject solve frames beyond this many outstanding");
   flags.add_double("shed-budget", 0.0,
-                   "reject requests whose estimated cost exceeds this many walker-seconds, "
-                   "before queueing (0 = no edge shedding)");
+                   "reject requests whose estimated cost (fitted iterations to solution / this "
+                   "host's measured iteration rate) exceeds this many walker-seconds, before "
+                   "queueing (0 = no edge shedding)");
   flags.add_double("idle-timeout", 0.0, "close idle connections after this many seconds (0 = never)");
   flags.add_double("drain-timeout", 30.0, "force-close stragglers this long after drain starts");
   flags.add_int("max-frame", static_cast<long long>(net::kDefaultMaxFrame),
@@ -47,7 +48,8 @@ int main(int argc, char** argv) {
   flags.add_int("cache", 256, "report-cache capacity in entries (0 = caching off)");
   flags.add_double("cache-ttl", 0.0, "report-cache TTL in seconds (0 = never expires)");
   flags.add_double("admit-budget", 0.0,
-                   "service-level admission budget in walker-seconds (0 = admit everything)");
+                   "service-level admission budget in walker-seconds, priced like "
+                   "--shed-budget (0 = admit everything)");
   flags.add_bool("auto-calibrate", true, "refit the cost model from completed reports");
   flags.add_bool("stats", true, "print final server + service stats JSON to stderr on exit");
   if (!flags.parse(argc, argv)) return 0;
