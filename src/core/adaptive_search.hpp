@@ -222,10 +222,11 @@ class AdaptiveSearch {
 
   void diversify(RunStats& st) {
     ++st.resets;
-    // The reset phase is the other half of the hot loop (the ablation
-    // bench puts it at ~30% of hard-instance wall time), so it is timed
-    // separately — reset_seconds/reset_candidates make the batched
-    // candidate pipeline observable end-to-end in every report.
+    // The reset phase is the other half of the hot loop (perfbench's
+    // core.reset_share: about half of a Costas n=17 walk's time under the
+    // paper's RL = 1), so it is timed separately — reset_seconds and
+    // reset_candidates make the batched candidate pipeline observable
+    // end-to-end in every report.
     const util::WallTimer reset_timer;
     if constexpr (HasCustomReset<P>) {
       if (cfg_.use_custom_reset) {

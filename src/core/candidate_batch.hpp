@@ -17,6 +17,7 @@
 // reset micro bench asserts exactly that).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -52,15 +53,26 @@ class CandidateBatch {
   /// — cheaper than staging the transformed configuration in a scratch
   /// vector first.
   int append(std::span<const int> base) {
+    append_copies(base, 1);
+    return count_ - 1;
+  }
+
+  /// Append `k` candidates initialized to `base` (base.size() == size()),
+  /// written one column of all k lanes at a time; returns their column
+  /// base, the first new lane's slot in column 0, so new candidate c's value
+  /// at position i sits at column_base[i * lane_stride() + c]. Callers
+  /// rewrite what differs from `base` through it.
+  int32_t* append_copies(std::span<const int> base, int k) {
     if (static_cast<int>(base.size()) != n_)
-      throw std::invalid_argument("CandidateBatch::append: size mismatch");
-    if (static_cast<size_t>(count_) >= stride_)
-      throw std::length_error("CandidateBatch::append: capacity exhausted");
-    const int lane = count_++;
+      throw std::invalid_argument("CandidateBatch::append_copies: size mismatch");
+    if (k < 0 || static_cast<size_t>(count_) + static_cast<size_t>(k) > stride_)
+      throw std::length_error("CandidateBatch::append_copies: capacity exhausted");
+    int32_t* const column_base = values_.data() + count_;
     for (int i = 0; i < n_; ++i)
-      values_[static_cast<size_t>(i) * stride_ + static_cast<size_t>(lane)] =
-          static_cast<int32_t>(base[static_cast<size_t>(i)]);
-    return lane;
+      std::fill_n(column_base + static_cast<size_t>(i) * stride_, k,
+                  static_cast<int32_t>(base[static_cast<size_t>(i)]));
+    count_ += k;
+    return column_base;
   }
 
   void set(int lane, int i, int32_t v) {

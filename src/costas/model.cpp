@@ -15,6 +15,22 @@ namespace {
 // agree, or a fully-positive row could hand an engine the culprit itself.
 static_assert(simd::kDeltaRowExcluded == core::kExcludedDelta);
 
+/// Rewrite the window [lo, hi] of a copy of `perm` (its column-0 slot
+/// `lane`, columns `stride` apart) turned one cell left (lo..hi-1 take
+/// their right neighbour, hi takes perm[lo]) or right (lo+1..hi take their
+/// left neighbour, lo takes perm[hi]).
+void rotate_window(std::span<const int> perm, int32_t* lane, size_t stride, int lo, int hi,
+                   bool left) {
+  const auto at = [&](int i) -> int32_t& { return lane[static_cast<size_t>(i) * stride]; };
+  if (left) {
+    for (int i = lo; i < hi; ++i) at(i) = perm[static_cast<size_t>(i + 1)];
+    at(hi) = perm[static_cast<size_t>(lo)];
+  } else {
+    for (int i = lo + 1; i <= hi; ++i) at(i) = perm[static_cast<size_t>(i - 1)];
+    at(lo) = perm[static_cast<size_t>(hi)];
+  }
+}
+
 }  // namespace
 
 CostasProblem::CostasProblem(int n, CostasOptions opts) : n_(n), opts_(opts) {
@@ -189,42 +205,33 @@ Cost CostasProblem::evaluate_bounded(std::span<const int> perm, Cost bound) cons
   return total;
 }
 
-void CostasProblem::append_rotated_candidate(core::CandidateBatch& batch, int lo, int hi,
-                                             bool left) const {
-  // A copy of the current permutation with only the [lo, hi] window
-  // rewritten, shifted one cell left or right circularly.
-  const int lane = batch.append(perm_);
-  if (left) {
-    for (int i = lo; i < hi; ++i)
-      batch.set(lane, i, static_cast<int32_t>(perm_[static_cast<size_t>(i + 1)]));
-    batch.set(lane, hi, static_cast<int32_t>(perm_[static_cast<size_t>(lo)]));
-  } else {
-    for (int i = lo + 1; i <= hi; ++i)
-      batch.set(lane, i, static_cast<int32_t>(perm_[static_cast<size_t>(i - 1)]));
-    batch.set(lane, lo, static_cast<int32_t>(perm_[static_cast<size_t>(hi)]));
-  }
-}
-
 void CostasProblem::append_reset_families_1_2(int m, core::CandidateBatch& batch) const {
+  // Every candidate starts as a copy of the permutation, written one column
+  // of all its family's lanes at a time, and then rewrites what it changes.
+  const size_t stride = batch.lane_stride();
   // Family 1: circular shifts of the sub-arrays [m, e] (e > m) and
   // [s, m] (s < m) anchored at the most erroneous variable, one cell left
   // and one cell right each.
+  int32_t* lane = batch.append_copies(perm_, 2 * (n_ - 1));
   for (int e = m + 1; e < n_; ++e) {
-    append_rotated_candidate(batch, m, e, /*left=*/true);
-    append_rotated_candidate(batch, m, e, /*left=*/false);
+    rotate_window(perm_, lane++, stride, m, e, /*left=*/true);
+    rotate_window(perm_, lane++, stride, m, e, /*left=*/false);
   }
   for (int s = 0; s < m; ++s) {
-    append_rotated_candidate(batch, s, m, /*left=*/true);
-    append_rotated_candidate(batch, s, m, /*left=*/false);
+    rotate_window(perm_, lane++, stride, s, m, /*left=*/true);
+    rotate_window(perm_, lane++, stride, s, m, /*left=*/false);
   }
-  // Family 2: add a constant modulo n.
-  const int consts[4] = {1, 2, n_ - 2, n_ - 3};
-  for (int c : consts) {
-    if (c <= 0 || c >= n_) continue;  // degenerate for tiny n
-    const int lane = batch.append(perm_);
-    for (int i = 0; i < n_; ++i)
-      batch.set(lane, i,
-                static_cast<int32_t>((perm_[static_cast<size_t>(i)] - 1 + c) % n_ + 1));
+  // Family 2: add a constant modulo n, by compare-and-subtract.
+  int consts[4];
+  int num_consts = 0;
+  for (const int c : {1, 2, n_ - 2, n_ - 3})
+    if (c > 0 && c < n_) consts[num_consts++] = c;  // degenerate for tiny n
+  int32_t* column = batch.append_copies(perm_, num_consts);
+  for (int i = 0; i < n_; ++i, column += stride) {
+    for (int k = 0; k < num_consts; ++k) {
+      const int v = perm_[static_cast<size_t>(i)] + consts[k];
+      column[k] = v > n_ ? v - n_ : v;
+    }
   }
 }
 
@@ -355,11 +362,13 @@ bool CostasProblem::custom_reset(core::Rng& rng) {
       scratch_[idx] = scratch_.back();
       scratch_.pop_back();
     }
-    for (int t = 0; t < num_chosen; ++t) {
-      const int e = chosen[t];
-      if (e == 0) continue;  // prefix of length 1: no-op
-      append_rotated_candidate(reset_batch_, 0, e, /*left=*/true);
-    }
+    // A prefix of length 1 is a no-op and gets no candidate.
+    const int prefixes =
+        static_cast<int>(std::count_if(chosen, chosen + num_chosen, [](int e) { return e != 0; }));
+    int32_t* lane = reset_batch_.append_copies(perm_, prefixes);
+    for (int t = 0; t < num_chosen; ++t)
+      if (chosen[t] != 0)
+        rotate_window(perm_, lane++, reset_batch_.lane_stride(), 0, chosen[t], /*left=*/true);
   }
   const int count3 = reset_batch_.count() - count12;
   if (count3 > 0) {

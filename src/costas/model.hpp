@@ -87,11 +87,15 @@ class CostasProblem {
   ///     variable (up to 3 candidates).
   /// Accepts the first perturbation that strictly improves on the entry
   /// cost (returns true: "escaped"); otherwise evaluates all and adopts the
-  /// best one (returns false). The candidate families are generated
-  /// straight into a reusable CandidateBatch (no per-candidate vector
-  /// copies) and scored through evaluate_batch in one pass — same
-  /// first-found / strict-improvement semantics as the historical serial
-  /// loop, bit-identical trajectories, allocation-free after warmup.
+  /// best one (returns false). The candidate families are written straight
+  /// into a reusable CandidateBatch — each family's copies of the
+  /// permutation one column of all its lanes at a time, then each lane's
+  /// rotated window or modular shift (no integer %) — and scored through
+  /// the chunked kernel walk of evaluate_batch — same first-found / strict-improvement semantics as
+  /// the historical serial loop, bit-identical trajectories and RNG
+  /// stream, allocation-free after warmup. Under the paper's RL = 1 a walk
+  /// resets on about half its iterations at n = 17, so this is the engine's
+  /// hot path (perfbench's core.reset_share).
   bool custom_reset(core::Rng& rng);
 
   // --- model introspection / utilities ---
@@ -114,10 +118,16 @@ class CostasProblem {
   [[nodiscard]] int reset_candidate_count() const;
 
   /// Append the deterministic reset candidate families for anchor variable
-  /// m to `batch` (family 1: sub-array rotations anchored at m; family 2:
-  /// modular constant shifts) — the exact set custom_reset scores before
-  /// its RNG-dependent family 3. Shared with the reset micro bench so the
-  /// measured candidate shape can never drift from the real one.
+  /// m to `batch` (family 1: sub-array rotations anchored at m, left then
+  /// right for each window; family 2: modular constant shifts) — the exact
+  /// set, in the exact order, custom_reset scores before its RNG-dependent
+  /// family 3. The 2(n - 1) + 4 lanes start as copies of the permutation
+  /// written one column at a time (CandidateBatch::append_copies), then
+  /// each rewrites its window or shift; `batch` must hold size-n candidates
+  /// (std::invalid_argument otherwise) and have room for them
+  /// (std::length_error otherwise). Shared with the reset micro bench and
+  /// perfbench so the measured candidate shape can never drift from the
+  /// real one.
   void append_reset_families_1_2(int m, core::CandidateBatch& batch) const;
 
   /// Candidates the LAST custom_reset actually evaluated — smaller than
@@ -135,7 +145,6 @@ class CostasProblem {
 
  private:
   void rebuild();
-  void append_rotated_candidate(core::CandidateBatch& batch, int lo, int hi, bool left) const;
 
   [[nodiscard]] size_t bucket(int d, int diff) const {
     // diff in [-(n-1), n-1] -> [0, 2n-2]

@@ -24,10 +24,14 @@ namespace detail {
 // Candidate-batch row walk (costas_evaluate_batch): count, for each of the
 // 8 candidate lanes starting at `base` (column-major, stride lane_stride),
 // the number of colliding pairs triangle row d contributes — i.e. the
-// positions whose difference already appeared earlier in the row. All 8
-// lanes are computed unconditionally (padded lanes carry garbage the
-// caller discards); `diff_scratch` is caller-provided storage for at least
-// n * 8 int32 (the row's per-lane difference columns).
+// positions whose difference already appeared earlier in the row, which is
+// m - (distinct differences) for the row's m = n - d positions. All 8 lanes
+// are computed unconditionally (padded lanes carry garbage the caller
+// discards, and must never make a kernel address memory by their data).
+// The AVX2 leg counts the distinct differences with a per-lane bitset over
+// the row's 2n - 1 slots and needs no scratch; the SSE4.2 and NEON legs
+// compare every difference with the earlier ones, staging the row's
+// per-lane difference columns in `diff_scratch` (at least n * 8 int32).
 #if defined(CAS_SIMD_AVX2)
 int64_t min_value_avx2(const int64_t* v, int n);
 int64_t max_value_where_le_avx2(const int64_t* v, const uint64_t* gate, uint64_t bound,
@@ -40,7 +44,7 @@ int costas_delta_row_block_avx2(const CostasCtx& ctx, int i, int d, const int32_
                                 int pad, int32_t* acc);
 void costas_errors_row_avx2(const CostasCtx& ctx, int d, int64_t* errs);
 void batch_row_hits_avx2(const int32_t* base, size_t lane_stride, int n, int d,
-                         int32_t* hits, int32_t* diff_scratch);
+                         int32_t* hits);
 #endif
 
 #if defined(CAS_SIMD_SSE42)

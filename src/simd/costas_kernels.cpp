@@ -198,24 +198,19 @@ int costas_evaluate_batch(const CostasCtx& ctx, const int32_t* values, size_t la
   constexpr int kChunk = 8;
   int aborted_chunks = 0;
   const int n = ctx.n;
-  // Scratches, grown once per thread: the vector backends stage one row's
-  // per-lane difference columns; the scalar reference keeps a touched-slot
-  // histogram. Both stay allocation-free across hot reset loops.
+  // One row pass per call, whatever force_isa() does meanwhile.
+  const Isa isa = active_isa();
+  // Scratches, grown once per thread so hot reset loops stay
+  // allocation-free: the pairwise legs stage one row's per-lane difference
+  // columns; the scalar reference keeps a touched-slot histogram. Both are
+  // sized whatever the tier, so the switch's scalar fallback can never run
+  // on an unsized histogram.
   thread_local std::vector<int32_t> diff_scratch;
   thread_local std::vector<int32_t> seen_scratch;
-  const bool want_vector =
-#if defined(CAS_SIMD_AVX2) || defined(CAS_SIMD_SSE42) || defined(CAS_SIMD_NEON)
-      active_isa() != Isa::kScalar;
-#else
-      false;
-#endif
-  if (want_vector) {
-    if (diff_scratch.size() < static_cast<size_t>(n) * kChunk)
-      diff_scratch.resize(static_cast<size_t>(n) * kChunk);
-  } else {
-    if (seen_scratch.size() < static_cast<size_t>(2 * n - 1))
-      seen_scratch.assign(static_cast<size_t>(2 * n - 1), 0);
-  }
+  if (seen_scratch.size() < static_cast<size_t>(2 * n - 1))
+    seen_scratch.assign(static_cast<size_t>(2 * n - 1), 0);
+  if (diff_scratch.size() < static_cast<size_t>(n) * kChunk)
+    diff_scratch.resize(static_cast<size_t>(n) * kChunk);
 
   for (int c0 = 0; c0 < count; c0 += kChunk) {
     const int lanes = std::min(kChunk, count - c0);
@@ -225,11 +220,10 @@ int costas_evaluate_batch(const CostasCtx& ctx, const int32_t* values, size_t la
     bool aborted = false;
     for (int d = 1; d <= ctx.depth; ++d) {
       // Per-ISA row pass; every variant produces the same exact counts.
-      switch (active_isa()) {
+      switch (isa) {
 #if defined(CAS_SIMD_AVX2)
         case Isa::kAvx2:
-          detail::batch_row_hits_avx2(chunk_base, lane_stride, n, d, hits,
-                                      diff_scratch.data());
+          detail::batch_row_hits_avx2(chunk_base, lane_stride, n, d, hits);
           break;
 #endif
 #if defined(CAS_SIMD_SSE42)

@@ -53,8 +53,12 @@ void costas_errors(const CostasCtx& ctx, int64_t* errs);
 /// tables play no part in a from-scratch evaluation.
 ///
 /// Candidates are processed in fixed 8-lane chunks, each chunk walking the
-/// difference triangle row by row with all lanes in flight (vectorized
-/// when a backend is active, a bit-identical scalar batch otherwise). One
+/// difference triangle row by row with all lanes in flight. A row's hits
+/// are m - (distinct differences) over its m positions: AVX2 counts the
+/// distinct differences with a per-lane bitset over the 2n - 1 difference
+/// slots (linear in m); SSE4.2 and NEON compare each difference with the
+/// earlier ones (quadratic in m); with no vector backend active, a scalar
+/// touched-slot histogram per lane is the bit-identical reference. One
 /// best-so-far bound is shared across chunks:
 ///   * a chunk aborts once EVERY lane's partial cost has reached the
 ///     bound (costs only grow row by row, so none of its candidates can

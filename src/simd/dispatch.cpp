@@ -8,39 +8,59 @@ namespace cas::simd {
 
 namespace {
 
-/// Strongest tier both compiled in AND supported by this CPU. The backend
-/// macros (CAS_SIMD_AVX2 / CAS_SIMD_SSE42 / CAS_SIMD_NEON) are set per
-/// translation unit by CMake exactly when the matching backend file is
-/// compiled, so this function can never select a tier with no code behind
-/// it. -DCAS_SIMD=OFF defines CAS_SIMD_DISABLED instead and pins scalar.
-Isa detect() {
-#if defined(CAS_SIMD_DISABLED)
-  return Isa::kScalar;
-#else
+/// Whether this build compiled `isa`'s backend AND this CPU can run it.
+/// The backend macros (CAS_SIMD_AVX2 / CAS_SIMD_SSE42 / CAS_SIMD_NEON) are
+/// set per translation unit by CMake exactly when the matching backend file
+/// is compiled, so a tier with no code behind it, or one of another
+/// architecture family, is never runnable. -DCAS_SIMD=OFF compiles no
+/// backend and leaves only scalar.
+bool runnable(Isa isa) {
+  switch (isa) {
+    case Isa::kScalar:
+      return true;
 #if defined(CAS_SIMD_AVX2)
-  if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
+    case Isa::kAvx2:
+      return __builtin_cpu_supports("avx2");
 #endif
 #if defined(CAS_SIMD_SSE42)
-  if (__builtin_cpu_supports("sse4.2")) return Isa::kSse42;
+    case Isa::kSse42:
+      return __builtin_cpu_supports("sse4.2");
 #endif
 #if defined(CAS_SIMD_NEON)
-  return Isa::kNeon;  // aarch64 baseline: always available when compiled
+    case Isa::kNeon:
+      return true;  // aarch64 baseline: always available when compiled
 #endif
-  return Isa::kScalar;
-#endif
+    default:
+      return false;
+  }
 }
 
-/// CAS_SIMD environment override, clamped to `cap`. Unknown values are
-/// ignored (auto).
-Isa apply_env(Isa cap) {
+/// The tier installed for a request of `isa`: the request itself when it
+/// is runnable; SSE4.2 for AVX2 on an x86 host without it; scalar for
+/// anything else, a tier of another architecture family included.
+Isa installable(Isa isa) {
+  if (isa == Isa::kAvx2 && !runnable(isa)) isa = Isa::kSse42;
+  return runnable(isa) ? isa : Isa::kScalar;
+}
+
+/// Strongest runnable tier.
+Isa detect() {
+  for (const Isa isa : {Isa::kAvx2, Isa::kSse42, Isa::kNeon})
+    if (runnable(isa)) return isa;
+  return Isa::kScalar;
+}
+
+/// The tier the CAS_SIMD environment variable asks for, or `best` when it
+/// is unset, "auto" or unrecognized.
+Isa apply_env(Isa best) {
   const char* env = std::getenv("CAS_SIMD");
-  if (env == nullptr) return cap;
+  if (env == nullptr) return best;
   const auto is = [env](const char* v) { return std::strcmp(env, v) == 0; };
   if (is("off") || is("0") || is("scalar")) return Isa::kScalar;
-  if (is("neon")) return cap >= Isa::kNeon ? Isa::kNeon : Isa::kScalar;
-  if (is("sse42")) return cap >= Isa::kSse42 ? Isa::kSse42 : Isa::kScalar;
-  if (is("avx2")) return cap >= Isa::kAvx2 ? Isa::kAvx2 : cap;
-  return cap;  // "auto" or unrecognized
+  if (is("neon")) return installable(Isa::kNeon);
+  if (is("sse42")) return installable(Isa::kSse42);
+  if (is("avx2")) return installable(Isa::kAvx2);
+  return best;
 }
 
 Isa best_cached() {
@@ -60,10 +80,9 @@ Isa best_supported_isa() { return best_cached(); }
 Isa active_isa() { return active_slot().load(std::memory_order_relaxed); }
 
 Isa force_isa(Isa isa) {
-  const Isa best = best_cached();
-  const Isa clamped = isa <= best ? isa : best;
-  active_slot().store(clamped, std::memory_order_relaxed);
-  return clamped;
+  const Isa installed = installable(isa);
+  active_slot().store(installed, std::memory_order_relaxed);
+  return installed;
 }
 
 const char* isa_name(Isa isa) {

@@ -33,6 +33,45 @@ namespace {
   return _mm_cvtsi128_si64(m2);
 }
 
+/// Per lane, the number of distinct values of slot = diff + offset that
+/// fall in the 64-slot window [0, 64), over one triangle row's m positions
+/// (diff is a position's difference). Each lane keeps the window as two
+/// bitset words and sets a position's bit with a per-lane variable shift;
+/// a shift count outside 0..31 yields 0, so a slot outside a word (or a
+/// padded lane's garbage) sets nothing and no lane ever addresses memory
+/// by its data.
+[[nodiscard]] __m256i window_distinct_slots(const int32_t* base, size_t lane_stride, int m,
+                                            int d, int offset) {
+  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i v_offset = _mm256_set1_epi32(offset);
+  const __m256i v_32 = _mm256_set1_epi32(32);
+  __m256i seen_lo = _mm256_setzero_si256();
+  __m256i seen_hi = _mm256_setzero_si256();
+  for (int a = 0; a < m; ++a) {
+    const __m256i lo = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(base + static_cast<size_t>(a) * lane_stride));
+    const __m256i hi = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(base + static_cast<size_t>(a + d) * lane_stride));
+    const __m256i slot = _mm256_add_epi32(_mm256_sub_epi32(hi, lo), v_offset);
+    seen_lo = _mm256_or_si256(seen_lo, _mm256_sllv_epi32(one, slot));
+    seen_hi = _mm256_or_si256(seen_hi, _mm256_sllv_epi32(one, _mm256_sub_epi32(slot, v_32)));
+  }
+  // Popcount: per-byte counts from a nibble lookup, summed over both words
+  // (at most 16 per byte), then widened into the 32-bit lanes.
+  const __m256i nibble_bits = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+                                               0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+  const __m256i low4 = _mm256_set1_epi8(0x0f);
+  const auto add_bit_counts = [&](__m256i bytes, __m256i word) {
+    bytes = _mm256_add_epi8(bytes, _mm256_shuffle_epi8(nibble_bits, _mm256_and_si256(word, low4)));
+    return _mm256_add_epi8(
+        bytes,
+        _mm256_shuffle_epi8(nibble_bits, _mm256_and_si256(_mm256_srli_epi16(word, 4), low4)));
+  };
+  const __m256i bytes = add_bit_counts(add_bit_counts(_mm256_setzero_si256(), seen_lo), seen_hi);
+  return _mm256_madd_epi16(_mm256_maddubs_epi16(bytes, _mm256_set1_epi8(1)),
+                           _mm256_set1_epi16(1));
+}
+
 }  // namespace
 
 int64_t min_value_avx2(const int64_t* v, int n) {
@@ -215,36 +254,18 @@ int costas_delta_row_block_avx2(const CostasCtx& ctx, int i, int d, const int32_
 }
 
 void batch_row_hits_avx2(const int32_t* base, size_t lane_stride, int n, int d,
-                         int32_t* hits, int32_t* diff_scratch) {
-  // One vector = one triangle-row difference of 8 candidate lanes. Stage
-  // the row's m = n - d difference vectors in the scratch, then count, per
-  // position, whether the same difference appeared at any earlier position
-  // (the exact "bucket reaches >= 2" rule of the scalar histogram, phrased
-  // as pairwise compares so 8 candidates share every instruction and no
-  // lane ever touches memory it must scatter back to).
+                         int32_t* hits) {
+  // A position collides iff its difference slot already appeared earlier in
+  // the row, so the row's hits are m - (distinct slots), m = n - d. The
+  // row's 2n - 1 slots are counted in 64-slot windows (one up to n = 32),
+  // each window re-deriving the row's differences.
   const int m = n - d;
-  for (int a = 0; a < m; ++a) {
-    const __m256i lo = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(base + static_cast<size_t>(a) * lane_stride));
-    const __m256i hi = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(base + static_cast<size_t>(a + d) * lane_stride));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(diff_scratch + a * 8),
-                        _mm256_sub_epi32(hi, lo));
-  }
-  __m256i acc = _mm256_setzero_si256();
-  for (int a = 1; a < m; ++a) {
-    const __m256i da =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(diff_scratch + a * 8));
-    __m256i match = _mm256_setzero_si256();
-    for (int b = 0; b < a; ++b) {
-      match = _mm256_or_si256(
-          match, _mm256_cmpeq_epi32(
-                     da, _mm256_loadu_si256(
-                             reinterpret_cast<const __m256i*>(diff_scratch + b * 8))));
-    }
-    acc = _mm256_sub_epi32(acc, match);  // mask lanes are -1 per hit
-  }
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(hits), acc);
+  __m256i distinct = _mm256_setzero_si256();
+  for (int first = 0; first < 2 * n - 1; first += 64)
+    distinct = _mm256_add_epi32(
+        distinct, window_distinct_slots(base, lane_stride, m, d, n - 1 - first));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(hits),
+                      _mm256_sub_epi32(_mm256_set1_epi32(m), distinct));
 }
 
 void costas_errors_row_avx2(const CostasCtx& ctx, int d, int64_t* errs) {

@@ -57,7 +57,7 @@ int64_t max_value_where_le_neon(const int64_t* v, const uint64_t* gate, uint64_t
 
 void batch_row_hits_neon(const int32_t* base, size_t lane_stride, int n, int d,
                          int32_t* hits, int32_t* diff_scratch) {
-  // Same pairwise-compare formulation as the x86 legs, run as two 4-lane
+  // Same pairwise-compare formulation as the SSE4.2 leg, run as two 4-lane
   // halves over the fixed 8-lane chunk: stage the row's per-lane
   // differences, then count positions whose difference already appeared
   // earlier in the row (exact integer counts — bit-identical to the scalar

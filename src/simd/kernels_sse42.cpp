@@ -59,8 +59,10 @@ int64_t max_value_where_le_sse42(const int64_t* v, const uint64_t* gate, uint64_
 
 void batch_row_hits_sse42(const int32_t* base, size_t lane_stride, int n, int d,
                           int32_t* hits, int32_t* diff_scratch) {
-  // Same pairwise-compare formulation as the AVX2 leg, run as two 4-lane
-  // halves over the fixed 8-lane chunk (see batch_row_hits_avx2).
+  // SSE4.2 has no per-lane variable shift, so this leg keeps the pairwise
+  // form: stage the row's per-lane differences, then count the positions
+  // whose difference equals an earlier one, as two 4-lane halves over the
+  // fixed 8-lane chunk.
   const int m = n - d;
   for (int a = 0; a < m; ++a) {
     for (int half = 0; half < 2; ++half) {

@@ -8,11 +8,12 @@
 // and never execute an instruction the machine does not have.
 //
 // Two override channels exist on top of the detection:
-//   * force_isa() — programmatic, clamped to what the CPU supports; used by
-//     the scalar-vs-SIMD micro benches and the parity/trajectory tests to
-//     run both code paths in one process.
+//   * force_isa() — programmatic, limited to the tiers this build compiled
+//     and this CPU runs; used by the scalar-vs-SIMD micro benches and the
+//     parity/trajectory tests to run every code path in one process.
 //   * the CAS_SIMD environment variable ("scalar"/"off", "sse42", "avx2",
-//     "neon", "auto") — the no-rebuild kill switch for production triage.
+//     "neon", "auto") — the no-rebuild kill switch for production triage,
+//     resolved the same way as force_isa().
 //
 // Building with -DCAS_SIMD=OFF (CMake) compiles no backends at all and
 // pins the dispatch to kScalar; every kernel keeps working through its
@@ -39,10 +40,13 @@ enum class Isa {
 /// Strongest ISA this process could run (compiled backend AND CPU support).
 [[nodiscard]] Isa best_supported_isa();
 
-/// Force the dispatch to `isa`, clamped to best_supported_isa(). Returns
-/// the ISA actually installed. Used by benches ("measure the scalar path on
-/// this AVX2 machine") and by the parity suites; call sites are expected to
-/// restore the previous value (see ScopedIsa).
+/// Force the dispatch to `isa` when this build compiled it and the CPU runs
+/// it; otherwise install the strongest weaker tier of the same family
+/// (AVX2 -> SSE4.2), or scalar for a tier of another family (NEON on
+/// x86-64, an x86 tier on aarch64). Returns the ISA actually installed.
+/// Used by benches ("measure the scalar path on this AVX2 machine") and by
+/// the parity suites; call sites are expected to restore the previous
+/// value (see ScopedIsa).
 Isa force_isa(Isa isa);
 
 [[nodiscard]] const char* isa_name(Isa isa);

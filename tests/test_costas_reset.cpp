@@ -3,7 +3,11 @@
 // rate in live search (the paper reports ~32% independently of n).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "core/adaptive_search.hpp"
+#include "core/candidate_batch.hpp"
 #include "costas/checker.hpp"
 #include "costas/model.hpp"
 
@@ -96,6 +100,43 @@ TEST(CustomReset, ModularAddCandidatesKeepPermutation) {
     for (size_t i = 0; i < perm.size(); ++i) shifted[i] = (perm[i] - 1 + c) % n + 1;
     EXPECT_TRUE(is_permutation(shifted)) << "c=" << c;
   }
+}
+
+TEST(CustomReset, AppendCopiesChecksSizeAndCapacity) {
+  core::CandidateBatch batch;
+  batch.reset(4, 9);  // capacity rounds up to 16 lanes
+  const std::vector<int> perm{2, 4, 1, 3};
+  EXPECT_THROW(batch.append_copies(std::vector<int>{1, 2, 3}, 1), std::invalid_argument);
+  EXPECT_THROW(batch.append_copies(perm, 17), std::length_error);
+  EXPECT_THROW(batch.append_copies(perm, -1), std::length_error);
+  EXPECT_EQ(batch.count(), 0);
+  batch.append(std::vector<int>{1, 2, 3, 4});
+  int32_t* const column_base = batch.append_copies(perm, 15);
+  EXPECT_EQ(batch.count(), 16);
+  EXPECT_EQ(column_base, batch.data() + 1);
+  for (int c = 1; c < 16; ++c)
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(batch.get(c, i), perm[static_cast<size_t>(i)]);
+  EXPECT_THROW(batch.append_copies(perm, 1), std::length_error);
+  EXPECT_THROW(batch.append(perm), std::length_error);
+}
+
+TEST(CustomReset, FamiliesOneTwoRefuseABatchOfAnotherSizeOrWithoutRoom) {
+  // The families write every lane's n positions through one column base,
+  // so a batch reset to another size must be refused, not overrun.
+  const int n = 17;
+  CostasProblem p(n);
+  core::CandidateBatch batch;
+  for (const int size : {n - 1, n + 1}) {
+    batch.reset(size, p.reset_candidate_count());
+    EXPECT_THROW(p.append_reset_families_1_2(n / 2, batch), std::invalid_argument) << size;
+    EXPECT_EQ(batch.count(), 0);
+  }
+  batch.reset(n, 8);  // family 1 alone needs 2(n - 1) = 32 lanes
+  EXPECT_THROW(p.append_reset_families_1_2(n / 2, batch), std::length_error);
+  EXPECT_EQ(batch.count(), 0);
+  batch.reset(n, p.reset_candidate_count());
+  p.append_reset_families_1_2(n / 2, batch);
+  EXPECT_EQ(batch.count(), 2 * (n - 1) + 4);
 }
 
 TEST(CustomReset, WorksAtMinimumSize) {

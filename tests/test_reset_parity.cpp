@@ -1,22 +1,27 @@
 // FuzzResetParity — the batched candidate-evaluation subsystem held against
 // its serial oracles:
 //   * CostasProblem::evaluate_batch == per-candidate stateless evaluation,
-//     lane by lane, under every available ISA — and bit-identical ACROSS
-//     ISAs including the truncated partials of bound-pruned chunks (the
-//     chunking and abort points are part of the contract, not an
-//     implementation detail),
+//     lane by lane, under every installable ISA and at the AVX2 row
+//     kernel's bitset word boundaries (n = 16/17, 32/33, 64/65) — and
+//     bit-identical ACROSS ISAs including the truncated partials of
+//     bound-pruned chunks (the chunking and abort points are part of the
+//     contract, not an implementation detail),
 //   * the core::evaluate_batch serial default == recorded per-candidate
 //     costs for the six side problems and the do/undo adapter,
 //   * the batched custom_reset == a faithful reimplementation of the
 //     historical serial consider-loop (same adopted permutation, same
-//     escape verdict, same RNG consumption),
+//     escape verdict, same RNG consumption), under every ISA a caller can
+//     request, a tier of another architecture family included,
 // plus the end-to-end property the subsystem must preserve: seeded
 // AS / neighborhood / cooperative runs with custom resets are bit-identical
-// with the SIMD backends forced off and on.
+// under every installable ISA, and two seeded walks reproduce trajectories
+// recorded from an earlier implementation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/adaptive_search.hpp"
@@ -34,6 +39,7 @@
 #include "problems/partition.hpp"
 #include "problems/queens.hpp"
 #include "simd/simd.hpp"
+#include "isa_tiers.hpp"
 
 namespace cas {
 namespace {
@@ -80,8 +86,13 @@ void fill_random_candidates(const costas::CostasProblem& p, int count, core::Rng
 }
 
 TEST(FuzzResetParity, CostasEvaluateBatchMatchesSerialUnderEveryIsa) {
+  const std::vector<simd::Isa> tiers = test::installable_isas();
   core::Rng rng(2024);
-  for (const int n : {5, 8, 11, 14, 18, 23, 26}) {
+  // A row has 2n - 1 difference slots, which the AVX2 kernel counts in
+  // 64-slot windows of two 32-bit words: 16/17 straddle the word boundary,
+  // 32/33 and 64/65 the first and second window boundaries; 64 is the
+  // registry's Costas maximum.
+  for (const int n : {5, 8, 11, 14, 16, 17, 18, 23, 26, 32, 33, 64, 65}) {
     for (const bool chang : {true, false}) {
       costas::CostasProblem p(n, {costas::ErrFunction::kQuadratic, chang});
       p.randomize(rng);
@@ -95,15 +106,15 @@ TEST(FuzzResetParity, CostasEvaluateBatchMatchesSerialUnderEveryIsa) {
           batch.extract(c, cand);
           expect[static_cast<size_t>(c)] = p.evaluate(cand);
         }
-        // Unbounded call, under both the scalar fallback and the best
-        // available backend. Cross-chunk pruning is part of the contract:
-        // lanes that provably cannot win may report truncated partials, so
-        // the per-lane pins are (a) the first 8-lane chunk is exact (no
-        // earlier bound exists), (b) a truncation never under-runs the
-        // tightest bound its chunk could have seen (the min exact cost of
-        // earlier chunks) nor over-runs the true cost, and (c) the batch
-        // minimum and its first achiever are exact.
-        for (const simd::Isa isa : {simd::Isa::kScalar, simd::best_supported_isa()}) {
+        // Unbounded call, under every installable tier. Cross-chunk
+        // pruning is part of the contract: lanes that provably cannot win
+        // may report truncated partials, so the per-lane pins are (a) the
+        // first 8-lane chunk is exact (no earlier bound exists), (b) a
+        // truncation never under-runs the tightest bound its chunk could
+        // have seen (the min exact cost of earlier chunks) nor over-runs
+        // the true cost, and (c) the batch minimum and its first achiever
+        // are exact.
+        for (const simd::Isa isa : tiers) {
           simd::ScopedIsa guard(isa);
           std::vector<Cost> out(static_cast<size_t>(count), -1);
           p.evaluate_batch(batch, std::numeric_limits<Cost>::max(), {out.data(), out.size()});
@@ -118,9 +129,11 @@ TEST(FuzzResetParity, CostasEvaluateBatchMatchesSerialUnderEveryIsa) {
               ASSERT_EQ(got, want) << "n=" << n << " chang=" << chang
                                    << " isa=" << simd::isa_name(isa) << " lane=" << c;
             } else {
-              ASSERT_LE(got, want) << "partials never exceed the true cost";
+              ASSERT_LE(got, want) << "partials never exceed the true cost: n=" << n
+                                   << " isa=" << simd::isa_name(isa) << " lane=" << c;
               ASSERT_TRUE(got == want || got >= earlier_min)
-                  << "n=" << n << " lane=" << c << " got=" << got << " want=" << want;
+                  << "n=" << n << " isa=" << simd::isa_name(isa) << " lane=" << c
+                  << " got=" << got << " want=" << want;
             }
           }
           const auto got_min = std::min_element(out.begin(), out.end()) - out.begin();
@@ -133,17 +146,18 @@ TEST(FuzzResetParity, CostasEvaluateBatchMatchesSerialUnderEveryIsa) {
         const Cost bound =
             *std::min_element(expect.begin(), expect.end()) +
             static_cast<Cost>(rng.below(static_cast<uint64_t>(2 * n * n + 1)));
-        std::vector<Cost> scalar_out(static_cast<size_t>(count), -1),
-            simd_out(static_cast<size_t>(count), -2);
+        std::vector<Cost> scalar_out(static_cast<size_t>(count), -1);
         {
           simd::ScopedIsa guard(simd::Isa::kScalar);
           p.evaluate_batch(batch, bound, {scalar_out.data(), scalar_out.size()});
         }
-        {
-          simd::ScopedIsa guard(simd::best_supported_isa());
+        for (const simd::Isa isa : test::vector_isas()) {
+          simd::ScopedIsa guard(isa);
+          std::vector<Cost> simd_out(static_cast<size_t>(count), -2);
           p.evaluate_batch(batch, bound, {simd_out.data(), simd_out.size()});
+          ASSERT_EQ(scalar_out, simd_out)
+              << "n=" << n << " bound=" << bound << " isa=" << simd::isa_name(isa);
         }
-        ASSERT_EQ(scalar_out, simd_out) << "n=" << n << " bound=" << bound;
         // Pruning soundness: the true minimum and its first achiever are
         // preserved verbatim whenever the bound admits it.
         const Cost true_min = *std::min_element(expect.begin(), expect.end());
@@ -290,89 +304,105 @@ bool serial_custom_reset_oracle(costas::CostasProblem& p, core::Rng& rng) {
   return accept_best(false);
 }
 
-TEST(FuzzResetParity, CustomResetMatchesSerialOracle) {
-  for (const simd::Isa isa : {simd::Isa::kScalar, simd::best_supported_isa()}) {
-    simd::ScopedIsa guard(isa);
-    core::Rng state_rng(77);
-    for (const int n : {3, 6, 9, 13, 17, 21}) {
-      costas::CostasProblem p(n);
-      for (int trial = 0; trial < 40; ++trial) {
-        p.randomize(state_rng);
-        costas::CostasProblem oracle(n);
-        oracle.set_permutation(p.permutation());
-        const uint64_t seed = 9000 + static_cast<uint64_t>(100 * n + trial);
-        core::Rng rng_batched(seed);
-        core::Rng rng_oracle(seed);
-        const bool escaped_batched = p.custom_reset(rng_batched);
-        const bool escaped_oracle = serial_custom_reset_oracle(oracle, rng_oracle);
-        ASSERT_EQ(escaped_batched, escaped_oracle)
-            << "n=" << n << " trial=" << trial << " isa=" << simd::isa_name(isa);
-        ASSERT_EQ(p.permutation(), oracle.permutation())
-            << "n=" << n << " trial=" << trial << " isa=" << simd::isa_name(isa);
-        ASSERT_EQ(p.cost(), oracle.cost());
-        // Same RNG consumption: the streams must be in the same place.
-        ASSERT_EQ(rng_batched(), rng_oracle());
-        ASSERT_TRUE(costas::is_permutation(p.permutation()));
-      }
+/// custom_reset against the serial oracle on `trials` random states per
+/// size, under whatever tier is installed.
+void expect_custom_reset_matches_oracle(std::initializer_list<int> sizes, int trials) {
+  const char* const isa = simd::isa_name(simd::active_isa());
+  core::Rng state_rng(77);
+  for (const int n : sizes) {
+    costas::CostasProblem p(n);
+    for (int trial = 0; trial < trials; ++trial) {
+      p.randomize(state_rng);
+      costas::CostasProblem oracle(n);
+      oracle.set_permutation(p.permutation());
+      const uint64_t seed = 9000 + static_cast<uint64_t>(100 * n + trial);
+      core::Rng rng_batched(seed);
+      core::Rng rng_oracle(seed);
+      const bool escaped_batched = p.custom_reset(rng_batched);
+      const bool escaped_oracle = serial_custom_reset_oracle(oracle, rng_oracle);
+      ASSERT_EQ(escaped_batched, escaped_oracle)
+          << "n=" << n << " trial=" << trial << " isa=" << isa;
+      ASSERT_EQ(p.permutation(), oracle.permutation())
+          << "n=" << n << " trial=" << trial << " isa=" << isa;
+      ASSERT_EQ(p.cost(), oracle.cost());
+      // Same RNG consumption: the streams must be in the same place.
+      ASSERT_EQ(rng_batched(), rng_oracle());
+      ASSERT_TRUE(costas::is_permutation(p.permutation()));
     }
   }
 }
 
+TEST(FuzzResetParity, CustomResetMatchesSerialOracle) {
+  for (const simd::Isa isa : test::installable_isas()) {
+    simd::ScopedIsa guard(isa);
+    expect_custom_reset_matches_oracle({3, 6, 9, 13, 17, 21, 32, 33}, 40);
+  }
+}
+
+TEST(FuzzResetParity, EveryRequestedIsaInstallsAnAvailableTier) {
+  // A request for a tier this build or host cannot run (NEON on x86-64, an
+  // x86 tier on aarch64) must install one it can, and the batched reset
+  // must still match the oracle under it.
+  const std::vector<simd::Isa> tiers = test::installable_isas();
+  for (const simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kNeon, simd::Isa::kSse42, simd::Isa::kAvx2}) {
+    simd::ScopedIsa guard(isa);
+    ASSERT_NE(std::find(tiers.begin(), tiers.end(), simd::active_isa()), tiers.end())
+        << "requested " << simd::isa_name(isa) << ", installed "
+        << simd::isa_name(simd::active_isa());
+    expect_custom_reset_matches_oracle({9, 17}, 10);
+  }
+}
+
 /// Seeded engine runs through reset-heavy searches must be bit-identical
-/// with the SIMD backends forced off and on — the reset pipeline included.
+/// under every installable tier — the reset pipeline included.
 TEST(ResetTrajectoryIdentity, AdaptiveSearchWithCustomResets) {
   for (const int n : {12, 14}) {
     const auto cfg = costas::recommended_config(n, static_cast<uint64_t>(70 + n));
-    core::RunStats scalar_stats, simd_stats;
-    {
-      simd::ScopedIsa guard(simd::Isa::kScalar);
+    const auto run = [&](simd::Isa isa) {
+      simd::ScopedIsa guard(isa);
       costas::CostasProblem p(n);
       core::AdaptiveSearch<costas::CostasProblem> engine(p, cfg);
-      scalar_stats = engine.solve();
+      return engine.solve();
+    };
+    const core::RunStats scalar_stats = run(simd::Isa::kScalar);
+    EXPECT_GT(scalar_stats.resets, 0u);
+    for (const simd::Isa isa : test::vector_isas()) {
+      const core::RunStats simd_stats = run(isa);
+      EXPECT_EQ(scalar_stats.solved, simd_stats.solved) << simd::isa_name(isa);
+      EXPECT_EQ(scalar_stats.iterations, simd_stats.iterations) << simd::isa_name(isa);
+      EXPECT_EQ(scalar_stats.resets, simd_stats.resets);
+      EXPECT_EQ(scalar_stats.custom_reset_escapes, simd_stats.custom_reset_escapes);
+      EXPECT_EQ(scalar_stats.reset_candidates, simd_stats.reset_candidates);
+      EXPECT_EQ(scalar_stats.solution, simd_stats.solution);
     }
-    {
-      simd::ScopedIsa guard(simd::best_supported_isa());
-      costas::CostasProblem p(n);
-      core::AdaptiveSearch<costas::CostasProblem> engine(p, cfg);
-      simd_stats = engine.solve();
-    }
-    EXPECT_EQ(scalar_stats.solved, simd_stats.solved);
-    EXPECT_EQ(scalar_stats.iterations, simd_stats.iterations);
-    EXPECT_EQ(scalar_stats.resets, simd_stats.resets);
-    EXPECT_EQ(scalar_stats.custom_reset_escapes, simd_stats.custom_reset_escapes);
-    EXPECT_EQ(scalar_stats.reset_candidates, simd_stats.reset_candidates);
-    EXPECT_EQ(scalar_stats.solution, simd_stats.solution);
-    EXPECT_GT(simd_stats.resets, 0u);
   }
 }
 
 TEST(ResetTrajectoryIdentity, NeighborhoodSearchWithCustomResets) {
   const int n = 12;
-  auto cfg = costas::recommended_config(n, 91);
-  core::RunStats scalar_stats, simd_stats;
-  {
-    simd::ScopedIsa guard(simd::Isa::kScalar);
+  const auto cfg = costas::recommended_config(n, 91);
+  const auto run = [&](simd::Isa isa) {
+    simd::ScopedIsa guard(isa);
     costas::CostasProblem p(n);
     par::ParallelNeighborhoodSearch<costas::CostasProblem> engine(p, cfg, 2);
-    scalar_stats = engine.solve();
+    return engine.solve();
+  };
+  const core::RunStats scalar_stats = run(simd::Isa::kScalar);
+  for (const simd::Isa isa : test::vector_isas()) {
+    const core::RunStats simd_stats = run(isa);
+    EXPECT_EQ(scalar_stats.solved, simd_stats.solved) << simd::isa_name(isa);
+    EXPECT_EQ(scalar_stats.iterations, simd_stats.iterations) << simd::isa_name(isa);
+    EXPECT_EQ(scalar_stats.resets, simd_stats.resets);
+    EXPECT_EQ(scalar_stats.custom_reset_escapes, simd_stats.custom_reset_escapes);
+    EXPECT_EQ(scalar_stats.solution, simd_stats.solution);
   }
-  {
-    simd::ScopedIsa guard(simd::best_supported_isa());
-    costas::CostasProblem p(n);
-    par::ParallelNeighborhoodSearch<costas::CostasProblem> engine(p, cfg, 2);
-    simd_stats = engine.solve();
-  }
-  EXPECT_EQ(scalar_stats.solved, simd_stats.solved);
-  EXPECT_EQ(scalar_stats.iterations, simd_stats.iterations);
-  EXPECT_EQ(scalar_stats.resets, simd_stats.resets);
-  EXPECT_EQ(scalar_stats.custom_reset_escapes, simd_stats.custom_reset_escapes);
-  EXPECT_EQ(scalar_stats.solution, simd_stats.solution);
 }
 
 TEST(ResetTrajectoryIdentity, CooperativeSingleWalkerWithCustomResets) {
   // One walker keeps the blackboard deterministic (no publish races), so
   // the full cooperative wrapper — forwarded batched row + batched reset —
-  // must reproduce the identical trajectory under both ISAs.
+  // must reproduce the identical trajectory under every tier.
   const int n = 12;
   auto make_run = [&](simd::Isa isa) {
     simd::ScopedIsa guard(isa);
@@ -382,13 +412,57 @@ TEST(ResetTrajectoryIdentity, CooperativeSingleWalkerWithCustomResets) {
         /*adopt_probability=*/0.5);
   };
   const auto scalar_res = make_run(simd::Isa::kScalar);
-  const auto simd_res = make_run(simd::best_supported_isa());
-  EXPECT_EQ(scalar_res.solved, simd_res.solved);
-  EXPECT_EQ(scalar_res.winner_stats.iterations, simd_res.winner_stats.iterations);
-  EXPECT_EQ(scalar_res.winner_stats.resets, simd_res.winner_stats.resets);
-  EXPECT_EQ(scalar_res.winner_stats.custom_reset_escapes,
-            simd_res.winner_stats.custom_reset_escapes);
-  EXPECT_EQ(scalar_res.winner_stats.solution, simd_res.winner_stats.solution);
+  for (const simd::Isa isa : test::vector_isas()) {
+    const auto simd_res = make_run(isa);
+    EXPECT_EQ(scalar_res.solved, simd_res.solved) << simd::isa_name(isa);
+    EXPECT_EQ(scalar_res.winner_stats.iterations, simd_res.winner_stats.iterations);
+    EXPECT_EQ(scalar_res.winner_stats.resets, simd_res.winner_stats.resets);
+    EXPECT_EQ(scalar_res.winner_stats.custom_reset_escapes,
+              simd_res.winner_stats.custom_reset_escapes);
+    EXPECT_EQ(scalar_res.winner_stats.solution, simd_res.winner_stats.solution);
+  }
+}
+
+/// Two seeded Adaptive Search walks with the paper's config, pinned to the
+/// trajectories recorded by running commit de53474 (the pairwise-compare
+/// AVX2 row kernel and per-lane candidate copies, before the bitset row
+/// kernel and the position-major candidate fill). The identity tests above
+/// compare tiers within one build; these pins also catch a change that
+/// moves every tier the same way.
+TEST(ResetTrajectoryIdentity, MatchesRecordedTrajectories) {
+  struct Pinned {
+    int n;
+    uint64_t seed;
+    uint64_t max_iterations;  // 0: run to a solution
+    bool solved;
+    uint64_t iterations, resets, custom_reset_escapes, reset_candidates, reset_escape_chunks;
+    std::vector<int> final_permutation;
+  };
+  const Pinned walks[] = {
+      {17, 1720, 50000, false, 50000, 26260, 9153, 919801, 71025,
+       {3, 17, 11, 7, 8, 4, 10, 13, 5, 2, 12, 6, 15, 14, 16, 1, 9}},
+      {15, 1501, 0, true, 7744, 4241, 1564, 129878, 8104,
+       {11, 8, 2, 6, 12, 15, 7, 14, 4, 3, 5, 10, 1, 13, 9}},
+  };
+  for (const simd::Isa isa : test::installable_isas()) {
+    simd::ScopedIsa guard(isa);
+    for (const Pinned& want : walks) {
+      auto cfg = costas::recommended_config(want.n, want.seed);
+      cfg.max_iterations = want.max_iterations;
+      costas::CostasProblem p(want.n);
+      core::AdaptiveSearch<costas::CostasProblem> engine(p, cfg);
+      const core::RunStats got = engine.solve();
+      const std::string tag =
+          "n=" + std::to_string(want.n) + " isa=" + simd::isa_name(isa);
+      EXPECT_EQ(got.solved, want.solved) << tag;
+      EXPECT_EQ(got.iterations, want.iterations) << tag;
+      EXPECT_EQ(got.resets, want.resets) << tag;
+      EXPECT_EQ(got.custom_reset_escapes, want.custom_reset_escapes) << tag;
+      EXPECT_EQ(got.reset_candidates, want.reset_candidates) << tag;
+      EXPECT_EQ(got.reset_escape_chunks, want.reset_escape_chunks) << tag;
+      EXPECT_EQ(p.permutation(), want.final_permutation) << tag;
+    }
+  }
 }
 
 /// The reset-phase counters must actually be populated by a live search.

@@ -1,16 +1,16 @@
-// FuzzSimdParity — the SIMD kernel layer held against its scalar oracles:
+// FuzzSimdParity — the SIMD kernel layer held against its scalar oracles,
+// under every ISA tier this build and host can install:
 //   * batched delta_costs_row == per-j scalar delta_cost, lane by lane,
-//     for all 7 problem models (native Costas kernel under every available
-//     ISA; the default per-j loop everywhere else, including the do/undo
-//     adapter),
+//     for all 7 problem models (native Costas kernel under every tier; the
+//     default per-j loop everywhere else, including the do/undo adapter),
 //   * the vectorized Costas compute_errors == the maintained error table
 //     == the scalar projection,
 //   * the reduce kernels (min_value, max_value_where_le) == scalar scans,
 //   * the two-pass selection helpers consume the RNG identically under
 //     every ISA,
 // plus the end-to-end guarantee all of that buys: a seeded engine run is
-// bit-identical with SIMD forced off and on (same solution, same iteration
-// count, same RNG stream).
+// bit-identical under every tier (same solution, same iteration count,
+// same RNG stream).
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -33,6 +33,7 @@
 #include "simd/reduce.hpp"
 #include "simd/select.hpp"
 #include "simd/simd.hpp"
+#include "isa_tiers.hpp"
 
 namespace cas {
 namespace {
@@ -85,13 +86,9 @@ TEST(FuzzSimdParity, CostasDeltaRowMatchesScalarUnderEveryIsa) {
     for (const bool chang : {true, false}) {
       for (const auto err : {costas::ErrFunction::kQuadratic, costas::ErrFunction::kUnit}) {
         costas::CostasProblem p(n, {err, chang});
-        {
-          simd::ScopedIsa scalar(simd::Isa::kScalar);
-          fuzz_rows(p, static_cast<uint64_t>(1000 + n), "costas/scalar");
-        }
-        {
-          simd::ScopedIsa best(simd::best_supported_isa());
-          fuzz_rows(p, static_cast<uint64_t>(1000 + n), "costas/best");
+        for (const simd::Isa isa : test::installable_isas()) {
+          simd::ScopedIsa guard(isa);
+          fuzz_rows(p, static_cast<uint64_t>(1000 + n), simd::isa_name(isa));
         }
       }
     }
@@ -109,11 +106,11 @@ TEST(FuzzSimdParity, CostasDeltaRowBitIdenticalAcrossIsas) {
         simd::ScopedIsa guard(simd::Isa::kScalar);
         p.delta_costs_row(i, {scalar_row.data(), scalar_row.size()});
       }
-      {
-        simd::ScopedIsa guard(simd::best_supported_isa());
+      for (const simd::Isa isa : test::vector_isas()) {
+        simd::ScopedIsa guard(isa);
         p.delta_costs_row(i, {simd_row.data(), simd_row.size()});
+        ASSERT_EQ(scalar_row, simd_row) << "n=" << n << " i=" << i << " " << simd::isa_name(isa);
       }
-      ASSERT_EQ(scalar_row, simd_row) << "n=" << n << " i=" << i;
     }
   }
 }
@@ -142,18 +139,13 @@ TEST(FuzzSimdParity, CostasErrorsKernelMatchesMaintainedTable) {
     for (int s = 0; s < 5; ++s) {
       p.randomize(rng);
       const std::span<const Cost> maintained = p.errors();
-      std::vector<Cost> scalar_proj(static_cast<size_t>(n)), simd_proj(static_cast<size_t>(n));
-      {
-        simd::ScopedIsa guard(simd::Isa::kScalar);
-        p.compute_errors({scalar_proj.data(), scalar_proj.size()});
-      }
-      {
-        simd::ScopedIsa guard(simd::best_supported_isa());
-        p.compute_errors({simd_proj.data(), simd_proj.size()});
-      }
-      for (int i = 0; i < n; ++i) {
-        ASSERT_EQ(scalar_proj[static_cast<size_t>(i)], maintained[static_cast<size_t>(i)]);
-        ASSERT_EQ(simd_proj[static_cast<size_t>(i)], maintained[static_cast<size_t>(i)]);
+      std::vector<Cost> proj(static_cast<size_t>(n));
+      for (const simd::Isa isa : test::installable_isas()) {
+        simd::ScopedIsa guard(isa);
+        p.compute_errors({proj.data(), proj.size()});
+        for (int i = 0; i < n; ++i)
+          ASSERT_EQ(proj[static_cast<size_t>(i)], maintained[static_cast<size_t>(i)])
+              << simd::isa_name(isa);
       }
     }
   }
@@ -180,7 +172,7 @@ TEST(FuzzSimdParity, ReduceKernelsMatchScalarScan) {
       expect_any = true;
       expect_max = std::max(expect_max, v[static_cast<size_t>(k)]);
     }
-    for (const simd::Isa isa : {simd::Isa::kScalar, simd::best_supported_isa()}) {
+    for (const simd::Isa isa : test::installable_isas()) {
       simd::ScopedIsa guard(isa);
       EXPECT_EQ(simd::min_value({v.data(), v.size()}), expect_min)
           << "n=" << n << " isa=" << simd::isa_name(isa);
@@ -204,26 +196,27 @@ TEST(FuzzSimdParity, SelectionConsumesRngIdenticallyAcrossIsas) {
       gate[static_cast<size_t>(k)] = data_rng.below(3);
     }
     core::Rng rng_scalar(static_cast<uint64_t>(trial));
-    core::Rng rng_simd(static_cast<uint64_t>(trial));
-    simd::Pick min_scalar, min_simd, max_scalar, max_simd;
+    simd::Pick min_scalar, max_scalar;
     {
       simd::ScopedIsa guard(simd::Isa::kScalar);
       min_scalar = simd::pick_min({v.data(), v.size()}, rng_scalar);
       max_scalar =
           simd::pick_max_where_le({v.data(), v.size()}, {gate.data(), gate.size()}, 1, rng_scalar);
     }
-    {
-      simd::ScopedIsa guard(simd::best_supported_isa());
-      min_simd = simd::pick_min({v.data(), v.size()}, rng_simd);
-      max_simd =
+    const uint64_t next_scalar = rng_scalar();
+    for (const simd::Isa isa : test::vector_isas()) {
+      simd::ScopedIsa guard(isa);
+      core::Rng rng_simd(static_cast<uint64_t>(trial));
+      const simd::Pick min_simd = simd::pick_min({v.data(), v.size()}, rng_simd);
+      const simd::Pick max_simd =
           simd::pick_max_where_le({v.data(), v.size()}, {gate.data(), gate.size()}, 1, rng_simd);
+      ASSERT_EQ(min_scalar.index, min_simd.index) << simd::isa_name(isa);
+      ASSERT_EQ(min_scalar.value, min_simd.value);
+      ASSERT_EQ(max_scalar.index, max_simd.index);
+      ASSERT_EQ(max_scalar.value, max_simd.value);
+      // The RNG streams must be in the same place afterwards.
+      ASSERT_EQ(next_scalar, rng_simd());
     }
-    ASSERT_EQ(min_scalar.index, min_simd.index);
-    ASSERT_EQ(min_scalar.value, min_simd.value);
-    ASSERT_EQ(max_scalar.index, max_simd.index);
-    ASSERT_EQ(max_scalar.value, max_simd.value);
-    // The RNG streams must be in the same place afterwards.
-    ASSERT_EQ(rng_scalar(), rng_simd());
   }
 }
 
@@ -231,26 +224,23 @@ TEST(FuzzSimdParity, SelectionConsumesRngIdenticallyAcrossIsas) {
 /// search run is the same run whether the SIMD backends are on or off.
 template <typename Engine, typename Config, typename MakeProblem>
 void expect_trajectory_identity(MakeProblem make, Config cfg) {
-  auto p_scalar = make();
-  auto p_simd = make();
-  core::RunStats scalar_stats, simd_stats;
-  {
-    simd::ScopedIsa guard(simd::Isa::kScalar);
-    Engine engine(p_scalar, cfg);
-    scalar_stats = engine.solve();
+  const auto run = [&](simd::Isa isa) {
+    simd::ScopedIsa guard(isa);
+    auto p = make();
+    Engine engine(p, cfg);
+    return engine.solve();
+  };
+  const core::RunStats scalar_stats = run(simd::Isa::kScalar);
+  for (const simd::Isa isa : test::vector_isas()) {
+    const core::RunStats simd_stats = run(isa);
+    EXPECT_EQ(scalar_stats.solved, simd_stats.solved) << simd::isa_name(isa);
+    EXPECT_EQ(scalar_stats.iterations, simd_stats.iterations) << simd::isa_name(isa);
+    EXPECT_EQ(scalar_stats.swaps, simd_stats.swaps);
+    EXPECT_EQ(scalar_stats.local_minima, simd_stats.local_minima);
+    EXPECT_EQ(scalar_stats.resets, simd_stats.resets);
+    EXPECT_EQ(scalar_stats.move_evaluations, simd_stats.move_evaluations);
+    EXPECT_EQ(scalar_stats.solution, simd_stats.solution);
   }
-  {
-    simd::ScopedIsa guard(simd::best_supported_isa());
-    Engine engine(p_simd, cfg);
-    simd_stats = engine.solve();
-  }
-  EXPECT_EQ(scalar_stats.solved, simd_stats.solved);
-  EXPECT_EQ(scalar_stats.iterations, simd_stats.iterations);
-  EXPECT_EQ(scalar_stats.swaps, simd_stats.swaps);
-  EXPECT_EQ(scalar_stats.local_minima, simd_stats.local_minima);
-  EXPECT_EQ(scalar_stats.resets, simd_stats.resets);
-  EXPECT_EQ(scalar_stats.move_evaluations, simd_stats.move_evaluations);
-  EXPECT_EQ(scalar_stats.solution, simd_stats.solution);
 }
 
 TEST(SimdTrajectoryIdentity, AdaptiveSearchOnCostas) {
