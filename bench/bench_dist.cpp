@@ -4,11 +4,12 @@
 //
 // Every rung hosts a full loopback world — rank-0 coordinator plus one
 // RankComm endpoint per rank, each rank on its own thread — and pushes the
-// SAME request ladder through dist::solve_distributed, so the measured
-// path is exactly what multi-process cas_run --ranks=N executes: TCP
-// frames, JSON codec, collective rounds, cooperation exchange. (Threads
-// stand in for processes; the wire path is identical, only address-space
-// isolation differs, and that costs nothing on loopback.)
+// SAME multiwalk request ladder through dist::solve_distributed, so the
+// measured path is exactly what multi-process cas_run --ranks=N executes:
+// TCP frames, JSON codec, the SOLUTION_FOUND stop, the closing gather and
+// broadcast. (Threads stand in for processes; the wire path is identical,
+// only address-space isolation differs, and that costs nothing on
+// loopback.)
 //
 // Emits BENCH_dist.json with a "dist" block (ladder of per-rung wall-time
 // summaries, solve rates within the budget, and comm counters) guarded by
@@ -83,14 +84,13 @@ std::vector<runtime::SolveReport> run_rung(int ranks,
   return root_reports;
 }
 
-Rung measure(int ranks, const std::string& strategy, int n, int walkers, int reps,
-             double budget_seconds, uint64_t seed) {
+Rung measure(int ranks, int n, int walkers, int reps, double budget_seconds, uint64_t seed) {
   std::vector<runtime::SolveRequest> reqs;
   for (int rep = 0; rep < reps; ++rep) {
     runtime::SolveRequest req;
     req.problem = "costas";
     req.size = n;
-    req.strategy = strategy;
+    req.strategy = "multiwalk";
     req.walkers = walkers;
     req.seed = seed + static_cast<uint64_t>(rep);
     req.timeout_seconds = budget_seconds;
@@ -135,7 +135,6 @@ int main(int argc, char** argv) {
   flags.add_int("seed", 16012, "base seed (rep r uses seed + r)");
   flags.add_double("budget", 20.0, "per-request wall budget in seconds "
                                    "(unsolved past it counts against the solve rate)");
-  flags.add_string("strategy", "cooperative", "distributable strategy for every rung");
   flags.add_string("json_out", "BENCH_dist.json", "output artifact path");
   if (!flags.parse(argc, argv)) return 0;
 
@@ -144,10 +143,9 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(flags.get_int("reps"));
   const double budget = flags.get_double("budget");
   const auto seed = static_cast<uint64_t>(flags.get_int("seed"));
-  const std::string strategy = flags.get_string("strategy");
 
-  std::printf("bench_dist: CAP n=%d, %d total walkers, %d reps/rung, %s strategy\n", n,
-              walkers, reps, strategy.c_str());
+  std::printf("bench_dist: CAP n=%d, %d total walkers, %d reps/rung, multiwalk\n", n, walkers,
+              reps);
 
   util::Table table(util::strf("fixed %d walkers split across ranks", walkers));
   table.header({"ranks", "solved", "mean wall (s)", "med wall (s)", "frames", "KiB",
@@ -156,7 +154,7 @@ int main(int argc, char** argv) {
   util::Json ladder = util::Json::array();
   std::vector<Rung> rungs;
   for (const int ranks : {1, 2, 4}) {
-    const Rung rung = measure(ranks, strategy, n, walkers, reps, budget, seed);
+    const Rung rung = measure(ranks, n, walkers, reps, budget, seed);
     rungs.push_back(rung);
     table.row({std::to_string(ranks), util::strf("%d/%d", rung.solved, rung.reps),
                util::strf("%.3f", rung.wall.mean), util::strf("%.3f", rung.wall.median),
@@ -195,7 +193,6 @@ int main(int argc, char** argv) {
   dist["size"] = n;
   dist["total_walkers"] = walkers;
   dist["reps"] = reps;
-  dist["strategy"] = strategy;
   dist["budget_seconds"] = budget;
   dist["ladder"] = std::move(ladder);
   doc["dist"] = std::move(dist);

@@ -43,7 +43,6 @@
 #include "simd/simd.hpp"
 
 // Parallel runtimes.
-#include "par/comm.hpp"
 #include "par/cooperative.hpp"
 #include "par/multiwalk.hpp"
 #include "par/neighborhood.hpp"

@@ -19,7 +19,6 @@
 #include "dist/rank_comm.hpp"
 #include "dist/wire.hpp"
 #include "net/retry.hpp"
-#include "par/collectives.hpp"
 #include "par/thread_pool.hpp"
 #include "runtime/problems.hpp"
 #include "util/histogram.hpp"
@@ -375,7 +374,7 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
     // echoes the drawn seed, keeping the run replayable).
     std::vector<int64_t> wire(1, 0);
     if (comm.rank() == 0) wire[0] = std::bit_cast<int64_t>(runtime::draw_seed());
-    wire = par::collective_broadcast(comm, comm.next_seq(), 0, std::move(wire));
+    wire = comm.broadcast(std::move(wire));
     resolved.seed = std::bit_cast<uint64_t>(wire[0]);
   }
 

@@ -165,7 +165,7 @@ void RankComm::rendezvous_once(double deadline, double attempt_deadline) {
             throw CommError(r != nullptr && r->is_string() ? r->as_string()
                                                            : "rendezvous aborted");
           } else if (type == "msg") {
-            mailbox_.post(parse_msg(j));  // early traffic; keep it
+            deliver(parse_msg(j));  // early traffic; keep it
           } else {
             // The only frames the coordinator sends before our welcome are
             // welcome, abort, and replayed early traffic. Anything else is
@@ -224,21 +224,100 @@ void RankComm::send_frame_locked_throw(const util::Json& j) {
   bytes_sent_.fetch_add(frame.size(), std::memory_order_relaxed);
 }
 
-void RankComm::send(int dest, par::Message msg) {
-  if (dest < 0 || dest >= size()) throw CommError("rank_comm: bad destination rank");
+void RankComm::send_msg(int to, Message m) {
   if (failed()) throw CommError(failure());
-  msg.source = rank();
-  const util::Json frame = make_msg(dest, msg);
+  m.source = rank();
+  const util::Json frame = make_msg(to, m);
   std::scoped_lock lock(send_mu_);
   send_frame_locked_throw(frame);
 }
 
-void RankComm::broadcast_others(par::Message msg) {
-  if (failed()) throw CommError(failure());
-  msg.source = rank();
-  const util::Json frame = make_msg(/*to=*/-1, msg);
-  std::scoped_lock lock(send_mu_);
-  send_frame_locked_throw(frame);
+namespace {
+
+/// Collective payload layout: [seq, data...].
+std::vector<int64_t> with_seq(int64_t seq, const std::vector<int64_t>& data) {
+  std::vector<int64_t> payload;
+  payload.reserve(data.size() + 1);
+  payload.push_back(seq);
+  payload.insert(payload.end(), data.begin(), data.end());
+  return payload;
+}
+
+}  // namespace
+
+std::vector<int64_t> RankComm::broadcast(std::vector<int64_t> values) {
+  const int64_t seq = collective_seq_++;
+  if (size() == 1) return values;
+  if (rank() == 0) {
+    send_msg(/*to=*/-1, Message{kTagBroadcast, 0, with_seq(seq, values)});
+    return values;
+  }
+  const Message m = receive(kTagBroadcast, seq);
+  return {m.payload.begin() + 1, m.payload.end()};
+}
+
+std::vector<std::vector<int64_t>> RankComm::gather(const std::vector<int64_t>& row) {
+  const int64_t seq = collective_seq_++;
+  const int n = size();
+  if (rank() != 0) {
+    send_msg(/*to=*/0, Message{kTagGather, rank(), with_seq(seq, row)});
+    return {};
+  }
+  std::vector<std::vector<int64_t>> rows(static_cast<size_t>(n));
+  std::vector<bool> arrived(static_cast<size_t>(n), false);
+  rows[0] = row;
+  arrived[0] = true;
+  for (int k = 1; k < n; ++k) {
+    const Message m = receive(kTagGather, seq);
+    if (m.source < 0 || m.source >= n || arrived[static_cast<size_t>(m.source)]) {
+      fail(util::strf("rank_comm: gather %lld got a row from unexpected rank %d",
+                      static_cast<long long>(seq), m.source));
+      throw CommError(failure());
+    }
+    arrived[static_cast<size_t>(m.source)] = true;
+    rows[static_cast<size_t>(m.source)].assign(m.payload.begin() + 1, m.payload.end());
+  }
+  return rows;
+}
+
+void RankComm::begin_request() {
+  std::scoped_lock lock(stop_mu_);
+  ++request_;
+  const bool announced = stops_ahead_.erase(request_) > 0;
+  remote_stop_.store(announced || failed(), std::memory_order_release);
+}
+
+void RankComm::announce_solution() {
+  uint64_t request = 0;
+  {
+    std::scoped_lock lock(stop_mu_);
+    request = request_;
+  }
+  try {
+    send_msg(/*to=*/-1, Message{kTagSolutionFound, rank(), {static_cast<int64_t>(request)}});
+  } catch (const CommError&) {
+  }
+}
+
+void RankComm::deliver(Message m) {
+  if (m.tag == kTagSolutionFound) {
+    if (m.payload.size() != 1 || m.payload[0] <= 0)
+      throw CommError("rank_comm: SOLUTION_FOUND without a request index");
+    const auto request = static_cast<uint64_t>(m.payload[0]);
+    std::scoped_lock lock(stop_mu_);
+    if (request == request_)
+      remote_stop_.store(true, std::memory_order_release);
+    else if (request > request_)
+      stops_ahead_.insert(request);
+    return;  // a stop for an earlier request is stale
+  }
+  if (m.payload.empty())
+    throw CommError(util::strf("rank_comm: msg (tag %d) without a sequence number", m.tag));
+  {
+    std::scoped_lock lock(inbox_mu_);
+    inbox_.push_back(std::move(m));
+  }
+  inbox_cv_.notify_all();
 }
 
 void RankComm::set_view(int rank, int ranks) {
@@ -286,27 +365,45 @@ void RankComm::inject_disconnect() {
   if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RDWR);
 }
 
-par::Message RankComm::recv_collective(int tag, int64_t seq) {
-  par::Mailbox::Deadline deadline;
-  if (opts_.collective_timeout_seconds > 0)
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(opts_.collective_timeout_seconds));
-  const double t0 = now_seconds();
-  auto m = mailbox_.take_collective(tag, seq, deadline);
-  const double waited = now_seconds() - t0;
+Message RankComm::receive(int tag, int64_t seq) {
+  // No deadline at 0, nor past ~31 years, which would overflow the
+  // clock's nanosecond range and expire at once.
+  const double timeout = opts_.collective_timeout_seconds;
+  const bool bounded = timeout > 0 && timeout < 1e9;
+  const auto t0 = std::chrono::steady_clock::now();
+  std::optional<Message> m;
+  {
+    std::unique_lock lock(inbox_mu_);
+    const auto take = [&] {
+      const auto it = std::find_if(inbox_.begin(), inbox_.end(), [&](const Message& x) {
+        return x.tag == tag && x.payload.front() == seq;
+      });
+      if (it == inbox_.end()) return false;
+      m = std::move(*it);
+      inbox_.erase(it);
+      return true;
+    };
+    const auto ready = [&] { return take() || failed(); };
+    if (bounded)
+      inbox_cv_.wait_until(lock,
+                           t0 + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                                    std::chrono::duration<double>(timeout)),
+                           ready);
+    else
+      inbox_cv_.wait(lock, ready);
+  }
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   {
     std::scoped_lock lock(latency_mu_);
     collective_wait_.add(waited);
   }
   collective_rounds_.fetch_add(1, std::memory_order_relaxed);
-  if (!m) {
-    if (failed()) throw CommError(failure());
+  if (m) return std::move(*m);
+  if (!failed())
     fail(util::strf("rank_comm: collective (tag %d, seq %lld) timed out after %.1fs — peer dead?",
                     tag, static_cast<long long>(seq), waited));
-    throw CommError(failure());
-  }
-  return std::move(*m);
+  throw CommError(failure());
 }
 
 void RankComm::fail(const std::string& reason) {
@@ -316,8 +413,19 @@ void RankComm::fail(const std::string& reason) {
     failure_ = reason;
     failed_.store(true, std::memory_order_release);
   }
-  remote_stop_.store(true, std::memory_order_release);
-  mailbox_.close();
+  {
+    std::scoped_lock lock(stop_mu_);  // orders against begin_request's re-arm
+    remote_stop_.store(true, std::memory_order_release);
+  }
+  // Take each waiter's lock before notifying, so a receive that checked
+  // failed() just before it flipped cannot miss the wakeup.
+  {
+    std::scoped_lock lock(inbox_mu_);
+  }
+  inbox_cv_.notify_all();
+  {
+    std::scoped_lock lock(control_mu_);
+  }
   control_cv_.notify_all();
   // Sever the transport too: a failed communicator that leaves its socket
   // open looks like a live-but-silent rank, and the coordinator would only
@@ -353,16 +461,12 @@ bool RankComm::drain_decoder() {
         }
         const std::string type = frame_type(j);
         if (type == "msg") {
-          par::Message m;
           try {
-            m = parse_msg(j);
+            deliver(parse_msg(j));
           } catch (const CommError& e) {
             fail(e.what());
             return false;
           }
-          if (m.tag == par::kTagSolutionFound || m.tag == par::kTagTerminate)
-            remote_stop_.store(true, std::memory_order_release);
-          mailbox_.post(std::move(m));
         } else if (type == "abort") {
           const util::Json* r = j.find("reason");
           fail(r != nullptr && r->is_string() ? r->as_string() : "aborted by coordinator");

@@ -1,17 +1,18 @@
-// RankComm: one process's endpoint of the distributed communicator. It
-// speaks the same surface as the in-process par::RankCtx — send /
-// broadcast_others / termination_pending plus the CollectiveEndpoint
-// concept — so the collective algorithms in par/collectives.hpp run
-// UNCHANGED over TCP: the same code path that synchronizes walker threads
-// synchronizes processes, which is what makes the two backends
-// trajectory-compatible by construction (the parity test pins it).
+// RankComm: one process's endpoint of the distributed communicator.
+//
+// A fixed-rank request needs three things from it: the first-win stop
+// (a rank that solves announces SOLUTION_FOUND, stamped with its request
+// index, and every peer's walkers stop at their next probe), and the two
+// collectives that close the request — gather the per-rank rows at rank 0,
+// broadcast rank 0's decision. Elastic worlds use the broadcast for a
+// stochastic seed and the control frames for everything else.
 //
 // Transport: a blocking connection to the rank-0 coordinator. A reader
-// thread decodes incoming frames into the SAME par::Mailbox implementation
-// the in-process backend uses (selective receive, tag matching, the
-// termination fast-flag); a heartbeat thread keeps the coordinator's
-// liveness policing fed. A received abort — or connection loss, or a
-// collective outliving its deadline — fails the communicator: the mailbox
+// thread decodes incoming frames — collective frames into a private inbox
+// matched by (tag, seq), SOLUTION_FOUND into the stop latch, rebalance
+// frames into the control queue — and a heartbeat thread keeps the
+// coordinator's liveness policing fed. A received abort, connection loss,
+// or a collective outliving its deadline fails the communicator: the inbox
 // closes, every blocked receive unwinds, and CommError propagates.
 #pragma once
 
@@ -21,15 +22,15 @@
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "dist/wire.hpp"
 #include "net/frame.hpp"
 #include "net/retry.hpp"
 #include "net/socket.hpp"
-#include "par/collectives.hpp"
-#include "par/mailbox.hpp"
 #include "util/histogram.hpp"
 #include "util/json.hpp"
 
@@ -46,7 +47,8 @@ struct RankCommOptions {
   /// Heartbeat cadence; 0 disables the heartbeat thread.
   double heartbeat_interval_seconds = 1.0;
   /// A blocking collective receive outliving this deadline throws
-  /// CommError (dead-peer detection from the waiting side). 0 = forever.
+  /// CommError (dead-peer detection from the waiting side). 0 (or more
+  /// than 1e9 s) = forever.
   double collective_timeout_seconds = 120.0;
   size_t max_frame_bytes = net::kDefaultMaxFrame;
   /// Late-join handshake (elastic worlds): send `join` instead of `hello`;
@@ -99,37 +101,46 @@ class RankComm {
   RankComm(const RankComm&) = delete;
   RankComm& operator=(const RankComm&) = delete;
 
-  // --- CollectiveEndpoint + point-to-point surface ---
+  /// The dense rank and the active world size.
   [[nodiscard]] int rank() const { return rank_.load(std::memory_order_acquire); }
   [[nodiscard]] int size() const { return ranks_.load(std::memory_order_acquire); }
-  void send(int dest, par::Message msg);
-  [[nodiscard]] par::Message recv_collective(int tag, int64_t seq);
-  [[nodiscard]] int64_t next_seq() { return static_cast<int64_t>(collective_seq_++); }
-  void broadcast_others(par::Message msg);
-  [[nodiscard]] std::optional<par::Message> try_recv() { return mailbox_.try_take(); }
-  [[nodiscard]] bool termination_pending() const {
-    return mailbox_.termination_pending() || failed();
-  }
 
-  /// Flipped by the reader thread on a remote SOLUTION_FOUND / TERMINATE
-  /// or on communicator failure — wired into MultiWalkOptions::external_stop
-  /// so local walkers unwind at their next probe.
+  // --- the two collectives ---
+  // Every rank must call the same collectives in the same order: each call
+  // takes the next sequence number, and its frames are matched by
+  // (tag, seq). A receive outliving collective_timeout_seconds, or a
+  // failed communicator, throws CommError.
+
+  /// Rank 0's `values` reach every rank; the others' input is ignored.
+  std::vector<int64_t> broadcast(std::vector<int64_t> values);
+
+  /// Rank 0 receives every rank's row, indexed by rank; the others get an
+  /// empty result.
+  std::vector<std::vector<int64_t>> gather(const std::vector<int64_t>& row);
+
+  // --- first-win stop ---
+
+  /// Enter the next request on this world: advance the request index and
+  /// re-arm the stop, raised at once when a peer already announced a solve
+  /// of this request or the communicator has failed. Every rank calls it
+  /// once per request, whether or not the request runs.
+  void begin_request();
+
+  /// Tell every peer that this rank solved the current request. Best
+  /// effort: a failed communicator has already raised every stop.
+  void announce_solution();
+
+  /// Raised by the reader thread when a peer announces a solve of the
+  /// current request, and by communicator failure — wired into
+  /// MultiWalkOptions::external_stop so local walkers unwind at their next
+  /// probe.
   [[nodiscard]] std::atomic<bool>& remote_stop() { return remote_stop_; }
-
-  /// Epoch boundary between successive requests on one long-lived world:
-  /// re-arms the remote-stop latch and drains stray SOLUTION_FOUND
-  /// broadcasts left over from the previous request (safe only after its
-  /// final barrier — see the runner's epilogue).
-  void begin_epoch() {
-    remote_stop_.store(false, std::memory_order_release);
-    mailbox_.drain();
-  }
 
   // --- elastic surface ---
 
   /// The stable member id (== rank for initial members; coordinator-
   /// assigned for late joiners). Identity on the wire; the dense rank
-  /// from rank() is what the collective surface uses.
+  /// from rank() is what the collectives use.
   [[nodiscard]] int member() const { return member_; }
 
   /// Adopt the membership view a rebalance frame announced: the dense
@@ -182,14 +193,31 @@ class RankComm {
   void reader_body();
   void heartbeat_body();
   void send_frame_locked_throw(const util::Json& j);
+  void send_msg(int to, Message m);
+  /// An incoming msg frame: SOLUTION_FOUND goes to the stop latch, a
+  /// collective frame to the inbox. Throws CommError on a malformed one.
+  void deliver(Message m);
+  /// Blocking receive of the collective frame (tag, seq) from the inbox.
+  Message receive(int tag, int64_t seq);
 
   RankCommOptions opts_;
   net::Fd fd_;
   /// Used by the constructor's rendezvous (caller thread), then handed to
   /// the reader thread — never both at once.
   net::FrameDecoder decoder_;
-  par::Mailbox mailbox_;
-  uint64_t collective_seq_ = 0;
+
+  // The inbox: collective frames waiting for their receive. Closed (every
+  // receive unwinds) once the communicator fails.
+  std::mutex inbox_mu_;
+  std::condition_variable inbox_cv_;
+  std::vector<Message> inbox_;
+  int64_t collective_seq_ = 0;  // caller-thread-only
+
+  // The stop latch: the caller's current request index, and the solves
+  // peers announced for later requests (armed when the request starts).
+  std::mutex stop_mu_;
+  uint64_t request_ = 0;
+  std::set<uint64_t> stops_ahead_;
 
   // The current membership view (dense rank + active world size); fixed
   // for classic worlds, updated by set_view at every rebalance in elastic
@@ -231,7 +259,5 @@ class RankComm {
   std::thread reader_;
   std::thread heartbeat_;
 };
-
-static_assert(par::CollectiveEndpoint<RankComm>);
 
 }  // namespace cas::dist

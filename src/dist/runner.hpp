@@ -1,80 +1,45 @@
-// The distributed strategy runner: executes one multiwalk or cooperative
-// SolveRequest as ONE rank of a multi-process world, using the SAME
-// strategy semantics the in-process runtime implements — walkers are split
-// across ranks, each rank runs its share through par::run_multiwalk, and
-// the cross-process parts (first-win termination, cooperation rounds, the
-// merged report) go through par/collectives.hpp over the socket
-// communicator.
-//
-// The cooperation-round protocol is factored into PURE pieces —
-// RankOffer / RoundDecision payload codecs and decide_round() — plus a
-// cooperation_round() template over any CollectiveEndpoint, so the exact
-// decision a round produces from a given set of exchanged payloads is (a)
-// unit-testable without sockets and (b) identical on the in-process and
-// socket backends — the trajectory-compatibility contract the parity test
-// pins.
+// The fixed-rank distributed runner: executes one multiwalk SolveRequest
+// as ONE rank of a multi-process world. This is the paper's independent
+// multi-walk across processes (Sec. V-A): the walkers are split across
+// ranks, each rank runs its share through par::run_multiwalk, the first
+// rank to solve announces SOLUTION_FOUND so every peer's walkers stop at
+// their next probe, and the request closes with one gather of per-rank
+// rows at rank 0 and one broadcast of rank 0's decision.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "core/stats.hpp"
 #include "dist/world.hpp"
-#include "par/collectives.hpp"
 #include "runtime/spec.hpp"
 #include "runtime/strategy.hpp"
 
 namespace cas::dist {
 
-/// One rank's contribution to a cooperation round: local completion state
-/// plus the best configuration its blackboard holds.
-struct RankOffer {
-  bool done = false;       // local walk finished (solved, stopped, or failed)
-  bool solved = false;     // local walk reached cost 0
-  int64_t best_cost = -1;  // blackboard best (-1: nothing published yet)
-  std::vector<int64_t> config;
+/// One rank's row of the closing gather.
+struct RankRow {
+  int64_t wall_micros = -1;  // the local winner's wall time; -1: none solved
+  int64_t iterations = 0;
+  int64_t walkers_run = 0;
+  int64_t winner_local = -1;  // the local winner's index within this rank's share
+  core::RunStats winner_stats;  // the local winner's stats (when solved)
 
+  [[nodiscard]] bool solved() const { return wall_micros >= 0; }
   [[nodiscard]] std::vector<int64_t> to_payload() const;
-  static RankOffer from_payload(const std::vector<int64_t>& p);
+  static RankRow from_payload(const std::vector<int64_t>& p);
 };
 
-/// The decision rank 0 derives from a full set of offers and broadcasts.
-struct RoundDecision {
-  bool any_solved = false;
-  bool all_done = false;
-  int best_rank = -1;  // -1: no rank has a configuration yet
-  int64_t best_cost = -1;
-  std::vector<int64_t> config;
-
-  [[nodiscard]] std::vector<int64_t> to_payload() const;
-  static RoundDecision from_payload(const std::vector<int64_t>& p);
-};
-
-/// PURE round decision: cheapest configuration wins, ties break to the
-/// LOWEST rank — deterministic given the offers, independent of transport
-/// and arrival order.
-RoundDecision decide_round(const std::vector<RankOffer>& offers);
-
-/// One cooperation round over any endpoint: gather offers at rank 0,
-/// decide there, broadcast the decision to everyone.
-template <par::CollectiveEndpoint EP>
-RoundDecision cooperation_round(EP& ep, const RankOffer& mine) {
-  const auto rows = par::collective_gather(ep, ep.next_seq(), 0, mine.to_payload());
-  std::vector<int64_t> payload;
-  if (ep.rank() == 0) {
-    std::vector<RankOffer> offers;
-    offers.reserve(rows.size());
-    for (const auto& row : rows) offers.push_back(RankOffer::from_payload(row));
-    payload = decide_round(offers).to_payload();
-  }
-  payload = par::collective_broadcast(ep, ep.next_seq(), 0, std::move(payload));
-  return RoundDecision::from_payload(payload);
-}
+/// The winner rule, PURE: the rank whose local winner solved at the
+/// earliest wall time, ties to the lowest rank; -1 when no rank solved.
+int pick_winner(const std::vector<RankRow>& rows);
 
 /// Execute one request as this process's rank of the world. Mirrors
 /// runtime::solve's contract (never throws; failures land in
-/// SolveReport::error). Rank 0's report is the merged, authoritative one —
-/// global winner, per-rank summaries, and comm counters in
-/// extras["dist"]; other ranks return a participation stub.
+/// SolveReport::error). Every rank's report names the same global winner
+/// and winner stats; rank 0's is the merged, authoritative one — per-rank
+/// rows and comm counters in extras["dist"] — and the others return a
+/// participation stub.
 ///
 /// The MPI contract applies across requests too: every rank of the world
 /// must call this with the SAME request sequence. Fixed-rank worlds assume

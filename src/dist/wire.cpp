@@ -43,7 +43,7 @@ util::Json make_welcome(int rank, int ranks) {
   return j;
 }
 
-util::Json make_msg(int to, const par::Message& m) {
+util::Json make_msg(int to, const Message& m) {
   util::Json j = util::Json::object();
   j["type"] = "msg";
   j["to"] = to;
@@ -139,8 +139,8 @@ std::string frame_type(const util::Json& j) {
   return (t != nullptr && t->is_string()) ? t->as_string() : "";
 }
 
-par::Message parse_msg(const util::Json& j) {
-  par::Message m;
+Message parse_msg(const util::Json& j) {
+  Message m;
   m.tag = require_int(j, "tag");
   m.source = require_int(j, "src");
   const util::Json& payload = require(j, "payload");

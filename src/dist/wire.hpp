@@ -5,7 +5,7 @@
 //
 //   hello    rank -> coordinator on connect (rank, ranks, magic)
 //   welcome  coordinator -> every rank once all ranks have arrived
-//   msg      a routed par::Message (to = destination rank, -1 = broadcast
+//   msg      a routed Message (to = destination rank, -1 = broadcast
 //            to every rank except the source)
 //   hb       heartbeat, rank -> coordinator
 //   abort    coordinator -> all ranks: a peer died / protocol violation;
@@ -52,13 +52,28 @@
 // elastic frames spell every 64-bit counter the same way.
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
-#include "par/mailbox.hpp"
 #include "util/json.hpp"
 
 namespace cas::dist {
+
+/// The payload a msg frame routes between ranks.
+struct Message {
+  int tag = 0;
+  int source = -1;
+  std::vector<int64_t> payload;
+};
+
+/// msg tags of a fixed-rank request (docs/PROTOCOL.md §4.1.1).
+/// SOLUTION_FOUND's payload is the sender's request index; the two
+/// collectives' payloads start with their sequence number.
+inline constexpr int kTagSolutionFound = 1;
+inline constexpr int kTagBroadcast = 101;
+inline constexpr int kTagGather = 103;
 
 /// Unrecoverable communicator failure: a peer died, the coordinator went
 /// away, or a collective timed out. The distributed runner lets this
@@ -70,14 +85,16 @@ struct CommError : std::runtime_error {
 
 /// Protocol magic echoed in hello/join/reconnect frames, bumped on
 /// incompatible changes. v2 added the elastic vocabulary (join/leave/
-/// epoch/ckpt/rebalance); v3 adds coordinator failover (state_sync/
-/// reconnect + the standby fields on rebalance). A coordinator rejects a
-/// mismatched version with an abort frame naming both versions.
-inline constexpr int kWireVersion = 3;
+/// epoch/ckpt/rebalance); v3 added coordinator failover (state_sync/
+/// reconnect + the standby fields on rebalance); v4 closes a fixed-rank
+/// request with one gather and one broadcast and stamps SOLUTION_FOUND
+/// with a request index. A coordinator rejects a mismatched version with
+/// an abort frame naming both versions.
+inline constexpr int kWireVersion = 4;
 
 util::Json make_hello(int rank, int ranks);
 util::Json make_welcome(int rank, int ranks);
-util::Json make_msg(int to, const par::Message& m);
+util::Json make_msg(int to, const Message& m);
 util::Json make_hb(int rank);
 util::Json make_abort(const std::string& reason);
 util::Json make_bye(int rank);
@@ -113,7 +130,7 @@ util::Json make_reconnect(int member, uint64_t epoch, const std::string& hunt_ke
 std::string frame_type(const util::Json& j);
 
 /// Decode a routed message frame. Throws CommError on malformed frames.
-par::Message parse_msg(const util::Json& j);
+Message parse_msg(const util::Json& j);
 /// Destination rank of a msg frame (-1 = broadcast). Throws on absence.
 int msg_dest(const util::Json& j);
 

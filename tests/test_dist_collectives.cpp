@@ -1,34 +1,33 @@
-// The socket-backed communicator under the shared collective algorithms:
-// correctness of barrier/broadcast/reduce/allreduce/gather over TCP, exact
-// int64 payload round-trips (the decimal-string codec), the typed wrappers,
-// the epoch protocol, and — the tentpole contract — SEEDED PARITY between
-// the in-process RankCtx and the socket RankComm: the same scripted
-// sequence of collectives and cooperation rounds must produce byte-equal
-// transcripts on both backends. Failure paths are pinned too: a rank that
-// dies mid-world turns into a CommError on every survivor (coordinator
-// abort), and a rank that never shows up inside a collective trips the
-// collective deadline.
+// The socket communicator's two collectives and its first-win stop:
+// broadcast and gather over TCP stay aligned through long mixed
+// sequences, a 1-rank world returns its input, int64 payloads round-trip
+// exactly (the decimal-string codec), and a SOLUTION_FOUND is matched to
+// the request it was stamped with — a peer's stop for the next request is
+// armed when that request starts, a stale one is ignored. Failure paths
+// are pinned too: a rank that dies mid-world turns into a CommError on
+// every survivor (coordinator abort), and a rank that never shows up
+// inside a collective trips the collective deadline.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <limits>
 #include <mutex>
-#include <random>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dist/coordinator.hpp"
 #include "dist/rank_comm.hpp"
-#include "dist/runner.hpp"
 #include "dist/wire.hpp"
 #include "net/frame.hpp"
 #include "net/frame_io.hpp"
 #include "net/socket.hpp"
-#include "par/collectives.hpp"
-#include "par/comm.hpp"
+#include "fake_rank.hpp"
 
 namespace cas::dist {
 namespace {
@@ -68,33 +67,35 @@ void run_socket_world(int ranks, const std::function<void(RankComm&)>& body,
   if (first != nullptr) std::rethrow_exception(first);
 }
 
-TEST(SocketCollectives, BarrierSynchronizesRanksAcrossSockets) {
+TEST(SocketCollectives, LongMixedBroadcastGatherSequenceStaysAligned) {
+  // Back-to-back collectives of both kinds, 40 rounds: selective receive
+  // on (tag, seq) must keep round k's frames out of round k+1 even when a
+  // fast rank runs ahead.
   const int n = 4;
-  std::atomic<int> arrived{0};
   run_socket_world(n, [&](RankComm& comm) {
-    arrived.fetch_add(1);
-    par::collective_barrier(comm, comm.next_seq());
-    EXPECT_EQ(arrived.load(), n);
+    const int64_t me = comm.rank();
+    for (int64_t round = 0; round < 40; ++round) {
+      const auto got = comm.broadcast({me == 0 ? round * 7 : -1, round});
+      EXPECT_EQ(got, (std::vector<int64_t>{round * 7, round}));
+      const auto rows = comm.gather({me, round, me * round});
+      if (me == 0) {
+        ASSERT_EQ(rows.size(), static_cast<size_t>(n));
+        for (int64_t r = 0; r < n; ++r)
+          EXPECT_EQ(rows[static_cast<size_t>(r)], (std::vector<int64_t>{r, round, r * round}));
+      } else {
+        EXPECT_TRUE(rows.empty());
+      }
+    }
   });
 }
 
-TEST(SocketCollectives, ReduceAllreduceGatherAgreeWithClosedForms) {
-  const int n = 5;
-  run_socket_world(n, [&](RankComm& comm) {
-    const int64_t mine = comm.rank() + 1;
-    const auto sums =
-        par::collective_allreduce(comm, comm.next_seq(), comm.next_seq(), {mine}, par::ReduceOp::kSum);
-    EXPECT_EQ(sums, (std::vector<int64_t>{n * (n + 1) / 2}));
-    const auto maxs = par::collective_reduce(comm, comm.next_seq(), 0, {mine}, par::ReduceOp::kMax);
-    if (comm.rank() == 0) EXPECT_EQ(maxs, (std::vector<int64_t>{n}));
-    const auto rows = par::collective_gather(comm, comm.next_seq(), 0, {mine, -mine});
-    if (comm.rank() == 0) {
-      ASSERT_EQ(rows.size(), static_cast<size_t>(n));
-      for (int r = 0; r < n; ++r)
-        EXPECT_EQ(rows[static_cast<size_t>(r)], (std::vector<int64_t>{r + 1, -(r + 1)}));
-    } else {
-      EXPECT_TRUE(rows.empty());
-    }
+TEST(SocketCollectives, OneRankWorldReturnsItsInput) {
+  run_socket_world(1, [&](RankComm& comm) {
+    EXPECT_EQ(comm.broadcast({3, -4}), (std::vector<int64_t>{3, -4}));
+    const auto rows = comm.gather({5, 6});
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0], (std::vector<int64_t>{5, 6}));
+    EXPECT_EQ(comm.broadcast({}), std::vector<int64_t>{});
   });
 }
 
@@ -104,93 +105,67 @@ TEST(SocketCollectives, Int64ExtremesRoundTripExactly) {
   const std::vector<int64_t> extremes{
       std::numeric_limits<int64_t>::max(), std::numeric_limits<int64_t>::min(),
       (int64_t{1} << 53) + 1, -((int64_t{1} << 53) + 3), 0, -1};
-  run_socket_world(2, [&](RankComm& comm) {
-    const auto got = par::collective_broadcast(comm, comm.next_seq(), 0, extremes);
-    EXPECT_EQ(got, extremes);
-  });
-}
-
-TEST(SocketCollectives, MinlocTiesBreakToLowestRank) {
   run_socket_world(3, [&](RankComm& comm) {
-    // Ranks 1 and 2 tie on the minimum; rank 1 must win on every backend.
-    const int64_t mine = comm.rank() == 0 ? 9 : 4;
-    const auto m = par::allreduce_minloc(comm, mine);
-    EXPECT_EQ(m.value, 4);
-    EXPECT_EQ(m.rank, 1);
-  });
-}
-
-TEST(SocketCollectives, SolutionFoundBroadcastAndEpochDrain) {
-  run_socket_world(3, [&](RankComm& comm) {
-    if (comm.rank() == 0)
-      comm.broadcast_others(par::Message{par::kTagSolutionFound, 0, {}});
-    // Frames are FIFO per connection through the coordinator, so rank 0's
-    // broadcast precedes its barrier release on every peer.
-    par::collective_barrier(comm, comm.next_seq());
-    if (comm.rank() != 0) {
-      EXPECT_TRUE(comm.termination_pending());
-      EXPECT_TRUE(comm.remote_stop().load());
+    EXPECT_EQ(comm.broadcast(extremes), extremes);
+    const auto rows = comm.gather(extremes);
+    if (comm.rank() == 0) {
+      ASSERT_EQ(rows.size(), 3u);
+      for (const auto& row : rows) EXPECT_EQ(row, extremes);
     }
-    par::collective_barrier(comm, comm.next_seq());
-    comm.begin_epoch();
-    EXPECT_FALSE(comm.termination_pending());
+  });
+}
+
+TEST(SocketCollectives, HugeDeadlineWaitsInsteadOfExpiring) {
+  // A scenario may set collective_timeout to any number; one past the
+  // clock's range must mean "wait", not "already expired".
+  run_socket_world(
+      2,
+      [&](RankComm& comm) {
+        EXPECT_EQ(comm.broadcast({comm.rank() == 0 ? 11 : 0}), std::vector<int64_t>{11});
+        const auto rows = comm.gather({comm.rank()});
+        if (comm.rank() == 0) EXPECT_EQ(rows.size(), 2u);
+      },
+      /*collective_timeout_seconds=*/1e12);
+}
+
+// --- the first-win stop across requests -----------------------------------
+// Frames are FIFO per connection through the coordinator, so a gather row
+// sent after an announcement reaches rank 0 after it: when rank 0's gather
+// returns, the announcement has been delivered.
+
+TEST(SocketStop, PeerStopIsMatchedToTheRequestItWasStampedWith) {
+  run_socket_world(2, [&](RankComm& comm) {
+    comm.begin_request();  // request 1 on both ranks
+    if (comm.rank() == 1) {
+      // Rank 1 has moved on to request 2 and solved it before rank 0 gets
+      // there (the fast peer of a slow rank's epoch boundary).
+      comm.begin_request();
+      comm.announce_solution();
+      (void)comm.gather({});
+      (void)comm.broadcast({});
+      // Still in request 2 while rank 0 is in 3: a stale announcement.
+      comm.announce_solution();
+      (void)comm.gather({});
+      (void)comm.broadcast({});  // wait until rank 0 has looked
+      comm.begin_request();      // request 3: a current one
+      comm.announce_solution();
+      (void)comm.gather({});
+      return;
+    }
+    (void)comm.gather({});
+    EXPECT_FALSE(comm.remote_stop().load()) << "a stop for request 2 stopped request 1";
+    comm.begin_request();
+    EXPECT_TRUE(comm.remote_stop().load()) << "rank 1's stop for request 2 was lost";
+    (void)comm.broadcast({});
+
+    comm.begin_request();
     EXPECT_FALSE(comm.remote_stop().load());
+    (void)comm.gather({});
+    EXPECT_FALSE(comm.remote_stop().load()) << "a stale stop for request 2 stopped request 3";
+    (void)comm.broadcast({});
+    (void)comm.gather({});
+    EXPECT_TRUE(comm.remote_stop().load()) << "rank 1's stop for request 3 was lost";
   });
-}
-
-// --- the parity contract ---------------------------------------------------
-// One scripted mixture of raw collectives, typed wrappers, and cooperation
-// rounds, seeded per rank. Running it over threads (RankCtx) and over
-// sockets (RankComm) must produce identical transcripts on every rank —
-// the backends share the algorithms, so any divergence is a transport bug
-// (lost frame, reordering, precision loss).
-
-template <par::CollectiveEndpoint EP>
-std::vector<int64_t> collective_script(EP& ep, uint64_t seed) {
-  std::mt19937_64 rng(seed + static_cast<uint64_t>(ep.rank()) * 7919);
-  std::vector<int64_t> transcript;
-  const auto note = [&](const std::vector<int64_t>& v) {
-    transcript.insert(transcript.end(), v.begin(), v.end());
-  };
-  const int rounds = 6;
-  for (int round = 0; round < rounds; ++round) {
-    const int64_t mine = static_cast<int64_t>(rng() % 100000);
-    note(par::collective_allreduce(ep, ep.next_seq(), ep.next_seq(), {mine, -mine},
-                                   par::ReduceOp::kSum));
-    note(par::collective_broadcast(ep, ep.next_seq(), round % ep.size(),
-                                   {mine, static_cast<int64_t>(round)}));
-    const par::MinLoc m = par::allreduce_minloc(ep, mine);
-    note({m.value, m.rank});
-    RankOffer offer;
-    offer.done = round == rounds - 1;
-    offer.solved = mine % 97 == 0;
-    offer.best_cost = mine;
-    offer.config = {mine % 17, mine % 13, mine % 11};
-    note(cooperation_round(ep, offer).to_payload());
-    par::collective_barrier(ep, ep.next_seq());
-  }
-  return transcript;
-}
-
-TEST(BackendParity, ScriptedTranscriptsMatchAcrossTransports) {
-  const int n = 4;
-  const uint64_t seed = 2012;
-  std::vector<std::vector<int64_t>> in_process(static_cast<size_t>(n));
-  par::Comm comm(n);
-  comm.run([&](par::RankCtx& ctx) {
-    in_process[static_cast<size_t>(ctx.rank())] = collective_script(ctx, seed);
-  });
-
-  std::vector<std::vector<int64_t>> socket(static_cast<size_t>(n));
-  run_socket_world(n, [&](RankComm& rc) {
-    socket[static_cast<size_t>(rc.rank())] = collective_script(rc, seed);
-  });
-
-  for (int r = 0; r < n; ++r) {
-    ASSERT_FALSE(in_process[static_cast<size_t>(r)].empty());
-    EXPECT_EQ(in_process[static_cast<size_t>(r)], socket[static_cast<size_t>(r)])
-        << "transcripts diverged on rank " << r;
-  }
 }
 
 // --- failure paths ---------------------------------------------------------
@@ -198,8 +173,9 @@ TEST(BackendParity, ScriptedTranscriptsMatchAcrossTransports) {
 TEST(SocketFailure, DeadRankAbortsEveryBlockedCollective) {
   // Ranks 0 and 1 are real; rank 2 is a bare socket that completes the
   // rendezvous and then drops dead (EOF without bye). The coordinator must
-  // broadcast abort, turning the survivors' blocked barrier into CommError
-  // well before any timeout.
+  // broadcast abort, turning the survivors' blocked collectives — rank 0's
+  // gather, rank 1's wait for the decision broadcast — into CommError well
+  // before any timeout. A failed communicator then stays stopped.
   CoordinatorOptions co;
   co.ranks = 3;
   Coordinator coord(co);
@@ -208,17 +184,23 @@ TEST(SocketFailure, DeadRankAbortsEveryBlockedCollective) {
   std::vector<std::jthread> threads;
   for (int r = 0; r < 2; ++r) {
     threads.emplace_back([&, r] {
+      RankCommOptions o;
+      o.port = coord.port();
+      o.rank = r;
+      o.ranks = 3;
+      o.collective_timeout_seconds = 60.0;  // the abort must beat this
+      std::optional<RankComm> comm;
       try {
-        RankCommOptions o;
-        o.port = coord.port();
-        o.rank = r;
-        o.ranks = 3;
-        o.collective_timeout_seconds = 60.0;  // the abort must beat this
-        RankComm comm(o);
-        par::collective_barrier(comm, comm.next_seq());  // rank 2 never joins in
-        ADD_FAILURE() << "rank " << r << " passed a barrier missing a rank";
+        comm.emplace(o);
+        (void)comm->gather({r});  // rank 2 never sends its row
+        (void)comm->broadcast({});
+        ADD_FAILURE() << "rank " << r << " finished a gather missing a rank";
       } catch (const CommError&) {
         comm_errors.fetch_add(1);
+      }
+      if (comm) {
+        comm->begin_request();
+        EXPECT_TRUE(comm->remote_stop().load()) << "a failed communicator re-armed its stop";
       }
     });
   }
@@ -228,8 +210,8 @@ TEST(SocketFailure, DeadRankAbortsEveryBlockedCollective) {
   ASSERT_TRUE(fake.valid()) << err;
   ASSERT_TRUE(net::write_all(fake.get(), net::encode_frame(make_hello(2, 3).dump(0)), err))
       << err;
-  // Give the rendezvous time to complete so the survivors are inside the
-  // barrier, then die without a bye.
+  // Give the rendezvous time to complete so the survivors are inside their
+  // collectives, then die without a bye.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   fake.reset();
 
@@ -238,9 +220,49 @@ TEST(SocketFailure, DeadRankAbortsEveryBlockedCollective) {
   EXPECT_EQ(comm_errors.load(), 2);
 }
 
+TEST(SocketFailure, MalformedMsgFramesFailTheCommunicator) {
+  // A peer's frames are input from outside the process: a gather row from
+  // a rank outside the world or from rank 0's own slot, a SOLUTION_FOUND
+  // without a request index, and a collective frame without a sequence
+  // number each fail rank 0's communicator with the reason, instead of
+  // indexing out of bounds or waiting out the deadline.
+  const std::vector<std::pair<Message, std::string>> cases = {
+      {Message{kTagGather, 5, {0, 1}}, "unexpected rank 5"},
+      {Message{kTagGather, 0, {0, 1}}, "unexpected rank 0"},
+      {Message{kTagSolutionFound, 1, {}}, "without a request index"},
+      {Message{kTagGather, 1, {}}, "without a sequence number"},
+  };
+  for (const auto& [bad, reason] : cases) {
+    CoordinatorOptions co;
+    co.ranks = 2;
+    Coordinator coord(co);
+    test::FakeRank fake(coord.port(), 1, 2);
+    std::string failure;
+    std::jthread rank0([&] {
+      RankCommOptions o;
+      o.port = coord.port();
+      o.rank = 0;
+      o.ranks = 2;
+      o.collective_timeout_seconds = 30.0;  // the failure must beat this
+      try {
+        RankComm comm(o);
+        (void)comm.gather({7});
+        ADD_FAILURE() << "gather accepted " << reason;
+      } catch (const CommError& e) {
+        failure = e.what();
+      }
+    });
+    ASSERT_FALSE(fake.await("welcome").is_null());
+    fake.send(make_msg(/*to=*/0, bad));
+    rank0.join();
+    coord.stop();
+    EXPECT_NE(failure.find(reason), std::string::npos) << failure;
+  }
+}
+
 TEST(SocketFailure, CollectiveDeadlineFiresWhenAPeerNeverEnters) {
   // Both ranks are alive (heartbeats flowing), but rank 1 skips the
-  // collective entirely: rank 0's barrier must trip the collective
+  // collective entirely: rank 0's gather must trip the collective
   // deadline rather than hang.
   std::atomic<bool> rank0_failed{false};
   try {
@@ -248,13 +270,14 @@ TEST(SocketFailure, CollectiveDeadlineFiresWhenAPeerNeverEnters) {
         2,
         [&](RankComm& comm) {
           if (comm.rank() == 0) {
-            par::collective_barrier(comm, comm.next_seq());
-            ADD_FAILURE() << "barrier completed without rank 1";
+            (void)comm.gather({1});
+            ADD_FAILURE() << "gather completed without rank 1";
           }
         },
         /*collective_timeout_seconds=*/1.0);
-  } catch (const CommError&) {
+  } catch (const CommError& e) {
     rank0_failed = true;
+    EXPECT_NE(std::string(e.what()).find("timed out"), std::string::npos) << e.what();
   }
   EXPECT_TRUE(rank0_failed.load());
 }

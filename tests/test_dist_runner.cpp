@@ -1,20 +1,24 @@
-// The distributed strategy runner end to end, whole worlds inside one test
-// process: multiwalk and cooperative requests split across
-// socket ranks, the merged rank-0 report (global winner id, per-rank
-// provenance, comm counters), the broadcast stochastic seed, epoch reuse of
-// one world across successive requests, and the pure decide_round()
-// decision rule the cooperation rounds rest on.
+// The fixed-rank distributed runner end to end, whole worlds inside one
+// test process: multiwalk requests split across socket ranks, the merged
+// rank-0 report (global winner id, per-rank provenance, comm counters),
+// the same winner on every rank, the broadcast stochastic seed, reuse of
+// one world across successive requests, the refusal of non-distributable
+// strategies, and the pure pick_winner() rule the closing gather rests on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <future>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "costas/checker.hpp"
+#include "dist/coordinator.hpp"
 #include "dist/runner.hpp"
+#include "dist/wire.hpp"
 #include "dist/world.hpp"
+#include "fake_rank.hpp"
 #include "runtime/spec.hpp"
 #include "runtime/strategy.hpp"
 
@@ -63,53 +67,43 @@ runtime::SolveRequest costas_request(const std::string& strategy, int size, int 
   return req;
 }
 
-TEST(DecideRound, CheapestConfigWinsTiesToLowestRank) {
-  std::vector<RankOffer> offers(3);
-  offers[0].best_cost = 7;
-  offers[0].config = {1, 2};
-  offers[1].best_cost = 4;
-  offers[1].config = {3, 4};
-  offers[2].best_cost = 4;
-  offers[2].config = {5, 6};
-  const RoundDecision dec = decide_round(offers);
-  EXPECT_EQ(dec.best_rank, 1);
-  EXPECT_EQ(dec.best_cost, 4);
-  EXPECT_EQ(dec.config, (std::vector<int64_t>{3, 4}));
-  EXPECT_FALSE(dec.any_solved);
-  EXPECT_FALSE(dec.all_done);
+RankRow solved_row(int64_t wall_micros, int64_t winner_local) {
+  RankRow row;
+  row.wall_micros = wall_micros;
+  row.winner_local = winner_local;
+  row.winner_stats.solved = true;
+  row.winner_stats.final_cost = 0;
+  return row;
 }
 
-TEST(DecideRound, TracksDoneAndSolvedFlags) {
-  std::vector<RankOffer> offers(2);
-  offers[0].done = true;
-  offers[1].done = true;
-  offers[1].solved = true;
-  const RoundDecision dec = decide_round(offers);
-  EXPECT_TRUE(dec.all_done);
-  EXPECT_TRUE(dec.any_solved);
-  EXPECT_EQ(dec.best_rank, -1);  // nobody published a configuration
+TEST(PickWinner, EarliestWallWinsTiesToLowestRankNoSolverNoWinner) {
+  EXPECT_EQ(pick_winner({solved_row(900, 0), solved_row(400, 1), solved_row(700, 0)}), 1);
+  EXPECT_EQ(pick_winner({RankRow{}, solved_row(400, 1), solved_row(400, 0)}), 1);
+  EXPECT_EQ(pick_winner({solved_row(0, 2), solved_row(0, 0)}), 0);
+  EXPECT_EQ(pick_winner({RankRow{}, RankRow{}, RankRow{}}), -1);
+  EXPECT_EQ(pick_winner({}), -1);
 }
 
-TEST(DecideRound, PayloadRoundTrip) {
-  RankOffer o;
-  o.done = true;
-  o.best_cost = 12;
-  o.config = {4, 0, 3};
-  const RankOffer back = RankOffer::from_payload(o.to_payload());
-  EXPECT_EQ(back.done, o.done);
-  EXPECT_EQ(back.solved, o.solved);
-  EXPECT_EQ(back.best_cost, o.best_cost);
-  EXPECT_EQ(back.config, o.config);
-  RoundDecision d;
-  d.any_solved = true;
-  d.best_rank = 2;
-  d.best_cost = 5;
-  d.config = {1, 2, 3};
-  const RoundDecision dback = RoundDecision::from_payload(d.to_payload());
-  EXPECT_EQ(dback.any_solved, d.any_solved);
-  EXPECT_EQ(dback.all_done, d.all_done);
-  EXPECT_EQ(dback.best_rank, d.best_rank);
-  EXPECT_EQ(dback.config, d.config);
+TEST(PickWinner, RankRowPayloadRoundTrip) {
+  RankRow row = solved_row(123456, 2);
+  row.iterations = (int64_t{1} << 40) + 3;
+  row.walkers_run = 3;
+  row.winner_stats.iterations = 4242;
+  row.winner_stats.solution = {2, 0, 1};
+  const RankRow back = RankRow::from_payload(row.to_payload());
+  EXPECT_EQ(back.wall_micros, row.wall_micros);
+  EXPECT_EQ(back.iterations, row.iterations);
+  EXPECT_EQ(back.walkers_run, row.walkers_run);
+  EXPECT_EQ(back.winner_local, row.winner_local);
+  EXPECT_EQ(back.winner_stats.iterations, 4242u);
+  EXPECT_EQ(back.winner_stats.solution, row.winner_stats.solution);
+
+  RankRow none;
+  none.iterations = 77;
+  EXPECT_EQ(none.to_payload().size(), 4u);
+  EXPECT_FALSE(RankRow::from_payload(none.to_payload()).solved());
+  EXPECT_THROW(RankRow::from_payload({1, 2, 3}), std::invalid_argument);
+  EXPECT_THROW(RankRow::from_payload({-1, 2, 3, 4, 5}), std::invalid_argument);
 }
 
 TEST(DistRunner, MultiwalkSolvesAndMergesAcrossTwoRanks) {
@@ -143,16 +137,56 @@ TEST(DistRunner, MultiwalkSolvesAndMergesAcrossTwoRanks) {
   EXPECT_EQ(stub.winner, root.winner);
 }
 
-TEST(DistRunner, CooperativeSharesConfigurationsAcrossRanks) {
-  const auto reports = run_world(2, {costas_request("cooperative", 13, 4, 77)});
+TEST(DistRunner, EveryRankNamesTheSameWinnerOverUnevenShares) {
+  // 7 walkers over 3 ranks: shares 3 / 2 / 2 at offsets 0 / 3 / 5. Rank 0
+  // broadcasts the winner's rank, local index and stats, so every rank's
+  // report names the same global walker and carries the same stats.
+  const auto reports = run_world(3, {costas_request("multiwalk", 12, 7, 4242)});
   const runtime::SolveReport& root = reports[0][0];
   ASSERT_TRUE(root.error.empty()) << root.error;
-  EXPECT_TRUE(root.solved);
+  ASSERT_TRUE(root.solved);
+  EXPECT_TRUE(root.check_passed);
+  for (int r = 1; r < 3; ++r) {
+    const runtime::SolveReport& rep = reports[static_cast<size_t>(r)][0];
+    ASSERT_TRUE(rep.error.empty()) << rep.error;
+    EXPECT_TRUE(rep.solved);
+    EXPECT_EQ(rep.winner, root.winner) << "rank " << r;
+    EXPECT_EQ(rep.wall_seconds, root.wall_seconds) << "rank " << r;
+    EXPECT_EQ(rep.winner_stats.iterations, root.winner_stats.iterations) << "rank " << r;
+    EXPECT_EQ(rep.winner_stats.local_minima, root.winner_stats.local_minima) << "rank " << r;
+    EXPECT_EQ(rep.winner_stats.solution, root.winner_stats.solution) << "rank " << r;
+  }
   EXPECT_TRUE(costas::is_costas(root.winner_stats.solution));
-  const auto* dist = root.extras.find("dist");
-  ASSERT_NE(dist, nullptr);
-  EXPECT_GE(dist->find("cooperation_rounds")->as_int(), 1);
-  EXPECT_NE(root.extras.find("blackboard_offers"), nullptr);
+
+  const auto& per_rank = root.extras.at("dist").at("per_rank").as_array();
+  ASSERT_EQ(per_rank.size(), 3u);
+  const int64_t walkers[] = {3, 2, 2};
+  const int64_t offsets[] = {0, 3, 5};
+  int winner_rows = 0;
+  for (size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(per_rank[r].at("rank").as_int(), static_cast<int64_t>(r));
+    EXPECT_EQ(per_rank[r].at("walkers").as_int(), walkers[r]);
+    EXPECT_EQ(per_rank[r].at("walker_offset").as_int(), offsets[r]);
+    const int64_t local = per_rank[r].at("winner_local").as_int();
+    if (per_rank[r].at("solved").as_bool() && offsets[r] + local == root.winner) ++winner_rows;
+  }
+  EXPECT_EQ(winner_rows, 1) << "the global winner is not one rank's local winner";
+}
+
+TEST(DistRunner, CooperativeFailsOnEveryRankNamingMultiwalkAndWorldSurvives) {
+  // Cooperation does not run across ranks: every rank refuses it the same
+  // way before any collective, and the world then serves the next request.
+  const auto reports = run_world(2, {costas_request("cooperative", 12, 4, 5),
+                                     costas_request("multiwalk", 11, 2, 6)});
+  for (int r = 0; r < 2; ++r) {
+    const auto& refused = reports[static_cast<size_t>(r)][0];
+    EXPECT_NE(refused.error.find("'cooperative' is not distributable"), std::string::npos)
+        << refused.error;
+    EXPECT_NE(refused.error.find("multiwalk"), std::string::npos) << refused.error;
+    EXPECT_TRUE(reports[static_cast<size_t>(r)][1].error.empty())
+        << reports[static_cast<size_t>(r)][1].error;
+    EXPECT_TRUE(reports[static_cast<size_t>(r)][1].solved);
+  }
 }
 
 TEST(DistRunner, StochasticSeedIsDrawnOnceAndBroadcast) {
@@ -164,11 +198,10 @@ TEST(DistRunner, StochasticSeedIsDrawnOnceAndBroadcast) {
 }
 
 TEST(DistRunner, OneWorldServesSuccessiveRequests) {
-  // Epoch protocol: the same long-lived world runs three requests back to
-  // back (mixing strategies), each fully merged — stray SOLUTION_FOUND
-  // frames from request k must not leak into request k+1.
+  // The same long-lived world runs three requests back to back, each fully
+  // merged — a SOLUTION_FOUND from request k must not stop request k+1.
   const auto reports = run_world(2, {costas_request("multiwalk", 12, 4, 1),
-                                     costas_request("cooperative", 12, 4, 2),
+                                     costas_request("multiwalk", 12, 4, 2),
                                      costas_request("multiwalk", 11, 2, 3)});
   for (int r = 0; r < 2; ++r) {
     ASSERT_EQ(reports[static_cast<size_t>(r)].size(), 3u);
@@ -194,6 +227,42 @@ TEST(DistRunner, InvalidRequestsFailConsistentlyAndWorldSurvives) {
     EXPECT_TRUE(reports[static_cast<size_t>(r)][2].error.empty());
     EXPECT_TRUE(reports[static_cast<size_t>(r)][2].solved);
   }
+}
+
+TEST(DistRunner, MalformedWinnerDecisionIsAnErrorNotACrash) {
+  // Rank 0's decision is input from another process. A bare-socket rank 0
+  // answers each of rank 1's gather rows with a decision that is too short,
+  // names a rank outside the world, or is empty; each request must end in
+  // an error report, and the world must keep serving.
+  CoordinatorOptions co;
+  co.ranks = 2;
+  Coordinator coord(co);
+  test::FakeRank rank0(coord.port(), 0, 2);
+  std::vector<runtime::SolveReport> reports;
+  std::jthread rank1([&] {
+    WorldOptions wo;
+    wo.rank = 1;
+    wo.ranks = 2;
+    wo.port = coord.port();
+    wo.collective_timeout_seconds = 30.0;
+    World world(wo);
+    for (uint64_t seed = 1; seed <= 3; ++seed)
+      reports.push_back(solve_distributed(world, costas_request("multiwalk", 8, 2, seed), {}));
+    world.finalize();
+  });
+  for (const std::vector<int64_t>& decision :
+       {std::vector<int64_t>{0}, std::vector<int64_t>{5, 0, 0}, std::vector<int64_t>{}}) {
+    const Message row = rank0.await_msg(kTagGather);
+    ASSERT_FALSE(row.payload.empty());
+    std::vector<int64_t> payload{row.payload[0] + 1};  // the broadcast's seq
+    payload.insert(payload.end(), decision.begin(), decision.end());
+    rank0.send(make_msg(/*to=*/-1, Message{kTagBroadcast, 0, payload}));
+  }
+  rank1.join();
+  coord.stop();
+  ASSERT_EQ(reports.size(), 3u);
+  for (const auto& rep : reports)
+    EXPECT_NE(rep.error.find("malformed winner decision"), std::string::npos) << rep.error;
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // within a deadline AND lands on the same verified winner as the
 // fault-free baseline.
 //
-//   $ cas_chaos --scenario=tools/scenarios/s12_dist_coop_n18.json \
+//   $ cas_chaos --scenario=tools/scenarios/s12_dist_multiwalk_n18.json \
 //               --seeds=1,2,3 --deadline=300 --out-dir=chaos_out
 //
 // Per invocation it runs cas_run once with no fault plan (the baseline),

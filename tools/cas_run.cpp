@@ -315,7 +315,8 @@ int main(int argc, char** argv) {
   flags.add_double("admit-budget", 0.0,
                    "reject requests whose estimated cost (fitted iterations to solution / this "
                    "host's measured iteration rate) exceeds this many walker-seconds "
-                   "(0 = admit everything)");
+                   "(0 = admit everything; refused with --ranks > 1, --elastic, --join "
+                   "and --resume)");
   flags.add_bool("auto-calibrate", true,
                  "refit the admission cost model from this run's own completed reports");
   flags.add_int("ranks", 0,
@@ -431,6 +432,18 @@ int main(int argc, char** argv) {
     if (flags.get_bool("standby")) sc.dist.standby = true;
     my_rank = sc.dist.rank;
     elastic_run = sc.dist.elastic;
+
+    // Every rank of a world runs its own SolverService, and each prices a
+    // request with its own rate probe, so one budget can admit a request on
+    // one rank and reject it on another — which leaves the admitting ranks
+    // waiting in a collective for a rank that never joins it. Refuse the
+    // combination before any rendezvous.
+    if ((sc.dist.ranks > 1 || sc.dist.elastic) &&
+        sc.service.admission_budget_walker_seconds > 0)
+      throw std::runtime_error(
+          "an admission budget (--admit-budget / scenario 'admit_budget') cannot be used "
+          "with a distributed world (--ranks > 1, --elastic, --join, --resume): every rank "
+          "prices requests with its own rate probe, so the ranks could disagree on admission");
 
     const bool joiner = !sc.dist.join.empty();
     if (sc.dist.elastic) {
@@ -555,9 +568,10 @@ int main(int argc, char** argv) {
         }
       });
       // The serving layer wraps the distributed runner unchanged — dedup,
-      // cache, admission, and stats all apply. Requests go through one at a
-      // time: every rank must execute the same collective sequence, and
-      // sequential submission keeps serving decisions rank-consistent.
+      // cache, and stats apply (admission is refused above). Requests go
+      // through one at a time: every rank must execute the same collective
+      // sequence, and sequential submission keeps serving decisions
+      // rank-consistent.
       if (sc.dist.elastic) {
         dist::ElasticOptions eo;
         eo.ckpt_dir = sc.dist.ckpt_dir;
