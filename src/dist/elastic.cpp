@@ -3,10 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <condition_variable>
 #include <csignal>
 #include <cstdint>
+#include <deque>
+#include <exception>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -34,30 +38,51 @@ uint64_t seg_of(uint64_t iters, uint64_t ckpt_iters) {
   return iters == 0 ? 0 : (iters - 1) / ckpt_iters;
 }
 
+/// How many segments past the wave its member is reporting a walker may
+/// start. Two cover the wave protocol (file, epoch frame, rebalance,
+/// manifest) on a loopback world; more only let walkers run off with work a
+/// moving rebalance may drop.
+constexpr uint64_t kLookahead = 2;
+
+/// A walker's state where it crossed the end of segment `wave`.
+struct WaveMark {
+  uint64_t wave = 0;
+  uint64_t iterations = 0;
+  runtime::WalkSnapshot snap;  // taken only with a checkpoint dir
+};
+
 struct OwnedWalker {
   int id = -1;
   std::unique_ptr<runtime::ResumableWalk> walk;
+  // Once the crew runs, the fields below are guarded by ElasticRun::mu, and
+  // only the worker that marked it busy touches `walk`.
   bool solved = false;
-  uint64_t solve_seg = 0;
+  bool frozen = false;          // solved, or capped: it never advances again
+  uint64_t frozen_seg = 0;      // the segment it froze in (a solve's segment)
+  bool busy = false;            // a crew worker is advancing it
+  bool paused = false;          // a crew stop interrupted its segment
+  uint64_t next_seg = 0;        // the segment it runs next
+  uint64_t reported_iters = 0;  // its iterations at the last wave reported
+  std::deque<WaveMark> marks;   // boundaries crossed but not yet reported
 };
 
-/// Advance one walker until its iteration count reaches `target` (the epoch
-/// boundary), it solves, or it stops making progress (max_iterations cap).
-/// Returns the iterations actually executed here.
-uint64_t advance_to(OwnedWalker& w, uint64_t target, uint64_t ckpt_iters) {
-  const uint64_t before = w.walk->stats().iterations;
-  while (!w.solved && w.walk->stats().iterations < target) {
-    const uint64_t step_start = w.walk->stats().iterations;
-    const bool solved = w.walk->advance(target - step_start, core::StopToken());
-    const core::RunStats& st = w.walk->stats();
-    if (solved || st.solved) {
-      w.solved = true;
-      w.solve_seg = seg_of(st.iterations, ckpt_iters);
-      break;
-    }
-    if (st.iterations == step_start) break;  // budget refused: walker is capped
+void freeze(OwnedWalker& w, bool solved, uint64_t ckpt_iters) {
+  w.frozen = true;
+  w.solved = solved;
+  w.frozen_seg = seg_of(w.walk->stats().iterations, ckpt_iters);
+}
+
+enum class Step { kReached, kSolved, kCapped, kStopped };
+
+/// Advance a walk until its iteration count reaches `target`, it solves, it
+/// stops making progress (the max_iterations cap), or `stop` is raised.
+Step advance_to(runtime::ResumableWalk& walk, uint64_t target, core::StopToken stop = {}) {
+  for (uint64_t at = walk.stats().iterations; at < target; at = walk.stats().iterations) {
+    if (walk.advance(target - at, stop) || walk.stats().solved) return Step::kSolved;
+    if (walk.stats().iterations < target && stop.stop_requested()) return Step::kStopped;
+    if (walk.stats().iterations == at) return Step::kCapped;
   }
-  return w.walk->stats().iterations - before;
+  return Step::kReached;
 }
 
 /// Read every wave-`epoch` walker file in `dir` into an id -> snapshot-JSON
@@ -88,19 +113,19 @@ std::map<int, util::Json> load_wave_snapshots(const std::string& dir, uint64_t e
 }
 
 /// Everything one epoch-loop pass needs; kept in a struct so the view
-/// adoption and report builders stay readable.
+/// adoption, the crew and the report builders stay readable.
 struct ElasticRun {
   RankComm* comm = nullptr;
   const ElasticOptions* opts = nullptr;
   runtime::SolveRequest* resolved = nullptr;
-  par::ThreadPool* executor = nullptr;  // null: each wave fans out on jthreads
+  par::ThreadPool* executor = nullptr;  // null: the crew fans out on jthreads
 
   std::vector<uint64_t> seeds;  // global walker id -> engine seed
   std::function<std::unique_ptr<runtime::ResumableWalk>(uint64_t)> factory;
 
-  std::map<int, OwnedWalker> owned;
-  uint64_t executed_local = 0;     // iterations physically run in this process
-  uint64_t epochs_executed = 0;    // segments this process advanced
+  std::map<int, OwnedWalker> owned;  // reshaped only while the crew is stopped
+  uint64_t executed_local = 0;     // iterations run here, through the last wave reported
+  uint64_t epochs_executed = 0;    // waves this process reported
   uint64_t prior_elapsed_micros = 0;
   util::WallTimer timer;
 
@@ -114,6 +139,23 @@ struct ElasticRun {
   int64_t manifest_epoch = -1;  // last manifest this process (the host) wrote
   bool resume_fell_back = false;  // torn manifest: resumed from the predecessor cut
 
+  // The crew: the walkers' workers for the current view, one par::fan_out
+  // on a jthread of its own, so the member's thread stays free for the wave
+  // protocol while they run ahead.
+  std::mutex mu;                 // guards the walkers' crew fields and below
+  std::condition_variable cv;    // a walker moved, the horizon moved, or stop
+  uint64_t reporting = 0;        // the wave the member is reporting
+  std::atomic<bool> crew_stop{false};  // also interrupts in-flight segments
+  std::exception_ptr crew_error;
+  uint64_t run_ahead_segments = 0;  // started before the previous wave's rebalance
+  double horizon_wait_seconds = 0;  // worker time blocked on kLookahead
+  std::jthread crew;
+
+  ElasticRun() = default;
+  ElasticRun(const ElasticRun&) = delete;  // the crew holds `this`
+  ElasticRun& operator=(const ElasticRun&) = delete;
+  ~ElasticRun() { stop_crew(); }
+
   [[nodiscard]] uint64_t elapsed_micros() const {
     return prior_elapsed_micros + static_cast<uint64_t>(timer.seconds() * 1e6);
   }
@@ -125,9 +167,10 @@ struct ElasticRun {
     return opts->drain != nullptr && opts->drain->load(std::memory_order_relaxed);
   }
 
-  /// Adopt the walker slice of (rank, ranks) at epoch boundary `boundary`
-  /// (every walker must have executed `boundary` segments). Inherited
-  /// walkers restore from wave `cut` files when available, else replay.
+  /// Adopt the walker slice of (rank, ranks) at epoch boundary `boundary`,
+  /// with the crew stopped. Kept walkers keep any run-ahead; inherited
+  /// walkers restore from wave `cut` files when available, else replay,
+  /// and catch up to the boundary.
   void adopt_view(int rank, int ranks, uint64_t boundary, int64_t cut) {
     const int walkers = resolved->walkers;
     const int share = share_of(walkers, ranks, rank);
@@ -160,53 +203,197 @@ struct ElasticRun {
         w.walk->begin();
         if (boundary > 0) ++walkers_replayed;
       }
-      const core::RunStats& st = w.walk->stats();
-      if (st.solved) {
-        w.solved = true;
-        w.solve_seg = seg_of(st.iterations, opts->ckpt_iters);
-      } else {
-        // Catch up to the boundary (zero-cost for a fresh restore from
-        // cut == boundary - 1; a full deterministic replay otherwise).
-        executed_local += advance_to(w, boundary * opts->ckpt_iters, opts->ckpt_iters);
+      // Catch up to the boundary (zero-cost for a fresh restore from
+      // cut == boundary - 1; a full deterministic replay otherwise).
+      const uint64_t before = w.walk->stats().iterations;
+      if (w.walk->stats().solved) {
+        freeze(w, true, opts->ckpt_iters);
+      } else if (const Step step = advance_to(*w.walk, boundary * opts->ckpt_iters);
+                 step != Step::kReached) {
+        freeze(w, step == Step::kSolved, opts->ckpt_iters);
       }
+      executed_local += w.walk->stats().iterations - before;
+      w.next_seg = boundary;
+      w.reported_iters = w.walk->stats().iterations;
       owned.emplace(id, std::move(w));
     }
   }
 
-  /// Advance every unsolved owned walker one segment, to `target`
-  /// iterations, as par::fan_out workers. A wave's outcome does not depend
-  /// on how its segments interleave, so without a num_threads cap it takes
-  /// one worker per core rather than one per walker. Returns iterations
-  /// executed.
-  uint64_t advance_wave(uint64_t target) {
-    std::vector<OwnedWalker*> work;
-    for (auto& [id, w] : owned)
-      if (!w.solved) work.push_back(&w);
-    const unsigned cap = resolved->num_threads != 0 ? resolved->num_threads
-                                                    : std::thread::hardware_concurrency();
-    std::atomic<uint64_t> executed{0};
-    par::fan_out(static_cast<int>(work.size()), cap, executor, [&](int i) {
-      executed.fetch_add(advance_to(*work[static_cast<size_t>(i)], target, opts->ckpt_iters),
-                         std::memory_order_relaxed);
-    });
-    return executed.load(std::memory_order_relaxed);
+  /// Apply a view (the first, or a rebalance's) that opens wave `epoch`.
+  /// One that keeps this member's slice only moves the horizon; one that
+  /// moves walkers stops the crew, adopts the view and restarts it.
+  void apply_view(int rank, int ranks, uint64_t epoch, int64_t cut) {
+    const int share = share_of(resolved->walkers, ranks, rank);
+    const int offset = offset_of(resolved->walkers, ranks, rank);
+    const bool kept = static_cast<int>(owned.size()) == share &&
+                      (share == 0 || (owned.begin()->first == offset &&
+                                      owned.rbegin()->first == offset + share - 1));
+    if (!kept) {
+      stop_crew();
+      adopt_view(rank, ranks, epoch, cut);
+    }
+    {
+      std::scoped_lock lock(mu);
+      reporting = epoch;
+    }
+    cv.notify_all();
+    if (!kept) start_crew();
   }
 
-  [[nodiscard]] uint64_t owned_iters() const {
-    uint64_t sum = 0;
-    for (const auto& [id, w] : owned) sum += w.walk->stats().iterations;
-    return sum;
+  /// Launch the crew for the current view: par::fan_out on ctx.executor
+  /// (jthreads when null), at most num_threads (default: one per core)
+  /// workers, never more than the walkers that can still advance.
+  void start_crew() {
+    int live = 0;
+    for (const auto& [id, w] : owned) live += w.frozen ? 0 : 1;
+    if (live == 0) return;
+    const unsigned cap = resolved->num_threads != 0 ? resolved->num_threads
+                                                    : std::thread::hardware_concurrency();
+    crew = std::jthread([this, live, cap] {
+      try {
+        // Each worker runs one crew loop to its end; the indices left over
+        // then find the crew finished.
+        par::fan_out(live, cap, executor, [this](int) {
+          try {
+            crew_loop();
+          } catch (...) {
+            fail_crew(std::current_exception());
+          }
+        });
+      } catch (...) {
+        fail_crew(std::current_exception());
+      }
+    });
+  }
+
+  /// Record the crew's first failure and stop it; await_wave rethrows it
+  /// on the member's thread.
+  void fail_crew(std::exception_ptr e) {
+    {
+      std::scoped_lock lock(mu);
+      if (crew_error == nullptr) crew_error = std::move(e);
+      crew_stop = true;
+    }
+    cv.notify_all();
+  }
+
+  void stop_crew() {
+    {
+      std::scoped_lock lock(mu);
+      crew_stop = true;
+    }
+    cv.notify_all();
+    if (crew.joinable()) crew.join();
+    crew_stop = false;
+  }
+
+  /// One crew worker: take the lowest (segment, walker id) item within
+  /// kLookahead of the wave being reported, run it unlocked, and record
+  /// where the walker stopped — a mark at the boundary (snapshotted in
+  /// place when checkpointing), a freeze, or a pause. Returns once the crew
+  /// stops or every walker froze.
+  void crew_loop() {
+    const core::StopToken stop(&crew_stop);
+    std::unique_lock lock(mu);
+    for (;;) {
+      OwnedWalker* next = nullptr;
+      bool work_left = false;
+      bool held = false;  // a free walker waits on the lookahead
+      for (auto& [id, w] : owned) {
+        if (w.frozen) continue;
+        work_left = true;
+        if (w.busy) continue;
+        if (w.next_seg > reporting + kLookahead)
+          held = true;
+        else if (next == nullptr || w.next_seg < next->next_seg)
+          next = &w;
+      }
+      if (crew_stop || !work_left) return;
+      if (next == nullptr) {
+        const util::WallTimer waited;
+        cv.wait(lock);
+        if (held) horizon_wait_seconds += waited.seconds();
+        continue;
+      }
+      const uint64_t seg = next->next_seg;
+      if (!next->paused && seg > reporting) ++run_ahead_segments;
+      next->busy = true;
+      next->paused = false;
+      lock.unlock();
+      runtime::ResumableWalk& walk = *next->walk;
+      const Step step = advance_to(walk, (seg + 1) * opts->ckpt_iters, stop);
+      WaveMark mark{seg, walk.stats().iterations, {}};
+      if (step == Step::kReached && !opts->ckpt_dir.empty()) mark.snap = walk.snapshot();
+      lock.lock();
+      next->busy = false;
+      if (step == Step::kReached) {
+        next->marks.push_back(std::move(mark));
+        ++next->next_seg;
+      } else if (step == Step::kStopped) {
+        next->paused = true;
+      } else {
+        freeze(*next, step == Step::kSolved, opts->ckpt_iters);
+      }
+      cv.notify_all();
+    }
+  }
+
+  /// Every owned walker's state at the end of one wave, as reported.
+  struct Wave {
+    uint64_t executed = 0;     // iterations the owned walkers ran in it
+    uint64_t owned_iters = 0;  // their iteration counts at its end
+    bool any_unsolved = false;
+    std::vector<std::pair<int, runtime::WalkSnapshot>> snaps;  // with a checkpoint dir
+    std::vector<const OwnedWalker*> solved;  // frozen, so safe to read unlocked
+  };
+
+  /// Block until every owned walker has crossed the end of segment `wave`
+  /// or froze, and take its state there; the crew runs on. A mark wins
+  /// over a freeze: a walker that solved ahead is unsolved at `wave`.
+  Wave await_wave(uint64_t wave) {
+    const auto marked = [wave](const OwnedWalker& w) {
+      return !w.marks.empty() && w.marks.front().wave == wave;
+    };
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] {
+      return crew_error != nullptr || std::all_of(owned.begin(), owned.end(), [&](const auto& kv) {
+               return marked(kv.second) || kv.second.frozen;
+             });
+    });
+    if (crew_error != nullptr) std::rethrow_exception(crew_error);
+    Wave out;
+    const bool ckpt = !opts->ckpt_dir.empty();
+    for (auto& [id, w] : owned) {
+      uint64_t iters = 0;
+      if (marked(w)) {
+        iters = w.marks.front().iterations;
+        if (ckpt) out.snaps.emplace_back(id, std::move(w.marks.front().snap));
+        w.marks.pop_front();
+        out.any_unsolved = true;
+      } else {
+        iters = w.walk->stats().iterations;
+        if (ckpt) out.snaps.emplace_back(id, w.walk->snapshot());
+        if (w.solved)
+          out.solved.push_back(&w);
+        else
+          out.any_unsolved = true;
+      }
+      out.executed += iters - w.reported_iters;
+      out.owned_iters += iters;
+      w.reported_iters = iters;
+    }
+    return out;
   }
 
   /// Write this member's wave-`epoch` walker file and tell the coordinator.
-  void write_wave_ckpt(uint64_t epoch) {
+  void write_wave_ckpt(uint64_t epoch, const Wave& wave) {
     util::Json payload = util::Json::object();
     payload["v"] = kCkptVersion;
     payload["epoch"] = u64_json(epoch);
     payload["member"] = comm->member();
     util::Json walkers = util::Json::array();
-    for (const auto& [id, w] : owned) {
-      util::Json snap = walk_snapshot_to_json(w.walk->snapshot());
+    for (const auto& [id, s] : wave.snaps) {
+      util::Json snap = walk_snapshot_to_json(s);
       snap["id"] = u64_json(static_cast<uint64_t>(id));
       walkers.push_back(std::move(snap));
     }
@@ -390,7 +577,7 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
                     ? entry.make_resumable_walker(resolved)
                     : throw std::invalid_argument("elastic: problem '" + resolved.problem +
                                                   "' has no resumable walker factory");
-  run.adopt_view(my_rank, ranks, epoch, cut);
+  run.apply_view(my_rank, ranks, epoch, cut);
 
   const uint64_t start_epoch = epoch;
   bool leaving = false;
@@ -401,16 +588,13 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
     bool done = false;
     bool halt = false;
 
-    // 1. Advance every unsolved owned walker one segment.
-    const uint64_t boundary = (epoch + 1) * opts.ckpt_iters;
-    const uint64_t delta = run.advance_wave(boundary);
-    run.executed_local += delta;
+    // 1. Wait until every owned walker has finished segment `epoch`; the
+    // crew runs on ahead while this thread reports the wave.
+    const ElasticRun::Wave wave = run.await_wave(epoch);
+    run.executed_local += wave.executed;
     ++run.epochs_executed;
-    bool any_unsolved = false;
-    for (const auto& [id, w] : run.owned)
-      if (!w.solved) any_unsolved = true;
-    if (delta == 0 && any_unsolved) done = true;  // capped walkers: no progress possible
-    if (!any_unsolved && run.owned.empty()) done = true;
+    if (wave.executed == 0 && wave.any_unsolved) done = true;  // capped: no progress possible
+    if (run.owned.empty()) done = true;
     if (opts.max_epochs > 0 && epoch + 1 >= opts.max_epochs) {
       done = true;
       preempted = true;
@@ -427,7 +611,7 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
 
     // 2. Durable cut for this wave — written before the epoch frame, so a
     // ckpt_epoch announcement implies every wave file is on disk.
-    if (!opts.ckpt_dir.empty()) run.write_wave_ckpt(epoch);
+    if (!opts.ckpt_dir.empty()) run.write_wave_ckpt(epoch, wave);
 
     // 3. Fault injection: die like SIGKILL, after the checkpoint, before
     // the epoch report — the worst-timed crash the protocol must absorb.
@@ -446,7 +630,8 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
     if (opts.drop_conn_at_epoch > 0 && run.epochs_executed >= opts.drop_conn_at_epoch)
       comm.inject_disconnect();
 
-    // 4. Report the epoch. `solved` lists every solved owned walker
+    // 4. Report the epoch. `solved` lists every owned walker solved by the
+    // end of segment `epoch` (a run-ahead solve waits for its own wave),
     // cumulatively — re-reports are idempotent under the coordinator's
     // (min segment, min id) winner rule, which makes resume/rebalance
     // re-announcement free.
@@ -454,16 +639,15 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
     ef["done"] = done;
     ef["halt"] = halt;
     ef["executed"] = wire_u64(run.executed_local);
-    ef["owned_iters"] = wire_u64(run.owned_iters());
+    ef["owned_iters"] = wire_u64(wave.owned_iters);
     ef["walkers"] = static_cast<int64_t>(run.owned.size());
     ef["wall_micros"] = wire_u64(run.elapsed_micros());
     util::Json solved_list = util::Json::array();
-    for (const auto& [id, w] : run.owned) {
-      if (!w.solved) continue;
+    for (const OwnedWalker* w : wave.solved) {
       util::Json s = util::Json::object();
-      s["id"] = wire_u64(static_cast<uint64_t>(id));
-      s["seg"] = wire_u64(w.solve_seg);
-      s["stats"] = run_stats_to_json(w.walk->stats());
+      s["id"] = wire_u64(static_cast<uint64_t>(w->id));
+      s["seg"] = wire_u64(w->frozen_seg);
+      s["stats"] = run_stats_to_json(w->walk->stats());
       solved_list.push_back(std::move(s));
     }
     ef["solved"] = std::move(solved_list);
@@ -489,6 +673,7 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
 
     if (frame_bool(rb, "final", false)) {
       final_frame = rb;
+      run.stop_crew();
       break;
     }
 
@@ -497,6 +682,7 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
     if (new_rank < 0) {
       // Retired: the coordinator rebalanced our walkers away after our
       // leave. Report participation and bow out.
+      run.stop_crew();
       report.extras = util::Json::object();
       util::Json d = util::Json::object();
       d["elastic"] = true;
@@ -504,6 +690,8 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
       d["member"] = comm.member();
       d["epochs"] = static_cast<int64_t>(run.epochs_executed);
       d["executed"] = static_cast<int64_t>(run.executed_local);
+      d["run_ahead_segments"] = static_cast<int64_t>(run.run_ahead_segments);
+      d["horizon_wait_seconds"] = run.horizon_wait_seconds;
       d["ckpt"] = run.ckpt_extras();
       d["comm"] = world.stats_json();
       report.extras["dist"] = std::move(d);
@@ -512,7 +700,7 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
     }
     my_rank = new_rank;
     comm.set_view(my_rank, ranks);
-    run.adopt_view(my_rank, ranks, epoch, cut);
+    run.apply_view(my_rank, ranks, epoch, cut);
   }
 
   // --- final rebalance: build the report -----------------------------------
@@ -561,6 +749,8 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
     report.walkers_run = resolved.walkers;
     d["members"] = std::move(rows);
   }
+  d["run_ahead_segments"] = static_cast<int64_t>(run.run_ahead_segments);
+  d["horizon_wait_seconds"] = run.horizon_wait_seconds;
   d["ckpt"] = run.ckpt_extras();
   d["comm"] = world.stats_json();
   report.extras["dist"] = std::move(d);

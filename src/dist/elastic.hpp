@@ -16,14 +16,21 @@
 // restarted from its manifest (at ANY rank count) follows the identical
 // walker trajectories an uninterrupted run would.
 //
+// A member's walkers run up to two segments past the wave it is reporting;
+// its own thread reports that wave from the states they recorded there.
+//
 // Invariants the protocol relies on:
-//   - Walkers never stop mid-segment: a solve is detected when the segment
-//     ends, and reported as (walker id, segment index). The coordinator
-//     picks the winner as (min segment, then min walker id) — a total order
-//     every membership agrees on, independent of wall-clock racing.
-//   - The wave-E checkpoint file is written BEFORE the epoch-E frame, on the
-//     same FIFO connection, so when the coordinator announces ckpt_epoch=E
-//     every active member's wave-E file is durably on disk.
+//   - A wave is reported from boundary states: the epoch-E frame lists only
+//     solves from segments <= E, as (walker id, segment index), and its
+//     executed/owned_iters counts stop at boundary E, however far the
+//     walkers have run ahead. The coordinator picks the winner as (min
+//     segment, then min walker id) — a total order every membership agrees
+//     on, independent of wall-clock racing.
+//   - The wave-E checkpoint file holds each walker's state at exactly
+//     (E+1) * ckpt_iters iterations (or its solve point), and is durable
+//     BEFORE the epoch-E frame is sent, on the same FIFO connection, so when
+//     the coordinator announces ckpt_epoch=E every active member's wave-E
+//     file is on disk. Writing it stalls no walker.
 //   - Exactly one member hosts the coordinator and writes the resume
 //     manifest. Without a standby (wire v2 behavior) that host may never
 //     leave or die while the world survives. With WorldOptions::standby the
@@ -53,7 +60,8 @@ struct ElasticOptions {
   /// Iterations each walker advances per epoch. The epoch boundary is the
   /// only point where membership changes, checkpoints cut, and budgets are
   /// checked — shorter segments mean finer-grained elasticity, at the cost
-  /// of more frequent synchronization.
+  /// of more waves to report. Walkers do not wait on a wave's report: they
+  /// run up to two segments ahead of it.
   uint64_t ckpt_iters = 100000;
   /// Absolute epoch bound: the member reports done once epoch index
   /// max_epochs - 1 has executed (0 = unbounded). Because the bound is
@@ -102,9 +110,10 @@ struct ElasticOptions {
 /// contract: member 0 returns the merged world report (extras.dist carries
 /// the per-member rows, membership counters, and checkpoint provenance);
 /// other members return a participation stub that still names the winner.
-/// Each wave advances the owned walkers through par::fan_out on
-/// ctx.executor (jthreads when null), at most num_threads (default: one
-/// per core) at a time.
+/// The owned walkers run as one par::fan_out per membership view (not per
+/// wave) on ctx.executor (jthreads when null), at most num_threads
+/// (default: one per core) at a time; a rebalance that moves walkers stops
+/// and restarts it, one that keeps this member's walkers does not.
 /// Errors come back in report.error — the call does not throw.
 runtime::SolveReport solve_elastic(World& world, const runtime::SolveRequest& req,
                                    const runtime::StrategyContext& ctx,

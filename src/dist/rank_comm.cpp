@@ -42,6 +42,18 @@ struct AttemptWindowExpired : RendezvousRetry {
   using RendezvousRetry::RendezvousRetry;
 };
 
+/// Wait on `cv` until `ready` holds, for at most `seconds`. There is no
+/// deadline at 0 or below, nor from 1e9 s (~31 years) up: a span that long
+/// overflows the steady clock's nanosecond range and would expire at once.
+template <typename Ready>
+void wait_within(std::condition_variable& cv, std::unique_lock<std::mutex>& lock, double seconds,
+                 Ready ready) {
+  if (seconds > 0 && seconds < 1e9)
+    cv.wait_for(lock, std::chrono::duration<double>(seconds), ready);
+  else
+    cv.wait(lock, ready);
+}
+
 }  // namespace
 
 RankComm::RankComm(RankCommOptions opts)
@@ -333,12 +345,8 @@ void RankComm::send_control(const util::Json& frame) {
 
 std::optional<util::Json> RankComm::take_control(double timeout_seconds) {
   std::unique_lock lock(control_mu_);
-  const auto pred = [this] { return !control_.empty() || failed(); };
-  if (timeout_seconds > 0) {
-    control_cv_.wait_for(lock, std::chrono::duration<double>(timeout_seconds), pred);
-  } else {
-    control_cv_.wait(lock, pred);
-  }
+  wait_within(control_cv_, lock, timeout_seconds,
+              [this] { return !control_.empty() || failed(); });
   if (!control_.empty()) {
     util::Json j = std::move(control_.front());
     control_.pop_front();
@@ -366,10 +374,6 @@ void RankComm::inject_disconnect() {
 }
 
 Message RankComm::receive(int tag, int64_t seq) {
-  // No deadline at 0, nor past ~31 years, which would overflow the
-  // clock's nanosecond range and expire at once.
-  const double timeout = opts_.collective_timeout_seconds;
-  const bool bounded = timeout > 0 && timeout < 1e9;
   const auto t0 = std::chrono::steady_clock::now();
   std::optional<Message> m;
   {
@@ -383,14 +387,8 @@ Message RankComm::receive(int tag, int64_t seq) {
       inbox_.erase(it);
       return true;
     };
-    const auto ready = [&] { return take() || failed(); };
-    if (bounded)
-      inbox_cv_.wait_until(lock,
-                           t0 + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                                    std::chrono::duration<double>(timeout)),
-                           ready);
-    else
-      inbox_cv_.wait(lock, ready);
+    wait_within(inbox_cv_, lock, opts_.collective_timeout_seconds,
+                [&] { return take() || failed(); });
   }
   const double waited =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

@@ -151,8 +151,8 @@ class RankComm {
   void send_control(const util::Json& frame);
 
   /// Block until the coordinator's next control frame (rebalance) arrives.
-  /// Returns nullopt on timeout; throws CommError once the communicator
-  /// has failed.
+  /// Returns nullopt on timeout (none at ≤ 0 s or ≥ 1e9 s, as for the
+  /// collectives); throws CommError once the communicator has failed.
   [[nodiscard]] std::optional<util::Json> take_control(double timeout_seconds);
 
   /// Fault injection: die like a SIGKILLed process — shut the socket down

@@ -6,10 +6,13 @@
 // armed when that request starts, a stale one is ignored. Failure paths
 // are pinned too: a rank that dies mid-world turns into a CommError on
 // every survivor (coordinator abort), and a rank that never shows up
-// inside a collective trips the collective deadline.
+// inside a collective trips the collective deadline. A deadline past the
+// clock's range means none, for the collectives and the elastic control
+// wait alike.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -126,6 +129,34 @@ TEST(SocketCollectives, HugeDeadlineWaitsInsteadOfExpiring) {
         if (comm.rank() == 0) EXPECT_EQ(rows.size(), 2u);
       },
       /*collective_timeout_seconds=*/1e12);
+}
+
+TEST(SocketCollectives, HugeControlTimeoutWaitsForALateRebalance) {
+  // An elastic member waits for each rebalance with the same scenario
+  // timeout; 1e12 s must wait for a frame that comes late, not return or
+  // throw at once.
+  CoordinatorOptions co;
+  co.elastic = true;
+  Coordinator coord(co);
+  RankCommOptions o;
+  o.port = coord.port();
+  o.rank = 0;
+  o.ranks = 1;
+  RankComm comm(o);
+  std::jthread late([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    comm.send_control(make_epoch_base(comm.member(), 0));  // the wave completes: a rebalance
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::optional<util::Json> rb = comm.take_control(1e12);
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  late.join();
+  ASSERT_TRUE(rb.has_value());
+  EXPECT_EQ(frame_type(*rb), "rebalance");
+  EXPECT_GE(waited, 0.15);
+  comm.finalize();
+  coord.stop();
 }
 
 // --- the first-win stop across requests -----------------------------------

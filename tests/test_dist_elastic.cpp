@@ -5,7 +5,10 @@
 // hunt's canonical identity, checkpoint/restore resume parity — the resumed
 // world follows the EXACT walker trajectories of an uninterrupted run, even
 // at a different rank count — and the rejection paths for corrupted or
-// mismatched manifests.
+// mismatched manifests. The pipelined member — walkers running up to two
+// segments past the wave their member is reporting — is pinned against a
+// per-walker oracle, the wave files' exact boundary states, and its own
+// run-ahead counter.
 //
 // Seeds are pinned to instances probed long enough for the membership event
 // under test to land strictly before the hunt completes (e.g. size-14
@@ -22,14 +25,18 @@
 #include <fstream>
 #include <functional>
 #include <future>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/chaotic_seed.hpp"
 #include "dist/ckpt.hpp"
 #include "dist/elastic.hpp"
 #include "dist/world.hpp"
+#include "runtime/problems.hpp"
 #include "runtime/spec.hpp"
 #include "runtime/strategy.hpp"
 
@@ -481,6 +488,129 @@ TEST(DistElastic, ResumeRejectsADifferentRequest) {
   });
   EXPECT_FALSE(resumed[0].error.empty());
   EXPECT_NE(resumed[0].error.find("different request"), std::string::npos) << resumed[0].error;
+}
+
+// --- the pipelined member ---------------------------------------------------
+
+/// What every elastic run of a request must report, however its walkers
+/// interleave, from each walker run alone from its ChaoticSeedSequence
+/// seed: the (solve segment, walker id) minimum, the final wave (the
+/// winner's segment), and the hunt's iterations at that wave's end.
+struct Oracle {
+  int winner = -1;
+  uint64_t winner_iters = 0;
+  uint64_t epochs = 0;
+  uint64_t total_iterations = 0;
+};
+
+Oracle oracle_of(const runtime::SolveRequest& req, uint64_t ckpt_iters) {
+  const runtime::SolveRequest resolved = runtime::resolve(req);
+  const auto seeds = core::ChaoticSeedSequence::generate(resolved.seed,
+                                                         static_cast<size_t>(resolved.walkers));
+  const auto factory = runtime::entry_of(resolved).make_resumable_walker(resolved);
+  std::vector<uint64_t> solved_at;
+  std::pair<uint64_t, int> best{std::numeric_limits<uint64_t>::max(), -1};
+  for (int id = 0; id < resolved.walkers; ++id) {
+    auto walk = factory(seeds[static_cast<size_t>(id)]);
+    walk->begin();
+    EXPECT_TRUE(walk->advance(0, core::StopToken()));
+    solved_at.push_back(walk->stats().iterations);
+    const uint64_t iters = solved_at.back();
+    best = std::min(best, {iters == 0 ? 0 : (iters - 1) / ckpt_iters, id});
+  }
+  Oracle o;
+  o.winner = best.second;
+  o.winner_iters = solved_at[static_cast<size_t>(best.second)];
+  o.epochs = best.first + 1;
+  for (const uint64_t iters : solved_at)
+    o.total_iterations += std::min(iters, o.epochs * ckpt_iters);
+  return o;
+}
+
+TEST(DistElasticPipeline, WinnerMatchesThePerWalkerOracleAtEveryRankCount) {
+  constexpr uint64_t kCkpt = 200;
+  for (const int size : {12, 13}) {
+    for (uint64_t seed = 1; seed <= 12; ++seed) {
+      const auto req = costas_request(size, kWalkers, seed);
+      const Oracle want = oracle_of(req, kCkpt);
+      // The three worlds run side by side: a world's teardown lingers.
+      std::vector<std::future<std::vector<runtime::SolveReport>>> worlds;
+      for (const int ranks : {1, 2, 3})
+        worlds.push_back(std::async(std::launch::async, [&req, ranks] {
+          return run_elastic_world(ranks, req, [](int) { return base_opts(kCkpt); });
+        }));
+      for (int ranks = 1; ranks <= 3; ++ranks) {
+        const runtime::SolveReport r0 = worlds[static_cast<size_t>(ranks - 1)].get()[0];
+        ASSERT_TRUE(r0.error.empty()) << r0.error;
+        const std::string at = "n=" + std::to_string(size) + " seed " + std::to_string(seed) +
+                               " ranks " + std::to_string(ranks);
+        EXPECT_EQ(r0.winner, want.winner) << at;
+        EXPECT_EQ(r0.winner_stats.iterations, want.winner_iters) << at;
+        // The final wave is the winner's segment, and the hunt's iterations
+        // stop at its end: a run-ahead solve or run-ahead work never counts.
+        EXPECT_EQ(static_cast<uint64_t>(dist_extras(r0).at("epochs").as_int()), want.epochs) << at;
+        EXPECT_EQ(r0.total_iterations, want.total_iterations) << at;
+      }
+    }
+  }
+}
+
+TEST(DistElasticPipeline, WaveFilesHoldTheBoundaryStateWhileWalkersRunAhead) {
+  // Preempted after two waves, long before the pinned solve at segment 3:
+  // the walkers have started segments past the last wave, yet its files
+  // hold each unsolved walker exactly at the boundary.
+  constexpr uint64_t kMaxEpochs = 2;
+  const std::string dir = make_temp_dir();
+  const auto req = costas_request(kSize, kWalkers, kSeed);
+  const auto preempted = run_elastic_world(2, req, [&](int) {
+    ElasticOptions eo = base_opts();
+    eo.ckpt_dir = dir;
+    eo.max_epochs = kMaxEpochs;
+    return eo;
+  });
+  for (const auto& rep : preempted) {
+    ASSERT_TRUE(rep.error.empty()) << rep.error;
+    EXPECT_GE(dist_extras(rep).at("run_ahead_segments").as_int(), 1);
+  }
+  int walkers_seen = 0;
+  for (const WalkerFileRef& ref : list_walker_files(dir)) {
+    if (ref.epoch != kMaxEpochs - 1) continue;
+    const util::Json payload = read_ckpt_file(ref.path);
+    for (const util::Json& w : payload.at("walkers").as_array()) {
+      const core::RunStats stats = walk_snapshot_from_json(w).engine.stats;
+      ++walkers_seen;
+      if (!stats.solved)
+        EXPECT_EQ(stats.iterations, kMaxEpochs * 300) << "member " << ref.member;
+    }
+  }
+  EXPECT_EQ(walkers_seen, kWalkers);
+
+  const auto resumed = run_elastic_world(2, req, [&](int) {
+    ElasticOptions eo = base_opts();
+    eo.ckpt_dir = dir;
+    eo.resume = true;
+    return eo;
+  });
+  const auto& r0 = resumed[0];
+  ASSERT_TRUE(r0.error.empty()) << r0.error;
+  EXPECT_EQ(r0.winner, kRefWinner);
+  EXPECT_EQ(r0.winner_stats.iterations, kRefWinnerIters);
+}
+
+TEST(DistElasticPipeline, WalkersStartTheNextSegmentBeforeTheRebalance) {
+  // The pinned hunt has no solve in wave 0, so a member's first walker to
+  // finish it starts segment 1 before that wave's rebalance can exist: the
+  // member's other walker has not finished the wave yet.
+  const auto reports = run_elastic_world(2, costas_request(kSize, kWalkers, kSeed),
+                                         [](int) { return base_opts(); });
+  ASSERT_GT(kRefWinnerIters, 300u);
+  for (const auto& rep : reports) {
+    ASSERT_TRUE(rep.error.empty()) << rep.error;
+    EXPECT_EQ(rep.winner_stats.iterations, kRefWinnerIters);
+    EXPECT_GE(dist_extras(rep).at("epochs").as_int(), 2);
+    EXPECT_GE(dist_extras(rep).at("run_ahead_segments").as_int(), 1);
+    EXPECT_GE(dist_extras(rep).at("horizon_wait_seconds").as_number(), 0.0);
+  }
 }
 
 TEST(DistElastic, RejectsNonMultiwalkStrategies) {

@@ -46,6 +46,22 @@ if [ "$rc" -eq 0 ] || [ "$rc" -eq 124 ] || [ "$rc" -gt 128 ]; then
 fi
 grep -q "admission budget" "$OUT/admit_stderr.txt"
 
+# A collective_timeout past the clock's range means "no deadline", for the
+# elastic control wait as for the collectives: the world must wait for
+# each rebalance, not give up at once (the failure this guards exited 1
+# with "no rebalance for epoch 0 within 1000000000000s"). Positive control:
+# exit 0, verified, within 30 s.
+step "A huge control timeout waits for every rebalance"
+cat >"$OUT/huge_timeout.json" <<'EOF'
+{"dist": {"ranks": 2, "elastic": true, "ckpt_iters": 300, "collective_timeout": 1e12},
+ "requests": [{"id": "huge-timeout", "problem": "costas", "size": 12,
+               "strategy": "multiwalk", "walkers": 4, "seed": 1}],
+ "expect": {"results": 1, "all_solved": true}}
+EOF
+timeout -k 5 30 "$CAS_RUN" --scenario="$OUT/huge_timeout.json" \
+    --out="$OUT/huge_timeout_report.json"
+python3 tools/check_report.py "$OUT/huge_timeout.json" "$OUT/huge_timeout_report.json"
+
 # The eviction story end to end: a 4-rank elastic world with checkpointing
 # on, rank 2 hard-killed at its first epoch boundary (worst-timed: after
 # its checkpoint write, before its epoch frame). The world must evict —
