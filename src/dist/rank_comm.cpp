@@ -559,6 +559,9 @@ void RankComm::finalize() {
   }
   stop_threads_.store(true, std::memory_order_release);
   hb_cv_.notify_all();
+  // Shut the read side so the reader's poll sees EOF now instead of at its
+  // next timeout; the bye above is already on the wire.
+  if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RD);
   if (reader_.joinable()) reader_.join();
   if (heartbeat_.joinable()) heartbeat_.join();
   fd_.reset();

@@ -25,6 +25,7 @@
 #include <fstream>
 #include <functional>
 #include <future>
+#include <latch>
 #include <limits>
 #include <optional>
 #include <string>
@@ -61,12 +62,16 @@ runtime::SolveRequest costas_request(int size, int walkers, uint64_t seed) {
 }
 
 /// One elastic world, one thread per initial rank. Returns reports[rank].
+/// Rank 0 keeps its world, and so the coordinator, open until every rank's
+/// hunt returned: a member recovering from a dropped connection must find
+/// the coordinator still there to answer its rejoin.
 std::vector<runtime::SolveReport> run_elastic_world(
     int ranks, const runtime::SolveRequest& req,
     const std::function<ElasticOptions(int rank)>& opts_of) {
   std::vector<runtime::SolveReport> reports(static_cast<size_t>(ranks));
   std::promise<uint16_t> port_promise;
   std::shared_future<uint16_t> port = port_promise.get_future().share();
+  std::latch hunts_returned(ranks);
   std::vector<std::jthread> threads;
   for (int r = 0; r < ranks; ++r) {
     threads.emplace_back([&, r] {
@@ -84,6 +89,8 @@ std::vector<runtime::SolveReport> run_elastic_world(
       }
       reports[static_cast<size_t>(r)] =
           solve_elastic(*world, req, runtime::StrategyContext{}, opts_of(r));
+      hunts_returned.count_down();
+      if (r == 0) hunts_returned.wait();
       world->finalize();
     });
   }
