@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "dist/ckpt.hpp"
 #include "dist/wire.hpp"
 #include "net/fault.hpp"
 #include "net/frame_io.hpp"
@@ -331,6 +332,10 @@ void Coordinator::handle_frame(Peer& p, const std::string& payload, double now) 
       handle_epoch(p, j);
       return;
     }
+    if (type == "solved") {
+      handle_solved(j);
+      return;
+    }
     if (type == "ckpt") {
       try {
         const int member = frame_int(j, "rank");
@@ -436,25 +441,54 @@ void Coordinator::handle_epoch(Peer& /*p*/, const util::Json& j) {
   m.summary = j;
   try {
     m.done = frame_bool(j, "done", false);
+    m.settled = frame_bool(j, "settled", false);
     m.halt = frame_bool(j, "halt", false);
-    if (const util::Json* solved = j.find("solved"); solved != nullptr && solved->is_array()) {
-      for (const util::Json& s : solved->as_array()) {
-        const uint64_t id = frame_u64(s, "id");
-        const uint64_t seg = frame_u64(s, "seg");
-        if (!have_winner_ || seg < winner_seg_ || (seg == winner_seg_ && id < winner_id_)) {
-          have_winner_ = true;
-          winner_seg_ = seg;
-          winner_id_ = id;
-          winner_member_ = member;
-          winner_stats_ = s;
-        }
-      }
-    }
+    m.walkers = j.find("walkers") != nullptr ? frame_int(j, "walkers") : 0;
+    const util::Json* solved = j.find("solved");
+    m.listed = solved != nullptr && solved->is_array() && !solved->as_array().empty();
   } catch (const CommError& e) {
     abort_world(e.what());
     return;
   }
   maybe_complete_wave();
+}
+
+void Coordinator::handle_solved(const util::Json& j) {
+  if (!hunting_) return;
+  int member = -1;
+  uint64_t id = 0, iters = 0;
+  core::RunStats stats;
+  try {
+    member = frame_int(j, "rank");
+    id = frame_u64(j, "id");
+    iters = frame_u64(j, "iters");
+    stats = run_stats_from_json(j.at("stats"));
+  } catch (const std::exception& e) {
+    abort_world(util::strf("coordinator: malformed solved frame: %s", e.what()));
+    return;
+  }
+  int walkers = 0;
+  {
+    std::scoped_lock lock(hunt_mu_);
+    walkers = hunt_walkers_;
+  }
+  // (A member's crew may solve before the host announced the hunt.)
+  if ((walkers > 0 && id >= static_cast<uint64_t>(walkers)) || !stats.solved ||
+      stats.iterations != iters) {
+    abort_world(util::strf("coordinator: member %d reported an impossible solve (walker %llu)",
+                           member, static_cast<unsigned long long>(id)));
+    return;
+  }
+  if (have_leader_ && std::pair{iters, id} >= std::pair{leader_iters_, leader_id_}) return;
+  have_leader_ = true;
+  leader_iters_ = iters;
+  leader_id_ = id;
+  winner_member_ = member;
+  winner_stats_ = j.at("stats");
+  const std::string frame = make_leader(id, iters).dump(0);
+  for (const auto& [mid, m] : members_)
+    if (member_active(m) && m.fd >= 0 && peers_.count(m.fd) != 0) enqueue(*peers_.at(m.fd), frame);
+  send_state_sync();  // a promoted standby starts from the leader too
 }
 
 void Coordinator::evict_member(int member, const std::string& why) {
@@ -483,14 +517,20 @@ int Coordinator::fd_of_dense(int dense) const {
 void Coordinator::maybe_complete_wave() {
   if (!opts_.elastic || !welcomed_ || aborted_ || !hunting_) return;
   bool all_done = true;
+  bool all_settled = true;
   bool any_halt = false;
+  bool listed = false;
   int active = 0;
+  int walkers = 0;
   for (const auto& [id, m] : members_) {
     if (!member_active(m)) continue;
     ++active;
     if (!m.reported) return;  // wave still in flight
-    if (!m.done) all_done = false;
-    if (m.halt) any_halt = true;
+    all_done = all_done && m.done;
+    all_settled = all_settled && m.settled;
+    any_halt = any_halt || m.halt;
+    listed = listed || m.listed;
+    walkers += m.walkers;
   }
   if (active == 0) {
     abort_world("coordinator: every member left or died");
@@ -505,12 +545,22 @@ void Coordinator::maybe_complete_wave() {
     if (!m.any_ckpt || m.last_ckpt_epoch < wave_) all_ckpt = false;
   }
   if (all_ckpt) ckpt_epoch_ = static_cast<int64_t>(wave_);
-  complete_wave(/*final=*/have_winner_ || any_halt || all_done);
+  // Reports that cover every walker decide the hunt when one lists a solve
+  // by the wave's end, or when every member settled: no walker can beat the
+  // leader any more. A member lost mid-wave leaves its walkers uncovered
+  // until the next view re-homes them.
+  bool covered = false;
+  {
+    std::scoped_lock lock(hunt_mu_);
+    covered = walkers >= hunt_walkers_;
+  }
+  if (covered && (listed || all_settled)) decided_ = true;
+  complete_wave(/*final=*/any_halt || all_done || (covered && all_settled));
 }
 
 void Coordinator::complete_wave(bool final) {
   stats_.rebalances.fetch_add(1, std::memory_order_relaxed);
-  std::vector<int> retired, admitted, evicted_now;
+  std::vector<int> retired, admitted;
 
   if (final) {
     hunting_ = false;
@@ -538,47 +588,15 @@ void Coordinator::complete_wave(bool final) {
     pending_join_fds_.clear();
   }
 
-  // Renumber: dense rank = index in the ascending-member-id active list.
-  int dense = 0;
-  for (auto& [id, m] : members_) {
-    if (!member_active(m)) {
-      if (m.evicted) evicted_now.push_back(id);
-      continue;
-    }
-    m.dense = dense++;
-    m.reported = false;
-  }
-  const int ranks = dense;
-  elect_standby();
-
-  util::Json base = make_rebalance_base(final ? wave_ : wave_ + 1);
-  base["ranks"] = ranks;
-  base["final"] = final;
-  base["ckpt_epoch"] = static_cast<int64_t>(ckpt_epoch_);
-  if (promoted_from_ >= 0) base["promoted_from"] = promoted_from_;
-  if (opts_.standby) {
-    base["standby_member"] = standby_member_;
-    base["standby_addr"] = standby_addr_;
-  }
-  {
-    std::scoped_lock lock(hunt_mu_);
-    base["seed"] = wire_u64(hunt_seed_);
-    base["walkers"] = hunt_walkers_;
-  }
-  util::Json members_list = util::Json::array();
-  for (const auto& [id, m] : members_)
-    if (member_active(m)) members_list.push_back(id);
-  base["members"] = std::move(members_list);
-  util::Json evicted_list = util::Json::array();
-  for (const int id : evicted_now) evicted_list.push_back(id);
-  base["evicted"] = std::move(evicted_list);
-  util::Json joined_list = util::Json::array();
-  for (const int id : admitted) joined_list.push_back(id);
-  base["joined"] = std::move(joined_list);
+  util::Json base = next_view(final ? wave_ : wave_ + 1, final, admitted);
+  const int ranks = frame_int(base, "ranks");
 
   if (final) {
-    if (have_winner_) {
-      util::Json w = winner_stats_;
+    if (decided_ && have_leader_) {
+      util::Json w = util::Json::object();
+      w["id"] = wire_u64(leader_id_);
+      w["iters"] = wire_u64(leader_iters_);
+      w["stats"] = winner_stats_;
       w["member"] = winner_member_;
       base["winner"] = std::move(w);
     }
@@ -626,6 +644,49 @@ void Coordinator::complete_wave(bool final) {
   }
 }
 
+util::Json Coordinator::next_view(uint64_t epoch, bool final, const std::vector<int>& joined) {
+  // Dense rank = index in the ascending-member-id active list.
+  int dense = 0;
+  util::Json members_list = util::Json::array();
+  util::Json evicted_list = util::Json::array();
+  for (auto& [id, m] : members_) {
+    if (!member_active(m)) {
+      if (m.evicted) evicted_list.push_back(id);
+      continue;
+    }
+    m.dense = dense++;
+    m.reported = false;
+    members_list.push_back(id);
+  }
+  elect_standby();
+  util::Json base = make_rebalance_base(epoch);
+  base["ranks"] = dense;
+  base["final"] = final;
+  base["ckpt_epoch"] = static_cast<int64_t>(ckpt_epoch_);
+  if (promoted_from_ >= 0) base["promoted_from"] = promoted_from_;
+  if (opts_.standby) {
+    base["standby_member"] = standby_member_;
+    base["standby_addr"] = standby_addr_;
+  }
+  {
+    std::scoped_lock lock(hunt_mu_);
+    base["seed"] = wire_u64(hunt_seed_);
+    base["walkers"] = hunt_walkers_;
+  }
+  if (have_leader_) {
+    util::Json leader = util::Json::object();
+    leader["id"] = wire_u64(leader_id_);
+    leader["iters"] = wire_u64(leader_iters_);
+    base["leader"] = std::move(leader);
+  }
+  base["members"] = std::move(members_list);
+  base["evicted"] = std::move(evicted_list);
+  util::Json joined_list = util::Json::array();
+  for (const int id : joined) joined_list.push_back(id);
+  base["joined"] = std::move(joined_list);
+  return base;
+}
+
 void Coordinator::elect_standby() {
   standby_member_ = -1;
   standby_addr_.clear();
@@ -654,10 +715,11 @@ util::Json Coordinator::export_state() {
   s["ckpt_epoch"] = static_cast<int64_t>(ckpt_epoch_);
   s["next_member"] = next_member_;
   s["host_member"] = opts_.host_member;
-  s["have_winner"] = have_winner_;
-  if (have_winner_) {
-    s["winner_seg"] = wire_u64(winner_seg_);
-    s["winner_id"] = wire_u64(winner_id_);
+  s["have_leader"] = have_leader_;
+  s["decided"] = decided_;
+  if (have_leader_) {
+    s["leader_iters"] = wire_u64(leader_iters_);
+    s["leader_id"] = wire_u64(leader_id_);
     s["winner_member"] = winner_member_;
     s["winner_stats"] = winner_stats_;
   }
@@ -692,10 +754,11 @@ void Coordinator::import_state(const util::Json& state) {
     ckpt_epoch_ = state.at("ckpt_epoch").as_int();
     next_member_ = frame_int(state, "next_member");
     promoted_from_ = frame_int(state, "host_member");
-    have_winner_ = frame_bool(state, "have_winner", false);
-    if (have_winner_) {
-      winner_seg_ = frame_u64(state, "winner_seg");
-      winner_id_ = frame_u64(state, "winner_id");
+    have_leader_ = frame_bool(state, "have_leader", false);
+    decided_ = frame_bool(state, "decided", false);
+    if (have_leader_) {
+      leader_iters_ = frame_u64(state, "leader_iters");
+      leader_id_ = frame_u64(state, "leader_id");
       winner_member_ = frame_int(state, "winner_member");
       winner_stats_ = state.at("winner_stats");
     }
@@ -871,41 +934,8 @@ void Coordinator::maybe_finish_reconnect(double now) {
   // replicated epoch and re-runs it (deterministic walkers make the replay
   // bit-identical, and re-reported acks are idempotent).
   stats_.rebalances.fetch_add(1, std::memory_order_relaxed);
-  int dense = 0;
-  std::vector<int> evicted_now;
-  for (auto& [id, m] : members_) {
-    if (!member_active(m)) {
-      if (m.evicted) evicted_now.push_back(id);
-      continue;
-    }
-    m.dense = dense++;
-    m.reported = false;
-  }
-  const int ranks = dense;
-  elect_standby();
-  util::Json base = make_rebalance_base(wave_);
-  base["ranks"] = ranks;
-  base["final"] = false;
+  util::Json base = next_view(wave_, /*final=*/false, {});
   base["failover"] = true;
-  base["promoted_from"] = promoted_from_;
-  base["ckpt_epoch"] = static_cast<int64_t>(ckpt_epoch_);
-  {
-    std::scoped_lock lock(hunt_mu_);
-    base["seed"] = wire_u64(hunt_seed_);
-    base["walkers"] = hunt_walkers_;
-  }
-  util::Json members_list = util::Json::array();
-  for (const auto& [id, m] : members_)
-    if (member_active(m)) members_list.push_back(id);
-  base["members"] = std::move(members_list);
-  util::Json evicted_list = util::Json::array();
-  for (const int id : evicted_now) evicted_list.push_back(id);
-  base["evicted"] = std::move(evicted_list);
-  base["joined"] = util::Json::array();
-  if (opts_.standby) {
-    base["standby_member"] = standby_member_;
-    base["standby_addr"] = standby_addr_;
-  }
   for (auto& [id, m] : members_) {
     if (!member_active(m) || m.fd < 0 || peers_.count(m.fd) == 0) continue;
     util::Json frame = base;

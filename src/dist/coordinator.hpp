@@ -21,7 +21,10 @@
 // active member reports the current wave with an `epoch` frame; when all
 // have reported, the coordinator retires leaving members, admits pending
 // joiners, evicts the dead, renumbers, and broadcasts a personalized
-// `rebalance` frame. Death of a member other than the coordinator host
+// `rebalance` frame. Members also report each solve the moment it happens
+// (`solved`); the coordinator keeps the minimum (solve iteration, walker
+// id) as the leader, tells every member each time it improves (`leader`),
+// and ends the hunt once every member settled against it. Death of a member other than the coordinator host
 // downgrades from world-abort to eviction at the wave boundary; death of
 // the HOST process takes this coordinator with it, and with
 // CoordinatorOptions::standby the survivors recover by promoting the
@@ -173,7 +176,10 @@ class Coordinator {
     bool leaving = false;   // leave received; retire at wave end
     bool left = false;      // retired gracefully
     bool evicted = false;   // died / timed out
-    bool done = false;      // reported out of budget (sticky)
+    bool done = false;      // reported its last epoch (max_epochs)
+    bool settled = false;   // every walker it owns stopped for good
+    bool listed = false;    // its report lists a solve by the wave's end
+    int walkers = 0;        // walkers it owned in its report
     bool halt = false;      // asked the world to drain (rank-0 SIGTERM)
     bool reported = false;  // epoch frame for the current wave seen
     bool reconnected = false;  // re-rendezvoused after a promotion
@@ -206,9 +212,13 @@ class Coordinator {
   /// is gone.
   void answer_with_outcome(int fd);
   void handle_epoch(Peer& p, const util::Json& j);
+  void handle_solved(const util::Json& j);
   void evict_member(int member, const std::string& why);
   void maybe_complete_wave();
   void complete_wave(bool final);
+  /// Renumber the active members, re-elect the standby, and build the
+  /// rebalance frame that opens wave `epoch` (your_rank still unset).
+  [[nodiscard]] util::Json next_view(uint64_t epoch, bool final, const std::vector<int>& joined);
 
   // Failover replication + promotion (router thread only, except
   // import_state which runs on the constructing thread before the router
@@ -265,11 +275,15 @@ class Coordinator {
   /// Set with the final wave: a welcome naming no member (rank -1) and the
   /// final rebalance with your_rank -1, winner included.
   std::vector<std::string> final_answer_;
-  bool have_winner_ = false;
-  uint64_t winner_seg_ = 0;
-  uint64_t winner_id_ = 0;
+  /// The leader: the minimum (solve iteration, walker id) over every solved
+  /// frame, with its member and stats. `decided_` latches once a wave
+  /// proves nobody can beat it; only then does a final name it.
+  bool have_leader_ = false;
+  uint64_t leader_iters_ = 0;
+  uint64_t leader_id_ = 0;
   int winner_member_ = -1;
   util::Json winner_stats_;
+  bool decided_ = false;
   std::atomic<int> admitted_{0};
   std::atomic<int> detached_{0};
   // Failover state. standby_member_/_addr_ are re-elected every wave and

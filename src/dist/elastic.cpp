@@ -8,9 +8,11 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -33,9 +35,23 @@ namespace cas::dist {
 
 namespace {
 
-/// The segment index a solve at iteration count `iters` happened in.
-uint64_t seg_of(uint64_t iters, uint64_t ckpt_iters) {
-  return iters == 0 ? 0 : (iters - 1) / ckpt_iters;
+/// A solve: (iteration, walker id). Winners rank by this pair, lowest first.
+using Leader = std::pair<uint64_t, int>;
+
+/// How far walker `id` must advance to show it cannot beat `leader` (solve
+/// iteration L): through L when its id is lower, since a tie at L would
+/// win, and to L - 1 when it is higher. No leader: unbounded.
+uint64_t bound_of(const std::optional<Leader>& leader, int id) {
+  if (!leader) return std::numeric_limits<uint64_t>::max();
+  const auto [l, lid] = *leader;
+  return id <= lid || l == 0 ? l : l - 1;
+}
+
+/// The leader a rebalance frame carries, if any.
+std::optional<Leader> leader_of(const util::Json& frame) {
+  const util::Json* l = frame.is_object() ? frame.find("leader") : nullptr;
+  if (l == nullptr) return std::nullopt;
+  return Leader{frame_u64(*l, "iters"), static_cast<int>(frame_u64(*l, "id"))};
 }
 
 /// How many segments past the wave its member is reporting a walker may
@@ -57,19 +73,17 @@ struct OwnedWalker {
   // Once the crew runs, the fields below are guarded by ElasticRun::mu, and
   // only the worker that marked it busy touches `walk`.
   bool solved = false;
-  bool frozen = false;          // solved, or capped: it never advances again
-  uint64_t frozen_seg = 0;      // the segment it froze in (a solve's segment)
+  bool frozen = false;          // solved, capped, or cleared: it never advances again
   bool busy = false;            // a crew worker is advancing it
-  bool paused = false;          // a crew stop interrupted its segment
+  bool paused = false;          // a crew stop or a new leader interrupted its segment
   uint64_t next_seg = 0;        // the segment it runs next
   uint64_t reported_iters = 0;  // its iterations at the last wave reported
   std::deque<WaveMark> marks;   // boundaries crossed but not yet reported
 };
 
-void freeze(OwnedWalker& w, bool solved, uint64_t ckpt_iters) {
+void freeze(OwnedWalker& w, bool solved) {
   w.frozen = true;
   w.solved = solved;
-  w.frozen_seg = seg_of(w.walk->stats().iterations, ckpt_iters);
 }
 
 enum class Step { kReached, kSolved, kCapped, kStopped };
@@ -143,8 +157,10 @@ struct ElasticRun {
   // on a jthread of its own, so the member's thread stays free for the wave
   // protocol while they run ahead.
   std::mutex mu;                 // guards the walkers' crew fields and below
-  std::condition_variable cv;    // a walker moved, the horizon moved, or stop
+  std::condition_variable cv;    // a walker moved, the horizon or leader moved, or stop
   uint64_t reporting = 0;        // the wave the member is reporting
+  std::optional<Leader> leader;  // the best solve known: its own, or the coordinator's
+  std::atomic<uint64_t> leader_gen{0};  // bumped with `leader`: interrupts in-flight segments
   std::atomic<bool> crew_stop{false};  // also interrupts in-flight segments
   std::exception_ptr crew_error;
   uint64_t run_ahead_segments = 0;  // started before the previous wave's rebalance
@@ -154,7 +170,10 @@ struct ElasticRun {
   ElasticRun() = default;
   ElasticRun(const ElasticRun&) = delete;  // the crew holds `this`
   ElasticRun& operator=(const ElasticRun&) = delete;
-  ~ElasticRun() { stop_crew(); }
+  ~ElasticRun() {
+    if (comm != nullptr) comm->on_leader(nullptr);
+    stop_crew();
+  }
 
   [[nodiscard]] uint64_t elapsed_micros() const {
     return prior_elapsed_micros + static_cast<uint64_t>(timer.seconds() * 1e6);
@@ -167,16 +186,39 @@ struct ElasticRun {
     return opts->drain != nullptr && opts->drain->load(std::memory_order_relaxed);
   }
 
+  /// Tell the coordinator walker `id` solved; sent before the walker
+  /// freezes, so it precedes any report that counts the walker stopped.
+  void announce(int id, const runtime::ResumableWalk& walk) {
+    comm->send_control(make_solved(comm->member(), static_cast<uint64_t>(id),
+                                   walk.stats().iterations, run_stats_to_json(walk.stats())));
+  }
+
+  /// Adopt (iters, id) if it beats the leader this member knows: freeze the
+  /// idle walkers it clears and interrupt the running ones, which stop at
+  /// their next probe and resume against their new bound. Caller holds mu.
+  void note_leader(uint64_t iters, int id) {
+    if (leader && *leader <= Leader{iters, id}) return;
+    leader = Leader{iters, id};
+    leader_gen.fetch_add(1, std::memory_order_relaxed);
+    for (auto& [wid, w] : owned)
+      if (!w.frozen && !w.busy && w.walk->stats().iterations >= bound_of(leader, wid))
+        freeze(w, false);
+    cv.notify_all();
+  }
+
   /// Adopt the walker slice of (rank, ranks) at epoch boundary `boundary`,
   /// with the crew stopped. Kept walkers keep any run-ahead; inherited
   /// walkers restore from wave `cut` files when available, else replay,
-  /// and catch up to the boundary.
+  /// and catch up to the boundary or their bound, whichever comes first.
   void adopt_view(int rank, int ranks, uint64_t boundary, int64_t cut) {
     const int walkers = resolved->walkers;
     const int share = share_of(walkers, ranks, rank);
     const int offset = offset_of(walkers, ranks, rank);
-    for (auto it = owned.begin(); it != owned.end();)
-      it = (it->first < offset || it->first >= offset + share) ? owned.erase(it) : std::next(it);
+    {
+      std::scoped_lock lock(mu);  // the leader hook walks `owned`
+      for (auto it = owned.begin(); it != owned.end();)
+        it = (it->first < offset || it->first >= offset + share) ? owned.erase(it) : std::next(it);
+    }
 
     std::map<int, util::Json> snapshots;
     bool snapshots_loaded = false;
@@ -203,18 +245,25 @@ struct ElasticRun {
         w.walk->begin();
         if (boundary > 0) ++walkers_replayed;
       }
-      // Catch up to the boundary (zero-cost for a fresh restore from
-      // cut == boundary - 1; a full deterministic replay otherwise).
+      // Catch up (zero-cost for a fresh restore from cut == boundary - 1; a
+      // full deterministic replay otherwise). A solve is announced again:
+      // the coordinator keeps the minimum, so a repeat is free.
       const uint64_t before = w.walk->stats().iterations;
-      if (w.walk->stats().solved) {
-        freeze(w, true, opts->ckpt_iters);
-      } else if (const Step step = advance_to(*w.walk, boundary * opts->ckpt_iters);
-                 step != Step::kReached) {
-        freeze(w, step == Step::kSolved, opts->ckpt_iters);
-      }
-      executed_local += w.walk->stats().iterations - before;
+      const uint64_t bound = [&] {
+        std::scoped_lock lock(mu);
+        return bound_of(leader, id);
+      }();
+      const Step step = w.walk->stats().solved
+                            ? Step::kSolved
+                            : advance_to(*w.walk, std::min(boundary * opts->ckpt_iters, bound));
+      const uint64_t iters = w.walk->stats().iterations;
+      if (step == Step::kSolved) announce(id, *w.walk);
+      executed_local += iters - before;
       w.next_seg = boundary;
-      w.reported_iters = w.walk->stats().iterations;
+      w.reported_iters = iters;
+      std::scoped_lock lock(mu);
+      if (step == Step::kSolved) note_leader(iters, id);
+      if (step != Step::kReached || iters >= bound_of(leader, id)) freeze(w, step == Step::kSolved);
       owned.emplace(id, std::move(w));
     }
   }
@@ -222,7 +271,11 @@ struct ElasticRun {
   /// Apply a view (the first, or a rebalance's) that opens wave `epoch`.
   /// One that keeps this member's slice only moves the horizon; one that
   /// moves walkers stops the crew, adopts the view and restarts it.
-  void apply_view(int rank, int ranks, uint64_t epoch, int64_t cut) {
+  void apply_view(int rank, int ranks, uint64_t epoch, int64_t cut, std::optional<Leader> known) {
+    if (known) {
+      std::scoped_lock lock(mu);
+      note_leader(known->first, known->second);
+    }
     const int share = share_of(resolved->walkers, ranks, rank);
     const int offset = offset_of(resolved->walkers, ranks, rank);
     const bool kept = static_cast<int>(owned.size()) == share &&
@@ -245,7 +298,10 @@ struct ElasticRun {
   /// workers, never more than the walkers that can still advance.
   void start_crew() {
     int live = 0;
-    for (const auto& [id, w] : owned) live += w.frozen ? 0 : 1;
+    {
+      std::scoped_lock lock(mu);
+      for (const auto& [id, w] : owned) live += w.frozen ? 0 : 1;
+    }
     if (live == 0) return;
     const unsigned cap = resolved->num_threads != 0 ? resolved->num_threads
                                                     : std::thread::hardware_concurrency();
@@ -287,13 +343,13 @@ struct ElasticRun {
     crew_stop = false;
   }
 
-  /// One crew worker: take the lowest (segment, walker id) item within
-  /// kLookahead of the wave being reported, run it unlocked, and record
-  /// where the walker stopped — a mark at the boundary (snapshotted in
-  /// place when checkpointing), a freeze, or a pause. Returns once the crew
-  /// stops or every walker froze.
+  /// One crew worker: take the lowest (segment, walker id) work item within
+  /// kLookahead of the wave being reported, run it unlocked up to the
+  /// segment's end or the walker's bound, and record where the walker
+  /// stopped — a mark at the boundary (snapshotted in place when
+  /// checkpointing), a freeze, or a pause. A solve is announced at once.
+  /// Returns once the crew stops or every walker froze.
   void crew_loop() {
-    const core::StopToken stop(&crew_stop);
     std::unique_lock lock(mu);
     for (;;) {
       OwnedWalker* next = nullptr;
@@ -316,67 +372,97 @@ struct ElasticRun {
         continue;
       }
       const uint64_t seg = next->next_seg;
+      const uint64_t seg_end = (seg + 1) * opts->ckpt_iters;
+      const uint64_t target = std::min(seg_end, bound_of(leader, next->id));
+      const uint64_t gen = leader_gen.load(std::memory_order_relaxed);
       if (!next->paused && seg > reporting) ++run_ahead_segments;
       next->busy = true;
       next->paused = false;
       lock.unlock();
+      const std::function<bool()> halted = [this, gen] {
+        return crew_stop.load(std::memory_order_relaxed) ||
+               leader_gen.load(std::memory_order_relaxed) != gen;
+      };
       runtime::ResumableWalk& walk = *next->walk;
-      const Step step = advance_to(walk, (seg + 1) * opts->ckpt_iters, stop);
-      WaveMark mark{seg, walk.stats().iterations, {}};
-      if (step == Step::kReached && !opts->ckpt_dir.empty()) mark.snap = walk.snapshot();
+      const Step step = advance_to(walk, target, core::StopToken(&halted));
+      const uint64_t iters = walk.stats().iterations;
+      const bool crossed = step == Step::kReached && iters == seg_end;
+      WaveMark mark{seg, iters, {}};
+      if (crossed && !opts->ckpt_dir.empty()) mark.snap = walk.snapshot();
+      if (step == Step::kSolved) announce(next->id, walk);
       lock.lock();
       next->busy = false;
-      if (step == Step::kReached) {
+      if (crossed) {
         next->marks.push_back(std::move(mark));
         ++next->next_seg;
-      } else if (step == Step::kStopped) {
-        next->paused = true;
-      } else {
-        freeze(*next, step == Step::kSolved, opts->ckpt_iters);
       }
+      if (step == Step::kStopped) next->paused = true;
+      if (step == Step::kSolved) note_leader(iters, next->id);
+      if (step == Step::kSolved || step == Step::kCapped)
+        freeze(*next, step == Step::kSolved);
+      else if (iters >= bound_of(leader, next->id))
+        freeze(*next, false);  // cleared: it cannot beat the leader
       cv.notify_all();
     }
   }
 
   /// Every owned walker's state at the end of one wave, as reported.
   struct Wave {
-    uint64_t executed = 0;     // iterations the owned walkers ran in it
+    uint64_t executed = 0;     // iterations the owned walkers ran to reach it
     uint64_t owned_iters = 0;  // their iteration counts at its end
-    bool any_unsolved = false;
+    bool settled = false;      // every walker stopped for good, against a leader in budget
+    bool leader_known = false;
+    uint64_t ahead = 0;        // settled: iterations the walkers ran past it
     std::vector<std::pair<int, runtime::WalkSnapshot>> snaps;  // with a checkpoint dir
-    std::vector<const OwnedWalker*> solved;  // frozen, so safe to read unlocked
+    std::vector<std::pair<int, uint64_t>> solved;   // (id, iteration): solves by its end
+    std::vector<std::pair<int, uint64_t>> stopped;  // settled: (id, iterations) at the stop
   };
 
   /// Block until every owned walker has crossed the end of segment `wave`
   /// or froze, and take its state there; the crew runs on. A mark wins
-  /// over a freeze: a walker that solved ahead is unsolved at `wave`.
+  /// over a freeze: a walker that solved ahead is unsolved at `wave`. A
+  /// mark past the walker's bound waits for the walker to freeze, so a
+  /// member that knows the leader reports settled as soon as it can.
   Wave await_wave(uint64_t wave) {
     const auto marked = [wave](const OwnedWalker& w) {
       return !w.marks.empty() && w.marks.front().wave == wave;
     };
+    const bool hold = opts->hold_for_leader == wave + 1;
     std::unique_lock lock(mu);
     cv.wait(lock, [&] {
-      return crew_error != nullptr || std::all_of(owned.begin(), owned.end(), [&](const auto& kv) {
-               return marked(kv.second) || kv.second.frozen;
-             });
+      if (crew_error != nullptr) return true;
+      if (hold && !leader) return false;
+      return std::all_of(owned.begin(), owned.end(), [&](const auto& kv) {
+        const OwnedWalker& w = kv.second;
+        return w.frozen || (marked(w) && w.marks.front().iterations < bound_of(leader, kv.first));
+      });
     });
     if (crew_error != nullptr) std::rethrow_exception(crew_error);
     Wave out;
+    // A leader past the world's last boundary cannot end the hunt: the
+    // world runs out of epochs first, and names no winner.
+    out.settled = std::all_of(owned.begin(), owned.end(),
+                              [](const auto& kv) { return kv.second.frozen; }) &&
+                  (!leader || opts->max_epochs == 0 ||
+                   leader->first <= opts->max_epochs * opts->ckpt_iters);
+    out.leader_known = leader.has_value();
     const bool ckpt = !opts->ckpt_dir.empty();
+    const uint64_t wave_end = (wave + 1) * opts->ckpt_iters;
     for (auto& [id, w] : owned) {
       uint64_t iters = 0;
       if (marked(w)) {
         iters = w.marks.front().iterations;
         if (ckpt) out.snaps.emplace_back(id, std::move(w.marks.front().snap));
         w.marks.pop_front();
-        out.any_unsolved = true;
       } else {
-        iters = w.walk->stats().iterations;
+        iters = w.walk->stats().iterations;  // frozen, so no worker touches it
         if (ckpt) out.snaps.emplace_back(id, w.walk->snapshot());
-        if (w.solved)
-          out.solved.push_back(&w);
-        else
-          out.any_unsolved = true;
+      }
+      if (w.solved && w.walk->stats().iterations <= wave_end)
+        out.solved.emplace_back(id, w.walk->stats().iterations);
+      if (out.settled) {
+        out.ahead += w.walk->stats().iterations - iters;
+        out.stopped.emplace_back(id, w.walk->stats().iterations);
       }
       out.executed += iters - w.reported_iters;
       out.owned_iters += iters;
@@ -479,6 +565,19 @@ void fill_outcome(runtime::SolveReport& report, const util::Json& final_frame) {
   }
 }
 
+/// A final member summary's share of the hunt's iterations: a settled
+/// member's walkers each up to their bound against the final leader,
+/// anyone else's at the final wave's end.
+uint64_t counted_iters(const util::Json& summary, const std::optional<Leader>& leader) {
+  const util::Json* stopped = summary.find("stopped");
+  if (stopped == nullptr || !stopped->is_array()) return frame_u64(summary, "owned_iters");
+  uint64_t total = 0;
+  for (const util::Json& w : stopped->as_array())
+    total += std::min(frame_u64(w, "iters"),
+                      bound_of(leader, static_cast<int>(frame_u64(w, "id"))));
+  return total;
+}
+
 /// Cache the standby election each rebalance frame refreshes (and the epoch
 /// stamp a reconnect handshake would carry) — the recovery path in
 /// solve_elastic reads it after the communicator has already failed.
@@ -509,6 +608,10 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
   run.opts = &opts;
   run.resolved = &resolved;
   run.executor = ctx.executor;
+  comm.on_leader([&run](uint64_t iters, int id) {
+    std::scoped_lock lock(run.mu);
+    run.note_leader(iters, id);
+  });
 
   uint64_t epoch = 0;     // wave index the next segment executes
   int64_t cut = -1;       // latest consistent checkpoint wave we know of
@@ -577,7 +680,7 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
                     ? entry.make_resumable_walker(resolved)
                     : throw std::invalid_argument("elastic: problem '" + resolved.problem +
                                                   "' has no resumable walker factory");
-  run.apply_view(my_rank, ranks, epoch, cut);
+  run.apply_view(my_rank, ranks, epoch, cut, leader_of(first_rebalance));
 
   const uint64_t start_epoch = epoch;
   bool leaving = false;
@@ -588,13 +691,11 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
     bool done = false;
     bool halt = false;
 
-    // 1. Wait until every owned walker has finished segment `epoch`; the
-    // crew runs on ahead while this thread reports the wave.
+    // 1. Wait until every owned walker has finished segment `epoch` or
+    // stopped for good; the crew runs on ahead while this thread reports.
     const ElasticRun::Wave wave = run.await_wave(epoch);
     run.executed_local += wave.executed;
     ++run.epochs_executed;
-    if (wave.executed == 0 && wave.any_unsolved) done = true;  // capped: no progress possible
-    if (run.owned.empty()) done = true;
     if (opts.max_epochs > 0 && epoch + 1 >= opts.max_epochs) {
       done = true;
       preempted = true;
@@ -610,8 +711,11 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
     }
 
     // 2. Durable cut for this wave — written before the epoch frame, so a
-    // ckpt_epoch announcement implies every wave file is on disk.
-    if (!opts.ckpt_dir.empty()) run.write_wave_ckpt(epoch, wave);
+    // ckpt_epoch announcement implies every wave file is on disk. A member
+    // settled against a leader skips it: its hunt ends here unless the
+    // world halts or runs out of epochs first.
+    if (!opts.ckpt_dir.empty() && (!wave.settled || !wave.leader_known || done || halt))
+      run.write_wave_ckpt(epoch, wave);
 
     // 3. Fault injection: die like SIGKILL, after the checkpoint, before
     // the epoch report — the worst-timed crash the protocol must absorb.
@@ -631,26 +735,29 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
       comm.inject_disconnect();
 
     // 4. Report the epoch. `solved` lists every owned walker solved by the
-    // end of segment `epoch` (a run-ahead solve waits for its own wave),
-    // cumulatively — re-reports are idempotent under the coordinator's
-    // (min segment, min id) winner rule, which makes resume/rebalance
-    // re-announcement free.
+    // end of segment `epoch` (its solved frame went out when it solved);
+    // a settled report adds where each walker stopped, which the host
+    // counts against the final leader.
+    const auto id_iters = [](const std::vector<std::pair<int, uint64_t>>& list) {
+      util::Json out = util::Json::array();
+      for (const auto& [id, iters] : list) {
+        util::Json e = util::Json::object();
+        e["id"] = wire_u64(static_cast<uint64_t>(id));
+        e["iters"] = wire_u64(iters);
+        out.push_back(std::move(e));
+      }
+      return out;
+    };
     util::Json ef = make_epoch_base(comm.member(), epoch);
     ef["done"] = done;
+    ef["settled"] = wave.settled;
     ef["halt"] = halt;
-    ef["executed"] = wire_u64(run.executed_local);
+    ef["executed"] = wire_u64(run.executed_local + wave.ahead);
     ef["owned_iters"] = wire_u64(wave.owned_iters);
     ef["walkers"] = static_cast<int64_t>(run.owned.size());
     ef["wall_micros"] = wire_u64(run.elapsed_micros());
-    util::Json solved_list = util::Json::array();
-    for (const OwnedWalker* w : wave.solved) {
-      util::Json s = util::Json::object();
-      s["id"] = wire_u64(static_cast<uint64_t>(w->id));
-      s["seg"] = wire_u64(w->frozen_seg);
-      s["stats"] = run_stats_to_json(w->walk->stats());
-      solved_list.push_back(std::move(s));
-    }
-    ef["solved"] = std::move(solved_list);
+    ef["solved"] = id_iters(wave.solved);
+    if (wave.settled) ef["stopped"] = id_iters(wave.stopped);
     comm.send_control(ef);
 
     // 5. Wait for the coordinator to complete the wave.
@@ -700,7 +807,7 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
     }
     my_rank = new_rank;
     comm.set_view(my_rank, ranks);
-    run.apply_view(my_rank, ranks, epoch, cut);
+    run.apply_view(my_rank, ranks, epoch, cut, leader_of(rb));
   }
 
   // --- final rebalance: build the report -----------------------------------
@@ -718,11 +825,19 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
   d["preempted"] = preempted;
   if (const util::Json* ev = final_frame.find("evicted"); ev != nullptr) d["evicted"] = *ev;
 
+  const std::optional<Leader> final_leader = leader_of(final_frame);
+  if (final_leader) {
+    util::Json l = util::Json::object();
+    l["id"] = final_leader->second;
+    l["iters"] = static_cast<int64_t>(final_leader->first);
+    d["leader"] = std::move(l);
+  }
   if (world.is_host()) {
     // Merge the per-member summaries the coordinator gathered. Every live
     // walker is owned by exactly one final active member, so summing their
-    // owned_iters counts each walker's logical work once — inherited
-    // pre-crash iterations included, replayed duplicates excluded.
+    // counts counts each walker's logical work once — inherited pre-crash
+    // iterations included, replayed duplicates excluded. A settled member's
+    // walker counts up to its bound against the final leader.
     uint64_t total_iterations = 0;
     util::Json rows = util::Json::array();
     if (const util::Json* summaries = final_frame.find("summaries");
@@ -741,7 +856,7 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
         row["wall_seconds"] = static_cast<double>(frame_u64(s, "wall_micros")) * 1e-6;
         if (const util::Json* sv = s.find("solved"); sv != nullptr && sv->is_array())
           row["solved"] = static_cast<int64_t>(sv->as_array().size());
-        if (!evicted && !left) total_iterations += frame_u64(s, "owned_iters");
+        if (!evicted && !left) total_iterations += counted_iters(s, final_leader);
         rows.push_back(std::move(row));
       }
     }

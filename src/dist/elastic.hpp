@@ -20,17 +20,27 @@
 // its own thread reports that wave from the states they recorded there.
 //
 // Invariants the protocol relies on:
+//   - The winner is the solve with the minimum (solve iteration, walker id)
+//     — a total order every membership agrees on, independent of
+//     wall-clock racing. A member sends a `solved` frame the moment a
+//     walker solves; the coordinator keeps the minimum as the leader and
+//     sends it to every member. Against a leader at iteration L, a walker
+//     with a lower id must run through L and one with a higher id to L - 1
+//     before it cannot win; it then stops ("cleared"). A member whose
+//     walkers all solved, cleared or capped reports settled at once, and
+//     the hunt ends when every member settled.
 //   - A wave is reported from boundary states: the epoch-E frame lists only
-//     solves from segments <= E, as (walker id, segment index), and its
-//     executed/owned_iters counts stop at boundary E, however far the
-//     walkers have run ahead. The coordinator picks the winner as (min
-//     segment, then min walker id) — a total order every membership agrees
-//     on, independent of wall-clock racing.
+//     solves by the end of segment E, and its executed/owned_iters counts
+//     stop at boundary E, however far the walkers have run ahead (a settled
+//     report adds where each walker stopped). A solved frame precedes every
+//     report that counts its walker stopped.
 //   - The wave-E checkpoint file holds each walker's state at exactly
-//     (E+1) * ckpt_iters iterations (or its solve point), and is durable
-//     BEFORE the epoch-E frame is sent, on the same FIFO connection, so when
-//     the coordinator announces ckpt_epoch=E every active member's wave-E
-//     file is on disk. Writing it stalls no walker.
+//     (E+1) * ckpt_iters iterations (or where it stopped before that), and
+//     is durable BEFORE the epoch-E frame is sent, on the same FIFO
+//     connection, so when the coordinator announces ckpt_epoch=E every
+//     active member's wave-E file is on disk. Writing it stalls no walker.
+//     A settled member writes none unless the world halts or runs out of
+//     epochs at that wave.
 //   - Exactly one member hosts the coordinator and writes the resume
 //     manifest. Without a standby (wire v2 behavior) that host may never
 //     leave or die while the world survives. With WorldOptions::standby the
@@ -94,6 +104,10 @@ struct ElasticOptions {
   /// dials back in as a late joiner and inherits walkers at the next
   /// rebalance. 0 = disabled.
   uint64_t drop_conn_at_epoch = 0;
+  /// Test hook: the member reports wave `hold_for_leader - 1` only once it
+  /// knows a leader (its own solve or the coordinator's), which makes a
+  /// run-ahead solve certain to precede that wave. 0 = disabled.
+  uint64_t hold_for_leader = 0;
   /// How long to wait for the coordinator's rebalance frame after
   /// reporting an epoch before declaring the world dead.
   double control_timeout_seconds = 120.0;

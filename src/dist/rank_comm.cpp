@@ -343,6 +343,11 @@ void RankComm::send_control(const util::Json& frame) {
   send_frame_locked_throw(frame);
 }
 
+void RankComm::on_leader(std::function<void(uint64_t iters, int id)> hook) {
+  std::scoped_lock lock(leader_mu_);
+  leader_hook_ = std::move(hook);
+}
+
 std::optional<util::Json> RankComm::take_control(double timeout_seconds) {
   std::unique_lock lock(control_mu_);
   wait_within(control_cv_, lock, timeout_seconds,
@@ -364,9 +369,9 @@ void RankComm::hard_kill() {
   if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RDWR);  // FIN, no bye — looks killed
   if (reader_.joinable()) reader_.join();
   if (heartbeat_.joinable()) heartbeat_.join();
-  fd_.reset();
   fail("rank_comm: hard-killed (fault injection)");
-  control_cv_.notify_all();
+  std::scoped_lock lock(send_mu_);  // an elastic crew worker may be sending
+  fd_.reset();
 }
 
 void RankComm::inject_disconnect() {
@@ -469,6 +474,17 @@ bool RankComm::drain_decoder() {
           const util::Json* r = j.find("reason");
           fail(r != nullptr && r->is_string() ? r->as_string() : "aborted by coordinator");
           return false;
+        } else if (type == "leader") {
+          uint64_t iters = 0, id = 0;
+          try {
+            iters = frame_u64(j, "iters");
+            id = frame_u64(j, "id");
+          } catch (const CommError& e) {
+            fail(util::strf("rank_comm: malformed leader frame: %s", e.what()));
+            return false;
+          }
+          std::scoped_lock lock(leader_mu_);
+          if (leader_hook_) leader_hook_(iters, static_cast<int>(id));
         } else if (type == "rebalance") {
           {
             std::scoped_lock lock(control_mu_);

@@ -10,7 +10,8 @@
 // Transport: a blocking connection to the rank-0 coordinator. A reader
 // thread decodes incoming frames — collective frames into a private inbox
 // matched by (tag, seq), SOLUTION_FOUND into the stop latch, rebalance
-// frames into the control queue — and a heartbeat thread keeps the
+// frames into the control queue, leader frames straight to the leader
+// hook — and a heartbeat thread keeps the
 // coordinator's liveness policing fed. A received abort, connection loss,
 // or a collective outliving its deadline fails the communicator: the inbox
 // closes, every blocked receive unwinds, and CommError propagates.
@@ -20,6 +21,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -155,6 +157,13 @@ class RankComm {
   /// collectives); throws CommError once the communicator has failed.
   [[nodiscard]] std::optional<util::Json> take_control(double timeout_seconds);
 
+  /// Run `hook` on the reader thread for every leader frame (wire v5): the
+  /// walker id and solve iteration of the hunt's current leader. It runs
+  /// outside the control queue, so it lands while the caller blocks in
+  /// take_control. Null removes it; removal waits out a running call. A
+  /// malformed leader frame fails the communicator.
+  void on_leader(std::function<void(uint64_t iters, int id)> hook);
+
   /// Fault injection: die like a SIGKILLed process — shut the socket down
   /// with no bye, join the threads, fail the communicator. The coordinator
   /// sees a connection lost, exactly as for a real kill.
@@ -229,6 +238,9 @@ class RankComm {
   std::mutex control_mu_;
   std::condition_variable control_cv_;
   std::deque<util::Json> control_;
+
+  std::mutex leader_mu_;  // held while the hook runs
+  std::function<void(uint64_t iters, int id)> leader_hook_;
 
   mutable std::mutex state_sync_mu_;
   util::Json state_sync_;  // latest replicated coordinator state (standby)

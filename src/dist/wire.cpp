@@ -116,6 +116,24 @@ util::Json make_rebalance_base(uint64_t epoch) {
   return j;
 }
 
+util::Json make_solved(int member, uint64_t id, uint64_t iters, util::Json stats) {
+  util::Json j = util::Json::object();
+  j["type"] = "solved";
+  j["rank"] = member;
+  j["id"] = wire_u64(id);
+  j["iters"] = wire_u64(iters);
+  j["stats"] = std::move(stats);
+  return j;
+}
+
+util::Json make_leader(uint64_t id, uint64_t iters) {
+  util::Json j = util::Json::object();
+  j["type"] = "leader";
+  j["id"] = wire_u64(id);
+  j["iters"] = wire_u64(iters);
+  return j;
+}
+
 util::Json make_state_sync(uint64_t epoch, util::Json state) {
   util::Json j = util::Json::object();
   j["type"] = "state_sync";

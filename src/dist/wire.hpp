@@ -41,6 +41,14 @@
 //              coordinator validates all three against its imported
 //              state before re-admitting the member
 //
+// The leader vocabulary (protocol v5) ends a hunt at its first solve:
+//
+//   solved     member -> coordinator the moment one of its walkers solves
+//              (walker id, solve iteration, stats)
+//   leader     coordinator -> every member whenever the minimum (solve
+//              iteration, walker id) over the solves it has seen improves;
+//              members bound their walkers by it
+//
 // hello/join frames additionally carry an optional "failover" field: the
 // host:port of the idle listener this member pre-bound so it can serve
 // as the promotion target. The coordinator broadcasts the elected
@@ -88,9 +96,10 @@ struct CommError : std::runtime_error {
 /// epoch/ckpt/rebalance); v3 added coordinator failover (state_sync/
 /// reconnect + the standby fields on rebalance); v4 closes a fixed-rank
 /// request with one gather and one broadcast and stamps SOLUTION_FOUND
-/// with a request index. A coordinator rejects a mismatched version with
-/// an abort frame naming both versions.
-inline constexpr int kWireVersion = 4;
+/// with a request index; v5 ranks elastic winners by (solve iteration,
+/// walker id) through the solved/leader frames. A coordinator rejects a
+/// mismatched version with an abort frame naming both versions.
+inline constexpr int kWireVersion = 5;
 
 util::Json make_hello(int rank, int ranks);
 util::Json make_welcome(int rank, int ranks);
@@ -114,6 +123,12 @@ util::Json make_ckpt(int member, uint64_t epoch, uint64_t bytes, uint64_t micros
 /// fill in the wave-specific fields documented in docs/PROTOCOL.md.
 util::Json make_epoch_base(int member, uint64_t epoch);
 util::Json make_rebalance_base(uint64_t epoch);
+
+/// A walker of `member` solved at iteration `iters`; `stats` is its
+/// run_stats_to_json.
+util::Json make_solved(int member, uint64_t id, uint64_t iters, util::Json stats);
+/// The hunt's current leader: walker `id`, solved at iteration `iters`.
+util::Json make_leader(uint64_t id, uint64_t iters);
 
 // --- failover vocabulary (v3) ---
 

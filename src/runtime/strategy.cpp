@@ -95,7 +95,7 @@ void portfolio_strategy(const SolveRequest& req, const StrategyContext& ctx, Sol
   for (const auto& engine : engines) {
     SolveRequest member = req;
     member.engine = engine;
-    engine_catalog().at(engine, "engine");  // fail before any thread starts
+    (void)engine_catalog().at(engine, "engine");  // fail before any thread starts
     members.push_back(entry.make_walker(member));
   }
   const auto res = par::run_multiwalk(
@@ -187,7 +187,7 @@ SolveRequest resolve(SolveRequest req) {
         p.overrides = req.engine_config;
         return p;
       }());
-  strategy_registry().at(req.strategy, "strategy");
+  (void)strategy_registry().at(req.strategy, "strategy");
   if (req.size <= 0) req.size = entry.default_size;
   const int asked = req.size;
   // Clamped so that rounding up cannot overflow; a size past the limit

@@ -51,8 +51,8 @@ class Flags {
     long long i = 0;
     double d = 0;
     bool b = false;
-    std::string s;
-    std::string default_repr;
+    std::string s{};
+    std::string default_repr{};
   };
 
   void set_value(const std::string& name, const std::string& value);

@@ -46,7 +46,7 @@ std::string utc_timestamp() {
 #else
   gmtime_r(&t, &tm);
 #endif
-  char buf[32];
+  char buf[64];  // room for any int fields, so the format cannot truncate
   std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02dZ", tm.tm_year + 1900,
                 tm.tm_mon + 1, tm.tm_mday, tm.tm_hour, tm.tm_min, tm.tm_sec);
   return buf;

@@ -7,8 +7,10 @@
 // at a different rank count — and the rejection paths for corrupted or
 // mismatched manifests. The pipelined member — walkers running up to two
 // segments past the wave their member is reporting — is pinned against a
-// per-walker oracle, the wave files' exact boundary states, and its own
-// run-ahead counter.
+// per-walker oracle of the (solve iteration, walker id) winner rule, the
+// wave files' exact boundary states, and its own run-ahead counter; the
+// leader bound against a long segment, a run-ahead leader in a preempted
+// world, and malformed solved/leader frames each have a case.
 //
 // Seeds are pinned to instances probed long enough for the membership event
 // under test to land strictly before the hunt completes (e.g. size-14
@@ -37,6 +39,7 @@
 #include "dist/ckpt.hpp"
 #include "dist/elastic.hpp"
 #include "dist/world.hpp"
+#include "fake_rank.hpp"
 #include "runtime/problems.hpp"
 #include "runtime/spec.hpp"
 #include "runtime/strategy.hpp"
@@ -108,8 +111,10 @@ int64_t coordinator_counter(const runtime::SolveReport& rep, const std::string& 
   return dist_extras(rep).at("comm").at("coordinator").at(name).as_int();
 }
 
-// The pinned reference trajectory for size 14 / 4 walkers / seed 8: winner
-// walker 2 at 982 iterations (segment 3 with 300-iteration epochs).
+// The pinned reference trajectory for size 14 / 4 walkers / seed 22: winner
+// walker 2 at 982 iterations (segment 3 with 300-iteration epochs). Run
+// alone, its walkers solve at 2309, 2187, 982 and past 1200 iterations, so
+// walker 2 wins by solve iteration as it did by solve segment.
 constexpr int kSize = 14;
 constexpr int kWalkers = 4;
 constexpr uint64_t kSeed = 22;
@@ -433,7 +438,7 @@ TEST(DistElastic, ResumeRejectsCorruptedManifest) {
   });
   ASSERT_TRUE(preempted[0].error.empty()) << preempted[0].error;
 
-  const auto corrupt = [&](const char* name) {
+  const auto corrupt = [&](const char* name, size_t divisor) {
     const std::string path = dir + "/" + std::string(name);
     std::string bytes;
     {
@@ -441,7 +446,7 @@ TEST(DistElastic, ResumeRejectsCorruptedManifest) {
       bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
     }
     ASSERT_FALSE(bytes.empty()) << path;
-    bytes[bytes.size() / 2] ^= 0x40;
+    bytes[bytes.size() / divisor] ^= 0x40;
     {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out << bytes;
@@ -450,7 +455,7 @@ TEST(DistElastic, ResumeRejectsCorruptedManifest) {
 
   // Corrupting only the primary manifest is survivable: resume falls back
   // to the rotated predecessor cut and replays the last wave.
-  corrupt(kManifestFile);
+  corrupt(kManifestFile, 2);
   const auto fell_back = run_elastic_world(1, req, [&](int) {
     ElasticOptions eo = base_opts();
     eo.ckpt_dir = dir;
@@ -464,8 +469,11 @@ TEST(DistElastic, ResumeRejectsCorruptedManifest) {
   EXPECT_TRUE(dist_extras(fell_back[0]).at("ckpt").at("resume_fell_back").as_bool());
 
   // Both cuts corrupt: nothing trustworthy remains, the resume must refuse.
-  corrupt(kManifestFile);
-  corrupt(kManifestPrevFile);
+  // The resumed hunt may have ended without writing a manifest (a hunt that
+  // ends with a winner writes none), so flip a byte the first corruption
+  // did not, or the primary would be restored.
+  corrupt(kManifestFile, 3);
+  corrupt(kManifestPrevFile, 3);
   const auto resumed = run_elastic_world(1, req, [&](int) {
     ElasticOptions eo = base_opts();
     eo.ckpt_dir = dir;
@@ -501,12 +509,13 @@ TEST(DistElastic, ResumeRejectsADifferentRequest) {
 
 /// What every elastic run of a request must report, however its walkers
 /// interleave, from each walker run alone from its ChaoticSeedSequence
-/// seed: the (solve segment, walker id) minimum, the final wave (the
-/// winner's segment), and the hunt's iterations at that wave's end.
+/// seed: the (solve iteration, walker id) minimum, its segment, and the
+/// hunt's counted work — each walker up to its bound against the winner
+/// (through the winner's iteration L for lower ids, to L - 1 for higher).
 struct Oracle {
   int winner = -1;
   uint64_t winner_iters = 0;
-  uint64_t epochs = 0;
+  uint64_t segment = 0;
   uint64_t total_iterations = 0;
 };
 
@@ -522,15 +531,17 @@ Oracle oracle_of(const runtime::SolveRequest& req, uint64_t ckpt_iters) {
     walk->begin();
     EXPECT_TRUE(walk->advance(0, core::StopToken()));
     solved_at.push_back(walk->stats().iterations);
-    const uint64_t iters = solved_at.back();
-    best = std::min(best, {iters == 0 ? 0 : (iters - 1) / ckpt_iters, id});
+    best = std::min(best, {solved_at.back(), id});
   }
   Oracle o;
   o.winner = best.second;
-  o.winner_iters = solved_at[static_cast<size_t>(best.second)];
-  o.epochs = best.first + 1;
-  for (const uint64_t iters : solved_at)
-    o.total_iterations += std::min(iters, o.epochs * ckpt_iters);
+  o.winner_iters = best.first;
+  o.segment = o.winner_iters == 0 ? 0 : (o.winner_iters - 1) / ckpt_iters;
+  for (int id = 0; id < resolved.walkers; ++id) {
+    const uint64_t bound = id <= o.winner || o.winner_iters == 0 ? o.winner_iters
+                                                                  : o.winner_iters - 1;
+    o.total_iterations += std::min(solved_at[static_cast<size_t>(id)], bound);
+  }
   return o;
 }
 
@@ -553,13 +564,157 @@ TEST(DistElasticPipeline, WinnerMatchesThePerWalkerOracleAtEveryRankCount) {
                                " ranks " + std::to_string(ranks);
         EXPECT_EQ(r0.winner, want.winner) << at;
         EXPECT_EQ(r0.winner_stats.iterations, want.winner_iters) << at;
-        // The final wave is the winner's segment, and the hunt's iterations
-        // stop at its end: a run-ahead solve or run-ahead work never counts.
-        EXPECT_EQ(static_cast<uint64_t>(dist_extras(r0).at("epochs").as_int()), want.epochs) << at;
+        // Every walker reached its bound against the winner and counts no
+        // further: neither work past the bound nor a later solve counts.
         EXPECT_EQ(r0.total_iterations, want.total_iterations) << at;
+        // The final wave is pinned only to a window: the hunt ends once
+        // every member settled, which can be while the member still reports
+        // a wave up to two segments (the run-ahead) before the winner's, and
+        // is at most the wave after it, which every member enters knowing
+        // the winner.
+        const auto epochs = static_cast<uint64_t>(dist_extras(r0).at("epochs").as_int());
+        EXPECT_LE(epochs, want.segment + 2) << at;
+        EXPECT_GE(epochs + 1, want.segment) << at;
       }
     }
   }
+}
+
+TEST(DistElasticPipeline, WalkersStopAtTheirBoundsInsideOneLongSegment) {
+  // One segment is 100000 iterations. On these n=16 seeds one walker solves
+  // within 657 iterations, while the four walkers run alone need 155941 and
+  // 109380 iterations in all: walkers that ran on to their own solve or to
+  // the segment's end would execute more than a whole segment. Here each
+  // stops within a probe of its bound once it knows the leader. (At n=12
+  // every walker solves within 420 iterations, too soon to tell.)
+  constexpr uint64_t kLong = 100000;
+  for (const uint64_t seed : {4, 7}) {
+    const auto req = costas_request(16, kWalkers, seed);
+    const Oracle want = oracle_of(req, kLong);
+    const auto reports = run_elastic_world(2, req, [](int) { return base_opts(kLong); });
+    const auto& r0 = reports[0];
+    ASSERT_TRUE(r0.error.empty()) << r0.error;
+    EXPECT_EQ(r0.winner, want.winner) << "seed " << seed;
+    EXPECT_EQ(r0.winner_stats.iterations, want.winner_iters) << "seed " << seed;
+    EXPECT_EQ(r0.total_iterations, want.total_iterations) << "seed " << seed;
+    EXPECT_EQ(dist_extras(r0).at("epochs").as_int(), 1) << "seed " << seed;
+    int64_t executed = 0;
+    for (const util::Json& row : dist_extras(r0).at("members").as_array())
+      executed += row.at("executed").as_int();
+    EXPECT_GE(executed, static_cast<int64_t>(want.total_iterations)) << "seed " << seed;
+    EXPECT_LT(executed, static_cast<int64_t>(kLong)) << "seed " << seed;
+  }
+}
+
+TEST(DistElastic, PreemptedWorldNamesNoRunAheadLeader) {
+  // Rank 1 owns walker 2, which solves at 982 (segment 3). It holds its
+  // report of the world's last wave (wave 1, boundary 600) until it knows a
+  // leader, so its solved frame reaches the coordinator first: the
+  // preempted world has a leader, yet the hunt was not decided by its last
+  // boundary, so it names no winner. The resume names the oracle's.
+  const std::string dir = make_temp_dir();
+  const auto req = costas_request(kSize, kWalkers, kSeed);
+  const auto preempted = run_elastic_world(2, req, [&](int rank) {
+    ElasticOptions eo = base_opts();
+    eo.ckpt_dir = dir;
+    eo.max_epochs = 2;
+    if (rank == 1) eo.hold_for_leader = 2;
+    return eo;
+  });
+  const auto& p0 = preempted[0];
+  ASSERT_TRUE(p0.error.empty()) << p0.error;
+  EXPECT_FALSE(p0.solved);
+  EXPECT_TRUE(dist_extras(p0).at("preempted").as_bool());
+  ASSERT_NE(dist_extras(p0).find("leader"), nullptr);
+  EXPECT_EQ(dist_extras(p0).at("leader").at("id").as_int(), kRefWinner);
+  EXPECT_EQ(static_cast<uint64_t>(dist_extras(p0).at("leader").at("iters").as_int()),
+            kRefWinnerIters);
+  EXPECT_EQ(dist_extras(p0).at("ckpt").at("manifest_epoch").as_int(), 1);
+
+  const auto resumed = run_elastic_world(3, req, [&](int) {
+    ElasticOptions eo = base_opts();
+    eo.ckpt_dir = dir;
+    eo.resume = true;
+    return eo;
+  });
+  const auto& r0 = resumed[0];
+  ASSERT_TRUE(r0.error.empty()) << r0.error;
+  EXPECT_TRUE(r0.solved);
+  EXPECT_TRUE(r0.check_passed);
+  EXPECT_EQ(r0.winner, kRefWinner);
+  EXPECT_EQ(r0.winner_stats.iterations, kRefWinnerIters);
+  EXPECT_EQ(r0.total_iterations, oracle_of(req, 300).total_iterations);
+}
+
+TEST(DistElasticWire, MalformedSolvedFramesAbortTheWorldWithAReason) {
+  // A solved frame is input from outside the process: one without its
+  // iteration, with stats that do not parse, for a walker the hunt does not
+  // have, or whose stats disagree with its iteration aborts the world with
+  // the reason instead of crowning it.
+  util::Json stats = run_stats_to_json([] {
+    core::RunStats st;
+    st.solved = true;
+    st.iterations = 10;
+    return st;
+  }());
+  const auto solved = [&](util::Json id, util::Json iters, util::Json st) {
+    util::Json j = util::Json::object();
+    j["type"] = "solved";
+    j["rank"] = 0;
+    j["id"] = std::move(id);
+    j["iters"] = std::move(iters);
+    j["stats"] = std::move(st);
+    return j;
+  };
+  const std::vector<std::pair<util::Json, std::string>> cases = {
+      {solved(wire_u64(1), util::Json(), stats), "malformed solved frame"},
+      {solved(wire_u64(1), wire_u64(10), util::Json("x")), "malformed solved frame"},
+      {solved(wire_u64(7), wire_u64(10), stats), "impossible solve"},
+      {solved(wire_u64(1), wire_u64(11), stats), "impossible solve"},
+  };
+  for (const auto& [bad, reason] : cases) {
+    CoordinatorOptions co;
+    co.elastic = true;
+    Coordinator coord(co);
+    coord.set_hunt("hunt", 1, kWalkers);
+    test::FakeRank fake(coord.port(), 0, 1);
+    ASSERT_FALSE(fake.await("welcome").is_null());
+    fake.send(bad);
+    const util::Json abort = fake.await("abort");
+    ASSERT_FALSE(abort.is_null()) << reason;
+    EXPECT_NE(abort.at("reason").as_string().find(reason), std::string::npos)
+        << abort.at("reason").as_string();
+    coord.stop();
+  }
+}
+
+TEST(DistElasticWire, MalformedLeaderFrameFailsTheCommunicator) {
+  // A coordinator that sends a leader frame without its iteration fails the
+  // member's communicator with the reason; a blocked take_control unwinds.
+  std::string err;
+  net::Fd listener = net::listen_tcp("127.0.0.1", 0, 4, err);
+  ASSERT_TRUE(listener.valid()) << err;
+  const uint16_t port = net::local_port(listener.get());
+  std::jthread coordinator([&] {
+    net::Fd peer(::accept(listener.get(), nullptr, nullptr));
+    ASSERT_TRUE(peer.valid());
+    std::string send_err;
+    util::Json leader = util::Json::object();
+    leader["type"] = "leader";
+    leader["id"] = wire_u64(1);
+    for (const util::Json& frame : {make_welcome(0, 1), leader})
+      ASSERT_TRUE(net::write_all(peer.get(), net::encode_frame(frame.dump(0)), send_err));
+    char buf[256];
+    while (::recv(peer.get(), buf, sizeof(buf), 0) > 0) {
+    }
+  });
+  RankCommOptions o;
+  o.port = port;
+  o.heartbeat_interval_seconds = 0;
+  RankComm comm(o);
+  EXPECT_THROW((void)comm.take_control(30.0), CommError);
+  EXPECT_NE(comm.failure().find("malformed leader frame"), std::string::npos) << comm.failure();
+  comm.finalize();
 }
 
 TEST(DistElasticPipeline, WaveFilesHoldTheBoundaryStateWhileWalkersRunAhead) {

@@ -157,6 +157,32 @@ TEST(DistFailover, FailoverTrajectoryIsBitIdenticalToAnUnfailedRun) {
   EXPECT_TRUE(promoted.check_passed);
 }
 
+TEST(DistFailover, FailoverAfterTheLeaderIsKnownNamesTheOracleWinner) {
+  // The host holds its wave-1 report until it knows the leader, then dies:
+  // walker 2 (on member 1, the standby) has already solved at 982, so the
+  // coordinator mirrored the leader to the standby before the crash. The
+  // promoted coordinator starts from it and names the same winner, counting
+  // every walker up to its bound against it (4 x 982 - 1 for walker 3).
+  const auto reports =
+      run_standby_world(3, costas_request(kSize, kWalkers, kSeed), [](int rank) {
+        ElasticOptions eo = rank == 0 ? kill_host_at(2) : base_opts();
+        if (rank == 0) eo.hold_for_leader = 2;
+        return eo;
+      });
+  EXPECT_NE(reports[0].error.find("fault injection"), std::string::npos) << reports[0].error;
+  const auto& promoted = reports[1];
+  ASSERT_TRUE(promoted.error.empty()) << promoted.error;
+  EXPECT_TRUE(promoted.solved);
+  EXPECT_TRUE(promoted.check_passed);
+  EXPECT_EQ(promoted.winner, kRefWinner);
+  EXPECT_EQ(promoted.winner_stats.iterations, kRefWinnerIters);
+  EXPECT_EQ(promoted.total_iterations, kWalkers * kRefWinnerIters - 1);
+  EXPECT_EQ(dist_extras(promoted).at("promoted_from").as_int(), 0);
+  const auto& survivor = reports[2];
+  ASSERT_TRUE(survivor.error.empty()) << survivor.error;
+  EXPECT_EQ(survivor.winner, kRefWinner);
+}
+
 TEST(DistFailover, DoubleFailureAbortsCleanly) {
   // Coordinator AND elected standby die at the same boundary: the last
   // survivor's reconnect has nowhere to land and must abort promptly, not

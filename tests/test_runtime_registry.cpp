@@ -32,7 +32,7 @@ TEST(Registry, UnknownKeyErrorNamesAlternatives) {
   Registry<int> r;
   r.add("as", 1).add("tabu", 2);
   try {
-    r.at("taboo", "engine");
+    (void)r.at("taboo", "engine");
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();

@@ -125,8 +125,8 @@ TEST(Flags, WrongTypeAccessThrows) {
   auto f = make_flags();
   Argv a({});
   ASSERT_TRUE(f.parse(a.argc(), a.argv()));
-  EXPECT_THROW(f.get_int("engine"), std::logic_error);
-  EXPECT_THROW(f.get_bool("n"), std::logic_error);
+  EXPECT_THROW((void)f.get_int("engine"), std::logic_error);
+  EXPECT_THROW((void)f.get_bool("n"), std::logic_error);
 }
 
 TEST(Flags, HelpTextMentionsAllFlags) {

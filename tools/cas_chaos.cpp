@@ -175,7 +175,7 @@ RunOutcome run_child(const std::vector<std::string>& argv,
 /// exercise legitimately move it — near-tied walkers flip, and
 /// cooperative's asynchronous elite-sharing changes whole trajectories.
 /// "auto" therefore fingerprints bit-exactly only where the winner rule is
-/// timing-invariant — elastic runs (the (min segment, min walker id) rule)
+/// timing-invariant — elastic runs (the (min solve iteration, min walker id) rule)
 /// and single-walker sequential — and everything else by
 /// solved-and-verified only.
 util::Json winner_fingerprint(const util::Json& report, const std::string& compare) {

@@ -42,8 +42,8 @@ for r in "$OUT"/chaos_s12/baseline.json "$OUT"/chaos_s12/chaos-*.json; do
   python3 tools/check_report.py "$S12" "$r"
 done
 
-# Elastic worlds make the stronger promise — the (segment, walker) winner
-# rule is timing-invariant — so here the chaos runs must be BIT-EXACT
+# Elastic worlds make the stronger promise — the (solve iteration, walker id)
+# winner rule is timing-invariant — so here the chaos runs must be BIT-EXACT
 # against the baseline (cas_chaos --compare=auto detects elastic reports
 # and requires full winner/solution equality).
 step "Elastic checkpointed world under the same schedules"

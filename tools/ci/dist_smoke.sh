@@ -66,8 +66,8 @@ python3 tools/check_report.py "$OUT/huge_timeout.json" "$OUT/huge_timeout_report
 # on, rank 2 hard-killed at its first epoch boundary (worst-timed: after
 # its checkpoint write, before its epoch frame). The world must evict —
 # not abort — rebalance the dead rank's walkers from its last wave file,
-# and land the exact winner the scenario pins (the (segment, walker-id)
-# winner rule is membership-invariant). check_report.py validates the
+# and land the exact winner the scenario pins (the (solve iteration,
+# walker-id) winner rule is membership-invariant). check_report.py validates the
 # merged report like any other corpus entry.
 step "Elastic world survives a SIGKILLed rank"
 mkdir -p "$OUT/ckpt_evict"
