@@ -24,12 +24,12 @@
 // `rebalance` frame. Members also report each solve the moment it happens
 // (`solved`); the coordinator keeps the minimum (solve iteration, walker
 // id) as the leader, tells every member each time it improves (`leader`),
-// and ends the hunt once every member settled against it. Death of a member other than the coordinator host
-// downgrades from world-abort to eviction at the wave boundary; death of
-// the HOST process takes this coordinator with it, and with
-// CoordinatorOptions::standby the survivors recover by promoting the
-// replicated standby (the promotion constructor below) instead of
-// aborting.
+// and ends the hunt once every member settled against it. Death of a
+// member other than the coordinator host downgrades from world-abort to
+// eviction at the wave boundary; death of the HOST process takes this
+// coordinator with it, and with CoordinatorOptions::standby the survivors
+// recover by promoting the replicated standby (the promotion constructor
+// below) instead of aborting.
 //
 // Single-threaded over net::EventLoop + net/frame_io — the same
 // machinery, and the same codec path, as the cas_serve front-end.

@@ -11,10 +11,10 @@
 // thread decodes incoming frames — collective frames into a private inbox
 // matched by (tag, seq), SOLUTION_FOUND into the stop latch, rebalance
 // frames into the control queue, leader frames straight to the leader
-// hook — and a heartbeat thread keeps the
-// coordinator's liveness policing fed. A received abort, connection loss,
-// or a collective outliving its deadline fails the communicator: the inbox
-// closes, every blocked receive unwinds, and CommError propagates.
+// hook — and a heartbeat thread keeps the coordinator's liveness policing
+// fed. A received abort, connection loss, or a collective outliving its
+// deadline fails the communicator: the inbox closes, every blocked receive
+// unwinds, and CommError propagates.
 #pragma once
 
 #include <atomic>
