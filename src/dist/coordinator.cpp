@@ -83,6 +83,14 @@ Coordinator::Coordinator(CoordinatorOptions opts, net::Fd adopted_listener,
 
 Coordinator::~Coordinator() { stop(); }
 
+bool Coordinator::all_detached() const {
+  if (!opts_.elastic) return byes_.load(std::memory_order_acquire) >= opts_.ranks;
+  const int admitted = admitted_.load(std::memory_order_acquire);
+  if (admitted == 0 || detached_.load(std::memory_order_acquire) < admitted) return false;
+  return joins_seen_.load(std::memory_order_acquire) >= lost_.load(std::memory_order_acquire) ||
+         now_seconds() - last_lost_.load(std::memory_order_acquire) > kRejoinGraceSeconds;
+}
+
 void Coordinator::stop() {
   stop_requested_.store(true, std::memory_order_release);
   wakeup_.notify();
@@ -391,6 +399,7 @@ void Coordinator::handle_join(Peer& p, const util::Json& j) {
     enqueue(p, make_abort("coordinator: join refused — world still in rendezvous").dump(0));
     return;
   }
+  joins_seen_.fetch_add(1, std::memory_order_release);  // a lost member may be back (all_detached)
   if (!hunting_) {
     answer_with_outcome(p.fd.get());
     return;
@@ -467,11 +476,7 @@ void Coordinator::handle_solved(const util::Json& j) {
     abort_world(util::strf("coordinator: malformed solved frame: %s", e.what()));
     return;
   }
-  int walkers = 0;
-  {
-    std::scoped_lock lock(hunt_mu_);
-    walkers = hunt_walkers_;
-  }
+  const int walkers = hunt_walkers();
   // (A member's crew may solve before the host announced the hunt.)
   if ((walkers > 0 && id >= static_cast<uint64_t>(walkers)) || !stats.solved ||
       stats.iterations != iters) {
@@ -549,11 +554,7 @@ void Coordinator::maybe_complete_wave() {
   // by the wave's end, or when every member settled: no walker can beat the
   // leader any more. A member lost mid-wave leaves its walkers uncovered
   // until the next view re-homes them.
-  bool covered = false;
-  {
-    std::scoped_lock lock(hunt_mu_);
-    covered = walkers >= hunt_walkers_;
-  }
+  const bool covered = walkers >= hunt_walkers();
   if (covered && (listed || all_settled)) decided_ = true;
   complete_wave(/*final=*/any_halt || all_done || (covered && all_settled));
 }
@@ -1096,6 +1097,8 @@ void Coordinator::drop_peer(int fd, bool expected) {
       // Elastic downgrade: a dead member is evicted at the wave boundary
       // instead of aborting the world. The host member's RankComm lives in
       // this process, so its death still falls through to abort.
+      last_lost_.store(now_seconds(), std::memory_order_release);
+      lost_.fetch_add(1, std::memory_order_release);
       evict_member(rank, "connection lost");
       return;
     }

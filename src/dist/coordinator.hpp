@@ -135,14 +135,12 @@ class Coordinator {
 
   [[nodiscard]] const CoordinatorStats& stats() const { return stats_; }
   /// True once every rank has detached cleanly (all byes seen). In elastic
-  /// mode: every admitted member's connection is gone (bye or eviction).
-  [[nodiscard]] bool all_detached() const {
-    if (opts_.elastic) {
-      const int admitted = admitted_.load(std::memory_order_acquire);
-      return admitted > 0 && detached_.load(std::memory_order_acquire) >= admitted;
-    }
-    return byes_.load(std::memory_order_acquire) >= opts_.ranks;
-  }
+  /// mode: every admitted member's connection is gone (bye or eviction),
+  /// and each member lost without a bye was followed by a join — a member
+  /// cut off late in a hunt rejoins to learn the outcome — or the last
+  /// loss is more than kRejoinGraceSeconds old.
+  [[nodiscard]] bool all_detached() const;
+  static constexpr double kRejoinGraceSeconds = 1.0;
 
   /// Rank 0 announces the hunt in progress so late joiners can be
   /// validated (canonical request key) and bootstrapped (master seed +
@@ -231,6 +229,10 @@ class Coordinator {
   void maybe_finish_reconnect(double now);
   [[nodiscard]] static bool member_active(const Member& m) { return !m.evicted && !m.left; }
   [[nodiscard]] int active_count() const;
+  [[nodiscard]] int hunt_walkers() const {
+    std::scoped_lock lock(hunt_mu_);
+    return hunt_walkers_;
+  }
   [[nodiscard]] int fd_of_dense(int dense) const;
 
   CoordinatorOptions opts_;
@@ -286,6 +288,9 @@ class Coordinator {
   bool decided_ = false;
   std::atomic<int> admitted_{0};
   std::atomic<int> detached_{0};
+  std::atomic<int> lost_{0};         // members lost without a bye while hunting
+  std::atomic<int> joins_seen_{0};   // joins admitted or answered with the outcome
+  std::atomic<double> last_lost_{0};  // when the latest of them was lost
   // Failover state. standby_member_/_addr_ are re-elected every wave and
   // broadcast in the rebalance frames; reconnect_mode_ is true only on a
   // freshly promoted coordinator until the survivor window settles.

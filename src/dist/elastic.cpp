@@ -411,7 +411,7 @@ struct ElasticRun {
     uint64_t executed = 0;     // iterations the owned walkers ran to reach it
     uint64_t owned_iters = 0;  // their iteration counts at its end
     bool settled = false;      // every walker stopped for good, against a leader in budget
-    bool leader_known = false;
+    bool decides = false;      // the leader solved by its end: its reports decide the hunt
     uint64_t ahead = 0;        // settled: iterations the walkers ran past it
     std::vector<std::pair<int, runtime::WalkSnapshot>> snaps;  // with a checkpoint dir
     std::vector<std::pair<int, uint64_t>> solved;   // (id, iteration): solves by its end
@@ -427,11 +427,9 @@ struct ElasticRun {
     const auto marked = [wave](const OwnedWalker& w) {
       return !w.marks.empty() && w.marks.front().wave == wave;
     };
-    const bool hold = opts->hold_for_leader == wave + 1;
     std::unique_lock lock(mu);
     cv.wait(lock, [&] {
       if (crew_error != nullptr) return true;
-      if (hold && !leader) return false;
       return std::all_of(owned.begin(), owned.end(), [&](const auto& kv) {
         const OwnedWalker& w = kv.second;
         return w.frozen || (marked(w) && w.marks.front().iterations < bound_of(leader, kv.first));
@@ -445,9 +443,9 @@ struct ElasticRun {
                               [](const auto& kv) { return kv.second.frozen; }) &&
                   (!leader || opts->max_epochs == 0 ||
                    leader->first <= opts->max_epochs * opts->ckpt_iters);
-    out.leader_known = leader.has_value();
     const bool ckpt = !opts->ckpt_dir.empty();
     const uint64_t wave_end = (wave + 1) * opts->ckpt_iters;
+    out.decides = leader && leader->first <= wave_end;
     for (auto& [id, w] : owned) {
       uint64_t iters = 0;
       if (marked(w)) {
@@ -711,10 +709,11 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
     }
 
     // 2. Durable cut for this wave — written before the epoch frame, so a
-    // ckpt_epoch announcement implies every wave file is on disk. A member
-    // settled against a leader skips it: its hunt ends here unless the
-    // world halts or runs out of epochs first.
-    if (!opts.ckpt_dir.empty() && (!wave.settled || !wave.leader_known || done || halt))
+    // ckpt_epoch announcement implies every wave file is on disk. A settled
+    // member skips it when its leader solved by the wave's end, unless it
+    // halts or runs out of epochs here: the wave's reports then decide the
+    // hunt, so the world names the winner and nothing is left to resume.
+    if (!opts.ckpt_dir.empty() && (!wave.settled || !wave.decides || done || halt))
       run.write_wave_ckpt(epoch, wave);
 
     // 3. Fault injection: die like SIGKILL, after the checkpoint, before

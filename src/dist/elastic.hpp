@@ -39,8 +39,9 @@
 //     is durable BEFORE the epoch-E frame is sent, on the same FIFO
 //     connection, so when the coordinator announces ckpt_epoch=E every
 //     active member's wave-E file is on disk. Writing it stalls no walker.
-//     A settled member writes none unless the world halts or runs out of
-//     epochs at that wave.
+//     A settled member skips it only when its leader solved by the end of
+//     segment E and it neither halts nor runs out of epochs there: wave E's
+//     reports then decide the hunt, so the world names the winner.
 //   - Exactly one member hosts the coordinator and writes the resume
 //     manifest. Without a standby (wire v2 behavior) that host may never
 //     leave or die while the world survives. With WorldOptions::standby the
@@ -104,10 +105,6 @@ struct ElasticOptions {
   /// dials back in as a late joiner and inherits walkers at the next
   /// rebalance. 0 = disabled.
   uint64_t drop_conn_at_epoch = 0;
-  /// Test hook: the member reports wave `hold_for_leader - 1` only once it
-  /// knows a leader (its own solve or the coordinator's), which makes a
-  /// run-ahead solve certain to precede that wave. 0 = disabled.
-  uint64_t hold_for_leader = 0;
   /// How long to wait for the coordinator's rebalance frame after
   /// reporting an epoch before declaring the world dead.
   double control_timeout_seconds = 120.0;

@@ -346,6 +346,7 @@ void RankComm::send_control(const util::Json& frame) {
 void RankComm::on_leader(std::function<void(uint64_t iters, int id)> hook) {
   std::scoped_lock lock(leader_mu_);
   leader_hook_ = std::move(hook);
+  if (leader_hook_ && leader_) leader_hook_(leader_->first, leader_->second);
 }
 
 std::optional<util::Json> RankComm::take_control(double timeout_seconds) {
@@ -484,7 +485,9 @@ bool RankComm::drain_decoder() {
             return false;
           }
           std::scoped_lock lock(leader_mu_);
-          if (leader_hook_) leader_hook_(iters, static_cast<int>(id));
+          const std::pair<uint64_t, int> got{iters, static_cast<int>(id)};
+          if (!leader_ || got < *leader_) leader_ = got;
+          if (leader_hook_) leader_hook_(got.first, got.second);
         } else if (type == "rebalance") {
           {
             std::scoped_lock lock(control_mu_);

@@ -27,6 +27,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dist/wire.hpp"
@@ -160,8 +161,10 @@ class RankComm {
   /// Run `hook` on the reader thread for every leader frame (wire v5): the
   /// walker id and solve iteration of the hunt's current leader. It runs
   /// outside the control queue, so it lands while the caller blocks in
-  /// take_control. Null removes it; removal waits out a running call. A
-  /// malformed leader frame fails the communicator.
+  /// take_control. A new hook is first called with the best leader already
+  /// received, so none is lost before registration. Null removes it;
+  /// removal waits out a running call. A malformed leader frame fails the
+  /// communicator.
   void on_leader(std::function<void(uint64_t iters, int id)> hook);
 
   /// Fault injection: die like a SIGKILLed process — shut the socket down
@@ -241,6 +244,7 @@ class RankComm {
 
   std::mutex leader_mu_;  // held while the hook runs
   std::function<void(uint64_t iters, int id)> leader_hook_;
+  std::optional<std::pair<uint64_t, int>> leader_;  // best (iters, id) received
 
   mutable std::mutex state_sync_mu_;
   util::Json state_sync_;  // latest replicated coordinator state (standby)

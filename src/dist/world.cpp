@@ -200,7 +200,8 @@ void World::finalize() {
   if (comm_ != nullptr) comm_->finalize();
   if (coordinator_ != nullptr) {
     // Give the other ranks a moment to say bye so their detach is clean
-    // rather than racing the router teardown.
+    // rather than racing the router teardown, and a member whose connection
+    // dropped a moment to rejoin and learn the outcome.
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
     while (!coordinator_->all_detached() && std::chrono::steady_clock::now() < deadline)
       std::this_thread::sleep_for(std::chrono::milliseconds(20));

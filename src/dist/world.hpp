@@ -131,7 +131,7 @@ class World {
   void crash();
 
   /// Clean shutdown: detach the rank; rank 0 waits briefly for the other
-  /// ranks' byes before stopping the router.
+  /// ranks' byes and dropped members' rejoins before stopping the router.
   void finalize();
 
   /// Per-rank comm counters (+ router counters on rank 0).

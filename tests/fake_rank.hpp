@@ -20,11 +20,15 @@ namespace cas::dist::test {
 
 class FakeRank {
  public:
-  FakeRank(uint16_t port, int rank, int ranks) {
+  FakeRank(uint16_t port, int rank, int ranks) : FakeRank(port, make_hello(rank, ranks)) {}
+
+  /// Connect and send `handshake` first: a hello with extra fields, a
+  /// join, or a reconnect.
+  FakeRank(uint16_t port, const util::Json& handshake) {
     std::string err;
     fd_ = net::connect_tcp("127.0.0.1", port, err);
     EXPECT_TRUE(fd_.valid()) << err;
-    send(make_hello(rank, ranks));
+    send(handshake);
   }
 
   void send(const util::Json& frame) {

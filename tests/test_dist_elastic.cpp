@@ -10,7 +10,8 @@
 // per-walker oracle of the (solve iteration, walker id) winner rule, the
 // wave files' exact boundary states, and its own run-ahead counter; the
 // leader bound against a long segment, a run-ahead leader in a preempted
-// world, and malformed solved/leader frames each have a case.
+// world, leader frames that precede the member's hook, and malformed
+// solved/leader frames each have a case.
 //
 // Seeds are pinned to instances probed long enough for the membership event
 // under test to land strictly before the hunt completes (e.g. size-14
@@ -27,7 +28,6 @@
 #include <fstream>
 #include <functional>
 #include <future>
-#include <latch>
 #include <limits>
 #include <optional>
 #include <string>
@@ -65,16 +65,12 @@ runtime::SolveRequest costas_request(int size, int walkers, uint64_t seed) {
 }
 
 /// One elastic world, one thread per initial rank. Returns reports[rank].
-/// Rank 0 keeps its world, and so the coordinator, open until every rank's
-/// hunt returned: a member recovering from a dropped connection must find
-/// the coordinator still there to answer its rejoin.
 std::vector<runtime::SolveReport> run_elastic_world(
     int ranks, const runtime::SolveRequest& req,
     const std::function<ElasticOptions(int rank)>& opts_of) {
   std::vector<runtime::SolveReport> reports(static_cast<size_t>(ranks));
   std::promise<uint16_t> port_promise;
   std::shared_future<uint16_t> port = port_promise.get_future().share();
-  std::latch hunts_returned(ranks);
   std::vector<std::jthread> threads;
   for (int r = 0; r < ranks; ++r) {
     threads.emplace_back([&, r] {
@@ -92,8 +88,6 @@ std::vector<runtime::SolveReport> run_elastic_world(
       }
       reports[static_cast<size_t>(r)] =
           solve_elastic(*world, req, runtime::StrategyContext{}, opts_of(r));
-      hunts_returned.count_down();
-      if (r == 0) hunts_returned.wait();
       world->finalize();
     });
   }
@@ -126,6 +120,44 @@ ElasticOptions base_opts(uint64_t ckpt_iters = 300) {
   eo.ckpt_iters = ckpt_iters;
   eo.control_timeout_seconds = 60.0;
   return eo;
+}
+
+/// What every elastic run of a request must report, however its walkers
+/// interleave, from each walker run alone from its ChaoticSeedSequence
+/// seed: the (solve iteration, walker id) minimum, its segment, and the
+/// hunt's counted work — each walker up to its bound against the winner
+/// (through the winner's iteration L for lower ids, to L - 1 for higher).
+struct Oracle {
+  int winner = -1;
+  uint64_t winner_iters = 0;
+  uint64_t segment = 0;
+  uint64_t total_iterations = 0;
+};
+
+Oracle oracle_of(const runtime::SolveRequest& req, uint64_t ckpt_iters) {
+  const runtime::SolveRequest resolved = runtime::resolve(req);
+  const auto seeds = core::ChaoticSeedSequence::generate(resolved.seed,
+                                                         static_cast<size_t>(resolved.walkers));
+  const auto factory = runtime::entry_of(resolved).make_resumable_walker(resolved);
+  std::vector<uint64_t> solved_at;
+  std::pair<uint64_t, int> best{std::numeric_limits<uint64_t>::max(), -1};
+  for (int id = 0; id < resolved.walkers; ++id) {
+    auto walk = factory(seeds[static_cast<size_t>(id)]);
+    walk->begin();
+    EXPECT_TRUE(walk->advance(0, core::StopToken()));
+    solved_at.push_back(walk->stats().iterations);
+    best = std::min(best, {solved_at.back(), id});
+  }
+  Oracle o;
+  o.winner = best.second;
+  o.winner_iters = best.first;
+  o.segment = o.winner_iters == 0 ? 0 : (o.winner_iters - 1) / ckpt_iters;
+  for (int id = 0; id < resolved.walkers; ++id) {
+    const uint64_t bound = id <= o.winner || o.winner_iters == 0 ? o.winner_iters
+                                                                  : o.winner_iters - 1;
+    o.total_iterations += std::min(solved_at[static_cast<size_t>(id)], bound);
+  }
+  return o;
 }
 
 TEST(DistElastic, TwoRankWorldSolvesWithVerifiedWinner) {
@@ -423,8 +455,9 @@ TEST(DistElastic, PreemptedWorldResumesWithIdenticalTrajectory) {
   EXPECT_EQ(ckpt.at("resumed_from_epoch").as_int(), 1);
   EXPECT_GE(ckpt.at("restored").as_int(), 1);
   // Pre-preemption work is accounted: the merged iteration total includes
-  // the two checkpointed epochs, not just the post-resume segments.
-  EXPECT_GE(r0.total_iterations, kRefWinnerIters);
+  // the two checkpointed epochs, not just the post-resume segments, and
+  // counts each walker up to its bound against the winner.
+  EXPECT_EQ(r0.total_iterations, oracle_of(req, 300).total_iterations);
 }
 
 TEST(DistElastic, ResumeRejectsCorruptedManifest) {
@@ -507,51 +540,13 @@ TEST(DistElastic, ResumeRejectsADifferentRequest) {
 
 // --- the pipelined member ---------------------------------------------------
 
-/// What every elastic run of a request must report, however its walkers
-/// interleave, from each walker run alone from its ChaoticSeedSequence
-/// seed: the (solve iteration, walker id) minimum, its segment, and the
-/// hunt's counted work — each walker up to its bound against the winner
-/// (through the winner's iteration L for lower ids, to L - 1 for higher).
-struct Oracle {
-  int winner = -1;
-  uint64_t winner_iters = 0;
-  uint64_t segment = 0;
-  uint64_t total_iterations = 0;
-};
-
-Oracle oracle_of(const runtime::SolveRequest& req, uint64_t ckpt_iters) {
-  const runtime::SolveRequest resolved = runtime::resolve(req);
-  const auto seeds = core::ChaoticSeedSequence::generate(resolved.seed,
-                                                         static_cast<size_t>(resolved.walkers));
-  const auto factory = runtime::entry_of(resolved).make_resumable_walker(resolved);
-  std::vector<uint64_t> solved_at;
-  std::pair<uint64_t, int> best{std::numeric_limits<uint64_t>::max(), -1};
-  for (int id = 0; id < resolved.walkers; ++id) {
-    auto walk = factory(seeds[static_cast<size_t>(id)]);
-    walk->begin();
-    EXPECT_TRUE(walk->advance(0, core::StopToken()));
-    solved_at.push_back(walk->stats().iterations);
-    best = std::min(best, {solved_at.back(), id});
-  }
-  Oracle o;
-  o.winner = best.second;
-  o.winner_iters = best.first;
-  o.segment = o.winner_iters == 0 ? 0 : (o.winner_iters - 1) / ckpt_iters;
-  for (int id = 0; id < resolved.walkers; ++id) {
-    const uint64_t bound = id <= o.winner || o.winner_iters == 0 ? o.winner_iters
-                                                                  : o.winner_iters - 1;
-    o.total_iterations += std::min(solved_at[static_cast<size_t>(id)], bound);
-  }
-  return o;
-}
-
 TEST(DistElasticPipeline, WinnerMatchesThePerWalkerOracleAtEveryRankCount) {
   constexpr uint64_t kCkpt = 200;
   for (const int size : {12, 13}) {
     for (uint64_t seed = 1; seed <= 12; ++seed) {
       const auto req = costas_request(size, kWalkers, seed);
       const Oracle want = oracle_of(req, kCkpt);
-      // The three worlds run side by side: a world's teardown lingers.
+      // The three worlds run side by side.
       std::vector<std::future<std::vector<runtime::SolveReport>>> worlds;
       for (const int ranks : {1, 2, 3})
         worlds.push_back(std::async(std::launch::async, [&req, ranks] {
@@ -606,44 +601,60 @@ TEST(DistElasticPipeline, WalkersStopAtTheirBoundsInsideOneLongSegment) {
   }
 }
 
-TEST(DistElastic, PreemptedWorldNamesNoRunAheadLeader) {
-  // Rank 1 owns walker 2, which solves at 982 (segment 3). It holds its
-  // report of the world's last wave (wave 1, boundary 600) until it knows a
-  // leader, so its solved frame reaches the coordinator first: the
-  // preempted world has a leader, yet the hunt was not decided by its last
-  // boundary, so it names no winner. The resume names the oracle's.
-  const std::string dir = make_temp_dir();
-  const auto req = costas_request(kSize, kWalkers, kSeed);
-  const auto preempted = run_elastic_world(2, req, [&](int rank) {
-    ElasticOptions eo = base_opts();
-    eo.ckpt_dir = dir;
-    eo.max_epochs = 2;
-    if (rank == 1) eo.hold_for_leader = 2;
-    return eo;
-  });
-  const auto& p0 = preempted[0];
-  ASSERT_TRUE(p0.error.empty()) << p0.error;
-  EXPECT_FALSE(p0.solved);
-  EXPECT_TRUE(dist_extras(p0).at("preempted").as_bool());
-  ASSERT_NE(dist_extras(p0).find("leader"), nullptr);
-  EXPECT_EQ(dist_extras(p0).at("leader").at("id").as_int(), kRefWinner);
-  EXPECT_EQ(static_cast<uint64_t>(dist_extras(p0).at("leader").at("iters").as_int()),
-            kRefWinnerIters);
-  EXPECT_EQ(dist_extras(p0).at("ckpt").at("manifest_epoch").as_int(), 1);
+TEST(DistElasticWire, PreemptedWorldNamesNoRunAheadLeader) {
+  // One member owns all four walkers. Walker 2 solves at 982, past the
+  // boundary of wave 0, which is the world's last: the coordinator has a
+  // leader before that wave's report. A report that neither lists the
+  // solve nor settled leaves the hunt undecided, so the final names no
+  // winner and carries only the leader (the resume finds the winner). A
+  // report that lists it, or settled, decides the hunt and names it.
+  const util::Json stats = run_stats_to_json([] {
+    core::RunStats st;
+    st.solved = true;
+    st.iterations = kRefWinnerIters;
+    return st;
+  }());
+  for (const std::string decides : {"", "listed", "settled"}) {
+    CoordinatorOptions co;
+    co.elastic = true;
+    co.heartbeat_timeout_seconds = 0;
+    Coordinator coord(co);
+    coord.set_hunt("hunt", kSeed, kWalkers);
+    test::FakeRank member(coord.port(), 0, 1);
+    ASSERT_FALSE(member.await("welcome").is_null());
+    member.send(make_solved(0, kRefWinner, kRefWinnerIters, stats));
+    const util::Json leader = member.await("leader");
+    ASSERT_FALSE(leader.is_null());
+    EXPECT_EQ(frame_u64(leader, "id"), static_cast<uint64_t>(kRefWinner));
+    EXPECT_EQ(frame_u64(leader, "iters"), kRefWinnerIters);
 
-  const auto resumed = run_elastic_world(3, req, [&](int) {
-    ElasticOptions eo = base_opts();
-    eo.ckpt_dir = dir;
-    eo.resume = true;
-    return eo;
-  });
-  const auto& r0 = resumed[0];
-  ASSERT_TRUE(r0.error.empty()) << r0.error;
-  EXPECT_TRUE(r0.solved);
-  EXPECT_TRUE(r0.check_passed);
-  EXPECT_EQ(r0.winner, kRefWinner);
-  EXPECT_EQ(r0.winner_stats.iterations, kRefWinnerIters);
-  EXPECT_EQ(r0.total_iterations, oracle_of(req, 300).total_iterations);
+    util::Json report = make_epoch_base(0, 0);
+    report["done"] = true;
+    report["settled"] = decides == "settled";
+    report["walkers"] = kWalkers;
+    report["solved"] = util::Json::array();
+    if (decides == "listed") {
+      util::Json solve = util::Json::object();
+      solve["id"] = wire_u64(kRefWinner);
+      solve["iters"] = wire_u64(kRefWinnerIters);
+      report["solved"].push_back(std::move(solve));
+    }
+    member.send(report);
+    const util::Json final_frame = member.await("rebalance");
+    ASSERT_FALSE(final_frame.is_null()) << decides;
+    EXPECT_TRUE(frame_bool(final_frame, "final", false)) << decides;
+    ASSERT_NE(final_frame.find("leader"), nullptr) << decides;
+    EXPECT_EQ(frame_u64(final_frame.at("leader"), "id"), static_cast<uint64_t>(kRefWinner));
+    const util::Json* winner = final_frame.find("winner");
+    if (decides.empty()) {
+      EXPECT_EQ(winner, nullptr);
+    } else {
+      ASSERT_NE(winner, nullptr) << decides;
+      EXPECT_EQ(frame_u64(*winner, "id"), static_cast<uint64_t>(kRefWinner)) << decides;
+      EXPECT_EQ(frame_u64(*winner, "iters"), kRefWinnerIters) << decides;
+    }
+    coord.stop();
+  }
 }
 
 TEST(DistElasticWire, MalformedSolvedFramesAbortTheWorldWithAReason) {
@@ -714,6 +725,37 @@ TEST(DistElasticWire, MalformedLeaderFrameFailsTheCommunicator) {
   RankComm comm(o);
   EXPECT_THROW((void)comm.take_control(30.0), CommError);
   EXPECT_NE(comm.failure().find("malformed leader frame"), std::string::npos) << comm.failure();
+  comm.finalize();
+}
+
+TEST(DistElasticWire, LeaderFramesBeforeTheHookReachItAtRegistration) {
+  // Leader frames can arrive between a member's welcome and its hook
+  // registration (another member's crew solved first). The communicator
+  // keeps the best one and hands it to the hook as the hook registers.
+  std::string err;
+  net::Fd listener = net::listen_tcp("127.0.0.1", 0, 4, err);
+  ASSERT_TRUE(listener.valid()) << err;
+  const uint16_t port = net::local_port(listener.get());
+  std::jthread coordinator([&] {
+    net::Fd peer(::accept(listener.get(), nullptr, nullptr));
+    ASSERT_TRUE(peer.valid());
+    std::string send_err;
+    for (const util::Json& frame : {make_welcome(0, 1), make_leader(1, 50), make_leader(3, 40),
+                                    make_leader(0, 45), make_rebalance_base(1)})
+      ASSERT_TRUE(net::write_all(peer.get(), net::encode_frame(frame.dump(0)), send_err));
+    char buf[256];
+    while (::recv(peer.get(), buf, sizeof(buf), 0) > 0) {
+    }
+  });
+  RankCommOptions o;
+  o.port = port;
+  o.heartbeat_interval_seconds = 0;
+  RankComm comm(o);
+  ASSERT_TRUE(comm.take_control(30.0).has_value());  // read after the leader frames
+  std::vector<std::pair<uint64_t, int>> seen;
+  comm.on_leader([&](uint64_t iters, int id) { seen.emplace_back(iters, id); });
+  EXPECT_EQ(seen, (std::vector<std::pair<uint64_t, int>>{{40, 3}}));
+  comm.on_leader(nullptr);
   comm.finalize();
 }
 

@@ -5,8 +5,9 @@
 // epoch-stamped reconnect handshake, and the hunt finishes with the EXACT
 // winner trajectory of an unfailed run. Also the failure modes around the
 // happy path: the double failure (coordinator, then standby) aborts
-// promptly, a world launched without --standby stays host-fatal, and a
-// manifest written by the PROMOTED coordinator resumes a fresh world.
+// promptly, a world launched without --standby stays host-fatal, a
+// manifest written by the PROMOTED coordinator resumes a fresh world, and a
+// coordinator promoted from a mirrored leader names it as the winner.
 //
 // Seeds are pinned to the same reference trajectory the elastic suite uses:
 // size-14 seed-22 solves at walker 2, iteration 982 (segment 3 at
@@ -20,11 +21,13 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dist/ckpt.hpp"
 #include "dist/elastic.hpp"
 #include "dist/world.hpp"
+#include "fake_rank.hpp"
 #include "runtime/spec.hpp"
 #include "runtime/strategy.hpp"
 
@@ -157,30 +160,97 @@ TEST(DistFailover, FailoverTrajectoryIsBitIdenticalToAnUnfailedRun) {
   EXPECT_TRUE(promoted.check_passed);
 }
 
-TEST(DistFailover, FailoverAfterTheLeaderIsKnownNamesTheOracleWinner) {
-  // The host holds its wave-1 report until it knows the leader, then dies:
-  // walker 2 (on member 1, the standby) has already solved at 982, so the
-  // coordinator mirrored the leader to the standby before the crash. The
-  // promoted coordinator starts from it and names the same winner, counting
-  // every walker up to its bound against it (4 x 982 - 1 for walker 3).
-  const auto reports =
-      run_standby_world(3, costas_request(kSize, kWalkers, kSeed), [](int rank) {
-        ElasticOptions eo = rank == 0 ? kill_host_at(2) : base_opts();
-        if (rank == 0) eo.hold_for_leader = 2;
-        return eo;
-      });
-  EXPECT_NE(reports[0].error.find("fault injection"), std::string::npos) << reports[0].error;
-  const auto& promoted = reports[1];
-  ASSERT_TRUE(promoted.error.empty()) << promoted.error;
-  EXPECT_TRUE(promoted.solved);
-  EXPECT_TRUE(promoted.check_passed);
-  EXPECT_EQ(promoted.winner, kRefWinner);
-  EXPECT_EQ(promoted.winner_stats.iterations, kRefWinnerIters);
-  EXPECT_EQ(promoted.total_iterations, kWalkers * kRefWinnerIters - 1);
-  EXPECT_EQ(dist_extras(promoted).at("promoted_from").as_int(), 0);
-  const auto& survivor = reports[2];
-  ASSERT_TRUE(survivor.error.empty()) << survivor.error;
-  EXPECT_EQ(survivor.winner, kRefWinner);
+TEST(DistFailover, PromotionFromAMirroredLeaderNamesItAsWinner) {
+  // Two fake members; member 1 is the standby. The coordinator mirrors a
+  // new leader to the standby at once, not at the next wave's end, and the
+  // hunt's decision with every wave. A coordinator promoted from either
+  // mirror names that leader as the winner: from the first once the
+  // survivor settles against it, from the second (a report had listed the
+  // solve) even when the survivor halts unsettled.
+  const std::string key = "hunt";
+  const util::Json stats = run_stats_to_json([] {
+    core::RunStats st;
+    st.solved = true;
+    st.iterations = kRefWinnerIters;
+    return st;
+  }());
+  const auto report = [](int member, uint64_t wave, int walkers) {
+    util::Json ef = make_epoch_base(member, wave);
+    ef["walkers"] = walkers;
+    ef["solved"] = util::Json::array();
+    return ef;
+  };
+  CoordinatorOptions co;
+  co.ranks = 2;
+  co.elastic = true;
+  co.standby = true;
+  co.heartbeat_timeout_seconds = 0;
+  util::Json leader_mirror, decided_mirror;
+  {
+    Coordinator coord(co);
+    coord.set_hunt(key, kSeed, kWalkers);
+    util::Json standby_hello = make_hello(1, 2);
+    standby_hello["failover"] = "127.0.0.1:1";  // makes it eligible; never dialed here
+    test::FakeRank host(coord.port(), make_hello(0, 2));
+    test::FakeRank standby(coord.port(), standby_hello);
+    ASSERT_FALSE(host.await("welcome").is_null());
+    ASSERT_FALSE(standby.await("welcome").is_null());
+    host.send(report(0, 0, 2));
+    standby.send(report(1, 0, 2));
+    ASSERT_FALSE(standby.await("state_sync").is_null());  // wave 0 elected the standby
+
+    // Walker 2, the standby's, solves at 982 during wave 1.
+    standby.send(make_solved(1, kRefWinner, kRefWinnerIters, stats));
+    ASSERT_FALSE(host.await("leader").is_null());
+    leader_mirror = standby.await("state_sync");
+    ASSERT_FALSE(leader_mirror.is_null());
+    const util::Json& led = leader_mirror.at("state");
+    EXPECT_TRUE(frame_bool(led, "have_leader", false));
+    EXPECT_FALSE(frame_bool(led, "decided", true));
+    EXPECT_EQ(frame_u64(led, "leader_id"), static_cast<uint64_t>(kRefWinner));
+    EXPECT_EQ(frame_u64(led, "leader_iters"), kRefWinnerIters);
+
+    // Wave 1's reports list the solve: decided, though the host's walkers
+    // still run, so the world goes on to wave 2.
+    host.send(report(0, 1, 2));
+    util::Json listed = report(1, 1, 2);
+    util::Json solve = util::Json::object();
+    solve["id"] = wire_u64(kRefWinner);
+    solve["iters"] = wire_u64(kRefWinnerIters);
+    listed["solved"].push_back(std::move(solve));
+    standby.send(listed);
+    decided_mirror = standby.await("state_sync");
+    ASSERT_FALSE(decided_mirror.is_null());
+    EXPECT_TRUE(frame_bool(decided_mirror.at("state"), "decided", false));
+    coord.stop();  // the host dies
+  }
+
+  for (const auto& [mirror, flag] : {std::pair{leader_mirror, "settled"},
+                                     std::pair{decided_mirror, "halt"}}) {
+    std::string err;
+    net::Fd listener = net::listen_tcp("127.0.0.1", 0, 4, err);
+    ASSERT_TRUE(listener.valid()) << err;
+    CoordinatorOptions po = co;
+    po.host_member = 1;
+    Coordinator promoted(po, std::move(listener), mirror.at("state"));
+    const uint64_t wave = frame_u64(mirror, "epoch");
+    test::FakeRank survivor(promoted.port(), make_reconnect(1, wave, key));
+    const util::Json resume = survivor.await("rebalance");
+    ASSERT_FALSE(resume.is_null()) << flag;
+    EXPECT_EQ(frame_int(resume, "ranks"), 1) << flag;
+    util::Json last = report(1, wave, kWalkers);  // the survivor owns every walker
+    last[flag] = true;
+    survivor.send(last);
+    const util::Json final_frame = survivor.await("rebalance");
+    ASSERT_FALSE(final_frame.is_null()) << flag;
+    EXPECT_TRUE(frame_bool(final_frame, "final", false)) << flag;
+    const util::Json* winner = final_frame.find("winner");
+    ASSERT_NE(winner, nullptr) << flag;
+    EXPECT_EQ(frame_u64(*winner, "id"), static_cast<uint64_t>(kRefWinner)) << flag;
+    EXPECT_EQ(frame_u64(*winner, "iters"), kRefWinnerIters) << flag;
+    EXPECT_EQ(frame_int(*winner, "member"), 1) << flag;
+    promoted.stop();
+  }
 }
 
 TEST(DistFailover, DoubleFailureAbortsCleanly) {
