@@ -1,6 +1,7 @@
 // A bare-socket rank for the dist tests: it says hello like a RankComm,
 // then sends and reads raw frames, so a test can play a peer that sends
-// what a real rank never would.
+// what a real rank never would (or, on an accepted connection, a
+// coordinator).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "dist/wire.hpp"
 #include "net/frame.hpp"
@@ -21,6 +23,10 @@ namespace cas::dist::test {
 class FakeRank {
  public:
   FakeRank(uint16_t port, int rank, int ranks) : FakeRank(port, make_hello(rank, ranks)) {}
+
+  /// The accepted end of a connection, for a test that plays the
+  /// coordinator to a real member.
+  explicit FakeRank(net::Fd fd) : fd_(std::move(fd)) {}
 
   /// Connect and send `handshake` first: a hello with extra fields, a
   /// join, or a reconnect.

@@ -801,6 +801,62 @@ TEST(DistElasticPipeline, WaveFilesHoldTheBoundaryStateWhileWalkersRunAhead) {
   EXPECT_EQ(r0.winner_stats.iterations, kRefWinnerIters);
 }
 
+TEST(DistElasticPipeline, SettledMemberSkipsItsWaveFileOnlyWhenTheWaveDecides) {
+  // A fake coordinator admits one joiner and hands it a leader in its first
+  // rebalance; every walker stops at a 50-iteration cap inside wave 0, so
+  // the joiner reports wave 0 settled. Against a leader at iteration 40,
+  // inside the wave, that report decides the hunt and no wave file is
+  // written. Against one past the wave the world could still halt
+  // undecided, so the file is written.
+  for (const uint64_t leader_iters : {uint64_t{40}, uint64_t{1000000}}) {
+    const std::string dir = make_temp_dir();
+    auto req = costas_request(kSize, kWalkers, kSeed);
+    req.max_iterations = 50;
+    std::string err;
+    net::Fd listener = net::listen_tcp("127.0.0.1", 0, 4, err);
+    ASSERT_TRUE(listener.valid()) << err;
+    util::Json report;
+    std::jthread coordinator([&] {
+      test::FakeRank joiner(net::Fd(::accept(listener.get(), nullptr, nullptr)));
+      ASSERT_FALSE(joiner.await("join").is_null());
+      util::Json view = make_rebalance_base(0);
+      view["final"] = false;
+      view["ranks"] = 1;
+      view["your_rank"] = 0;
+      view["ckpt_epoch"] = -1;
+      view["seed"] = wire_u64(kSeed);
+      view["walkers"] = kWalkers;
+      util::Json leader = util::Json::object();
+      leader["id"] = wire_u64(0);
+      leader["iters"] = wire_u64(leader_iters);
+      view["leader"] = std::move(leader);
+      joiner.send(make_welcome(0, 1));
+      joiner.send(view);
+      report = joiner.await("epoch");
+      view["final"] = true;
+      joiner.send(view);
+      (void)joiner.await("bye");
+    });
+    WorldOptions wo;
+    wo.rank = -1;
+    wo.ranks = 0;
+    wo.join = true;
+    wo.elastic = true;
+    wo.port = net::local_port(listener.get());
+    wo.hunt_key = elastic_hunt_key(runtime::resolve(req));
+    World world(wo);
+    ElasticOptions eo = base_opts();
+    eo.ckpt_dir = dir;
+    const runtime::SolveReport rep = solve_elastic(world, req, runtime::StrategyContext{}, eo);
+    world.finalize();
+    coordinator.join();
+    ASSERT_TRUE(rep.error.empty()) << rep.error;
+    ASSERT_FALSE(report.is_null()) << leader_iters;
+    EXPECT_TRUE(frame_bool(report, "settled", false)) << leader_iters;
+    EXPECT_EQ(list_walker_files(dir).empty(), leader_iters <= 300) << leader_iters;
+  }
+}
+
 TEST(DistElasticPipeline, WalkersStartTheNextSegmentBeforeTheRebalance) {
   // The pinned hunt has no solve in wave 0, so a member's first walker to
   // finish it starts segment 1 before that wave's rebalance can exist: the
