@@ -1,21 +1,21 @@
-// Distributed scaling bench — the socket communicator under a fixed total
-// walker budget split across 1/2/4 ranks (strong scaling, paper Sec. V
-// framing: parallelism buys latency, the machine-time floor stays).
+// Distributed scaling bench — a world under a fixed total walker budget
+// split across 1/2/4 ranks (strong scaling, paper Sec. V framing:
+// parallelism buys latency, the machine-time floor stays).
 //
 // Every rung hosts a full loopback world — rank-0 coordinator plus one
 // RankComm endpoint per rank, each rank on its own thread — and pushes the
-// SAME multiwalk request ladder through dist::solve_distributed, so the
-// measured path is exactly what multi-process cas_run --ranks=N executes:
-// TCP frames, JSON codec, the SOLUTION_FOUND stop, the closing gather and
-// broadcast. (Threads stand in for processes; the wire path is identical,
-// only address-space isolation differs, and that costs nothing on
-// loopback.)
+// SAME multiwalk request ladder through dist::solve_elastic, one hunt per
+// request on the one world, so the measured path is exactly what
+// multi-process cas_run --ranks=N executes: TCP frames, JSON codec, the
+// opening rebalance, the wave reports, the solved/leader frames. (Threads
+// stand in for processes; the wire path is identical, only address-space
+// isolation differs, and that costs nothing on loopback.)
 //
 // Emits BENCH_dist.json with a "dist" block (ladder of per-rung wall-time
-// summaries, solve rates within the budget, and comm counters) guarded by
-// check_bench.py: solve rates must hold, multi-rank rungs must actually
-// have communicated, and splitting must not multiply wall time beyond a
-// generous overhead bound.
+// summaries, solve rates within the budget, frames sent and waves run)
+// guarded by check_bench.py: solve rates must hold, multi-rank rungs must
+// actually have communicated, and splitting must not multiply wall time
+// beyond a generous overhead bound.
 #include <cstdio>
 #include <fstream>
 #include <future>
@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "analysis/summary.hpp"
-#include "dist/runner.hpp"
+#include "dist/elastic.hpp"
 #include "dist/world.hpp"
 #include "runtime/spec.hpp"
 #include "runtime/strategy.hpp"
@@ -45,11 +45,10 @@ struct Rung {
   int solved = 0;
   analysis::Summary wall;
   // Cumulative rank-0 comm counters over the whole rung (the world is
-  // long-lived; requests reuse it through the epoch protocol).
+  // long-lived: one hunt per request), and the waves its hunts ran.
   int64_t frames_sent = 0;
   int64_t bytes_sent = 0;
-  int64_t collective_rounds = 0;
-  double collective_wait_p95_ms = 0;
+  int64_t waves = 0;
 };
 
 /// One world of `ranks` ranks (thread-per-rank, loopback sockets), the
@@ -73,8 +72,9 @@ std::vector<runtime::SolveReport> run_rung(int ranks,
         world.emplace(wo);
       }
       const runtime::StrategyContext ctx;
+      const dist::ElasticOptions eo;
       for (const auto& req : reqs) {
-        runtime::SolveReport rep = dist::solve_distributed(*world, req, ctx);
+        runtime::SolveReport rep = dist::solve_elastic(*world, req, ctx, eo);
         if (r == 0) root_reports.push_back(std::move(rep));
       }
       world->finalize();
@@ -111,13 +111,11 @@ Rung measure(int ranks, int n, int walkers, int reps, double budget_seconds, uin
     if (rep.solved) ++rung.solved;
     walls.push_back(rep.wall_seconds);
     const util::Json* d = rep.extras.find("dist");
-    const util::Json* comm = d != nullptr ? d->find("comm") : nullptr;
-    if (comm != nullptr) {  // cumulative: the last report's counters win
-      rung.frames_sent = comm->at("frames_sent").as_int();
-      rung.bytes_sent = comm->at("bytes_sent").as_int();
-      rung.collective_rounds = comm->at("collective_rounds").as_int();
-      rung.collective_wait_p95_ms = comm->at("collective_wait").at("p95_ms").as_number();
-    }
+    if (d == nullptr) continue;
+    rung.waves += d->at("epochs").as_int();
+    const util::Json& comm = d->at("comm");  // cumulative: the last report's counters win
+    rung.frames_sent = comm.at("frames_sent").as_int();
+    rung.bytes_sent = comm.at("bytes_sent").as_int();
   }
   if (!walls.empty()) rung.wall = analysis::summarize(walls);
   return rung;
@@ -127,8 +125,8 @@ Rung measure(int ranks, int n, int walkers, int reps, double budget_seconds, uin
 
 int main(int argc, char** argv) {
   util::Flags flags(
-      "bench_dist — strong scaling of the socket communicator: a fixed "
-      "total walker budget split across 1/2/4 loopback ranks.");
+      "bench_dist — strong scaling of a distributed world: a fixed total "
+      "walker budget split across 1/2/4 loopback ranks.");
   flags.add_int("n", 16, "Costas instance size");
   flags.add_int("walkers", 8, "TOTAL walkers, split across the ranks of each rung");
   flags.add_int("reps", 10, "requests per rung");
@@ -148,8 +146,7 @@ int main(int argc, char** argv) {
               reps);
 
   util::Table table(util::strf("fixed %d walkers split across ranks", walkers));
-  table.header({"ranks", "solved", "mean wall (s)", "med wall (s)", "frames", "KiB",
-                "coll rounds", "p95 wait (ms)"});
+  table.header({"ranks", "solved", "mean wall (s)", "med wall (s)", "frames", "KiB", "waves"});
 
   util::Json ladder = util::Json::array();
   std::vector<Rung> rungs;
@@ -160,8 +157,7 @@ int main(int argc, char** argv) {
                util::strf("%.3f", rung.wall.mean), util::strf("%.3f", rung.wall.median),
                std::to_string(rung.frames_sent),
                util::strf("%.1f", static_cast<double>(rung.bytes_sent) / 1024.0),
-               std::to_string(rung.collective_rounds),
-               util::strf("%.2f", rung.collective_wait_p95_ms)});
+               std::to_string(rung.waves)});
 
     util::Json row = util::Json::object();
     row["ranks"] = rung.ranks;
@@ -173,8 +169,7 @@ int main(int argc, char** argv) {
     row["max_wall_seconds"] = rung.wall.max;
     row["frames_sent"] = rung.frames_sent;
     row["bytes_sent"] = rung.bytes_sent;
-    row["collective_rounds"] = rung.collective_rounds;
-    row["collective_wait_p95_ms"] = rung.collective_wait_p95_ms;
+    row["waves"] = rung.waves;
     ladder.push_back(std::move(row));
   }
 

@@ -22,13 +22,20 @@ double now_seconds() {
   return duration<double>(steady_clock::now().time_since_epoch()).count();
 }
 
+/// The wire version a hello/join/reconnect frame claims (-1 if none).
+int version_of(const util::Json& j) {
+  try {
+    return frame_int(j, "v");
+  } catch (const CommError&) {
+    return -1;
+  }
+}
+
 }  // namespace
 
 util::Json CoordinatorStats::to_json() const {
   util::Json j = util::Json::object();
   j["frames_in"] = frames_in.load(std::memory_order_relaxed);
-  j["frames_routed"] = frames_routed.load(std::memory_order_relaxed);
-  j["broadcasts"] = broadcasts.load(std::memory_order_relaxed);
   j["heartbeats"] = heartbeats.load(std::memory_order_relaxed);
   j["aborts"] = aborts.load(std::memory_order_relaxed);
   j["joins"] = joins.load(std::memory_order_relaxed);
@@ -41,11 +48,20 @@ util::Json CoordinatorStats::to_json() const {
   return j;
 }
 
-void Coordinator::set_hunt(const std::string& key, uint64_t seed, int walkers) {
-  std::scoped_lock lock(hunt_mu_);
-  hunt_key_ = key;
-  hunt_seed_ = seed;
-  hunt_walkers_ = walkers;
+void Coordinator::open_hunt(uint64_t index, const std::string& key, uint64_t seed, int walkers,
+                            uint64_t epoch) {
+  {
+    std::scoped_lock lock(open_mu_);
+    if (index <= opened_.index) return;
+    opened_ = Hunt{index, key, seed, walkers, epoch};
+    open_pending_ = true;
+  }
+  wakeup_.notify();
+}
+
+uint64_t Coordinator::hunt() const {
+  std::scoped_lock lock(open_mu_);
+  return opened_.index;
 }
 
 Coordinator::Coordinator(CoordinatorOptions opts) : opts_(std::move(opts)) {
@@ -70,7 +86,6 @@ Coordinator::Coordinator(CoordinatorOptions opts, net::Fd adopted_listener,
   listen_fd_ = std::move(adopted_listener);
   port_ = net::local_port(listen_fd_.get());
   net::set_nonblocking(listen_fd_.get(), true);
-  opts_.elastic = true;
   import_state(state);
   fd_of_rank_.assign(static_cast<size_t>(std::max(opts_.ranks, next_member_)), -1);
   reconnect_mode_ = true;
@@ -84,7 +99,6 @@ Coordinator::Coordinator(CoordinatorOptions opts, net::Fd adopted_listener,
 Coordinator::~Coordinator() { stop(); }
 
 bool Coordinator::all_detached() const {
-  if (!opts_.elastic) return byes_.load(std::memory_order_acquire) >= opts_.ranks;
   const int admitted = admitted_.load(std::memory_order_acquire);
   if (admitted == 0 || detached_.load(std::memory_order_acquire) < admitted) return false;
   return joins_seen_.load(std::memory_order_acquire) >= lost_.load(std::memory_order_acquire) ||
@@ -115,7 +129,15 @@ void Coordinator::run() {
       if ((e.readable || e.hangup) && peers_.count(e.fd) != 0) peer_readable(e.fd, now);
     }
     check_liveness(now);
+    maybe_open();
   }
+  // No hunt will open any more: tell the joiners still waiting for one.
+  const std::string closed = make_abort("coordinator: the world closed before a hunt admitted "
+                                        "this member")
+                                 .dump(0);
+  const std::vector<int> waiting = pending_join_fds_;
+  for (const int fd : waiting)
+    if (peers_.count(fd) != 0) enqueue(*peers_.at(fd), closed, /*log=*/false);
   peers_.clear();
 }
 
@@ -177,24 +199,20 @@ void Coordinator::handle_frame(Peer& p, const std::string& payload, double now) 
   }
   const std::string type = frame_type(j);
   if (p.rank >= 0 && type != "hello") {
-    // The first post-hello frame proves the rank's constructor returned —
-    // its welcome landed, it will never re-hello, and its replay
-    // transcript is dead weight.
+    // The first post-hello frame proves the member's welcome landed: it
+    // will never re-hello, and its replay transcript is dead weight.
     if (++msgs_from_rank_[p.rank] == 1) {
       replay_log_.erase(p.rank);
       replay_bytes_.erase(p.rank);
     }
   }
   if (type == "hello") {
-    int rank = -1, ranks = -1, version = -1;
-    const util::Json* rj = j.find("rank");
-    const util::Json* nj = j.find("ranks");
-    const util::Json* vj = j.find("v");
+    int rank = -1, ranks = -1;
+    const int version = version_of(j);
     try {
-      if (rj != nullptr) rank = static_cast<int>(rj->as_int());
-      if (nj != nullptr) ranks = static_cast<int>(nj->as_int());
-      if (vj != nullptr) version = static_cast<int>(vj->as_int());
-    } catch (...) {
+      rank = frame_int(j, "rank");
+      ranks = frame_int(j, "ranks");
+    } catch (const CommError&) {
     }
     if (version != kWireVersion || rank < 0 || rank >= opts_.ranks || ranks != opts_.ranks) {
       // A misconfigured launch — or one corrupted byte in an otherwise
@@ -221,13 +239,11 @@ void Coordinator::handle_frame(Peer& p, const std::string& payload, double now) 
       abort_world(util::strf("coordinator: duplicate hello for live rank %d", rank));
       return;
     }
-    if (welcomed_ && opts_.elastic) {
-      const auto mit = members_.find(rank);
-      if (mit == members_.end() || !member_active(mit->second) || !hunting_) {
-        enqueue(p, make_abort("coordinator: re-hello refused — member already retired").dump(0),
-                /*log=*/false);
-        return;
-      }
+    if (const auto mit = members_.find(rank);
+        welcomed_ && (mit == members_.end() || !member_active(mit->second))) {
+      enqueue(p, make_abort("coordinator: re-hello refused — member already retired").dump(0),
+              /*log=*/false);
+      return;
     }
     const int old_fd = fd_of_rank_[static_cast<size_t>(rank)];
     if (old_fd != -1 && old_fd != p.fd.get()) {
@@ -243,26 +259,20 @@ void Coordinator::handle_frame(Peer& p, const std::string& payload, double now) 
     fd_of_rank_[static_cast<size_t>(rank)] = p.fd.get();
     vacant_since_.erase(rank);
     if (!welcomed_) {
-      ++joined_;
-      if (joined_ == opts_.ranks) {
-        welcomed_ = true;
-        if (opts_.elastic) {
-          for (int r = 0; r < opts_.ranks; ++r) {
-            Member m;
-            m.fd = fd_of_rank_[static_cast<size_t>(r)];
-            m.dense = r;
-            if (const auto pit = peers_.find(m.fd); pit != peers_.end())
-              m.failover_addr = pit->second->failover_addr;
-            members_[r] = m;
-          }
-          next_member_ = opts_.ranks;
-          admitted_.store(opts_.ranks, std::memory_order_release);
-        }
-        for (int r = 0; r < opts_.ranks; ++r) {
-          Peer& member = *peers_.at(fd_of_rank_[static_cast<size_t>(r)]);
-          enqueue(member, make_welcome(r, opts_.ranks).dump(0));
-        }
+      if (++joined_ < opts_.ranks) return;
+      welcomed_ = true;
+      for (int r = 0; r < opts_.ranks; ++r) {
+        Member m;
+        m.fd = fd_of_rank_[static_cast<size_t>(r)];
+        m.dense = r;
+        m.failover_addr = peers_.at(m.fd)->failover_addr;
+        members_[r] = m;
       }
+      next_member_ = opts_.ranks;
+      admitted_.store(opts_.ranks, std::memory_order_release);
+      for (int r = 0; r < opts_.ranks; ++r)
+        enqueue(*peers_.at(fd_of_rank_[static_cast<size_t>(r)]),
+                make_welcome(r, opts_.ranks).dump(0));
       return;
     }
     // Post-welcome re-hello: the rank's previous connection died before it
@@ -274,25 +284,15 @@ void Coordinator::handle_frame(Peer& p, const std::string& payload, double now) 
           "coordinator: rank %d re-helloed after its replay window overflowed", rank));
       return;
     }
-    if (opts_.elastic) {
-      Member& m = members_.at(rank);
-      m.fd = p.fd.get();
-      if (!p.failover_addr.empty()) m.failover_addr = p.failover_addr;
-    }
+    Member& m = members_.at(rank);
+    m.fd = p.fd.get();
+    if (!p.failover_addr.empty()) m.failover_addr = p.failover_addr;
     stats_.rehellos.fetch_add(1, std::memory_order_relaxed);
     const int fd = p.fd.get();
     const std::vector<std::string> transcript = replay_log_[rank];
     for (const std::string& frame : transcript) {
       if (peers_.count(fd) == 0) break;  // write error mid-replay: dropped again
       enqueue(*peers_.at(fd), frame, /*log=*/false);
-    }
-    return;
-  }
-  if (type == "msg") {
-    try {
-      route(p, msg_dest(j), payload);
-    } catch (const CommError& e) {
-      abort_world(e.what());
     }
     return;
   }
@@ -303,79 +303,71 @@ void Coordinator::handle_frame(Peer& p, const std::string& payload, double now) 
   }
   if (type == "bye") {
     p.said_bye = true;
-    byes_.fetch_add(1, std::memory_order_release);
     return;
   }
-  if (opts_.elastic) {
-    if (type == "join") {
-      handle_join(p, j);
+  if (type == "join") {
+    handle_join(p, j);
+    return;
+  }
+  if (type == "reconnect") {
+    handle_reconnect(p, j, now);
+    return;
+  }
+  if (type == "leave") {
+    int member = -1;
+    try {
+      member = frame_int(j, "rank");
+    } catch (const CommError& e) {
+      abort_world(e.what());
       return;
     }
-    if (type == "reconnect") {
-      handle_reconnect(p, j, now);
+    if (member == opts_.host_member) {
+      abort_world(util::strf(
+          "coordinator: member %d cannot leave (it hosts the coordinator); halt instead",
+          member));
       return;
     }
-    if (type == "leave") {
-      int member = -1;
-      try {
-        member = frame_int(j, "rank");
-      } catch (const CommError& e) {
-        abort_world(e.what());
-        return;
-      }
-      if (member == opts_.host_member) {
-        abort_world(util::strf(
-            "coordinator: member %d cannot leave (it hosts the coordinator); halt instead",
-            member));
-        return;
-      }
+    const auto it = members_.find(member);
+    if (it != members_.end() && member_active(it->second)) {
+      it->second.leaving = true;
+      stats_.leaves.fetch_add(1, std::memory_order_relaxed);
+    }
+    return;
+  }
+  if (type == "epoch") {
+    handle_epoch(j);
+    return;
+  }
+  if (type == "solved") {
+    handle_solved(j);
+    return;
+  }
+  if (type == "ckpt") {
+    try {
+      const int member = frame_int(j, "rank");
+      const uint64_t epoch = frame_u64(j, "epoch");
       const auto it = members_.find(member);
-      if (it != members_.end() && member_active(it->second)) {
-        it->second.leaving = true;
-        stats_.leaves.fetch_add(1, std::memory_order_relaxed);
+      if (it != members_.end()) {
+        it->second.any_ckpt = true;
+        it->second.last_ckpt_epoch = epoch;
       }
-      return;
+    } catch (const CommError& e) {
+      abort_world(e.what());
     }
-    if (type == "epoch") {
-      handle_epoch(p, j);
-      return;
-    }
-    if (type == "solved") {
-      handle_solved(j);
-      return;
-    }
-    if (type == "ckpt") {
-      try {
-        const int member = frame_int(j, "rank");
-        const uint64_t epoch = frame_u64(j, "epoch");
-        const auto it = members_.find(member);
-        if (it != members_.end()) {
-          it->second.any_ckpt = true;
-          it->second.last_ckpt_epoch = epoch;
-        }
-      } catch (const CommError& e) {
-        abort_world(e.what());
-      }
-      return;
-    }
+    return;
   }
   // An unknown type proves only that THIS connection's stream can no
   // longer be trusted (one corrupted byte in a type field lands here) —
-  // drop the peer and let the liveness machinery account for the rank:
-  // pre-welcome peers retry their rendezvous, welcomed ranks get the
-  // re-hello grace window, elastic members are evicted at the boundary.
+  // drop the peer and let the liveness machinery account for the member:
+  // pre-welcome peers retry their rendezvous, members that never spoke get
+  // the re-hello grace window, the rest are evicted.
   std::fprintf(stderr, "coordinator: dropping peer (rank %d) after unknown frame type '%s'\n",
                p.rank, type.c_str());
   drop_peer(p.fd.get(), /*expected=*/false);
 }
 
 void Coordinator::handle_join(Peer& p, const util::Json& j) {
-  int version = -1;
-  const util::Json* vj = j.find("v");
-  try {
-    if (vj != nullptr) version = static_cast<int>(vj->as_int());
-  } catch (...) {
-  }
+  const int version = version_of(j);
   if (version != kWireVersion) {
     // Refuse just this peer: a mis-versioned joiner must not kill a hunt.
     enqueue(p, make_abort(util::strf("coordinator: wire version mismatch (joiner speaks v%d, "
@@ -384,28 +376,50 @@ void Coordinator::handle_join(Peer& p, const util::Json& j) {
                    .dump(0));
     return;
   }
-  {
-    std::scoped_lock lock(hunt_mu_);
-    const util::Json* kj = j.find("key");
-    const std::string key = (kj != nullptr && kj->is_string()) ? kj->as_string() : "";
-    if (!hunt_key_.empty() && key != hunt_key_) {
-      enqueue(p, make_abort("coordinator: join refused — request key does not match the hunt "
-                            "in progress")
-                     .dump(0));
-      return;
-    }
-  }
   if (!welcomed_) {
     enqueue(p, make_abort("coordinator: join refused — world still in rendezvous").dump(0));
     return;
   }
-  joins_seen_.fetch_add(1, std::memory_order_release);  // a lost member may be back (all_detached)
-  if (!hunting_) {
-    answer_with_outcome(p.fd.get());
+  const util::Json* kj = j.find("key");
+  const std::string key = (kj != nullptr && kj->is_string()) ? kj->as_string() : "";
+  uint64_t hunt = 0;
+  try {
+    hunt = frame_u64(j, "hunt");
+  } catch (const CommError& e) {
+    enqueue(p, make_abort(util::strf("coordinator: join refused — %s", e.what())).dump(0));
     return;
   }
+  joins_seen_.fetch_add(1, std::memory_order_release);  // a lost member may be back (all_detached)
+  if (hunt != 0) {
+    // A rejoin: back into the hunt it left, or told how that hunt ended
+    // and kept for the next one.
+    if (hunting_ && hunt == hunt_.index) {
+      pend_join(p, j, "");
+    } else if (hunt == final_hunt_ && !final_answer_.empty()) {
+      answer_with_outcome(p.fd.get());
+      if (peers_.count(p.fd.get()) != 0) pend_join(p, j, "");
+    } else {
+      enqueue(p, make_abort(util::strf("coordinator: rejoin refused — hunt %llu is neither "
+                                       "running nor the last one finished",
+                                       static_cast<unsigned long long>(hunt)))
+                     .dump(0));
+    }
+    return;
+  }
+  if (hunting_ && key != hunt_.key) {
+    enqueue(p, make_abort("coordinator: join refused — request key does not match the hunt "
+                          "in progress")
+                   .dump(0));
+    return;
+  }
+  // Between hunts the key is checked when the next hunt opens.
+  pend_join(p, j, hunting_ ? "" : key);
+}
+
+void Coordinator::pend_join(Peer& p, const util::Json& j, std::string key) {
   if (const util::Json* fo = j.find("failover"); fo != nullptr && fo->is_string())
     p.failover_addr = fo->as_string();
+  p.join_key = std::move(key);
   p.pending_join = true;
   pending_join_fds_.push_back(p.fd.get());
   stats_.joins.fetch_add(1, std::memory_order_relaxed);
@@ -415,31 +429,25 @@ void Coordinator::answer_with_outcome(int fd) {
   for (const std::string& frame : final_answer_) {
     const auto it = peers_.find(fd);
     if (it == peers_.end()) return;  // died while pending, or a write error dropped it
-    it->second->pending_join = false;
     enqueue(*it->second, frame);
   }
 }
 
-void Coordinator::handle_epoch(Peer& /*p*/, const util::Json& j) {
+void Coordinator::handle_epoch(const util::Json& j) {
   int member = -1;
-  uint64_t epoch = 0;
+  uint64_t hunt = 0, epoch = 0;
   try {
     member = frame_int(j, "rank");
+    hunt = frame_u64(j, "hunt");
     epoch = frame_u64(j, "epoch");
   } catch (const CommError& e) {
     abort_world(e.what());
     return;
   }
+  if (!hunting_ || hunt != hunt_.index) return;  // another hunt's report
   const auto it = members_.find(member);
   if (it == members_.end() || !member_active(it->second)) return;  // late frame from the retired
   Member& m = it->second;
-  if (!wave_anchored_) {
-    // Resumed worlds start counting from manifest_epoch + 1; adopt the
-    // first reported epoch as the current wave. Inconsistent starters are
-    // then caught by the mismatch check below.
-    wave_ = epoch;
-    wave_anchored_ = true;
-  }
   if (epoch != wave_) {
     abort_world(util::strf("coordinator: member %d reported epoch %llu during wave %llu", member,
                            static_cast<unsigned long long>(epoch),
@@ -463,12 +471,12 @@ void Coordinator::handle_epoch(Peer& /*p*/, const util::Json& j) {
 }
 
 void Coordinator::handle_solved(const util::Json& j) {
-  if (!hunting_) return;
   int member = -1;
-  uint64_t id = 0, iters = 0;
+  uint64_t hunt = 0, id = 0, iters = 0;
   core::RunStats stats;
   try {
     member = frame_int(j, "rank");
+    hunt = frame_u64(j, "hunt");
     id = frame_u64(j, "id");
     iters = frame_u64(j, "iters");
     stats = run_stats_from_json(j.at("stats"));
@@ -476,10 +484,8 @@ void Coordinator::handle_solved(const util::Json& j) {
     abort_world(util::strf("coordinator: malformed solved frame: %s", e.what()));
     return;
   }
-  const int walkers = hunt_walkers();
-  // (A member's crew may solve before the host announced the hunt.)
-  if ((walkers > 0 && id >= static_cast<uint64_t>(walkers)) || !stats.solved ||
-      stats.iterations != iters) {
+  if (!hunting_ || hunt != hunt_.index) return;  // another hunt's solve
+  if (id >= static_cast<uint64_t>(hunt_.walkers) || !stats.solved || stats.iterations != iters) {
     abort_world(util::strf("coordinator: member %d reported an impossible solve (walker %llu)",
                            member, static_cast<unsigned long long>(id)));
     return;
@@ -490,19 +496,18 @@ void Coordinator::handle_solved(const util::Json& j) {
   leader_id_ = id;
   winner_member_ = member;
   winner_stats_ = j.at("stats");
-  const std::string frame = make_leader(id, iters).dump(0);
+  const std::string frame = make_leader(hunt_.index, id, iters).dump(0);
   for (const auto& [mid, m] : members_)
-    if (member_active(m) && m.fd >= 0 && peers_.count(m.fd) != 0) enqueue(*peers_.at(m.fd), frame);
+    if (member_active(m)) send_to_member(mid, frame);
   send_state_sync();  // a promoted standby starts from the leader too
 }
 
-void Coordinator::evict_member(int member, const std::string& why) {
+void Coordinator::evict_member(int member) {
   const auto it = members_.find(member);
   if (it == members_.end() || !member_active(it->second)) return;
   it->second.evicted = true;
   it->second.fd = -1;
   stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-  (void)why;
   maybe_complete_wave();
 }
 
@@ -513,14 +518,46 @@ int Coordinator::active_count() const {
   return n;
 }
 
-int Coordinator::fd_of_dense(int dense) const {
-  for (const auto& [id, m] : members_)
-    if (member_active(m) && m.dense == dense) return m.fd;
-  return -1;
+void Coordinator::maybe_open() {
+  if (reconnect_mode_ || aborted_ || !welcomed_) return;
+  Hunt next;
+  {
+    std::scoped_lock lock(open_mu_);
+    if (!open_pending_) return;
+    open_pending_ = false;
+    next = opened_;
+  }
+  if (hunting_) complete_wave(/*final=*/true);  // the host left the running hunt undecided
+  hunt_ = std::move(next);
+  hunting_ = true;
+  wave_ = hunt_.epoch;
+  ckpt_epoch_ = static_cast<int64_t>(hunt_.epoch) - 1;
+  have_leader_ = decided_ = false;
+  winner_member_ = -1;
+  winner_stats_ = {};
+  for (auto& [id, m] : members_) {
+    m.done = m.settled = m.listed = m.halt = m.reported = m.any_ckpt = false;
+    m.walkers = 0;
+    m.last_ckpt_epoch = 0;
+    m.summary = {};
+  }
+  // A fresh joiner that arrived between hunts must want this one.
+  const std::string refusal =
+      make_abort("coordinator: join refused — request key does not match the hunt opened")
+          .dump(0);
+  for (const int fd : std::vector<int>(pending_join_fds_)) {
+    Peer& p = *peers_.at(fd);
+    if (p.join_key.empty() || p.join_key == hunt_.key) continue;
+    std::erase(pending_join_fds_, fd);
+    p.pending_join = false;
+    enqueue(p, refusal);
+  }
+  send_view(wave_, /*final=*/false);
+  send_state_sync();
 }
 
 void Coordinator::maybe_complete_wave() {
-  if (!opts_.elastic || !welcomed_ || aborted_ || !hunting_) return;
+  if (!welcomed_ || aborted_ || !hunting_) return;
   bool all_done = true;
   bool all_settled = true;
   bool any_halt = false;
@@ -554,15 +591,23 @@ void Coordinator::maybe_complete_wave() {
   // by the wave's end, or when every member settled: no walker can beat the
   // leader any more. A member lost mid-wave leaves its walkers uncovered
   // until the next view re-homes them.
-  const bool covered = walkers >= hunt_walkers();
+  const bool covered = walkers >= hunt_.walkers;
   if (covered && (listed || all_settled)) decided_ = true;
   complete_wave(/*final=*/any_halt || all_done || (covered && all_settled));
 }
 
 void Coordinator::complete_wave(bool final) {
+  send_view(final ? wave_ : wave_ + 1, final);
+  if (!final) ++wave_;
+  // Mirror the post-wave state to the standby on the same boundary the
+  // rebalance frames just rode: if this process dies any time before the
+  // next sync, the standby can reconstruct the world at wave_ exactly.
+  send_state_sync();
+}
+
+void Coordinator::send_view(uint64_t epoch, bool final) {
   stats_.rebalances.fetch_add(1, std::memory_order_relaxed);
   std::vector<int> retired, admitted;
-
   if (final) {
     hunting_ = false;
   } else {
@@ -589,7 +634,7 @@ void Coordinator::complete_wave(bool final) {
     pending_join_fds_.clear();
   }
 
-  util::Json base = next_view(final ? wave_ : wave_ + 1, final, admitted);
+  util::Json base = next_view(epoch, final, admitted);
   const int ranks = frame_int(base, "ranks");
 
   if (final) {
@@ -611,38 +656,29 @@ void Coordinator::complete_wave(bool final) {
       summaries.push_back(std::move(row));
     }
     base["summaries"] = std::move(summaries);
-    // A join that arrives from now on (or is still pending) comes too late
-    // to take part: it is answered with the outcome, as a non-member.
+    // A join that arrives too late to take part (or is still pending) is
+    // answered with the outcome, as a non-member, and waits for the next
+    // hunt.
     util::Json late = base;
     late["your_rank"] = -1;
     final_answer_ = {make_welcome(-1, ranks).dump(0), late.dump(0)};
-    for (const int fd : pending_join_fds_) answer_with_outcome(fd);
-    pending_join_fds_.clear();
+    final_hunt_ = hunt_.index;
+    for (const int fd : std::vector<int>(pending_join_fds_)) {
+      answer_with_outcome(fd);
+      if (const auto pit = peers_.find(fd); pit != peers_.end()) pit->second->join_key.clear();
+    }
   }
 
   // Personalized delivery: joiners were just welcomed (member id assigned),
   // retiring members get your_rank = -1 so they detach after this frame.
-  for (const int id : admitted) {
-    const auto pit = peers_.find(members_.at(id).fd);
-    if (pit != peers_.end())
-      enqueue(*pit->second, make_welcome(id, ranks).dump(0));
-  }
-  for (auto& [id, m] : members_) {
-    const int fd = member_active(m) ? m.fd : (m.left ? m.fd : -1);
-    if (fd < 0 || peers_.count(fd) == 0) continue;
+  for (const int id : admitted) send_to_member(id, make_welcome(id, ranks).dump(0));
+  for (const auto& [id, m] : members_) {
+    if (!member_active(m) && !m.left) continue;
     util::Json frame = base;
     frame["your_rank"] = member_active(m) ? m.dense : -1;
-    enqueue(*peers_.at(fd), frame.dump(0));
+    send_to_member(id, frame.dump(0));
   }
   for (const int id : retired) members_.at(id).fd = -1;
-
-  if (!final) {
-    ++wave_;
-    // Mirror the post-wave state to the standby on the same boundary the
-    // rebalance frames just rode: if this process dies any time before the
-    // next sync, the standby can reconstruct the world at wave_ exactly.
-    send_state_sync();
-  }
 }
 
 util::Json Coordinator::next_view(uint64_t epoch, bool final, const std::vector<int>& joined) {
@@ -660,7 +696,7 @@ util::Json Coordinator::next_view(uint64_t epoch, bool final, const std::vector<
     members_list.push_back(id);
   }
   elect_standby();
-  util::Json base = make_rebalance_base(epoch);
+  util::Json base = make_rebalance_base(hunt_.index, epoch);
   base["ranks"] = dense;
   base["final"] = final;
   base["ckpt_epoch"] = static_cast<int64_t>(ckpt_epoch_);
@@ -669,11 +705,8 @@ util::Json Coordinator::next_view(uint64_t epoch, bool final, const std::vector<
     base["standby_member"] = standby_member_;
     base["standby_addr"] = standby_addr_;
   }
-  {
-    std::scoped_lock lock(hunt_mu_);
-    base["seed"] = wire_u64(hunt_seed_);
-    base["walkers"] = hunt_walkers_;
-  }
+  base["seed"] = wire_u64(hunt_.seed);
+  base["walkers"] = hunt_.walkers;
   if (have_leader_) {
     util::Json leader = util::Json::object();
     leader["id"] = wire_u64(leader_id_);
@@ -706,12 +739,11 @@ void Coordinator::elect_standby() {
 util::Json Coordinator::export_state() {
   util::Json s = util::Json::object();
   s["v"] = kWireVersion;
-  {
-    std::scoped_lock lock(hunt_mu_);
-    s["key"] = hunt_key_;
-    s["seed"] = wire_u64(hunt_seed_);
-    s["walkers"] = hunt_walkers_;
-  }
+  s["hunt"] = wire_u64(hunt_.index);
+  s["hunting"] = hunting_;
+  s["key"] = hunt_.key;
+  s["seed"] = wire_u64(hunt_.seed);
+  s["walkers"] = hunt_.walkers;
   s["wave"] = wire_u64(wave_);
   s["ckpt_epoch"] = static_cast<int64_t>(ckpt_epoch_);
   s["next_member"] = next_member_;
@@ -745,12 +777,11 @@ util::Json Coordinator::export_state() {
 
 void Coordinator::import_state(const util::Json& state) {
   try {
-    {
-      std::scoped_lock lock(hunt_mu_);
-      hunt_key_ = state.at("key").as_string();
-      hunt_seed_ = frame_u64(state, "seed");
-      hunt_walkers_ = frame_int(state, "walkers");
-    }
+    hunt_.index = frame_u64(state, "hunt");
+    hunting_ = frame_bool(state, "hunting", false);
+    hunt_.key = state.at("key").as_string();
+    hunt_.seed = frame_u64(state, "seed");
+    hunt_.walkers = frame_int(state, "walkers");
     wave_ = frame_u64(state, "wave");
     ckpt_epoch_ = state.at("ckpt_epoch").as_int();
     next_member_ = frame_int(state, "next_member");
@@ -786,40 +817,34 @@ void Coordinator::import_state(const util::Json& state) {
   } catch (const std::exception& e) {
     throw CommError(util::strf("coordinator: malformed replicated state: %s", e.what()));
   }
+  if (next_member_ < 0 || next_member_ > (1 << 20))
+    throw CommError("coordinator: malformed replicated state: next_member out of range");
   // The dead host is the one member that cannot reconnect.
   if (const auto hit = members_.find(promoted_from_);
       hit != members_.end() && member_active(hit->second)) {
     hit->second.evicted = true;
     stats_.evictions.fetch_add(1, std::memory_order_relaxed);
   }
-  int survivors = 0;
-  for (const auto& [id, m] : members_)
-    if (member_active(m)) ++survivors;
+  const int survivors = active_count();
   if (survivors == 0) throw CommError("coordinator: replicated state has no surviving members");
   welcomed_ = true;
-  wave_anchored_ = true;
-  hunting_ = true;
   admitted_.store(survivors, std::memory_order_release);
+  opened_ = hunt_;
 }
 
 void Coordinator::send_state_sync() {
-  if (standby_member_ < 0 || !hunting_) return;
+  if (standby_member_ < 0) return;
   const auto mit = members_.find(standby_member_);
   if (mit == members_.end() || mit->second.fd < 0 || peers_.count(mit->second.fd) == 0) return;
   // Not logged for replay: a standby that re-hellos just waits for the
-  // next wave's sync; replaying a stale one would only waste the window.
+  // next sync; replaying a stale one would only waste the window.
   enqueue(*peers_.at(mit->second.fd), make_state_sync(wave_, export_state()).dump(0),
           /*log=*/false);
   stats_.state_syncs.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Coordinator::handle_reconnect(Peer& p, const util::Json& j, double now) {
-  int version = -1;
-  const util::Json* vj = j.find("v");
-  try {
-    if (vj != nullptr) version = static_cast<int>(vj->as_int());
-  } catch (...) {
-  }
+  const int version = version_of(j);
   if (version != kWireVersion) {
     enqueue(p, make_abort(util::strf("coordinator: wire version mismatch (reconnect speaks "
                                      "v%d, this world v%d)",
@@ -831,31 +856,19 @@ void Coordinator::handle_reconnect(Peer& p, const util::Json& j, double now) {
   if (!reconnect_mode_) {
     // Late arrival after the window closed (or a reconnect sent to a
     // never-promoted coordinator): refuse — the survivor falls back to the
-    // ordinary late-join handshake against a live world.
+    // ordinary rejoin against a live world.
     enqueue(p, make_abort("coordinator: no reconnect window open").dump(0), /*log=*/false);
     return;
   }
   int member = -1;
-  uint64_t epoch = 0;
-  std::string key;
+  uint64_t hunt = 0, epoch = 0;
   try {
     member = frame_int(j, "rank");
+    hunt = frame_u64(j, "hunt");
     epoch = frame_u64(j, "epoch");
-    if (const util::Json* kj = j.find("key"); kj != nullptr && kj->is_string())
-      key = kj->as_string();
   } catch (const CommError&) {
     drop_peer(p.fd.get(), /*expected=*/false);
     return;
-  }
-  {
-    std::scoped_lock lock(hunt_mu_);
-    if (!hunt_key_.empty() && key != hunt_key_) {
-      enqueue(p, make_abort("coordinator: reconnect refused — request key does not match the "
-                            "hunt in progress")
-                     .dump(0),
-              /*log=*/false);
-      return;
-    }
   }
   const auto mit = members_.find(member);
   if (mit == members_.end() || !member_active(mit->second)) {
@@ -866,14 +879,16 @@ void Coordinator::handle_reconnect(Peer& p, const util::Json& j, double now) {
             /*log=*/false);
     return;
   }
-  // Epoch-stamp invariant: a survivor is never more than one wave away
-  // from the replicated state (state_sync rides the same boundary as the
-  // rebalance it mirrors). A wider gap means the state blob and the
-  // survivor describe different worlds.
-  if (epoch > wave_ + 1 || epoch + 1 < wave_) {
-    abort_world(util::strf("coordinator: reconnect from member %d stamps epoch %llu but the "
-                           "replicated state is at wave %llu",
-                           member, static_cast<unsigned long long>(epoch),
+  // Stamp invariant: a survivor is in the replicated hunt and never more
+  // than one wave away from the replicated state (state_sync rides the same
+  // boundary as the rebalance it mirrors). Anything else means the state
+  // blob and the survivor describe different worlds.
+  if (hunt != hunt_.index || epoch > wave_ + 1 || epoch + 1 < wave_) {
+    abort_world(util::strf("coordinator: reconnect from member %d stamps hunt %llu epoch %llu "
+                           "but the replicated state is at hunt %llu wave %llu",
+                           member, static_cast<unsigned long long>(hunt),
+                           static_cast<unsigned long long>(epoch),
+                           static_cast<unsigned long long>(hunt_.index),
                            static_cast<unsigned long long>(wave_)));
     return;
   }
@@ -930,77 +945,13 @@ void Coordinator::maybe_finish_reconnect(double now) {
     return;
   }
   reconnect_mode_ = false;
+  if (!hunting_) return;  // between hunts: the host opens the next one
   // Resume rebalance: the same personalized frame a completed wave sends,
   // except the wave index does not advance — everyone rewinds to the
   // replicated epoch and re-runs it (deterministic walkers make the replay
   // bit-identical, and re-reported acks are idempotent).
-  stats_.rebalances.fetch_add(1, std::memory_order_relaxed);
-  util::Json base = next_view(wave_, /*final=*/false, {});
-  base["failover"] = true;
-  for (auto& [id, m] : members_) {
-    if (!member_active(m) || m.fd < 0 || peers_.count(m.fd) == 0) continue;
-    util::Json frame = base;
-    frame["your_rank"] = m.dense;
-    enqueue(*peers_.at(m.fd), frame.dump(0));
-  }
+  send_view(wave_, /*final=*/false);
   send_state_sync();
-}
-
-void Coordinator::route(Peer& from, int dest, const std::string& payload) {
-  if (opts_.elastic && welcomed_) {
-    // Elastic worlds address msg frames by DENSE rank (the collective
-    // surface the runner sees); membership may have shifted since hello.
-    if (dest == -1) {
-      stats_.broadcasts.fetch_add(1, std::memory_order_relaxed);
-      for (const auto& [id, m] : members_) {
-        if (!member_active(m) || id == from.rank) continue;
-        if (m.fd < 0 || peers_.count(m.fd) == 0) {
-          // Vacant slot (awaiting re-hello): the frame still belongs to
-          // its transcript, so it must survive into the replay.
-          if (vacant_since_.count(id) != 0) log_for_replay(id, payload);
-          continue;
-        }
-        enqueue(*peers_.at(m.fd), payload);
-        stats_.frames_routed.fetch_add(1, std::memory_order_relaxed);
-      }
-      return;
-    }
-    for (const auto& [id, m] : members_) {
-      if (!member_active(m) || m.dense != dest) continue;
-      if (m.fd < 0 || peers_.count(m.fd) == 0) {
-        if (vacant_since_.count(id) != 0) log_for_replay(id, payload);
-        return;
-      }
-      enqueue(*peers_.at(m.fd), payload);
-      stats_.frames_routed.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    return;  // destination evicted/retired: frame is moot
-  }
-  if (dest == -1) {
-    stats_.broadcasts.fetch_add(1, std::memory_order_relaxed);
-    for (int r = 0; r < opts_.ranks; ++r) {
-      if (r == from.rank) continue;
-      const int fd = fd_of_rank_[static_cast<size_t>(r)];
-      if (fd < 0) {
-        // Either dead (abort on its way) or vacant awaiting re-hello — in
-        // the latter case the frame must survive into the replay.
-        if (vacant_since_.count(r) != 0) log_for_replay(r, payload);
-        continue;
-      }
-      enqueue(*peers_.at(fd), payload);
-      stats_.frames_routed.fetch_add(1, std::memory_order_relaxed);
-    }
-    return;
-  }
-  if (dest < 0 || dest >= opts_.ranks) throw CommError("coordinator: bad msg destination");
-  const int fd = fd_of_rank_[static_cast<size_t>(dest)];
-  if (fd < 0) {
-    if (vacant_since_.count(dest) != 0) log_for_replay(dest, payload);
-    return;  // else: destination died; its death broadcast handles it
-  }
-  enqueue(*peers_.at(fd), payload);
-  stats_.frames_routed.fetch_add(1, std::memory_order_relaxed);
 }
 
 uint64_t Coordinator::msgs_from(int rank) const {
@@ -1031,6 +982,14 @@ void Coordinator::enqueue(Peer& p, const std::string& payload, bool log) {
   peer_writable(p.fd.get());
 }
 
+void Coordinator::send_to_member(int member, const std::string& payload) {
+  const Member& m = members_.at(member);
+  if (m.fd >= 0 && peers_.count(m.fd) != 0)
+    enqueue(*peers_.at(m.fd), payload);
+  else if (vacant_since_.count(member) != 0)
+    log_for_replay(member, payload);  // it belongs to the transcript a re-hello replays
+}
+
 void Coordinator::peer_writable(int fd) {
   Peer& p = *peers_.at(fd);
   size_t sent = 0;
@@ -1055,7 +1014,8 @@ void Coordinator::drop_peer(int fd, bool expected) {
   const int rank = it->second->rank;
   const bool was_pending = it->second->pending_join;
   loop_.remove(fd);
-  if (rank >= 0 && rank < opts_.ranks && fd_of_rank_[static_cast<size_t>(rank)] == fd)
+  if (rank >= 0 && rank < static_cast<int>(fd_of_rank_.size()) &&
+      fd_of_rank_[static_cast<size_t>(rank)] == fd)
     fd_of_rank_[static_cast<size_t>(rank)] = -1;
   peers_.erase(it);
   if (rank < 0) {
@@ -1071,37 +1031,29 @@ void Coordinator::drop_peer(int fd, bool expected) {
     --joined_;
     return;
   }
+  const auto mit = members_.find(rank);
+  if (mit != members_.end() && mit->second.fd == fd) mit->second.fd = -1;  // fd numbers get reused
   if (expected) {
-    if (opts_.elastic) {
-      detached_.fetch_add(1, std::memory_order_release);
-      const auto mit = members_.find(rank);
-      if (mit != members_.end()) mit->second.fd = -1;
-    }
+    detached_.fetch_add(1, std::memory_order_release);
     return;
   }
   if (msgs_from(rank) == 0 && opts_.rehello_grace_seconds > 0 && !aborted_) {
-    // The rank never spoke after its hello — its welcome may have been
+    // The member never spoke after its hello — its welcome may have been
     // lost with this connection, in which case its rendezvous retry loop
     // re-hellos any moment now. Hold the slot vacant; check_liveness
     // settles the bill if nobody shows up.
     vacant_since_.emplace(rank, now_seconds());
-    if (opts_.elastic) {
-      const auto mit = members_.find(rank);
-      if (mit != members_.end()) mit->second.fd = -1;  // fd numbers get reused
-    }
     return;
   }
-  if (opts_.elastic) {
-    detached_.fetch_add(1, std::memory_order_release);
-    if (rank != opts_.host_member && hunting_) {
-      // Elastic downgrade: a dead member is evicted at the wave boundary
-      // instead of aborting the world. The host member's RankComm lives in
-      // this process, so its death still falls through to abort.
-      last_lost_.store(now_seconds(), std::memory_order_release);
-      lost_.fetch_add(1, std::memory_order_release);
-      evict_member(rank, "connection lost");
-      return;
-    }
+  detached_.fetch_add(1, std::memory_order_release);
+  if (rank != opts_.host_member) {
+    // A dead member is evicted (its walkers move at the wave boundary)
+    // instead of aborting the world. The host member's RankComm lives in
+    // this process, so its death still falls through to abort.
+    last_lost_.store(now_seconds(), std::memory_order_release);
+    lost_.fetch_add(1, std::memory_order_release);
+    evict_member(rank);
+    return;
   }
   abort_world(util::strf("coordinator: rank %d died (connection lost)", rank));
 }
@@ -1131,8 +1083,9 @@ void Coordinator::check_liveness(double now) {
                              joined_, opts_.ranks));
     return;
   }
-  // Vacant slots: an unexpected drop of a rank that never spoke post-hello
-  // is granted this grace window to re-hello before it counts as a death.
+  // Vacant slots: an unexpected drop of a member that never spoke
+  // post-hello is granted this grace window to re-hello before it counts
+  // as a death.
   for (auto vit = vacant_since_.begin(); vit != vacant_since_.end();) {
     if (now - vit->second <= opts_.rehello_grace_seconds) {
       ++vit;
@@ -1140,30 +1093,28 @@ void Coordinator::check_liveness(double now) {
     }
     const int rank = vit->first;
     vit = vacant_since_.erase(vit);
-    if (opts_.elastic && rank != opts_.host_member && hunting_) {
-      detached_.fetch_add(1, std::memory_order_release);
-      evict_member(rank, "re-hello grace expired");
-      continue;
+    detached_.fetch_add(1, std::memory_order_release);
+    if (rank == opts_.host_member) {
+      abort_world(util::strf("coordinator: rank %d died during its re-hello grace window", rank));
+      return;
     }
-    abort_world(util::strf("coordinator: rank %d died during its re-hello grace window", rank));
-    return;
+    evict_member(rank);
   }
   if (opts_.heartbeat_timeout_seconds <= 0) return;
   std::vector<int> dead_fds;
   for (const auto& [fd, p] : peers_) {
     if (p->rank < 0 || p->said_bye) continue;
     if (now - p->last_seen > opts_.heartbeat_timeout_seconds) {
-      if (opts_.elastic && p->rank != opts_.host_member && hunting_) {
-        dead_fds.push_back(fd);  // evict below; iterating peers_ here
-        continue;
+      if (p->rank == opts_.host_member) {
+        abort_world(util::strf("coordinator: rank %d missed heartbeats for %.1fs", p->rank,
+                               now - p->last_seen));
+        return;
       }
-      abort_world(util::strf("coordinator: rank %d missed heartbeats for %.1fs", p->rank,
-                             now - p->last_seen));
-      return;
+      dead_fds.push_back(fd);  // evicted below; iterating peers_ here
     }
   }
-  // Elastic: close the silent members' connections; drop_peer downgrades
-  // each to an eviction at the wave boundary.
+  // Close the silent members' connections; drop_peer turns each into an
+  // eviction.
   for (const int fd : dead_fds) drop_peer(fd, /*expected=*/false);
 }
 

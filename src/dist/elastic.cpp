@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <condition_variable>
 #include <csignal>
 #include <cstdint>
@@ -130,6 +129,7 @@ std::map<int, util::Json> load_wave_snapshots(const std::string& dir, uint64_t e
 /// adoption, the crew and the report builders stay readable.
 struct ElasticRun {
   RankComm* comm = nullptr;
+  uint64_t hunt = 0;
   const ElasticOptions* opts = nullptr;
   runtime::SolveRequest* resolved = nullptr;
   par::ThreadPool* executor = nullptr;  // null: the crew fans out on jthreads
@@ -171,7 +171,7 @@ struct ElasticRun {
   ElasticRun(const ElasticRun&) = delete;  // the crew holds `this`
   ElasticRun& operator=(const ElasticRun&) = delete;
   ~ElasticRun() {
-    if (comm != nullptr) comm->on_leader(nullptr);
+    if (comm != nullptr) comm->on_leader(hunt, nullptr);
     stop_crew();
   }
 
@@ -189,7 +189,7 @@ struct ElasticRun {
   /// Tell the coordinator walker `id` solved; sent before the walker
   /// freezes, so it precedes any report that counts the walker stopped.
   void announce(int id, const runtime::ResumableWalk& walk) {
-    comm->send_control(make_solved(comm->member(), static_cast<uint64_t>(id),
+    comm->send_control(make_solved(comm->member(), hunt, static_cast<uint64_t>(id),
                                    walk.stats().iterations, run_stats_to_json(walk.stats())));
   }
 
@@ -576,19 +576,26 @@ uint64_t counted_iters(const util::Json& summary, const std::optional<Leader>& l
   return total;
 }
 
-/// Cache the standby election each rebalance frame refreshes (and the epoch
-/// stamp a reconnect handshake would carry) — the recovery path in
-/// solve_elastic reads it after the communicator has already failed.
-void note_failover_from(World& world, const util::Json& rb) {
-  const util::Json* sm = rb.find("standby_member");
-  const util::Json* sa = rb.find("standby_addr");
-  if (sm == nullptr || sa == nullptr || !sa->is_string()) return;
-  world.note_failover(frame_int(rb, "standby_member"), sa->as_string(), frame_u64(rb, "epoch"));
+/// The next rebalance frame of a hunt in [lo, hi]; frames of other hunts
+/// are dropped. Throws CommError when none arrives within the timeout.
+util::Json await_view(RankComm& comm, uint64_t lo, uint64_t hi, double timeout_seconds) {
+  for (;;) {
+    std::optional<util::Json> ctl = comm.take_control(timeout_seconds);
+    if (!ctl)
+      throw CommError(util::strf("elastic: no rebalance for hunt %llu within %.0fs",
+                                 static_cast<unsigned long long>(lo), timeout_seconds));
+    const uint64_t hunt = frame_u64(*ctl, "hunt");
+    if (hunt >= lo && hunt <= hi) return std::move(*ctl);
+  }
 }
 
+/// Run hunt `want` or, when a member joins late, the first hunt after it
+/// that admits this member.
 void run_elastic(World& world, runtime::SolveRequest& resolved,
-                 const runtime::StrategyContext& ctx, const ElasticOptions& opts,
+                 const runtime::StrategyContext& ctx, const ElasticOptions& opts, uint64_t want,
                  runtime::SolveReport& report) {
+  // Every member refuses a request the same way before any frame moves, so
+  // a hunt opens only when all of them take part.
   if (resolved.strategy != "multiwalk")
     throw std::invalid_argument(
         "elastic worlds support only the multiwalk strategy (independent walkers are what "
@@ -597,51 +604,19 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
   if (opts.ckpt_iters == 0) throw std::invalid_argument("elastic: ckpt_iters must be >= 1");
   if (opts.resume && opts.ckpt_dir.empty())
     throw std::invalid_argument("elastic: --resume needs --ckpt-dir");
+  const auto& entry = runtime::entry_of(resolved);
+  if (!entry.make_resumable_walker)
+    throw std::invalid_argument("elastic: problem '" + resolved.problem +
+                                "' has no resumable walker factory");
 
   RankComm& comm = world.comm();
-  const bool joiner = comm.rank() < 0;
-
   ElasticRun run;
-  run.comm = &comm;
   run.opts = &opts;
   run.resolved = &resolved;
   run.executor = ctx.executor;
-  comm.on_leader([&run](uint64_t iters, int id) {
-    std::scoped_lock lock(run.mu);
-    run.note_leader(iters, id);
-  });
 
-  uint64_t epoch = 0;     // wave index the next segment executes
-  int64_t cut = -1;       // latest consistent checkpoint wave we know of
-  int my_rank = comm.rank();
-  int ranks = comm.size();
-  util::Json first_rebalance;
-
-  if (joiner) {
-    // The coordinator welcomed us at a wave boundary — or, when the hunt had
-    // already completed, as a non-member answered with the outcome; either
-    // way the rebalance frame right behind the welcome carries what we need.
-    auto ctl = comm.take_control(opts.control_timeout_seconds);
-    if (!ctl) throw CommError("elastic: joiner saw no rebalance frame within the timeout");
-    first_rebalance = std::move(*ctl);
-    note_failover_from(world, first_rebalance);
-    if (frame_bool(first_rebalance, "final", false)) {
-      fill_outcome(report, first_rebalance);
-      report.extras = util::Json::object();
-      return;  // the hunt ended before we could take part
-    }
-    resolved.seed = frame_u64(first_rebalance, "seed");
-    const int hunt_walkers = frame_int(first_rebalance, "walkers");
-    if (hunt_walkers != resolved.walkers)
-      throw std::invalid_argument(util::strf("elastic: hunt runs %d walkers, request asked %d",
-                                             hunt_walkers, resolved.walkers));
-    my_rank = frame_int(first_rebalance, "your_rank");
-    ranks = frame_int(first_rebalance, "ranks");
-    epoch = frame_u64(first_rebalance, "epoch");
-    if (const util::Json* ce = first_rebalance.find("ckpt_epoch"); ce != nullptr)
-      cut = ce->as_int();
-    comm.set_view(my_rank, ranks);
-  } else if (opts.resume) {
+  uint64_t epoch = 0;  // wave index the next segment executes
+  if (opts.resume) {
     bool fell_back = false;
     const util::Json manifest = read_manifest_file(opts.ckpt_dir, &fell_back);
     run.resume_fell_back = fell_back;
@@ -655,30 +630,47 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
     const uint64_t manifest_wave = u64_from(manifest.at("epoch"), "manifest epoch");
     run.resumed_from_epoch = static_cast<int64_t>(manifest_wave);
     run.manifest_epoch = static_cast<int64_t>(manifest_wave);
-    cut = static_cast<int64_t>(manifest_wave);
     epoch = manifest_wave + 1;
-  } else if (resolved.seed == 0) {
-    // Stochastic request: member 0 draws, everyone adopts (the report then
-    // echoes the drawn seed, keeping the run replayable).
-    std::vector<int64_t> wire(1, 0);
-    if (comm.rank() == 0) wire[0] = std::bit_cast<int64_t>(runtime::draw_seed());
-    wire = comm.broadcast(std::move(wire));
-    resolved.seed = std::bit_cast<uint64_t>(wire[0]);
+  } else if (resolved.seed == 0 && world.is_host()) {
+    // Stochastic request: the host draws, everyone adopts it from the
+    // opening rebalance (the report then echoes the drawn seed, keeping the
+    // run replayable).
+    resolved.seed = runtime::draw_seed();
   }
+  // The host opens the hunt (a promoted host finds the hunt it replicated
+  // open already); every member, host included, starts from its opening
+  // rebalance — or, joining late, from the view that admits it, or from
+  // the final that tells it the outcome of a hunt it came too late for.
+  world.open_hunt(want, elastic_hunt_key(resolved), resolved.seed, resolved.walkers, epoch);
+  const util::Json first_view =
+      await_view(comm, want, std::numeric_limits<uint64_t>::max(), opts.control_timeout_seconds);
+  world.note_view(first_view);
+  if (frame_bool(first_view, "final", false)) {
+    fill_outcome(report, first_view);
+    report.extras = util::Json::object();
+    return;
+  }
+  resolved.seed = frame_u64(first_view, "seed");
+  const int hunt_walkers = frame_int(first_view, "walkers");
+  if (hunt_walkers != resolved.walkers)
+    throw std::invalid_argument(util::strf("elastic: hunt runs %d walkers, request asked %d",
+                                           hunt_walkers, resolved.walkers));
+  int my_rank = frame_int(first_view, "your_rank");
+  int ranks = frame_int(first_view, "ranks");
+  epoch = frame_u64(first_view, "epoch");
+  int64_t cut = first_view.at("ckpt_epoch").as_int();  // latest consistent checkpoint wave
+  comm.set_view(my_rank, ranks);
 
-  // The host announces the hunt so the coordinator can authenticate late
-  // joiners and feed them the seed through their first rebalance.
-  // (Idempotent: a promoted coordinator already imported the same hunt.)
-  if (world.is_host()) world.set_hunt(elastic_hunt_key(resolved), resolved.seed, resolved.walkers);
-
+  run.comm = &comm;
+  run.hunt = frame_u64(first_view, "hunt");
+  comm.on_leader(run.hunt, [&run](uint64_t iters, int id) {
+    std::scoped_lock lock(run.mu);
+    run.note_leader(iters, id);
+  });
   run.seeds = core::ChaoticSeedSequence::generate(resolved.seed,
                                                   static_cast<size_t>(resolved.walkers));
-  const auto& entry = runtime::entry_of(resolved);
-  run.factory = entry.make_resumable_walker
-                    ? entry.make_resumable_walker(resolved)
-                    : throw std::invalid_argument("elastic: problem '" + resolved.problem +
-                                                  "' has no resumable walker factory");
-  run.apply_view(my_rank, ranks, epoch, cut, leader_of(first_rebalance));
+  run.factory = entry.make_resumable_walker(resolved);
+  run.apply_view(my_rank, ranks, epoch, cut, leader_of(first_view));
 
   const uint64_t start_epoch = epoch;
   bool leaving = false;
@@ -747,7 +739,7 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
       }
       return out;
     };
-    util::Json ef = make_epoch_base(comm.member(), epoch);
+    util::Json ef = make_epoch_base(comm.member(), run.hunt, epoch);
     ef["done"] = done;
     ef["settled"] = wave.settled;
     ef["halt"] = halt;
@@ -760,14 +752,9 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
     comm.send_control(ef);
 
     // 5. Wait for the coordinator to complete the wave.
-    auto ctl = comm.take_control(opts.control_timeout_seconds);
-    if (!ctl)
-      throw CommError(util::strf("elastic: no rebalance for epoch %llu within %.0fs",
-                                 static_cast<unsigned long long>(epoch),
-                                 opts.control_timeout_seconds));
-    const util::Json rb = std::move(*ctl);
-    note_failover_from(world, rb);
-    if (const util::Json* ce = rb.find("ckpt_epoch"); ce != nullptr) cut = ce->as_int();
+    const util::Json rb = await_view(comm, run.hunt, run.hunt, opts.control_timeout_seconds);
+    world.note_view(rb);
+    cut = rb.at("ckpt_epoch").as_int();
     ranks = frame_int(rb, "ranks");
 
     // The host persists the manifest whenever the consistent cut advanced
@@ -791,7 +778,7 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
       run.stop_crew();
       report.extras = util::Json::object();
       util::Json d = util::Json::object();
-      d["elastic"] = true;
+      d["hunt"] = static_cast<int64_t>(run.hunt);
       d["left"] = true;
       d["member"] = comm.member();
       d["epochs"] = static_cast<int64_t>(run.epochs_executed);
@@ -814,7 +801,7 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
   report.wall_seconds = static_cast<double>(run.elapsed_micros()) * 1e-6;
   report.extras = util::Json::object();
   util::Json d = util::Json::object();
-  d["elastic"] = true;
+  d["hunt"] = static_cast<int64_t>(run.hunt);
   d["strategy"] = resolved.strategy;
   d["ranks"] = ranks;
   d["member"] = comm.member();
@@ -892,11 +879,21 @@ runtime::SolveReport solve_elastic(World& world, const runtime::SolveRequest& re
     report.error = e.what();
     return report;
   }
+  // This call runs the World's next hunt; a late joiner's first may come
+  // later still.
+  const uint64_t want = world.hunt() + 1;
+  if (!opts.ckpt_dir.empty() && want > 1) {
+    report.error =
+        "elastic: a checkpoint directory belongs to a World's first hunt (this World already "
+        "ran one)";
+    return report;
+  }
   // A member whose communicator fails mid-hunt recovers and keeps hunting.
   // Which recovery depends on what actually died:
   //   - The coordinator still answers its port: only OUR connection broke.
   //     Re-join as a late joiner — the old identity is evicted at the wave
-  //     boundary and the walkers come back with the next rebalance.
+  //     boundary and the walkers come back with the next rebalance (or,
+  //     the hunt over, the join is answered with its outcome).
   //   - The coordinator is gone and WE are the elected standby: promote —
   //     adopt the replicated wave machine and host the reconnect window.
   //   - The coordinator is gone and someone else is standby: dial the
@@ -912,7 +909,8 @@ runtime::SolveReport solve_elastic(World& world, const runtime::SolveRequest& re
   for (;;) {
     report.error.clear();
     try {
-      run_elastic(world, report.request, ctx, eopts, report);
+      // A retry stays in the hunt the first attempt saw open.
+      run_elastic(world, report.request, ctx, eopts, std::max(want, world.hunt()), report);
     } catch (const CommError& e) {
       if (world.is_host() || !net::retry_enabled() || backoff.exhausted()) {
         report.error = util::strf("elastic (member %d): %s", world.comm().member(), e.what());
@@ -930,7 +928,7 @@ runtime::SolveReport solve_elastic(World& world, const runtime::SolveRequest& re
           world.promote();
           ++failovers;
         } else if (world.failover_member() >= 0) {
-          world.reconnect(world.failover_addr(), elastic_hunt_key(report.request));
+          world.reconnect();
           ++failovers;
         } else {
           throw CommError(

@@ -1,12 +1,14 @@
-// The elastic distributed runner: epoch-stepped independent multi-walk over
-// a membership that can change while the hunt is running.
+// The distributed runner: epoch-stepped independent multi-walk over a
+// membership that can change while a hunt is running. A World runs one hunt
+// per solve_elastic call, one after another.
 //
-// Unlike solve_distributed — whose fixed-rank collectives assume every rank
-// lives for the whole request — solve_elastic advances each owned walker a
+// The host opens each hunt and every member, host included, starts its
+// walkers from the opening `rebalance` frame, which carries the hunt's
+// index, seed and walker split. Each member advances every owned walker a
 // fixed iteration segment per epoch, checkpoints the mid-walk state, and
 // reports to the coordinator; the coordinator completes the wave once every
 // active member reported, evicting the dead, retiring the leaving, admitting
-// late joiners, and broadcasting the new walker partition in a `rebalance`
+// late joiners, and sending the new walker partition in a `rebalance`
 // frame. Work is deterministic per walker (global walker id -> chaotic-map
 // seed), so ownership can move between members freely: a member that
 // inherits a walker restores its snapshot from the last consistent
@@ -117,10 +119,13 @@ struct ElasticOptions {
 /// authentication key and the resume-manifest compatibility check.
 [[nodiscard]] std::string elastic_hunt_key(const runtime::SolveRequest& resolved);
 
-/// Run one elastic hunt on `world`. The report mirrors solve_distributed's
-/// contract: member 0 returns the merged world report (extras.dist carries
-/// the per-member rows, membership counters, and checkpoint provenance);
-/// other members return a participation stub that still names the winner.
+/// Run the world's next hunt: every member calls this with the same request
+/// sequence, and a request every member refuses (unresolvable, not
+/// multiwalk, a checkpoint directory on a World's second hunt) opens no
+/// hunt. The host returns the merged world report (extras.dist carries the
+/// hunt index, the per-member rows, membership counters, and checkpoint
+/// provenance); other members return a participation stub that still names
+/// the winner.
 /// The owned walkers run as one par::fan_out per membership view (not per
 /// wave) on ctx.executor (jthreads when null), at most num_threads
 /// (default: one per core) at a time; a rebalance that moves walkers stops

@@ -58,25 +58,27 @@ void wait_within(std::condition_variable& cv, std::unique_lock<std::mutex>& lock
 
 RankComm::RankComm(RankCommOptions opts)
     : opts_(std::move(opts)), decoder_(opts_.max_frame_bytes) {
-  const bool late = opts_.join || opts_.reconnect;
+  const std::string kind = frame_type(opts_.handshake);
+  if (!opts_.handshake.is_null() && kind != "join" && kind != "reconnect")
+    throw CommError("rank_comm: a late handshake is a join or a reconnect frame");
+  const bool late = !kind.empty();
   if (!late && (opts_.rank < 0 || opts_.rank >= opts_.ranks))
     throw CommError(util::strf("rank_comm: rank %d outside world of %d", opts_.rank, opts_.ranks));
-  if (opts_.reconnect && opts_.reconnect_member < 0)
-    throw CommError("rank_comm: reconnect needs the surviving member id");
+  const int member = kind == "reconnect" ? frame_int(opts_.handshake, "rank")
+                                         : (late ? -1 : opts_.rank);
   rank_.store(late ? -1 : opts_.rank, std::memory_order_release);
   ranks_.store(late ? 0 : opts_.ranks, std::memory_order_release);
-  member_ = opts_.reconnect ? opts_.reconnect_member : (opts_.join ? -1 : opts_.rank);
+  member_.store(member, std::memory_order_release);
 
-  // The whole rendezvous — connect, hello/join, await welcome — retries
+  // The whole rendezvous — connect, handshake, await welcome — retries
   // under bounded backoff when an attempt dies on a transient wire fault:
   // a rank whose hello is reset re-runs the handshake instead of aborting
-  // the launch (the coordinator re-welcomes and replays what it routed in
+  // the launch (the coordinator re-welcomes and replays what it sent in
   // the meantime — see Coordinator::handle_frame's re-hello path).
   const double deadline = now_seconds() + opts_.connect_timeout_seconds;
   net::Backoff backoff(opts_.rendezvous_backoff,
-                       static_cast<uint64_t>(opts_.reconnect ? opts_.reconnect_member + 0x20000
-                                                            : opts_.rank) +
-                           (opts_.join ? 0x10000u : 1u));
+                       static_cast<uint64_t>(kind == "reconnect" ? member + 0x20000 : opts_.rank) +
+                           (kind == "join" ? 0x10000u : 1u));
   for (;;) {
     try {
       const double attempt_deadline =
@@ -102,6 +104,15 @@ RankComm::RankComm(RankCommOptions opts)
     }
   }
 
+  // The first heartbeat goes out now, not one interval later: it proves
+  // the welcome landed, so the coordinator stops holding this member's
+  // slot for a re-hello and evicts it at once if it dies.
+  try {
+    std::scoped_lock lock(send_mu_);
+    send_frame_locked_throw(make_hb(member_.load(std::memory_order_acquire)));
+  } catch (const CommError&) {
+    // fail() already ran; the reader sees the dead socket.
+  }
   reader_ = std::thread([this] { reader_body(); });
   if (opts_.heartbeat_interval_seconds > 0)
     heartbeat_ = std::thread([this] { heartbeat_body(); });
@@ -109,32 +120,27 @@ RankComm::RankComm(RankCommOptions opts)
 
 void RankComm::rendezvous_once(double deadline, double attempt_deadline) {
   // Connect with retry: sibling processes race the coordinator's bind.
+  const bool fail_fast = frame_type(opts_.handshake) == "reconnect";
   std::string err;
   for (;;) {
     fd_ = net::connect_tcp(opts_.host, opts_.port, err);
     if (fd_.valid()) break;
-    if (opts_.fail_fast_refused)
-      throw CommError(util::strf("rank_comm: cannot reach coordinator %s:%u: %s",
-                                 opts_.host.c_str(), unsigned{opts_.port}, err.c_str()));
-    if (now_seconds() >= deadline)
+    if (fail_fast || now_seconds() >= deadline)
       throw CommError(util::strf("rank_comm: cannot reach coordinator %s:%u: %s",
                                  opts_.host.c_str(), unsigned{opts_.port}, err.c_str()));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   net::set_nodelay(fd_.get());
 
-  // hello (or join), then block (deadline-bounded) until welcome — the
+  // The handshake, then block (deadline-bounded) until welcome — the
   // rendezvous. Runs on the caller's thread with the same decoder the
   // reader thread inherits afterwards, so bytes coalesced behind the
   // welcome frame are not lost. Sends go through write_all directly (NOT
   // send_frame_locked_throw): a transient send failure here must stay
   // retryable instead of poisoning the communicator via fail().
   {
-    util::Json hs = opts_.reconnect
-                        ? make_reconnect(opts_.reconnect_member, opts_.reconnect_epoch,
-                                         opts_.hunt_key)
-                        : (opts_.join ? make_join(opts_.hunt_key)
-                                      : make_hello(opts_.rank, opts_.ranks));
+    util::Json hs = opts_.handshake.is_null() ? make_hello(opts_.rank, opts_.ranks)
+                                              : opts_.handshake;
     if (!opts_.failover_addr.empty()) hs["failover"] = opts_.failover_addr;
     const std::string frame = net::encode_frame(hs.dump(0));
     std::string send_err;
@@ -159,30 +165,23 @@ void RankComm::rendezvous_once(double deadline, double attempt_deadline) {
           const std::string type = frame_type(j);
           if (type == "welcome") {
             welcomed = true;
-            if (opts_.join || opts_.reconnect) {
+            if (!opts_.handshake.is_null()) {
               // The coordinator assigned (join) or echoed (reconnect) our
-              // member id; the dense rank arrives with the first rebalance
-              // frame.
-              const util::Json* rj = j.find("rank");
-              const util::Json* nj = j.find("ranks");
-              if (rj == nullptr || nj == nullptr)
-                throw CommError("rank_comm: malformed welcome for joiner");
-              member_ = static_cast<int>(rj->as_int());
-              ranks_.store(static_cast<int>(nj->as_int()), std::memory_order_release);
+              // member id; the dense rank arrives with a rebalance frame.
+              member_.store(frame_int(j, "rank"), std::memory_order_release);
+              ranks_.store(frame_int(j, "ranks"), std::memory_order_release);
             }
           } else if (type == "abort") {
-            // Deliberate refusal (version/rank/key mismatch, hunt over):
+            // Deliberate refusal (version/rank/key mismatch, world closed):
             // permanent, never retried.
             const util::Json* r = j.find("reason");
             throw CommError(r != nullptr && r->is_string() ? r->as_string()
                                                            : "rendezvous aborted");
-          } else if (type == "msg") {
-            deliver(parse_msg(j));  // early traffic; keep it
           } else {
-            // The only frames the coordinator sends before our welcome are
-            // welcome, abort, and replayed early traffic. Anything else is
-            // a frame whose type a wire fault mangled — the bytes behind it
-            // cannot be trusted; start over on a fresh connection.
+            // The coordinator sends nothing but welcome or abort before our
+            // welcome. Anything else is a frame whose type a wire fault
+            // mangled — the bytes behind it cannot be trusted; start over
+            // on a fresh connection.
             throw RendezvousRetry("unexpected '" + type + "' frame during rendezvous");
           }
           break;
@@ -236,102 +235,6 @@ void RankComm::send_frame_locked_throw(const util::Json& j) {
   bytes_sent_.fetch_add(frame.size(), std::memory_order_relaxed);
 }
 
-void RankComm::send_msg(int to, Message m) {
-  if (failed()) throw CommError(failure());
-  m.source = rank();
-  const util::Json frame = make_msg(to, m);
-  std::scoped_lock lock(send_mu_);
-  send_frame_locked_throw(frame);
-}
-
-namespace {
-
-/// Collective payload layout: [seq, data...].
-std::vector<int64_t> with_seq(int64_t seq, const std::vector<int64_t>& data) {
-  std::vector<int64_t> payload;
-  payload.reserve(data.size() + 1);
-  payload.push_back(seq);
-  payload.insert(payload.end(), data.begin(), data.end());
-  return payload;
-}
-
-}  // namespace
-
-std::vector<int64_t> RankComm::broadcast(std::vector<int64_t> values) {
-  const int64_t seq = collective_seq_++;
-  if (size() == 1) return values;
-  if (rank() == 0) {
-    send_msg(/*to=*/-1, Message{kTagBroadcast, 0, with_seq(seq, values)});
-    return values;
-  }
-  const Message m = receive(kTagBroadcast, seq);
-  return {m.payload.begin() + 1, m.payload.end()};
-}
-
-std::vector<std::vector<int64_t>> RankComm::gather(const std::vector<int64_t>& row) {
-  const int64_t seq = collective_seq_++;
-  const int n = size();
-  if (rank() != 0) {
-    send_msg(/*to=*/0, Message{kTagGather, rank(), with_seq(seq, row)});
-    return {};
-  }
-  std::vector<std::vector<int64_t>> rows(static_cast<size_t>(n));
-  std::vector<bool> arrived(static_cast<size_t>(n), false);
-  rows[0] = row;
-  arrived[0] = true;
-  for (int k = 1; k < n; ++k) {
-    const Message m = receive(kTagGather, seq);
-    if (m.source < 0 || m.source >= n || arrived[static_cast<size_t>(m.source)]) {
-      fail(util::strf("rank_comm: gather %lld got a row from unexpected rank %d",
-                      static_cast<long long>(seq), m.source));
-      throw CommError(failure());
-    }
-    arrived[static_cast<size_t>(m.source)] = true;
-    rows[static_cast<size_t>(m.source)].assign(m.payload.begin() + 1, m.payload.end());
-  }
-  return rows;
-}
-
-void RankComm::begin_request() {
-  std::scoped_lock lock(stop_mu_);
-  ++request_;
-  const bool announced = stops_ahead_.erase(request_) > 0;
-  remote_stop_.store(announced || failed(), std::memory_order_release);
-}
-
-void RankComm::announce_solution() {
-  uint64_t request = 0;
-  {
-    std::scoped_lock lock(stop_mu_);
-    request = request_;
-  }
-  try {
-    send_msg(/*to=*/-1, Message{kTagSolutionFound, rank(), {static_cast<int64_t>(request)}});
-  } catch (const CommError&) {
-  }
-}
-
-void RankComm::deliver(Message m) {
-  if (m.tag == kTagSolutionFound) {
-    if (m.payload.size() != 1 || m.payload[0] <= 0)
-      throw CommError("rank_comm: SOLUTION_FOUND without a request index");
-    const auto request = static_cast<uint64_t>(m.payload[0]);
-    std::scoped_lock lock(stop_mu_);
-    if (request == request_)
-      remote_stop_.store(true, std::memory_order_release);
-    else if (request > request_)
-      stops_ahead_.insert(request);
-    return;  // a stop for an earlier request is stale
-  }
-  if (m.payload.empty())
-    throw CommError(util::strf("rank_comm: msg (tag %d) without a sequence number", m.tag));
-  {
-    std::scoped_lock lock(inbox_mu_);
-    inbox_.push_back(std::move(m));
-  }
-  inbox_cv_.notify_all();
-}
-
 void RankComm::set_view(int rank, int ranks) {
   rank_.store(rank, std::memory_order_release);
   ranks_.store(ranks, std::memory_order_release);
@@ -343,10 +246,11 @@ void RankComm::send_control(const util::Json& frame) {
   send_frame_locked_throw(frame);
 }
 
-void RankComm::on_leader(std::function<void(uint64_t iters, int id)> hook) {
+void RankComm::on_leader(uint64_t hunt, std::function<void(uint64_t iters, int id)> hook) {
   std::scoped_lock lock(leader_mu_);
   leader_hook_ = std::move(hook);
-  if (leader_hook_ && leader_) leader_hook_(leader_->first, leader_->second);
+  hook_hunt_ = hunt;
+  if (leader_hook_ && leader_ && leader_hunt_ == hunt) leader_hook_(leader_->first, leader_->second);
 }
 
 std::optional<util::Json> RankComm::take_control(double timeout_seconds) {
@@ -379,37 +283,6 @@ void RankComm::inject_disconnect() {
   if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RDWR);
 }
 
-Message RankComm::receive(int tag, int64_t seq) {
-  const auto t0 = std::chrono::steady_clock::now();
-  std::optional<Message> m;
-  {
-    std::unique_lock lock(inbox_mu_);
-    const auto take = [&] {
-      const auto it = std::find_if(inbox_.begin(), inbox_.end(), [&](const Message& x) {
-        return x.tag == tag && x.payload.front() == seq;
-      });
-      if (it == inbox_.end()) return false;
-      m = std::move(*it);
-      inbox_.erase(it);
-      return true;
-    };
-    wait_within(inbox_cv_, lock, opts_.collective_timeout_seconds,
-                [&] { return take() || failed(); });
-  }
-  const double waited =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  {
-    std::scoped_lock lock(latency_mu_);
-    collective_wait_.add(waited);
-  }
-  collective_rounds_.fetch_add(1, std::memory_order_relaxed);
-  if (m) return std::move(*m);
-  if (!failed())
-    fail(util::strf("rank_comm: collective (tag %d, seq %lld) timed out after %.1fs — peer dead?",
-                    tag, static_cast<long long>(seq), waited));
-  throw CommError(failure());
-}
-
 void RankComm::fail(const std::string& reason) {
   {
     std::scoped_lock lock(failure_mu_);
@@ -417,23 +290,15 @@ void RankComm::fail(const std::string& reason) {
     failure_ = reason;
     failed_.store(true, std::memory_order_release);
   }
-  {
-    std::scoped_lock lock(stop_mu_);  // orders against begin_request's re-arm
-    remote_stop_.store(true, std::memory_order_release);
-  }
-  // Take each waiter's lock before notifying, so a receive that checked
+  // Take the waiter's lock before notifying, so a take_control that checked
   // failed() just before it flipped cannot miss the wakeup.
-  {
-    std::scoped_lock lock(inbox_mu_);
-  }
-  inbox_cv_.notify_all();
   {
     std::scoped_lock lock(control_mu_);
   }
   control_cv_.notify_all();
   // Sever the transport too: a failed communicator that leaves its socket
-  // open looks like a live-but-silent rank, and the coordinator would only
-  // notice at the heartbeat deadline. EOF makes the death visible now.
+  // open looks like a live-but-silent member, and the coordinator would
+  // only notice at the heartbeat deadline. EOF makes the death visible now.
   // (shutdown, not close — the reader thread still owns the fd.)
   if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RDWR);
 }
@@ -464,20 +329,14 @@ bool RankComm::drain_decoder() {
           return false;
         }
         const std::string type = frame_type(j);
-        if (type == "msg") {
-          try {
-            deliver(parse_msg(j));
-          } catch (const CommError& e) {
-            fail(e.what());
-            return false;
-          }
-        } else if (type == "abort") {
+        if (type == "abort") {
           const util::Json* r = j.find("reason");
           fail(r != nullptr && r->is_string() ? r->as_string() : "aborted by coordinator");
           return false;
         } else if (type == "leader") {
-          uint64_t iters = 0, id = 0;
+          uint64_t hunt = 0, iters = 0, id = 0;
           try {
+            hunt = frame_u64(j, "hunt");
             iters = frame_u64(j, "iters");
             id = frame_u64(j, "id");
           } catch (const CommError& e) {
@@ -485,22 +344,34 @@ bool RankComm::drain_decoder() {
             return false;
           }
           std::scoped_lock lock(leader_mu_);
+          if (hunt < leader_hunt_) break;  // a finished hunt's leader
           const std::pair<uint64_t, int> got{iters, static_cast<int>(id)};
+          if (hunt > leader_hunt_) leader_.reset();
+          leader_hunt_ = hunt;
           if (!leader_ || got < *leader_) leader_ = got;
-          if (leader_hook_) leader_hook_(got.first, got.second);
+          if (leader_hook_ && hook_hunt_ == hunt) leader_hook_(got.first, got.second);
         } else if (type == "rebalance") {
           {
             std::scoped_lock lock(control_mu_);
             control_.push_back(std::move(j));
           }
           control_cv_.notify_all();
+        } else if (type == "welcome") {
+          // A member answered with a hunt's outcome, or waiting for the next
+          // hunt, is admitted with its new member id ahead of the rebalance.
+          try {
+            member_.store(frame_int(j, "rank"), std::memory_order_release);
+          } catch (const CommError& e) {
+            fail(util::strf("rank_comm: malformed welcome: %s", e.what()));
+            return false;
+          }
         } else if (type == "state_sync") {
           // We are the elected standby: keep only the newest replicated
           // state — promotion reads it after the communicator fails.
           std::scoped_lock lock(state_sync_mu_);
           state_sync_ = std::move(j);
         }
-        // welcome duplicates / unknown types: ignored.
+        // unknown types: ignored.
         break;
       }
       case net::FrameDecoder::Result::kNeedMore:
@@ -555,7 +426,7 @@ void RankComm::heartbeat_body() {
                     [this] { return stop_threads_.load(std::memory_order_acquire); });
     if (stop_threads_.load(std::memory_order_acquire)) return;
     if (failed()) return;
-    const util::Json frame = make_hb(member_);
+    const util::Json frame = make_hb(member());
     std::scoped_lock send_lock(send_mu_);
     try {
       send_frame_locked_throw(frame);
@@ -572,7 +443,7 @@ void RankComm::finalize() {
     // Best-effort clean detach; the coordinator counts byes.
     std::scoped_lock lock(send_mu_);
     try {
-      send_frame_locked_throw(make_bye(member_));
+      send_frame_locked_throw(make_bye(member()));
     } catch (const CommError&) {
     }
   }
@@ -590,24 +461,12 @@ util::Json RankComm::stats_json() const {
   util::Json j = util::Json::object();
   j["rank"] = rank();
   j["ranks"] = size();
-  j["member"] = member_;
+  j["member"] = member();
   j["frames_sent"] = frames_sent_.load(std::memory_order_relaxed);
   j["bytes_sent"] = bytes_sent_.load(std::memory_order_relaxed);
   j["frames_received"] = frames_received_.load(std::memory_order_relaxed);
   j["bytes_received"] = bytes_received_.load(std::memory_order_relaxed);
-  j["collective_rounds"] = collective_rounds_.load(std::memory_order_relaxed);
   j["rendezvous_retries"] = rendezvous_retries_.load(std::memory_order_relaxed);
-  {
-    std::scoped_lock lock(latency_mu_);
-    util::Json lat = util::Json::object();
-    lat["count"] = collective_wait_.count();
-    lat["mean_ms"] = collective_wait_.mean() * 1e3;
-    lat["p50_ms"] = collective_wait_.percentile(0.50) * 1e3;
-    lat["p95_ms"] = collective_wait_.percentile(0.95) * 1e3;
-    lat["p99_ms"] = collective_wait_.percentile(0.99) * 1e3;
-    lat["max_ms"] = collective_wait_.max() * 1e3;
-    j["collective_wait"] = std::move(lat);
-  }
   return j;
 }
 

@@ -15,20 +15,16 @@ const util::Json& require(const util::Json& j, const char* key) {
   return *f;
 }
 
-int require_int(const util::Json& j, const char* key) {
-  const util::Json& f = require(j, key);
-  try {
-    return static_cast<int>(f.as_int());
-  } catch (const std::exception&) {
-    throw CommError(util::strf("wire: '%s' is not an integer", key));
-  }
+util::Json frame_of(const char* type) {
+  util::Json j = util::Json::object();
+  j["type"] = type;
+  return j;
 }
 
 }  // namespace
 
 util::Json make_hello(int rank, int ranks) {
-  util::Json j = util::Json::object();
-  j["type"] = "hello";
+  util::Json j = frame_of("hello");
   j["v"] = kWireVersion;
   j["rank"] = rank;
   j["ranks"] = ranks;
@@ -36,64 +32,46 @@ util::Json make_hello(int rank, int ranks) {
 }
 
 util::Json make_welcome(int rank, int ranks) {
-  util::Json j = util::Json::object();
-  j["type"] = "welcome";
+  util::Json j = frame_of("welcome");
   j["rank"] = rank;
   j["ranks"] = ranks;
   return j;
 }
 
-util::Json make_msg(int to, const Message& m) {
-  util::Json j = util::Json::object();
-  j["type"] = "msg";
-  j["to"] = to;
-  j["tag"] = m.tag;
-  j["src"] = m.source;
-  util::Json payload = util::Json::array();
-  for (const int64_t v : m.payload) payload.push_back(std::to_string(v));
-  j["payload"] = std::move(payload);
-  return j;
-}
-
 util::Json make_hb(int rank) {
-  util::Json j = util::Json::object();
-  j["type"] = "hb";
+  util::Json j = frame_of("hb");
   j["rank"] = rank;
   return j;
 }
 
 util::Json make_abort(const std::string& reason) {
-  util::Json j = util::Json::object();
-  j["type"] = "abort";
+  util::Json j = frame_of("abort");
   j["reason"] = reason;
   return j;
 }
 
 util::Json make_bye(int rank) {
-  util::Json j = util::Json::object();
-  j["type"] = "bye";
+  util::Json j = frame_of("bye");
   j["rank"] = rank;
   return j;
 }
 
-util::Json make_join(const std::string& hunt_key) {
-  util::Json j = util::Json::object();
-  j["type"] = "join";
+util::Json make_join(const std::string& hunt_key, uint64_t hunt) {
+  util::Json j = frame_of("join");
   j["v"] = kWireVersion;
   j["key"] = hunt_key;
+  j["hunt"] = wire_u64(hunt);
   return j;
 }
 
 util::Json make_leave(int member) {
-  util::Json j = util::Json::object();
-  j["type"] = "leave";
+  util::Json j = frame_of("leave");
   j["rank"] = member;
   return j;
 }
 
 util::Json make_ckpt(int member, uint64_t epoch, uint64_t bytes, uint64_t micros) {
-  util::Json j = util::Json::object();
-  j["type"] = "ckpt";
+  util::Json j = frame_of("ckpt");
   j["rank"] = member;
   j["epoch"] = wire_u64(epoch);
   j["bytes"] = wire_u64(bytes);
@@ -101,54 +79,52 @@ util::Json make_ckpt(int member, uint64_t epoch, uint64_t bytes, uint64_t micros
   return j;
 }
 
-util::Json make_epoch_base(int member, uint64_t epoch) {
-  util::Json j = util::Json::object();
-  j["type"] = "epoch";
+util::Json make_epoch_base(int member, uint64_t hunt, uint64_t epoch) {
+  util::Json j = frame_of("epoch");
   j["rank"] = member;
+  j["hunt"] = wire_u64(hunt);
   j["epoch"] = wire_u64(epoch);
   return j;
 }
 
-util::Json make_rebalance_base(uint64_t epoch) {
-  util::Json j = util::Json::object();
-  j["type"] = "rebalance";
+util::Json make_rebalance_base(uint64_t hunt, uint64_t epoch) {
+  util::Json j = frame_of("rebalance");
+  j["hunt"] = wire_u64(hunt);
   j["epoch"] = wire_u64(epoch);
   return j;
 }
 
-util::Json make_solved(int member, uint64_t id, uint64_t iters, util::Json stats) {
-  util::Json j = util::Json::object();
-  j["type"] = "solved";
+util::Json make_solved(int member, uint64_t hunt, uint64_t id, uint64_t iters, util::Json stats) {
+  util::Json j = frame_of("solved");
   j["rank"] = member;
+  j["hunt"] = wire_u64(hunt);
   j["id"] = wire_u64(id);
   j["iters"] = wire_u64(iters);
   j["stats"] = std::move(stats);
   return j;
 }
 
-util::Json make_leader(uint64_t id, uint64_t iters) {
-  util::Json j = util::Json::object();
-  j["type"] = "leader";
+util::Json make_leader(uint64_t hunt, uint64_t id, uint64_t iters) {
+  util::Json j = frame_of("leader");
+  j["hunt"] = wire_u64(hunt);
   j["id"] = wire_u64(id);
   j["iters"] = wire_u64(iters);
   return j;
 }
 
 util::Json make_state_sync(uint64_t epoch, util::Json state) {
-  util::Json j = util::Json::object();
-  j["type"] = "state_sync";
+  util::Json j = frame_of("state_sync");
   j["epoch"] = wire_u64(epoch);
   j["state"] = std::move(state);
   return j;
 }
 
-util::Json make_reconnect(int member, uint64_t epoch, const std::string& hunt_key) {
-  util::Json j = util::Json::object();
-  j["type"] = "reconnect";
+util::Json make_reconnect(int member, uint64_t hunt, uint64_t epoch) {
+  util::Json j = frame_of("reconnect");
   j["v"] = kWireVersion;
   j["rank"] = member;
+  j["hunt"] = wire_u64(hunt);
   j["epoch"] = wire_u64(epoch);
-  j["key"] = hunt_key;
   return j;
 }
 
@@ -157,29 +133,14 @@ std::string frame_type(const util::Json& j) {
   return (t != nullptr && t->is_string()) ? t->as_string() : "";
 }
 
-Message parse_msg(const util::Json& j) {
-  Message m;
-  m.tag = require_int(j, "tag");
-  m.source = require_int(j, "src");
-  const util::Json& payload = require(j, "payload");
-  if (!payload.is_array()) throw CommError("wire: msg payload is not an array");
-  m.payload.reserve(payload.as_array().size());
-  for (const util::Json& e : payload.as_array()) {
-    if (!e.is_string()) throw CommError("wire: msg payload element is not a string");
-    const std::string& s = e.as_string();
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(s.c_str(), &end, 10);
-    if (errno != 0 || end == s.c_str() || *end != '\0')
-      throw CommError("wire: msg payload element '" + s + "' is not an int64");
-    m.payload.push_back(static_cast<int64_t>(v));
+int frame_int(const util::Json& j, const char* key) {
+  const util::Json& f = require(j, key);
+  try {
+    return static_cast<int>(f.as_int());
+  } catch (const std::exception&) {
+    throw CommError(util::strf("wire: '%s' is not an integer", key));
   }
-  return m;
 }
-
-int msg_dest(const util::Json& j) { return require_int(j, "to"); }
-
-int frame_int(const util::Json& j, const char* key) { return require_int(j, key); }
 
 bool frame_bool(const util::Json& j, const char* key, bool fallback) {
   const util::Json* f = j.is_object() ? j.find(key) : nullptr;
@@ -192,7 +153,9 @@ uint64_t frame_u64(const util::Json& j, const char* key) {
   const util::Json& f = require(j, key);
   if (f.is_number()) {
     const double d = f.as_number();
-    if (d < 0) throw CommError(util::strf("wire: '%s' is negative", key));
+    // Also refuses NaN; 2^64 and up would not convert.
+    if (!(d >= 0 && d < 18446744073709551616.0))
+      throw CommError(util::strf("wire: '%s' is not a u64", key));
     return static_cast<uint64_t>(d);
   }
   if (!f.is_string()) throw CommError(util::strf("wire: '%s' is not a u64 string", key));
@@ -200,7 +163,7 @@ uint64_t frame_u64(const util::Json& j, const char* key) {
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end == s.c_str() || *end != '\0')
+  if (errno != 0 || end == s.c_str() || *end != '\0' || s[0] == '-')
     throw CommError(util::strf("wire: '%s' value '%s' is not a u64", key, s.c_str()));
   return static_cast<uint64_t>(v);
 }

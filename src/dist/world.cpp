@@ -39,7 +39,6 @@ World::World(WorldOptions opts, const std::function<void(uint16_t)>& on_listenin
     co.ranks = opts_.ranks;
     co.heartbeat_timeout_seconds = opts_.heartbeat_timeout_seconds;
     co.join_timeout_seconds = opts_.connect_timeout_seconds * 2;
-    co.elastic = opts_.elastic;
     co.standby = opts_.standby;
     co.reconnect_grace_seconds = opts_.connect_timeout_seconds * 2;
     coordinator_ = std::make_unique<Coordinator>(co);
@@ -67,8 +66,7 @@ World::World(WorldOptions opts, const std::function<void(uint16_t)>& on_listenin
   RankCommOptions rc = base_comm_options();
   rc.rank = opts_.rank;
   rc.ranks = opts_.ranks;
-  rc.join = opts_.join;
-  rc.hunt_key = opts_.hunt_key;
+  if (opts_.join) rc.handshake = make_join(opts_.hunt_key, 0);
   comm_ = std::make_unique<RankComm>(rc);
 }
 
@@ -78,28 +76,38 @@ RankCommOptions World::base_comm_options() const {
   rc.port = port_;
   rc.connect_timeout_seconds = opts_.connect_timeout_seconds;
   rc.heartbeat_interval_seconds = opts_.heartbeat_interval_seconds;
-  rc.collective_timeout_seconds = opts_.collective_timeout_seconds;
   rc.failover_addr = failover_addr_;
   return rc;
 }
 
-void World::set_hunt(const std::string& key, uint64_t seed, int walkers) {
-  if (coordinator_ != nullptr) coordinator_->set_hunt(key, seed, walkers);
+void World::redial(util::Json handshake) {
+  if (comm_ != nullptr) comm_->finalize();  // joins threads; idempotent on a failed comm
+  RankCommOptions rc = base_comm_options();
+  rc.rank = -1;
+  rc.ranks = 0;
+  rc.handshake = std::move(handshake);
+  comm_ = std::make_unique<RankComm>(rc);
+  opts_.rank = -1;
+}
+
+void World::open_hunt(uint64_t index, const std::string& key, uint64_t seed, int walkers,
+                      uint64_t epoch) {
+  if (coordinator_ != nullptr) coordinator_->open_hunt(index, key, seed, walkers, epoch);
+}
+
+void World::note_view(const util::Json& rebalance) {
+  hunt_ = frame_u64(rebalance, "hunt");
+  epoch_ = frame_u64(rebalance, "epoch");
+  const util::Json* sa = rebalance.find("standby_addr");
+  if (rebalance.find("standby_member") == nullptr || sa == nullptr || !sa->is_string()) return;
+  failover_member_ = frame_int(rebalance, "standby_member");
+  standby_addr_ = sa->as_string();
 }
 
 void World::rejoin(const std::string& hunt_key) {
   if (coordinator_ != nullptr)
     throw CommError("world: the coordinator-hosting member cannot rejoin its own world");
-  if (comm_ != nullptr) comm_->finalize();  // joins threads; idempotent on a failed comm
-  RankCommOptions rc = base_comm_options();
-  rc.rank = -1;
-  rc.ranks = 0;
-  rc.join = true;
-  rc.hunt_key = hunt_key;
-  comm_ = std::make_unique<RankComm>(rc);
-  opts_.join = true;
-  opts_.hunt_key = hunt_key;
-  opts_.rank = -1;
+  redial(make_join(hunt_key, hunt_));
 }
 
 bool World::coordinator_alive() const {
@@ -118,11 +126,8 @@ void World::promote() {
   if (state == nullptr || !state->is_object())
     throw CommError(
         "world: no replicated coordinator state to promote from "
-        "(the coordinator died before completing wave 0)");
+        "(the coordinator died before opening a hunt)");
   const int member = comm_->member();
-  std::string key;
-  if (const util::Json* kj = state->find("key"); kj != nullptr && kj->is_string())
-    key = kj->as_string();
   comm_->finalize();
 
   CoordinatorOptions co;
@@ -130,7 +135,6 @@ void World::promote() {
   co.ranks = opts_.ranks;
   co.heartbeat_timeout_seconds = opts_.heartbeat_timeout_seconds;
   co.join_timeout_seconds = opts_.connect_timeout_seconds * 2;
-  co.elastic = true;
   co.standby = opts_.standby;
   co.reconnect_grace_seconds = opts_.connect_timeout_seconds * 2;
   co.host_member = member;
@@ -139,51 +143,22 @@ void World::promote() {
   opts_.port = port_;
   failover_addr_.clear();  // the host is never its own standby
   failover_member_ = -1;
-  failover_addr_cache_.clear();
 
   // Re-rendezvous our own communicator against the coordinator we now
   // host, keeping the stable member id — same handshake the survivors use.
-  RankCommOptions rc = base_comm_options();
-  rc.rank = -1;
-  rc.ranks = 0;
-  rc.reconnect = true;
-  rc.reconnect_member = member;
-  rc.reconnect_epoch = frame_u64(sync, "epoch");
-  rc.hunt_key = key;
-  comm_ = std::make_unique<RankComm>(rc);
-  opts_.rank = -1;
-  opts_.hunt_key = key;
+  redial(make_reconnect(member, frame_u64(*state, "hunt"), frame_u64(sync, "epoch")));
 }
 
-void World::reconnect(const std::string& addr, const std::string& hunt_key) {
+void World::reconnect() {
   if (coordinator_ != nullptr)
     throw CommError("world: the coordinator-hosting member cannot reconnect elsewhere");
-  const auto [host, port] = split_addr(addr);
+  const auto [host, port] = split_addr(standby_addr_);
   const int member = comm_ != nullptr ? comm_->member() : -1;
   if (member < 0) throw CommError("world: no stable member id to reconnect with");
-  if (comm_ != nullptr) comm_->finalize();
   opts_.host = host;
   port_ = port;
   opts_.port = port;
-  RankCommOptions rc = base_comm_options();
-  rc.rank = -1;
-  rc.ranks = 0;
-  rc.reconnect = true;
-  rc.reconnect_member = member;
-  rc.reconnect_epoch = failover_epoch_;
-  rc.hunt_key = hunt_key;
-  // The standby's listener existed before the hunt started, so a refusal
-  // proves the standby process is ALSO dead — double failure, abort now.
-  rc.fail_fast_refused = true;
-  comm_ = std::make_unique<RankComm>(rc);
-  opts_.rank = -1;
-  opts_.hunt_key = hunt_key;
-}
-
-void World::note_failover(int standby_member, const std::string& standby_addr, uint64_t epoch) {
-  failover_member_ = standby_member;
-  failover_addr_cache_ = standby_addr;
-  failover_epoch_ = epoch;
+  redial(make_reconnect(member, hunt_, epoch_));
 }
 
 int World::promoted_from() const {
@@ -199,9 +174,9 @@ void World::crash() {
 void World::finalize() {
   if (comm_ != nullptr) comm_->finalize();
   if (coordinator_ != nullptr) {
-    // Give the other ranks a moment to say bye so their detach is clean
-    // rather than racing the router teardown, and a member whose connection
-    // dropped a moment to rejoin and learn the outcome.
+    // Give the other members a moment to say bye so their detach is clean
+    // rather than racing the coordinator teardown, and a member whose
+    // connection dropped a moment to rejoin and learn the outcome.
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
     while (!coordinator_->all_detached() && std::chrono::steady_clock::now() < deadline)
       std::this_thread::sleep_for(std::chrono::milliseconds(20));

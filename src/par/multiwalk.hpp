@@ -57,11 +57,6 @@ struct MultiWalkOptions {
   /// first-win cancellation. Engines poll every probe_interval iterations,
   /// so the overshoot past the deadline is one probe window.
   double timeout_seconds = 0.0;
-  /// Caller-owned cancellation OR'd into every walker's stop token — the
-  /// distributed runner's remote-stop: a SOLUTION_FOUND arriving from
-  /// another process flips it and every local walker unwinds at its next
-  /// probe. Must outlive the call.
-  std::atomic<bool>* external_stop = nullptr;
 };
 
 /// WalkerFn signature: core::RunStats fn(int walker_id, uint64_t seed,
@@ -85,23 +80,18 @@ MultiWalkResult run_multiwalk(int num_walkers, uint64_t master_seed, WalkerFn&& 
   util::WallTimer timer;
   double winner_time = 0.0;
 
-  const auto stopped_externally = [&] {
-    return opts.external_stop != nullptr && opts.external_stop->load(std::memory_order_relaxed);
-  };
-  // Combined token for runs with a deadline or an external stop: first-win
-  // flag OR external stop OR shared deadline. Read-only, so every walker
-  // can poll the same one.
+  // Combined token for runs with a deadline: first-win flag OR shared
+  // deadline. Read-only, so every walker can poll the same one.
   const std::function<bool()> combined = [&] {
-    return stop_flag.load(std::memory_order_relaxed) || stopped_externally() ||
+    return stop_flag.load(std::memory_order_relaxed) ||
            (opts.timeout_seconds > 0.0 && timer.seconds() >= opts.timeout_seconds);
   };
-  const core::StopToken stop = opts.timeout_seconds > 0.0 || opts.external_stop != nullptr
-                                   ? core::StopToken(&combined)
-                                   : core::StopToken(&stop_flag);
+  const core::StopToken stop = opts.timeout_seconds > 0.0 ? core::StopToken(&combined)
+                                                          : core::StopToken(&stop_flag);
 
   fan_out(num_walkers, opts.num_threads, opts.executor, [&](int id) {
     // A solution already exists: unstarted walkers record nothing.
-    if (stop_flag.load(std::memory_order_relaxed) || stopped_externally()) return;
+    if (stop_flag.load(std::memory_order_relaxed)) return;
     core::RunStats st;
     try {
       st = fn(id, seeds[static_cast<size_t>(id)], stop);

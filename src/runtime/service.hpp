@@ -133,7 +133,7 @@ class SolverService {
     /// Injection point for the TTL tests.
     std::function<double()> clock;
     /// Replacement executor for leader runs; null = runtime::solve on the
-    /// shared pool. The distributed front-end injects dist::solve_distributed
+    /// shared pool. The distributed front-end injects dist::solve_elastic
     /// here, so the serving layer (dedup, cache, admission, stats) wraps the
     /// multi-process runner without the runtime depending on dist. Must
     /// honour the solve() contract: never throw, failures in report.error.

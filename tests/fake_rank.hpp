@@ -30,16 +30,23 @@ class FakeRank {
 
   /// Connect and send `handshake` first: a hello with extra fields, a
   /// join, or a reconnect.
-  FakeRank(uint16_t port, const util::Json& handshake) {
+  FakeRank(uint16_t port, const util::Json& handshake) : FakeRank(port) { send(handshake); }
+
+  /// Connect and send nothing yet.
+  explicit FakeRank(uint16_t port) {
     std::string err;
     fd_ = net::connect_tcp("127.0.0.1", port, err);
     EXPECT_TRUE(fd_.valid()) << err;
-    send(handshake);
+    if (fd_.valid()) net::set_nodelay(fd_.get());  // back-to-back frames, no Nagle stall
   }
 
-  void send(const util::Json& frame) {
+  void send(const util::Json& frame) { EXPECT_TRUE(send_raw(frame.dump(0))); }
+
+  /// Send any payload as one frame, JSON or not. Returns false once the
+  /// other end has gone.
+  bool send_raw(const std::string& payload) {
     std::string err;
-    EXPECT_TRUE(net::write_all(fd_.get(), net::encode_frame(frame.dump(0)), err)) << err;
+    return net::write_all(fd_.get(), net::encode_frame(payload), err);
   }
 
   /// The next frame of this type (others are skipped), or null when the
@@ -57,16 +64,6 @@ class FakeRank {
       const ssize_t n = ::recv(fd_.get(), buf, sizeof(buf), 0);
       if (n <= 0) return {};
       decoder_.feed(buf, static_cast<size_t>(n));
-    }
-  }
-
-  /// The next msg frame carrying this tag, parsed.
-  Message await_msg(int tag) {
-    for (;;) {
-      const util::Json j = await("msg");
-      if (j.is_null()) return Message{-1, -1, {}};
-      Message m = parse_msg(j);
-      if (m.tag == tag) return m;
     }
   }
 

@@ -64,11 +64,16 @@ runtime::SolveRequest costas_request(int size, int walkers, uint64_t seed) {
   return req;
 }
 
-/// One elastic world, one thread per initial rank. Returns reports[rank].
-std::vector<runtime::SolveReport> run_elastic_world(
-    int ranks, const runtime::SolveRequest& req,
-    const std::function<ElasticOptions(int rank)>& opts_of) {
-  std::vector<runtime::SolveReport> reports(static_cast<size_t>(ranks));
+/// One World per initial rank, each on its own thread, running `reqs` in
+/// order, one hunt per request. `before(rank, k, world)` runs ahead of
+/// request k and ends that rank's run when it returns false. Returns
+/// reports[rank][k] (default-constructed past a rank's end).
+std::vector<std::vector<runtime::SolveReport>> run_hunts(
+    int ranks, const std::vector<runtime::SolveRequest>& reqs,
+    const std::function<ElasticOptions(int rank, size_t k)>& opts_of, bool standby = false,
+    const std::function<bool(int rank, size_t k, World& world)>& before = nullptr) {
+  std::vector<std::vector<runtime::SolveReport>> reports(
+      static_cast<size_t>(ranks), std::vector<runtime::SolveReport>(reqs.size()));
   std::promise<uint16_t> port_promise;
   std::shared_future<uint16_t> port = port_promise.get_future().share();
   std::vector<std::jthread> threads;
@@ -77,8 +82,7 @@ std::vector<runtime::SolveReport> run_elastic_world(
       WorldOptions wo;
       wo.rank = r;
       wo.ranks = ranks;
-      wo.elastic = true;
-      wo.collective_timeout_seconds = 60.0;
+      wo.standby = standby;
       std::optional<World> world;
       if (r == 0) {
         world.emplace(wo, [&](uint16_t p) { port_promise.set_value(p); });
@@ -86,12 +90,25 @@ std::vector<runtime::SolveReport> run_elastic_world(
         wo.port = port.get();
         world.emplace(wo);
       }
-      reports[static_cast<size_t>(r)] =
-          solve_elastic(*world, req, runtime::StrategyContext{}, opts_of(r));
+      for (size_t k = 0; k < reqs.size(); ++k) {
+        if (before && !before(r, k, *world)) break;
+        reports[static_cast<size_t>(r)][k] =
+            solve_elastic(*world, reqs[k], runtime::StrategyContext{}, opts_of(r, k));
+      }
       world->finalize();
     });
   }
   threads.clear();  // join
+  return reports;
+}
+
+/// One hunt on a fresh world. Returns reports[rank].
+std::vector<runtime::SolveReport> run_elastic_world(
+    int ranks, const runtime::SolveRequest& req,
+    const std::function<ElasticOptions(int rank)>& opts_of) {
+  std::vector<runtime::SolveReport> reports;
+  for (auto& hunts : run_hunts(ranks, {req}, [&](int r, size_t) { return opts_of(r); }))
+    reports.push_back(std::move(hunts[0]));
   return reports;
 }
 
@@ -172,7 +189,7 @@ TEST(DistElastic, TwoRankWorldSolvesWithVerifiedWinner) {
   EXPECT_TRUE(r0.check_passed);
   EXPECT_EQ(r0.walkers_run, kWalkers);
   EXPECT_GE(r0.total_iterations, kRefWinnerIters);
-  EXPECT_TRUE(dist_extras(r0).at("elastic").as_bool());
+  EXPECT_EQ(dist_extras(r0).at("hunt").as_int(), 1);
   // The participant still learns the outcome from the final rebalance.
   const auto& r1 = reports[1];
   ASSERT_TRUE(r1.error.empty()) << r1.error;
@@ -260,6 +277,10 @@ TEST(DistElastic, EvictionWithoutCheckpointsReplaysDeterministically) {
   EXPECT_EQ(r0.winner, kRefWinner);
   EXPECT_EQ(r0.winner_stats.iterations, kRefWinnerIters);
   EXPECT_EQ(coordinator_counter(r0, "evictions"), 1);
+  // The victim died after its first heartbeat, which proved its welcome
+  // landed, so it is evicted at once instead of being held for a re-hello
+  // (2 s).
+  EXPECT_LT(r0.wall_seconds, 1.0);
   // Somebody replayed the orphaned walker from its seed.
   int64_t replayed = 0;
   for (const auto& rep : {reports[0], reports[1]})
@@ -304,11 +325,8 @@ TEST(DistElastic, LateJoinerIsAdmittedByHuntKey) {
     WorldOptions wo;
     wo.rank = 0;
     wo.ranks = 1;
-    wo.elastic = true;
     World world(wo, [&](uint16_t p) { port_promise.set_value(p); });
-    // Pre-announce the hunt so the joiner's handshake cannot race
-    // solve_elastic's own (idempotent) announcement.
-    world.set_hunt(key, req.seed, req.walkers);
+    // A join that beats the hunt's opening waits for it.
     hunt_announced.set_value();
     host_report = solve_elastic(world, req, runtime::StrategyContext{}, base_opts(200));
     world.finalize();
@@ -319,7 +337,6 @@ TEST(DistElastic, LateJoinerIsAdmittedByHuntKey) {
     wo.join = true;
     wo.rank = -1;
     wo.ranks = 0;
-    wo.elastic = true;
     wo.port = port.get();
     wo.hunt_key = key;
     wo.connect_timeout_seconds = 30.0;
@@ -339,54 +356,57 @@ TEST(DistElastic, LateJoinerIsAdmittedByHuntKey) {
   EXPECT_EQ(join_report.winner, host_report.winner);
 }
 
-TEST(DistElastic, JoinAfterTheHuntFinishedIsAnsweredWithTheWinner) {
-  // The hunt completes before the joiner dials in; rank 0 holds its world
-  // (and so the coordinator) open until the joiner has returned. A valid
-  // join that comes too late is answered with the outcome, not refused.
-  const runtime::SolveRequest req = costas_request(kSize, kWalkers, kSeed);
+TEST(DistHunts, JoinBetweenHuntsTakesPartInTheNextHunt) {
+  // The joiner dials in after hunt 1 has finished. It waits for the next
+  // opening — the host opens hunt 2 once the join is pending — and takes
+  // part in hunt 2, which names its oracle's winner.
+  const runtime::SolveRequest first = costas_request(kSize, kWalkers, kSeed);
+  const runtime::SolveRequest second = costas_request(13, kWalkers, 5);
+  const Oracle want = oracle_of(second, 300);
   std::promise<uint16_t> port_promise;
-  std::promise<void> hunt_done;
-  std::promise<void> joiner_done;
-  runtime::SolveReport host_report, join_report;
+  std::promise<void> first_done;
+  runtime::SolveReport host_first, host_second, join_report;
 
   std::jthread host([&] {
     WorldOptions wo;
-    wo.rank = 0;
-    wo.ranks = 1;
-    wo.elastic = true;
     World world(wo, [&](uint16_t p) { port_promise.set_value(p); });
-    host_report = solve_elastic(world, req, runtime::StrategyContext{}, base_opts());
-    hunt_done.set_value();
-    joiner_done.get_future().wait();
+    host_first = solve_elastic(world, first, runtime::StrategyContext{}, base_opts());
+    first_done.set_value();
+    while (world.stats_json().at("coordinator").at("joins").as_int() == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    host_second = solve_elastic(world, second, runtime::StrategyContext{}, base_opts());
     world.finalize();
   });
   const uint16_t port = port_promise.get_future().get();
-  hunt_done.get_future().wait();
+  first_done.get_future().wait();
   try {
     WorldOptions wo;
     wo.join = true;
     wo.rank = -1;
     wo.ranks = 0;
-    wo.elastic = true;
     wo.port = port;
-    wo.hunt_key = elastic_hunt_key(runtime::resolve(req));
+    wo.hunt_key = elastic_hunt_key(runtime::resolve(second));
     wo.connect_timeout_seconds = 30.0;
-    World world(wo);
-    join_report = solve_elastic(world, req, runtime::StrategyContext{}, base_opts());
+    World world(wo);  // blocks until hunt 2 opens
+    join_report = solve_elastic(world, second, runtime::StrategyContext{}, base_opts());
     world.finalize();
   } catch (const std::exception& e) {
     join_report.error = e.what();
   }
-  joiner_done.set_value();
   host.join();
 
-  ASSERT_TRUE(host_report.error.empty()) << host_report.error;
-  EXPECT_EQ(host_report.winner, kRefWinner);
+  ASSERT_TRUE(host_first.error.empty()) << host_first.error;
+  EXPECT_EQ(host_first.winner, kRefWinner);
+  ASSERT_TRUE(host_second.error.empty()) << host_second.error;
+  EXPECT_EQ(dist_extras(host_second).at("hunt").as_int(), 2);
+  EXPECT_EQ(host_second.winner, want.winner);
+  EXPECT_EQ(host_second.winner_stats.iterations, want.winner_iters);
+  EXPECT_EQ(host_second.total_iterations, want.total_iterations);
+  EXPECT_EQ(dist_extras(host_second).at("members").as_array().size(), 2u);
   ASSERT_TRUE(join_report.error.empty()) << join_report.error;
   EXPECT_TRUE(join_report.solved);
-  EXPECT_EQ(join_report.winner, kRefWinner);
-  EXPECT_EQ(join_report.winner_stats.iterations, kRefWinnerIters);
-  EXPECT_TRUE(join_report.check_passed);
+  EXPECT_EQ(join_report.winner, want.winner);
+  EXPECT_EQ(dist_extras(join_report).at("hunt").as_int(), 2);
 }
 
 TEST(DistElastic, JoinerWithWrongKeyIsRefused) {
@@ -400,9 +420,7 @@ TEST(DistElastic, JoinerWithWrongKeyIsRefused) {
     WorldOptions wo;
     wo.rank = 0;
     wo.ranks = 1;
-    wo.elastic = true;
     World world(wo, [&](uint16_t p) { port_promise.set_value(p); });
-    world.set_hunt(elastic_hunt_key(runtime::resolve(req)), req.seed, req.walkers);
     hunt_announced.set_value();
     host_report = solve_elastic(world, req, runtime::StrategyContext{}, base_opts(200));
     world.finalize();
@@ -415,7 +433,7 @@ TEST(DistElastic, JoinerWithWrongKeyIsRefused) {
   wo.port = port.get();
   wo.hunt_key = "some other hunt entirely";
   wo.connect_timeout_seconds = 30.0;
-  EXPECT_THROW(World world(wo), CommError);  // refused at the handshake
+  EXPECT_THROW(World world(wo), CommError);  // refused at the handshake or the opening
   host.join();
   ASSERT_TRUE(host_report.error.empty()) << host_report.error;
   EXPECT_TRUE(host_report.solved);
@@ -616,19 +634,19 @@ TEST(DistElasticWire, PreemptedWorldNamesNoRunAheadLeader) {
   }());
   for (const std::string decides : {"", "listed", "settled"}) {
     CoordinatorOptions co;
-    co.elastic = true;
     co.heartbeat_timeout_seconds = 0;
     Coordinator coord(co);
-    coord.set_hunt("hunt", kSeed, kWalkers);
+    coord.open_hunt(1, "hunt", kSeed, kWalkers, 0);
     test::FakeRank member(coord.port(), 0, 1);
     ASSERT_FALSE(member.await("welcome").is_null());
-    member.send(make_solved(0, kRefWinner, kRefWinnerIters, stats));
+    ASSERT_FALSE(member.await("rebalance").is_null());  // the opening
+    member.send(make_solved(0, 1, kRefWinner, kRefWinnerIters, stats));
     const util::Json leader = member.await("leader");
     ASSERT_FALSE(leader.is_null());
     EXPECT_EQ(frame_u64(leader, "id"), static_cast<uint64_t>(kRefWinner));
     EXPECT_EQ(frame_u64(leader, "iters"), kRefWinnerIters);
 
-    util::Json report = make_epoch_base(0, 0);
+    util::Json report = make_epoch_base(0, 1, 0);
     report["done"] = true;
     report["settled"] = decides == "settled";
     report["walkers"] = kWalkers;
@@ -672,6 +690,7 @@ TEST(DistElasticWire, MalformedSolvedFramesAbortTheWorldWithAReason) {
     util::Json j = util::Json::object();
     j["type"] = "solved";
     j["rank"] = 0;
+    j["hunt"] = wire_u64(1);
     j["id"] = std::move(id);
     j["iters"] = std::move(iters);
     j["stats"] = std::move(st);
@@ -684,10 +703,8 @@ TEST(DistElasticWire, MalformedSolvedFramesAbortTheWorldWithAReason) {
       {solved(wire_u64(1), wire_u64(11), stats), "impossible solve"},
   };
   for (const auto& [bad, reason] : cases) {
-    CoordinatorOptions co;
-    co.elastic = true;
-    Coordinator coord(co);
-    coord.set_hunt("hunt", 1, kWalkers);
+    Coordinator coord(CoordinatorOptions{});
+    coord.open_hunt(1, "hunt", 1, kWalkers, 0);
     test::FakeRank fake(coord.port(), 0, 1);
     ASSERT_FALSE(fake.await("welcome").is_null());
     fake.send(bad);
@@ -740,8 +757,9 @@ TEST(DistElasticWire, LeaderFramesBeforeTheHookReachItAtRegistration) {
     net::Fd peer(::accept(listener.get(), nullptr, nullptr));
     ASSERT_TRUE(peer.valid());
     std::string send_err;
-    for (const util::Json& frame : {make_welcome(0, 1), make_leader(1, 50), make_leader(3, 40),
-                                    make_leader(0, 45), make_rebalance_base(1)})
+    for (const util::Json& frame : {make_welcome(0, 1), make_leader(1, 1, 50),
+                                    make_leader(1, 3, 40), make_leader(1, 0, 45),
+                                    make_rebalance_base(1, 1)})
       ASSERT_TRUE(net::write_all(peer.get(), net::encode_frame(frame.dump(0)), send_err));
     char buf[256];
     while (::recv(peer.get(), buf, sizeof(buf), 0) > 0) {
@@ -753,9 +771,9 @@ TEST(DistElasticWire, LeaderFramesBeforeTheHookReachItAtRegistration) {
   RankComm comm(o);
   ASSERT_TRUE(comm.take_control(30.0).has_value());  // read after the leader frames
   std::vector<std::pair<uint64_t, int>> seen;
-  comm.on_leader([&](uint64_t iters, int id) { seen.emplace_back(iters, id); });
+  comm.on_leader(1, [&](uint64_t iters, int id) { seen.emplace_back(iters, id); });
   EXPECT_EQ(seen, (std::vector<std::pair<uint64_t, int>>{{40, 3}}));
-  comm.on_leader(nullptr);
+  comm.on_leader(1, nullptr);
   comm.finalize();
 }
 
@@ -819,7 +837,7 @@ TEST(DistElasticPipeline, SettledMemberSkipsItsWaveFileOnlyWhenTheWaveDecides) {
     std::jthread coordinator([&] {
       test::FakeRank joiner(net::Fd(::accept(listener.get(), nullptr, nullptr)));
       ASSERT_FALSE(joiner.await("join").is_null());
-      util::Json view = make_rebalance_base(0);
+      util::Json view = make_rebalance_base(1, 0);
       view["final"] = false;
       view["ranks"] = 1;
       view["your_rank"] = 0;
@@ -841,7 +859,6 @@ TEST(DistElasticPipeline, SettledMemberSkipsItsWaveFileOnlyWhenTheWaveDecides) {
     wo.rank = -1;
     wo.ranks = 0;
     wo.join = true;
-    wo.elastic = true;
     wo.port = net::local_port(listener.get());
     wo.hunt_key = elastic_hunt_key(runtime::resolve(req));
     World world(wo);
@@ -879,6 +896,253 @@ TEST(DistElastic, RejectsNonMultiwalkStrategies) {
   const auto reports = run_elastic_world(1, req, [](int) { return base_opts(); });
   EXPECT_FALSE(reports[0].error.empty());
   EXPECT_NE(reports[0].error.find("multiwalk"), std::string::npos) << reports[0].error;
+}
+
+// --- successive hunts on one World -----------------------------------------
+
+TEST(DistHunts, ThreeHuntsBackToBackMatchTheOracle) {
+  const std::vector<runtime::SolveRequest> reqs = {costas_request(12, kWalkers, 3),
+                                                   costas_request(13, kWalkers, 5),
+                                                   costas_request(kSize, kWalkers, kSeed)};
+  const auto reports = run_hunts(2, reqs, [](int, size_t) { return base_opts(200); });
+  for (size_t k = 0; k < reqs.size(); ++k) {
+    const Oracle want = oracle_of(reqs[k], 200);
+    const runtime::SolveReport& r0 = reports[0][k];
+    ASSERT_TRUE(r0.error.empty()) << "hunt " << k + 1 << ": " << r0.error;
+    EXPECT_EQ(dist_extras(r0).at("hunt").as_int(), static_cast<int64_t>(k + 1));
+    EXPECT_EQ(r0.winner, want.winner) << "hunt " << k + 1;
+    EXPECT_EQ(r0.winner_stats.iterations, want.winner_iters) << "hunt " << k + 1;
+    EXPECT_EQ(r0.total_iterations, want.total_iterations) << "hunt " << k + 1;
+    EXPECT_TRUE(r0.check_passed) << "hunt " << k + 1;
+    const runtime::SolveReport& r1 = reports[1][k];
+    ASSERT_TRUE(r1.error.empty()) << "hunt " << k + 1 << ": " << r1.error;
+    EXPECT_EQ(r1.winner, want.winner) << "hunt " << k + 1;
+  }
+}
+
+TEST(DistHunts, StochasticSeedIsDrawnOnceForEveryRank) {
+  const runtime::SolveRequest req = costas_request(12, kWalkers, 0);
+  const auto reports = run_hunts(3, {req}, [](int, size_t) { return base_opts(200); });
+  const uint64_t seed = reports[0][0].request.seed;
+  EXPECT_NE(seed, 0u);
+  runtime::SolveRequest drawn = req;
+  drawn.seed = seed;
+  const Oracle want = oracle_of(drawn, 200);
+  for (const auto& hunts : reports) {
+    const runtime::SolveReport& rep = hunts[0];
+    ASSERT_TRUE(rep.error.empty()) << rep.error;
+    EXPECT_EQ(rep.request.seed, seed) << "ranks diverged on the drawn seed";
+    EXPECT_EQ(rep.winner, want.winner);
+    EXPECT_EQ(rep.winner_stats.iterations, want.winner_iters);
+  }
+}
+
+TEST(DistHunts, InvalidRequestFailsOnEveryRankAndTheNextHuntRuns) {
+  runtime::SolveRequest cooperative = costas_request(12, kWalkers, 3);
+  cooperative.strategy = "cooperative";
+  runtime::SolveRequest unknown = costas_request(12, kWalkers, 3);
+  unknown.problem = "no-such-problem";
+  const runtime::SolveRequest valid = costas_request(13, kWalkers, 5);
+  const Oracle want = oracle_of(valid, 200);
+  const auto reports =
+      run_hunts(2, {cooperative, unknown, valid}, [](int, size_t) { return base_opts(200); });
+  for (const auto& hunts : reports) {
+    EXPECT_NE(hunts[0].error.find("multiwalk"), std::string::npos) << hunts[0].error;
+    EXPECT_FALSE(hunts[1].error.empty());
+    EXPECT_EQ(hunts[1].error, reports[0][1].error);
+    const runtime::SolveReport& rep = hunts[2];
+    ASSERT_TRUE(rep.error.empty()) << rep.error;
+    EXPECT_EQ(rep.winner, want.winner);
+    // The refused requests opened no hunt.
+    EXPECT_EQ(dist_extras(rep).at("hunt").as_int(), 1);
+  }
+  EXPECT_EQ(reports[0][2].total_iterations, want.total_iterations);
+}
+
+TEST(DistHunts, CheckpointDirectoryOnASecondHuntIsRefusedEverywhere) {
+  const std::string dir = make_temp_dir();
+  const std::vector<runtime::SolveRequest> reqs = {costas_request(12, kWalkers, 3),
+                                                   costas_request(13, kWalkers, 5)};
+  const auto reports = run_hunts(2, reqs, [&](int, size_t) {
+    ElasticOptions eo = base_opts(200);
+    eo.ckpt_dir = dir;
+    return eo;
+  });
+  for (const auto& hunts : reports) {
+    EXPECT_TRUE(hunts[0].error.empty()) << hunts[0].error;
+    EXPECT_NE(hunts[1].error.find("first hunt"), std::string::npos) << hunts[1].error;
+  }
+}
+
+TEST(DistHunts, ConnectionDroppedLateInHuntOneLearnsItsOutcomeAndJoinsHuntTwo) {
+  // Rank 1's transport is cut after its third wave of hunt 1 (the winner
+  // solves in the fourth). Its rejoin either lands inside hunt 1 or is
+  // answered with hunt 1's outcome; either way it names hunt 1's winner
+  // and then takes part in hunt 2 under a new member id. (The host opens
+  // hunt 2 once the rejoin arrived: only the last finished hunt's outcome
+  // is kept, and hunt 2 could otherwise finish first.)
+  const std::vector<runtime::SolveRequest> reqs = {costas_request(kSize, kWalkers, kSeed),
+                                                   costas_request(13, kWalkers, 5)};
+  const Oracle second = oracle_of(reqs[1], 300);
+  const auto reports = run_hunts(
+      2, reqs,
+      [](int rank, size_t k) {
+        ElasticOptions eo = base_opts();
+        if (rank == 1 && k == 0) eo.drop_conn_at_epoch = 3;
+        return eo;
+      },
+      /*standby=*/false,
+      [](int rank, size_t k, World& world) {
+        while (rank == 0 && k == 1 &&
+               world.stats_json().at("coordinator").at("joins").as_int() == 0)
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        return true;
+      });
+  const runtime::SolveReport& dropped = reports[1][0];
+  ASSERT_TRUE(dropped.error.empty()) << dropped.error;
+  EXPECT_EQ(dropped.winner, kRefWinner);
+  EXPECT_EQ(dropped.winner_stats.iterations, kRefWinnerIters);
+  EXPECT_GE(dist_extras(dropped).at("rejoins").as_int(), 1);
+  EXPECT_EQ(reports[0][0].winner, kRefWinner);
+  for (const auto& hunts : reports) {
+    const runtime::SolveReport& rep = hunts[1];
+    ASSERT_TRUE(rep.error.empty()) << rep.error;
+    EXPECT_EQ(rep.winner, second.winner);
+    EXPECT_EQ(rep.winner_stats.iterations, second.winner_iters);
+  }
+  int active = 0;
+  for (const util::Json& row : dist_extras(reports[0][1]).at("members").as_array())
+    if (!row.at("evicted").as_bool() && !row.at("left").as_bool()) ++active;
+  EXPECT_EQ(active, 2) << "the rejoined member did not take part in hunt 2";
+  EXPECT_EQ(reports[0][1].total_iterations, second.total_iterations);
+}
+
+TEST(DistHunts, HostKilledBetweenHuntsThePromotedCoordinatorRunsTheNext) {
+  // Three members with a standby. The host dies after hunt 1; member 1
+  // (the standby) promotes itself, member 2 reconnects to it, and the
+  // promoted coordinator opens and runs hunt 2.
+  const std::vector<runtime::SolveRequest> reqs = {costas_request(12, kWalkers, 3),
+                                                   costas_request(13, kWalkers, 5)};
+  const Oracle second = oracle_of(reqs[1], 200);
+  const auto reports = run_hunts(
+      3, reqs, [](int, size_t) { return base_opts(200); }, /*standby=*/true,
+      [](int rank, size_t k, World& world) {
+        if (rank != 0 || k != 1) return true;
+        world.crash();
+        return false;
+      });
+  ASSERT_TRUE(reports[0][0].error.empty()) << reports[0][0].error;
+  const runtime::SolveReport& promoted = reports[1][1];
+  ASSERT_TRUE(promoted.error.empty()) << promoted.error;
+  EXPECT_EQ(dist_extras(promoted).at("promoted_from").as_int(), 0);
+  EXPECT_EQ(dist_extras(promoted).at("hunt").as_int(), 2);
+  EXPECT_EQ(promoted.winner, second.winner);
+  EXPECT_EQ(promoted.winner_stats.iterations, second.winner_iters);
+  EXPECT_EQ(promoted.total_iterations, second.total_iterations);
+  EXPECT_TRUE(promoted.check_passed);
+  const runtime::SolveReport& survivor = reports[2][1];
+  ASSERT_TRUE(survivor.error.empty()) << survivor.error;
+  EXPECT_EQ(survivor.winner, second.winner);
+  EXPECT_GE(dist_extras(survivor).at("failovers").as_int(), 1);
+}
+
+TEST(DistHunts, AFinishedHuntsSolveMovesNoLeaderInTheNext) {
+  // A member's solve of hunt 1 that reaches the coordinator during hunt 2
+  // (a crew solving as its hunt ended) is dropped: hunt 2's final carries
+  // no leader.
+  const util::Json stats = run_stats_to_json([] {
+    core::RunStats st;
+    st.solved = true;
+    st.iterations = 10;
+    return st;
+  }());
+  CoordinatorOptions co;
+  co.heartbeat_timeout_seconds = 0;
+  Coordinator coord(co);
+  test::FakeRank member(coord.port(), 0, 1);
+  ASSERT_FALSE(member.await("welcome").is_null());
+  for (uint64_t hunt = 1; hunt <= 2; ++hunt) {
+    coord.open_hunt(hunt, "hunt", kSeed, kWalkers, 0);
+    const util::Json opening = member.await("rebalance");
+    ASSERT_FALSE(opening.is_null());
+    EXPECT_EQ(frame_u64(opening, "hunt"), hunt);
+    if (hunt == 2) member.send(make_solved(0, 1, 1, 10, stats));  // a late hunt-1 solve
+    util::Json report = make_epoch_base(0, hunt, 0);
+    report["done"] = true;
+    report["walkers"] = kWalkers;
+    report["solved"] = util::Json::array();
+    member.send(report);
+    const util::Json final_frame = member.await("rebalance");
+    ASSERT_FALSE(final_frame.is_null());
+    EXPECT_TRUE(frame_bool(final_frame, "final", false));
+    EXPECT_EQ(final_frame.find("leader"), nullptr) << "hunt " << hunt;
+  }
+  coord.stop();
+}
+
+TEST(DistHunts, AFinishedHuntsLeaderReachesNoHook) {
+  // The communicator keeps the best leader of the newest hunt it heard of,
+  // and a hook hears only its own hunt's leaders: a hunt-1 leader that
+  // arrives during hunt 2 reaches neither.
+  std::string err;
+  net::Fd listener = net::listen_tcp("127.0.0.1", 0, 4, err);
+  ASSERT_TRUE(listener.valid()) << err;
+  const uint16_t port = net::local_port(listener.get());
+  std::promise<void> registered;
+  std::jthread coordinator([&] {
+    net::Fd peer(::accept(listener.get(), nullptr, nullptr));
+    ASSERT_TRUE(peer.valid());
+    std::string send_err;
+    const auto send = [&](const util::Json& frame) {
+      ASSERT_TRUE(net::write_all(peer.get(), net::encode_frame(frame.dump(0)), send_err));
+    };
+    for (const util::Json& frame : {make_welcome(0, 1), make_leader(2, 1, 50),
+                                    make_leader(1, 0, 10), make_rebalance_base(2, 0)})
+      send(frame);
+    registered.get_future().wait();
+    for (const util::Json& frame :
+         {make_leader(1, 0, 5), make_leader(2, 3, 40), make_rebalance_base(2, 1)})
+      send(frame);
+    char buf[256];
+    while (::recv(peer.get(), buf, sizeof(buf), 0) > 0) {
+    }
+  });
+  RankCommOptions o;
+  o.port = port;
+  o.heartbeat_interval_seconds = 0;
+  RankComm comm(o);
+  ASSERT_TRUE(comm.take_control(30.0).has_value());  // read after the first leaders
+  std::vector<std::pair<uint64_t, int>> seen;
+  comm.on_leader(2, [&](uint64_t iters, int id) { seen.emplace_back(iters, id); });
+  registered.set_value();
+  ASSERT_TRUE(comm.take_control(30.0).has_value());  // read after the second leaders
+  EXPECT_EQ(seen, (std::vector<std::pair<uint64_t, int>>{{50, 1}, {40, 3}}));
+  comm.on_leader(2, nullptr);
+  comm.finalize();
+}
+
+TEST(DistElasticWire, HugeControlTimeoutWaitsForALateRebalance) {
+  // A member waits for each rebalance with the scenario's control timeout;
+  // 1e12 s must wait for a frame that comes late (here: the opening of a
+  // hunt the host opens 200 ms on), not return or throw at once.
+  Coordinator coord(CoordinatorOptions{});
+  RankCommOptions o;
+  o.port = coord.port();
+  RankComm comm(o);
+  std::jthread late([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    coord.open_hunt(1, "hunt", 1, 1, 0);
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::optional<util::Json> rb = comm.take_control(1e12);
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  late.join();
+  ASSERT_TRUE(rb.has_value());
+  EXPECT_EQ(frame_type(*rb), "rebalance");
+  EXPECT_GE(waited, 0.15);
+  comm.finalize();
+  coord.stop();
 }
 
 }  // namespace

@@ -65,9 +65,7 @@ std::vector<runtime::SolveReport> run_standby_world(
       WorldOptions wo;
       wo.rank = r;
       wo.ranks = ranks;
-      wo.elastic = true;
       wo.standby = standby;
-      wo.collective_timeout_seconds = 60.0;
       std::optional<World> world;
       if (r == 0) {
         world.emplace(wo, [&](uint16_t p) { port_promise.set_value(p); });
@@ -175,32 +173,32 @@ TEST(DistFailover, PromotionFromAMirroredLeaderNamesItAsWinner) {
     return st;
   }());
   const auto report = [](int member, uint64_t wave, int walkers) {
-    util::Json ef = make_epoch_base(member, wave);
+    util::Json ef = make_epoch_base(member, 1, wave);
     ef["walkers"] = walkers;
     ef["solved"] = util::Json::array();
     return ef;
   };
   CoordinatorOptions co;
   co.ranks = 2;
-  co.elastic = true;
   co.standby = true;
   co.heartbeat_timeout_seconds = 0;
   util::Json leader_mirror, decided_mirror;
   {
     Coordinator coord(co);
-    coord.set_hunt(key, kSeed, kWalkers);
+    coord.open_hunt(1, key, kSeed, kWalkers, 0);
     util::Json standby_hello = make_hello(1, 2);
     standby_hello["failover"] = "127.0.0.1:1";  // makes it eligible; never dialed here
     test::FakeRank host(coord.port(), make_hello(0, 2));
     test::FakeRank standby(coord.port(), standby_hello);
     ASSERT_FALSE(host.await("welcome").is_null());
     ASSERT_FALSE(standby.await("welcome").is_null());
+    ASSERT_FALSE(standby.await("state_sync").is_null());  // the opening elected the standby
     host.send(report(0, 0, 2));
     standby.send(report(1, 0, 2));
-    ASSERT_FALSE(standby.await("state_sync").is_null());  // wave 0 elected the standby
+    ASSERT_FALSE(standby.await("state_sync").is_null());  // wave 0 completed
 
     // Walker 2, the standby's, solves at 982 during wave 1.
-    standby.send(make_solved(1, kRefWinner, kRefWinnerIters, stats));
+    standby.send(make_solved(1, 1, kRefWinner, kRefWinnerIters, stats));
     ASSERT_FALSE(host.await("leader").is_null());
     leader_mirror = standby.await("state_sync");
     ASSERT_FALSE(leader_mirror.is_null());
@@ -234,7 +232,7 @@ TEST(DistFailover, PromotionFromAMirroredLeaderNamesItAsWinner) {
     po.host_member = 1;
     Coordinator promoted(po, std::move(listener), mirror.at("state"));
     const uint64_t wave = frame_u64(mirror, "epoch");
-    test::FakeRank survivor(promoted.port(), make_reconnect(1, wave, key));
+    test::FakeRank survivor(promoted.port(), make_reconnect(1, 1, wave));
     const util::Json resume = survivor.await("rebalance");
     ASSERT_FALSE(resume.is_null()) << flag;
     EXPECT_EQ(frame_int(resume, "ranks"), 1) << flag;
@@ -338,12 +336,9 @@ TEST(DistFailover, JoinerAdmittedMidHuntSurvivesThePromotion) {
     WorldOptions wo;
     wo.rank = 0;
     wo.ranks = 2;
-    wo.elastic = true;
     wo.standby = true;
-    wo.collective_timeout_seconds = 60.0;
     World world(wo, [&](uint16_t p) { port_promise.set_value(p); });
-    world.set_hunt(key, req.seed, req.walkers);
-    hunt_announced.set_value();
+    hunt_announced.set_value();  // a join that beats the hunt's opening waits for it
     ElasticOptions eo = base_opts(200);
     eo.die_at_epoch = 8;
     host_report = solve_elastic(world, req, runtime::StrategyContext{}, eo);
@@ -353,9 +348,7 @@ TEST(DistFailover, JoinerAdmittedMidHuntSurvivesThePromotion) {
     WorldOptions wo;
     wo.rank = 1;
     wo.ranks = 2;
-    wo.elastic = true;
     wo.standby = true;
-    wo.collective_timeout_seconds = 60.0;
     wo.port = port.get();
     World world(wo);
     standby_report = solve_elastic(world, req, runtime::StrategyContext{}, base_opts(200));
@@ -367,12 +360,10 @@ TEST(DistFailover, JoinerAdmittedMidHuntSurvivesThePromotion) {
     wo.join = true;
     wo.rank = -1;
     wo.ranks = 0;
-    wo.elastic = true;
     wo.standby = true;
     wo.port = port.get();
     wo.hunt_key = key;
     wo.connect_timeout_seconds = 30.0;
-    wo.collective_timeout_seconds = 60.0;
     World world(wo);  // blocks until admitted at a wave boundary
     join_report = solve_elastic(world, req, runtime::StrategyContext{}, base_opts(200));
     world.finalize();

@@ -1,9 +1,9 @@
 // Heartbeat liveness policing under injected latency: a world whose wire
 // is slow but alive (every I/O op delayed well below the heartbeat
-// timeout) must not lose anyone — and a rank that goes silent with its
+// timeout) must not lose anyone — and a member that goes silent with its
 // connection OPEN (the failure mode heartbeats exist for; a closed fd is
-// caught by EOF long before any timer) must be detected promptly after
-// the timeout, not at some distant collective deadline.
+// caught by EOF long before any timer) must be evicted promptly after the
+// timeout, while the rest of the world lives on.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -63,13 +63,16 @@ TEST_F(HeartbeatTest, LatencyBelowTimeoutEvictsNobody) {
   coord.stop();
 }
 
-TEST_F(HeartbeatTest, SilentOpenConnectionIsDeclaredDeadPromptly) {
+TEST_F(HeartbeatTest, SilentOpenConnectionIsEvictedPromptly) {
   // Rank 1 completes the rendezvous and then freezes with its socket open
   // — what a SIGSTOP'd or livelocked process looks like. EOF-based
-  // detection never fires; only the heartbeat deadline can convict it.
+  // detection never fires; only the heartbeat deadline can convict it. It
+  // never spoke after its hello, so the re-hello grace runs on top of the
+  // timeout before the eviction.
   CoordinatorOptions co;
   co.ranks = 2;
   co.heartbeat_timeout_seconds = 0.8;
+  co.rehello_grace_seconds = 0.2;
   Coordinator coord(co);
 
   std::string err;
@@ -87,16 +90,19 @@ TEST_F(HeartbeatTest, SilentOpenConnectionIsDeclaredDeadPromptly) {
   o.heartbeat_interval_seconds = 0.2;
   RankComm comm(o);
 
-  while (!comm.failed() && now_seconds() - t0 < 10.0)
+  while (coord.stats().evictions.load() == 0 && now_seconds() - t0 < 10.0)
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   const double elapsed = now_seconds() - t0;
-  ASSERT_TRUE(comm.failed()) << "silent rank was never detected";
-  EXPECT_NE(comm.failure().find("missed heartbeats"), std::string::npos) << comm.failure();
+  ASSERT_EQ(coord.stats().evictions.load(), 1u) << "silent rank was never evicted";
   // Promptness: convicted after the timeout, and well before the 10s
-  // fallback — the deadline is doing the work, not some slower backstop.
+  // fallback — the deadline plus the grace is doing the work, not some
+  // slower backstop.
   EXPECT_GE(elapsed, co.heartbeat_timeout_seconds * 0.9);
-  EXPECT_LT(elapsed, 5.0);
-  EXPECT_GE(coord.stats().aborts.load(), 1u);
+  EXPECT_LT(elapsed, co.heartbeat_timeout_seconds + co.rehello_grace_seconds + 2.0);
+  // The world lives on: no abort, and the live member stays connected.
+  EXPECT_EQ(coord.stats().aborts.load(), 0u);
+  EXPECT_FALSE(comm.failed()) << comm.failure();
+  comm.finalize();
   coord.stop();
 }
 

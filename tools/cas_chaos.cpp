@@ -19,8 +19,7 @@
 // to fail. If the no-retry run passes, the plan never exercised the
 // retry/backoff paths and the green chaos runs were vacuous.
 //
-// --kill-coordinator is the failover drill (elastic multi-rank scenarios
-// only): SIGKILL member 0 — the coordinator host — mid-hunt with --standby
+// --kill-coordinator is the failover drill (multi-rank scenarios only): SIGKILL member 0 — the coordinator host — mid-hunt with --standby
 // armed, require the promoted standby's report to carry the baseline's
 // exact verified winner AND record the promotion, then require the same
 // kill WITHOUT --standby to fail. Both directions, or the drill proved
@@ -169,24 +168,18 @@ RunOutcome run_child(const std::vector<std::string>& argv,
 /// The identity we assert chaos cannot move: per-request solved flag,
 /// winner walker, winner iteration count, and the solution permutation.
 ///
-/// `compare` = "full" | "verified" | "auto". Every multi-walker strategy
-/// picks its winner by a wall-clock race (first walker to solve takes the
-/// stop-token CAS), so the very retry backoffs a chaos run exists to
-/// exercise legitimately move it — near-tied walkers flip, and
+/// `compare` = "full" | "verified" | "auto". Every in-process multi-walker
+/// strategy picks its winner by a wall-clock race (first walker to solve
+/// takes the stop-token CAS), so the very retry backoffs a chaos run exists
+/// to exercise legitimately move it — near-tied walkers flip, and
 /// cooperative's asynchronous elite-sharing changes whole trajectories.
 /// "auto" therefore fingerprints bit-exactly only where the winner rule is
-/// timing-invariant — elastic runs (the (min solve iteration, min walker id) rule)
-/// and single-walker sequential — and everything else by
+/// timing-invariant — distributed worlds (the (min solve iteration, min
+/// walker id) rule) and single-walker sequential — and everything else by
 /// solved-and-verified only.
 util::Json winner_fingerprint(const util::Json& report, const std::string& compare) {
-  bool elastic = false;
-  {
-    const util::Json* dist = report.find("dist");
-    if (dist != nullptr && dist->is_object()) {
-      const util::Json* ej = dist->find("elastic");
-      elastic = ej != nullptr && ej->is_bool() && ej->as_bool();
-    }
-  }
+  const util::Json* dist = report.find("dist");
+  const bool world = dist != nullptr && dist->is_object();
   util::Json fp = util::Json::array();
   const util::Json* results = report.find("results");
   if (results == nullptr || !results->is_array())
@@ -209,7 +202,7 @@ util::Json winner_fingerprint(const util::Json& report, const std::string& compa
     }
     const bool exact =
         compare == "full" ||
-        (compare == "auto" && (elastic || strategy == "sequential"));
+        (compare == "auto" && (world || strategy == "sequential"));
     row["solved"] = r.at("solved").as_bool();
     if (r.at("solved").as_bool()) {
       if (exact) {
@@ -265,7 +258,7 @@ int main(int argc, char** argv) {
                  "coordinator assassination: run the scenario with --standby and "
                  "member 0 SIGKILLed mid-hunt, require the promoted report to match "
                  "the baseline, then require the SAME kill WITHOUT --standby to fail "
-                 "(elastic multi-rank scenarios only)");
+                 "(multi-rank scenarios only)");
   flags.add_int("kill-at-epoch", 2,
                 "which epoch --kill-coordinator murders member 0 at (must be >= 1: "
                 "promotion needs one replicated wave)");

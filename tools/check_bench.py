@@ -36,9 +36,9 @@ CURRENT file carries a "dist" block the guard checks the scaling ladder's
 machine-independent invariants:
   - every rung solved something, and its solve rate within the budget
     stays above --min-dist-solve-rate
-  - multi-rank rungs actually communicated (frames_sent and
-    collective_rounds both nonzero — a silent fallback to one process
-    would otherwise read as a perfect bench)
+  - multi-rank rungs actually communicated (frames_sent and waves both
+    nonzero — a silent fallback to one process would otherwise read as a
+    perfect bench)
   - the ladder covers more than one rank count
   - splitting a FIXED walker budget across ranks must not multiply wall
     time beyond --dist-overhead x the single-rank rung (generous: solve
@@ -144,16 +144,16 @@ def check_dist(cur_doc, args):
         print(f"  dist: ranks={ranks} solved {rung.get('solved', 0)}/"
               f"{rung.get('reps', 0)} mean wall {wall:.3f}s "
               f"frames {rung.get('frames_sent', 0)} "
-              f"collective rounds {rung.get('collective_rounds', 0)}")
+              f"waves {rung.get('waves', 0)}")
         if rung.get("solved", 0) < 1:
             failures.append(f"dist ranks={ranks}: nothing solved")
         if rate < args.min_dist_solve_rate:
             failures.append(f"dist ranks={ranks}: solve rate {rate:.0%} < floor "
                             f"{args.min_dist_solve_rate:.0%}")
         if ranks > 1 and (rung.get("frames_sent", 0) <= 0
-                          or rung.get("collective_rounds", 0) <= 0):
+                          or rung.get("waves", 0) <= 0):
             failures.append(f"dist ranks={ranks}: no communication recorded "
-                            "(frames/collective rounds zero)")
+                            "(frames/waves zero)")
         if ranks == 1:
             single_wall = wall
     if single_wall and single_wall > 0:
