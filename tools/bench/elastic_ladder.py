@@ -2,7 +2,7 @@
 """Paired-seed ladder: elastic vs in-process time to solution.
 
 For each seed, runs one Costas hunt in-process and then the same request as
-a 2-rank loopback elastic world (`--ranks=2 --elastic`), one after the
+a 2-rank loopback world (`--ranks=2`), one after the
 other, and prints
 
   - the summed wall ratio: sum of the elastic reports' wall_seconds over the
@@ -54,7 +54,7 @@ def main():
     opts = ap.parse_args()
 
     base = [f"--size={opts.size}", f"--walkers={opts.walkers}", "--strategy=multiwalk"]
-    elastic = ["--ranks=2", "--elastic"]
+    elastic = ["--ranks=2"]
     if opts.ckpt_iters > 0:
         elastic.append(f"--ckpt-iters={opts.ckpt_iters}")
     wall = {"inproc": 0.0, "elastic": 0.0}

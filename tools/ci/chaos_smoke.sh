@@ -22,15 +22,16 @@ S13=tools/scenarios/s13_elastic_ckpt_n14.json
 
 step() { echo "== $*"; }
 
-# The acceptance loop for the fault layer: the s12 multiwalk ladder runs
-# under three seeded fault schedules (resets + corruption at the
-# rendezvous window, latency, partial I/O, EINTR/EAGAIN storms, accept
-# refusals). Every chaos run must terminate inside the deadline with
-# verified solutions matching the fault-free baseline — and
+# The acceptance loop for the fault layer: the s12 world (three hunts on
+# one 4-rank world) runs under three seeded fault schedules (resets +
+# corruption at the rendezvous window, latency, partial I/O, EINTR/EAGAIN
+# storms, accept refusals). Every chaos run must terminate inside the
+# deadline with winners bit-identical to the fault-free baseline's — the
+# (solve iteration, walker id) rule is timing-invariant — and
 # --prove-no-retry re-runs the first schedule with CAS_FAULT_NO_RETRY=1,
 # which MUST fail: the proof that the schedules exercise the retry/backoff
 # paths rather than landing in windows nobody hits.
-step "Classic 4-rank world under three pinned schedules"
+step "4-rank multi-hunt world under three pinned schedules"
 "$CAS_CHAOS" --scenario="$S12" --seeds=1,2,3 --prove-no-retry --out-dir="$OUT/chaos_s12"
 
 # Fingerprint equality (cas_chaos) is necessary but not sufficient: each
@@ -42,11 +43,10 @@ for r in "$OUT"/chaos_s12/baseline.json "$OUT"/chaos_s12/chaos-*.json; do
   python3 tools/check_report.py "$S12" "$r"
 done
 
-# Elastic worlds make the stronger promise — the (solve iteration, walker id)
-# winner rule is timing-invariant — so here the chaos runs must be BIT-EXACT
-# against the baseline (cas_chaos --compare=auto detects elastic reports
-# and requires full winner/solution equality).
-step "Elastic checkpointed world under the same schedules"
+# The checkpointed s13 world under the same schedules, bit-exact against
+# its baseline too (cas_chaos --compare=auto requires full winner/solution
+# equality for every world's report).
+step "Checkpointed world under the same schedules"
 mkdir -p "$OUT/ckpt_chaos"
 "$CAS_CHAOS" --scenario="$S13" --seeds=1,2,3 --prove-no-retry \
     --extra "--ckpt-dir=$OUT/ckpt_chaos" --out-dir="$OUT/chaos_s13"

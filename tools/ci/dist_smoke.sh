@@ -22,18 +22,18 @@ S13=tools/scenarios/s13_elastic_ckpt_n14.json
 step() { echo "== $*"; }
 
 # The headline acceptance run: ONE command forks a 4-rank world (rank 0
-# hosts the rendezvous, siblings re-exec with identity flags) and pushes
-# the three multiwalk requests through the socket communicator on one
-# long-lived world. check_report.py re-verifies every solution
-# independently — the merged rank-0 report must be indistinguishable in
-# shape from an in-process run.
+# hosts the rendezvous, siblings re-exec with identity flags) and runs the
+# three multiwalk requests as three hunts on one long-lived world.
+# check_report.py re-verifies every solution independently — the merged
+# rank-0 report must be indistinguishable in shape from an in-process run.
 step "4-process loopback scenario"
 "$CAS_RUN" --scenario="$S12" --ranks=4 --out="$OUT/dist_report.json"
 python3 tools/check_report.py "$S12" "$OUT/dist_report.json"
 
 # Every rank of a world prices requests with its own rate probe, so an
 # admission budget could split the world; cas_run must refuse it at once,
-# before any rendezvous, and say why. A hang (timeout's 124) or a crash is
+# before any rendezvous, and say why. So must a checkpoint directory with
+# more than one request: it belongs to one hunt. A hang (timeout's 124) or a crash is
 # a failure, and so is an exit without the reason.
 step "An admission budget is refused in a distributed world"
 rc=0
@@ -45,15 +45,24 @@ if [ "$rc" -eq 0 ] || [ "$rc" -eq 124 ] || [ "$rc" -gt 128 ]; then
   exit 1
 fi
 grep -q "admission budget" "$OUT/admit_stderr.txt"
+rc=0
+timeout 30 "$CAS_RUN" --scenario="$S12" --ranks=2 --ckpt-dir="$OUT/ckpt_refused" \
+    --out="$OUT/ckpt_refused_report.json" 2>"$OUT/ckpt_refused_stderr.txt" || rc=$?
+cat "$OUT/ckpt_refused_stderr.txt"
+if [ "$rc" -eq 0 ] || [ "$rc" -eq 124 ] || [ "$rc" -gt 128 ]; then
+  echo "negative control: expected a prompt refusal, got exit $rc"
+  exit 1
+fi
+grep -q "exactly one request" "$OUT/ckpt_refused_stderr.txt"
 
-# A collective_timeout past the clock's range means "no deadline", for the
-# elastic control wait as for the collectives: the world must wait for
-# each rebalance, not give up at once (the failure this guards exited 1
+# A collective_timeout (the wait for each rebalance) past the clock's range
+# means "no deadline": the world must wait for each rebalance, not give up
+# at once (the failure this guards exited 1
 # with "no rebalance for epoch 0 within 1000000000000s"). Positive control:
 # exit 0, verified, within 30 s.
 step "A huge control timeout waits for every rebalance"
 cat >"$OUT/huge_timeout.json" <<'EOF'
-{"dist": {"ranks": 2, "elastic": true, "ckpt_iters": 300, "collective_timeout": 1e12},
+{"dist": {"ranks": 2, "ckpt_iters": 300, "collective_timeout": 1e12},
  "requests": [{"id": "huge-timeout", "problem": "costas", "size": 12,
                "strategy": "multiwalk", "walkers": 4, "seed": 1}],
  "expect": {"results": 1, "all_solved": true}}
@@ -62,7 +71,7 @@ timeout -k 5 30 "$CAS_RUN" --scenario="$OUT/huge_timeout.json" \
     --out="$OUT/huge_timeout_report.json"
 python3 tools/check_report.py "$OUT/huge_timeout.json" "$OUT/huge_timeout_report.json"
 
-# The eviction story end to end: a 4-rank elastic world with checkpointing
+# The eviction story end to end: a 4-rank world with checkpointing
 # on, rank 2 hard-killed at its first epoch boundary (worst-timed: after
 # its checkpoint write, before its epoch frame). The world must evict —
 # not abort — rebalance the dead rank's walkers from its last wave file,
@@ -82,7 +91,7 @@ assert d["comm"]["coordinator"]["evictions"] == 1
 assert d["comm"]["coordinator"]["aborts"] == 0
 EOF
 
-# The failover story end to end: a 3-rank elastic world launched with
+# The failover story end to end: a 3-rank world launched with
 # --standby, member 0 — the coordinator host — SIGKILLed at epoch 2, after
 # the wave-1 state_sync replicated the wave machine. The elected standby
 # promotes itself, the survivor re-rendezvous through the epoch-stamped
