@@ -59,11 +59,6 @@ void Coordinator::open_hunt(uint64_t index, const std::string& key, uint64_t see
   wakeup_.notify();
 }
 
-uint64_t Coordinator::hunt() const {
-  std::scoped_lock lock(open_mu_);
-  return opened_.index;
-}
-
 Coordinator::Coordinator(CoordinatorOptions opts) : opts_(std::move(opts)) {
   if (opts_.ranks < 1) throw std::invalid_argument("coordinator: ranks must be >= 1");
   std::string err;

@@ -144,10 +144,6 @@ class Coordinator {
   void open_hunt(uint64_t index, const std::string& key, uint64_t seed, int walkers,
                  uint64_t epoch);
 
-  /// The index of the latest hunt opened (or replicated into a promoted
-  /// coordinator); 0 before the first. Thread-safe.
-  [[nodiscard]] uint64_t hunt() const;
-
   /// The member id of the dead host this coordinator was promoted from
   /// (-1 for an original, never-promoted coordinator).
   [[nodiscard]] int promoted_from() const { return promoted_from_; }
@@ -316,7 +312,7 @@ class Coordinator {
   bool reconnect_mode_ = false;
   double reconnect_started_ = 0;
 
-  mutable std::mutex open_mu_;
+  std::mutex open_mu_;
   Hunt opened_;               // the latest hunt opened or queued
   bool open_pending_ = false;  // opened_ waits for the coordinator thread
 

@@ -11,7 +11,10 @@
 // wave files' exact boundary states, and its own run-ahead counter; the
 // leader bound against a long segment, a run-ahead leader in a preempted
 // world, leader frames that precede the member's hook, and malformed
-// solved/leader frames each have a case.
+// solved/leader frames each have a case. Successive hunts on one World
+// (DistHunts) are pinned against the same oracle: back to back, across a
+// join, a host death and a dropped connection between hunts, with a drawn
+// seed, after refused requests, and against another hunt's stale frames.
 //
 // Seeds are pinned to instances probed long enough for the membership event
 // under test to land strictly before the hunt completes (e.g. size-14
