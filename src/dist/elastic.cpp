@@ -188,9 +188,15 @@ struct ElasticRun {
 
   /// Tell the coordinator walker `id` solved; sent before the walker
   /// freezes, so it precedes any report that counts the walker stopped.
+  /// A failed communicator is left to the member's thread: it meets the
+  /// failure at its next frame and recovers (fault injection included),
+  /// and every recovery re-announces the solves it re-adopts.
   void announce(int id, const runtime::ResumableWalk& walk) {
-    comm->send_control(make_solved(comm->member(), hunt, static_cast<uint64_t>(id),
-                                   walk.stats().iterations, run_stats_to_json(walk.stats())));
+    try {
+      comm->send_control(make_solved(comm->member(), hunt, static_cast<uint64_t>(id),
+                                     walk.stats().iterations, run_stats_to_json(walk.stats())));
+    } catch (const CommError&) {
+    }
   }
 
   /// Adopt (iters, id) if it beats the leader this member knows: freeze the
@@ -920,20 +926,26 @@ runtime::SolveReport solve_elastic(World& world, const runtime::SolveRequest& re
       eopts.die_at_epoch = 0;
       backoff.sleep();
       try {
+        bool rejoined = false;
         if (world.coordinator_alive()) {
-          world.rejoin(elastic_hunt_key(report.request));
-          ++rejoins;
-        } else if (world.failover_member() >= 0 &&
-                   world.failover_member() == world.comm().member()) {
-          world.promote();
+          try {
+            world.rejoin(elastic_hunt_key(report.request));
+            rejoined = true;
+            ++rejoins;
+          } catch (const CommError&) {
+            if (world.coordinator_alive()) throw;  // refused by a live world
+          }  // else the coordinator died since the probe: fail over
+        }
+        if (!rejoined) {
+          if (world.failover_member() < 0)
+            throw CommError(
+                "the coordinator died and no standby was ever elected "
+                "(launch with --standby to make the host's death survivable)");
+          if (world.failover_member() == world.comm().member())
+            world.promote();
+          else
+            world.reconnect();
           ++failovers;
-        } else if (world.failover_member() >= 0) {
-          world.reconnect();
-          ++failovers;
-        } else {
-          throw CommError(
-              "the coordinator died and no standby was ever elected "
-              "(launch with --standby to make the host's death survivable)");
         }
       } catch (const std::exception& je) {
         report.error = util::strf("elastic (member %d): recovery failed: %s (after: %s)",

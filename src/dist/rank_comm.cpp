@@ -119,8 +119,10 @@ RankComm::RankComm(RankCommOptions opts)
 }
 
 void RankComm::rendezvous_once(double deadline, double attempt_deadline) {
-  // Connect with retry: sibling processes race the coordinator's bind.
-  const bool fail_fast = frame_type(opts_.handshake) == "reconnect";
+  // Connect with retry: sibling processes race the coordinator's bind. A
+  // late member dials a world that is already up, so a refusal there
+  // means the coordinator is gone.
+  const bool fail_fast = !opts_.handshake.is_null();
   std::string err;
   for (;;) {
     fd_ = net::connect_tcp(opts_.host, opts_.port, err);

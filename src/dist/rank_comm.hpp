@@ -45,9 +45,9 @@ struct RankCommOptions {
   /// A late member's handshake, sent instead of hello(rank, ranks): a join
   /// (make_join) or a post-promotion reconnect (make_reconnect). The welcome
   /// then carries the member id, and the dense rank stays -1 until a
-  /// rebalance names one. A refused connect fails a reconnect at once: the
-  /// standby's listener was bound before the world started, so a refusal
-  /// proves the standby dead.
+  /// rebalance names one. A refused connect fails a late handshake at
+  /// once: a joiner dials a running world, and the standby's listener was
+  /// bound before the world started, so a refusal proves it dead.
   util::Json handshake;
   /// This process's pre-bound promotion listener, announced in the
   /// handshake so the coordinator can elect it standby. Empty = not
