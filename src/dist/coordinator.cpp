@@ -375,6 +375,12 @@ void Coordinator::handle_join(Peer& p, const util::Json& j) {
     enqueue(p, make_abort("coordinator: join refused — world still in rendezvous").dump(0));
     return;
   }
+  if (p.rank >= 0 || p.pending_join) {
+    // One handshake per connection: a member, or a joiner already waiting,
+    // that says join again has a stream this coordinator cannot trust.
+    drop_peer(p.fd.get(), /*expected=*/false);
+    return;
+  }
   const util::Json* kj = j.find("key");
   const std::string key = (kj != nullptr && kj->is_string()) ? kj->as_string() : "";
   uint64_t hunt = 0;
@@ -387,12 +393,13 @@ void Coordinator::handle_join(Peer& p, const util::Json& j) {
   joins_seen_.fetch_add(1, std::memory_order_release);  // a lost member may be back (all_detached)
   if (hunt != 0) {
     // A rejoin: back into the hunt it left, or told how that hunt ended
-    // and kept for the next one.
+    // and kept for the next one. Pending first: a write error while
+    // answering drops it from the pending list with the peer.
     if (hunting_ && hunt == hunt_.index) {
-      pend_join(p, j, "");
+      pend_join(p, j, key, /*rejoin=*/true);
     } else if (hunt == final_hunt_ && !final_answer_.empty()) {
+      pend_join(p, j, key, /*rejoin=*/true);
       answer_with_outcome(p.fd.get());
-      if (peers_.count(p.fd.get()) != 0) pend_join(p, j, "");
     } else {
       enqueue(p, make_abort(util::strf("coordinator: rejoin refused — hunt %llu is neither "
                                        "running nor the last one finished",
@@ -407,14 +414,16 @@ void Coordinator::handle_join(Peer& p, const util::Json& j) {
                    .dump(0));
     return;
   }
-  // Between hunts the key is checked when the next hunt opens.
-  pend_join(p, j, hunting_ ? "" : key);
+  // During a hunt the joiner is admitted at a wave boundary or answered
+  // with the outcome; between hunts its key is checked when the next opens.
+  pend_join(p, j, key, /*rejoin=*/false);
 }
 
-void Coordinator::pend_join(Peer& p, const util::Json& j, std::string key) {
+void Coordinator::pend_join(Peer& p, const util::Json& j, std::string key, bool rejoin) {
   if (const util::Json* fo = j.find("failover"); fo != nullptr && fo->is_string())
     p.failover_addr = fo->as_string();
   p.join_key = std::move(key);
+  p.rejoin = rejoin;
   p.pending_join = true;
   pending_join_fds_.push_back(p.fd.get());
   stats_.joins.fetch_add(1, std::memory_order_relaxed);
@@ -497,12 +506,12 @@ void Coordinator::handle_solved(const util::Json& j) {
   send_state_sync();  // a promoted standby starts from the leader too
 }
 
-void Coordinator::evict_member(int member) {
+void Coordinator::retire_member(int member, bool evicted) {
   const auto it = members_.find(member);
   if (it == members_.end() || !member_active(it->second)) return;
-  it->second.evicted = true;
+  (evicted ? it->second.evicted : it->second.left) = true;
   it->second.fd = -1;
-  stats_.evictions.fetch_add(1, std::memory_order_relaxed);
+  if (evicted) stats_.evictions.fetch_add(1, std::memory_order_relaxed);
   maybe_complete_wave();
 }
 
@@ -542,7 +551,7 @@ void Coordinator::maybe_open() {
           .dump(0);
   for (const int fd : std::vector<int>(pending_join_fds_)) {
     Peer& p = *peers_.at(fd);
-    if (p.join_key.empty() || p.join_key == hunt_.key) continue;
+    if (p.rejoin || p.join_key == hunt_.key) continue;
     std::erase(pending_join_fds_, fd);
     p.pending_join = false;
     enqueue(p, refusal);
@@ -651,16 +660,19 @@ void Coordinator::send_view(uint64_t epoch, bool final) {
       summaries.push_back(std::move(row));
     }
     base["summaries"] = std::move(summaries);
-    // A join that arrives too late to take part (or is still pending) is
-    // answered with the outcome, as a non-member, and waits for the next
-    // hunt.
+    // A join still pending came too late to take part: it is answered with
+    // the outcome, as a non-member. That ends a fresh joiner's request; a
+    // rejoiner, a member of the world, waits for the next hunt.
     util::Json late = base;
     late["your_rank"] = -1;
     final_answer_ = {make_welcome(-1, ranks).dump(0), late.dump(0)};
     final_hunt_ = hunt_.index;
     for (const int fd : std::vector<int>(pending_join_fds_)) {
       answer_with_outcome(fd);
-      if (const auto pit = peers_.find(fd); pit != peers_.end()) pit->second->join_key.clear();
+      const auto pit = peers_.find(fd);
+      if (pit == peers_.end() || pit->second->rejoin) continue;
+      pit->second->pending_join = false;
+      std::erase(pending_join_fds_, fd);
     }
   }
 
@@ -876,9 +888,14 @@ void Coordinator::handle_reconnect(Peer& p, const util::Json& j, double now) {
   }
   // Stamp invariant: a survivor is in the replicated hunt and never more
   // than one wave away from the replicated state (state_sync rides the same
-  // boundary as the rebalance it mirrors). Anything else means the state
+  // boundary as the rebalance it mirrors) — or, when the state is between
+  // hunts, already in the next one: a hunt's opening goes to every member
+  // before the standby's state_sync, and the host died in between. The
+  // promoted host opens that hunt again. Anything else means the state
   // blob and the survivor describe different worlds.
-  if (hunt != hunt_.index || epoch > wave_ + 1 || epoch + 1 < wave_) {
+  const bool this_hunt = hunt == hunt_.index && epoch <= wave_ + 1 && epoch + 1 >= wave_;
+  const bool next_hunt = !hunting_ && hunt == hunt_.index + 1;
+  if (!this_hunt && !next_hunt) {
     abort_world(util::strf("coordinator: reconnect from member %d stamps hunt %llu epoch %llu "
                            "but the replicated state is at hunt %llu wave %llu",
                            member, static_cast<unsigned long long>(hunt),
@@ -1027,9 +1044,13 @@ void Coordinator::drop_peer(int fd, bool expected) {
     return;
   }
   const auto mit = members_.find(rank);
-  if (mit != members_.end() && mit->second.fd == fd) mit->second.fd = -1;  // fd numbers get reused
+  const bool current = mit != members_.end() && mit->second.fd == fd;  // fd numbers get reused
+  if (current) mit->second.fd = -1;
   if (expected) {
     detached_.fetch_add(1, std::memory_order_release);
+    // A member that said bye takes part in no further hunt; any walkers it
+    // still owns move at the next view. The host's bye closes the world.
+    if (current && rank != opts_.host_member) retire_member(rank, /*evicted=*/false);
     return;
   }
   if (msgs_from(rank) == 0 && opts_.rehello_grace_seconds > 0 && !aborted_) {
@@ -1047,7 +1068,7 @@ void Coordinator::drop_peer(int fd, bool expected) {
     // this process, so its death still falls through to abort.
     last_lost_.store(now_seconds(), std::memory_order_release);
     lost_.fetch_add(1, std::memory_order_release);
-    evict_member(rank);
+    retire_member(rank, /*evicted=*/true);
     return;
   }
   abort_world(util::strf("coordinator: rank %d died (connection lost)", rank));
@@ -1093,7 +1114,7 @@ void Coordinator::check_liveness(double now) {
       abort_world(util::strf("coordinator: rank %d died during its re-hello grace window", rank));
       return;
     }
-    evict_member(rank);
+    retire_member(rank, /*evicted=*/true);
   }
   if (opts_.heartbeat_timeout_seconds <= 0) return;
   std::vector<int> dead_fds;

@@ -21,11 +21,12 @@
 // member settled against it. Frames stamped with another hunt are dropped.
 //
 // Liveness: members heartbeat every interval. A member that misses the
-// timeout, or whose connection drops without a bye, is evicted — during a
-// hunt its walkers move at the wave boundary. Death of the HOST process
-// takes this coordinator with it; with CoordinatorOptions::standby the
-// survivors recover by promoting the replicated standby (the promotion
-// constructor below) instead of aborting.
+// timeout, or whose connection drops without a bye, is evicted; one whose
+// connection closes after a bye is retired — during a hunt either's
+// walkers move at the wave boundary. Death of the HOST process takes this
+// coordinator with it; with CoordinatorOptions::standby the survivors
+// recover by promoting the replicated standby (the promotion constructor
+// below) instead of aborting.
 //
 // Single-threaded over net::EventLoop + net/frame_io — the same
 // machinery, and the same codec path, as the cas_serve front-end.
@@ -157,7 +158,8 @@ class Coordinator {
     int rank = -1;  // the member id; -1 until hello or admission
     std::string failover_addr;  // announced in hello/join/reconnect
     bool pending_join = false;  // said join, not yet admitted
-    std::string join_key;  // a fresh joiner's key, checked when the next hunt opens
+    bool rejoin = false;   // its join named the hunt it left: it stays for the next hunt
+    std::string join_key;  // a fresh joiner's key, checked when a hunt opens
     bool said_bye = false;
     bool want_write = false;
     double last_seen = 0;
@@ -216,13 +218,15 @@ class Coordinator {
 
   // The wave machine (coordinator thread only).
   void handle_join(Peer& p, const util::Json& j);
-  void pend_join(Peer& p, const util::Json& j, std::string key);
+  void pend_join(Peer& p, const util::Json& j, std::string key, bool rejoin);
   /// Send the last finished hunt's outcome (final_answer_) to a joiner.
-  /// No-op if the peer is gone.
+  /// No-op if the peer is gone; a write error may drop it.
   void answer_with_outcome(int fd);
   void handle_epoch(const util::Json& j);
   void handle_solved(const util::Json& j);
-  void evict_member(int member);
+  /// Take an active member out of the world — evicted (it died) or left
+  /// (it said bye) — and complete the wave if it was the last one owed.
+  void retire_member(int member, bool evicted);
   /// Open the hunt open_hunt() queued, unless a promotion's reconnect
   /// window is still open.
   void maybe_open();

@@ -13,8 +13,10 @@
 // world, leader frames that precede the member's hook, and malformed
 // solved/leader frames each have a case. Successive hunts on one World
 // (DistHunts) are pinned against the same oracle: back to back, across a
-// join, a host death and a dropped connection between hunts, with a drawn
-// seed, after refused requests, and against another hunt's stale frames.
+// join, a joiner's departure, a host death and a dropped connection between
+// hunts, with a drawn seed, after refused requests, and against another
+// hunt's stale frames; a fresh join answered with one hunt's outcome is not
+// carried into the next.
 //
 // Seeds are pinned to instances probed long enough for the membership event
 // under test to land strictly before the hunt completes (e.g. size-14
@@ -410,6 +412,135 @@ TEST(DistHunts, JoinBetweenHuntsTakesPartInTheNextHunt) {
   EXPECT_TRUE(join_report.solved);
   EXPECT_EQ(join_report.winner, want.winner);
   EXPECT_EQ(dist_extras(join_report).at("hunt").as_int(), 2);
+}
+
+TEST(DistHunts, JoinerThatFinalizesAfterHuntOneLeavesHuntTwoToTheRest) {
+  // A joiner admitted at hunt 1's opening runs hunt 1 only and finalizes
+  // (its bye is its last frame). The world's hunt 2 opens without it and
+  // names its oracle's winner instead of waiting for the joiner's report.
+  const runtime::SolveRequest first = costas_request(kSize, kWalkers, kSeed);
+  const runtime::SolveRequest second = costas_request(13, kWalkers, 5);
+  const Oracle want = oracle_of(second, 300);
+  std::promise<uint16_t> port_promise;
+  std::promise<void> joiner_gone;
+  std::atomic<bool> joiner_failed{false};
+  runtime::SolveReport host_first, host_second, join_report;
+
+  std::jthread host([&] {
+    WorldOptions wo;
+    World world(wo);
+    port_promise.set_value(world.port());  // after the rendezvous, which refuses joins
+    while (world.stats_json().at("coordinator").at("joins").as_int() == 0 &&
+           !joiner_failed.load())
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    host_first = solve_elastic(world, first, runtime::StrategyContext{}, base_opts());
+    joiner_gone.get_future().wait();
+    ElasticOptions eo = base_opts();
+    eo.control_timeout_seconds = 10.0;  // a hunt waiting on the joiner fails, not hangs
+    host_second = solve_elastic(world, second, runtime::StrategyContext{}, eo);
+    world.finalize();
+  });
+  try {
+    WorldOptions wo;
+    wo.join = true;
+    wo.rank = -1;
+    wo.ranks = 0;
+    wo.port = port_promise.get_future().get();
+    wo.hunt_key = elastic_hunt_key(runtime::resolve(first));
+    wo.connect_timeout_seconds = 30.0;
+    World world(wo);  // blocks until hunt 1 opens
+    join_report = solve_elastic(world, first, runtime::StrategyContext{}, base_opts());
+    world.finalize();
+  } catch (const std::exception& e) {
+    join_report.error = e.what();
+    joiner_failed = true;
+  }
+  joiner_gone.set_value();
+  host.join();
+
+  ASSERT_TRUE(join_report.error.empty()) << join_report.error;
+  EXPECT_EQ(dist_extras(join_report).at("hunt").as_int(), 1) << "the joiner took no part";
+  EXPECT_EQ(join_report.winner, kRefWinner);
+  ASSERT_TRUE(host_first.error.empty()) << host_first.error;
+  EXPECT_EQ(host_first.winner, kRefWinner);
+  EXPECT_EQ(dist_extras(host_first).at("members").as_array().size(), 2u);
+  ASSERT_TRUE(host_second.error.empty()) << host_second.error;
+  EXPECT_EQ(dist_extras(host_second).at("hunt").as_int(), 2);
+  EXPECT_EQ(host_second.winner, want.winner);
+  EXPECT_EQ(host_second.winner_stats.iterations, want.winner_iters);
+  EXPECT_EQ(host_second.total_iterations, want.total_iterations);
+  EXPECT_TRUE(host_second.check_passed);
+}
+
+TEST(DistHunts, AFreshJoinAnsweredAtAFinalIsNotAdmittedIntoTheNextHunt) {
+  // A fresh join for hunt 1 that is still pending at hunt 1's final is
+  // answered with the outcome, which ends its request: hunt 2, under
+  // another key, opens without it and sends it nothing.
+  CoordinatorOptions co;
+  co.heartbeat_timeout_seconds = 0;
+  Coordinator coord(co);
+  test::FakeRank member(coord.port(), 0, 1);
+  ASSERT_FALSE(member.await("welcome").is_null());
+  const auto finish = [&](uint64_t hunt) {
+    util::Json report = make_epoch_base(0, hunt, 0);
+    report["done"] = true;
+    report["walkers"] = kWalkers;
+    report["solved"] = util::Json::array();
+    member.send(report);
+    const util::Json final_frame = member.await("rebalance");
+    ASSERT_FALSE(final_frame.is_null());
+    EXPECT_TRUE(frame_bool(final_frame, "final", false));
+  };
+  coord.open_hunt(1, "one", kSeed, kWalkers, 0);
+  ASSERT_FALSE(member.await("rebalance").is_null());
+  test::FakeRank joiner(coord.port(), make_join("one", 0));
+  while (coord.stats().joins.load() == 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  finish(1);
+  const util::Json welcome = joiner.await("welcome");
+  ASSERT_FALSE(welcome.is_null());
+  EXPECT_EQ(frame_int(welcome, "rank"), -1);
+  const util::Json outcome = joiner.await("rebalance");
+  ASSERT_FALSE(outcome.is_null());
+  EXPECT_TRUE(frame_bool(outcome, "final", false));
+  EXPECT_EQ(frame_u64(outcome, "hunt"), 1u);
+
+  coord.open_hunt(2, "two", kSeed, kWalkers, 0);
+  const util::Json opening = member.await("rebalance");
+  ASSERT_FALSE(opening.is_null());
+  EXPECT_EQ(frame_u64(opening, "hunt"), 2u);
+  EXPECT_EQ(frame_int(opening, "ranks"), 1);
+  EXPECT_TRUE(opening.at("joined").as_array().empty());
+  finish(2);
+  coord.stop();
+  EXPECT_TRUE(joiner.await("rebalance").is_null()) << "the joiner heard of hunt 2";
+}
+
+TEST(DistElasticWire, AJoinOnAMemberConnectionDropsThatMember) {
+  // One handshake per connection: a member that says join is dropped (and
+  // evicted) at once, so no stale connection waits among the joiners for
+  // the next opening.
+  CoordinatorOptions co;
+  co.ranks = 2;
+  co.heartbeat_timeout_seconds = 0;
+  Coordinator coord(co);
+  test::FakeRank host(coord.port(), 0, 2);
+  {
+    test::FakeRank member(coord.port(), 1, 2);
+    ASSERT_FALSE(member.await("welcome").is_null());
+    member.send(make_hb(1));
+    member.send(make_join("hunt", 0));
+  }
+  ASSERT_FALSE(host.await("welcome").is_null());
+  while (coord.stats().evictions.load() == 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  coord.open_hunt(1, "hunt", kSeed, kWalkers, 0);
+  const util::Json opening = host.await("rebalance");
+  ASSERT_FALSE(opening.is_null());
+  EXPECT_EQ(frame_int(opening, "ranks"), 1);
+  EXPECT_EQ(opening.at("evicted").as_array().size(), 1u);
+  EXPECT_EQ(coord.stats().joins.load(), 0u);
+  coord.stop();
 }
 
 TEST(DistElastic, JoinerWithWrongKeyIsRefused) {

@@ -6,8 +6,9 @@
 // winner trajectory of an unfailed run. Also the failure modes around the
 // happy path: the double failure (coordinator, then standby) aborts
 // promptly, a world launched without --standby stays host-fatal, a
-// manifest written by the PROMOTED coordinator resumes a fresh world, and a
-// coordinator promoted from a mirrored leader names it as the winner.
+// manifest written by the PROMOTED coordinator resumes a fresh world, a
+// coordinator promoted from a mirrored leader names it as the winner, and
+// one promoted between hunts takes back a survivor already in the next.
 //
 // Seeds are pinned to the same reference trajectory the elastic suite uses:
 // size-14 seed-22 solves at walker 2, iteration 982 (segment 3 at
@@ -249,6 +250,78 @@ TEST(DistFailover, PromotionFromAMirroredLeaderNamesItAsWinner) {
     EXPECT_EQ(frame_int(*winner, "member"), 1) << flag;
     promoted.stop();
   }
+}
+
+TEST(DistFailover, SurvivorAlreadyInTheNextHuntReconnectsToAStateBetweenHunts) {
+  // The host opens hunt 2 — every member's opening goes out before the
+  // standby's state_sync — and dies in between: the standby promotes from
+  // the state after hunt 1's final, while a survivor stamps hunt 2. The
+  // promoted coordinator takes the survivor back and opens hunt 2 again.
+  CoordinatorOptions co;
+  co.ranks = 3;
+  co.standby = true;
+  co.heartbeat_timeout_seconds = 0;
+  const auto done = [](int member, uint64_t hunt, uint64_t wave) {
+    util::Json ef = make_epoch_base(member, hunt, wave);
+    ef["done"] = true;
+    ef["walkers"] = 1;
+    ef["solved"] = util::Json::array();
+    return ef;
+  };
+  util::Json between;
+  {
+    Coordinator coord(co);
+    util::Json standby_hello = make_hello(1, 3);
+    standby_hello["failover"] = "127.0.0.1:1";  // makes it eligible; never dialed here
+    test::FakeRank host(coord.port(), make_hello(0, 3));
+    test::FakeRank standby(coord.port(), standby_hello);
+    test::FakeRank survivor(coord.port(), make_hello(2, 3));
+    coord.open_hunt(1, "hunt", kSeed, kWalkers, 0);
+    for (test::FakeRank* r : {&host, &standby, &survivor}) {
+      ASSERT_FALSE(r->await("welcome").is_null());
+      ASSERT_FALSE(r->await("rebalance").is_null());  // hunt 1's opening
+    }
+    ASSERT_FALSE(standby.await("state_sync").is_null());  // the opening's mirror
+    host.send(done(0, 1, 0));
+    standby.send(done(1, 1, 0));
+    survivor.send(done(2, 1, 0));
+    between = standby.await("state_sync");  // after hunt 1's final
+    ASSERT_FALSE(between.is_null());
+    EXPECT_FALSE(frame_bool(between.at("state"), "hunting", true));
+    coord.open_hunt(2, "hunt", kSeed, kWalkers, 0);
+    for (const uint64_t hunt : {1u, 2u}) {  // hunt 1's final, then hunt 2's opening
+      const util::Json rb = survivor.await("rebalance");
+      ASSERT_FALSE(rb.is_null());
+      EXPECT_EQ(frame_u64(rb, "hunt"), hunt);
+    }
+    coord.stop();  // the host dies
+  }
+
+  std::string err;
+  net::Fd listener = net::listen_tcp("127.0.0.1", 0, 4, err);
+  ASSERT_TRUE(listener.valid()) << err;
+  CoordinatorOptions po = co;
+  po.host_member = 1;
+  Coordinator promoted(po, std::move(listener), between.at("state"));
+  test::FakeRank standby(promoted.port(), make_reconnect(1, 1, frame_u64(between, "epoch")));
+  test::FakeRank survivor(promoted.port(), make_reconnect(2, 2, 0));
+  ASSERT_FALSE(standby.await("welcome").is_null());
+  ASSERT_FALSE(survivor.await("welcome").is_null()) << "the survivor's stamp was refused";
+  promoted.open_hunt(2, "hunt", kSeed, kWalkers, 0);
+  for (test::FakeRank* r : {&standby, &survivor}) {
+    const util::Json opening = r->await("rebalance");
+    ASSERT_FALSE(opening.is_null());
+    EXPECT_EQ(frame_u64(opening, "hunt"), 2u);
+    EXPECT_EQ(frame_u64(opening, "epoch"), 0u);
+    EXPECT_FALSE(frame_bool(opening, "final", true));
+    EXPECT_EQ(frame_int(opening, "ranks"), 2);
+  }
+  standby.send(done(1, 2, 0));
+  survivor.send(done(2, 2, 0));
+  const util::Json final_frame = survivor.await("rebalance");
+  ASSERT_FALSE(final_frame.is_null());
+  EXPECT_TRUE(frame_bool(final_frame, "final", false));
+  promoted.stop();
 }
 
 TEST(DistFailover, DoubleFailureAbortsCleanly) {
