@@ -10,7 +10,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "dist/disk_fault.hpp"
+#include "net/fault.hpp"
 
 namespace cas::dist {
 
@@ -59,6 +59,20 @@ void fsync_dir(const std::string& dir) {
   ::close(fd);
 }
 
+/// Run a payload decoder, turning the exception util::Json raises for a
+/// missing or mistyped field (std::out_of_range, std::logic_error,
+/// std::bad_variant_access) into the CkptError every reader throws.
+template <typename Decode>
+auto decoded(const char* what, Decode decode) {
+  try {
+    return decode();
+  } catch (const CkptError&) {
+    throw;
+  } catch (const std::exception& e) {
+    throw CkptError(std::string(what) + ": " + e.what());
+  }
+}
+
 std::vector<uint64_t> u64_vec_from(const util::Json& j, const std::string& what) {
   if (!j.is_array()) throw CkptError(what + ": expected an array");
   std::vector<uint64_t> out;
@@ -70,7 +84,7 @@ std::vector<uint64_t> u64_vec_from(const util::Json& j, const std::string& what)
 util::Json u64_vec_json(const std::vector<uint64_t>& v) {
   util::Json::Array a;
   a.reserve(v.size());
-  for (uint64_t x : v) a.push_back(u64_json(x));
+  for (uint64_t x : v) a.push_back(wire_u64(x));
   return util::Json(std::move(a));
 }
 
@@ -85,25 +99,10 @@ uint64_t fnv1a64(std::string_view bytes) {
   return h;
 }
 
-util::Json u64_json(uint64_t v) { return util::Json(std::to_string(v)); }
-
 uint64_t u64_from(const util::Json& v, const std::string& what) {
-  if (v.is_number()) {
-    // Tolerate the plain-number spelling for small values (hand-written
-    // test fixtures); the writer always emits strings.
-    const double d = v.as_number();
-    if (d < 0) throw CkptError(what + ": negative counter");
-    return static_cast<uint64_t>(d);
-  }
-  if (!v.is_string()) throw CkptError(what + ": expected a decimal string");
-  const std::string& s = v.as_string();
-  if (s.empty()) throw CkptError(what + ": empty counter");
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size())
-    throw CkptError(what + ": malformed counter '" + s + "'");
-  return static_cast<uint64_t>(parsed);
+  const std::optional<uint64_t> u = u64_of(v);
+  if (!u) throw CkptError(what + ": not a u64 counter");
+  return *u;
 }
 
 size_t write_ckpt_file(const std::string& path, const util::Json& payload) {
@@ -114,26 +113,23 @@ size_t write_ckpt_file(const std::string& path, const util::Json& payload) {
   header["crc"] = crc_hex(fnv1a64(body));
   std::string blob = header.dump(0) + "\n" + body;
 
-  // Scheduled disk faults (chaos runs; inert when disarmed). A short write
+  // Scheduled disk faults (chaos runs; kNone when disarmed). A torn write
   // SILENTLY truncates the blob and still renames it into place — the
   // post-crash torn file only the reader's validation can catch; rename
   // and fsync failures surface as the CkptError a dying disk would raise.
-  auto decision = DiskFaultInjector::Decision::kNone;
-  if (DiskFaultInjector* inj = DiskFaultInjector::active(); inj != nullptr)
-    decision = inj->next_write();
-  if (decision == DiskFaultInjector::Decision::kShortWrite) blob.resize(blob.size() / 2);
+  const net::DiskFault fault = net::fault_disk_write();
+  if (fault == net::DiskFault::kTornWrite) blob.resize(blob.size() / 2);
 
   const std::string tmp = path + ".tmp";
   write_all_fsync(tmp, blob);
-  if (decision == DiskFaultInjector::Decision::kFailFsync) {
+  if (fault == net::DiskFault::kFailFsync) {
     std::remove(tmp.c_str());
     fail(path, "fsync failed: injected disk fault");
   }
-  if (decision == DiskFaultInjector::Decision::kFailRename ||
-      std::rename(tmp.c_str(), path.c_str()) != 0) {
+  if (fault == net::DiskFault::kFailRename || std::rename(tmp.c_str(), path.c_str()) != 0) {
     const int e = errno;
     std::remove(tmp.c_str());
-    fail(path, decision == DiskFaultInjector::Decision::kFailRename
+    fail(path, fault == net::DiskFault::kFailRename
                    ? "rename failed: injected disk fault"
                    : std::string("rename failed: ") + std::strerror(e));
   }
@@ -185,22 +181,25 @@ util::Json read_ckpt_file(const std::string& path) {
   } catch (const std::exception& e) {
     fail(path, std::string("malformed header: ") + e.what());
   }
-  if (!header.is_object() || !header.contains("v") || !header.contains("bytes") ||
-      !header.contains("crc"))
+  const util::Json* version = header.find("v");
+  const util::Json* bytes = header.find("bytes");
+  const util::Json* crc = header.find("crc");
+  if (version == nullptr || bytes == nullptr || crc == nullptr)
     fail(path, "malformed header: missing v/bytes/crc");
-  const int64_t version = header.at("v").as_int();
-  if (version != kCkptVersion)
-    fail(path, "unsupported checkpoint version " + std::to_string(version) + " (this build reads v" +
+  const std::optional<uint64_t> declared = u64_of(*bytes);
+  if (!version->is_number() || !declared || !crc->is_string())
+    fail(path, "malformed header: v, bytes and crc must be a number, a u64 and a string");
+  if (version->as_number() != kCkptVersion)
+    fail(path, "unsupported checkpoint version " + version->dump(0) + " (this build reads v" +
                    std::to_string(kCkptVersion) + ")");
-  const auto declared = static_cast<size_t>(header.at("bytes").as_int());
   const std::string_view body = std::string_view(blob).substr(nl + 1);
-  if (body.size() != declared)
-    fail(path, "truncated: header declares " + std::to_string(declared) + " payload bytes, file has " +
-                   std::to_string(body.size()));
+  if (body.size() != *declared)
+    fail(path, "truncated: header declares " + std::to_string(*declared) +
+                   " payload bytes, file has " + std::to_string(body.size()));
   const std::string actual_crc = crc_hex(fnv1a64(body));
-  if (actual_crc != header.at("crc").as_string())
-    fail(path, "checksum mismatch (expected " + header.at("crc").as_string() + ", computed " +
-                   actual_crc + ")");
+  if (actual_crc != crc->as_string())
+    fail(path, "checksum mismatch (expected " + crc->as_string() + ", computed " + actual_crc +
+                   ")");
   try {
     return util::Json::parse(body);
   } catch (const std::exception& e) {
@@ -238,17 +237,17 @@ util::Json run_stats_to_json(const core::RunStats& st) {
   util::Json j = util::Json::object();
   j["solved"] = st.solved;
   j["final_cost"] = static_cast<int64_t>(st.final_cost);
-  j["iterations"] = u64_json(st.iterations);
-  j["swaps"] = u64_json(st.swaps);
-  j["local_minima"] = u64_json(st.local_minima);
-  j["plateau_moves"] = u64_json(st.plateau_moves);
-  j["plateau_refused"] = u64_json(st.plateau_refused);
-  j["resets"] = u64_json(st.resets);
-  j["custom_reset_escapes"] = u64_json(st.custom_reset_escapes);
-  j["restarts"] = u64_json(st.restarts);
-  j["move_evaluations"] = u64_json(st.move_evaluations);
-  j["reset_candidates"] = u64_json(st.reset_candidates);
-  j["reset_escape_chunks"] = u64_json(st.reset_escape_chunks);
+  j["iterations"] = wire_u64(st.iterations);
+  j["swaps"] = wire_u64(st.swaps);
+  j["local_minima"] = wire_u64(st.local_minima);
+  j["plateau_moves"] = wire_u64(st.plateau_moves);
+  j["plateau_refused"] = wire_u64(st.plateau_refused);
+  j["resets"] = wire_u64(st.resets);
+  j["custom_reset_escapes"] = wire_u64(st.custom_reset_escapes);
+  j["restarts"] = wire_u64(st.restarts);
+  j["move_evaluations"] = wire_u64(st.move_evaluations);
+  j["reset_candidates"] = wire_u64(st.reset_candidates);
+  j["reset_escape_chunks"] = wire_u64(st.reset_escape_chunks);
   j["reset_seconds"] = st.reset_seconds;
   j["wall_seconds"] = st.wall_seconds;
   if (!st.solution.empty()) {
@@ -261,29 +260,29 @@ util::Json run_stats_to_json(const core::RunStats& st) {
 }
 
 core::RunStats run_stats_from_json(const util::Json& j) {
-  if (!j.is_object()) throw CkptError("run stats: expected an object");
-  core::RunStats st;
-  st.solved = j.at("solved").as_bool();
-  st.final_cost = j.at("final_cost").as_int();
-  st.iterations = u64_from(j.at("iterations"), "iterations");
-  st.swaps = u64_from(j.at("swaps"), "swaps");
-  st.local_minima = u64_from(j.at("local_minima"), "local_minima");
-  st.plateau_moves = u64_from(j.at("plateau_moves"), "plateau_moves");
-  st.plateau_refused = u64_from(j.at("plateau_refused"), "plateau_refused");
-  st.resets = u64_from(j.at("resets"), "resets");
-  st.custom_reset_escapes = u64_from(j.at("custom_reset_escapes"), "custom_reset_escapes");
-  st.restarts = u64_from(j.at("restarts"), "restarts");
-  st.move_evaluations = u64_from(j.at("move_evaluations"), "move_evaluations");
-  st.reset_candidates = u64_from(j.at("reset_candidates"), "reset_candidates");
-  st.reset_escape_chunks = u64_from(j.at("reset_escape_chunks"), "reset_escape_chunks");
-  st.reset_seconds = j.at("reset_seconds").as_number();
-  st.wall_seconds = j.at("wall_seconds").as_number();
-  if (const util::Json* sol = j.find("solution")) {
-    st.solution.reserve(sol->as_array().size());
-    for (const auto& v : sol->as_array())
-      st.solution.push_back(static_cast<int>(v.as_int()));
-  }
-  return st;
+  return decoded("run stats", [&] {
+    core::RunStats st;
+    st.solved = j.at("solved").as_bool();
+    st.final_cost = j.at("final_cost").as_int();
+    st.iterations = u64_from(j.at("iterations"), "iterations");
+    st.swaps = u64_from(j.at("swaps"), "swaps");
+    st.local_minima = u64_from(j.at("local_minima"), "local_minima");
+    st.plateau_moves = u64_from(j.at("plateau_moves"), "plateau_moves");
+    st.plateau_refused = u64_from(j.at("plateau_refused"), "plateau_refused");
+    st.resets = u64_from(j.at("resets"), "resets");
+    st.custom_reset_escapes = u64_from(j.at("custom_reset_escapes"), "custom_reset_escapes");
+    st.restarts = u64_from(j.at("restarts"), "restarts");
+    st.move_evaluations = u64_from(j.at("move_evaluations"), "move_evaluations");
+    st.reset_candidates = u64_from(j.at("reset_candidates"), "reset_candidates");
+    st.reset_escape_chunks = u64_from(j.at("reset_escape_chunks"), "reset_escape_chunks");
+    st.reset_seconds = j.at("reset_seconds").as_number();
+    st.wall_seconds = j.at("wall_seconds").as_number();
+    if (const util::Json* sol = j.find("solution")) {
+      st.solution.reserve(sol->as_array().size());
+      for (const auto& v : sol->as_array()) st.solution.push_back(static_cast<int>(v.as_int()));
+    }
+    return st;
+  });
 }
 
 util::Json walk_snapshot_to_json(const runtime::WalkSnapshot& s) {
@@ -293,29 +292,30 @@ util::Json walk_snapshot_to_json(const runtime::WalkSnapshot& s) {
   for (int v : s.config) config.push_back(v);
   j["config"] = util::Json(std::move(config));
   util::Json::Array rng;
-  for (uint64_t w : s.engine.rng) rng.push_back(u64_json(w));
+  for (uint64_t w : s.engine.rng) rng.push_back(wire_u64(w));
   j["rng"] = util::Json(std::move(rng));
   j["tabu"] = u64_vec_json(s.engine.tabu_until);
-  j["next_probe"] = u64_json(s.engine.next_probe);
-  j["next_restart"] = u64_json(s.engine.next_restart);
+  j["next_probe"] = wire_u64(s.engine.next_probe);
+  j["next_restart"] = wire_u64(s.engine.next_restart);
   j["stats"] = run_stats_to_json(s.engine.stats);
   return j;
 }
 
 runtime::WalkSnapshot walk_snapshot_from_json(const util::Json& j) {
-  if (!j.is_object()) throw CkptError("walk snapshot: expected an object");
-  runtime::WalkSnapshot s;
-  const auto& config = j.at("config").as_array();
-  s.config.reserve(config.size());
-  for (const auto& v : config) s.config.push_back(static_cast<int>(v.as_int()));
-  const auto& rng = j.at("rng").as_array();
-  if (rng.size() != 4) throw CkptError("walk snapshot: rng state must have 4 words");
-  for (size_t i = 0; i < 4; ++i) s.engine.rng[i] = u64_from(rng[i], "rng");
-  s.engine.tabu_until = u64_vec_from(j.at("tabu"), "tabu");
-  s.engine.next_probe = u64_from(j.at("next_probe"), "next_probe");
-  s.engine.next_restart = u64_from(j.at("next_restart"), "next_restart");
-  s.engine.stats = run_stats_from_json(j.at("stats"));
-  return s;
+  return decoded("walk snapshot", [&] {
+    runtime::WalkSnapshot s;
+    const auto& config = j.at("config").as_array();
+    s.config.reserve(config.size());
+    for (const auto& v : config) s.config.push_back(static_cast<int>(v.as_int()));
+    const auto& rng = j.at("rng").as_array();
+    if (rng.size() != 4) throw CkptError("walk snapshot: rng state must have 4 words");
+    for (size_t i = 0; i < 4; ++i) s.engine.rng[i] = u64_from(rng[i], "rng");
+    s.engine.tabu_until = u64_vec_from(j.at("tabu"), "tabu");
+    s.engine.next_probe = u64_from(j.at("next_probe"), "next_probe");
+    s.engine.next_restart = u64_from(j.at("next_restart"), "next_restart");
+    s.engine.stats = run_stats_from_json(j.at("stats"));
+    return s;
+  });
 }
 
 }  // namespace cas::dist

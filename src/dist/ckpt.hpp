@@ -28,7 +28,12 @@
 //                                     files the pruner deliberately keeps
 //
 // All 64-bit counters are serialized as decimal strings because util::Json
-// stores numbers as doubles (2^53 integer precision).
+// stores numbers as doubles (2^53 integer precision): the frames' codec,
+// dist::wire_u64 / dist::u64_of.
+//
+// The readers reject what they cannot use with CkptError — a header field
+// of the wrong type, a counter that is no u64, a snapshot field missing or
+// malformed — and never with another exception type.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "dist/wire.hpp"
 #include "runtime/problems.hpp"
 #include "util/json.hpp"
 
@@ -55,8 +61,8 @@ inline constexpr const char* kManifestPrevFile = "manifest.prev.ckpt";
 /// FNV-1a 64-bit over the payload bytes — the header checksum.
 [[nodiscard]] uint64_t fnv1a64(std::string_view bytes);
 
-/// uint64 <-> decimal-string JSON spellings.
-[[nodiscard]] util::Json u64_json(uint64_t v);
+/// A checkpoint's 64-bit counter (spelled by wire_u64); CkptError naming
+/// `what` when `v` is not one.
 [[nodiscard]] uint64_t u64_from(const util::Json& v, const std::string& what);
 
 /// Atomically write `payload` to `path` (tmp + fsync + rename). Returns the

@@ -146,7 +146,7 @@ void Coordinator::accept_ready(double now) {
     }
     net::set_nonblocking(fd, true);
     net::set_nodelay(fd);
-    auto peer = std::make_unique<Peer>(net::Fd(fd), opts_.max_frame_bytes);
+    auto peer = std::make_unique<Peer>(net::Fd(fd));
     peer->last_seen = now;
     loop_.add(fd, /*want_read=*/true, /*want_write=*/false);
     peers_[fd] = std::move(peer);
@@ -392,17 +392,18 @@ void Coordinator::handle_join(Peer& p, const util::Json& j) {
   }
   joins_seen_.fetch_add(1, std::memory_order_release);  // a lost member may be back (all_detached)
   if (hunt != 0) {
-    // A rejoin: back into the hunt it left, or told how that hunt ended
-    // and kept for the next one. Pending first: a write error while
-    // answering drops it from the pending list with the peer.
+    // A rejoin: back into the hunt it left, or told how that hunt and every
+    // later finished one ended, one final for each of the member's next
+    // solves, and kept for the next opening. Pending first: a write error
+    // while answering drops it from the pending list with the peer.
     if (hunting_ && hunt == hunt_.index) {
       pend_join(p, j, key, /*rejoin=*/true);
-    } else if (hunt == final_hunt_ && !final_answer_.empty()) {
+    } else if (finals_.count(hunt) != 0) {
       pend_join(p, j, key, /*rejoin=*/true);
-      answer_with_outcome(p.fd.get());
+      answer_with_outcome(p.fd.get(), hunt);
     } else {
       enqueue(p, make_abort(util::strf("coordinator: rejoin refused — hunt %llu is neither "
-                                       "running nor the last one finished",
+                                       "running nor finished",
                                        static_cast<unsigned long long>(hunt)))
                      .dump(0));
     }
@@ -429,12 +430,16 @@ void Coordinator::pend_join(Peer& p, const util::Json& j, std::string key, bool 
   stats_.joins.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Coordinator::answer_with_outcome(int fd) {
-  for (const std::string& frame : final_answer_) {
+void Coordinator::answer_with_outcome(int fd, uint64_t hunt) {
+  const auto send = [&](const std::string& frame) {
     const auto it = peers_.find(fd);
-    if (it == peers_.end()) return;  // died while pending, or a write error dropped it
+    if (it == peers_.end()) return false;  // died while pending, or a write error dropped it
     enqueue(*it->second, frame);
-  }
+    return true;
+  };
+  if (!send(final_welcome_)) return;
+  for (auto it = finals_.lower_bound(hunt); it != finals_.end(); ++it)
+    if (!send(it->second)) return;
 }
 
 void Coordinator::handle_epoch(const util::Json& j) {
@@ -665,10 +670,10 @@ void Coordinator::send_view(uint64_t epoch, bool final) {
     // rejoiner, a member of the world, waits for the next hunt.
     util::Json late = base;
     late["your_rank"] = -1;
-    final_answer_ = {make_welcome(-1, ranks).dump(0), late.dump(0)};
-    final_hunt_ = hunt_.index;
+    finals_[hunt_.index] = late.dump(0);
+    final_welcome_ = make_welcome(-1, ranks).dump(0);
     for (const int fd : std::vector<int>(pending_join_fds_)) {
-      answer_with_outcome(fd);
+      answer_with_outcome(fd, hunt_.index);
       const auto pit = peers_.find(fd);
       if (pit == peers_.end() || pit->second->rejoin) continue;
       pit->second->pending_join = false;

@@ -67,7 +67,6 @@ struct CoordinatorOptions {
   /// for the rendezvous retry to re-hello before the drop counts as a
   /// death. 0 restores drop-means-dead.
   double rehello_grace_seconds = 2.0;
-  size_t max_frame_bytes = net::kDefaultMaxFrame;
   /// Coordinator failover (wire protocol v3): elect a standby (the lowest
   /// non-host dense rank that announced a failover address), mirror the
   /// wave-machine state to it in a state_sync frame whenever it moves, and
@@ -164,7 +163,7 @@ class Coordinator {
     bool want_write = false;
     double last_seen = 0;
 
-    explicit Peer(net::Fd f, size_t max_frame) : fd(std::move(f)), decoder(max_frame) {}
+    explicit Peer(net::Fd f) : fd(std::move(f)) {}
   };
 
   /// One member of the world, by stable member id.
@@ -219,9 +218,10 @@ class Coordinator {
   // The wave machine (coordinator thread only).
   void handle_join(Peer& p, const util::Json& j);
   void pend_join(Peer& p, const util::Json& j, std::string key, bool rejoin);
-  /// Send the last finished hunt's outcome (final_answer_) to a joiner.
-  /// No-op if the peer is gone; a write error may drop it.
-  void answer_with_outcome(int fd);
+  /// Send a joiner the outcome of every finished hunt from `hunt` on: one
+  /// welcome naming no member, then each hunt's final. No-op if the peer is
+  /// gone; a write error may drop it.
+  void answer_with_outcome(int fd, uint64_t hunt);
   void handle_epoch(const util::Json& j);
   void handle_solved(const util::Json& j);
   /// Take an active member out of the world — evicted (it died) or left
@@ -288,11 +288,12 @@ class Coordinator {
   bool hunting_ = false;     // hunt_ is open: its final rebalance has not gone out
   uint64_t wave_ = 0;
   int64_t ckpt_epoch_ = -1;  // last wave every active member checkpointed
-  /// The last finished hunt's outcome, for a late rejoin: a welcome naming
-  /// no member (rank -1) and the final rebalance with your_rank -1, winner
-  /// included.
-  std::vector<std::string> final_answer_;
-  uint64_t final_hunt_ = 0;
+  /// Every finished hunt's outcome, kept for the World's life so a rejoin
+  /// that arrives hunts late still learns each one: the final rebalance
+  /// with your_rank -1 (winner included) by hunt index, and the welcome
+  /// naming no member (rank -1) that goes first.
+  std::map<uint64_t, std::string> finals_;
+  std::string final_welcome_;
   /// The leader: the minimum (solve iteration, walker id) over every solved
   /// frame, with its member and stats. `decided_` latches once a wave
   /// proves nobody can beat it; only then does a final name it.

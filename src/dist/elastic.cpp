@@ -479,12 +479,12 @@ struct ElasticRun {
   void write_wave_ckpt(uint64_t epoch, const Wave& wave) {
     util::Json payload = util::Json::object();
     payload["v"] = kCkptVersion;
-    payload["epoch"] = u64_json(epoch);
+    payload["epoch"] = wire_u64(epoch);
     payload["member"] = comm->member();
     util::Json walkers = util::Json::array();
     for (const auto& [id, s] : wave.snaps) {
       util::Json snap = walk_snapshot_to_json(s);
-      snap["id"] = u64_json(static_cast<uint64_t>(id));
+      snap["id"] = wire_u64(static_cast<uint64_t>(id));
       walkers.push_back(std::move(snap));
     }
     payload["walkers"] = std::move(walkers);
@@ -504,12 +504,12 @@ struct ElasticRun {
   void write_manifest(int64_t cut, int ranks, const util::Json& members) {
     util::Json m = util::Json::object();
     m["v"] = kCkptVersion;
-    m["epoch"] = u64_json(static_cast<uint64_t>(cut));
-    m["seed"] = u64_json(resolved->seed);
+    m["epoch"] = wire_u64(static_cast<uint64_t>(cut));
+    m["seed"] = wire_u64(resolved->seed);
     m["walkers"] = resolved->walkers;
     m["ranks"] = ranks;
     m["request"] = resolved->canonical_json();
-    m["elapsed_micros"] = u64_json(elapsed_micros());
+    m["elapsed_micros"] = wire_u64(elapsed_micros());
     m["members"] = members;
     util::Json files = util::Json::array();
     for (const WalkerFileRef& ref : list_walker_files(opts->ckpt_dir))

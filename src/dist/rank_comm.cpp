@@ -1,17 +1,13 @@
 #include "dist/rank_comm.hpp"
 
-#include <poll.h>
 #include <sys/socket.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include "net/fault.hpp"
 #include "net/frame_io.hpp"
 #include "net/retry.hpp"
 #include "util/strings.hpp"
@@ -24,6 +20,10 @@ double now_seconds() {
   using namespace std::chrono;
   return duration<double>(steady_clock::now().time_since_epoch()).count();
 }
+
+/// How long the reader waits for a frame before it looks at stop_threads_
+/// again (finalize also wakes it at once by shutting the read side).
+constexpr double kReaderPollSeconds = 0.2;
 
 /// A rendezvous attempt died on a transient wire fault (reset, refused
 /// accept, corrupt frame, connection lost). Retried under backoff by the
@@ -56,8 +56,7 @@ void wait_within(std::condition_variable& cv, std::unique_lock<std::mutex>& lock
 
 }  // namespace
 
-RankComm::RankComm(RankCommOptions opts)
-    : opts_(std::move(opts)), decoder_(opts_.max_frame_bytes) {
+RankComm::RankComm(RankCommOptions opts) : opts_(std::move(opts)) {
   const std::string kind = frame_type(opts_.handshake);
   if (!opts_.handshake.is_null() && kind != "join" && kind != "reconnect")
     throw CommError("rank_comm: a late handshake is a join or a reconnect frame");
@@ -81,17 +80,12 @@ RankComm::RankComm(RankCommOptions opts)
                            (kind == "join" ? 0x10000u : 1u));
   for (;;) {
     try {
-      const double attempt_deadline =
-          opts_.rendezvous_attempt_seconds > 0
-              ? std::min(deadline, now_seconds() + opts_.rendezvous_attempt_seconds)
-              : deadline;
-      rendezvous_once(deadline, attempt_deadline);
+      rendezvous_once(deadline, std::min(deadline, now_seconds() + kRendezvousAttemptSeconds));
       break;
     } catch (const RendezvousRetry& e) {
-      fd_.reset();
-      // The failed attempt may have left a partial (or poisoned) frame
-      // buffered; the next attempt starts from a clean stream.
-      decoder_ = net::FrameDecoder(opts_.max_frame_bytes);
+      // The next attempt reconnects, which also drops any partial (or
+      // poisoned) frame the failed one left buffered.
+      client_.close();
       const bool quiet_window = dynamic_cast<const AttemptWindowExpired*>(&e) != nullptr;
       if (!net::retry_enabled() || now_seconds() >= deadline ||
           (!quiet_window && backoff.exhausted()))
@@ -123,118 +117,77 @@ void RankComm::rendezvous_once(double deadline, double attempt_deadline) {
   // late member dials a world that is already up, so a refusal there
   // means the coordinator is gone.
   const bool fail_fast = !opts_.handshake.is_null();
-  std::string err;
-  for (;;) {
-    fd_ = net::connect_tcp(opts_.host, opts_.port, err);
-    if (fd_.valid()) break;
+  while (!client_.connect(opts_.host, opts_.port)) {
     if (fail_fast || now_seconds() >= deadline)
       throw CommError(util::strf("rank_comm: cannot reach coordinator %s:%u: %s",
-                                 opts_.host.c_str(), unsigned{opts_.port}, err.c_str()));
+                                 opts_.host.c_str(), unsigned{opts_.port},
+                                 client_.error().c_str()));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  net::set_nodelay(fd_.get());
 
   // The handshake, then block (deadline-bounded) until welcome — the
-  // rendezvous. Runs on the caller's thread with the same decoder the
-  // reader thread inherits afterwards, so bytes coalesced behind the
-  // welcome frame are not lost. Sends go through write_all directly (NOT
-  // send_frame_locked_throw): a transient send failure here must stay
-  // retryable instead of poisoning the communicator via fail().
-  {
-    util::Json hs = opts_.handshake.is_null() ? make_hello(opts_.rank, opts_.ranks)
-                                              : opts_.handshake;
-    if (!opts_.failover_addr.empty()) hs["failover"] = opts_.failover_addr;
-    const std::string frame = net::encode_frame(hs.dump(0));
-    std::string send_err;
-    if (!net::write_all(fd_.get(), frame, send_err))
-      throw RendezvousRetry("hello send failed: " + send_err);
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    bytes_sent_.fetch_add(frame.size(), std::memory_order_relaxed);
-  }
-  bool welcomed = false;
-  std::string payload;
-  while (!welcomed) {
-    for (bool more = true; more && !welcomed;) {
-      switch (decoder_.next(payload)) {
-        case net::FrameDecoder::Result::kFrame: {
-          util::Json j;
-          try {
-            j = util::Json::parse(payload);
-          } catch (const std::exception& e) {
-            // A corrupted frame that still decodes as a frame: retryable.
-            throw RendezvousRetry(util::strf("bad frame during rendezvous: %s", e.what()));
-          }
-          const std::string type = frame_type(j);
-          if (type == "welcome") {
-            welcomed = true;
-            if (!opts_.handshake.is_null()) {
-              // The coordinator assigned (join) or echoed (reconnect) our
-              // member id; the dense rank arrives with a rebalance frame.
-              member_.store(frame_int(j, "rank"), std::memory_order_release);
-              ranks_.store(frame_int(j, "ranks"), std::memory_order_release);
-            }
-          } else if (type == "abort") {
-            // Deliberate refusal (version/rank/key mismatch, world closed):
-            // permanent, never retried.
-            const util::Json* r = j.find("reason");
-            throw CommError(r != nullptr && r->is_string() ? r->as_string()
-                                                           : "rendezvous aborted");
-          } else {
-            // The coordinator sends nothing but welcome or abort before our
-            // welcome. Anything else is a frame whose type a wire fault
-            // mangled — the bytes behind it cannot be trusted; start over
-            // on a fresh connection.
-            throw RendezvousRetry("unexpected '" + type + "' frame during rendezvous");
-          }
-          break;
-        }
-        case net::FrameDecoder::Result::kNeedMore:
-          more = false;
-          break;
-        case net::FrameDecoder::Result::kError:
-          throw RendezvousRetry("protocol error during rendezvous: " + decoder_.error());
-      }
-    }
-    if (welcomed) break;
-    const double remain = deadline - now_seconds();
-    if (remain <= 0)
+  // rendezvous. Frames coalesced behind the welcome stay buffered in the
+  // client for the reader thread. The handshake goes out through
+  // write_frame, NOT send_frame_locked_throw: a transient send failure here
+  // must stay retryable instead of poisoning the communicator via fail().
+  util::Json hs = opts_.handshake.is_null() ? make_hello(opts_.rank, opts_.ranks)
+                                            : opts_.handshake;
+  if (!opts_.failover_addr.empty()) hs["failover"] = opts_.failover_addr;
+  std::string send_err;
+  if (!write_frame(hs, send_err)) throw RendezvousRetry("hello send failed: " + send_err);
+
+  const std::optional<util::Json> j = client_.recv_json(attempt_deadline - now_seconds());
+  bytes_received_.store(client_.bytes_received(), std::memory_order_relaxed);
+  if (!j) {
+    // A corrupted frame, a reset or a closed connection: retryable.
+    if (!client_.error().empty())
+      throw RendezvousRetry("rendezvous: " + client_.error());
+    if (client_.eof()) throw RendezvousRetry("coordinator closed during rendezvous");
+    if (now_seconds() >= deadline)
       throw CommError(util::strf("rank_comm: rendezvous timed out (rank %d of %d)", opts_.rank,
                                  opts_.ranks));
-    const double attempt_remain = attempt_deadline - now_seconds();
-    if (attempt_remain <= 0)
-      // No welcome and no error either — a wedged stream (corrupted length
-      // prefix, mangled frame) or a coordinator still waiting on
-      // stragglers. Re-helloing is cheap and unwedges the former.
-      throw AttemptWindowExpired("no welcome within the attempt window");
-    pollfd pfd{fd_.get(), POLLIN, 0};
-    const int rc =
-        ::poll(&pfd, 1, static_cast<int>(std::min(remain, attempt_remain) * 1000) + 1);
-    if (rc < 0 && errno != EINTR)
-      throw RendezvousRetry(util::strf("poll: %s", std::strerror(errno)));
-    if (rc <= 0) continue;
-    char buf[16384];
-    const ssize_t n = net::fault_recv(fd_.get(), buf, sizeof(buf), 0);
-    if (n == 0) throw RendezvousRetry("coordinator closed during rendezvous");
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      throw RendezvousRetry(util::strf("recv: %s", std::strerror(errno)));
-    }
-    bytes_received_.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
-    decoder_.feed(buf, static_cast<size_t>(n));
+    // No welcome and no error either — a wedged stream (corrupted length
+    // prefix) or a coordinator still waiting on stragglers. Re-helloing is
+    // cheap and unwedges the former.
+    throw AttemptWindowExpired("no welcome within the attempt window");
+  }
+  const std::string type = frame_type(*j);
+  if (type == "abort") {
+    // Deliberate refusal (version/rank/key mismatch, world closed):
+    // permanent, never retried.
+    const util::Json* r = j->find("reason");
+    throw CommError(r != nullptr && r->is_string() ? r->as_string() : "rendezvous aborted");
+  }
+  if (type != "welcome")
+    // The coordinator sends nothing but welcome or abort before our
+    // welcome. Anything else is a frame whose type a wire fault mangled —
+    // the bytes behind it cannot be trusted; start over on a fresh
+    // connection.
+    throw RendezvousRetry("unexpected '" + type + "' frame during rendezvous");
+  if (!opts_.handshake.is_null()) {
+    // The coordinator assigned (join) or echoed (reconnect) our member id;
+    // the dense rank arrives with a rebalance frame.
+    member_.store(frame_int(*j, "rank"), std::memory_order_release);
+    ranks_.store(frame_int(*j, "ranks"), std::memory_order_release);
   }
 }
 
 RankComm::~RankComm() { finalize(); }
 
-void RankComm::send_frame_locked_throw(const util::Json& j) {
+bool RankComm::write_frame(const util::Json& j, std::string& err) {
   const std::string frame = net::encode_frame(j.dump(0));
+  if (!net::write_all(client_.fd(), frame, err)) return false;
+  frames_sent_.fetch_add(1, std::memory_order_relaxed);
+  bytes_sent_.fetch_add(frame.size(), std::memory_order_relaxed);
+  return true;
+}
+
+void RankComm::send_frame_locked_throw(const util::Json& j) {
   std::string err;
-  if (!net::write_all(fd_.get(), frame, err)) {
+  if (!write_frame(j, err)) {
     fail("rank_comm: " + err);
     throw CommError(failure());
   }
-  frames_sent_.fetch_add(1, std::memory_order_relaxed);
-  bytes_sent_.fetch_add(frame.size(), std::memory_order_relaxed);
 }
 
 void RankComm::set_view(int rank, int ranks) {
@@ -273,16 +226,16 @@ void RankComm::hard_kill() {
   if (!finalized_.compare_exchange_strong(expected, true)) return;
   stop_threads_.store(true, std::memory_order_release);
   hb_cv_.notify_all();
-  if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RDWR);  // FIN, no bye — looks killed
+  if (client_.connected()) ::shutdown(client_.fd(), SHUT_RDWR);  // FIN, no bye — looks killed
   if (reader_.joinable()) reader_.join();
   if (heartbeat_.joinable()) heartbeat_.join();
   fail("rank_comm: hard-killed (fault injection)");
   std::scoped_lock lock(send_mu_);  // an elastic crew worker may be sending
-  fd_.reset();
+  client_.close();
 }
 
 void RankComm::inject_disconnect() {
-  if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RDWR);
+  if (client_.connected()) ::shutdown(client_.fd(), SHUT_RDWR);
 }
 
 void RankComm::fail(const std::string& reason) {
@@ -302,7 +255,7 @@ void RankComm::fail(const std::string& reason) {
   // open looks like a live-but-silent member, and the coordinator would
   // only notice at the heartbeat deadline. EOF makes the death visible now.
   // (shutdown, not close — the reader thread still owns the fd.)
-  if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RDWR);
+  if (client_.connected()) ::shutdown(client_.fd(), SHUT_RDWR);
 }
 
 util::Json RankComm::latest_state_sync() const {
@@ -315,108 +268,78 @@ std::string RankComm::failure() const {
   return failure_.empty() ? "rank_comm: communicator failed" : failure_;
 }
 
-/// Consume every complete frame currently buffered in the decoder. Returns
-/// false when the communicator failed (the reader must exit).
-bool RankComm::drain_decoder() {
-  std::string payload;
-  for (bool more = true; more;) {
-    switch (decoder_.next(payload)) {
-      case net::FrameDecoder::Result::kFrame: {
-        frames_received_.fetch_add(1, std::memory_order_relaxed);
-        util::Json j;
-        try {
-          j = util::Json::parse(payload);
-        } catch (const std::exception& e) {
-          fail(util::strf("rank_comm: bad frame from coordinator: %s", e.what()));
-          return false;
-        }
-        const std::string type = frame_type(j);
-        if (type == "abort") {
-          const util::Json* r = j.find("reason");
-          fail(r != nullptr && r->is_string() ? r->as_string() : "aborted by coordinator");
-          return false;
-        } else if (type == "leader") {
-          uint64_t hunt = 0, iters = 0, id = 0;
-          try {
-            hunt = frame_u64(j, "hunt");
-            iters = frame_u64(j, "iters");
-            id = frame_u64(j, "id");
-          } catch (const CommError& e) {
-            fail(util::strf("rank_comm: malformed leader frame: %s", e.what()));
-            return false;
-          }
-          std::scoped_lock lock(leader_mu_);
-          if (hunt < leader_hunt_) break;  // a finished hunt's leader
-          const std::pair<uint64_t, int> got{iters, static_cast<int>(id)};
-          if (hunt > leader_hunt_) leader_.reset();
-          leader_hunt_ = hunt;
-          if (!leader_ || got < *leader_) leader_ = got;
-          if (leader_hook_ && hook_hunt_ == hunt) leader_hook_(got.first, got.second);
-        } else if (type == "rebalance") {
-          {
-            std::scoped_lock lock(control_mu_);
-            control_.push_back(std::move(j));
-          }
-          control_cv_.notify_all();
-        } else if (type == "welcome") {
-          // A member answered with a hunt's outcome, or waiting for the next
-          // hunt, is admitted with its new member id ahead of the rebalance.
-          try {
-            member_.store(frame_int(j, "rank"), std::memory_order_release);
-          } catch (const CommError& e) {
-            fail(util::strf("rank_comm: malformed welcome: %s", e.what()));
-            return false;
-          }
-        } else if (type == "state_sync") {
-          // We are the elected standby: keep only the newest replicated
-          // state — promotion reads it after the communicator fails.
-          std::scoped_lock lock(state_sync_mu_);
-          state_sync_ = std::move(j);
-        }
-        // unknown types: ignored.
-        break;
-      }
-      case net::FrameDecoder::Result::kNeedMore:
-        more = false;
-        break;
-      case net::FrameDecoder::Result::kError:
-        fail("rank_comm: protocol error: " + decoder_.error());
-        return false;
-    }
+bool RankComm::dispatch(const std::string& payload) {
+  frames_received_.fetch_add(1, std::memory_order_relaxed);
+  util::Json j;
+  try {
+    j = util::Json::parse(payload);
+  } catch (const std::exception& e) {
+    fail(util::strf("rank_comm: bad frame from coordinator: %s", e.what()));
+    return false;
   }
+  const std::string type = frame_type(j);
+  if (type == "abort") {
+    const util::Json* r = j.find("reason");
+    fail(r != nullptr && r->is_string() ? r->as_string() : "aborted by coordinator");
+    return false;
+  }
+  if (type == "leader") {
+    uint64_t hunt = 0, iters = 0, id = 0;
+    try {
+      hunt = frame_u64(j, "hunt");
+      iters = frame_u64(j, "iters");
+      id = frame_u64(j, "id");
+    } catch (const CommError& e) {
+      fail(util::strf("rank_comm: malformed leader frame: %s", e.what()));
+      return false;
+    }
+    std::scoped_lock lock(leader_mu_);
+    if (hunt < leader_hunt_) return true;  // a finished hunt's leader
+    const std::pair<uint64_t, int> got{iters, static_cast<int>(id)};
+    if (hunt > leader_hunt_) leader_.reset();
+    leader_hunt_ = hunt;
+    if (!leader_ || got < *leader_) leader_ = got;
+    if (leader_hook_ && hook_hunt_ == hunt) leader_hook_(got.first, got.second);
+  } else if (type == "rebalance") {
+    {
+      std::scoped_lock lock(control_mu_);
+      control_.push_back(std::move(j));
+    }
+    control_cv_.notify_all();
+  } else if (type == "welcome") {
+    // A member answered with a hunt's outcome, or waiting for the next
+    // hunt, is admitted with its new member id ahead of the rebalance.
+    try {
+      member_.store(frame_int(j, "rank"), std::memory_order_release);
+    } catch (const CommError& e) {
+      fail(util::strf("rank_comm: malformed welcome: %s", e.what()));
+      return false;
+    }
+  } else if (type == "state_sync") {
+    // We are the elected standby: keep only the newest replicated state —
+    // promotion reads it after the communicator fails.
+    std::scoped_lock lock(state_sync_mu_);
+    state_sync_ = std::move(j);
+  }
+  // unknown types: ignored.
   return true;
 }
 
 void RankComm::reader_body() {
-  // Drain first: the rendezvous may have left frames coalesced behind the
-  // welcome sitting fully buffered in the decoder, and no further bytes
-  // need ever arrive to complete them.
-  if (!drain_decoder()) return;
+  // The first recv_frame also delivers frames the rendezvous left buffered
+  // behind the welcome.
   while (!stop_threads_.load(std::memory_order_acquire)) {
-    pollfd pfd{fd_.get(), POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, 200);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      fail(util::strf("rank_comm: poll: %s", std::strerror(errno)));
-      return;
+    const std::optional<std::string> payload = client_.recv_frame(kReaderPollSeconds);
+    bytes_received_.store(client_.bytes_received(), std::memory_order_relaxed);
+    if (payload) {
+      if (!dispatch(*payload)) return;
+      continue;
     }
-    if (rc == 0) continue;
-    char buf[16384];
-    const ssize_t n = net::fault_recv(fd_.get(), buf, sizeof(buf), 0);
-    if (n == 0) {
-      if (!finalized_.load(std::memory_order_acquire))
-        fail("rank_comm: coordinator closed the connection");
-      return;
-    }
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      if (!finalized_.load(std::memory_order_acquire))
-        fail(util::strf("rank_comm: recv: %s", std::strerror(errno)));
-      return;
-    }
-    bytes_received_.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
-    decoder_.feed(buf, static_cast<size_t>(n));
-    if (!drain_decoder()) return;
+    if (client_.error().empty() && !client_.eof()) continue;  // quiet: look at stop_threads_
+    if (!finalized_.load(std::memory_order_acquire))
+      fail(client_.eof() ? std::string("rank_comm: coordinator closed the connection")
+                         : "rank_comm: " + client_.error());
+    return;
   }
 }
 
@@ -441,7 +364,7 @@ void RankComm::heartbeat_body() {
 void RankComm::finalize() {
   bool expected = false;
   if (!finalized_.compare_exchange_strong(expected, true)) return;
-  if (!failed() && fd_.valid()) {
+  if (!failed() && client_.connected()) {
     // Best-effort clean detach; the coordinator counts byes.
     std::scoped_lock lock(send_mu_);
     try {
@@ -451,12 +374,12 @@ void RankComm::finalize() {
   }
   stop_threads_.store(true, std::memory_order_release);
   hb_cv_.notify_all();
-  // Shut the read side so the reader's poll sees EOF now instead of at its
-  // next timeout; the bye above is already on the wire.
-  if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RD);
+  // Shut the read side so the reader sees EOF now instead of at its next
+  // timeout; the bye above is already on the wire.
+  if (client_.connected()) ::shutdown(client_.fd(), SHUT_RD);
   if (reader_.joinable()) reader_.join();
   if (heartbeat_.joinable()) heartbeat_.join();
-  fd_.reset();
+  client_.close();
 }
 
 util::Json RankComm::stats_json() const {

@@ -4,12 +4,15 @@
 // The constructor runs the rendezvous (hello, or a late member's join or
 // reconnect, then the welcome) and sends the first heartbeat at once: a
 // frame from the member proves to the coordinator that the welcome landed.
-// Afterwards a reader thread decodes incoming frames — rebalance frames into
-// the control queue the elastic runner blocks on, leader frames straight to
-// the leader hook, state_sync frames into the standby's mirror — and a
-// heartbeat thread keeps the coordinator's liveness policing fed. A received
-// abort or a lost connection fails the communicator: a blocked take_control
-// unwinds and CommError propagates.
+// Every receive goes through one net::BlockingClient: the rendezvous waits
+// for the welcome with it, then a reader thread loops on its recv_frame and
+// dispatches each frame — rebalance frames into the control queue the
+// elastic runner blocks on, leader frames straight to the leader hook,
+// state_sync frames into the standby's mirror. Sends write to the client's
+// socket under a mutex and touch nothing else of it. A heartbeat thread
+// keeps the coordinator's liveness policing fed. A received abort or a lost
+// connection fails the communicator: a blocked take_control unwinds and
+// CommError propagates.
 #pragma once
 
 #include <atomic>
@@ -24,7 +27,6 @@
 #include <utility>
 
 #include "dist/wire.hpp"
-#include "net/frame.hpp"
 #include "net/retry.hpp"
 #include "net/socket.hpp"
 #include "util/json.hpp"
@@ -41,7 +43,6 @@ struct RankCommOptions {
   double connect_timeout_seconds = 15.0;
   /// Heartbeat cadence; 0 disables the heartbeat thread.
   double heartbeat_interval_seconds = 1.0;
-  size_t max_frame_bytes = net::kDefaultMaxFrame;
   /// A late member's handshake, sent instead of hello(rank, ranks): a join
   /// (make_join) or a post-promotion reconnect (make_reconnect). The welcome
   /// then carries the member id, and the dense rank stays -1 until a
@@ -59,18 +60,18 @@ struct RankCommOptions {
   /// disabled entirely by CAS_FAULT_NO_RETRY. Deliberate refusals (abort
   /// frames: version/rank/key mismatch) are never retried.
   net::BackoffOptions rendezvous_backoff;
-  /// Per-attempt patience for the welcome wait. Some wire faults leave the
-  /// stream wedged instead of broken — a corrupted length prefix parks the
-  /// decoder mid-frame, a corrupted frame type turns the welcome into an
-  /// ignorable stranger — and the connection stays healthy-looking on both
-  /// ends. An attempt that has not produced a welcome within this window
-  /// abandons the connection and re-hellos (the coordinator replays the
-  /// lost welcome). 0 = wait the whole connect timeout.
-  double rendezvous_attempt_seconds = 2.0;
 };
 
 class RankComm {
  public:
+  /// Per-attempt patience for the welcome wait. Some wire faults leave the
+  /// stream wedged instead of broken — a corrupted length prefix parks the
+  /// decoder mid-frame — and the connection stays healthy-looking on both
+  /// ends. An attempt that has not produced a welcome within this window
+  /// abandons the connection and re-hellos (the coordinator replays the
+  /// lost welcome).
+  static constexpr double kRendezvousAttemptSeconds = 2.0;
+
   /// Connects, sends the handshake, blocks until welcome and sends the
   /// first heartbeat. Throws CommError.
   explicit RankComm(RankCommOptions opts);
@@ -145,16 +146,20 @@ class RankComm {
   /// deliberate refusals and deadline expiry.
   void rendezvous_once(double deadline, double attempt_deadline);
   void fail(const std::string& reason);
-  bool drain_decoder();
+  /// Act on one frame from the coordinator. Returns false when the
+  /// communicator failed (the reader must exit).
+  bool dispatch(const std::string& payload);
   void reader_body();
   void heartbeat_body();
+  /// Frame and write `j`, counting it; false with `err` on a write error.
+  bool write_frame(const util::Json& j, std::string& err);
   void send_frame_locked_throw(const util::Json& j);
 
   RankCommOptions opts_;
-  net::Fd fd_;
-  /// Used by the constructor's rendezvous (caller thread), then handed to
-  /// the reader thread — never both at once.
-  net::FrameDecoder decoder_;
+  /// Received on by the constructor's rendezvous (caller thread), then by
+  /// the reader thread alone. Sends only write to its socket, under
+  /// send_mu_; it is closed once both threads are joined.
+  net::BlockingClient client_;
 
   // The current membership view (dense rank + active world size), updated
   // by set_view at every rebalance, and the member id a welcome assigned.
@@ -185,8 +190,8 @@ class RankComm {
   std::mutex hb_mu_;
 
   // Counters. frames/bytes sent are guarded by send_mu_; received ones are
-  // reader-thread-only until the threads are joined. stats_json() is safe
-  // after finalize() and best-effort live.
+  // written by the receiving thread only (bytes mirror the client's count).
+  // stats_json() is safe after finalize() and best-effort live.
   std::atomic<uint64_t> frames_sent_{0};
   std::atomic<uint64_t> bytes_sent_{0};
   std::atomic<uint64_t> frames_received_{0};

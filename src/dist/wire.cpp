@@ -150,24 +150,30 @@ bool frame_bool(const util::Json& j, const char* key, bool fallback) {
 }
 
 uint64_t frame_u64(const util::Json& j, const char* key) {
-  const util::Json& f = require(j, key);
-  if (f.is_number()) {
-    const double d = f.as_number();
-    // Also refuses NaN; 2^64 and up would not convert.
-    if (!(d >= 0 && d < 18446744073709551616.0))
-      throw CommError(util::strf("wire: '%s' is not a u64", key));
-    return static_cast<uint64_t>(d);
-  }
-  if (!f.is_string()) throw CommError(util::strf("wire: '%s' is not a u64 string", key));
-  const std::string& s = f.as_string();
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end == s.c_str() || *end != '\0' || s[0] == '-')
-    throw CommError(util::strf("wire: '%s' value '%s' is not a u64", key, s.c_str()));
-  return static_cast<uint64_t>(v);
+  const std::optional<uint64_t> v = u64_of(require(j, key));
+  if (!v) throw CommError(util::strf("wire: '%s' is not a u64", key));
+  return *v;
 }
 
 util::Json wire_u64(uint64_t v) { return util::Json(std::to_string(v)); }
+
+std::optional<uint64_t> u64_of(const util::Json& v) {
+  if (v.is_number()) {
+    const double d = v.as_number();
+    // Also refuses NaN; 2^64 and up would not convert.
+    if (!(d >= 0 && d < 18446744073709551616.0)) return std::nullopt;
+    return static_cast<uint64_t>(d);
+  }
+  if (!v.is_string()) return std::nullopt;
+  // Digits only: strtoull alone would also take leading blanks and a sign,
+  // and wrap " -1" to 2^64 - 1.
+  const std::string& s = v.as_string();
+  if (s.empty() || s[0] < '0' || s[0] > '9') return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(s.c_str(), &end, 10);
+  if (errno != 0 || end != s.c_str() + s.size()) return std::nullopt;
+  return static_cast<uint64_t>(parsed);
+}
 
 }  // namespace cas::dist

@@ -47,6 +47,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -110,7 +111,13 @@ int frame_int(const util::Json& j, const char* key);
 bool frame_bool(const util::Json& j, const char* key, bool fallback);
 /// 64-bit counter carried as a decimal string (or small plain number).
 uint64_t frame_u64(const util::Json& j, const char* key);
-/// The decimal-string spelling for 64-bit fields.
+
+/// The one codec for 64-bit counters in frames and checkpoint files
+/// (util::Json numbers are doubles, exact only to 2^53): written as a
+/// decimal string, read back from an unsigned decimal string or a plain
+/// number in [0, 2^64). u64_of is nullopt for anything else; its callers
+/// throw their own error type.
 util::Json wire_u64(uint64_t v);
+std::optional<uint64_t> u64_of(const util::Json& v);
 
 }  // namespace cas::dist

@@ -112,17 +112,6 @@ void EventLoop::remove(int fd) {
   poll_index_.erase(it);
 }
 
-size_t EventLoop::watched() const {
-#if CAS_NET_HAVE_EPOLL
-  if (epoll_fd_ >= 0) {
-    // epoll does not expose its set size; the server tracks connections
-    // itself, so this is only used by the poll backend's tests.
-    return 0;
-  }
-#endif
-  return poll_set_.size();
-}
-
 int EventLoop::wait(std::vector<Event>& events, int timeout_ms) {
   events.clear();
 #if CAS_NET_HAVE_EPOLL

@@ -48,7 +48,6 @@ class EventLoop {
   int wait(std::vector<Event>& events, int timeout_ms);
 
   [[nodiscard]] const char* backend() const { return epoll_fd_ >= 0 ? "epoll" : "poll"; }
-  [[nodiscard]] size_t watched() const;
 
  private:
   int epoll_fd_ = -1;  // -1 => poll backend

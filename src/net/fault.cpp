@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -9,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "util/strings.hpp"
 
@@ -17,10 +19,27 @@ namespace cas::net {
 namespace {
 
 // Stream-separation constants so a connection's ordinal, the process salt,
-// and the accept stream never collide in seed space.
+// and the accept and disk streams never collide in seed space.
 constexpr uint64_t kSaltMix = 0x9e3779b97f4a7c15ull;
 constexpr uint64_t kOrdinalMix = 0xbf58476d1ce4e5b9ull;
 constexpr uint64_t kAcceptMix = 0x94d049bb133111ebull;
+constexpr uint64_t kDiskMix = 0xd6e8feb86659fd93ull;
+
+/// Every fault class by its plan key, and every counter by its stats key.
+constexpr std::pair<const char*, std::vector<FaultClass> FaultPlan::*> kClasses[] = {
+    {"short_read", &FaultPlan::short_read},   {"short_write", &FaultPlan::short_write},
+    {"latency", &FaultPlan::latency},         {"reset", &FaultPlan::reset},
+    {"corrupt", &FaultPlan::corrupt},         {"refuse_accept", &FaultPlan::refuse_accept},
+    {"eintr", &FaultPlan::eintr},             {"eagain", &FaultPlan::eagain},
+    {"torn_write", &FaultPlan::torn_write},   {"fail_rename", &FaultPlan::fail_rename},
+    {"fail_fsync", &FaultPlan::fail_fsync}};
+constexpr std::pair<const char*, std::atomic<uint64_t> FaultStats::*> kCounters[] = {
+    {"short_reads", &FaultStats::short_reads},  {"short_writes", &FaultStats::short_writes},
+    {"latencies", &FaultStats::latencies},      {"resets", &FaultStats::resets},
+    {"corruptions", &FaultStats::corruptions},  {"refusals", &FaultStats::refusals},
+    {"eintrs", &FaultStats::eintrs},            {"eagains", &FaultStats::eagains},
+    {"torn_writes", &FaultStats::torn_writes},  {"failed_renames", &FaultStats::failed_renames},
+    {"failed_fsyncs", &FaultStats::failed_fsyncs}};
 
 double u01(core::SplitMix64& rng) {
   return static_cast<double>(rng.next() >> 11) * 0x1.0p-53;
@@ -64,37 +83,29 @@ FaultPlan FaultPlan::parse(const util::Json& spec) {
   if (!spec.is_object()) throw std::runtime_error("fault plan: document must be a JSON object");
   FaultPlan plan;
   for (const auto& [key, value] : spec.as_object()) {
-    if (key == "seed") plan.seed = static_cast<uint64_t>(value.as_int());
-    else if (key == "short_read") plan.short_read = parse_windows(key, value);
-    else if (key == "short_write") plan.short_write = parse_windows(key, value);
-    else if (key == "latency") plan.latency = parse_windows(key, value);
-    else if (key == "reset") plan.reset = parse_windows(key, value);
-    else if (key == "corrupt") plan.corrupt = parse_windows(key, value);
-    else if (key == "refuse_accept") plan.refuse_accept = parse_windows(key, value);
-    else if (key == "eintr") plan.eintr = parse_windows(key, value);
-    else if (key == "eagain") plan.eagain = parse_windows(key, value);
-    else
+    if (key == "seed") {
+      plan.seed = static_cast<uint64_t>(value.as_int());
+      continue;
+    }
+    const auto* cls = std::find_if(std::begin(kClasses), std::end(kClasses),
+                                   [&](const auto& c) { return key == c.first; });
+    if (cls == std::end(kClasses))
       throw std::runtime_error("fault plan: unknown fault class '" + key + "'");
+    plan.*(cls->second) = parse_windows(key, value);
   }
   return plan;
 }
 
 util::Json FaultStats::to_json() const {
   util::Json j = util::Json::object();
-  j["short_reads"] = short_reads.load();
-  j["short_writes"] = short_writes.load();
-  j["latencies"] = latencies.load();
-  j["resets"] = resets.load();
-  j["corruptions"] = corruptions.load();
-  j["refusals"] = refusals.load();
-  j["eintrs"] = eintrs.load();
-  j["eagains"] = eagains.load();
+  for (const auto& [name, counter] : kCounters) j[name] = (this->*counter).load();
   return j;
 }
 
 uint64_t FaultStats::total() const {
-  return short_reads.load() + short_writes.load() + latencies.load() + resets.load() +
-         corruptions.load() + refusals.load() + eintrs.load() + eagains.load();
+  uint64_t sum = 0;
+  for (const auto& [name, counter] : kCounters) sum += (this->*counter).load();
+  return sum;
 }
 
 std::atomic<FaultInjector*> FaultInjector::g_active{nullptr};
@@ -113,15 +124,9 @@ void FaultInjector::arm(const FaultPlan& plan, uint64_t salt) {
     inst->next_ordinal_ = 0;
     inst->accept_ops_ = 0;
     inst->accept_rng_ = core::SplitMix64(plan.seed ^ (salt * kSaltMix) ^ kAcceptMix);
-    auto reset_stat = [](std::atomic<uint64_t>& a) { a.store(0); };
-    reset_stat(inst->stats_.short_reads);
-    reset_stat(inst->stats_.short_writes);
-    reset_stat(inst->stats_.latencies);
-    reset_stat(inst->stats_.resets);
-    reset_stat(inst->stats_.corruptions);
-    reset_stat(inst->stats_.refusals);
-    reset_stat(inst->stats_.eintrs);
-    reset_stat(inst->stats_.eagains);
+    inst->disk_ops_ = 0;
+    inst->disk_rng_ = core::SplitMix64(plan.seed ^ (salt * kSaltMix) ^ kDiskMix);
+    for (const auto& [name, counter] : kCounters) (inst->stats_.*counter).store(0);
   }
   g_active.store(inst, std::memory_order_release);
 }
@@ -163,12 +168,13 @@ FaultInjector::ConnState& FaultInjector::state_of(int fd) {
   return it->second;
 }
 
-FaultClass* FaultInjector::draw(std::vector<FaultClass>& windows, ConnState& s, uint64_t op) {
+FaultClass* FaultInjector::draw(std::vector<FaultClass>& windows, core::SplitMix64& rng,
+                                uint64_t op) {
   for (FaultClass& w : windows) {
     if (w.prob <= 0.0 || op < w.min_op || op > w.max_op || salt_ < w.min_salt) continue;
     uint64_t& fired = fired_[&w];
     if (fired >= w.max) continue;
-    if (u01(s.rng) >= w.prob) continue;
+    if (u01(rng) >= w.prob) continue;
     ++fired;
     return &w;
   }
@@ -198,33 +204,33 @@ ssize_t FaultInjector::recv(int fd, void* buf, size_t len, int flags) {
       errno = EAGAIN;
       return -1;
     }
-    if (FaultClass* w = draw(plan_.eintr, s, op)) {
+    if (FaultClass* w = draw(plan_.eintr, s.rng, op)) {
       s.eintr_left = w->burst - 1;
       stats_.eintrs.fetch_add(1, std::memory_order_relaxed);
       errno = EINTR;
       return -1;
     }
-    if (FaultClass* w = draw(plan_.eagain, s, op)) {
+    if (FaultClass* w = draw(plan_.eagain, s.rng, op)) {
       s.eagain_left = w->burst - 1;
       stats_.eagains.fetch_add(1, std::memory_order_relaxed);
       errno = EAGAIN;
       return -1;
     }
-    if (FaultClass* w = draw(plan_.latency, s, op)) {
+    if (FaultClass* w = draw(plan_.latency, s.rng, op)) {
       sleep_ms = w->ms;
       stats_.latencies.fetch_add(1, std::memory_order_relaxed);
     }
-    if (draw(plan_.reset, s, op) != nullptr) {
+    if (draw(plan_.reset, s.rng, op) != nullptr) {
       s.dead = true;
       do_reset = true;
       stats_.resets.fetch_add(1, std::memory_order_relaxed);
     } else {
-      if (draw(plan_.short_read, s, op) != nullptr && len > 1) {
+      if (draw(plan_.short_read, s.rng, op) != nullptr && len > 1) {
         clamped = 1 + static_cast<size_t>(s.rng.next() % 7);
         if (clamped > len) clamped = len;
         stats_.short_reads.fetch_add(1, std::memory_order_relaxed);
       }
-      corrupt_window = draw(plan_.corrupt, s, op);
+      corrupt_window = draw(plan_.corrupt, s.rng, op);
     }
   }
   if (sleep_ms > 0.0)
@@ -275,27 +281,27 @@ ssize_t FaultInjector::send(int fd, const void* buf, size_t len, int flags) {
       errno = EAGAIN;
       return -1;
     }
-    if (FaultClass* w = draw(plan_.eintr, s, op)) {
+    if (FaultClass* w = draw(plan_.eintr, s.rng, op)) {
       s.eintr_left = w->burst - 1;
       stats_.eintrs.fetch_add(1, std::memory_order_relaxed);
       errno = EINTR;
       return -1;
     }
-    if (FaultClass* w = draw(plan_.eagain, s, op)) {
+    if (FaultClass* w = draw(plan_.eagain, s.rng, op)) {
       s.eagain_left = w->burst - 1;
       stats_.eagains.fetch_add(1, std::memory_order_relaxed);
       errno = EAGAIN;
       return -1;
     }
-    if (FaultClass* w = draw(plan_.latency, s, op)) {
+    if (FaultClass* w = draw(plan_.latency, s.rng, op)) {
       sleep_ms = w->ms;
       stats_.latencies.fetch_add(1, std::memory_order_relaxed);
     }
-    if (draw(plan_.reset, s, op) != nullptr) {
+    if (draw(plan_.reset, s.rng, op) != nullptr) {
       s.dead = true;
       do_reset = true;
       stats_.resets.fetch_add(1, std::memory_order_relaxed);
-    } else if (draw(plan_.short_write, s, op) != nullptr && len > 1) {
+    } else if (draw(plan_.short_write, s.rng, op) != nullptr && len > 1) {
       clamped = 1 + static_cast<size_t>(s.rng.next() % 7);
       if (clamped > len) clamped = len;
       stats_.short_writes.fetch_add(1, std::memory_order_relaxed);
@@ -313,17 +319,27 @@ ssize_t FaultInjector::send(int fd, const void* buf, size_t len, int flags) {
 
 bool FaultInjector::refuse_accept() {
   std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t op = accept_ops_++;
-  for (FaultClass& w : plan_.refuse_accept) {
-    if (w.prob <= 0.0 || op < w.min_op || op > w.max_op || salt_ < w.min_salt) continue;
-    uint64_t& fired = fired_[&w];
-    if (fired >= w.max) continue;
-    if (u01(accept_rng_) >= w.prob) continue;
-    ++fired;
-    stats_.refusals.fetch_add(1, std::memory_order_relaxed);
-    return true;
+  if (draw(plan_.refuse_accept, accept_rng_, accept_ops_++) == nullptr) return false;
+  stats_.refusals.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+DiskFault FaultInjector::next_disk_write() {
+  std::lock_guard<std::mutex> lock(mu_);
+  const uint64_t op = disk_ops_++;
+  if (draw(plan_.torn_write, disk_rng_, op) != nullptr) {
+    stats_.torn_writes.fetch_add(1, std::memory_order_relaxed);
+    return DiskFault::kTornWrite;
   }
-  return false;
+  if (draw(plan_.fail_rename, disk_rng_, op) != nullptr) {
+    stats_.failed_renames.fetch_add(1, std::memory_order_relaxed);
+    return DiskFault::kFailRename;
+  }
+  if (draw(plan_.fail_fsync, disk_rng_, op) != nullptr) {
+    stats_.failed_fsyncs.fetch_add(1, std::memory_order_relaxed);
+    return DiskFault::kFailFsync;
+  }
+  return DiskFault::kNone;
 }
 
 void FaultInjector::forget(int fd) {
@@ -351,6 +367,11 @@ bool fault_refuse_accept() {
 void fault_forget(int fd) {
   FaultInjector* f = FaultInjector::active();
   if (f != nullptr) f->forget(fd);
+}
+
+DiskFault fault_disk_write() {
+  FaultInjector* f = FaultInjector::active();
+  return f != nullptr ? f->next_disk_write() : DiskFault::kNone;
 }
 
 }  // namespace cas::net

@@ -1,25 +1,40 @@
-// Seeded, deterministic network fault injection for the serving and
-// distributed stacks.
+// Seeded, deterministic fault injection for the serving and distributed
+// stacks: the wire, and the checkpoint writes on disk.
 //
 // A FaultPlan describes per-connection schedules of wire pathologies —
 // short reads/writes, injected latency, mid-frame connection resets, byte
 // corruption, accept-time refusals, EINTR/EAGAIN storms — as probability
 // windows over each connection's per-direction operation index. Arming a
 // plan publishes a process-global FaultInjector; every socket recv/send in
-// `src/net/` (frame_io, BlockingClient, RankComm) and every accept in
-// net::Server / dist::Coordinator routes through the fault_* hooks below.
+// `src/net/` (frame_io, BlockingClient — which RankComm receives through)
+// and every accept in net::Server / dist::Coordinator routes through the
+// fault_* hooks below.
+//
+// The same plan schedules disk faults for dist::write_ckpt_file, one write
+// operation per call, process-wide:
+//   torn_write  — the tmp file is written TRUNCATED (half the blob) and the
+//                 rename still succeeds: the post-crash torn file. The
+//                 writer reports success; only the reader's header/CRC
+//                 validation (and the manifest's predecessor fallback) can
+//                 catch it.
+//   fail_rename — the tmp -> final rename fails; the writer throws
+//                 CkptError and the previous file survives untouched.
+//   fail_fsync  — the data fsync fails (full disk, dying device); the
+//                 writer throws CkptError.
 //
 // Determinism: each connection gets its own SplitMix64 stream seeded from
-// (plan.seed, CAS_FAULT_SALT, connection ordinal), so a given plan replays
-// the same decisions for the same op interleaving — and per-class
-// process-wide caps (`max`) bound the blast radius regardless of
-// interleaving, which is what makes chaos schedules provably survivable
-// (a capped reset storm always leaves a clean retry attempt).
+// (plan.seed, CAS_FAULT_SALT, connection ordinal), and the accept and disk
+// schedules one stream each, so a given plan replays the same decisions for
+// the same op interleaving — and per-class process-wide caps (`max`) bound
+// the blast radius regardless of interleaving, which is what makes chaos
+// schedules provably survivable (a capped reset storm always leaves a
+// clean retry attempt).
 //
 // Disarmed cost: one relaxed atomic load and a predictable branch per I/O
-// call — no locks, no allocation, byte-identical behavior to the raw
-// syscalls. The serving bench guard (check_bench.py on BENCH_serve.json)
-// pins that the compiled-in-but-disarmed layer does not move sustained RPS.
+// call or checkpoint write — no locks, no allocation, byte-identical
+// behavior to the raw syscalls. The serving bench guard (check_bench.py on
+// BENCH_serve.json) pins that the compiled-in-but-disarmed layer does not
+// move sustained RPS.
 //
 // Environment contract (read by FaultInjector::arm_from_env, called from
 // tool mains):
@@ -48,8 +63,9 @@
 namespace cas::net {
 
 /// One fault class instance: fire with `prob` on ops inside
-/// [min_op, max_op] (per connection, per direction), at most `max` times
-/// process-wide, only in processes whose CAS_FAULT_SALT >= min_salt.
+/// [min_op, max_op] (per connection and direction, or per process for the
+/// accept and disk classes), at most `max` times process-wide, only in
+/// processes whose CAS_FAULT_SALT >= min_salt.
 struct FaultClass {
   double prob = 0.0;
   uint64_t max = std::numeric_limits<uint64_t>::max();
@@ -72,6 +88,9 @@ struct FaultPlan {
   std::vector<FaultClass> refuse_accept;
   std::vector<FaultClass> eintr;
   std::vector<FaultClass> eagain;
+  std::vector<FaultClass> torn_write;
+  std::vector<FaultClass> fail_rename;
+  std::vector<FaultClass> fail_fsync;
 
   /// Throws std::runtime_error on unknown keys or malformed fields.
   static FaultPlan parse(const util::Json& spec);
@@ -87,10 +106,16 @@ struct FaultStats {
   std::atomic<uint64_t> refusals{0};
   std::atomic<uint64_t> eintrs{0};
   std::atomic<uint64_t> eagains{0};
+  std::atomic<uint64_t> torn_writes{0};
+  std::atomic<uint64_t> failed_renames{0};
+  std::atomic<uint64_t> failed_fsyncs{0};
 
   [[nodiscard]] util::Json to_json() const;
   [[nodiscard]] uint64_t total() const;
 };
+
+/// What one checkpoint write has been scheduled to suffer.
+enum class DiskFault { kNone, kTornWrite, kFailRename, kFailFsync };
 
 class FaultInjector {
  public:
@@ -116,6 +141,9 @@ class FaultInjector {
   ssize_t send(int fd, const void* buf, size_t len, int flags);
   bool refuse_accept();
   void forget(int fd);
+  /// Consume one disk write-op index and draw its fate (first firing class
+  /// in torn_write, fail_rename, fail_fsync order wins).
+  DiskFault next_disk_write();
 
  private:
   struct ConnState {
@@ -129,9 +157,9 @@ class FaultInjector {
 
   FaultInjector() = default;
   ConnState& state_of(int fd);
-  /// Draw the firing decision for one window list; returns the window that
-  /// fired (consuming one unit of its cap) or nullptr.
-  FaultClass* draw(std::vector<FaultClass>& windows, ConnState& s, uint64_t op);
+  /// Draw the firing decision for one window list from `rng`; returns the
+  /// window that fired (consuming one unit of its cap) or nullptr.
+  FaultClass* draw(std::vector<FaultClass>& windows, core::SplitMix64& rng, uint64_t op);
 
   static std::atomic<FaultInjector*> g_active;
 
@@ -143,6 +171,8 @@ class FaultInjector {
   uint64_t next_ordinal_ = 0;
   core::SplitMix64 accept_rng_{0};
   uint64_t accept_ops_ = 0;
+  core::SplitMix64 disk_rng_{0};
+  uint64_t disk_ops_ = 0;
   std::map<const FaultClass*, uint64_t> fired_;
 };
 
@@ -154,6 +184,8 @@ ssize_t fault_send(int fd, const void* buf, size_t len, int flags);
 bool fault_refuse_accept();
 /// Drop per-connection state when an fd closes (fd numbers are reused).
 void fault_forget(int fd);
+/// The fault scheduled for this checkpoint write (kNone when disarmed).
+DiskFault fault_disk_write();
 [[nodiscard]] inline bool fault_armed() { return FaultInjector::active() != nullptr; }
 
 }  // namespace cas::net

@@ -185,6 +185,7 @@ std::optional<std::string> BlockingClient::recv_frame(double timeout_seconds) {
       eof_ = true;
       continue;  // drain any frame already buffered
     }
+    bytes_received_ += static_cast<uint64_t>(n);
     decoder_.feed(buf, static_cast<size_t>(n));
   }
 }
@@ -198,10 +199,6 @@ std::optional<util::Json> BlockingClient::recv_json(double timeout_seconds) {
     error_ = util::strf("bad JSON frame: %s", e.what());
     return std::nullopt;
   }
-}
-
-void BlockingClient::shutdown_write() {
-  if (fd_.valid()) ::shutdown(fd_.get(), SHUT_WR);
 }
 
 }  // namespace cas::net

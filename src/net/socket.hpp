@@ -3,7 +3,9 @@
 // plus BlockingClient, a deliberately simple synchronous peer (blocking
 // connect, frame-decoded receive with a poll() deadline) so tests and
 // cas_load exercise the event-loop server from the outside without
-// depending on the code under test.
+// depending on the code under test. BlockingClient is also the receive
+// path of a distributed member's communicator (dist::RankComm): its
+// rendezvous and its reader thread both receive through recv_frame.
 #pragma once
 
 #include <cstdint>
@@ -94,20 +96,21 @@ class BlockingClient {
   /// recv_frame + parse; a frame that fails to parse sets error().
   std::optional<util::Json> recv_json(double timeout_seconds);
 
-  /// Half-close: no more requests, but replies still flow.
-  void shutdown_write();
   void close() { fd_.reset(); }
 
   [[nodiscard]] bool connected() const { return fd_.valid(); }
   [[nodiscard]] int fd() const { return fd_.get(); }
   [[nodiscard]] const std::string& error() const { return error_; }
   [[nodiscard]] bool eof() const { return eof_; }
+  /// Bytes received over every connection of this client.
+  [[nodiscard]] uint64_t bytes_received() const { return bytes_received_; }
 
  private:
   Fd fd_;
   FrameDecoder decoder_;
   std::string error_;
   bool eof_ = false;
+  uint64_t bytes_received_ = 0;
 };
 
 }  // namespace cas::net

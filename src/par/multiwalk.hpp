@@ -8,9 +8,8 @@
 // atomic stop flag that the first solver raises (first win cancels the
 // rest), and run as fan_out() workers — chunks on a shared ThreadPool when
 // one is given, jthreads otherwise. Every strategy that races walkers
-// (sequential, multiwalk, portfolio, cooperative, and each rank's share of
-// a distributed run) goes through it; the elastic wave hands its segments
-// to the same fan_out().
+// (sequential, multiwalk, portfolio, cooperative) goes through it; the
+// elastic wave hands its segments to the same fan_out().
 #pragma once
 
 #include <atomic>

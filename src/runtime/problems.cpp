@@ -77,8 +77,15 @@ class AsResumableWalk final : public ResumableWalk {
 
   void restore(const WalkSnapshot& s) override {
     const int n = problem_.size();
-    if (static_cast<int>(s.config.size()) != n)
+    // These checks come before the replica moves: the engine indexes the
+    // tabu table by variable and checks its length only by assert, and it
+    // would replay a restart point behind the iteration count (which no
+    // real walk leaves) one missed restart at a time.
+    if (static_cast<int>(s.config.size()) != n ||
+        static_cast<int>(s.engine.tabu_until.size()) != n)
       throw std::invalid_argument("walk snapshot does not match the instance size");
+    if (s.engine.next_restart < s.engine.stats.iterations)
+      throw std::invalid_argument("walk snapshot restarts behind its iteration count");
     // Realign the replica's configuration to the snapshot through
     // apply_swap so the model's incremental bookkeeping stays valid. Every
     // registered model is a permutation of distinct values, so a

@@ -4,7 +4,10 @@
 // including a real SIGKILL mid-write — directory scanning/pruning, and the
 // property the whole elastic design rests on: a mid-walk snapshot restored
 // into a fresh walker continues the EXACT trajectory of the original,
-// regardless of how the iteration budget is segmented.
+// regardless of how the iteration budget is segmented. The readers reject
+// mistyped headers, non-u64 counters and malformed or mis-sized snapshots
+// with CkptError (or std::invalid_argument from restore), never another
+// exception or a walk past a table's end.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -18,7 +21,8 @@
 
 #include "core/stats.hpp"
 #include "dist/ckpt.hpp"
-#include "dist/disk_fault.hpp"
+#include "dist/wire.hpp"
+#include "net/fault.hpp"
 #include "runtime/problems.hpp"
 #include "runtime/strategy.hpp"
 
@@ -44,7 +48,7 @@ void write_file(const std::string& path, const std::string& bytes) {
 
 util::Json sample_payload() {
   util::Json j = util::Json::object();
-  j["epoch"] = u64_json(7);
+  j["epoch"] = wire_u64(7);
   j["note"] = "hello";
   util::Json arr = util::Json::array();
   for (int i = 0; i < 16; ++i) arr.push_back(i * i);
@@ -54,10 +58,56 @@ util::Json sample_payload() {
 
 TEST(CkptCodec, U64RoundTripsBeyondDoublePrecision) {
   const uint64_t big = (uint64_t{1} << 62) + 12345;  // not representable as double
-  EXPECT_EQ(u64_from(u64_json(big), "x"), big);
-  EXPECT_EQ(u64_from(u64_json(0), "x"), 0u);
-  EXPECT_EQ(u64_from(u64_json(UINT64_MAX), "x"), UINT64_MAX);
+  EXPECT_EQ(u64_from(wire_u64(big), "x"), big);
+  EXPECT_EQ(u64_from(wire_u64(0), "x"), 0u);
+  EXPECT_EQ(u64_from(wire_u64(UINT64_MAX), "x"), UINT64_MAX);
   EXPECT_THROW((void)u64_from(util::Json("not a number"), "x"), CkptError);
+}
+
+TEST(CkptCodec, U64RejectsWhatFramesRejectWithItsOwnErrorType) {
+  // One decimal-string rule for checkpoint files and frames: a sign, a
+  // blank, an overflow or a number outside [0, 2^64) is no counter, and
+  // each reader throws its own error type.
+  for (const char* bad : {R"("-1")", R"(" 5")", R"("+5")", R"("18446744073709551616")",
+                          R"("12x")", R"("")", "-1", "-0.5", "1e300", "1e999", "null", "[]"}) {
+    const util::Json v = util::Json::parse(bad);
+    EXPECT_THROW((void)u64_from(v, "x"), CkptError) << bad;
+    util::Json frame = util::Json::object();
+    frame["x"] = v;
+    EXPECT_THROW((void)frame_u64(frame, "x"), CommError) << bad;
+  }
+  EXPECT_EQ(u64_from(util::Json(7.0), "x"), 7u);  // hand-written plain numbers still read
+}
+
+TEST(CkptCodec, HeaderFieldsOfTheWrongTypeAreCkptErrors) {
+  // A header whose v is a string, whose crc is a number or whose bytes is
+  // no counter is rejected like any other damaged header — so the manifest
+  // reader still falls back to its predecessor.
+  const std::string dir = make_temp_dir();
+  const std::string body = sample_payload().dump(0);
+  char crc[32];
+  std::snprintf(crc, sizeof(crc), "%016llx", static_cast<unsigned long long>(fnv1a64(body)));
+  const auto header = [&](const char* v, const std::string& bytes, const std::string& c) {
+    return std::string(R"({"bytes":)") + bytes + R"(,"crc":)" + c + R"(,"v":)" + v + "}\n" + body;
+  };
+  const std::string good_crc = std::string("\"") + crc + "\"";
+  const std::string size = std::to_string(body.size());
+  for (const std::string& blob :
+       {header(R"("1")", size, good_crc), header("1", size, "12345"),
+        header("1", R"("abc")", good_crc), header("1", "-1", good_crc),
+        header("null", size, good_crc), std::string("[1,2]\n") + body}) {
+    write_file(dir + "/a.ckpt", blob);
+    EXPECT_THROW((void)read_ckpt_file(dir + "/a.ckpt"), CkptError) << blob.substr(0, 60);
+  }
+  write_file(dir + "/a.ckpt", header("1", size, good_crc));
+  EXPECT_EQ(read_ckpt_file(dir + "/a.ckpt").dump(0), body);
+
+  write_manifest_file(dir, sample_payload());
+  write_manifest_file(dir, sample_payload());  // the first becomes the predecessor
+  write_file(dir + "/" + std::string(kManifestFile), header(R"("1")", size, good_crc));
+  bool fell_back = false;
+  EXPECT_EQ(read_manifest_file(dir, &fell_back).dump(0), body);
+  EXPECT_TRUE(fell_back);
 }
 
 TEST(CkptCodec, FileRoundTrip) {
@@ -148,7 +198,7 @@ TEST(CkptCodec, WriterCrashNeverClobbersThePreviousCheckpoint) {
   EXPECT_EQ(read_ckpt_file(path).dump(0), good.dump(0));
   // The next writer simply replaces the leftover tmp.
   util::Json next = sample_payload();
-  next["epoch"] = u64_json(8);
+  next["epoch"] = wire_u64(8);
   write_ckpt_file(path, next);
   EXPECT_EQ(read_ckpt_file(path).dump(0), next.dump(0));
 }
@@ -298,26 +348,26 @@ TEST(CkptSnapshot, RestoredWalkerContinuesTheExactTrajectory) {
 // failure, or the leaked plan would sabotage later tests' writes.
 struct ArmedPlan {
   explicit ArmedPlan(const std::string& spec, uint64_t salt = 0) {
-    DiskFaultInjector::arm(DiskFaultPlan::parse(util::Json::parse(spec)), salt);
+    net::FaultInjector::arm(net::FaultPlan::parse(util::Json::parse(spec)), salt);
   }
-  ~ArmedPlan() { DiskFaultInjector::disarm(); }
+  ~ArmedPlan() { net::FaultInjector::disarm(); }
 };
 
 util::Json manifest_payload(uint64_t epoch) {
   util::Json j = sample_payload();
-  j["epoch"] = u64_json(epoch);
+  j["epoch"] = wire_u64(epoch);
   return j;
 }
 
 TEST(DiskFault, PlanRejectsUnknownClassesAndFields) {
-  EXPECT_NO_THROW(DiskFaultPlan::parse(util::Json::parse(
-      R"({"seed":7,"short_write":{"prob":1,"max":1},"fail_rename":[{"prob":0.5,"min_op":2,"max_op":9}]})")));
-  EXPECT_THROW(DiskFaultPlan::parse(util::Json::parse(R"({"torn_write":{"prob":1}})")),
-               std::runtime_error);
-  EXPECT_THROW(DiskFaultPlan::parse(util::Json::parse(R"({"short_write":{"chance":1}})")),
-               std::runtime_error);
-  EXPECT_THROW(DiskFaultPlan::parse(util::Json::parse(R"({"short_write":{"prob":1.5}})")),
-               std::runtime_error);
+  const auto parse = [](const char* text) {
+    return net::FaultPlan::parse(util::Json::parse(text));
+  };
+  EXPECT_NO_THROW(parse(
+      R"({"seed":7,"torn_write":{"prob":1,"max":1},"fail_rename":[{"prob":0.5,"min_op":2,"max_op":9}]})"));
+  EXPECT_THROW(parse(R"({"torn":{"prob":1}})"), std::runtime_error);
+  EXPECT_THROW(parse(R"({"torn_write":{"chance":1}})"), std::runtime_error);
+  EXPECT_THROW(parse(R"({"fail_fsync":{"prob":1.5}})"), std::runtime_error);
 }
 
 TEST(DiskFault, ManifestRotationKeepsThePredecessorCut) {
@@ -336,11 +386,11 @@ TEST(DiskFault, ShortWriteTearsTheManifestAndResumeFallsBack) {
   const std::string dir = make_temp_dir();
   write_manifest_file(dir, manifest_payload(5));  // the good predecessor cut
   {
-    ArmedPlan armed(R"({"seed":11,"short_write":{"prob":1,"max":1}})");
+    ArmedPlan armed(R"({"seed":11,"torn_write":{"prob":1,"max":1}})");
     // The torn write REPORTS SUCCESS — exactly the silent corruption a
     // crash mid-write leaves behind.
     EXPECT_NO_THROW(write_manifest_file(dir, manifest_payload(6)));
-    EXPECT_EQ(DiskFaultInjector::stats().short_writes.load(), 1u);
+    EXPECT_EQ(net::FaultInjector::stats().torn_writes.load(), 1u);
   }
   // The published manifest is torn; reading it directly must fail...
   EXPECT_THROW((void)read_ckpt_file(dir + "/" + std::string(kManifestFile)), CkptError);
@@ -367,7 +417,7 @@ TEST(DiskFault, FailRenameThrowsAndThePredecessorSurvives) {
           }
         },
         CkptError);
-    EXPECT_EQ(DiskFaultInjector::stats().failed_renames.load(), 1u);
+    EXPECT_EQ(net::FaultInjector::stats().failed_renames.load(), 1u);
   }
   // No tmp litter, and the rotated predecessor still resumes the world.
   EXPECT_FALSE(std::filesystem::exists(dir + "/" + std::string(kManifestFile) + ".tmp"));
@@ -394,7 +444,7 @@ TEST(DiskFault, FailFsyncThrowsAndLeavesTheOldFileAlone) {
           }
         },
         CkptError);
-    EXPECT_EQ(DiskFaultInjector::stats().failed_fsyncs.load(), 1u);
+    EXPECT_EQ(net::FaultInjector::stats().failed_fsyncs.load(), 1u);
   }
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   EXPECT_EQ(read_ckpt_file(path).dump(0), good.dump(0));
@@ -403,7 +453,7 @@ TEST(DiskFault, FailFsyncThrowsAndLeavesTheOldFileAlone) {
 TEST(DiskFault, OpWindowsAndMaxBoundTheSchedule) {
   const std::string dir = make_temp_dir();
   // Only write-op #1 (the second write) is eligible, at most once.
-  ArmedPlan armed(R"({"seed":3,"short_write":{"prob":1,"max":1,"min_op":1,"max_op":1}})");
+  ArmedPlan armed(R"({"seed":3,"torn_write":{"prob":1,"max":1,"min_op":1,"max_op":1}})");
   const std::string p0 = dir + "/w0.ckpt", p1 = dir + "/w1.ckpt", p2 = dir + "/w2.ckpt";
   write_ckpt_file(p0, manifest_payload(0));
   write_ckpt_file(p1, manifest_payload(1));
@@ -411,19 +461,83 @@ TEST(DiskFault, OpWindowsAndMaxBoundTheSchedule) {
   EXPECT_NO_THROW((void)read_ckpt_file(p0));
   EXPECT_THROW((void)read_ckpt_file(p1), CkptError);
   EXPECT_NO_THROW((void)read_ckpt_file(p2));
-  EXPECT_EQ(DiskFaultInjector::stats().short_writes.load(), 1u);
+  EXPECT_EQ(net::FaultInjector::stats().torn_writes.load(), 1u);
 }
 
 TEST(DiskFault, BothManifestsTornRethrowsThePrimaryDiagnosis) {
   const std::string dir = make_temp_dir();
   {
-    ArmedPlan armed(R"({"seed":5,"short_write":{"prob":1}})");  // every write torn
+    ArmedPlan armed(R"({"seed":5,"torn_write":{"prob":1}})");  // every write torn
     write_manifest_file(dir, manifest_payload(1));
     write_manifest_file(dir, manifest_payload(2));
   }
   bool fell_back = false;
   EXPECT_THROW((void)read_manifest_file(dir, &fell_back), CkptError);
   EXPECT_FALSE(fell_back);
+}
+
+TEST(CkptSnapshot, RestoreRejectsAShortTabuTableBeforeTouchingTheWalk) {
+  // A tabu table shorter than the instance would be read and written past
+  // its end by the engine's culprit selection (its length check is an
+  // assert, which NDEBUG builds drop): restore rejects it, and the walker
+  // it was meant for still starts and advances cleanly.
+  const auto factory = runtime::problem_registry()
+                           .at("costas", "problem")
+                           .make_resumable_walker(costas_request(17, 9));
+  auto a = factory(42);
+  a->begin();
+  a->advance(300, core::StopToken());
+  util::Json snap = walk_snapshot_to_json(a->snapshot());
+  snap["tabu"] = util::Json::parse(R"(["0","0","0"])");
+  const runtime::WalkSnapshot short_tabu = walk_snapshot_from_json(snap);
+  auto b = factory(42);
+  EXPECT_THROW(b->restore(short_tabu), std::invalid_argument);
+  b->begin();
+  b->advance(300, core::StopToken());
+  EXPECT_EQ(b->snapshot().config, a->snapshot().config);
+  EXPECT_EQ(b->snapshot().engine.rng, a->snapshot().engine.rng);
+}
+
+TEST(CkptSnapshot, RestoreRejectsARestartPointBehindTheIterationCount) {
+  // No real walk leaves its next restart behind its iteration count; the
+  // engine would replay the gap one restart at a time (with the default
+  // interval of 2^64 - 1 the point even steps back by one each time).
+  const auto factory = runtime::problem_registry()
+                           .at("costas", "problem")
+                           .make_resumable_walker(costas_request(13, 9));
+  auto a = factory(42);
+  a->begin();
+  a->advance(300, core::StopToken());
+  util::Json snap = walk_snapshot_to_json(a->snapshot());
+  snap["stats"]["iterations"] = wire_u64(uint64_t{1} << 41);
+  snap["next_restart"] = wire_u64(uint64_t{1} << 40);
+  EXPECT_THROW(factory(42)->restore(walk_snapshot_from_json(snap)), std::invalid_argument);
+  snap["next_restart"] = wire_u64(uint64_t{1} << 41);  // due now: allowed
+  EXPECT_NO_THROW(factory(42)->restore(walk_snapshot_from_json(snap)));
+}
+
+TEST(CkptSnapshot, MalformedFieldsAreCkptErrors) {
+  const auto factory = runtime::problem_registry()
+                           .at("costas", "problem")
+                           .make_resumable_walker(costas_request(12, 5));
+  auto a = factory(42);
+  a->begin();
+  a->advance(100, core::StopToken());
+  const util::Json snap = walk_snapshot_to_json(a->snapshot());
+  const auto with = [&](const std::string& key, const char* value) {
+    util::Json j = snap;
+    j[key] = util::Json::parse(value);
+    return j;
+  };
+  for (const util::Json& bad :
+       {with("config", R"("abc")"), with("config", "[1.5]"), with("config", "[1e300]"),
+        with("rng", R"(["1","2","3","-4"])"), with("tabu", "{}"), with("next_probe", "true"),
+        with("stats", "[]"), util::Json::parse("[]"), util::Json::parse(R"({"config":[]})")}) {
+    EXPECT_THROW((void)walk_snapshot_from_json(bad), CkptError) << bad.dump(0);
+  }
+  util::Json stats = snap.at("stats");
+  stats["solved"] = 1;
+  EXPECT_THROW((void)run_stats_from_json(stats), CkptError);
 }
 
 TEST(CkptSnapshot, RestoreRejectsWrongProblemSize) {

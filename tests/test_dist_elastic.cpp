@@ -16,7 +16,8 @@
 // join, a joiner's departure, a host death and a dropped connection between
 // hunts, with a drawn seed, after refused requests, and against another
 // hunt's stale frames; a fresh join answered with one hunt's outcome is not
-// carried into the next.
+// carried into the next, and a rejoin that arrives hunts late learns every
+// outcome it missed before the next opening admits it.
 //
 // Seeds are pinned to instances probed long enough for the membership event
 // under test to land strictly before the hunt completes (e.g. size-14
@@ -516,6 +517,56 @@ TEST(DistHunts, AFreshJoinAnsweredAtAFinalIsNotAdmittedIntoTheNextHunt) {
   EXPECT_TRUE(joiner.await("rebalance").is_null()) << "the joiner heard of hunt 2";
 }
 
+TEST(DistHunts, ARejoinAfterTwoFinishedHuntsLearnsBothOutcomesAndJoinsTheThird) {
+  // A member cut off late in hunt 1 whose rejoin arrives only after hunt 2
+  // has finished too is answered with one welcome and both finals in
+  // order — one for each of its next solves — and admitted at hunt 3's
+  // opening.
+  CoordinatorOptions co;
+  co.heartbeat_timeout_seconds = 0;
+  Coordinator coord(co);
+  test::FakeRank member(coord.port(), 0, 1);
+  ASSERT_FALSE(member.await("welcome").is_null());
+  for (uint64_t hunt = 1; hunt <= 2; ++hunt) {
+    coord.open_hunt(hunt, "hunt", kSeed, kWalkers, 0);
+    ASSERT_FALSE(member.await("rebalance").is_null());
+    util::Json report = make_epoch_base(0, hunt, 0);
+    report["done"] = true;
+    report["walkers"] = kWalkers;
+    report["solved"] = util::Json::array();
+    member.send(report);
+    const util::Json final_frame = member.await("rebalance");
+    ASSERT_FALSE(final_frame.is_null());
+    ASSERT_TRUE(frame_bool(final_frame, "final", false));
+  }
+  test::FakeRank rejoiner(coord.port(), make_join("hunt", 1));
+  const util::Json welcome = rejoiner.await("welcome");
+  ASSERT_FALSE(welcome.is_null()) << "the rejoin was refused";
+  EXPECT_EQ(frame_int(welcome, "rank"), -1);
+  for (uint64_t hunt = 1; hunt <= 2; ++hunt) {
+    const util::Json outcome = rejoiner.await("rebalance");
+    ASSERT_FALSE(outcome.is_null()) << "hunt " << hunt;
+    EXPECT_EQ(frame_u64(outcome, "hunt"), hunt);
+    EXPECT_TRUE(frame_bool(outcome, "final", false));
+    EXPECT_EQ(frame_int(outcome, "your_rank"), -1);
+  }
+
+  coord.open_hunt(3, "three", kSeed, kWalkers, 0);
+  const util::Json admitted = rejoiner.await("welcome");
+  ASSERT_FALSE(admitted.is_null());
+  EXPECT_EQ(frame_int(admitted, "rank"), 1);
+  const util::Json opening = rejoiner.await("rebalance");
+  ASSERT_FALSE(opening.is_null());
+  EXPECT_EQ(frame_u64(opening, "hunt"), 3u);
+  EXPECT_FALSE(frame_bool(opening, "final", false));
+  EXPECT_EQ(frame_int(opening, "ranks"), 2);
+  EXPECT_EQ(frame_int(opening, "your_rank"), 1);
+  const util::Json host_opening = member.await("rebalance");
+  ASSERT_FALSE(host_opening.is_null());
+  EXPECT_EQ(frame_int(host_opening, "ranks"), 2);
+  coord.stop();
+}
+
 TEST(DistElasticWire, AJoinOnAMemberConnectionDropsThatMember) {
   // One handshake per connection: a member that says join is dropped (and
   // evicted) at once, so no stale connection waits among the joiners for
@@ -841,6 +892,9 @@ TEST(DistElasticWire, MalformedSolvedFramesAbortTheWorldWithAReason) {
     coord.open_hunt(1, "hunt", 1, kWalkers, 0);
     test::FakeRank fake(coord.port(), 0, 1);
     ASSERT_FALSE(fake.await("welcome").is_null());
+    // A member solves only after the opening; a solve the coordinator reads
+    // before it opens the hunt belongs to no hunt and is dropped.
+    ASSERT_FALSE(fake.await("rebalance").is_null());
     fake.send(bad);
     const util::Json abort = fake.await("abort");
     ASSERT_FALSE(abort.is_null()) << reason;

@@ -3,18 +3,23 @@
 // disarmed-is-inert guarantee, per-class semantics over a real socketpair
 // (short reads/writes reassembling through the frame codec, EINTR/EAGAIN
 // storms absorbed by the I/O helpers, resets killing both directions,
-// corruption flipping exactly one bit, accept refusals honoring caps), and
-// schedule determinism across re-arms — the property the chaos driver's
-// reproducibility stands on.
+// corruption flipping exactly one bit, accept refusals honoring caps), the
+// disk classes' one draw per checkpoint write, and schedule determinism
+// across re-arms — the property the chaos driver's reproducibility stands
+// on — including a wire schedule pinned from before the disk classes joined
+// the plan.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "net/fault.hpp"
@@ -56,7 +61,10 @@ TEST_F(FaultLayer, PlanParseAcceptsFullSchemaAndWindowArrays) {
     "seed": 42,
     "short_read": {"prob": 0.5, "max": 10, "min_op": 2, "max_op": 8, "min_salt": 1},
     "latency": [{"prob": 1.0, "ms": 3.5}, {"prob": 0.25, "ms": 10, "max_op": 4}],
-    "eintr": {"prob": 0.1, "burst": 3}
+    "eintr": {"prob": 0.1, "burst": 3},
+    "torn_write": {"prob": 1.0, "max": 2, "min_op": 5},
+    "fail_rename": [{"prob": 0.5}, {"prob": 1.0, "min_salt": 2}],
+    "fail_fsync": {"prob": 0.25, "max_op": 3}
   })");
   EXPECT_EQ(p.seed, 42u);
   ASSERT_EQ(p.short_read.size(), 1u);
@@ -71,6 +79,14 @@ TEST_F(FaultLayer, PlanParseAcceptsFullSchemaAndWindowArrays) {
   ASSERT_EQ(p.eintr.size(), 1u);
   EXPECT_EQ(p.eintr[0].burst, 3);
   EXPECT_TRUE(p.reset.empty());
+  ASSERT_EQ(p.torn_write.size(), 1u);
+  EXPECT_EQ(p.torn_write[0].max, 2u);
+  EXPECT_EQ(p.torn_write[0].min_op, 5u);
+  ASSERT_EQ(p.fail_rename.size(), 2u);
+  EXPECT_DOUBLE_EQ(p.fail_rename[0].prob, 0.5);
+  EXPECT_EQ(p.fail_rename[1].min_salt, 2u);
+  ASSERT_EQ(p.fail_fsync.size(), 1u);
+  EXPECT_EQ(p.fail_fsync[0].max_op, 3u);
 }
 
 TEST_F(FaultLayer, PlanParseRejectsUnknownKeysAndBadFields) {
@@ -80,6 +96,8 @@ TEST_F(FaultLayer, PlanParseRejectsUnknownKeysAndBadFields) {
   EXPECT_THROW(plan_of(R"({"reset": {"probability": 1.0}})"), std::runtime_error);
   EXPECT_THROW(plan_of(R"({"reset": {"prob": 1.5}})"), std::runtime_error);
   EXPECT_THROW(plan_of(R"({"eintr": {"prob": 0.5, "burst": 0}})"), std::runtime_error);
+  EXPECT_THROW(plan_of(R"({"torn": {"prob": 1.0}})"), std::runtime_error);
+  EXPECT_THROW(plan_of(R"({"fail_fsync": {"prob": -0.1}})"), std::runtime_error);
   EXPECT_THROW(plan_of(R"([1, 2, 3])"), std::runtime_error);
 }
 
@@ -124,6 +142,7 @@ TEST_F(FaultLayer, DisarmedHooksAreTheRawSyscalls) {
   ASSERT_EQ(n, static_cast<ssize_t>(msg.size()));
   EXPECT_EQ(std::string(buf, static_cast<size_t>(n)), msg);
   EXPECT_FALSE(fault_refuse_accept());
+  EXPECT_EQ(fault_disk_write(), DiskFault::kNone);
   EXPECT_EQ(FaultInjector::stats().total(), 0u);
 }
 
@@ -289,15 +308,110 @@ TEST_F(FaultLayer, SchedulesReplayIdenticallyAcrossRearms) {
 }
 
 TEST_F(FaultLayer, StatsJsonCarriesEveryCounter) {
-  FaultInjector::arm(plan_of(R"({"seed": 2, "refuse_accept": {"prob": 1.0, "max": 3}})"));
+  FaultInjector::arm(plan_of(
+      R"({"seed": 2, "refuse_accept": {"prob": 1.0, "max": 3}, "fail_fsync": {"prob": 1.0}})"));
   (void)fault_refuse_accept();
   (void)fault_refuse_accept();
+  EXPECT_EQ(fault_disk_write(), DiskFault::kFailFsync);
   const util::Json j = FaultInjector::stats().to_json();
   ASSERT_TRUE(j.is_object());
   EXPECT_EQ(j.at("refusals").as_int(), 2);
+  EXPECT_EQ(j.at("failed_fsyncs").as_int(), 1);
   for (const char* key : {"short_reads", "short_writes", "latencies", "resets", "corruptions",
-                          "eintrs", "eagains"})
+                          "eintrs", "eagains", "torn_writes", "failed_renames"})
     EXPECT_EQ(j.at(key).as_int(), 0) << key;
+  EXPECT_EQ(j.as_object().size(), 11u);
+  EXPECT_EQ(FaultInjector::stats().total(), 3u);
+}
+
+TEST_F(FaultLayer, DiskWritesDrawOneOpEachInClassOrderAndReplayAcrossRearms) {
+  // One write-op index per call: a window on op 1 fires on the second call
+  // only, and when two classes fire on one op the first in torn_write,
+  // fail_rename, fail_fsync order wins.
+  FaultInjector::arm(plan_of(R"({"seed": 4, "torn_write": {"prob": 1.0, "min_op": 1, "max_op": 1},
+                                 "fail_rename": {"prob": 1.0, "min_op": 1, "max": 2}})"));
+  EXPECT_EQ(fault_disk_write(), DiskFault::kNone);
+  EXPECT_EQ(fault_disk_write(), DiskFault::kTornWrite);
+  EXPECT_EQ(fault_disk_write(), DiskFault::kFailRename);
+  EXPECT_EQ(fault_disk_write(), DiskFault::kFailRename);
+  EXPECT_EQ(fault_disk_write(), DiskFault::kNone);  // cap of 2 spent
+  EXPECT_EQ(FaultInjector::stats().torn_writes.load(), 1u);
+  EXPECT_EQ(FaultInjector::stats().failed_renames.load(), 2u);
+
+  // The same plan and salt replay the same fates; another salt draws
+  // another schedule (distinct per-process schedules inside one world).
+  const std::string plan =
+      R"({"seed": 77, "torn_write": {"prob": 0.2}, "fail_rename": {"prob": 0.2},
+          "fail_fsync": {"prob": 0.2}})";
+  auto fates = [&](uint64_t salt) {
+    FaultInjector::arm(plan_of(plan), salt);
+    std::vector<DiskFault> out;
+    for (int i = 0; i < 64; ++i) out.push_back(fault_disk_write());
+    return out;
+  };
+  const std::vector<DiskFault> a = fates(6);
+  EXPECT_EQ(FaultInjector::stats().total(),
+            static_cast<uint64_t>(64 - std::count(a.begin(), a.end(), DiskFault::kNone)));
+  EXPECT_GT(FaultInjector::stats().torn_writes.load(), 0u);
+  EXPECT_GT(FaultInjector::stats().failed_renames.load(), 0u);
+  EXPECT_GT(FaultInjector::stats().failed_fsyncs.load(), 0u);
+  EXPECT_EQ(fates(6), a);
+  EXPECT_NE(fates(7), a);
+}
+
+TEST_F(FaultLayer, WireOnlyPlanDrawsThePinnedScheduleAndDiskDrawsLeaveItAlone) {
+  // The expected chunks and flipped offsets were recorded before the disk
+  // classes joined the plan: a wire-only plan still draws that schedule,
+  // and disk classes with writes interleaved move no wire decision.
+  const std::string wire_plan =
+      R"("seed": 1812, "short_read": {"prob": 0.4}, "short_write": {"prob": 0.3},
+         "corrupt": {"prob": 0.2, "max": 2})";
+  auto run = [&](const std::string& plan, bool with_disk_writes) {
+    FaultInjector::arm(plan_of("{" + plan + "}"), /*salt=*/6);
+    SocketPair sp;
+    const std::string blob(1024, 'd');
+    std::vector<size_t> sent, got, flipped;
+    for (size_t off = 0; off < blob.size();) {
+      if (with_disk_writes) (void)fault_disk_write();
+      const ssize_t n =
+          fault_send(sp.fds[0], blob.data() + off, std::min<size_t>(64, blob.size() - off), 0);
+      EXPECT_GT(n, 0);
+      if (n <= 0) break;
+      sent.push_back(static_cast<size_t>(n));
+      off += static_cast<size_t>(n);
+    }
+    std::string received;
+    char buf[32];
+    while (received.size() < blob.size()) {
+      if (with_disk_writes) (void)fault_disk_write();
+      const ssize_t n = fault_recv(sp.fds[1], buf, sizeof(buf), 0);
+      EXPECT_GT(n, 0);
+      if (n <= 0) break;
+      got.push_back(static_cast<size_t>(n));
+      received.append(buf, static_cast<size_t>(n));
+    }
+    for (size_t i = 0; i < received.size(); ++i)
+      if (received[i] != 'd') flipped.push_back(i);
+    return std::make_tuple(sent, got, flipped);
+  };
+  const std::vector<size_t> want_sent = {64, 64, 1,  64, 4, 64, 64, 1,  64, 6,
+                                         64, 64, 4,  2,  2, 7,  2,  5,  3,  64,
+                                         64, 64, 64, 4,  64, 2, 64, 5,  64, 16};
+  const std::vector<size_t> want_got = {32, 32, 6,  32, 32, 32, 6, 3,  32, 32, 32, 32,
+                                        2,  32, 32, 32, 3,  32, 1, 32, 32, 32, 32, 4,
+                                        6,  3,  6,  32, 4,  32, 32, 32, 32, 5, 32, 32,
+                                        5,  32, 5,  32, 32, 32, 6,  1,  32, 2, 28};
+  const std::vector<size_t> want_flipped = {65, 139};
+  const auto wire_only = run(wire_plan, false);
+  EXPECT_EQ(std::get<0>(wire_only), want_sent);
+  EXPECT_EQ(std::get<1>(wire_only), want_got);
+  EXPECT_EQ(std::get<2>(wire_only), want_flipped);
+  const auto with_disk = run(
+      wire_plan + R"(, "torn_write": {"prob": 0.5}, "fail_rename": {"prob": 0.5},
+                      "fail_fsync": {"prob": 0.5})",
+      true);
+  EXPECT_GT(FaultInjector::stats().torn_writes.load(), 0u);
+  EXPECT_EQ(with_disk, wire_only);
 }
 
 }  // namespace

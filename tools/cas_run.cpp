@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "dist/disk_fault.hpp"
 #include "dist/elastic.hpp"
 #include "dist/world.hpp"
 #include "net/fault.hpp"
@@ -375,9 +374,8 @@ int main(int argc, char** argv) {
   // connection), never as process death.
   std::signal(SIGPIPE, SIG_IGN);
   // Deterministic wire/disk fault injection (chaos runs): inert unless
-  // CAS_FAULT_PLAN / CAS_DISK_FAULT_PLAN are set in the environment.
+  // CAS_FAULT_PLAN is set in the environment.
   net::FaultInjector::arm_from_env();
-  dist::DiskFaultInjector::arm_from_env();
 
   util::Json doc = util::Json::object();
   doc["provenance"] = util::build_provenance();

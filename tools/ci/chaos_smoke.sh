@@ -67,16 +67,16 @@ mkdir -p "$OUT/ckpt_kc"
     --extra "--ckpt-dir=$OUT/ckpt_kc" --out-dir="$OUT/chaos_kc"
 python3 tools/check_report.py "$S13" "$OUT/chaos_kc/kill-coordinator.json"
 
-# Seeded DISK faults (CAS_DISK_FAULT_PLAN): the host's final manifest
-# write is silently truncated mid-blob — the classic power-loss torn file,
-# reported as success to the writer. The resume must detect the damage
+# Seeded DISK faults (CAS_FAULT_PLAN's torn_write class): the host's final
+# manifest write is silently truncated mid-blob — the classic power-loss
+# torn file, reported as success to the writer. The resume must detect the damage
 # (header/CRC), fall back to the rotated manifest.prev.ckpt cut, and still
 # land the pinned winner. resume_fell_back proves the fallback actually
 # engaged (a plan that misfires would leave the manifest intact and pass
 # vacuously).
 step "Torn manifest write falls back to the predecessor cut"
 mkdir -p "$OUT/ckpt_torn"
-CAS_DISK_FAULT_PLAN='{"seed":9,"short_write":{"prob":1,"min_op":5}}' \
+CAS_FAULT_PLAN='{"seed":9,"torn_write":{"prob":1,"min_op":5}}' \
 "$CAS_RUN" --scenario="$S13" --ranks=2 --ckpt-dir="$OUT/ckpt_torn" --max-epochs=3 \
     --out="$OUT/torn_preempt.json"
 "$CAS_RUN" --scenario="$S13" --ranks=2 --resume="$OUT/ckpt_torn" --out="$OUT/torn_resume.json"
