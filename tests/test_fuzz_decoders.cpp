@@ -13,11 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <optional>
 #include <string>
 #include <utility>
@@ -27,71 +24,16 @@
 #include "core/rng.hpp"
 #include "dist/ckpt.hpp"
 #include "dist/wire.hpp"
+#include "fuzz_support.hpp"
 #include "net/frame.hpp"
 #include "runtime/problems.hpp"
 #include "runtime/strategy.hpp"
 
-namespace {
-
-/// Largest single allocation any input may cause; a request past it fails
-/// with std::bad_alloc before touching memory and is counted.
-constexpr std::size_t kAllocationCeiling = std::size_t{64} << 20;
-std::atomic<int> g_oversized{0};
-
-}  // namespace
-
-void* operator new(std::size_t bytes) {
-  if (bytes > kAllocationCeiling) {
-    g_oversized.fetch_add(1, std::memory_order_relaxed);
-    throw std::bad_alloc();
-  }
-  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-
 namespace cas {
 namespace {
 
-/// Bytes that move a JSON parser between states.
-constexpr char kAlphabet[] = "{}[]:,\"\\-+.0123456789eE tfnul\n";
-
-/// Extremes for one field, as JSON text.
-const std::vector<std::string> kExtremes{
-    "0",      "-1",     "1",         "2147483647", "-2147483648", "9007199254740993", "1e308",
-    "-1e308", "0.5",    "1e999",     "\"18446744073709551615\"",  "\"18446744073709551616\"",
-    "\"-5\"", "\"\"",   "\"abc\"",   "null",       "true",        "[]",               "{}",
-    "[[[[[[]]]]]]"};
-
-/// One to four byte edits: overwrite, insert, delete, duplicate, truncate.
-std::string mutate(std::string s, core::Rng& rng) {
-  const int edits = 1 + static_cast<int>(rng.below(4));
-  for (int e = 0; e < edits; ++e) {
-    const size_t at = s.empty() ? 0 : rng.below(s.size());
-    switch (rng.below(5)) {
-      case 0:
-        if (!s.empty()) s[at] = static_cast<char>(rng.below(256));
-        break;
-      case 1:
-        s.insert(at, 1, kAlphabet[rng.below(sizeof(kAlphabet) - 1)]);
-        break;
-      case 2:
-        if (!s.empty()) s.erase(at, 1 + rng.below(8));
-        break;
-      case 3:
-        if (!s.empty()) s.insert(at, s.substr(at, 1 + rng.below(16)));
-        break;
-      default:
-        s.resize(at);
-        break;
-    }
-  }
-  return s;
-}
-
 util::Json extreme(core::Rng& rng) {
-  return util::Json::parse(kExtremes[rng.below(kExtremes.size())]);
+  return util::Json::parse(fuzz::kFieldExtremes[rng.below(fuzz::kFieldExtremes.size())]);
 }
 
 std::string read_file(const std::string& path) {
@@ -176,7 +118,7 @@ TEST(FuzzDecoders, FrameDecoderDecodesOrRejectsEveryMutatedStream) {
         break;
       }
       default:
-        bad = mutate(bad, rng);
+        bad = fuzz::mutate(bad, rng);
         break;
     }
     const auto got = decode(bad, max_frame, rng);
@@ -189,7 +131,7 @@ TEST(FuzzDecoders, FrameDecoderDecodesOrRejectsEveryMutatedStream) {
       ++rejected;
     }
   }
-  EXPECT_EQ(g_oversized.load(), 0);
+  EXPECT_EQ(fuzz::g_oversized.load(), 0);
   EXPECT_GT(decoded, 0);
   EXPECT_GT(rejected, 0);
 }
@@ -218,7 +160,7 @@ std::string mutated_file(const std::string& blob, core::Rng& rng) {
   const std::string body = blob.substr(nl + 1);
   switch (rng.below(5)) {
     case 0:
-      return mutate(header, rng) + "\n" + body;
+      return fuzz::mutate(header, rng) + "\n" + body;
     case 1: {
       util::Json h = util::Json::parse(header);
       const char* keys[] = {"v", "bytes", "crc"};
@@ -227,11 +169,11 @@ std::string mutated_file(const std::string& blob, core::Rng& rng) {
     }
     case 2: {
       util::Json h = util::Json::parse(header);
-      h["crc"] = mutate(h.at("crc").as_string(), rng);
+      h["crc"] = fuzz::mutate(h.at("crc").as_string(), rng);
       return h.dump(0) + "\n" + body;
     }
     case 3: {
-      const std::string bad = mutate(body, rng);
+      const std::string bad = fuzz::mutate(body, rng);
       char crc[32];
       std::snprintf(crc, sizeof(crc), "%016llx",
                     static_cast<unsigned long long>(dist::fnv1a64(bad)));
@@ -241,7 +183,7 @@ std::string mutated_file(const std::string& blob, core::Rng& rng) {
       return h.dump(0) + "\n" + bad;
     }
     default:
-      return mutate(blob, rng);
+      return fuzz::mutate(blob, rng);
   }
 }
 
@@ -290,7 +232,7 @@ TEST(FuzzDecoders, CheckpointReadersDecodeOrThrowCkptError) {
       ADD_FAILURE() << "untyped " << e.what() << " for: " << bad.substr(0, 160);
     }
   }
-  EXPECT_EQ(g_oversized.load(), 0);
+  EXPECT_EQ(fuzz::g_oversized.load(), 0);
   EXPECT_GT(decoded, 0);
   EXPECT_GT(rejected, 0);
   EXPECT_GT(fell_back, 0);
@@ -361,7 +303,7 @@ TEST(FuzzDecoders, WalkerSnapshotsRestoreOrAreRejectedWithATypedError) {
     util::Json input;
     if (rng.below(4) == 0) {
       try {
-        input = util::Json::parse(mutate(snap.dump(0), rng));
+        input = util::Json::parse(fuzz::mutate(snap.dump(0), rng));
       } catch (const std::exception&) {
         continue;  // not JSON: the container reader's payload check rejects it
       }
@@ -386,7 +328,7 @@ TEST(FuzzDecoders, WalkerSnapshotsRestoreOrAreRejectedWithATypedError) {
     walk->advance(64, core::StopToken());
     EXPECT_LE(walk->stats().iterations - before, 64u) << input.dump(0).substr(0, 200);
   }
-  EXPECT_EQ(g_oversized.load(), 0);
+  EXPECT_EQ(fuzz::g_oversized.load(), 0);
   EXPECT_GT(restored, 0);
   EXPECT_GT(rejected, 0);
 }

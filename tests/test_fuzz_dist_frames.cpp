@@ -10,11 +10,8 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <optional>
 #include <string>
 #include <thread>
@@ -26,77 +23,25 @@
 #include "dist/rank_comm.hpp"
 #include "dist/wire.hpp"
 #include "fake_rank.hpp"
+#include "fuzz_support.hpp"
 #include "net/frame_io.hpp"
 #include "net/socket.hpp"
-
-namespace {
-
-/// Largest single allocation any input may cause; a request past it fails
-/// with std::bad_alloc before touching memory and is counted.
-constexpr std::size_t kAllocationCeiling = std::size_t{64} << 20;
-std::atomic<int> g_oversized{0};
-
-}  // namespace
-
-void* operator new(std::size_t bytes) {
-  if (bytes > kAllocationCeiling) {
-    g_oversized.fetch_add(1, std::memory_order_relaxed);
-    throw std::bad_alloc();
-  }
-  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace cas::dist {
 namespace {
 
 constexpr int kWalkers = 4;
 
-/// Bytes that move a JSON parser between states.
-constexpr char kAlphabet[] = "{}[]:,\"\\-+.0123456789eE tfnul";
-
-/// Extremes for one field, as JSON text.
-const std::vector<std::string> kExtremes{
-    "0",   "-1",     "1",        "2147483647", "-2147483648", "9007199254740993", "1e308",
-    "-1e308", "0.5", "1e999",    "\"18446744073709551615\"",  "\"18446744073709551616\"",
-    "\"-5\"", "\"\"", "\"abc\"", "null",       "true",        "[]",  "{}", "[[[[[[]]]]]]"};
-
-std::string mutate(std::string s, core::Rng& rng) {
-  const int edits = 1 + static_cast<int>(rng.below(4));
-  for (int e = 0; e < edits; ++e) {
-    const size_t at = s.empty() ? 0 : rng.below(s.size());
-    switch (rng.below(5)) {
-      case 0:  // overwrite with any byte
-        if (!s.empty()) s[at] = static_cast<char>(rng.below(256));
-        break;
-      case 1:  // insert a structural byte
-        s.insert(at, 1, kAlphabet[rng.below(sizeof(kAlphabet) - 1)]);
-        break;
-      case 2:  // delete a span
-        if (!s.empty()) s.erase(at, 1 + rng.below(8));
-        break;
-      case 3:  // duplicate a span
-        if (!s.empty()) s.insert(at, s.substr(at, 1 + rng.below(16)));
-        break;
-      default:  // truncate
-        s.resize(at);
-        break;
-    }
-  }
-  return s;
-}
-
 /// A byte mutation of `frame`, or the frame with one field (type excluded)
 /// set to an extreme.
 std::string mutated(const util::Json& frame, core::Rng& rng) {
-  if (rng.below(2) == 0) return mutate(frame.dump(0), rng);
+  if (rng.below(2) == 0) return fuzz::mutate(frame.dump(0), rng);
   util::Json j = frame;
   std::vector<std::string> keys;
   for (const auto& [key, value] : j.as_object())
     if (key != "type") keys.push_back(key);
-  j[keys[rng.below(keys.size())]] = util::Json::parse(kExtremes[rng.below(kExtremes.size())]);
+  const std::string& extreme = fuzz::kFieldExtremes[rng.below(fuzz::kFieldExtremes.size())];
+  j[keys[rng.below(keys.size())]] = util::Json::parse(extreme);
   return j.dump(0);
 }
 
@@ -204,7 +149,7 @@ TEST(FuzzDistFrames, MutatedMemberFramesAreAcceptedDroppedOrAbortTheWorld) {
       EXPECT_NE(probe(fresh).find("version mismatch"), std::string::npos) << input;
     }
   }
-  EXPECT_EQ(g_oversized.load(), 0);
+  EXPECT_EQ(fuzz::g_oversized.load(), 0);
   EXPECT_GT(accepted, 0);
   EXPECT_GT(dropped, 0);
   EXPECT_GT(aborted, 0);
@@ -295,7 +240,7 @@ TEST(FuzzDistFrames, MutatedCoordinatorFramesAreAcceptedOrFailTheCommunicator) {
     comm->on_leader(1, nullptr);
     comm->finalize();
   }
-  EXPECT_EQ(g_oversized.load(), 0);
+  EXPECT_EQ(fuzz::g_oversized.load(), 0);
   EXPECT_GT(accepted, 0);
   EXPECT_GT(failed, 0);
 }

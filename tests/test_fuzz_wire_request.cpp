@@ -8,37 +8,15 @@
 // instance of the requested size.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "core/rng.hpp"
+#include "fuzz_support.hpp"
 #include "runtime/cost_model.hpp"
 #include "runtime/problems.hpp"
 #include "runtime/strategy.hpp"
-
-namespace {
-
-/// Largest single allocation any input may cause; a request past it fails
-/// with std::bad_alloc before touching memory and is counted.
-constexpr std::size_t kAllocationCeiling = std::size_t{64} << 20;
-std::atomic<int> g_oversized{0};
-
-}  // namespace
-
-void* operator new(std::size_t bytes) {
-  if (bytes > kAllocationCeiling) {
-    g_oversized.fetch_add(1, std::memory_order_relaxed);
-    throw std::bad_alloc();
-  }
-  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace cas::runtime {
 namespace {
@@ -68,9 +46,6 @@ const std::vector<std::string> kExtremes{
     "4294967297", "9007199254740992",         "1e308",      "-1e308",      "1e-308",
     "0.5",        "1e999",      "\"18446744073709551615\"", "\"99999999999999999999999\"",
     "\"-5\"",     "\"abc\"",    "null",       "true",       "[]",          "{}"};
-
-/// Bytes that move a JSON parser between states.
-constexpr char kAlphabet[] = "{}[]:,\"\\-+.0123456789eE tfnul";
 
 struct Tally {
   int rejected = 0;
@@ -103,38 +78,13 @@ void drive(const std::string& text, CostModel& model, Tally& tally) {
   EXPECT_GT(est.iterations_per_second, 0.0) << text;
 }
 
-std::string mutate(std::string s, core::Rng& rng) {
-  const int edits = 1 + static_cast<int>(rng.below(4));
-  for (int e = 0; e < edits; ++e) {
-    const size_t at = s.empty() ? 0 : rng.below(s.size());
-    switch (rng.below(5)) {
-      case 0:  // overwrite with any byte
-        if (!s.empty()) s[at] = static_cast<char>(rng.below(256));
-        break;
-      case 1:  // insert a structural byte
-        s.insert(at, 1, kAlphabet[rng.below(sizeof(kAlphabet) - 1)]);
-        break;
-      case 2:  // delete a span
-        if (!s.empty()) s.erase(at, 1 + rng.below(8));
-        break;
-      case 3:  // duplicate a span
-        if (!s.empty()) s.insert(at, s.substr(at, 1 + rng.below(16)));
-        break;
-      default:  // truncate
-        s.resize(at);
-        break;
-    }
-  }
-  return s;
-}
-
 TEST(FuzzWireRequest, ByteMutationsRejectOrPriceFinitely) {
   core::Rng rng(0x5E7F00D);
   CostModel model;
   Tally tally;
   for (int i = 0; i < 20000; ++i)
-    drive(mutate(kSeeds[rng.below(kSeeds.size())], rng), model, tally);
-  EXPECT_EQ(g_oversized.load(), 0);
+    drive(fuzz::mutate(kSeeds[rng.below(kSeeds.size())], rng), model, tally);
+  EXPECT_EQ(fuzz::g_oversized.load(), 0);
   EXPECT_GT(tally.rejected, 0);
   EXPECT_GT(tally.priced, 0);
   // Only the Costas sizes up to the cap can ever be probed.
@@ -158,7 +108,7 @@ TEST(FuzzWireRequest, NumericExtremesRejectOrPriceFinitely) {
       }
     }
   }
-  EXPECT_EQ(g_oversized.load(), 0);
+  EXPECT_EQ(fuzz::g_oversized.load(), 0);
   EXPECT_GT(tally.rejected, 0);
   EXPECT_GT(tally.priced, 0);
 }
@@ -184,7 +134,7 @@ TEST(FuzzWireRequest, OversizedRequestsAreTypedRejectionsNamingTheLimit) {
         << problem;
   EXPECT_NE(rejection(R"({"problem":"costas","size":4294967297})").find("out of range"),
             std::string::npos);
-  EXPECT_EQ(g_oversized.load(), 0);
+  EXPECT_EQ(fuzz::g_oversized.load(), 0);
 }
 
 }  // namespace
