@@ -2,12 +2,16 @@
 // schedule (deterministic seeded jitter inside the documented envelope,
 // exhaustion after max_attempts), the CAS_FAULT_NO_RETRY kill switch, a
 // client connect that outlives a late-binding listener, and the RankComm
-// rendezvous retry against a coordinator whose first accept is refused by
-// an injected fault — counted in the comm's own stats.
+// rendezvous rules: a retry against a coordinator whose first accept is
+// refused by an injected fault — counted in the comm's own stats — a quiet
+// attempt window that retries without spending backoff, and an abort that
+// is final.
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <string>
@@ -16,6 +20,7 @@
 
 #include "dist/coordinator.hpp"
 #include "dist/rank_comm.hpp"
+#include "fake_rank.hpp"
 #include "net/fault.hpp"
 #include "net/retry.hpp"
 #include "net/socket.hpp"
@@ -168,6 +173,77 @@ TEST_F(RetryTest, NoRetryTurnsTheRefusedAcceptFatal) {
   o.connect_timeout_seconds = 10.0;
   EXPECT_THROW(dist::RankComm comm(o), dist::CommError);
   coord.stop();
+}
+
+/// A listener for a test to play the coordinator on, accepting by hand.
+struct FakeListener {
+  Fd fd;
+  uint16_t port = 0;
+  FakeListener() {
+    std::string err;
+    fd = listen_tcp("127.0.0.1", 0, 4, err);
+    EXPECT_TRUE(fd.valid()) << err;
+    port = local_port(fd.get());
+  }
+  /// The next connection, or an invalid Fd when none arrives in `ms`.
+  Fd accept_within(int ms) {
+    pollfd pfd{fd.get(), POLLIN, 0};
+    if (::poll(&pfd, 1, ms) <= 0) return Fd{};
+    return Fd(::accept(fd.get(), nullptr, nullptr));
+  }
+};
+
+TEST_F(RetryTest, QuietWelcomeWindowRetriesWithoutSpendingBackoff) {
+  // A coordinator that reads the hello and answers nothing (still waiting
+  // on other ranks, say) costs the member one attempt window, not a
+  // backoff attempt: with no backoff budget at all the second attempt's
+  // welcome still lands.
+  FakeListener coordinator;
+  std::jthread serve([&] {
+    {
+      dist::test::FakeRank first(coordinator.accept_within(10000));
+      ASSERT_FALSE(first.await("hello").is_null());
+      (void)first.await("never");  // silent until the member hangs up
+    }
+    dist::test::FakeRank second(coordinator.accept_within(10000));
+    ASSERT_FALSE(second.await("hello").is_null());
+    second.send(dist::make_welcome(0, 1));
+    (void)second.await("bye");
+  });
+  dist::RankCommOptions o;
+  o.port = coordinator.port;
+  o.heartbeat_interval_seconds = 0;
+  o.rendezvous_backoff.max_attempts = 0;  // a hard fault would fail at once
+  const auto t0 = std::chrono::steady_clock::now();
+  dist::RankComm comm(o);
+  const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_GE(s, dist::RankComm::kRendezvousAttemptSeconds * 0.9);
+  EXPECT_EQ(comm.stats_json().at("rendezvous_retries").as_int(), 1);
+  comm.finalize();
+}
+
+TEST_F(RetryTest, RendezvousAbortIsFinal) {
+  // A deliberate refusal fails the rendezvous with its reason on the first
+  // attempt, although the backoff budget would allow more.
+  FakeListener coordinator;
+  std::jthread serve([&] {
+    dist::test::FakeRank member(coordinator.accept_within(10000));
+    ASSERT_FALSE(member.await("hello").is_null());
+    member.send(dist::make_abort("coordinator: wire version mismatch (test)"));
+    (void)member.await("never");
+  });
+  dist::RankCommOptions o;
+  o.port = coordinator.port;
+  o.heartbeat_interval_seconds = 0;
+  try {
+    dist::RankComm comm(o);
+    ADD_FAILURE() << "the rendezvous survived an abort";
+  } catch (const dist::CommError& e) {
+    EXPECT_NE(std::string(e.what()).find("wire version mismatch (test)"), std::string::npos)
+        << e.what();
+  }
+  serve.join();
+  EXPECT_FALSE(coordinator.accept_within(300).valid()) << "the member dialed again";
 }
 
 }  // namespace
