@@ -82,7 +82,6 @@ Coordinator::Coordinator(CoordinatorOptions opts, net::Fd adopted_listener,
   port_ = net::local_port(listen_fd_.get());
   net::set_nonblocking(listen_fd_.get(), true);
   import_state(state);
-  fd_of_rank_.assign(static_cast<size_t>(std::max(opts_.ranks, next_member_)), -1);
   reconnect_mode_ = true;
   reconnect_started_ = now_seconds();
   loop_.add(wakeup_.read_fd(), /*want_read=*/true, /*want_write=*/false);
@@ -132,7 +131,7 @@ void Coordinator::run() {
                                  .dump(0);
   const std::vector<int> waiting = pending_join_fds_;
   for (const int fd : waiting)
-    if (peers_.count(fd) != 0) enqueue(*peers_.at(fd), closed, /*log=*/false);
+    if (peers_.count(fd) != 0) enqueue(*peers_.at(fd), closed);
   peers_.clear();
 }
 
@@ -193,14 +192,9 @@ void Coordinator::handle_frame(Peer& p, const std::string& payload, double now) 
     return;
   }
   const std::string type = frame_type(j);
-  if (p.rank >= 0 && type != "hello") {
-    // The first post-hello frame proves the member's welcome landed: it
-    // will never re-hello, and its replay transcript is dead weight.
-    if (++msgs_from_rank_[p.rank] == 1) {
-      replay_log_.erase(p.rank);
-      replay_bytes_.erase(p.rank);
-    }
-  }
+  // The first post-hello frame proves the member's welcome landed: it will
+  // never re-hello.
+  if (p.rank >= 0 && type != "hello") spoke_.insert(p.rank);
   if (type == "hello") {
     int rank = -1, ranks = -1;
     const int version = version_of(j);
@@ -215,7 +209,7 @@ void Coordinator::handle_frame(Peer& p, const std::string& payload, double now) 
       // exactly this). The two are indistinguishable here, and only the
       // connection is provably bad: drop it so a healthy rank's
       // rendezvous retry resends a clean hello. A genuinely bad config
-      // keeps failing until the join timeout names the missing rank.
+      // keeps failing until the rendezvous timeout names the missing rank.
       std::fprintf(stderr,
                    "coordinator: dropping invalid hello (v%d, rank %d of %d; this world is v%d, "
                    "%d ranks) — corrupt frame or misconfigured launch\n",
@@ -225,19 +219,27 @@ void Coordinator::handle_frame(Peer& p, const std::string& payload, double now) 
     }
     if (aborted_) {
       // Late retry into a dead world: tell it, so it stops retrying.
-      enqueue(p, make_abort("coordinator: world aborted").dump(0), /*log=*/false);
+      enqueue(p, make_abort("coordinator: world aborted").dump(0));
       return;
     }
-    if (msgs_from(rank) > 0) {
+    if (spoke_.count(rank) != 0) {
       // That rank demonstrably completed rendezvous on another connection
       // — a second hello is a duplicate launch, not a retry.
       abort_world(util::strf("coordinator: duplicate hello for live rank %d", rank));
       return;
     }
-    if (const auto mit = members_.find(rank);
-        welcomed_ && (mit == members_.end() || !member_active(mit->second))) {
-      enqueue(p, make_abort("coordinator: re-hello refused — member already retired").dump(0),
-              /*log=*/false);
+    if (const util::Json* fo = j.find("failover"); fo != nullptr && fo->is_string())
+      p.failover_addr = fo->as_string();
+    if (welcomed_) {
+      // Post-welcome re-hello: the rank's previous connection died before
+      // it spoke, so its welcome may have been lost with it.
+      if (const auto mit = members_.find(rank);
+          mit == members_.end() || !member_active(mit->second)) {
+        enqueue(p, make_abort("coordinator: re-hello refused — member already retired").dump(0));
+        return;
+      }
+      stats_.rehellos.fetch_add(1, std::memory_order_relaxed);
+      rebind(p, rank, /*from_hunt=*/1);  // an initial rank has seen no hunt yet
       return;
     }
     const int old_fd = fd_of_rank_[static_cast<size_t>(rank)];
@@ -246,49 +248,24 @@ void Coordinator::handle_frame(Peer& p, const std::string& payload, double now) 
       // before we noticed the old one die. Forget the corpse silently.
       loop_.remove(old_fd);
       peers_.erase(old_fd);
-      if (!welcomed_) --joined_;
+      --joined_;
     }
     p.rank = rank;
-    if (const util::Json* fo = j.find("failover"); fo != nullptr && fo->is_string())
-      p.failover_addr = fo->as_string();
     fd_of_rank_[static_cast<size_t>(rank)] = p.fd.get();
-    vacant_since_.erase(rank);
-    if (!welcomed_) {
-      if (++joined_ < opts_.ranks) return;
-      welcomed_ = true;
-      for (int r = 0; r < opts_.ranks; ++r) {
-        Member m;
-        m.fd = fd_of_rank_[static_cast<size_t>(r)];
-        m.dense = r;
-        m.failover_addr = peers_.at(m.fd)->failover_addr;
-        members_[r] = m;
-      }
-      next_member_ = opts_.ranks;
-      admitted_.store(opts_.ranks, std::memory_order_release);
-      for (int r = 0; r < opts_.ranks; ++r)
-        enqueue(*peers_.at(fd_of_rank_[static_cast<size_t>(r)]),
-                make_welcome(r, opts_.ranks).dump(0));
-      return;
+    if (++joined_ < opts_.ranks) return;
+    welcomed_ = true;
+    for (int r = 0; r < opts_.ranks; ++r) {
+      Member m;
+      m.fd = fd_of_rank_[static_cast<size_t>(r)];
+      m.dense = r;
+      m.failover_addr = peers_.at(m.fd)->failover_addr;
+      members_[r] = m;
     }
-    // Post-welcome re-hello: the rank's previous connection died before it
-    // consumed anything (FIFO: its first frame would have been the
-    // welcome), so resending the whole logged transcript — welcome first —
-    // restores it exactly.
-    if (replay_overflow_.count(rank) != 0) {
-      abort_world(util::strf(
-          "coordinator: rank %d re-helloed after its replay window overflowed", rank));
-      return;
-    }
-    Member& m = members_.at(rank);
-    m.fd = p.fd.get();
-    if (!p.failover_addr.empty()) m.failover_addr = p.failover_addr;
-    stats_.rehellos.fetch_add(1, std::memory_order_relaxed);
-    const int fd = p.fd.get();
-    const std::vector<std::string> transcript = replay_log_[rank];
-    for (const std::string& frame : transcript) {
-      if (peers_.count(fd) == 0) break;  // write error mid-replay: dropped again
-      enqueue(*peers_.at(fd), frame, /*log=*/false);
-    }
+    next_member_ = opts_.ranks;
+    admitted_.store(opts_.ranks, std::memory_order_release);
+    for (int r = 0; r < opts_.ranks; ++r)
+      enqueue(*peers_.at(fd_of_rank_[static_cast<size_t>(r)]),
+              make_welcome(r, opts_.ranks).dump(0));
     return;
   }
   if (type == "hb") {
@@ -400,7 +377,7 @@ void Coordinator::handle_join(Peer& p, const util::Json& j) {
       pend_join(p, j, key, /*rejoin=*/true);
     } else if (finals_.count(hunt) != 0) {
       pend_join(p, j, key, /*rejoin=*/true);
-      answer_with_outcome(p.fd.get(), hunt);
+      catch_up(p.fd.get(), -1, hunt);
     } else {
       enqueue(p, make_abort(util::strf("coordinator: rejoin refused — hunt %llu is neither "
                                        "running nor finished",
@@ -428,18 +405,6 @@ void Coordinator::pend_join(Peer& p, const util::Json& j, std::string key, bool 
   p.pending_join = true;
   pending_join_fds_.push_back(p.fd.get());
   stats_.joins.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Coordinator::answer_with_outcome(int fd, uint64_t hunt) {
-  const auto send = [&](const std::string& frame) {
-    const auto it = peers_.find(fd);
-    if (it == peers_.end()) return false;  // died while pending, or a write error dropped it
-    enqueue(*it->second, frame);
-    return true;
-  };
-  if (!send(final_welcome_)) return;
-  for (auto it = finals_.lower_bound(hunt); it != finals_.end(); ++it)
-    if (!send(it->second)) return;
 }
 
 void Coordinator::handle_epoch(const util::Json& j) {
@@ -645,6 +610,7 @@ void Coordinator::send_view(uint64_t epoch, bool final) {
 
   util::Json base = next_view(epoch, final, admitted);
   const int ranks = frame_int(base, "ranks");
+  if (!final) view_ = base;
 
   if (final) {
     if (decided_ && have_leader_) {
@@ -671,9 +637,8 @@ void Coordinator::send_view(uint64_t epoch, bool final) {
     util::Json late = base;
     late["your_rank"] = -1;
     finals_[hunt_.index] = late.dump(0);
-    final_welcome_ = make_welcome(-1, ranks).dump(0);
     for (const int fd : std::vector<int>(pending_join_fds_)) {
-      answer_with_outcome(fd, hunt_.index);
+      catch_up(fd, -1, hunt_.index);
       const auto pit = peers_.find(fd);
       if (pit == peers_.end() || pit->second->rejoin) continue;
       pit->second->pending_join = false;
@@ -848,10 +813,7 @@ void Coordinator::send_state_sync() {
   if (standby_member_ < 0) return;
   const auto mit = members_.find(standby_member_);
   if (mit == members_.end() || mit->second.fd < 0 || peers_.count(mit->second.fd) == 0) return;
-  // Not logged for replay: a standby that re-hellos just waits for the
-  // next sync; replaying a stale one would only waste the window.
-  enqueue(*peers_.at(mit->second.fd), make_state_sync(wave_, export_state()).dump(0),
-          /*log=*/false);
+  enqueue(*peers_.at(mit->second.fd), make_state_sync(wave_, export_state()).dump(0));
   stats_.state_syncs.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -861,15 +823,14 @@ void Coordinator::handle_reconnect(Peer& p, const util::Json& j, double now) {
     enqueue(p, make_abort(util::strf("coordinator: wire version mismatch (reconnect speaks "
                                      "v%d, this world v%d)",
                                      version, kWireVersion))
-                   .dump(0),
-            /*log=*/false);
+                   .dump(0));
     return;
   }
   if (!reconnect_mode_) {
     // Late arrival after the window closed (or a reconnect sent to a
     // never-promoted coordinator): refuse — the survivor falls back to the
     // ordinary rejoin against a live world.
-    enqueue(p, make_abort("coordinator: no reconnect window open").dump(0), /*log=*/false);
+    enqueue(p, make_abort("coordinator: no reconnect window open").dump(0));
     return;
   }
   int member = -1;
@@ -887,8 +848,7 @@ void Coordinator::handle_reconnect(Peer& p, const util::Json& j, double now) {
     enqueue(p, make_abort(util::strf("coordinator: reconnect refused — member %d is not a "
                                      "surviving member",
                                      member))
-                   .dump(0),
-            /*log=*/false);
+                   .dump(0));
     return;
   }
   // Stamp invariant: a survivor is in the replicated hunt and never more
@@ -909,33 +869,11 @@ void Coordinator::handle_reconnect(Peer& p, const util::Json& j, double now) {
                            static_cast<unsigned long long>(wave_)));
     return;
   }
-  Member& m = mit->second;
-  const bool again = m.reconnected;  // retry after a lost welcome
-  if (m.fd >= 0 && m.fd != p.fd.get()) {
-    loop_.remove(m.fd);
-    peers_.erase(m.fd);
-  }
-  p.rank = member;
+  mit->second.reconnected = true;
   if (const util::Json* fo = j.find("failover"); fo != nullptr && fo->is_string())
-    m.failover_addr = fo->as_string();
-  m.fd = p.fd.get();
-  m.reconnected = true;
-  vacant_since_.erase(member);
-  if (member >= 0 && member < static_cast<int>(fd_of_rank_.size()))
-    fd_of_rank_[static_cast<size_t>(member)] = p.fd.get();
+    p.failover_addr = fo->as_string();
   stats_.reconnects.fetch_add(1, std::memory_order_relaxed);
-  if (again && replay_bytes_.count(member) != 0) {
-    // Same recovery as a re-hello: replay the exact transcript (welcome
-    // first) the lost connection was owed.
-    const int fd = p.fd.get();
-    const std::vector<std::string> transcript = replay_log_[member];
-    for (const std::string& frame : transcript) {
-      if (peers_.count(fd) == 0) break;
-      enqueue(*peers_.at(fd), frame, /*log=*/false);
-    }
-  } else {
-    enqueue(p, make_welcome(member, active_count()).dump(0));
-  }
+  rebind(p, member, hunt);  // a retry after a lost welcome is answered the same way
   maybe_finish_reconnect(now);
 }
 
@@ -947,7 +885,7 @@ void Coordinator::maybe_finish_reconnect(double now) {
     if (!m.reconnected || m.fd < 0) all = false;
   }
   if (!all) {
-    if (now - reconnect_started_ <= opts_.reconnect_grace_seconds) return;
+    if (now - reconnect_started_ <= opts_.rendezvous_timeout_seconds) return;
     // Window expired: whoever has not re-rendezvoused is gone too.
     for (auto& [id, m] : members_) {
       if (!member_active(m) || (m.reconnected && m.fd >= 0)) continue;
@@ -971,29 +909,41 @@ void Coordinator::maybe_finish_reconnect(double now) {
   send_state_sync();
 }
 
-uint64_t Coordinator::msgs_from(int rank) const {
-  const auto it = msgs_from_rank_.find(rank);
-  return it == msgs_from_rank_.end() ? 0 : it->second;
-}
-
-void Coordinator::log_for_replay(int rank, const std::string& payload) {
-  if (!welcomed_ || rank < 0) return;
-  if (msgs_from(rank) > 0 || replay_overflow_.count(rank) != 0) return;
-  size_t& bytes = replay_bytes_[rank];
-  if (bytes + payload.size() > kReplayCapBytes) {
-    // Can't promise an exact replay any more; a re-hello from this rank
-    // is unrecoverable and aborts (the log itself is dropped now).
-    replay_overflow_.insert(rank);
-    replay_log_.erase(rank);
-    replay_bytes_.erase(rank);
-    return;
+void Coordinator::rebind(Peer& p, int member, uint64_t from_hunt) {
+  Member& m = members_.at(member);
+  if (m.fd >= 0 && m.fd != p.fd.get()) {
+    // Stale occupant: the member dialed in again before we noticed the old
+    // connection die. Forget the corpse silently.
+    loop_.remove(m.fd);
+    peers_.erase(m.fd);
   }
-  bytes += payload.size();
-  replay_log_[rank].push_back(payload);
+  p.rank = member;
+  if (!p.failover_addr.empty()) m.failover_addr = p.failover_addr;
+  m.fd = p.fd.get();
+  vacant_since_.erase(member);
+  catch_up(m.fd, member, from_hunt);
 }
 
-void Coordinator::enqueue(Peer& p, const std::string& payload, bool log) {
-  if (log) log_for_replay(p.rank, payload);
+void Coordinator::catch_up(int fd, int member, uint64_t from_hunt) {
+  const auto send = [&](const std::string& frame) {
+    const auto it = peers_.find(fd);
+    if (it == peers_.end()) return false;  // died while pending, or a write error dropped it
+    enqueue(*it->second, frame);
+    return true;
+  };
+  if (!send(make_welcome(member, active_count()).dump(0))) return;
+  for (auto it = finals_.lower_bound(from_hunt); it != finals_.end(); ++it)
+    if (!send(it->second)) return;
+  // No wave completes without a member's report, and a member caught up
+  // here has not sent one since the view of the wave in progress.
+  if (member < 0 || !hunting_ || reconnect_mode_) return;
+  util::Json view = view_;
+  view["your_rank"] = members_.at(member).dense;
+  if (send(view.dump(0)) && have_leader_)
+    send(make_leader(hunt_.index, leader_id_, leader_iters_).dump(0));
+}
+
+void Coordinator::enqueue(Peer& p, const std::string& payload) {
   net::append_frame(p.outbuf, payload);
   // Try an immediate flush; whatever the socket refuses waits for epoll.
   peer_writable(p.fd.get());
@@ -1001,10 +951,7 @@ void Coordinator::enqueue(Peer& p, const std::string& payload, bool log) {
 
 void Coordinator::send_to_member(int member, const std::string& payload) {
   const Member& m = members_.at(member);
-  if (m.fd >= 0 && peers_.count(m.fd) != 0)
-    enqueue(*peers_.at(m.fd), payload);
-  else if (vacant_since_.count(member) != 0)
-    log_for_replay(member, payload);  // it belongs to the transcript a re-hello replays
+  if (m.fd >= 0 && peers_.count(m.fd) != 0) enqueue(*peers_.at(m.fd), payload);
 }
 
 void Coordinator::peer_writable(int fd) {
@@ -1031,9 +978,6 @@ void Coordinator::drop_peer(int fd, bool expected) {
   const int rank = it->second->rank;
   const bool was_pending = it->second->pending_join;
   loop_.remove(fd);
-  if (rank >= 0 && rank < static_cast<int>(fd_of_rank_.size()) &&
-      fd_of_rank_[static_cast<size_t>(rank)] == fd)
-    fd_of_rank_[static_cast<size_t>(rank)] = -1;
   peers_.erase(it);
   if (rank < 0) {
     // A pending joiner, a refused peer, or a stranger that never said
@@ -1044,7 +988,8 @@ void Coordinator::drop_peer(int fd, bool expected) {
   }
   if (!welcomed_) {
     // Rendezvous-phase drop: release the slot for the rank's retry;
-    // join_timeout polices the ones that never come back.
+    // the rendezvous timeout polices the ones that never come back.
+    fd_of_rank_[static_cast<size_t>(rank)] = -1;
     --joined_;
     return;
   }
@@ -1058,7 +1003,7 @@ void Coordinator::drop_peer(int fd, bool expected) {
     if (current && rank != opts_.host_member) retire_member(rank, /*evicted=*/false);
     return;
   }
-  if (msgs_from(rank) == 0 && opts_.rehello_grace_seconds > 0 && !aborted_) {
+  if (spoke_.count(rank) == 0 && opts_.rehello_grace_seconds > 0 && !aborted_) {
     // The member never spoke after its hello — its welcome may have been
     // lost with this connection, in which case its rendezvous retry loop
     // re-hellos any moment now. Hold the slot vacant; check_liveness
@@ -1099,7 +1044,7 @@ void Coordinator::check_liveness(double now) {
   maybe_finish_reconnect(now);
   if (reconnect_mode_) return;  // the window has its own clock; no policing yet
   if (!welcomed_) {
-    if (opts_.join_timeout_seconds > 0 && now - started_ > opts_.join_timeout_seconds)
+    if (opts_.rendezvous_timeout_seconds > 0 && now - started_ > opts_.rendezvous_timeout_seconds)
       abort_world(util::strf("coordinator: rendezvous timed out (%d of %d ranks joined)",
                              joined_, opts_.ranks));
     return;

@@ -60,8 +60,11 @@ struct CoordinatorOptions {
   /// rendezvous is evicted. 0 disables heartbeat policing (death is then
   /// detected on connection drop only).
   double heartbeat_timeout_seconds = 10.0;
-  /// Rendezvous must complete within this window or the world is aborted.
-  double join_timeout_seconds = 30.0;
+  /// How long a rendezvous may take: every initial rank must say hello
+  /// within it or the world is aborted, and a promoted coordinator keeps
+  /// its reconnect window open this long before the survivors still
+  /// missing are evicted and the world resumes without them.
+  double rendezvous_timeout_seconds = 30.0;
   /// A member whose connection drops before it ever spoke (post-hello) may
   /// have lost its welcome in flight; its slot is held vacant this long
   /// for the rendezvous retry to re-hello before the drop counts as a
@@ -73,10 +76,6 @@ struct CoordinatorOptions {
   /// advertise the election in every rebalance frame so the survivors know
   /// where to re-rendezvous if this coordinator dies.
   bool standby = false;
-  /// Promoted coordinators only: how long the reconnect window stays open
-  /// for survivors to re-rendezvous before the missing are evicted and the
-  /// world resumes without them.
-  double reconnect_grace_seconds = 30.0;
   /// The stable member id of the process hosting this coordinator (0 for
   /// an original launch; the promoted standby's id after a failover). Its
   /// death is world-fatal — everyone else's downgrades to eviction.
@@ -92,8 +91,8 @@ struct CoordinatorStats {
   std::atomic<uint64_t> leaves{0};
   std::atomic<uint64_t> evictions{0};
   std::atomic<uint64_t> rebalances{0};
-  /// Re-hellos accepted after a welcome was lost in flight (the replay
-  /// recovery path of the fault-injection layer).
+  /// Re-hellos accepted after a welcome was lost in flight, each caught up
+  /// from the coordinator's state.
   std::atomic<uint64_t> rehellos{0};
   /// state_sync frames mirrored to the elected standby.
   std::atomic<uint64_t> state_syncs{0};
@@ -202,15 +201,20 @@ class Coordinator {
   void peer_readable(int fd, double now);
   void peer_writable(int fd);
   void handle_frame(Peer& p, const std::string& payload, double now);
-  void enqueue(Peer& p, const std::string& payload, bool log = true);
-  /// Deliver to a member's connection, or into its replay transcript while
-  /// its slot is vacant awaiting a re-hello.
+  void enqueue(Peer& p, const std::string& payload);
+  /// Deliver to a member's connection, if it has one.
   void send_to_member(int member, const std::string& payload);
   void drop_peer(int fd, bool expected);
-  /// Frames delivered to a rank that never spoke after hello are also
-  /// recorded (bounded) so a re-hello can replay the exact transcript.
-  void log_for_replay(int rank, const std::string& payload);
-  [[nodiscard]] uint64_t msgs_from(int rank) const;
+  /// Bind `member` to the connection `p` that dialed in again (a re-hello,
+  /// or a reconnect to a promoted coordinator): replace a stale connection,
+  /// record the failover address, clear the vacancy and catch it up.
+  void rebind(Peer& p, int member, uint64_t from_hunt);
+  /// Answer a connection from state: a welcome naming `member` (-1 for a
+  /// joiner answered with outcomes), the final of every finished hunt from
+  /// `from_hunt` on, and, for a member while a hunt runs outside a
+  /// promotion window, the view of the wave in progress and the leader.
+  /// Stops if the peer is gone; a write error may drop it.
+  void catch_up(int fd, int member, uint64_t from_hunt);
   void abort_world(const std::string& reason);
   void check_liveness(double now);
   void update_interest(Peer& p);
@@ -218,10 +222,6 @@ class Coordinator {
   // The wave machine (coordinator thread only).
   void handle_join(Peer& p, const util::Json& j);
   void pend_join(Peer& p, const util::Json& j, std::string key, bool rejoin);
-  /// Send a joiner the outcome of every finished hunt from `hunt` on: one
-  /// welcome naming no member, then each hunt's final. No-op if the peer is
-  /// gone; a write error may drop it.
-  void answer_with_outcome(int fd, uint64_t hunt);
   void handle_epoch(const util::Json& j);
   void handle_solved(const util::Json& j);
   /// Take an active member out of the world — evicted (it died) or left
@@ -261,7 +261,7 @@ class Coordinator {
   CoordinatorStats stats_;
 
   std::map<int, std::unique_ptr<Peer>> peers_;       // by fd
-  std::vector<int> fd_of_rank_;                      // rank -> fd (-1 absent)
+  std::vector<int> fd_of_rank_;                      // rendezvous: rank -> fd (-1 absent)
   int joined_ = 0;
   bool welcomed_ = false;
   bool aborted_ = false;
@@ -269,16 +269,12 @@ class Coordinator {
 
   // Re-hello recovery (coordinator thread only). A rank retries rendezvous
   // only while it has not yet seen its welcome — so the first post-hello
-  // frame from a rank (its first heartbeat, sent the moment the welcome
-  // lands) proves the welcome arrived, and until then every frame sent its
-  // way is logged (bounded) so a fresh connection can be replayed the exact
-  // transcript, welcome included.
-  static constexpr size_t kReplayCapBytes = size_t{4} << 20;  // per rank
-  std::map<int, uint64_t> msgs_from_rank_;           // post-hello frames seen
-  std::map<int, std::vector<std::string>> replay_log_;
-  std::map<int, size_t> replay_bytes_;
-  std::set<int> replay_overflow_;   // log overflowed: re-hello unrecoverable
-  std::map<int, double> vacant_since_;  // rank -> drop time, awaiting re-hello
+  // frame from a member (its first heartbeat, sent the moment the welcome
+  // lands) proves the welcome arrived. Until then a dropped connection
+  // holds the member's slot vacant, and a re-hello is caught up from state
+  // (catch_up): it cannot have reported, so no wave completed without it.
+  std::set<int> spoke_;                 // members that sent a post-hello frame
+  std::map<int, double> vacant_since_;  // member -> drop time, awaiting re-hello
 
   // The wave machine (coordinator thread only, except the atomics).
   std::map<int, Member> members_;  // by stable member id
@@ -290,10 +286,9 @@ class Coordinator {
   int64_t ckpt_epoch_ = -1;  // last wave every active member checkpointed
   /// Every finished hunt's outcome, kept for the World's life so a rejoin
   /// that arrives hunts late still learns each one: the final rebalance
-  /// with your_rank -1 (winner included) by hunt index, and the welcome
-  /// naming no member (rank -1) that goes first.
+  /// with your_rank -1 (winner included) by hunt index.
   std::map<uint64_t, std::string> finals_;
-  std::string final_welcome_;
+  util::Json view_;  // the last non-final view sent (your_rank unset)
   /// The leader: the minimum (solve iteration, walker id) over every solved
   /// frame, with its member and stats. `decided_` latches once a wave
   /// proves nobody can beat it; only then does a final name it.

@@ -22,7 +22,8 @@ double now_seconds() {
 }
 
 /// How long the reader waits for a frame before it looks at stop_threads_
-/// again (finalize also wakes it at once by shutting the read side).
+/// again (finalize also wakes it at once by shutting the read side), unless
+/// a heartbeat falls due sooner.
 constexpr double kReaderPollSeconds = 0.2;
 
 /// A rendezvous attempt died on a transient wire fault (reset, refused
@@ -72,8 +73,9 @@ RankComm::RankComm(RankCommOptions opts) : opts_(std::move(opts)) {
   // The whole rendezvous — connect, handshake, await welcome — retries
   // under bounded backoff when an attempt dies on a transient wire fault:
   // a rank whose hello is reset re-runs the handshake instead of aborting
-  // the launch (the coordinator re-welcomes and replays what it sent in
-  // the meantime — see Coordinator::handle_frame's re-hello path).
+  // the launch (the coordinator answers a re-hello from its state: the
+  // welcome, then the view of the wave in progress — see
+  // Coordinator::catch_up).
   const double deadline = now_seconds() + opts_.connect_timeout_seconds;
   net::Backoff backoff(opts_.rendezvous_backoff,
                        static_cast<uint64_t>(kind == "reconnect" ? member + 0x20000 : opts_.rank) +
@@ -108,8 +110,6 @@ RankComm::RankComm(RankCommOptions opts) : opts_(std::move(opts)) {
     // fail() already ran; the reader sees the dead socket.
   }
   reader_ = std::thread([this] { reader_body(); });
-  if (opts_.heartbeat_interval_seconds > 0)
-    heartbeat_ = std::thread([this] { heartbeat_body(); });
 }
 
 void RankComm::rendezvous_once(double deadline, double attempt_deadline) {
@@ -225,10 +225,8 @@ void RankComm::hard_kill() {
   bool expected = false;
   if (!finalized_.compare_exchange_strong(expected, true)) return;
   stop_threads_.store(true, std::memory_order_release);
-  hb_cv_.notify_all();
   if (client_.connected()) ::shutdown(client_.fd(), SHUT_RDWR);  // FIN, no bye — looks killed
   if (reader_.joinable()) reader_.join();
-  if (heartbeat_.joinable()) heartbeat_.join();
   fail("rank_comm: hard-killed (fault injection)");
   std::scoped_lock lock(send_mu_);  // an elastic crew worker may be sending
   client_.close();
@@ -326,10 +324,27 @@ bool RankComm::dispatch(const std::string& payload) {
 }
 
 void RankComm::reader_body() {
-  // The first recv_frame also delivers frames the rendezvous left buffered
-  // behind the welcome.
+  // The constructor sent the first heartbeat; the next is due one interval
+  // later. The first recv_frame also delivers frames the rendezvous left
+  // buffered behind the welcome.
+  const double interval = opts_.heartbeat_interval_seconds;
+  double next_hb = now_seconds() + interval;
   while (!stop_threads_.load(std::memory_order_acquire)) {
-    const std::optional<std::string> payload = client_.recv_frame(kReaderPollSeconds);
+    double wait = kReaderPollSeconds;
+    if (interval > 0) {
+      const double now = now_seconds();
+      if (now >= next_hb) {
+        std::scoped_lock lock(send_mu_);
+        try {
+          send_frame_locked_throw(make_hb(member()));
+        } catch (const CommError&) {
+          return;  // fail() already ran
+        }
+        next_hb = now + interval;
+      }
+      wait = std::min(wait, next_hb - now);
+    }
+    const std::optional<std::string> payload = client_.recv_frame(wait);
     bytes_received_.store(client_.bytes_received(), std::memory_order_relaxed);
     if (payload) {
       if (!dispatch(*payload)) return;
@@ -340,24 +355,6 @@ void RankComm::reader_body() {
       fail(client_.eof() ? std::string("rank_comm: coordinator closed the connection")
                          : "rank_comm: " + client_.error());
     return;
-  }
-}
-
-void RankComm::heartbeat_body() {
-  const auto interval = std::chrono::duration<double>(opts_.heartbeat_interval_seconds);
-  std::unique_lock lock(hb_mu_);
-  while (!stop_threads_.load(std::memory_order_acquire)) {
-    hb_cv_.wait_for(lock, interval,
-                    [this] { return stop_threads_.load(std::memory_order_acquire); });
-    if (stop_threads_.load(std::memory_order_acquire)) return;
-    if (failed()) return;
-    const util::Json frame = make_hb(member());
-    std::scoped_lock send_lock(send_mu_);
-    try {
-      send_frame_locked_throw(frame);
-    } catch (const CommError&) {
-      return;  // fail() already ran
-    }
   }
 }
 
@@ -373,12 +370,10 @@ void RankComm::finalize() {
     }
   }
   stop_threads_.store(true, std::memory_order_release);
-  hb_cv_.notify_all();
   // Shut the read side so the reader sees EOF now instead of at its next
   // timeout; the bye above is already on the wire.
   if (client_.connected()) ::shutdown(client_.fd(), SHUT_RD);
   if (reader_.joinable()) reader_.join();
-  if (heartbeat_.joinable()) heartbeat_.join();
   client_.close();
 }
 

@@ -5,14 +5,15 @@
 // reconnect, then the welcome) and sends the first heartbeat at once: a
 // frame from the member proves to the coordinator that the welcome landed.
 // Every receive goes through one net::BlockingClient: the rendezvous waits
-// for the welcome with it, then a reader thread loops on its recv_frame and
+// for the welcome with it, then one reader thread loops on its recv_frame and
 // dispatches each frame — rebalance frames into the control queue the
 // elastic runner blocks on, leader frames straight to the leader hook,
-// state_sync frames into the standby's mirror. Sends write to the client's
-// socket under a mutex and touch nothing else of it. A heartbeat thread
-// keeps the coordinator's liveness policing fed. A received abort or a lost
-// connection fails the communicator: a blocked take_control unwinds and
-// CommError propagates.
+// state_sync frames into the standby's mirror. The same thread keeps the
+// coordinator's liveness policing fed: before each wait it sends a
+// heartbeat if one is due, and it never waits past the next. Sends write to
+// the client's socket under a mutex and touch nothing else of it. A
+// received abort or a lost connection fails the communicator: a blocked
+// take_control unwinds and CommError propagates.
 #pragma once
 
 #include <atomic>
@@ -41,7 +42,7 @@ struct RankCommOptions {
   /// Window for connect + rendezvous (connect retries until the
   /// coordinator's socket exists — ranks race the rank-0 process's bind).
   double connect_timeout_seconds = 15.0;
-  /// Heartbeat cadence; 0 disables the heartbeat thread.
+  /// Heartbeat cadence; 0 disables heartbeats.
   double heartbeat_interval_seconds = 1.0;
   /// A late member's handshake, sent instead of hello(rank, ranks): a join
   /// (make_join) or a post-promotion reconnect (make_reconnect). The welcome
@@ -68,8 +69,8 @@ class RankComm {
   /// stream wedged instead of broken — a corrupted length prefix parks the
   /// decoder mid-frame — and the connection stays healthy-looking on both
   /// ends. An attempt that has not produced a welcome within this window
-  /// abandons the connection and re-hellos (the coordinator replays the
-  /// lost welcome).
+  /// abandons the connection and re-hellos (the coordinator answers it from
+  /// its state, welcome first).
   static constexpr double kRendezvousAttemptSeconds = 2.0;
 
   /// Connects, sends the handshake, blocks until welcome and sends the
@@ -114,7 +115,7 @@ class RankComm {
   void on_leader(uint64_t hunt, std::function<void(uint64_t iters, int id)> hook);
 
   /// Fault injection: die like a SIGKILLed process — shut the socket down
-  /// with no bye, join the threads, fail the communicator. The coordinator
+  /// with no bye, join the reader, fail the communicator. The coordinator
   /// sees a connection lost, exactly as for a real kill.
   void hard_kill();
 
@@ -124,7 +125,7 @@ class RankComm {
   /// elastic runner's re-join path is the recovery under test.
   void inject_disconnect();
 
-  /// Clean detach: bye to the coordinator, threads joined, socket closed.
+  /// Clean detach: bye to the coordinator, reader joined, socket closed.
   /// Idempotent; also run by the destructor.
   void finalize();
 
@@ -150,7 +151,6 @@ class RankComm {
   /// communicator failed (the reader must exit).
   bool dispatch(const std::string& payload);
   void reader_body();
-  void heartbeat_body();
   /// Frame and write `j`, counting it; false with `err` on a write error.
   bool write_frame(const util::Json& j, std::string& err);
   void send_frame_locked_throw(const util::Json& j);
@@ -158,7 +158,7 @@ class RankComm {
   RankCommOptions opts_;
   /// Received on by the constructor's rendezvous (caller thread), then by
   /// the reader thread alone. Sends only write to its socket, under
-  /// send_mu_; it is closed once both threads are joined.
+  /// send_mu_; it is closed once the reader is joined.
   net::BlockingClient client_;
 
   // The current membership view (dense rank + active world size), updated
@@ -186,8 +186,6 @@ class RankComm {
   std::atomic<bool> failed_{false};
   mutable std::mutex failure_mu_;
   std::string failure_;
-  std::condition_variable hb_cv_;
-  std::mutex hb_mu_;
 
   // Counters. frames/bytes sent are guarded by send_mu_; received ones are
   // written by the receiving thread only (bytes mirror the client's count).
@@ -199,7 +197,6 @@ class RankComm {
   std::atomic<uint64_t> rendezvous_retries_{0};
 
   std::thread reader_;
-  std::thread heartbeat_;
 };
 
 }  // namespace cas::dist

@@ -33,15 +33,7 @@ std::pair<std::string, uint16_t> split_addr(const std::string& addr) {
 World::World(WorldOptions opts, const std::function<void(uint16_t)>& on_listening)
     : opts_(std::move(opts)) {
   if (opts_.rank == 0 && !opts_.join) {
-    CoordinatorOptions co;
-    co.host = opts_.host;
-    co.port = opts_.port;
-    co.ranks = opts_.ranks;
-    co.heartbeat_timeout_seconds = opts_.heartbeat_timeout_seconds;
-    co.join_timeout_seconds = opts_.connect_timeout_seconds * 2;
-    co.standby = opts_.standby;
-    co.reconnect_grace_seconds = opts_.connect_timeout_seconds * 2;
-    coordinator_ = std::make_unique<Coordinator>(co);
+    coordinator_ = std::make_unique<Coordinator>(coordinator_options());
     port_ = coordinator_->port();
     if (on_listening) on_listening(port_);
   } else {
@@ -80,8 +72,19 @@ RankCommOptions World::base_comm_options() const {
   return rc;
 }
 
+CoordinatorOptions World::coordinator_options() const {
+  CoordinatorOptions co;
+  co.host = opts_.host;
+  co.port = opts_.port;  // a promoted coordinator adopts its listener instead
+  co.ranks = opts_.ranks;
+  co.heartbeat_timeout_seconds = opts_.heartbeat_timeout_seconds;
+  co.rendezvous_timeout_seconds = opts_.connect_timeout_seconds * 2;
+  co.standby = opts_.standby;
+  return co;
+}
+
 void World::redial(util::Json handshake) {
-  if (comm_ != nullptr) comm_->finalize();  // joins threads; idempotent on a failed comm
+  if (comm_ != nullptr) comm_->finalize();  // joins its reader; idempotent on a failed comm
   RankCommOptions rc = base_comm_options();
   rc.rank = -1;
   rc.ranks = 0;
@@ -130,13 +133,7 @@ void World::promote() {
   const int member = comm_->member();
   comm_->finalize();
 
-  CoordinatorOptions co;
-  co.host = opts_.host;
-  co.ranks = opts_.ranks;
-  co.heartbeat_timeout_seconds = opts_.heartbeat_timeout_seconds;
-  co.join_timeout_seconds = opts_.connect_timeout_seconds * 2;
-  co.standby = opts_.standby;
-  co.reconnect_grace_seconds = opts_.connect_timeout_seconds * 2;
+  CoordinatorOptions co = coordinator_options();
   co.host_member = member;
   coordinator_ = std::make_unique<Coordinator>(co, std::move(failover_listen_), *state);
   port_ = coordinator_->port();

@@ -72,8 +72,6 @@ class World {
   explicit World(WorldOptions opts,
                  const std::function<void(uint16_t port)>& on_listening = nullptr);
 
-  [[nodiscard]] int rank() const { return opts_.rank; }
-  [[nodiscard]] int size() const { return opts_.ranks; }
   [[nodiscard]] RankComm& comm() { return *comm_; }
   /// Coordinator port (the rendezvous address all ranks dialed).
   [[nodiscard]] uint16_t port() const { return port_; }
@@ -147,6 +145,9 @@ class World {
 
  private:
   [[nodiscard]] RankCommOptions base_comm_options() const;
+  /// The options of the coordinator this process hosts, at launch or
+  /// after a promotion.
+  [[nodiscard]] CoordinatorOptions coordinator_options() const;
   /// Replace the communicator with one that sends `handshake` (a join or
   /// reconnect) to host:port.
   void redial(util::Json handshake);

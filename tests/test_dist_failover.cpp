@@ -9,6 +9,9 @@
 // manifest written by the PROMOTED coordinator resumes a fresh world, a
 // coordinator promoted from a mirrored leader names it as the winner, and
 // one promoted between hunts takes back a survivor already in the next.
+// The DistRebind cases pin how a coordinator answers a connection that
+// dials in again: a re-hello before the member ever spoke, a duplicate
+// hello, a re-hello after the vacancy grace, and a retried reconnect.
 //
 // Seeds are pinned to the same reference trajectory the elastic suite uses:
 // size-14 seed-22 solves at walker 2, iteration 982 (segment 3 at
@@ -16,6 +19,8 @@
 // the solve and the post-failover waves decide the outcome.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <functional>
 #include <future>
@@ -321,6 +326,159 @@ TEST(DistFailover, SurvivorAlreadyInTheNextHuntReconnectsToAStateBetweenHunts) {
   const util::Json final_frame = survivor.await("rebalance");
   ASSERT_FALSE(final_frame.is_null());
   EXPECT_TRUE(frame_bool(final_frame, "final", false));
+  promoted.stop();
+}
+
+/// Wait up to 10 s for a coordinator counter to reach `want`.
+bool reaches(const std::atomic<uint64_t>& counter, uint64_t want) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (counter.load() < want) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
+}
+
+std::string reason_of(const util::Json& abort) {
+  const util::Json* r = abort.find("reason");
+  return r != nullptr && r->is_string() ? r->as_string() : "";
+}
+
+TEST(DistRebind, AReHelloIsAnsweredWithTheWelcomeTheViewAndTheLeader) {
+  // Rank 1's first connection closes after both hellos, before it reads or
+  // speaks. The hunt opens and a solve sets a leader while its slot is
+  // vacant. Its re-hello learns what a clean first connection would have:
+  // its welcome, the view of the wave in progress, and the leader.
+  CoordinatorOptions co;
+  co.ranks = 2;
+  co.heartbeat_timeout_seconds = 0;
+  Coordinator coord(co);
+  test::FakeRank host(coord.port(), make_hello(0, 2));
+  {
+    test::FakeRank lost(coord.port(), make_hello(1, 2));
+    ASSERT_FALSE(host.await("welcome").is_null());  // both hellos arrived
+  }
+  coord.open_hunt(1, "hunt", kSeed, kWalkers, 0);
+  ASSERT_FALSE(host.await("rebalance").is_null());
+  core::RunStats st;
+  st.solved = true;
+  st.iterations = kRefWinnerIters;
+  host.send(make_solved(0, 1, 0, kRefWinnerIters, run_stats_to_json(st)));
+  ASSERT_FALSE(host.await("leader").is_null());
+
+  test::FakeRank again(coord.port(), make_hello(1, 2));
+  const util::Json welcome = again.await("welcome");
+  ASSERT_FALSE(welcome.is_null());
+  EXPECT_EQ(frame_int(welcome, "rank"), 1);
+  const util::Json view = again.await("rebalance");
+  ASSERT_FALSE(view.is_null());
+  EXPECT_EQ(frame_u64(view, "hunt"), 1u);
+  EXPECT_EQ(frame_u64(view, "epoch"), 0u);
+  EXPECT_FALSE(frame_bool(view, "final", true));
+  EXPECT_EQ(frame_int(view, "your_rank"), 1);
+  EXPECT_EQ(frame_u64(view, "seed"), kSeed);
+  EXPECT_EQ(frame_int(view, "walkers"), kWalkers);
+  const util::Json leader = again.await("leader");
+  ASSERT_FALSE(leader.is_null());
+  EXPECT_EQ(frame_u64(leader, "id"), 0u);
+  EXPECT_EQ(frame_u64(leader, "iters"), kRefWinnerIters);
+  EXPECT_EQ(coord.stats().rehellos.load(), 1u);
+  EXPECT_EQ(coord.stats().aborts.load(), 0u);
+}
+
+TEST(DistRebind, AHelloForARankThatSpokeAbortsTheWorld) {
+  CoordinatorOptions co;
+  co.ranks = 2;
+  co.heartbeat_timeout_seconds = 0;
+  Coordinator coord(co);
+  test::FakeRank host(coord.port(), make_hello(0, 2));
+  test::FakeRank member(coord.port(), make_hello(1, 2));
+  ASSERT_FALSE(member.await("welcome").is_null());
+  member.send(make_hb(1));
+  ASSERT_TRUE(reaches(coord.stats().heartbeats, 1));
+
+  test::FakeRank duplicate(coord.port(), make_hello(1, 2));
+  const util::Json abort = duplicate.await("abort");
+  ASSERT_FALSE(abort.is_null());
+  EXPECT_NE(reason_of(abort).find("duplicate hello"), std::string::npos) << reason_of(abort);
+  EXPECT_FALSE(host.await("abort").is_null());
+  EXPECT_EQ(coord.stats().aborts.load(), 1u);
+  EXPECT_EQ(coord.stats().rehellos.load(), 0u);
+}
+
+TEST(DistRebind, AReHelloAfterTheVacancyGraceIsRefusedAndTheWorldLivesOn) {
+  CoordinatorOptions co;
+  co.ranks = 2;
+  co.heartbeat_timeout_seconds = 0;
+  co.rehello_grace_seconds = 0.2;
+  Coordinator coord(co);
+  test::FakeRank host(coord.port(), make_hello(0, 2));
+  {
+    test::FakeRank lost(coord.port(), make_hello(1, 2));
+    ASSERT_FALSE(host.await("welcome").is_null());
+  }
+  ASSERT_TRUE(reaches(coord.stats().evictions, 1)) << "the vacancy was never settled";
+
+  test::FakeRank late(coord.port(), make_hello(1, 2));
+  const util::Json refusal = late.await("abort");
+  ASSERT_FALSE(refusal.is_null());
+  EXPECT_NE(reason_of(refusal).find("already retired"), std::string::npos)
+      << reason_of(refusal);
+  coord.open_hunt(1, "hunt", kSeed, kWalkers, 0);
+  const util::Json opening = host.await("rebalance");
+  ASSERT_FALSE(opening.is_null());
+  EXPECT_EQ(frame_int(opening, "ranks"), 1);
+  EXPECT_EQ(coord.stats().aborts.load(), 0u);
+  EXPECT_EQ(coord.stats().rehellos.load(), 0u);
+}
+
+TEST(DistRebind, ARetriedReconnectIsWelcomedAgainAndGetsTheResume) {
+  // Member 1 promotes from the opening's mirror. Member 2 reconnects, then
+  // retries on a fresh connection inside the window (its welcome was
+  // lost): the retry is welcomed again, and once member 1 reconnects both
+  // live connections get the resume rebalance.
+  CoordinatorOptions co;
+  co.ranks = 3;
+  co.standby = true;
+  co.heartbeat_timeout_seconds = 0;
+  util::Json sync;
+  {
+    Coordinator coord(co);
+    util::Json standby_hello = make_hello(1, 3);
+    standby_hello["failover"] = "127.0.0.1:1";  // makes it eligible; never dialed here
+    test::FakeRank host(coord.port(), make_hello(0, 3));
+    test::FakeRank standby(coord.port(), standby_hello);
+    test::FakeRank survivor(coord.port(), make_hello(2, 3));
+    coord.open_hunt(1, "hunt", kSeed, kWalkers, 0);
+    sync = standby.await("state_sync");  // the opening's mirror
+    ASSERT_FALSE(sync.is_null());
+    coord.stop();  // the host dies
+  }
+
+  std::string err;
+  net::Fd listener = net::listen_tcp("127.0.0.1", 0, 4, err);
+  ASSERT_TRUE(listener.valid()) << err;
+  CoordinatorOptions po = co;
+  po.host_member = 1;
+  Coordinator promoted(po, std::move(listener), sync.at("state"));
+  test::FakeRank first(promoted.port(), make_reconnect(2, 1, 0));
+  ASSERT_FALSE(first.await("welcome").is_null());
+  test::FakeRank retry(promoted.port(), make_reconnect(2, 1, 0));
+  const util::Json again = retry.await("welcome");
+  ASSERT_FALSE(again.is_null());
+  EXPECT_EQ(frame_int(again, "rank"), 2);
+  test::FakeRank standby(promoted.port(), make_reconnect(1, 1, 0));
+  for (test::FakeRank* r : {&retry, &standby}) {
+    const util::Json resume = r->await("rebalance");
+    ASSERT_FALSE(resume.is_null());
+    EXPECT_EQ(frame_u64(resume, "hunt"), 1u);
+    EXPECT_EQ(frame_u64(resume, "epoch"), 0u);
+    EXPECT_FALSE(frame_bool(resume, "final", true));
+    EXPECT_EQ(frame_int(resume, "ranks"), 2);
+    EXPECT_EQ(frame_int(resume, "promoted_from"), 0);
+  }
+  EXPECT_EQ(promoted.stats().reconnects.load(), 3u);
+  EXPECT_EQ(promoted.stats().aborts.load(), 0u);
   promoted.stop();
 }
 

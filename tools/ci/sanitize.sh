@@ -6,9 +6,10 @@
 #
 # A BUILD_DIR without a CMake cache is configured first, as CI configures
 # its own (-DCAS_SANITIZE=ON, benches and examples off). The script builds
-# every target there (cas_run and cas_chaos included, for the sanitized
-# drills that follow in CI) and runs the whole tier-1 suite through ctest,
-# exiting non-zero on the first failing suite or sanitizer report.
+# every target there and runs the whole tier-1 suite through ctest, then
+# two one-seed cas_chaos drills with every rank sanitized (outputs in
+# BUILD_DIR/chaos_asan and BUILD_DIR/chaos_kc_asan). It exits non-zero on
+# the first failing suite, drill or sanitizer report.
 set -euo pipefail
 
 mkdir -p "${1:?usage: $0 BUILD_DIR}"
@@ -24,3 +25,19 @@ export ASAN_OPTIONS="${ASAN_OPTIONS:-strict_string_checks=1:detect_stack_use_aft
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
 ctest --test-dir "$BUILD" -j "$(nproc)" --output-on-failure
 echo "sanitize: every suite clean"
+
+# One chaos schedule: a whole multi-process fault-injected world. Resets,
+# corruption and partial I/O exercise the error-path cleanup (drop_peer,
+# the re-hello catch-up, reader-thread unwinding) that leak checking
+# exists for. One seed keeps the leg affordable; the Release chaos job
+# covers the full seed list.
+"$BUILD/cas_chaos" --scenario=tools/scenarios/s12_dist_multiwalk_n18.json \
+                   --seeds=1 --deadline=600 --out-dir="$BUILD/chaos_asan"
+# One coordinator assassination: the promoted coordinator adopting the
+# pre-bound listener, survivors tearing down dead communicators, the
+# state_sync capture racing the reader thread — one SIGKILL drill,
+# negative control included.
+"$BUILD/cas_chaos" --scenario=tools/scenarios/s13_elastic_ckpt_n14.json \
+                   --seeds=1 --kill-coordinator --deadline=600 \
+                   --out-dir="$BUILD/chaos_kc_asan"
+echo "sanitize: both chaos drills clean"
