@@ -60,10 +60,12 @@ class CostasProblem {
   [[nodiscard]] Cost delta_cost(int i, int j) const;
   /// Batched move evaluation: out[j] = delta_cost(i, j) for every j != i
   /// (out[i] = core::kExcludedDelta), walking each difference-triangle row
-  /// ONCE and filling all j lanes of it — vectorized (AVX2 gathers over
-  /// the occ rows) when a SIMD backend is active, an amortized scalar
-  /// batch otherwise. Exactly equal to n - 1 scalar delta_cost calls; the
-  /// parity fuzz suite pins that lane by lane.
+  /// ONCE and filling all j lanes of it. Under AVX2 every one of the n - 1
+  /// swaps runs in 8-lane blocks (masked gathers over the occ rows, no
+  /// scalar lane); NEON runs 4-lane blocks and finishes a few lanes per
+  /// row scalar; otherwise an amortized scalar batch. Exactly equal to
+  /// n - 1 scalar delta_cost calls; the parity fuzz suite pins that lane
+  /// by lane.
   void delta_costs_row(int i, std::span<Cost> out) const;
   void apply_swap(int i, int j);
   [[nodiscard]] std::span<const Cost> errors() const { return {errs_.data(), errs_.size()}; }

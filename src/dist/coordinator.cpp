@@ -196,6 +196,14 @@ void Coordinator::handle_frame(Peer& p, const std::string& payload, double now) 
   // never re-hello.
   if (p.rank >= 0 && type != "hello") spoke_.insert(p.rank);
   if (type == "hello") {
+    if (p.rank >= 0 || p.pending_join) {
+      // One handshake per connection, as for join: a rank's retry always
+      // dials afresh, so a second hello on one stream is a stream this
+      // coordinator cannot trust. Counting it again would welcome a world
+      // with a rank missing, or two ranks on one socket.
+      drop_peer(p.fd.get(), /*expected=*/false);
+      return;
+    }
     int rank = -1, ranks = -1;
     const int version = version_of(j);
     try {

@@ -36,12 +36,13 @@ namespace detail {
 int64_t min_value_avx2(const int64_t* v, int n);
 int64_t max_value_where_le_avx2(const int64_t* v, const uint64_t* gate, uint64_t bound,
                                 int n, bool* any);
-/// Accumulates the weighted delta hits of the vectorizable ("no pair shared
-/// with the culprit") lanes of triangle row d into acc, leaving masked
-/// lanes (j == i, j == i +- d) and the block tail untouched. Returns the
-/// first j the caller must finish scalar (the vectorized prefix length).
-int costas_delta_row_block_avx2(const CostasCtx& ctx, int i, int d, const int32_t* padded_perm,
-                                int pad, int32_t* acc);
+/// The whole culprit-row fill (costas_delta_row up to n = 768) in one
+/// call: it stages a padded copy of the permutation, runs 8-lane blocks
+/// over the culprit's n - 1 swaps compacted past i in every triangle row
+/// (the two swaps that share a pair with the culprit in that row
+/// included), and scatters the sums to out with the sentinel at out[i].
+/// No lane is left to a scalar pass.
+void costas_delta_row_avx2(const CostasCtx& ctx, int i, int64_t* out);
 void costas_errors_row_avx2(const CostasCtx& ctx, int d, int64_t* errs);
 void batch_row_hits_avx2(const int32_t* base, size_t lane_stride, int n, int d,
                          int32_t* hits);

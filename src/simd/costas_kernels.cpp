@@ -71,17 +71,16 @@ namespace {
   return row_delta_hits(ctx, row, d, std::min(i, j), std::max(i, j));
 }
 
-#if defined(CAS_SIMD_AVX2) || defined(CAS_SIMD_NEON)
-/// Signature shared by the per-ISA culprit-row block kernels.
+#if defined(CAS_SIMD_NEON)
+/// Signature of the NEON culprit-row block kernel.
 using DeltaRowBlockFn = int (*)(const CostasCtx&, int, int, const int32_t*, int, int32_t*);
 
-/// Shared driver for the vectorized culprit-row fill: stages the padded
-/// permutation copy (so the block kernel's shifted loads perm[j - d] /
-/// perm[j + d] stay in bounds at the row edges), runs the block kernel per
-/// triangle row, then finishes the block tail and the two lanes the vector
-/// pass masked out because they share a triangle pair with the culprit in
-/// that row. Keeping this logic in ONE place is what guarantees the ISA
-/// legs cannot drift apart in the tail/special-lane handling.
+/// Driver for the NEON culprit-row fill (the AVX2 fill is one call of its
+/// own, detail::costas_delta_row_avx2): stages the padded permutation copy
+/// (so the block kernel's shifted loads perm[j - d] / perm[j + d] stay in
+/// bounds at the row edges), runs the block kernel per triangle row, then
+/// finishes the block tail and the two lanes the vector pass masked out
+/// because they share a triangle pair with the culprit in that row.
 void delta_row_vectorized(const CostasCtx& ctx, int i, int32_t* acc, DeltaRowBlockFn block) {
   const int n = ctx.n;
   thread_local std::vector<int32_t> padded;
@@ -125,20 +124,20 @@ void costas_delta_row(const CostasCtx& ctx, int i, int64_t* out) {
     return;
   }
 
+#if defined(CAS_SIMD_AVX2)
+  if (active_isa() == Isa::kAvx2) {
+    detail::costas_delta_row_avx2(ctx, i, out);
+    return;
+  }
+#endif
   thread_local std::vector<int32_t> acc;
   acc.assign(static_cast<size_t>(n), 0);
   bool vectorized = false;
-#if defined(CAS_SIMD_AVX2)
-  if (active_isa() == Isa::kAvx2 && n >= 8) {
-    delta_row_vectorized(ctx, i, acc.data(), detail::costas_delta_row_block_avx2);
-    vectorized = true;
-  }
-#endif
 #if defined(CAS_SIMD_NEON)
   if (active_isa() == Isa::kNeon && n >= 4) {
-    // Same driver; the NEON block kernel trades the masked gathers for
-    // per-lane scalar occ lookups through a transposed index/mask spill
-    // (see kernels_neon.cpp).
+    // The NEON block kernel has no gather: it fetches the occ counts with
+    // per-lane scalar loads through a transposed index/mask spill (see
+    // kernels_neon.cpp).
     delta_row_vectorized(ctx, i, acc.data(), detail::costas_delta_row_block_neon);
     vectorized = true;
   }

@@ -1,12 +1,16 @@
 // AVX2 backend. Compiled with -mavx2 only when CMake enables it
 // (CAS_SIMD_AVX2); the whole file is a no-op otherwise, so a GLOB build on
 // a non-x86 host or with -DCAS_SIMD=OFF never sees an AVX2 instruction.
+// It is the only unit built with -mavx2, so the culprit-row fill lives
+// here whole (staging, blocks and scatter): one call per fill.
 #if defined(CAS_SIMD_AVX2)
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "simd/backends.hpp"
 #include "simd/costas_kernels.hpp"
@@ -118,139 +122,158 @@ int64_t max_value_where_le_avx2(const int64_t* v, const uint64_t* gate, uint64_t
   return out;
 }
 
-int costas_delta_row_block_avx2(const CostasCtx& ctx, int i, int d, const int32_t* padded_perm,
-                                int pad, int32_t* acc) {
+void costas_delta_row_avx2(const CostasCtx& ctx, int i, int64_t* out) {
   const int n = ctx.n;
-  const int vec_end = n & ~7;
-  const int* const perm = ctx.perm;
-  const int32_t* const row =
-      ctx.occ + static_cast<size_t>(d - 1) * ctx.stride + static_cast<size_t>(n - 1);
-  const int vi = perm[i];
-  const bool eA = i - d >= 0;  // culprit pair (i-d, i)
-  const bool eB = i + d < n;   // culprit pair (i, i+d)
-  const int oldA = eA ? vi - perm[i - d] : 0;
-  const int oldB = eB ? perm[i + d] - vi : 0;
+  const int depth = ctx.depth;
+  // Lane k scores the swap (i, j), j = k + (k >= i): the culprit's n - 1
+  // swaps, compacted past i and filled 8 lanes per block. Lanes from
+  // n - 1 up are masked.
+  const int lanes = (n - 1 + 7) & ~7;
+  // Padded copy of the permutation: a block's 8-wide loads start at
+  // p[k0 + s + t], s in {0, 1} and t in [-depth, depth], so depth cells on
+  // the left and depth + 1 past the last block on the right hold them all.
+  thread_local std::vector<int32_t> padded;
+  padded.assign(static_cast<size_t>(lanes + 2 * depth + 1), 0);
+  int32_t* const p = padded.data() + depth;
+  std::copy(ctx.perm, ctx.perm + n, p);
+  const int vi = p[i];
 
-  // Removal hits on the culprit's own pairs are lane-independent: ledger
-  // order (A, B), with B's count adjusted when both pairs sit in the same
-  // bucket.
-  int base = 0;
-  if (eA && row[oldA] >= 2) --base;
-  if (eB && row[oldB] - static_cast<int32_t>(eA && oldB == oldA) >= 2) --base;
-
-  const __m256i all1 = _mm256_set1_epi32(-1);
   const __m256i zero = _mm256_setzero_si256();
   const __m256i one = _mm256_set1_epi32(1);
-  const __m256i v_vi = _mm256_set1_epi32(vi);
-  const __m256i v_oldA = _mm256_set1_epi32(oldA);
-  const __m256i v_oldB = _mm256_set1_epi32(oldB);
-  const __m256i v_eA = _mm256_set1_epi32(eA ? -1 : 0);
-  const __m256i v_eB = _mm256_set1_epi32(eB ? -1 : 0);
-  const __m256i v_i = _mm256_set1_epi32(i);
-  const __m256i v_im = _mm256_set1_epi32(i - d);
-  const __m256i v_ip = _mm256_set1_epi32(i + d);
-  const __m256i v_base = _mm256_set1_epi32(base);
-  const __m256i v_w = _mm256_set1_epi32(static_cast<int32_t>(ctx.errw[d]));
-  const __m256i v_dm1 = _mm256_set1_epi32(d - 1);
-  const __m256i v_nmd = _mm256_set1_epi32(n - d);
   const __m256i lane0 = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i v_vi = _mm256_set1_epi32(vi);
+  const __m256i v_im1 = _mm256_set1_epi32(i - 1);
+  const __m256i v_nm1 = _mm256_set1_epi32(n - 1);
 
   // Indicator helpers over 0/-1 masks: adding a mask subtracts the
   // indicator from a count, subtracting it adds.
   const auto eq = [](__m256i a, __m256i b) { return _mm256_cmpeq_epi32(a, b); };
   const auto land = [](__m256i a, __m256i b) { return _mm256_and_si256(a, b); };
+  const auto load = [](const int32_t* q) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q));
+  };
 
-  for (int j0 = 0; j0 < vec_end; j0 += 8) {
-    const __m256i jv = _mm256_add_epi32(lane0, _mm256_set1_epi32(j0));
-    const __m256i vj =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(perm + j0));
-    const __m256i pjm = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(padded_perm + pad + j0 - d));
-    const __m256i pjp = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(padded_perm + pad + j0 + d));
-
-    // Lane classification: the culprit's own lane and the two lanes whose
-    // swap shares a triangle pair with the culprit in THIS row are handled
-    // scalar by the caller.
-    const __m256i special =
-        _mm256_or_si256(eq(jv, v_i), _mm256_or_si256(eq(jv, v_im), eq(jv, v_ip)));
-    const __m256i normal = _mm256_andnot_si256(special, all1);
-    const __m256i eC = land(_mm256_cmpgt_epi32(jv, v_dm1), normal);  // j - d >= 0
-    const __m256i eD = land(_mm256_cmpgt_epi32(v_nmd, jv), normal);  // j + d < n
-
-    const __m256i vd = _mm256_sub_epi32(vj, v_vi);
-    const __m256i oldC = _mm256_sub_epi32(vj, pjm);
-    const __m256i oldD = _mm256_sub_epi32(pjp, vj);
-    const __m256i newA = _mm256_add_epi32(v_oldA, vd);
-    const __m256i newB = _mm256_sub_epi32(v_oldB, vd);
-    const __m256i newC = _mm256_sub_epi32(v_vi, pjm);
-    const __m256i newD = _mm256_sub_epi32(pjp, v_vi);
-
-    const __m256i mA = land(normal, v_eA);
-    const __m256i mB = land(normal, v_eB);
-    // Masked gathers: lanes outside their pair's existence mask read
-    // nothing (their index may be built from padding garbage).
-    const auto gat = [&](__m256i idx, __m256i mask) {
-      return _mm256_mask_i32gather_epi32(zero, row, idx, mask, 4);
+  for (int k0 = 0; k0 < lanes; k0 += 8) {
+    const __m256i kv = _mm256_add_epi32(lane0, _mm256_set1_epi32(k0));
+    const __m256i past = _mm256_cmpgt_epi32(kv, v_im1);  // k >= i
+    const __m256i live = _mm256_cmpgt_epi32(v_nm1, kv);  // k < n - 1
+    const __m256i jv = _mm256_sub_epi32(kv, past);
+    // p[j + t] for every lane: the loads at k0 + t and k0 + t + 1, blended
+    // by the k >= i mask.
+    const auto at = [&](int t) {
+      return _mm256_blendv_epi8(load(p + k0 + t), load(p + k0 + t + 1), past);
     };
-    const __m256i gOldC = gat(oldC, eC);
-    const __m256i gOldD = gat(oldD, eD);
-    const __m256i gNewA = gat(newA, mA);
-    const __m256i gNewB = gat(newB, mB);
-    const __m256i gNewC = gat(newC, eC);
-    const __m256i gNewD = gat(newD, eD);
+    const __m256i vj = at(0);
+    const __m256i vd = _mm256_sub_epi32(vj, v_vi);
+    __m256i sum = zero;
 
-    __m256i hits = v_base;
+    for (int d = 1; d <= depth; ++d) {
+      const int32_t* const row =
+          ctx.occ + static_cast<size_t>(d - 1) * ctx.stride + static_cast<size_t>(n - 1);
+      const bool eA = i - d >= 0;  // culprit pair A = (i-d, i)
+      const bool eB = i + d < n;   // culprit pair B = (i, i+d)
+      const int oldA = eA ? vi - p[i - d] : 0;
+      const int oldB = eB ? p[i + d] - vi : 0;
+      // Removal hits on the culprit's own pairs are lane-independent:
+      // ledger order (A, B), with B's count adjusted when both pairs sit in
+      // the same bucket.
+      int base = 0;
+      if (eA && row[oldA] >= 2) --base;
+      if (eB && row[oldB] - static_cast<int32_t>(eA && oldB == oldA) >= 2) --base;
 
-    // Removals of the j-side pairs, counts adjusted for buckets already
-    // drained by earlier removals in this row's ledger (order A, B, C, D).
-    __m256i cC = _mm256_add_epi32(gOldC, land(eq(oldC, v_oldA), v_eA));
-    cC = _mm256_add_epi32(cC, land(eq(oldC, v_oldB), v_eB));
-    hits = _mm256_add_epi32(hits, land(eC, _mm256_cmpgt_epi32(cC, one)));  // -1 per hit
+      const __m256i v_oldA = _mm256_set1_epi32(oldA);
+      const __m256i v_oldB = _mm256_set1_epi32(oldB);
+      const __m256i v_eA = _mm256_set1_epi32(eA ? -1 : 0);
+      const __m256i v_eB = _mm256_set1_epi32(eB ? -1 : 0);
+      const __m256i pjm = at(-d);
+      const __m256i pjp = at(d);
 
-    __m256i cD = _mm256_add_epi32(gOldD, land(eq(oldD, v_oldA), v_eA));
-    cD = _mm256_add_epi32(cD, land(eq(oldD, v_oldB), v_eB));
-    cD = _mm256_add_epi32(cD, land(eq(oldD, oldC), eC));
-    hits = _mm256_add_epi32(hits, land(eD, _mm256_cmpgt_epi32(cD, one)));
+      // The two lanes whose swap shares a triangle pair with the culprit in
+      // this row: at j == i + d, C is the swapped pair (i, j) itself, so C
+      // drops out and B's new difference is -vd; at j == i - d, D is the
+      // pair (j, i), so D drops out and A's new difference is vd. Every
+      // other lane takes the general formulas.
+      const __m256i sA = eq(jv, _mm256_set1_epi32(i - d));
+      const __m256i sB = eq(jv, _mm256_set1_epi32(i + d));
+      const __m256i eC = _mm256_andnot_si256(
+          sB, land(_mm256_cmpgt_epi32(jv, _mm256_set1_epi32(d - 1)), live));  // j - d >= 0
+      const __m256i eD =
+          _mm256_andnot_si256(sA, _mm256_cmpgt_epi32(_mm256_set1_epi32(n - d), jv));  // j + d < n
+      const __m256i mA = land(v_eA, live);
+      const __m256i mB = land(v_eB, live);
 
-    // Additions: each new diff sees the live count minus every removed
-    // old diff in its bucket plus the earlier additions in ledger order.
-    // Self-coincidence (newX == oldX) is impossible: vd != 0 off the
-    // culprit lane.
-    __m256i cA = _mm256_add_epi32(gNewA, land(eq(newA, v_oldB), v_eB));
-    cA = _mm256_add_epi32(cA, land(eq(newA, oldC), eC));
-    cA = _mm256_add_epi32(cA, land(eq(newA, oldD), eD));
-    hits = _mm256_sub_epi32(hits, land(mA, _mm256_cmpgt_epi32(cA, zero)));  // +1 per hit
+      const __m256i oldC = _mm256_sub_epi32(vj, pjm);
+      const __m256i oldD = _mm256_sub_epi32(pjp, vj);
+      const __m256i newA = _mm256_add_epi32(_mm256_andnot_si256(sA, v_oldA), vd);
+      const __m256i newB = _mm256_sub_epi32(_mm256_andnot_si256(sB, v_oldB), vd);
+      const __m256i newC = _mm256_sub_epi32(v_vi, pjm);
+      const __m256i newD = _mm256_sub_epi32(pjp, v_vi);
 
-    __m256i cB = _mm256_add_epi32(gNewB, land(eq(newB, v_oldA), v_eA));
-    cB = _mm256_add_epi32(cB, land(eq(newB, oldC), eC));
-    cB = _mm256_add_epi32(cB, land(eq(newB, oldD), eD));
-    cB = _mm256_sub_epi32(cB, land(eq(newB, newA), v_eA));
-    hits = _mm256_sub_epi32(hits, land(mB, _mm256_cmpgt_epi32(cB, zero)));
+      // Masked gathers: lanes outside their pair's existence mask read
+      // nothing (their index may be built from padding).
+      const auto gat = [&](__m256i idx, __m256i mask) {
+        return _mm256_mask_i32gather_epi32(zero, row, idx, mask, 4);
+      };
+      const __m256i gOldC = gat(oldC, eC);
+      const __m256i gOldD = gat(oldD, eD);
+      const __m256i gNewA = gat(newA, mA);
+      const __m256i gNewB = gat(newB, mB);
+      const __m256i gNewC = gat(newC, eC);
+      const __m256i gNewD = gat(newD, eD);
 
-    __m256i cCn = _mm256_add_epi32(gNewC, land(eq(newC, v_oldA), v_eA));
-    cCn = _mm256_add_epi32(cCn, land(eq(newC, v_oldB), v_eB));
-    cCn = _mm256_add_epi32(cCn, land(eq(newC, oldD), eD));
-    cCn = _mm256_sub_epi32(cCn, land(eq(newC, newA), v_eA));
-    cCn = _mm256_sub_epi32(cCn, land(eq(newC, newB), v_eB));
-    hits = _mm256_sub_epi32(hits, land(eC, _mm256_cmpgt_epi32(cCn, zero)));
+      __m256i hits = _mm256_set1_epi32(base);
 
-    __m256i cDn = _mm256_add_epi32(gNewD, land(eq(newD, v_oldA), v_eA));
-    cDn = _mm256_add_epi32(cDn, land(eq(newD, v_oldB), v_eB));
-    cDn = _mm256_add_epi32(cDn, land(eq(newD, oldC), eC));
-    cDn = _mm256_sub_epi32(cDn, land(eq(newD, newA), v_eA));
-    cDn = _mm256_sub_epi32(cDn, land(eq(newD, newB), v_eB));
-    cDn = _mm256_sub_epi32(cDn, land(eq(newD, newC), eC));
-    hits = _mm256_sub_epi32(hits, land(eD, _mm256_cmpgt_epi32(cDn, zero)));
+      // Removals of the j-side pairs, counts adjusted for buckets already
+      // drained by earlier removals in this row's ledger (order A, B, C, D).
+      // A bucket's hits depend only on how many removals and additions land
+      // in it, so this order serves j < i as well.
+      __m256i cC = _mm256_add_epi32(gOldC, land(eq(oldC, v_oldA), v_eA));
+      cC = _mm256_add_epi32(cC, land(eq(oldC, v_oldB), v_eB));
+      hits = _mm256_add_epi32(hits, land(eC, _mm256_cmpgt_epi32(cC, one)));  // -1 per hit
 
-    // Zero the scalar-handled lanes (they must not even see `base`), then
-    // bank the weighted hits.
-    hits = land(hits, normal);
-    __m256i accv = _mm256_loadu_si256(reinterpret_cast<__m256i*>(acc + j0));
-    accv = _mm256_add_epi32(accv, _mm256_mullo_epi32(hits, v_w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + j0), accv);
+      __m256i cD = _mm256_add_epi32(gOldD, land(eq(oldD, v_oldA), v_eA));
+      cD = _mm256_add_epi32(cD, land(eq(oldD, v_oldB), v_eB));
+      cD = _mm256_add_epi32(cD, land(eq(oldD, oldC), eC));
+      hits = _mm256_add_epi32(hits, land(eD, _mm256_cmpgt_epi32(cD, one)));
+
+      // Additions: each new diff sees the live count minus every removed
+      // old diff in its bucket plus the earlier additions in ledger order.
+      // Self-coincidence (newX == oldX) is impossible: vd != 0.
+      __m256i cA = _mm256_add_epi32(gNewA, land(eq(newA, v_oldB), v_eB));
+      cA = _mm256_add_epi32(cA, land(eq(newA, oldC), eC));
+      cA = _mm256_add_epi32(cA, land(eq(newA, oldD), eD));
+      hits = _mm256_sub_epi32(hits, land(mA, _mm256_cmpgt_epi32(cA, zero)));  // +1 per hit
+
+      __m256i cB = _mm256_add_epi32(gNewB, land(eq(newB, v_oldA), v_eA));
+      cB = _mm256_add_epi32(cB, land(eq(newB, oldC), eC));
+      cB = _mm256_add_epi32(cB, land(eq(newB, oldD), eD));
+      cB = _mm256_sub_epi32(cB, land(eq(newB, newA), v_eA));
+      hits = _mm256_sub_epi32(hits, land(mB, _mm256_cmpgt_epi32(cB, zero)));
+
+      __m256i cCn = _mm256_add_epi32(gNewC, land(eq(newC, v_oldA), v_eA));
+      cCn = _mm256_add_epi32(cCn, land(eq(newC, v_oldB), v_eB));
+      cCn = _mm256_add_epi32(cCn, land(eq(newC, oldD), eD));
+      cCn = _mm256_sub_epi32(cCn, land(eq(newC, newA), v_eA));
+      cCn = _mm256_sub_epi32(cCn, land(eq(newC, newB), v_eB));
+      hits = _mm256_sub_epi32(hits, land(eC, _mm256_cmpgt_epi32(cCn, zero)));
+
+      __m256i cDn = _mm256_add_epi32(gNewD, land(eq(newD, v_oldA), v_eA));
+      cDn = _mm256_add_epi32(cDn, land(eq(newD, v_oldB), v_eB));
+      cDn = _mm256_add_epi32(cDn, land(eq(newD, oldC), eC));
+      cDn = _mm256_sub_epi32(cDn, land(eq(newD, newA), v_eA));
+      cDn = _mm256_sub_epi32(cDn, land(eq(newD, newB), v_eB));
+      cDn = _mm256_sub_epi32(cDn, land(eq(newD, newC), eC));
+      hits = _mm256_sub_epi32(hits, land(eD, _mm256_cmpgt_epi32(cDn, zero)));
+
+      const __m256i v_w = _mm256_set1_epi32(static_cast<int32_t>(ctx.errw[d]));
+      sum = _mm256_add_epi32(sum, _mm256_mullo_epi32(hits, v_w));
+    }
+    // Scatter the block's live lanes to their j; masked lanes hold garbage.
+    alignas(32) int32_t sums[8];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(sums), sum);
+    for (int k = k0; k < std::min(k0 + 8, n - 1); ++k) out[k + (k >= i)] = sums[k - k0];
   }
-  return vec_end;
+  out[i] = kDeltaRowExcluded;
 }
 
 void batch_row_hits_avx2(const int32_t* base, size_t lane_stride, int n, int d,

@@ -87,10 +87,12 @@ void batch_row_hits_neon(const int32_t* base, size_t lane_stride, int n, int d,
 
 int costas_delta_row_block_neon(const CostasCtx& ctx, int i, int d, const int32_t* padded_perm,
                                 int pad, int32_t* acc) {
-  // The gather-free aarch64 leg of the batched culprit-row fill. Same
-  // lane semantics as the AVX2 block (see kernels_avx2.cpp): lanes j == i
-  // and j == i +- d are masked out for the caller's scalar pass, every
-  // other lane's ledger is resolved exactly. NEON has no gather, so the
+  // The gather-free aarch64 leg of the batched culprit-row fill. Lane l
+  // of a block is j = j0 + l: lanes j == i and j == i +- d are masked out
+  // for the driver's scalar pass (delta_row_vectorized), as is the block
+  // tail, and every other lane's ledger is resolved exactly. (The AVX2
+  // fill instead compacts j past i and folds the i +- d lanes into its
+  // ledger; see kernels_avx2.cpp.) NEON has no gather, so the
   // kernel runs in three phases per 4-lane block — vector arithmetic for
   // the difference/mask table, a transposed spill of that table through
   // which the occ-row counts are fetched with per-lane scalar loads, and

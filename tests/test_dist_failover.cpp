@@ -11,7 +11,8 @@
 // one promoted between hunts takes back a survivor already in the next.
 // The DistRebind cases pin how a coordinator answers a connection that
 // dials in again: a re-hello before the member ever spoke, a duplicate
-// hello, a re-hello after the vacancy grace, and a retried reconnect.
+// hello, a second hello on one connection, a re-hello after the vacancy
+// grace, and a retried reconnect.
 //
 // Seeds are pinned to the same reference trajectory the elastic suite uses:
 // size-14 seed-22 solves at walker 2, iteration 982 (segment 3 at
@@ -404,6 +405,40 @@ TEST(DistRebind, AHelloForARankThatSpokeAbortsTheWorld) {
   EXPECT_FALSE(host.await("abort").is_null());
   EXPECT_EQ(coord.stats().aborts.load(), 1u);
   EXPECT_EQ(coord.stats().rehellos.load(), 0u);
+}
+
+/// One handshake per connection: a connection that says hello(0), then
+/// hello(second_rank), before its welcome is dropped. A fresh rank 0 and a
+/// rank 1 then rendezvous, and each gets its own welcome.
+void expect_second_hello_drops_the_connection(int second_rank) {
+  CoordinatorOptions co;
+  co.ranks = 2;
+  co.heartbeat_timeout_seconds = 0;
+  Coordinator coord(co);
+  test::FakeRank twice(coord.port(), make_hello(0, 2));
+  twice.send(make_hello(second_rank, 2));
+  const auto sent = std::chrono::steady_clock::now();
+  EXPECT_TRUE(twice.await("welcome").is_null());
+  // await gives up after 30 s of silence; the drop must come long before.
+  EXPECT_LT(std::chrono::steady_clock::now() - sent, std::chrono::seconds(10));
+
+  test::FakeRank rank0(coord.port(), make_hello(0, 2));
+  test::FakeRank rank1(coord.port(), make_hello(1, 2));
+  const util::Json welcome0 = rank0.await("welcome");
+  ASSERT_FALSE(welcome0.is_null());
+  EXPECT_EQ(frame_int(welcome0, "rank"), 0);
+  const util::Json welcome1 = rank1.await("welcome");
+  ASSERT_FALSE(welcome1.is_null());
+  EXPECT_EQ(frame_int(welcome1, "rank"), 1);
+  EXPECT_EQ(coord.stats().aborts.load(), 0u);
+}
+
+TEST(DistRebind, ARepeatedHelloOnOneConnectionDropsIt) {
+  expect_second_hello_drops_the_connection(0);
+}
+
+TEST(DistRebind, AHelloForAnotherRankOnOneConnectionDropsIt) {
+  expect_second_hello_drops_the_connection(1);
 }
 
 TEST(DistRebind, AReHelloAfterTheVacancyGraceIsRefusedAndTheWorldLivesOn) {

@@ -82,13 +82,18 @@ void fuzz_rows(P& p, uint64_t seed, const char* tag, int states = 6) {
 }
 
 TEST(FuzzSimdParity, CostasDeltaRowMatchesScalarUnderEveryIsa) {
-  for (const int n : {8, 9, 11, 14, 15, 18, 19, 23, 26}) {
+  // The AVX2 fill compacts the culprit's n - 1 swaps into 8-lane blocks:
+  // n = 2-7 fit in one masked block, and at n = 17, 25 and 33 no lane is
+  // masked. Every culprit of the last state covers the lanes that share a
+  // pair with the culprit at both row edges and the last compacted lane.
+  for (const int n : {2, 3, 4, 5, 6, 7, 8, 9, 11, 14, 15, 17, 18, 19, 23, 25, 26, 33}) {
     for (const bool chang : {true, false}) {
       for (const auto err : {costas::ErrFunction::kQuadratic, costas::ErrFunction::kUnit}) {
         costas::CostasProblem p(n, {err, chang});
         for (const simd::Isa isa : test::installable_isas()) {
           simd::ScopedIsa guard(isa);
           fuzz_rows(p, static_cast<uint64_t>(1000 + n), simd::isa_name(isa));
+          for (int i = 0; i < n; ++i) expect_row_matches_scalar(p, i, simd::isa_name(isa));
         }
       }
     }
@@ -96,7 +101,7 @@ TEST(FuzzSimdParity, CostasDeltaRowMatchesScalarUnderEveryIsa) {
 }
 
 TEST(FuzzSimdParity, CostasDeltaRowBitIdenticalAcrossIsas) {
-  for (const int n : {8, 13, 18, 24}) {
+  for (const int n : {8, 13, 17, 18, 24}) {
     costas::CostasProblem p(n);
     core::Rng rng(static_cast<uint64_t>(n));
     p.randomize(rng);
@@ -249,6 +254,12 @@ TEST(SimdTrajectoryIdentity, AdaptiveSearchOnCostas) {
         [n] { return costas::CostasProblem(n); },
         costas::recommended_config(n, static_cast<uint64_t>(40 + n)));
   }
+  // The benchmark's size, where the compacted lanes fill two blocks
+  // exactly; capped, since a walk to a solution takes ~1e5 iterations.
+  core::AsConfig cfg = costas::recommended_config(17, 57);
+  cfg.max_iterations = 20000;
+  expect_trajectory_identity<core::AdaptiveSearch<costas::CostasProblem>>(
+      [] { return costas::CostasProblem(17); }, cfg);
 }
 
 TEST(SimdTrajectoryIdentity, TabuSearchOnCostas) {
