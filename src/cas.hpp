@@ -43,9 +43,7 @@
 #include "simd/simd.hpp"
 
 // Parallel runtimes.
-#include "par/cooperative.hpp"
 #include "par/multiwalk.hpp"
-#include "par/neighborhood.hpp"
 #include "par/thread_pool.hpp"
 
 // The unified solver runtime: registries, strategies, SolverService.

@@ -7,9 +7,9 @@
 // run_multiwalk() is the one in-process walker runner: walkers share one
 // atomic stop flag that the first solver raises (first win cancels the
 // rest), and run as fan_out() workers — chunks on a shared ThreadPool when
-// one is given, jthreads otherwise. Every strategy that races walkers
-// (sequential, multiwalk, portfolio, cooperative) goes through it; the
-// elastic wave hands its segments to the same fan_out().
+// one is given, jthreads otherwise. Every strategy (sequential, multiwalk,
+// portfolio) goes through it; the elastic wave hands its segments to the
+// same fan_out().
 #pragma once
 
 #include <atomic>

@@ -126,18 +126,9 @@ CostEstimate CostModel::estimate(const SolveRequest& resolved) const {
           ? static_cast<int>(std::min(resolved.num_threads, static_cast<unsigned>(k)))
           : k;
 
-  double wall_iterations = 0;
-  double walker_iterations = 0;
-  if (resolved.strategy == "neighborhood") {
-    // Single-walk parallelism: k scan threads split the rows of ONE walk, so
-    // there is no min-of-k latency win to price; machine time is k x wall.
-    wall_iterations = est.fit.mean();
-    walker_iterations = k * wall_iterations;
-  } else {
-    wall_iterations = analysis::predict_speedup(est.fit, k).expected_time;
-    walker_iterations = analysis::expected_walker_seconds(est.fit, k);  // k*mu + lambda
-    if (concurrency < k) wall_iterations *= static_cast<double>(k) / concurrency;
-  }
+  double wall_iterations = analysis::predict_speedup(est.fit, k).expected_time;
+  double walker_iterations = analysis::expected_walker_seconds(est.fit, k);  // k*mu + lambda
+  if (concurrency < k) wall_iterations *= static_cast<double>(k) / concurrency;
   // Budget caps bound the bill from above: an iteration cap per walker...
   if (resolved.max_iterations > 0) {
     const double cap = static_cast<double>(resolved.max_iterations);

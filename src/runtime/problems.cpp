@@ -5,7 +5,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "core/chaotic_seed.hpp"
 #include "costas/checker.hpp"
 #include "costas/model.hpp"
 #include "problems/all_interval.hpp"
@@ -18,12 +17,6 @@
 #include "runtime/knobs.hpp"
 
 namespace cas::runtime {
-
-/// par::ParallelNeighborhoodSearch<P>(problem, cfg, threads).solve(stop),
-/// defined and instantiated per model in neighborhood.cpp.
-template <typename P>
-core::RunStats solve_neighborhood(P& problem, const core::AsConfig& cfg, int threads,
-                                  core::StopToken stop);
 
 namespace {
 
@@ -130,25 +123,6 @@ ProblemEntry entry_for(std::string description, int default_size, int max_size,
     };
   };
 
-  if constexpr (par::SharableProblem<P>) {
-    e.run_cooperative = [b](const SolveRequest& req, double adopt_probability,
-                            const par::MultiWalkOptions& exec, par::Blackboard* board) {
-      if (req.engine != "as")
-        throw std::invalid_argument(
-            "strategy 'cooperative' runs Adaptive Search walkers; set engine to 'as'");
-      const auto base_cfg = make_as_config(engine_params_for(req, b.base_as(req)));
-      b.make(req);  // eager probe, as in make_walker
-      return par::run_multiwalk_cooperative<P>(
-          req.walkers, req.seed, [b, req](int /*walker_id*/) { return b.make(req); },
-          [base_cfg](int /*walker_id*/, uint64_t seed) {
-            auto cfg = base_cfg;
-            cfg.seed = seed;
-            return cfg;
-          },
-          adopt_probability, exec, board);
-    };
-  }
-
   e.make_resumable_walker = [b](const SolveRequest& req) {
     if (req.engine != "as")
       throw std::invalid_argument(
@@ -160,18 +134,6 @@ ProblemEntry entry_for(std::string description, int default_size, int max_size,
       cfg.seed = seed;
       return std::make_unique<AsResumableWalk<P>>(b.make(req), cfg);
     };
-  };
-
-  e.run_neighborhood = [b](const SolveRequest& req, int threads, core::StopToken stop) {
-    if (req.engine != "as")
-      throw std::invalid_argument(
-          "strategy 'neighborhood' parallelizes the Adaptive Search scan; set engine to 'as'");
-    P problem = b.make(req);
-    auto cfg = make_as_config(engine_params_for(req, b.base_as(req)));
-    // Seeded like walker 0 of a one-walker multiwalk: the split scan then
-    // replays the 'sequential' request's walk at any thread count.
-    cfg.seed = core::ChaoticSeedSequence::generate(req.seed, 1)[0];
-    return solve_neighborhood(problem, cfg, threads, stop);
   };
 
   return e;

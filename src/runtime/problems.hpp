@@ -8,10 +8,8 @@
 //   * make_walker()            — a fresh, self-contained walker closure per
 //                                {engine, config}; every walker invocation
 //                                builds its own private problem replica,
-//   * make_cooperative_walker  — blackboard-sharing walker (only for models
-//                                whose full configuration is exportable),
-//   * run_neighborhood         — one Adaptive Search walk with its move
-//                                scan split across threads (every model),
+//   * make_resumable_walker()  — pausable Adaptive Search walks for the
+//                                checkpointed, elastic runner,
 // so the strategy layer and SolverService never mention a model type.
 #pragma once
 
@@ -23,7 +21,6 @@
 #include "core/adaptive_search.hpp"
 #include "core/problem.hpp"
 #include "core/stats.hpp"
-#include "par/cooperative.hpp"
 #include "runtime/registry.hpp"
 #include "runtime/spec.hpp"
 
@@ -74,18 +71,6 @@ struct ProblemEntry {
   /// unknown engines or malformed knobs. The returned closure is safe to
   /// invoke concurrently from many threads.
   std::function<Walker(const SolveRequest& req)> make_walker;
-
-  /// Cooperative (blackboard) multi-walk, delegating to
-  /// par::run_multiwalk_cooperative — null when the model cannot export
-  /// its configuration. Adaptive Search only, like the par runner.
-  std::function<par::MultiWalkResult(const SolveRequest& req, double adopt_probability,
-                                     const par::MultiWalkOptions& exec, par::Blackboard* board)>
-      run_cooperative;
-
-  /// Single-walk parallel neighborhood search: the `sequential` walk for
-  /// req.seed, its move rows split across `threads` scan threads.
-  std::function<core::RunStats(const SolveRequest& req, int threads, core::StopToken stop)>
-      run_neighborhood;
 
   /// Build a factory of pausable walks for checkpointed/elastic execution:
   /// each call with a per-walker seed yields a self-contained ResumableWalk

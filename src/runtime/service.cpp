@@ -135,8 +135,7 @@ void SolverService::run_leader(const SolveRequest& req, const std::string& key,
 void SolverService::auto_calibrate_locked(const SolveReport& report) {
   // Only clean, solved, first-win executions are usable: an unsolved or
   // errored run is a censored observation of the run-length distribution,
-  // and non-first-win strategies (cooperative adoption, portfolio
-  // heterogeneity, single-walk neighborhood) change the law itself.
+  // and the portfolio's heterogeneous engines change the law itself.
   if (!report.error.empty() || !report.solved) return;
   const SolveRequest& req = report.request;
   if (req.strategy != "sequential" && req.strategy != "multiwalk") return;

@@ -39,11 +39,9 @@ struct SolveRequest {
   std::string strategy = "multiwalk";
   int walkers = 4;
   /// Cap on concurrent OS threads (0 = one per walker / executor width).
-  /// Only meaningful for the multi-walk-based strategies; neighborhood
-  /// runs exactly `walkers` scan threads and rejects it.
   unsigned num_threads = 0;
-  /// Strategy-specific knobs, e.g. {"adopt_probability": 0.25} for
-  /// cooperative or {"engines": ["as", "tabu"]} for portfolio.
+  /// Strategy-specific knobs, e.g. {"engines": ["as", "tabu"]} for
+  /// portfolio. Unknown keys are an error.
   util::Json strategy_config;
 
   // --- budget ---
@@ -90,8 +88,8 @@ struct SolveReport {
   bool checked = false;
   bool check_passed = false;
 
-  /// Strategy-specific extras (e.g. the portfolio's winner engine, blackboard
-  /// improvement counts). Null when the strategy has none.
+  /// Strategy-specific extras (e.g. the portfolio's winner engine). Null
+  /// when the strategy has none.
   util::Json extras;
 
   /// Serving provenance, stamped by the SolverService: "executed" (a real

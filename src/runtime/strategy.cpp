@@ -5,12 +5,10 @@
 #include <stdexcept>
 #include <string>
 
-#include "par/cooperative.hpp"
 #include "par/multiwalk.hpp"
 #include "runtime/engines.hpp"
 #include "runtime/knobs.hpp"
 #include "runtime/problems.hpp"
-#include "util/timer.hpp"
 
 namespace cas::runtime {
 
@@ -43,24 +41,6 @@ void fill_from_result(SolveReport& report, const par::MultiWalkResult& res,
 /// Spec reader over strategy_config, labelled for this strategy's errors.
 KnobReader strategy_knobs(const SolveRequest& req) {
   return KnobReader(req.strategy_config, "strategy '" + req.strategy + "'");
-}
-
-/// The neighborhood engine runs its own scan threads; a num_threads cap
-/// cannot be honoured there, and silently ignoring an accepted knob breaks
-/// the runtime's fail-loudly contract. The shared executor likewise cannot
-/// carry them (see StrategyContext) — that is recorded visibly in the
-/// report's extras instead of erroring, because batches may mix it in.
-void reject_num_threads(const SolveRequest& req) {
-  if (req.num_threads != 0)
-    throw std::invalid_argument("strategy '" + req.strategy +
-                                "' runs its own scan threads; num_threads is not supported");
-}
-
-void note_strategy_owned_threads(const StrategyContext& ctx, SolveReport& report) {
-  if (ctx.executor == nullptr) return;
-  if (report.extras.is_null()) report.extras = util::Json::object();
-  report.extras["thread_ownership"] =
-      "strategy-managed: one thread per replica (shared executor not used)";
 }
 
 void multiwalk_strategy(const SolveRequest& req, const StrategyContext& ctx, SolveReport& report) {
@@ -111,54 +91,6 @@ void portfolio_strategy(const SolveRequest& req, const StrategyContext& ctx, Sol
   report.extras = std::move(extras);
 }
 
-void cooperative_strategy(const SolveRequest& req, const StrategyContext& ctx,
-                          SolveReport& report) {
-  double adopt = 0.25;
-  KnobReader knobs = strategy_knobs(req);
-  knobs.read("adopt_probability", adopt);
-  knobs.finish();
-  const auto& entry = entry_of(req);
-  if (entry.run_cooperative == nullptr)
-    throw std::invalid_argument("problem '" + req.problem +
-                                "' cannot share configurations (no cooperative walker)");
-  par::Blackboard board;
-  const auto res = entry.run_cooperative(req, adopt, multiwalk_options(req, ctx), &board);
-  fill_from_result(report, res, entry);
-  util::Json extras = util::Json::object();
-  extras["blackboard_offers"] = board.offers();
-  extras["blackboard_improvements"] = board.improvements();
-  report.extras = std::move(extras);
-}
-
-void neighborhood_strategy(const SolveRequest& req, const StrategyContext& ctx,
-                           SolveReport& report) {
-  strategy_knobs(req).finish();
-  reject_num_threads(req);
-  const auto& entry = entry_of(req);
-  // `walkers` is the scan width: threads splitting the single walk's rows.
-  util::WallTimer timer;
-  core::RunStats st;
-  if (req.timeout_seconds > 0) {
-    const std::function<bool()> deadline = [&] {
-      return timer.seconds() >= req.timeout_seconds;
-    };
-    st = entry.run_neighborhood(req, req.walkers, core::StopToken(&deadline));
-  } else {
-    st = entry.run_neighborhood(req, req.walkers, core::StopToken());
-  }
-  report.solved = st.solved;
-  report.winner = st.solved ? 0 : -1;
-  report.wall_seconds = st.wall_seconds;
-  report.total_iterations = st.iterations;
-  report.walkers_run = 1;
-  report.winner_stats = std::move(st);
-  if (report.solved && entry.check != nullptr) {
-    report.checked = true;
-    report.check_passed = entry.check(report.winner_stats.solution);
-  }
-  note_strategy_owned_threads(ctx, report);
-}
-
 }  // namespace
 
 const Registry<StrategyInfo>& strategy_registry() {
@@ -170,10 +102,6 @@ const Registry<StrategyInfo>& strategy_registry() {
     r.add("multiwalk",
           {"independent multi-walk, first win cancels (paper Sec. V-A)", multiwalk_strategy});
     r.add("portfolio", {"heterogeneous engines racing on one instance", portfolio_strategy});
-    r.add("cooperative",
-          {"dependent multi-walk over a shared blackboard (Sec. VI)", cooperative_strategy});
-    r.add("neighborhood",
-          {"single-walk parallel neighborhood scan (other Sec. V branch)", neighborhood_strategy});
     return r;
   }();
   return registry;

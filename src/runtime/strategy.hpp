@@ -1,18 +1,14 @@
 // The Strategy abstraction: one SolveRequest -> SolveReport contract over
-// every parallel execution scheme the par layer implements —
+// the parallel execution schemes the runtime offers —
 //
 //   sequential    one walker, no parallelism (the paper's Table I setting)
 //   multiwalk     independent multi-walk threads, first win cancels the rest
 //                 (paper Sec. V-A); honours num_threads oversubscription,
 //                 a shared executor, and the wall-clock deadline
 //   portfolio     heterogeneous engines racing on the same instance
-//   cooperative   dependent multi-walk sharing a best-configuration
-//                 blackboard (the paper's Sec. VI future work)
-//   neighborhood  single-walk parallelism: the sequential walk, its move
-//                 rows split across threads (the other Sec. V branch)
 //
-// The first four race their walkers through the one runner,
-// par::run_multiwalk, and differ only in the walker they hand it.
+// All three race their walkers through the one runner, par::run_multiwalk,
+// and differ only in the walker they hand it.
 // Strategies are registry entries, so `cas_run --strategy=...` and the
 // SolverService pick them by name at runtime.
 #pragma once
@@ -25,13 +21,9 @@
 
 namespace cas::runtime {
 
-/// Execution environment handed to a strategy by the caller. The
-/// multi-walk-based strategies (sequential, multiwalk, portfolio,
-/// cooperative) run their walkers on `executor` when provided (the
+/// Execution environment handed to a strategy by the caller. Every
+/// strategy runs its walkers on `executor` when provided (the
 /// SolverService's shared pool) instead of spawning fresh threads.
-/// neighborhood's scan threads meet at a barrier every iteration, which a
-/// FIFO pool shared with other requests cannot promise: it runs its own,
-/// ignores the executor and rejects a num_threads cap.
 struct StrategyContext {
   par::ThreadPool* executor = nullptr;
 };

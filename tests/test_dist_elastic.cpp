@@ -1080,10 +1080,11 @@ TEST(DistElasticPipeline, WalkersStartTheNextSegmentBeforeTheRebalance) {
 
 TEST(DistElastic, RejectsNonMultiwalkStrategies) {
   auto req = costas_request(kSize, kWalkers, kSeed);
-  req.strategy = "cooperative";
+  req.strategy = "portfolio";
   const auto reports = run_elastic_world(1, req, [](int) { return base_opts(); });
-  EXPECT_FALSE(reports[0].error.empty());
-  EXPECT_NE(reports[0].error.find("multiwalk"), std::string::npos) << reports[0].error;
+  EXPECT_NE(reports[0].error.find("elastic worlds support only the multiwalk strategy"),
+            std::string::npos)
+      << reports[0].error;
 }
 
 // --- successive hunts on one World -----------------------------------------
@@ -1126,16 +1127,18 @@ TEST(DistHunts, StochasticSeedIsDrawnOnceForEveryRank) {
 }
 
 TEST(DistHunts, InvalidRequestFailsOnEveryRankAndTheNextHuntRuns) {
-  runtime::SolveRequest cooperative = costas_request(12, kWalkers, 3);
-  cooperative.strategy = "cooperative";
+  runtime::SolveRequest portfolio = costas_request(12, kWalkers, 3);
+  portfolio.strategy = "portfolio";
   runtime::SolveRequest unknown = costas_request(12, kWalkers, 3);
   unknown.problem = "no-such-problem";
   const runtime::SolveRequest valid = costas_request(13, kWalkers, 5);
   const Oracle want = oracle_of(valid, 200);
   const auto reports =
-      run_hunts(2, {cooperative, unknown, valid}, [](int, size_t) { return base_opts(200); });
+      run_hunts(2, {portfolio, unknown, valid}, [](int, size_t) { return base_opts(200); });
   for (const auto& hunts : reports) {
-    EXPECT_NE(hunts[0].error.find("multiwalk"), std::string::npos) << hunts[0].error;
+    EXPECT_NE(hunts[0].error.find("elastic worlds support only the multiwalk strategy"),
+              std::string::npos)
+        << hunts[0].error;
     EXPECT_FALSE(hunts[1].error.empty());
     EXPECT_EQ(hunts[1].error, reports[0][1].error);
     const runtime::SolveReport& rep = hunts[2];

@@ -25,11 +25,11 @@ namespace {
 const std::vector<std::string> kSeeds{
     R"({"id":"a","problem":"costas","size":12,"walkers":4,"seed":7})",
     R"({"problem":"costas","size":17,"strategy":"sequential","timeout_seconds":0.5})",
-    R"({"problem":"costas","size":14,"strategy":"neighborhood","walkers":2,"max_iterations":5000})",
+    R"({"problem":"costas","size":14,"strategy":"sequential","max_iterations":5000})",
     R"({"problem":"costas","size":10,"problem_config":{"err":"unit","chang":false},"num_threads":2})",
     R"({"problem":"queens","size":64,"engine":"tabu","walkers":2,"probe_interval":16})",
     R"({"problem":"langford","size":11,"strategy":"portfolio","strategy_config":{"engines":["as","sa"]}})",
-    R"({"problem":"partition","size":24,"strategy":"cooperative","engine_config":{"tabu_tenure":3}})",
+    R"({"problem":"partition","size":24,"strategy":"multiwalk","engine_config":{"tabu_tenure":3}})",
     R"({"problem":"magic-square","size":5,"seed":"18446744073709551615"})",
     R"({"problem":"all-interval","size":14,"seed":0})",
     R"({"problem":"alpha","size":999})",

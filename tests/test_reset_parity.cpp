@@ -13,9 +13,9 @@
 //     escape verdict, same RNG consumption), under every ISA a caller can
 //     request, a tier of another architecture family included,
 // plus the end-to-end property the subsystem must preserve: seeded
-// AS / neighborhood / cooperative runs with custom resets are bit-identical
-// under every installable ISA, and two seeded walks reproduce trajectories
-// recorded from an earlier implementation.
+// Adaptive Search runs with custom resets are bit-identical under every
+// installable ISA, and two seeded walks reproduce trajectories recorded
+// from an earlier implementation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,8 +30,6 @@
 #include "core/rng.hpp"
 #include "costas/checker.hpp"
 #include "costas/model.hpp"
-#include "par/cooperative.hpp"
-#include "par/neighborhood.hpp"
 #include "problems/all_interval.hpp"
 #include "problems/alpha.hpp"
 #include "problems/langford.hpp"
@@ -52,9 +50,6 @@ using core::Cost;
 static_assert(core::HasBatchEval<costas::CostasProblem>);
 static_assert(!core::HasBatchEval<problems::QueensProblem>);
 static_assert(!core::HasBatchEval<core::DoUndoAdapter<costas::CostasProblem>>);
-// The cooperative wrapper forwards both batched APIs of its inner problem.
-static_assert(core::HasBatchEval<par::CooperativeProblem<costas::CostasProblem>>);
-static_assert(core::HasDeltaRow<par::CooperativeProblem<costas::CostasProblem>>);
 
 /// Fill a batch with `count` random rearrangements of p's permutation
 /// (shuffles, window rotations, modular shifts — the reset families' shape).
@@ -355,10 +350,13 @@ TEST(FuzzResetParity, EveryRequestedIsaInstallsAnAvailableTier) {
 }
 
 /// Seeded engine runs through reset-heavy searches must be bit-identical
-/// under every installable tier — the reset pipeline included.
+/// under every installable tier — the reset pipeline included. Capped so
+/// that a wrong lane fails instead of spinning until the ctest timeout;
+/// the scalar walks solve in a few hundred iterations, well under the cap.
 TEST(ResetTrajectoryIdentity, AdaptiveSearchWithCustomResets) {
   for (const int n : {12, 14}) {
-    const auto cfg = costas::recommended_config(n, static_cast<uint64_t>(70 + n));
+    auto cfg = costas::recommended_config(n, static_cast<uint64_t>(70 + n));
+    cfg.max_iterations = 20000;
     const auto run = [&](simd::Isa isa) {
       simd::ScopedIsa guard(isa);
       costas::CostasProblem p(n);
@@ -366,6 +364,7 @@ TEST(ResetTrajectoryIdentity, AdaptiveSearchWithCustomResets) {
       return engine.solve();
     };
     const core::RunStats scalar_stats = run(simd::Isa::kScalar);
+    ASSERT_TRUE(scalar_stats.solved) << "n=" << n;
     EXPECT_GT(scalar_stats.resets, 0u);
     for (const simd::Isa isa : test::vector_isas()) {
       const core::RunStats simd_stats = run(isa);
@@ -376,50 +375,6 @@ TEST(ResetTrajectoryIdentity, AdaptiveSearchWithCustomResets) {
       EXPECT_EQ(scalar_stats.reset_candidates, simd_stats.reset_candidates);
       EXPECT_EQ(scalar_stats.solution, simd_stats.solution);
     }
-  }
-}
-
-TEST(ResetTrajectoryIdentity, NeighborhoodSearchWithCustomResets) {
-  const int n = 12;
-  const auto cfg = costas::recommended_config(n, 91);
-  const auto run = [&](simd::Isa isa) {
-    simd::ScopedIsa guard(isa);
-    costas::CostasProblem p(n);
-    par::ParallelNeighborhoodSearch<costas::CostasProblem> engine(p, cfg, 2);
-    return engine.solve();
-  };
-  const core::RunStats scalar_stats = run(simd::Isa::kScalar);
-  for (const simd::Isa isa : test::vector_isas()) {
-    const core::RunStats simd_stats = run(isa);
-    EXPECT_EQ(scalar_stats.solved, simd_stats.solved) << simd::isa_name(isa);
-    EXPECT_EQ(scalar_stats.iterations, simd_stats.iterations) << simd::isa_name(isa);
-    EXPECT_EQ(scalar_stats.resets, simd_stats.resets);
-    EXPECT_EQ(scalar_stats.custom_reset_escapes, simd_stats.custom_reset_escapes);
-    EXPECT_EQ(scalar_stats.solution, simd_stats.solution);
-  }
-}
-
-TEST(ResetTrajectoryIdentity, CooperativeSingleWalkerWithCustomResets) {
-  // One walker keeps the blackboard deterministic (no publish races), so
-  // the full cooperative wrapper — forwarded batched row + batched reset —
-  // must reproduce the identical trajectory under every tier.
-  const int n = 12;
-  auto make_run = [&](simd::Isa isa) {
-    simd::ScopedIsa guard(isa);
-    return par::run_multiwalk_cooperative<costas::CostasProblem>(
-        1, 2025, [&](int) { return costas::CostasProblem(n); },
-        [&](int, uint64_t seed) { return costas::recommended_config(n, seed); },
-        /*adopt_probability=*/0.5);
-  };
-  const auto scalar_res = make_run(simd::Isa::kScalar);
-  for (const simd::Isa isa : test::vector_isas()) {
-    const auto simd_res = make_run(isa);
-    EXPECT_EQ(scalar_res.solved, simd_res.solved) << simd::isa_name(isa);
-    EXPECT_EQ(scalar_res.winner_stats.iterations, simd_res.winner_stats.iterations);
-    EXPECT_EQ(scalar_res.winner_stats.resets, simd_res.winner_stats.resets);
-    EXPECT_EQ(scalar_res.winner_stats.custom_reset_escapes,
-              simd_res.winner_stats.custom_reset_escapes);
-    EXPECT_EQ(scalar_res.winner_stats.solution, simd_res.winner_stats.solution);
   }
 }
 

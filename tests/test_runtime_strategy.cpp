@@ -1,14 +1,11 @@
 // The Strategy layer: every registered strategy executes the same
 // SolveRequest -> SolveReport contract, reports are verified against the
-// problems' independent checkers, budgets are honoured, and capability
-// gaps (cooperative on non-sharable models, neighborhood off Adaptive
-// Search) fail with clear errors instead of crashing.
+// problems' independent checkers, budgets are honoured, and malformed
+// requests (unknown names, unused engine fields, unknown knobs) fail with
+// clear errors instead of crashing.
 #include "runtime/strategy.hpp"
 
 #include <gtest/gtest.h>
-
-#include <tuple>
-#include <utility>
 
 #include "runtime/problems.hpp"
 #include "util/timer.hpp"
@@ -75,25 +72,21 @@ TEST(Strategy, UnknownStrategyErrorNamesTheValidOnes) {
     EXPECT_FALSE(report.solved) << name;
     EXPECT_NE(report.error.find(std::string("unknown strategy '") + name + "'"), std::string::npos)
         << report.error;
-    EXPECT_NE(report.error.find("(known: cooperative, multiwalk, neighborhood, portfolio, "
-                                "sequential)"),
-              std::string::npos)
+    EXPECT_NE(report.error.find("(known: multiwalk, portfolio, sequential)"), std::string::npos)
         << report.error;
   }
 }
 
 TEST(Strategy, TimeoutStopsUnsolvedRuns) {
-  for (const char* name : {"multiwalk", "cooperative"}) {
-    SolveRequest req = small_costas(name);
-    req.size = 19;  // paper Table I: ~30 s on faster hardware; hopeless in 50 ms
-    req.timeout_seconds = 0.05;
-    req.probe_interval = 16;
-    util::WallTimer timer;
-    const auto report = solve(req);
-    ASSERT_TRUE(report.error.empty()) << name << ": " << report.error;
-    EXPECT_FALSE(report.solved) << name;
-    EXPECT_LT(timer.seconds(), 5.0) << name;
-  }
+  SolveRequest req = small_costas("multiwalk");
+  req.size = 19;  // paper Table I: ~30 s on faster hardware; hopeless in 50 ms
+  req.timeout_seconds = 0.05;
+  req.probe_interval = 16;
+  util::WallTimer timer;
+  const auto report = solve(req);
+  ASSERT_TRUE(report.error.empty()) << report.error;
+  EXPECT_FALSE(report.solved);
+  EXPECT_LT(timer.seconds(), 5.0);
 }
 
 TEST(Strategy, PortfolioReportsWinnerEngineAndHonoursCustomMix) {
@@ -155,65 +148,6 @@ TEST(Strategy, PortfolioRejectsUnusedEngineField) {
   EXPECT_NE(report.error.find("engines"), std::string::npos) << report.error;
 }
 
-TEST(Strategy, CooperativeExposesBlackboardCounters) {
-  SolveRequest req = small_costas("cooperative");
-  req.strategy_config = util::Json::parse(R"({"adopt_probability": 0.5})");
-  const auto report = solve(req);
-  ASSERT_TRUE(report.error.empty()) << report.error;
-  EXPECT_TRUE(report.solved);
-  EXPECT_GE(report.extras.at("blackboard_offers").as_int(), 1);
-}
-
-TEST(Strategy, CooperativeRequiresSharableProblem) {
-  SolveRequest req = small_costas("cooperative");
-  req.problem = "queens";  // no set_permutation: cannot share configurations
-  req.size = 16;
-  const auto report = solve(req);
-  EXPECT_FALSE(report.error.empty());
-  EXPECT_NE(report.error.find("cooperative"), std::string::npos) << report.error;
-}
-
-TEST(Strategy, NeighborhoodReplaysTheSequentialWalk) {
-  // neighborhood splits the move rows of the walk `sequential` takes for
-  // the same seed, so everything in winner_stats but the clocks matches at
-  // every scan width, on every model. Both instances reset at least once:
-  // Costas through its custom reset, queens through the generic one.
-  const auto walk_of = [](const core::RunStats& s) {
-    return std::tuple(s.solved, s.final_cost, s.iterations, s.swaps, s.local_minima,
-                      s.plateau_moves, s.plateau_refused, s.resets, s.custom_reset_escapes,
-                      s.restarts, s.move_evaluations, s.reset_candidates,
-                      s.reset_escape_chunks, s.solution);
-  };
-  for (const auto& [problem, size] : {std::pair<const char*, int>{"costas", 14}, {"queens", 8}}) {
-    SolveRequest seq = small_costas("sequential");
-    seq.problem = problem;
-    seq.size = size;
-    seq.seed = 77;
-    const auto expected = solve(seq);
-    ASSERT_TRUE(expected.error.empty()) << problem << ": " << expected.error;
-    ASSERT_TRUE(expected.solved) << problem;
-    EXPECT_GT(expected.winner_stats.resets, 0u) << problem;
-    for (int walkers : {1, 2, 4}) {
-      SolveRequest req = seq;
-      req.strategy = "neighborhood";
-      req.walkers = walkers;
-      const auto report = solve(req);
-      ASSERT_TRUE(report.error.empty()) << problem << ": " << report.error;
-      EXPECT_EQ(walk_of(report.winner_stats), walk_of(expected.winner_stats))
-          << problem << " walkers=" << walkers;
-    }
-  }
-}
-
-TEST(Strategy, NeighborhoodAndCooperativeRequireAdaptiveSearch) {
-  for (const char* name : {"neighborhood", "cooperative"}) {
-    SolveRequest req = small_costas(name);
-    req.engine = "tabu";
-    const auto report = solve(req);
-    EXPECT_FALSE(report.error.empty()) << name;
-  }
-}
-
 TEST(Strategy, UnknownStrategyKnobThrows) {
   SolveRequest req = small_costas("multiwalk");
   req.strategy_config = util::Json::parse(R"({"adopt_probability": 0.5})");
@@ -233,15 +167,7 @@ TEST(Strategy, SequentialUsesExactlyOneWalker) {
   EXPECT_EQ(report.request.walkers, 1);
 }
 
-TEST(Strategy, NeighborhoodRejectsNumThreadsCap) {
-  // neighborhood runs its own scan threads; an accepted-but-ignored
-  // num_threads would break the fail-loudly contract.
-  SolveRequest neighborhood = small_costas("neighborhood");
-  neighborhood.num_threads = 2;
-  const auto report = solve(neighborhood);
-  EXPECT_FALSE(report.error.empty());
-  EXPECT_NE(report.error.find("num_threads"), std::string::npos) << report.error;
-  // The multi-walk strategies do honour it.
+TEST(Strategy, MultiwalkAcceptsNumThreadsCap) {
   SolveRequest req = small_costas("multiwalk");
   req.num_threads = 2;
   EXPECT_TRUE(solve(req).error.empty());

@@ -227,8 +227,9 @@ TEST(FuzzSimdParity, SelectionConsumesRngIdenticallyAcrossIsas) {
 
 /// The end-to-end property the whole layer is built around: a seeded
 /// search run is the same run whether the SIMD backends are on or off.
+/// Returns the scalar reference run.
 template <typename Engine, typename Config, typename MakeProblem>
-void expect_trajectory_identity(MakeProblem make, Config cfg) {
+core::RunStats expect_trajectory_identity(MakeProblem make, Config cfg) {
   const auto run = [&](simd::Isa isa) {
     simd::ScopedIsa guard(isa);
     auto p = make();
@@ -246,13 +247,20 @@ void expect_trajectory_identity(MakeProblem make, Config cfg) {
     EXPECT_EQ(scalar_stats.move_evaluations, simd_stats.move_evaluations);
     EXPECT_EQ(scalar_stats.solution, simd_stats.solution);
   }
+  return scalar_stats;
 }
 
 TEST(SimdTrajectoryIdentity, AdaptiveSearchOnCostas) {
+  // Capped so that a wrong lane fails instead of spinning until the ctest
+  // timeout; the scalar walks solve in a few hundred iterations, well
+  // under the cap.
   for (const int n : {10, 13}) {
-    expect_trajectory_identity<core::AdaptiveSearch<costas::CostasProblem>>(
-        [n] { return costas::CostasProblem(n); },
-        costas::recommended_config(n, static_cast<uint64_t>(40 + n)));
+    core::AsConfig cfg = costas::recommended_config(n, static_cast<uint64_t>(40 + n));
+    cfg.max_iterations = 20000;
+    const core::RunStats scalar_stats =
+        expect_trajectory_identity<core::AdaptiveSearch<costas::CostasProblem>>(
+            [n] { return costas::CostasProblem(n); }, cfg);
+    EXPECT_TRUE(scalar_stats.solved) << "n=" << n;
   }
   // The benchmark's size, where the compacted lanes fill two blocks
   // exactly; capped, since a walk to a solution takes ~1e5 iterations.

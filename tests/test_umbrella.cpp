@@ -30,7 +30,6 @@ TEST(Umbrella, AllMajorTypesReachable) {
   cas::core::ChaoticSeedSequence seeds(2);
   cas::costas::CostasProblem model(8);
   cas::costas::CpSolver cp(6);
-  cas::par::Blackboard board;
   cas::analysis::Ecdf ecdf({1.0, 2.0});
   const auto fit = cas::analysis::fit_shifted_exponential({1.0, 2.0, 3.0});
   // New subsystems of the extended API surface.
@@ -49,7 +48,6 @@ TEST(Umbrella, AllMajorTypesReachable) {
   (void)rng;
   (void)seeds;
   (void)model;
-  (void)board;
   (void)ecdf;
 }
 

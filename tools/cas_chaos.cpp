@@ -171,8 +171,7 @@ RunOutcome run_child(const std::vector<std::string>& argv,
 /// `compare` = "full" | "verified" | "auto". Every in-process multi-walker
 /// strategy picks its winner by a wall-clock race (first walker to solve
 /// takes the stop-token CAS), so the very retry backoffs a chaos run exists
-/// to exercise legitimately move it — near-tied walkers flip, and
-/// cooperative's asynchronous elite-sharing changes whole trajectories.
+/// to exercise legitimately move it: near-tied walkers flip.
 /// "auto" therefore fingerprints bit-exactly only where the winner rule is
 /// timing-invariant — distributed worlds (the (min solve iteration, min
 /// walker id) rule) and single-walker sequential — and everything else by
@@ -250,7 +249,8 @@ int main(int argc, char** argv) {
   flags.add_string("compare", "auto",
                    "winner comparison: full = bit-exact winner/solution for every "
                    "result; verified = solved + independently-checked only; auto = "
-                   "full except race-based strategies (cooperative)");
+                   "full for distributed worlds and sequential requests, verified for "
+                   "in-process multi-walker races");
   flags.add_bool("prove-no-retry", false,
                  "re-run the first chaos schedule with CAS_FAULT_NO_RETRY=1 and "
                  "require it to FAIL (proves the plan exercises the retry paths)");

@@ -82,8 +82,8 @@ runtime::SolveRequest request_from_flags(const util::Flags& flags) {
 void print_catalogs() {
   std::printf("problems:\n");
   for (const auto& [name, entry] : runtime::problem_registry()) {
-    std::printf("  %-14s %s (default size %d%s)\n", name.c_str(), entry.description.c_str(),
-                entry.default_size, entry.run_cooperative != nullptr ? ", cooperative" : "");
+    std::printf("  %-14s %s (default size %d)\n", name.c_str(), entry.description.c_str(),
+                entry.default_size);
   }
   std::printf("engines:\n");
   for (const auto& [name, info] : runtime::engine_catalog())
@@ -297,7 +297,7 @@ int main(int argc, char** argv) {
   flags.add_string("engine", "as", "engine name (see --list)");
   flags.add_string("engine-config", "", "engine knob overrides as JSON");
   flags.add_string("strategy", "multiwalk", "parallel strategy (see --list)");
-  flags.add_int("walkers", 4, "walkers (or scan threads for strategy=neighborhood)");
+  flags.add_int("walkers", 4, "walkers (sequential runs one)");
   flags.add_int("threads", 0, "cap on concurrent OS threads (0 = one per walker)");
   flags.add_string("strategy-config", "", "strategy knobs as JSON");
   flags.add_int("seed", 2012,
