@@ -11,6 +11,7 @@
 #include "dist/wire.hpp"
 #include "net/fault.hpp"
 #include "net/frame_io.hpp"
+#include "runtime/strategy.hpp"
 #include "util/strings.hpp"
 
 namespace cas::dist {
@@ -48,14 +49,20 @@ util::Json CoordinatorStats::to_json() const {
   return j;
 }
 
-void Coordinator::open_hunt(uint64_t index, const std::string& key, uint64_t seed, int walkers,
-                            uint64_t epoch) {
+void Coordinator::open_hunt(uint64_t index, util::Json request, uint64_t ckpt_iters,
+                            uint64_t max_epochs, uint64_t epoch) {
+  const int walkers = static_cast<int>(request.at("walkers").as_int());
   {
     std::scoped_lock lock(open_mu_);
     if (index <= opened_.index) return;
-    opened_ = Hunt{index, key, seed, walkers, epoch};
+    opened_ = Hunt{index, std::move(request), walkers, ckpt_iters, max_epochs, epoch};
     open_pending_ = true;
   }
+  wakeup_.notify();
+}
+
+void Coordinator::close() {
+  close_requested_.store(true, std::memory_order_release);
   wakeup_.notify();
 }
 
@@ -124,14 +131,11 @@ void Coordinator::run() {
     }
     check_liveness(now);
     maybe_open();
+    if (!closed_ && close_requested_.load(std::memory_order_acquire)) {
+      closed_ = true;
+      broadcast(make_close().dump(0));
+    }
   }
-  // No hunt will open any more: tell the joiners still waiting for one.
-  const std::string closed = make_abort("coordinator: the world closed before a hunt admitted "
-                                        "this member")
-                                 .dump(0);
-  const std::vector<int> waiting = pending_join_fds_;
-  for (const int fd : waiting)
-    if (peers_.count(fd) != 0) enqueue(*peers_.at(fd), closed);
   peers_.clear();
 }
 
@@ -366,8 +370,6 @@ void Coordinator::handle_join(Peer& p, const util::Json& j) {
     drop_peer(p.fd.get(), /*expected=*/false);
     return;
   }
-  const util::Json* kj = j.find("key");
-  const std::string key = (kj != nullptr && kj->is_string()) ? kj->as_string() : "";
   uint64_t hunt = 0;
   try {
     hunt = frame_u64(j, "hunt");
@@ -375,44 +377,27 @@ void Coordinator::handle_join(Peer& p, const util::Json& j) {
     enqueue(p, make_abort(util::strf("coordinator: join refused — %s", e.what())).dump(0));
     return;
   }
-  joins_seen_.fetch_add(1, std::memory_order_release);  // a lost member may be back (all_detached)
-  if (hunt != 0) {
-    // A rejoin: back into the hunt it left, or told how that hunt and every
-    // later finished one ended, one final for each of the member's next
-    // solves, and kept for the next opening. Pending first: a write error
-    // while answering drops it from the pending list with the peer.
-    if (hunting_ && hunt == hunt_.index) {
-      pend_join(p, j, key, /*rejoin=*/true);
-    } else if (finals_.count(hunt) != 0) {
-      pend_join(p, j, key, /*rejoin=*/true);
-      catch_up(p.fd.get(), -1, hunt);
-    } else {
-      enqueue(p, make_abort(util::strf("coordinator: rejoin refused — hunt %llu is neither "
-                                       "running nor finished",
-                                       static_cast<unsigned long long>(hunt)))
-                     .dump(0));
-    }
-    return;
-  }
-  if (hunting_ && key != hunt_.key) {
-    enqueue(p, make_abort("coordinator: join refused — request key does not match the hunt "
-                          "in progress")
+  const bool finished = finals_.count(hunt) != 0;
+  if (hunt != 0 && !finished && !(hunting_ && hunt == hunt_.index)) {
+    enqueue(p, make_abort(util::strf("coordinator: rejoin refused — hunt %llu is neither "
+                                     "running nor finished",
+                                     static_cast<unsigned long long>(hunt)))
                    .dump(0));
     return;
   }
-  // During a hunt the joiner is admitted at a wave boundary or answered
-  // with the outcome; between hunts its key is checked when the next opens.
-  pend_join(p, j, key, /*rejoin=*/false);
-}
-
-void Coordinator::pend_join(Peer& p, const util::Json& j, std::string key, bool rejoin) {
+  joins_seen_.fetch_add(1, std::memory_order_release);  // a lost member may be back (all_detached)
+  // Every joiner follows: admitted at the next wave boundary or opening. A
+  // rejoin whose hunt finished learns every outcome since, one final for
+  // each of its next solves; pending first, so a write error while
+  // answering drops it from the pending list with the peer.
   if (const util::Json* fo = j.find("failover"); fo != nullptr && fo->is_string())
     p.failover_addr = fo->as_string();
-  p.join_key = std::move(key);
-  p.rejoin = rejoin;
+  const int fd = p.fd.get();
   p.pending_join = true;
-  pending_join_fds_.push_back(p.fd.get());
+  pending_join_fds_.push_back(fd);
   stats_.joins.fetch_add(1, std::memory_order_relaxed);
+  if (finished) catch_up(fd, -1, hunt);
+  if (closed_ && peers_.count(fd) != 0) enqueue(*peers_.at(fd), make_close().dump(0));
 }
 
 void Coordinator::handle_epoch(const util::Json& j) {
@@ -501,7 +486,7 @@ int Coordinator::active_count() const {
 }
 
 void Coordinator::maybe_open() {
-  if (reconnect_mode_ || aborted_ || !welcomed_) return;
+  if (reconnect_mode_ || aborted_ || !welcomed_ || closed_) return;
   Hunt next;
   {
     std::scoped_lock lock(open_mu_);
@@ -522,17 +507,6 @@ void Coordinator::maybe_open() {
     m.walkers = 0;
     m.last_ckpt_epoch = 0;
     m.summary = {};
-  }
-  // A fresh joiner that arrived between hunts must want this one.
-  const std::string refusal =
-      make_abort("coordinator: join refused — request key does not match the hunt opened")
-          .dump(0);
-  for (const int fd : std::vector<int>(pending_join_fds_)) {
-    Peer& p = *peers_.at(fd);
-    if (p.rejoin || p.join_key == hunt_.key) continue;
-    std::erase(pending_join_fds_, fd);
-    p.pending_join = false;
-    enqueue(p, refusal);
   }
   send_view(wave_, /*final=*/false);
   send_state_sync();
@@ -640,18 +614,11 @@ void Coordinator::send_view(uint64_t epoch, bool final) {
     }
     base["summaries"] = std::move(summaries);
     // A join still pending came too late to take part: it is answered with
-    // the outcome, as a non-member. That ends a fresh joiner's request; a
-    // rejoiner, a member of the world, waits for the next hunt.
+    // the outcome, as a non-member, and waits for the next opening.
     util::Json late = base;
     late["your_rank"] = -1;
     finals_[hunt_.index] = late.dump(0);
-    for (const int fd : std::vector<int>(pending_join_fds_)) {
-      catch_up(fd, -1, hunt_.index);
-      const auto pit = peers_.find(fd);
-      if (pit == peers_.end() || pit->second->rejoin) continue;
-      pit->second->pending_join = false;
-      std::erase(pending_join_fds_, fd);
-    }
+    for (const int fd : std::vector<int>(pending_join_fds_)) catch_up(fd, -1, hunt_.index);
   }
 
   // Personalized delivery: joiners were just welcomed (member id assigned),
@@ -690,8 +657,9 @@ util::Json Coordinator::next_view(uint64_t epoch, bool final, const std::vector<
     base["standby_member"] = standby_member_;
     base["standby_addr"] = standby_addr_;
   }
-  base["seed"] = wire_u64(hunt_.seed);
-  base["walkers"] = hunt_.walkers;
+  base["request"] = hunt_.request;
+  base["ckpt_iters"] = wire_u64(hunt_.ckpt_iters);
+  base["max_epochs"] = wire_u64(hunt_.max_epochs);
   if (have_leader_) {
     util::Json leader = util::Json::object();
     leader["id"] = wire_u64(leader_id_);
@@ -726,9 +694,9 @@ util::Json Coordinator::export_state() {
   s["v"] = kWireVersion;
   s["hunt"] = wire_u64(hunt_.index);
   s["hunting"] = hunting_;
-  s["key"] = hunt_.key;
-  s["seed"] = wire_u64(hunt_.seed);
-  s["walkers"] = hunt_.walkers;
+  s["request"] = hunt_.request;
+  s["ckpt_iters"] = wire_u64(hunt_.ckpt_iters);
+  s["max_epochs"] = wire_u64(hunt_.max_epochs);
   s["wave"] = wire_u64(wave_);
   s["ckpt_epoch"] = static_cast<int64_t>(ckpt_epoch_);
   s["next_member"] = next_member_;
@@ -764,9 +732,10 @@ void Coordinator::import_state(const util::Json& state) {
   try {
     hunt_.index = frame_u64(state, "hunt");
     hunting_ = frame_bool(state, "hunting", false);
-    hunt_.key = state.at("key").as_string();
-    hunt_.seed = frame_u64(state, "seed");
-    hunt_.walkers = frame_int(state, "walkers");
+    hunt_.request = state.at("request");  // sent on in every view
+    hunt_.walkers = runtime::resolve(runtime::SolveRequest::from_json(hunt_.request)).walkers;
+    hunt_.ckpt_iters = frame_u64(state, "ckpt_iters");
+    hunt_.max_epochs = frame_u64(state, "max_epochs");
     wave_ = frame_u64(state, "wave");
     ckpt_epoch_ = state.at("ckpt_epoch").as_int();
     next_member_ = frame_int(state, "next_member");
@@ -1036,15 +1005,17 @@ void Coordinator::abort_world(const std::string& reason) {
   if (aborted_) return;
   aborted_ = true;
   stats_.aborts.fetch_add(1, std::memory_order_relaxed);
-  const std::string frame = make_abort(reason).dump(0);
+  broadcast(make_abort(reason).dump(0));
+}
+
+void Coordinator::broadcast(const std::string& payload) {
   // Collect fds first: enqueue may drop peers on write error, invalidating
   // iterators into peers_.
   std::vector<int> fds;
   fds.reserve(peers_.size());
   for (const auto& [fd, p] : peers_) fds.push_back(fd);
-  for (const int fd : fds) {
-    if (peers_.count(fd) != 0) enqueue(*peers_.at(fd), frame);
-  }
+  for (const int fd : fds)
+    if (peers_.count(fd) != 0) enqueue(*peers_.at(fd), payload);
 }
 
 void Coordinator::check_liveness(double now) {

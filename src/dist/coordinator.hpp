@@ -7,11 +7,12 @@
 // A world serves successive hunts. The host opens each with open_hunt: the
 // wave machine re-arms at the hunt's first epoch with no leader, while
 // membership, the standby election and heartbeats carry over, and every
-// member receives the opening rebalance — the view it starts its walkers
-// from. Members carry STABLE member ids (the initial ranks are members
-// 0..R-1; late joiners get the next id) and a DENSE rank — their index in
-// the ascending-member-id list of active members — recomputed at every
-// wave so the walker share/offset split stays deterministic. Each active
+// member receives the opening rebalance — the view it builds its walkers
+// from, since every view carries the hunt's definition; the host's close
+// ends the world. Members carry STABLE member ids (the initial ranks are
+// members 0..R-1; late joiners get the next id) and a DENSE rank — their
+// index in the ascending-member-id list of active members — recomputed at
+// every wave so the walker share/offset split stays deterministic. Each active
 // member reports the current wave with an `epoch` frame; when all have
 // reported, the coordinator retires leaving members, admits pending
 // joiners, renumbers, and sends a personalized `rebalance` frame. Members
@@ -122,7 +123,7 @@ class Coordinator {
   [[nodiscard]] uint16_t port() const { return port_; }
 
   /// Ask the coordinator thread to exit; joined by the destructor (or
-  /// here). Joiners still waiting for a hunt are refused first.
+  /// here).
   void stop();
 
   [[nodiscard]] const CoordinatorStats& stats() const { return stats_; }
@@ -133,15 +134,18 @@ class Coordinator {
   [[nodiscard]] bool all_detached() const;
   static constexpr double kRejoinGraceSeconds = 1.0;
 
-  /// Host only: open hunt `index` — canonical request key (fresh joiners
-  /// must match it), master seed and walker count (every member adopts
-  /// them from the opening rebalance), and the epoch it starts at (a
-  /// resume's manifest epoch + 1, else 0). No-op when hunt `index` or a
-  /// later one was opened already (a promoted coordinator resumes the hunt
-  /// it replicated). A hunt still running is ended undecided first.
-  /// Thread-safe; the coordinator thread sends the opening.
-  void open_hunt(uint64_t index, const std::string& key, uint64_t seed, int walkers,
+  /// Host only: open hunt `index` at `epoch` (a resume's manifest epoch + 1,
+  /// else 0) with the definition every view carries: the resolved request
+  /// (canonical JSON with its id), the segment length and the epoch bound
+  /// (0 = none). No-op when hunt `index` or a later one was opened already
+  /// (a promoted coordinator resumes the hunt it replicated). A hunt still
+  /// running is ended undecided first. Thread-safe.
+  void open_hunt(uint64_t index, util::Json request, uint64_t ckpt_iters, uint64_t max_epochs,
                  uint64_t epoch);
+
+  /// Host only: the world is done — send every connection a close frame
+  /// and open no further hunt. Thread-safe.
+  void close();
 
   /// The member id of the dead host this coordinator was promoted from
   /// (-1 for an original, never-promoted coordinator).
@@ -156,8 +160,6 @@ class Coordinator {
     int rank = -1;  // the member id; -1 until hello or admission
     std::string failover_addr;  // announced in hello/join/reconnect
     bool pending_join = false;  // said join, not yet admitted
-    bool rejoin = false;   // its join named the hunt it left: it stays for the next hunt
-    std::string join_key;  // a fresh joiner's key, checked when a hunt opens
     bool said_bye = false;
     bool want_write = false;
     double last_seen = 0;
@@ -186,13 +188,13 @@ class Coordinator {
     util::Json summary;  // its latest epoch frame (final-report rows)
   };
 
-  /// What a hunt is: its index, request key, seed, walker count and the
-  /// epoch it opens at.
+  /// What a hunt is: its index, definition and opening epoch.
   struct Hunt {
     uint64_t index = 0;
-    std::string key;
-    uint64_t seed = 0;
+    util::Json request;
     int walkers = 0;
+    uint64_t ckpt_iters = 0;
+    uint64_t max_epochs = 0;
     uint64_t epoch = 0;
   };
 
@@ -204,6 +206,8 @@ class Coordinator {
   void enqueue(Peer& p, const std::string& payload);
   /// Deliver to a member's connection, if it has one.
   void send_to_member(int member, const std::string& payload);
+  /// Deliver to every connection.
+  void broadcast(const std::string& payload);
   void drop_peer(int fd, bool expected);
   /// Bind `member` to the connection `p` that dialed in again (a re-hello,
   /// or a reconnect to a promoted coordinator): replace a stale connection,
@@ -221,7 +225,6 @@ class Coordinator {
 
   // The wave machine (coordinator thread only).
   void handle_join(Peer& p, const util::Json& j);
-  void pend_join(Peer& p, const util::Json& j, std::string key, bool rejoin);
   void handle_epoch(const util::Json& j);
   void handle_solved(const util::Json& j);
   /// Take an active member out of the world — evicted (it died) or left
@@ -315,6 +318,8 @@ class Coordinator {
   std::mutex open_mu_;
   Hunt opened_;               // the latest hunt opened or queued
   bool open_pending_ = false;  // opened_ waits for the coordinator thread
+  std::atomic<bool> close_requested_{false};
+  bool closed_ = false;  // the close frames went out (coordinator thread)
 
   std::thread thread_;
 };

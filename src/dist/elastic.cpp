@@ -125,13 +125,20 @@ std::map<int, util::Json> load_wave_snapshots(const std::string& dir, uint64_t e
   return out;
 }
 
+/// What the host's resume adopted from the manifest.
+struct Resumed {
+  uint64_t elapsed_micros = 0;
+  int64_t epoch = -1;      // the manifest's wave
+  bool fell_back = false;  // torn manifest: resumed from the predecessor cut
+};
+
 /// Everything one epoch-loop pass needs; kept in a struct so the view
 /// adoption, the crew and the report builders stay readable.
 struct ElasticRun {
   RankComm* comm = nullptr;
   uint64_t hunt = 0;
   const ElasticOptions* opts = nullptr;
-  runtime::SolveRequest* resolved = nullptr;
+  const runtime::SolveRequest* resolved = nullptr;
   par::ThreadPool* executor = nullptr;  // null: the crew fans out on jthreads
 
   std::vector<uint64_t> seeds;  // global walker id -> engine seed
@@ -140,7 +147,7 @@ struct ElasticRun {
   std::map<int, OwnedWalker> owned;  // reshaped only while the crew is stopped
   uint64_t executed_local = 0;     // iterations run here, through the last wave reported
   uint64_t epochs_executed = 0;    // waves this process reported
-  uint64_t prior_elapsed_micros = 0;
+  Resumed resumed;  // the host's resume
   util::WallTimer timer;
 
   // Checkpoint provenance.
@@ -149,9 +156,7 @@ struct ElasticRun {
   uint64_t ckpt_bytes = 0;
   uint64_t walkers_restored = 0;
   uint64_t walkers_replayed = 0;
-  int64_t resumed_from_epoch = -1;
   int64_t manifest_epoch = -1;  // last manifest this process (the host) wrote
-  bool resume_fell_back = false;  // torn manifest: resumed from the predecessor cut
 
   // The crew: the walkers' workers for the current view, one par::fan_out
   // on a jthread of its own, so the member's thread stays free for the wave
@@ -176,7 +181,7 @@ struct ElasticRun {
   }
 
   [[nodiscard]] uint64_t elapsed_micros() const {
-    return prior_elapsed_micros + static_cast<uint64_t>(timer.seconds() * 1e6);
+    return resumed.elapsed_micros + static_cast<uint64_t>(timer.seconds() * 1e6);
   }
   [[nodiscard]] bool out_of_time() const {
     return resolved->timeout_seconds > 0 &&
@@ -530,9 +535,9 @@ struct ElasticRun {
     c["bytes"] = static_cast<int64_t>(ckpt_bytes);
     c["restored"] = static_cast<int64_t>(walkers_restored);
     c["replayed"] = static_cast<int64_t>(walkers_replayed);
-    c["resumed_from_epoch"] = resumed_from_epoch;
+    c["resumed_from_epoch"] = resumed.epoch;
     c["manifest_epoch"] = manifest_epoch;
-    if (resumed_from_epoch >= 0) c["resume_fell_back"] = resume_fell_back;
+    if (resumed.epoch >= 0) c["resume_fell_back"] = resumed.fell_back;
     if (ckpt_write_seconds.count() > 0) {
       util::Json lat = util::Json::object();
       lat["count"] = static_cast<int64_t>(ckpt_write_seconds.count());
@@ -582,91 +587,118 @@ uint64_t counted_iters(const util::Json& summary, const std::optional<Leader>& l
   return total;
 }
 
+struct WorldClosed {};  // the host closed the world: no view comes any more
+
 /// The next rebalance frame of a hunt in [lo, hi]; frames of other hunts
-/// are dropped. Throws CommError when none arrives within the timeout.
+/// are dropped. Throws WorldClosed once the host closed the world, and
+/// CommError when no frame arrives within the timeout.
 util::Json await_view(RankComm& comm, uint64_t lo, uint64_t hi, double timeout_seconds) {
   for (;;) {
     std::optional<util::Json> ctl = comm.take_control(timeout_seconds);
     if (!ctl)
       throw CommError(util::strf("elastic: no rebalance for hunt %llu within %.0fs",
                                  static_cast<unsigned long long>(lo), timeout_seconds));
+    if (frame_type(*ctl) == "close") throw WorldClosed{};
     const uint64_t hunt = frame_u64(*ctl, "hunt");
     if (hunt >= lo && hunt <= hi) return std::move(*ctl);
   }
 }
 
-/// Run hunt `want` or, when a member joins late, the first hunt after it
-/// that admits this member.
-void run_elastic(World& world, runtime::SolveRequest& resolved,
-                 const runtime::StrategyContext& ctx, const ElasticOptions& opts, uint64_t want,
-                 runtime::SolveReport& report) {
-  // Every member refuses a request the same way before any frame moves, so
-  // a hunt opens only when all of them take part.
+/// The request `view` defines its hunt with; the host's segment length and
+/// epoch bound go into `opts`. Throws what resolve() throws for a request a
+/// member cannot build.
+runtime::SolveRequest definition_of(const util::Json& view, ElasticOptions& opts) {
+  opts.ckpt_iters = frame_u64(view, "ckpt_iters");
+  opts.max_epochs = frame_u64(view, "max_epochs");
+  if (opts.ckpt_iters == 0) throw std::invalid_argument("elastic: the hunt's ckpt_iters is 0");
+  return runtime::resolve(runtime::SolveRequest::from_json(view.at("request")));
+}
+
+/// Host: check `req` once, adopt a resume's manifest or draw a stochastic
+/// seed, and open it as hunt `index`. Throws before opening anything.
+Resumed open_for(World& world, const runtime::SolveRequest& req, const ElasticOptions& opts,
+                 uint64_t index, runtime::SolveReport& report) {
+  runtime::SolveRequest resolved = runtime::resolve(req);
+  report.request = resolved;
   if (resolved.strategy != "multiwalk")
     throw std::invalid_argument(
         "elastic worlds support only the multiwalk strategy (independent walkers are what "
         "makes checkpointed ownership transferable); requested: " +
         resolved.strategy);
   if (opts.ckpt_iters == 0) throw std::invalid_argument("elastic: ckpt_iters must be >= 1");
+  if (!opts.ckpt_dir.empty() && index > 1)
+    throw std::invalid_argument(
+        "elastic: a checkpoint directory belongs to a World's first hunt (this World already "
+        "ran one)");
   if (opts.resume && opts.ckpt_dir.empty())
     throw std::invalid_argument("elastic: --resume needs --ckpt-dir");
-  const auto& entry = runtime::entry_of(resolved);
-  if (!entry.make_resumable_walker)
+  if (!runtime::entry_of(resolved).make_resumable_walker)
     throw std::invalid_argument("elastic: problem '" + resolved.problem +
                                 "' has no resumable walker factory");
-
-  RankComm& comm = world.comm();
-  ElasticRun run;
-  run.opts = &opts;
-  run.resolved = &resolved;
-  run.executor = ctx.executor;
-
-  uint64_t epoch = 0;  // wave index the next segment executes
+  Resumed resumed;
+  uint64_t epoch = 0;  // the wave the hunt opens at
   if (opts.resume) {
-    bool fell_back = false;
-    const util::Json manifest = read_manifest_file(opts.ckpt_dir, &fell_back);
-    run.resume_fell_back = fell_back;
+    // The manifest must describe this request, up to seed, num_threads and
+    // timeout_seconds — execution-shape fields an operator may change.
+    const auto identity = [](runtime::SolveRequest r) {
+      r.id.clear();
+      r.seed = r.num_threads = 0;
+      r.timeout_seconds = 0.0;
+      return r.canonical_key();
+    };
+    const util::Json manifest = read_manifest_file(opts.ckpt_dir, &resumed.fell_back);
     const runtime::SolveRequest stored = runtime::SolveRequest::from_json(manifest.at("request"));
-    if (elastic_hunt_key(stored) != elastic_hunt_key(resolved))
+    if (identity(stored) != identity(resolved))
       throw CkptError(
           "resume: the checkpoint manifest describes a different request "
           "(seed/threads/timeout may differ; problem, size, configs, and walkers may not)");
     resolved.seed = u64_from(manifest.at("seed"), "manifest seed");
-    run.prior_elapsed_micros = u64_from(manifest.at("elapsed_micros"), "manifest elapsed_micros");
+    resumed.elapsed_micros = u64_from(manifest.at("elapsed_micros"), "manifest elapsed_micros");
     const uint64_t manifest_wave = u64_from(manifest.at("epoch"), "manifest epoch");
-    run.resumed_from_epoch = static_cast<int64_t>(manifest_wave);
-    run.manifest_epoch = static_cast<int64_t>(manifest_wave);
+    resumed.epoch = static_cast<int64_t>(manifest_wave);
     epoch = manifest_wave + 1;
-  } else if (resolved.seed == 0 && world.is_host()) {
+  } else if (resolved.seed == 0) {
     // Stochastic request: the host draws, everyone adopts it from the
-    // opening rebalance (the report then echoes the drawn seed, keeping the
-    // run replayable).
+    // opening (the report then echoes the drawn seed, keeping the run
+    // replayable).
     resolved.seed = runtime::draw_seed();
   }
-  // The host opens the hunt (a promoted host finds the hunt it replicated
-  // open already); every member, host included, starts from its opening
-  // rebalance — or, joining late, from the view that admits it, or from
-  // the final that tells it the outcome of a hunt it came too late for.
-  world.open_hunt(want, elastic_hunt_key(resolved), resolved.seed, resolved.walkers, epoch);
+  // The request travels with its id, so every member's report names it.
+  util::Json request = resolved.canonical_json();
+  if (!resolved.id.empty()) request["id"] = resolved.id;
+  world.open_hunt(index, std::move(request), opts.ckpt_iters, opts.max_epochs, epoch);
+  return resumed;
+}
+
+/// Run hunt `want` — or, when this member joins late, the first hunt after
+/// it that admits this member — from the views the coordinator sends: the
+/// first builds the walkers.
+void run_hunt(World& world, const runtime::StrategyContext& ctx, ElasticOptions opts,
+              uint64_t want, const Resumed& resumed, runtime::SolveReport& report) {
+  RankComm& comm = world.comm();
   const util::Json first_view =
       await_view(comm, want, std::numeric_limits<uint64_t>::max(), opts.control_timeout_seconds);
   world.note_view(first_view);
+  const runtime::SolveRequest resolved = definition_of(first_view, opts);
+  report.request = resolved;
   if (frame_bool(first_view, "final", false)) {
+    // A hunt it came too late for: it learns the outcome.
     fill_outcome(report, first_view);
     report.extras = util::Json::object();
     return;
   }
-  resolved.seed = frame_u64(first_view, "seed");
-  const int hunt_walkers = frame_int(first_view, "walkers");
-  if (hunt_walkers != resolved.walkers)
-    throw std::invalid_argument(util::strf("elastic: hunt runs %d walkers, request asked %d",
-                                           hunt_walkers, resolved.walkers));
   int my_rank = frame_int(first_view, "your_rank");
   int ranks = frame_int(first_view, "ranks");
-  epoch = frame_u64(first_view, "epoch");
+  uint64_t epoch = frame_u64(first_view, "epoch");  // wave index the next segment executes
   int64_t cut = first_view.at("ckpt_epoch").as_int();  // latest consistent checkpoint wave
   comm.set_view(my_rank, ranks);
 
+  ElasticRun run;
+  run.opts = &opts;
+  run.resolved = &resolved;
+  run.executor = ctx.executor;
+  run.resumed = resumed;
+  run.manifest_epoch = resumed.epoch;
   run.comm = &comm;
   run.hunt = frame_u64(first_view, "hunt");
   comm.on_leader(run.hunt, [&run](uint64_t iters, int id) {
@@ -675,7 +707,7 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
   });
   run.seeds = core::ChaoticSeedSequence::generate(resolved.seed,
                                                   static_cast<size_t>(resolved.walkers));
-  run.factory = entry.make_resumable_walker(resolved);
+  run.factory = runtime::entry_of(resolved).make_resumable_walker(resolved);
   run.apply_view(my_rank, ranks, epoch, cut, leader_of(first_view));
 
   const uint64_t start_epoch = epoch;
@@ -776,41 +808,38 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
       break;
     }
 
-    const int new_rank = frame_int(rb, "your_rank");
+    my_rank = frame_int(rb, "your_rank");
     epoch = frame_u64(rb, "epoch");
-    if (new_rank < 0) {
+    if (my_rank < 0) {
       // Retired: the coordinator rebalanced our walkers away after our
       // leave. Report participation and bow out.
       run.stop_crew();
-      report.extras = util::Json::object();
-      util::Json d = util::Json::object();
-      d["hunt"] = static_cast<int64_t>(run.hunt);
-      d["left"] = true;
-      d["member"] = comm.member();
-      d["epochs"] = static_cast<int64_t>(run.epochs_executed);
-      d["executed"] = static_cast<int64_t>(run.executed_local);
-      d["run_ahead_segments"] = static_cast<int64_t>(run.run_ahead_segments);
-      d["horizon_wait_seconds"] = run.horizon_wait_seconds;
-      d["ckpt"] = run.ckpt_extras();
-      d["comm"] = world.stats_json();
-      report.extras["dist"] = std::move(d);
-      report.wall_seconds = static_cast<double>(run.elapsed_micros()) * 1e-6;
-      return;
+      break;
     }
-    my_rank = new_rank;
     comm.set_view(my_rank, ranks);
     run.apply_view(my_rank, ranks, epoch, cut, leader_of(rb));
   }
 
-  // --- final rebalance: build the report -----------------------------------
-  fill_outcome(report, final_frame);
+  // --- build the report ----------------------------------------------------
   report.wall_seconds = static_cast<double>(run.elapsed_micros()) * 1e-6;
   report.extras = util::Json::object();
   util::Json d = util::Json::object();
   d["hunt"] = static_cast<int64_t>(run.hunt);
+  d["member"] = comm.member();
+  d["run_ahead_segments"] = static_cast<int64_t>(run.run_ahead_segments);
+  d["horizon_wait_seconds"] = run.horizon_wait_seconds;
+  d["ckpt"] = run.ckpt_extras();
+  d["comm"] = world.stats_json();
+  if (final_frame.is_null()) {  // retired
+    d["left"] = true;
+    d["epochs"] = static_cast<int64_t>(run.epochs_executed);
+    d["executed"] = static_cast<int64_t>(run.executed_local);
+    report.extras["dist"] = std::move(d);
+    return;
+  }
+  fill_outcome(report, final_frame);
   d["strategy"] = resolved.strategy;
   d["ranks"] = ranks;
-  d["member"] = comm.member();
   d["rank"] = my_rank;
   d["epochs"] = static_cast<int64_t>(frame_u64(final_frame, "epoch") + 1);
   d["start_epoch"] = static_cast<int64_t>(start_epoch);
@@ -856,44 +885,20 @@ void run_elastic(World& world, runtime::SolveRequest& resolved,
     report.walkers_run = resolved.walkers;
     d["members"] = std::move(rows);
   }
-  d["run_ahead_segments"] = static_cast<int64_t>(run.run_ahead_segments);
-  d["horizon_wait_seconds"] = run.horizon_wait_seconds;
-  d["ckpt"] = run.ckpt_extras();
-  d["comm"] = world.stats_json();
   report.extras["dist"] = std::move(d);
 }
 
-}  // namespace
-
-std::string elastic_hunt_key(const runtime::SolveRequest& resolved) {
-  runtime::SolveRequest r = resolved;
-  r.id.clear();
-  r.seed = 0;
-  r.num_threads = 0;
-  r.timeout_seconds = 0.0;
-  return r.canonical_key();
-}
-
-runtime::SolveReport solve_elastic(World& world, const runtime::SolveRequest& req,
-                                   const runtime::StrategyContext& ctx,
-                                   const ElasticOptions& opts) {
+/// solve_elastic, and follow's step with a null `req`. nullopt (a null `req`
+/// only): the host closed the world, or this member was promoted with no
+/// hunt open and none to open.
+std::optional<runtime::SolveReport> next_hunt(World& world, const runtime::SolveRequest* req,
+                                              const runtime::StrategyContext& ctx,
+                                              const ElasticOptions& opts) {
   runtime::SolveReport report;
-  try {
-    report.request = runtime::resolve(req);
-  } catch (const std::exception& e) {
-    report.request = req;
-    report.error = e.what();
-    return report;
-  }
+  if (req != nullptr) report.request = *req;
   // This call runs the World's next hunt; a late joiner's first may come
   // later still.
   const uint64_t want = world.hunt() + 1;
-  if (!opts.ckpt_dir.empty() && want > 1) {
-    report.error =
-        "elastic: a checkpoint directory belongs to a World's first hunt (this World already "
-        "ran one)";
-    return report;
-  }
   // A member whose communicator fails mid-hunt recovers and keeps hunting.
   // Which recovery depends on what actually died:
   //   - The coordinator still answers its port: only OUR connection broke.
@@ -907,16 +912,26 @@ runtime::SolveReport solve_elastic(World& world, const runtime::SolveRequest& re
   //     is the double-failure case and aborts immediately).
   // The winner rule is membership- and timing-invariant and the rewound
   // wave replays idempotently, so no recovery can change the verified
-  // outcome. A deliberate refusal (key mismatch) is final.
+  // outcome.
   ElasticOptions eopts = opts;
+  Resumed resumed;
   int rejoins = 0;
   int failovers = 0;
   net::Backoff backoff({}, 0xE1A5u + static_cast<uint64_t>(world.comm().member() + 1));
   for (;;) {
     report.error.clear();
     try {
+      // The host opens the hunt; a member promoted before it saw the hunt
+      // open opens one for its own request, if it has one.
+      if (world.is_host() && world.hunt() < want) {
+        if (req == nullptr) return std::nullopt;
+        resumed = open_for(world, *req, opts, want, report);
+      }
       // A retry stays in the hunt the first attempt saw open.
-      run_elastic(world, report.request, ctx, eopts, std::max(want, world.hunt()), report);
+      run_hunt(world, ctx, eopts, std::max(want, world.hunt()), resumed, report);
+    } catch (const WorldClosed&) {
+      if (req == nullptr) return std::nullopt;
+      report.error = "elastic: the host closed the world";
     } catch (const CommError& e) {
       if (world.is_host() || !net::retry_enabled() || backoff.exhausted()) {
         report.error = util::strf("elastic (member %d): %s", world.comm().member(), e.what());
@@ -929,7 +944,7 @@ runtime::SolveReport solve_elastic(World& world, const runtime::SolveRequest& re
         bool rejoined = false;
         if (world.coordinator_alive()) {
           try {
-            world.rejoin(elastic_hunt_key(report.request));
+            world.rejoin();
             rejoined = true;
             ++rejoins;
           } catch (const CommError&) {
@@ -967,6 +982,24 @@ runtime::SolveReport solve_elastic(World& world, const runtime::SolveRequest& re
       report.extras["dist"]["promoted_from"] = world.promoted_from();
   }
   return report;
+}
+
+}  // namespace
+
+runtime::SolveReport solve_elastic(World& world, const runtime::SolveRequest& req,
+                                   const runtime::StrategyContext& ctx,
+                                   const ElasticOptions& opts) {
+  return *next_hunt(world, &req, ctx, opts);
+}
+
+std::vector<runtime::SolveReport> follow(World& world, const runtime::StrategyContext& ctx,
+                                         const ElasticOptions& opts) {
+  std::vector<runtime::SolveReport> reports;
+  while (std::optional<runtime::SolveReport> report = next_hunt(world, nullptr, ctx, opts)) {
+    reports.push_back(std::move(*report));
+    if (!reports.back().error.empty() || world.is_host()) break;
+  }
+  return reports;
 }
 
 }  // namespace cas::dist

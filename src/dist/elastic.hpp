@@ -1,22 +1,24 @@
 // The distributed runner: epoch-stepped independent multi-walk over a
-// membership that can change while a hunt is running. A World runs one hunt
-// per solve_elastic call, one after another.
+// membership that can change while a hunt is running. A World runs its
+// hunts one after another.
 //
-// The host opens each hunt and every member, host included, starts its
-// walkers from the opening `rebalance` frame, which carries the hunt's
-// index, seed and walker split. Each member advances every owned walker a
-// fixed iteration segment per epoch, checkpoints the mid-walk state, and
-// reports to the coordinator; the coordinator completes the wave once every
-// active member reported, evicting the dead, retiring the leaving, admitting
-// late joiners, and sending the new walker partition in a `rebalance`
-// frame. Work is deterministic per walker (global walker id -> chaotic-map
-// seed), so ownership can move between members freely: a member that
-// inherits a walker restores its snapshot from the last consistent
-// checkpoint wave — or deterministically replays it from the seed when no
-// checkpoint exists — and continues exactly where the previous owner left
-// off. The same property makes `--resume` exact: a world killed outright and
-// restarted from its manifest (at ANY rank count) follows the identical
-// walker trajectories an uninterrupted run would.
+// Only the host knows what a world runs: it opens each hunt for a request it
+// resolved and checked, and every member builds its walkers from the
+// opening `rebalance` frame, which carries the hunt's definition (resolved
+// request, segment length, epoch bound). Members hold no requests. Each
+// member advances every owned walker a fixed iteration segment per epoch,
+// checkpoints the mid-walk state, and reports to the coordinator; the
+// coordinator completes the wave once every active member reported,
+// evicting the dead, retiring the leaving, admitting late joiners, and
+// sending the new walker partition in a `rebalance` frame. Work is
+// deterministic per walker (global walker id -> chaotic-map seed), so
+// ownership can move between members freely: a member that inherits a
+// walker restores its snapshot from the last consistent checkpoint wave —
+// or deterministically replays it from the seed when no checkpoint exists —
+// and continues exactly where the previous owner left off. The same
+// property makes `--resume` exact: a world killed outright and restarted
+// from its manifest (at ANY rank count) follows the identical walker
+// trajectories an uninterrupted run would.
 //
 // A member's walkers run up to two segments past the wave it is reporting;
 // its own thread reports that wave from the states they recorded there.
@@ -57,6 +59,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "dist/world.hpp"
 #include "runtime/spec.hpp"
@@ -74,16 +77,16 @@ struct ElasticOptions {
   /// only point where membership changes, checkpoints cut, and budgets are
   /// checked — shorter segments mean finer-grained elasticity, at the cost
   /// of more waves to report. Walkers do not wait on a wave's report: they
-  /// run up to two segments ahead of it.
+  /// run up to two segments ahead of it. The host's value defines the hunt.
   uint64_t ckpt_iters = 100000;
   /// Absolute epoch bound: the member reports done once epoch index
-  /// max_epochs - 1 has executed (0 = unbounded). Because the bound is
-  /// absolute, every member agrees on the final wave — this is the clean
-  /// whole-world preemption knob.
+  /// max_epochs - 1 has executed (0 = unbounded). The bound is absolute and
+  /// the host's, so every member agrees on the final wave — this is the
+  /// clean whole-world preemption knob.
   uint64_t max_epochs = 0;
-  /// Restore from ckpt_dir's manifest: adopt its seed and elapsed budget,
-  /// start at manifest epoch + 1, and restore owned walkers from the
-  /// manifest wave's files.
+  /// Host only: restore from ckpt_dir's manifest — adopt its seed and
+  /// elapsed budget and open the hunt at manifest epoch + 1; every member
+  /// restores its owned walkers from the manifest wave's files.
   bool resume = false;
   /// Graceful-drain latch (cas_run's SIGTERM handler): when set, member 0
   /// halts the world at the next epoch boundary; other members send
@@ -112,18 +115,12 @@ struct ElasticOptions {
   double control_timeout_seconds = 120.0;
 };
 
-/// The seed-neutral request identity an elastic hunt is keyed by: the
-/// canonical key with seed, num_threads, and timeout_seconds zeroed —
-/// execution-shape fields an operator may legitimately change between the
-/// original launch, a late join, and a resume. Used as the join
-/// authentication key and the resume-manifest compatibility check.
-[[nodiscard]] std::string elastic_hunt_key(const runtime::SolveRequest& resolved);
-
-/// Run the world's next hunt: every member calls this with the same request
-/// sequence, and a request every member refuses (unresolvable, not
-/// multiwalk, a checkpoint directory on a World's second hunt) opens no
-/// hunt. The host returns the merged world report (extras.dist carries the
-/// hunt index, the per-member rows, membership counters, and checkpoint
+/// Run the world's next hunt. The host opens one for `req` unless it refuses
+/// it (unresolvable, not multiwalk, a checkpoint directory on a second hunt,
+/// a manifest for another request). A member runs the next hunt the host
+/// opens; it reads `req` only if a promotion makes it the host before that.
+/// The host returns the merged world report (extras.dist carries the hunt
+/// index, the per-member rows, membership counters, and checkpoint
 /// provenance); other members return a participation stub that still names
 /// the winner.
 /// The owned walkers run as one par::fan_out per membership view (not per
@@ -134,5 +131,11 @@ struct ElasticOptions {
 runtime::SolveReport solve_elastic(World& world, const runtime::SolveRequest& req,
                                    const runtime::StrategyContext& ctx,
                                    const ElasticOptions& opts);
+
+/// A member without requests: run every hunt the host opens, one report
+/// each, until the host closes the world, a hunt fails, or a promotion
+/// made this member the host (it has no request to open another with).
+std::vector<runtime::SolveReport> follow(World& world, const runtime::StrategyContext& ctx,
+                                         const ElasticOptions& opts);
 
 }  // namespace cas::dist

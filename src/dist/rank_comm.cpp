@@ -153,11 +153,12 @@ void RankComm::rendezvous_once(double deadline, double attempt_deadline) {
   }
   const std::string type = frame_type(*j);
   if (type == "abort") {
-    // Deliberate refusal (version/rank/key mismatch, world closed):
-    // permanent, never retried.
+    // Deliberate refusal (version/rank mismatch, world closed): permanent,
+    // never retried.
     const util::Json* r = j->find("reason");
     throw CommError(r != nullptr && r->is_string() ? r->as_string() : "rendezvous aborted");
   }
+  if (type == "close") throw CommError("rank_comm: the world closed before admitting this member");
   if (type != "welcome")
     // The coordinator sends nothing but welcome or abort before our
     // welcome. Anything else is a frame whose type a wire fault mangled —
@@ -213,6 +214,7 @@ std::optional<util::Json> RankComm::take_control(double timeout_seconds) {
   wait_within(control_cv_, lock, timeout_seconds,
               [this] { return !control_.empty() || failed(); });
   if (!control_.empty()) {
+    if (frame_type(control_.front()) == "close") return control_.front();  // the world is over
     util::Json j = std::move(control_.front());
     control_.pop_front();
     return j;
@@ -298,7 +300,7 @@ bool RankComm::dispatch(const std::string& payload) {
     leader_hunt_ = hunt;
     if (!leader_ || got < *leader_) leader_ = got;
     if (leader_hook_ && hook_hunt_ == hunt) leader_hook_(got.first, got.second);
-  } else if (type == "rebalance") {
+  } else if (type == "rebalance" || type == "close") {
     {
       std::scoped_lock lock(control_mu_);
       control_.push_back(std::move(j));

@@ -6,8 +6,8 @@
 // frame from the member proves to the coordinator that the welcome landed.
 // Every receive goes through one net::BlockingClient: the rendezvous waits
 // for the welcome with it, then one reader thread loops on its recv_frame and
-// dispatches each frame — rebalance frames into the control queue the
-// elastic runner blocks on, leader frames straight to the leader hook,
+// dispatches each frame — rebalance and close frames into the control queue
+// the elastic runner blocks on, leader frames straight to the leader hook,
 // state_sync frames into the standby's mirror. The same thread keeps the
 // coordinator's liveness policing fed: before each wait it sends a
 // heartbeat if one is due, and it never waits past the next. Sends write to
@@ -58,8 +58,8 @@ struct RankCommOptions {
   /// Pacing for rendezvous retries: a connect/hello/welcome attempt that
   /// dies on a wire fault (reset, refusal, corrupt frame) is retried under
   /// this schedule — bounded by connect_timeout_seconds overall and
-  /// disabled entirely by CAS_FAULT_NO_RETRY. Deliberate refusals (abort
-  /// frames: version/rank/key mismatch) are never retried.
+  /// disabled entirely by CAS_FAULT_NO_RETRY. Deliberate refusals (abort,
+  /// or a closed world's close) are never retried.
   net::BackoffOptions rendezvous_backoff;
 };
 
@@ -98,9 +98,9 @@ class RankComm {
   /// coordinator.
   void send_control(const util::Json& frame);
 
-  /// Block until the coordinator's next rebalance frame arrives. Returns
-  /// nullopt on timeout (none at ≤ 0 s or ≥ 1e9 s); throws CommError once
-  /// the communicator has failed.
+  /// Block until the coordinator's next rebalance or (sticky) close frame
+  /// arrives. Returns nullopt on timeout (none at ≤ 0 s or ≥ 1e9 s); throws
+  /// CommError once the communicator has failed.
   [[nodiscard]] std::optional<util::Json> take_control(double timeout_seconds);
 
   /// Run `hook` on the reader thread for every leader frame of hunt `hunt`

@@ -56,10 +56,11 @@ util::Json make_bye(int rank) {
   return j;
 }
 
-util::Json make_join(const std::string& hunt_key, uint64_t hunt) {
+util::Json make_close() { return frame_of("close"); }
+
+util::Json make_join(uint64_t hunt) {
   util::Json j = frame_of("join");
   j["v"] = kWireVersion;
-  j["key"] = hunt_key;
   j["hunt"] = wire_u64(hunt);
   return j;
 }

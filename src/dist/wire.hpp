@@ -1,4 +1,4 @@
-// The distributed world's wire protocol (v6, docs/PROTOCOL.md): length-
+// The distributed world's wire protocol (v7, docs/PROTOCOL.md): length-
 // prefixed JSON frames (net::FrameDecoder — the same codec cas_serve speaks)
 // between the members and the coordinator that one of them hosts.
 //
@@ -9,13 +9,14 @@
 //              handshake) is refused or dead, with the reason
 //   bye        member -> coordinator: clean detach (EOF after bye is not a
 //              death)
+//   close      coordinator -> members: the host finalized the world
 //
-// A world serves successive hunts, numbered from 1. Every member, host
-// included, starts a hunt from the coordinator's opening rebalance:
+// A world serves successive hunts, numbered from 1, that only the host
+// defines: every member builds a hunt's walkers from its opening rebalance:
 //
 //   join       late member -> coordinator: admit me at the next wave
 //              boundary or hunt opening (hunt: the hunt a rejoin comes back
-//              to, 0 for a fresh joiner; key: the request key)
+//              to, 0 for a fresh joiner)
 //   leave      member -> coordinator: retire me at the end of this wave
 //   epoch      member -> coordinator at each wave boundary: progress,
 //              solves, and drain/halt intentions for the wave
@@ -23,8 +24,9 @@
 //              checkpoint file was durably written (bytes, micros)
 //   rebalance  coordinator -> every member when a hunt opens and whenever a
 //              wave completes: the membership view, the member's dense rank,
-//              the hunt's seed and walker count, and (on the final wave)
-//              the winner + merged summaries
+//              the hunt's definition (the resolved request, the segment
+//              length and the epoch bound), and (on the final wave) the
+//              winner + merged summaries
 //   solved     member -> coordinator the moment one of its walkers solves
 //   leader     coordinator -> every member whenever the minimum (solve
 //              iteration, walker id) over the solves it has seen improves
@@ -35,7 +37,8 @@
 // Coordinator failover makes the coordinator a replicated role:
 //
 //   state_sync coordinator -> standby member whenever the wave machine
-//              moves: the serialized state the standby promotes from
+//              moves: the serialized state (hunt definition included) the
+//              standby promotes from
 //   reconnect  survivor -> promoted coordinator: member id, plus the hunt
 //              and epoch it last saw, checked against the imported state
 //
@@ -66,19 +69,21 @@ struct CommError : std::runtime_error {
 /// incompatible changes: v2 elastic membership, v3 coordinator failover,
 /// v4 the fixed-rank gather/broadcast, v5 the solved/leader frames, v6 one
 /// runner — successive hunts per world stamped with a hunt index, and no
-/// msg frames. A coordinator refuses a mismatched version with an abort
-/// frame naming both versions.
-inline constexpr int kWireVersion = 6;
+/// msg frames; v7 host-driven worlds — views carry the hunt's definition,
+/// joins no key, and `close` ends the world. A coordinator refuses a
+/// mismatched version with an abort frame naming both versions.
+inline constexpr int kWireVersion = 7;
 
 util::Json make_hello(int rank, int ranks);
 util::Json make_welcome(int rank, int ranks);
 util::Json make_hb(int rank);
 util::Json make_abort(const std::string& reason);
 util::Json make_bye(int rank);
+util::Json make_close();
 
 /// Late-member handshake: `hunt` is the hunt a rejoin comes back to (0 for
-/// a fresh joiner), `hunt_key` the request key it expects to work on.
-util::Json make_join(const std::string& hunt_key, uint64_t hunt);
+/// a fresh joiner).
+util::Json make_join(uint64_t hunt);
 /// Graceful drain: retire member `member` at the end of the current wave.
 util::Json make_leave(int member);
 /// Checkpoint acknowledgement: member wrote its wave-`epoch` walker file

@@ -58,7 +58,7 @@ World::World(WorldOptions opts, const std::function<void(uint16_t)>& on_listenin
   RankCommOptions rc = base_comm_options();
   rc.rank = opts_.rank;
   rc.ranks = opts_.ranks;
-  if (opts_.join) rc.handshake = make_join(opts_.hunt_key, 0);
+  if (opts_.join) rc.handshake = make_join(0);
   comm_ = std::make_unique<RankComm>(rc);
 }
 
@@ -93,24 +93,24 @@ void World::redial(util::Json handshake) {
   opts_.rank = -1;
 }
 
-void World::open_hunt(uint64_t index, const std::string& key, uint64_t seed, int walkers,
-                      uint64_t epoch) {
-  if (coordinator_ != nullptr) coordinator_->open_hunt(index, key, seed, walkers, epoch);
+void World::open_hunt(uint64_t index, util::Json request, uint64_t ckpt_iters,
+                      uint64_t max_epochs, uint64_t epoch) {
+  if (coordinator_ != nullptr)
+    coordinator_->open_hunt(index, std::move(request), ckpt_iters, max_epochs, epoch);
 }
 
 void World::note_view(const util::Json& rebalance) {
-  hunt_ = frame_u64(rebalance, "hunt");
-  epoch_ = frame_u64(rebalance, "epoch");
+  view_ = rebalance;
   const util::Json* sa = rebalance.find("standby_addr");
   if (rebalance.find("standby_member") == nullptr || sa == nullptr || !sa->is_string()) return;
   failover_member_ = frame_int(rebalance, "standby_member");
   standby_addr_ = sa->as_string();
 }
 
-void World::rejoin(const std::string& hunt_key) {
+void World::rejoin() {
   if (coordinator_ != nullptr)
     throw CommError("world: the coordinator-hosting member cannot rejoin its own world");
-  redial(make_join(hunt_key, hunt_));
+  redial(make_join(hunt()));
 }
 
 bool World::coordinator_alive() const {
@@ -136,6 +136,10 @@ void World::promote() {
   CoordinatorOptions co = coordinator_options();
   co.host_member = member;
   coordinator_ = std::make_unique<Coordinator>(co, std::move(failover_listen_), *state);
+  // The host died between a hunt's opening and its mirror: open it again.
+  if (hunt() > frame_u64(*state, "hunt"))
+    coordinator_->open_hunt(hunt(), view_.at("request"), frame_u64(view_, "ckpt_iters"),
+                            frame_u64(view_, "max_epochs"), frame_u64(view_, "epoch"));
   port_ = coordinator_->port();
   opts_.port = port_;
   failover_addr_.clear();  // the host is never its own standby
@@ -155,7 +159,7 @@ void World::reconnect() {
   opts_.host = host;
   port_ = port;
   opts_.port = port;
-  redial(make_reconnect(member, hunt_, epoch_));
+  redial(make_reconnect(member, hunt(), frame_u64(view_, "epoch")));
 }
 
 int World::promoted_from() const {
@@ -169,6 +173,7 @@ void World::crash() {
 }
 
 void World::finalize() {
+  if (coordinator_ != nullptr) coordinator_->close();
   if (comm_ != nullptr) comm_->finalize();
   if (coordinator_ != nullptr) {
     // Give the other members a moment to say bye so their detach is clean

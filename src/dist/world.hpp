@@ -1,7 +1,8 @@
 // World: one process's membership in a distributed world. Rank 0
 // additionally hosts the Coordinator; every member — rank 0 included, over
 // loopback — takes part through a RankComm, so the data path is identical
-// on all of them. A World serves successive hunts (solve_elastic calls).
+// on all of them. A World serves successive hunts: the host opens each, and
+// the members follow them until the host's finalize closes the world.
 //
 // Construction order matters for launchers: rank 0 binds the coordinator
 // FIRST and reports the actual port through `on_listening` BEFORE blocking
@@ -43,18 +44,15 @@ struct WorldOptions {
   double connect_timeout_seconds = 15.0;
   double heartbeat_interval_seconds = 1.0;
   double heartbeat_timeout_seconds = 10.0;
-  /// Unused: the collectives it bounded are gone (ElasticOptions::
-  /// control_timeout_seconds bounds the wait for a rebalance). Kept so
-  /// callers that set it still compile.
+  /// Unused (ElasticOptions::control_timeout_seconds bounds the wait for a
+  /// rebalance); kept so callers that set it still compile.
   double collective_timeout_seconds = 120.0;
-  /// Unused: every world evicts dead members, admits late joiners and
-  /// rebalances at wave boundaries. Kept so callers that set it still
+  /// Unused (every world is elastic); kept so callers that set it still
   /// compile.
   bool elastic = false;
   /// Join an existing world late (no rank claim; implies not hosting a
-  /// coordinator). `hunt_key` authenticates the request.
+  /// coordinator). A joiner follows the hunts the host opens.
   bool join = false;
-  std::string hunt_key;
   /// Coordinator failover (wire v3). On the host: elect a standby and
   /// mirror the wave machine to it whenever it moves. On everyone else:
   /// pre-bind an idle promotion listener and announce its address, so this
@@ -78,7 +76,7 @@ class World {
 
   /// Host only: open hunt `index` (see Coordinator::open_hunt). No-op on
   /// worlds without a coordinator.
-  void open_hunt(uint64_t index, const std::string& key, uint64_t seed, int walkers,
+  void open_hunt(uint64_t index, util::Json request, uint64_t ckpt_iters, uint64_t max_epochs,
                  uint64_t epoch);
 
   /// The elastic runner notes every rebalance frame it adopts: the hunt
@@ -86,17 +84,16 @@ class World {
   /// when the communicator fails.
   void note_view(const util::Json& rebalance);
   /// The hunt of the last rebalance noted (0 before the first).
-  [[nodiscard]] uint64_t hunt() const { return hunt_; }
+  [[nodiscard]] uint64_t hunt() const { return view_.is_null() ? 0 : frame_u64(view_, "hunt"); }
 
   /// Recovery path for a member whose connection died: tear down the
   /// failed communicator and dial back in through the join handshake,
-  /// naming the hunt it was in (`hunt_key` re-authenticates). The process
-  /// comes back as a NEW member — its old identity is evicted and its
-  /// walkers flow back via the usual rebalance — or, when that hunt has
-  /// finished meanwhile, is told the outcome and waits for the next hunt.
-  /// Throws CommError on refusal and on the coordinator-hosting member,
-  /// which has nothing left to dial.
-  void rejoin(const std::string& hunt_key);
+  /// naming the hunt it was in. The process comes back as a NEW member —
+  /// its old identity is evicted and its walkers flow back via the usual
+  /// rebalance — or, when that hunt has finished meanwhile, is told the
+  /// outcome and waits for the next hunt. Throws CommError on refusal and
+  /// on the coordinator-hosting member, which has nothing left to dial.
+  void rejoin();
 
   /// True while this process hosts the coordinator (rank 0 at launch; the
   /// promoted standby after a failover). The host opens the hunts and
@@ -109,10 +106,11 @@ class World {
   [[nodiscard]] bool coordinator_alive() const;
 
   /// Standby promotion: adopt the pre-bound failover listener, import the
-  /// last replicated state_sync this member's communicator captured, and
-  /// re-rendezvous the local communicator against the freshly promoted
-  /// coordinator. Throws CommError when no listener was pre-bound or no
-  /// state was ever replicated (the coordinator died before a hunt opened).
+  /// last replicated state_sync this member's communicator captured (and
+  /// reopen a hunt this member saw open after it), and re-rendezvous the
+  /// local communicator against the freshly promoted coordinator. Throws
+  /// CommError when no listener was pre-bound or no state was ever
+  /// replicated (the coordinator died before a hunt opened).
   void promote();
 
   /// Survivor re-rendezvous: dial the promoted standby at the noted
@@ -135,9 +133,9 @@ class World {
   /// afterwards; survivors' recovery is the behavior under test.
   void crash();
 
-  /// Clean shutdown: detach the member; the host waits briefly for the
-  /// other members' byes and dropped members' rejoins before stopping the
-  /// coordinator.
+  /// Clean shutdown: detach the member. The host first closes the world,
+  /// then waits briefly for the other members' byes and dropped members'
+  /// rejoins before stopping the coordinator.
   void finalize();
 
   /// Per-member comm counters (+ coordinator counters on the host).
@@ -160,9 +158,8 @@ class World {
   // promote()) and its announced address.
   net::Fd failover_listen_;
   std::string failover_addr_;
-  // What the last noted rebalance said: its hunt and wave, and the standby.
-  uint64_t hunt_ = 0;
-  uint64_t epoch_ = 0;
+  // The last noted rebalance: its hunt and wave, and the standby.
+  util::Json view_;
   int failover_member_ = -1;
   std::string standby_addr_;
 };

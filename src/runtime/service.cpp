@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 
 namespace cas::runtime {
@@ -90,24 +91,22 @@ void SolverService::run_leader(const SolveRequest& req, const std::string& key,
     stats_.total_wall_seconds += report.wall_seconds;
     stats_.latency_executed.add(now - t0);
     if (opts_.auto_calibrate) auto_calibrate_locked(report);
-    if (entry != nullptr) {
-      // The inflight entry leaves the map under the same lock that admits
-      // followers, so the follower set is final here.
-      followers = std::move(entry->followers);
-      inflight_by_key_.erase(key);
-      stats_.completed += followers.size();
-      if (!report.error.empty())
-        stats_.failed += followers.size();
-      else if (report.solved)
-        stats_.solved += followers.size();
-      for (const Follower& f : followers) stats_.latency_dedup.add(now - f.t0);
-      // Cacheable: deterministic seed, clean execution, and not an
-      // unsolved run whose only bound was the wall clock (a retry might
-      // do better — that answer must not be frozen).
-      if (cacheable_seed && report.error.empty() &&
-          (report.solved || report.request.timeout_seconds <= 0))
-        cache_.put(key, report, clock_());
-    }
+    // The inflight entry leaves the map under the same lock that admits
+    // followers, so the follower set is final here.
+    followers = std::move(entry->followers);
+    inflight_by_key_.erase(key);
+    stats_.completed += followers.size();
+    if (!report.error.empty())
+      stats_.failed += followers.size();
+    else if (report.solved)
+      stats_.solved += followers.size();
+    for (const Follower& f : followers) stats_.latency_dedup.add(now - f.t0);
+    // Cacheable: deterministic seed, clean execution, and not an unsolved
+    // run whose only bound was the wall clock (a retry might do better —
+    // that answer must not be frozen).
+    if (cacheable_seed && report.error.empty() &&
+        (report.solved || report.request.timeout_seconds <= 0))
+      cache_.put(key, report, clock_());
   }
   // Completion callbacks run BEFORE the inflight decrement: the destructor
   // releases only once every callback has returned, so a callback can
@@ -170,78 +169,80 @@ std::future<SolveReport> SolverService::submit(SolveRequest req) {
 void SolverService::submit_with_callback(SolveRequest req, Callback done) {
   const double t0 = clock_();
   // Resolution (and hence the canonical key) happens before any serving
-  // decision; an unresolvable request skips dedup/cache/admission and goes
-  // straight to execution, where solve() turns the failure into an error
-  // report — the established stats semantics for bad requests.
+  // decision.
   SolveRequest resolved;
   std::string key;
-  bool resolvable = false;
+  std::optional<std::string> unresolvable;
   try {
     resolved = resolve(req);
     key = resolved.canonical_key();
-    resolvable = true;
-  } catch (const std::exception&) {
+  } catch (const std::exception& e) {
+    unresolvable = e.what();
   }
 
   std::unique_lock lock(mu_);
   ++stats_.submitted;
-  if (resolvable) {
-    // 1. Report cache. A hit is free, so it is served even when the
-    //    request would fail admission.
-    if (auto hit = cache_.get(key, clock_())) {
-      ++stats_.completed;
-      if (hit->solved) ++stats_.solved;
-      stats_.latency_cache.add(clock_() - t0);
-      hit->served_by = "cache";
-      hit->request.id = req.id;
-      lock.unlock();
-      done(std::move(*hit));
+  // A rejection completes on the caller's thread, with no thread and no
+  // pool time.
+  const auto reject = [&](SolveReport rejection) {
+    ++stats_.rejected;
+    ++stats_.completed;
+    ++stats_.failed;
+    stats_.latency_rejected.add(clock_() - t0);
+    rejection.served_by = "rejected";
+    lock.unlock();
+    done(std::move(rejection));
+  };
+  // 0. A request resolve() refuses is answered with its message; the
+  //    report keeps the original request, so the error names the field.
+  if (unresolvable) {
+    SolveReport rejection;
+    rejection.request = std::move(req);
+    rejection.error = *unresolvable;
+    reject(std::move(rejection));
+    return;
+  }
+  // 1. Report cache. A hit is free, so it is served even when the request
+  //    would fail admission.
+  if (auto hit = cache_.get(key, clock_())) {
+    ++stats_.completed;
+    if (hit->solved) ++stats_.solved;
+    stats_.latency_cache.add(clock_() - t0);
+    hit->served_by = "cache";
+    hit->request.id = req.id;
+    lock.unlock();
+    done(std::move(*hit));
+    return;
+  }
+  // 2. In-flight dedup: coalesce onto the running execution; the leader's
+  //    completion epilogue fulfills the callback.
+  if (const auto it = inflight_by_key_.find(key); it != inflight_by_key_.end()) {
+    ++stats_.dedup_hits;
+    it->second->followers.push_back({req.id, t0, std::move(done)});
+    return;
+  }
+  // 3. Cost-estimated admission, only for work that would actually run.
+  if (opts_.admission_budget_walker_seconds > 0) {
+    const CostEstimate est = cost_model_.estimate(resolved);
+    if (est.known && est.expected_walker_seconds > opts_.admission_budget_walker_seconds) {
+      SolveReport rejection;
+      rejection.request = std::move(resolved);
+      rejection.error = "admission rejected: estimated " +
+                        std::to_string(est.expected_walker_seconds) +
+                        " walker-seconds exceeds budget " +
+                        std::to_string(opts_.admission_budget_walker_seconds);
+      rejection.extras = util::Json::object();
+      rejection.extras["cost_estimate"] = est.to_json();
+      reject(std::move(rejection));
       return;
     }
-    // 2. In-flight dedup: coalesce onto the running execution; the
-    //    leader's completion epilogue fulfills the callback.
-    if (const auto it = inflight_by_key_.find(key); it != inflight_by_key_.end()) {
-      ++stats_.dedup_hits;
-      it->second->followers.push_back({req.id, t0, std::move(done)});
-      return;
-    }
-    // 3. Cost-estimated admission, only for work that would actually run.
-    if (opts_.admission_budget_walker_seconds > 0) {
-      const CostEstimate est = cost_model_.estimate(resolved);
-      if (est.known &&
-          est.expected_walker_seconds > opts_.admission_budget_walker_seconds) {
-        ++stats_.rejected;
-        ++stats_.completed;
-        ++stats_.failed;
-        stats_.latency_rejected.add(clock_() - t0);
-        SolveReport rejection;
-        rejection.request = std::move(resolved);
-        rejection.served_by = "rejected";
-        rejection.error = "admission rejected: estimated " +
-                          std::to_string(est.expected_walker_seconds) +
-                          " walker-seconds exceeds budget " +
-                          std::to_string(opts_.admission_budget_walker_seconds);
-        rejection.extras = util::Json::object();
-        rejection.extras["cost_estimate"] = est.to_json();
-        lock.unlock();
-        done(std::move(rejection));
-        return;
-      }
-      if (est.known) stats_.estimated_walker_seconds += est.expected_walker_seconds;
-    }
+    if (est.known) stats_.estimated_walker_seconds += est.expected_walker_seconds;
   }
   ++inflight_;
-  std::shared_ptr<Inflight> entry;
-  if (resolvable) {
-    entry = std::make_shared<Inflight>();
-    inflight_by_key_[key] = entry;
-  }
+  const auto entry = std::make_shared<Inflight>();
+  inflight_by_key_[key] = entry;
   lock.unlock();
-  // Leaders keep the resolved request (resolve is idempotent inside
-  // solve()); unresolvable requests carry the original so the error
-  // message names the offending field.
-  const SolveRequest& to_run = resolvable ? resolved : req;
-  const bool cacheable_seed = resolvable && resolved.seed != 0 && opts_.cache_capacity > 0;
+  const bool cacheable_seed = resolved.seed != 0 && opts_.cache_capacity > 0;
   try {
     // One coordinator thread per executing request; it spends its life
     // blocked on the request's walker chunks, which run on the shared
@@ -249,7 +250,7 @@ void SolverService::submit_with_callback(SolveRequest req, Callback done) {
     // coordinator's last act is the decrement), so nobody has to hold a
     // future. `key` is copied, not moved: the rollback below still needs
     // it when coordinator creation throws mid-flight.
-    std::thread([this, run = to_run, key, entry, cacheable_seed, t0,
+    std::thread([this, run = resolved, key, entry, cacheable_seed, t0,
                  done = std::move(done)]() mutable {
       run_leader(run, key, entry, cacheable_seed, t0, std::move(done));
     }).detach();
@@ -264,12 +265,10 @@ void SolverService::submit_with_callback(SolveRequest req, Callback done) {
       std::scoped_lock relock(mu_);
       --stats_.submitted;
       --inflight_;
-      if (entry != nullptr) {
-        orphans = std::move(entry->followers);
-        inflight_by_key_.erase(key);
-        stats_.completed += orphans.size();
-        stats_.failed += orphans.size();
-      }
+      orphans = std::move(entry->followers);
+      inflight_by_key_.erase(key);
+      stats_.completed += orphans.size();
+      stats_.failed += orphans.size();
       idle_cv_.notify_all();
     }
     for (Follower& f : orphans) {

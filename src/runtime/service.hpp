@@ -16,12 +16,13 @@
 //              (seed 0 — a fresh seed is drawn per execution) are
 //              dedup-only; an unsolved timeout-bounded run is also never
 //              cached (a retry might do better).
-//   admission  a CostModel predicts each request's expected walker-seconds
-//              from a fit of iterations to solution and the iteration rate
-//              measured on this host; with a budget configured, requests
-//              priced over it are rejected up front (served_by =
-//              "rejected", error names the estimate) instead of burning
-//              pool time. The model auto-calibrates from the service's OWN
+//   admission  a request resolve() refuses is rejected up front (served_by
+//              = "rejected", error is resolve()'s message). A CostModel
+//              predicts each request's expected walker-seconds from a fit
+//              of iterations to solution and the iteration rate measured
+//              on this host; with a budget configured, requests priced over
+//              it are rejected up front too (error names the estimate)
+//              instead of burning pool time. The model auto-calibrates from the service's OWN
 //              completed reports: every clean solved first-win execution
 //              refines the rate with its winner's iterations over busy
 //              seconds, and contributes its total iterations as a
@@ -76,7 +77,7 @@ struct ServiceStats {
   uint64_t executions = 0;   // real strategy runs
   uint64_t dedup_hits = 0;   // coalesced onto an in-flight execution
   uint64_t cache_hits = 0;   // served from the report cache
-  uint64_t rejected = 0;     // denied admission by the cost model
+  uint64_t rejected = 0;     // unresolvable, or denied admission by the cost model
 
   uint64_t cache_size = 0;       // point-in-time entry count
   uint64_t cache_evictions = 0;  // LRU capacity evictions
@@ -162,7 +163,8 @@ class SolverService {
   /// completions must land in an event loop's wakeup queue instead of a
   /// blocking future. `done` runs exactly once:
   ///   * synchronously on the CALLER's thread for the free serving paths
-  ///     (cache hit, admission rejection) — they complete inside this call;
+  ///     (cache hit, rejection of an unresolvable or over-budget request)
+  ///     — they complete inside this call;
   ///   * on the request's coordinator thread for executions and for dedup
   ///     followers (fulfilled from their leader's completion epilogue).
   /// The callback must not block for long and must not wait on the service

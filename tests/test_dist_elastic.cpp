@@ -1,8 +1,8 @@
 // Elastic distributed worlds, whole membership stories inside one test
 // process: the epoch/rebalance wave machine, hard-kill eviction (the
 // coordinator downgrades a dead member to an eviction instead of aborting
-// the world), graceful drain via `leave`, late-joiner admission keyed by the
-// hunt's canonical identity, checkpoint/restore resume parity — the resumed
+// the world), graceful drain via `leave`, late-joiner admission of a member
+// that carries no request, checkpoint/restore resume parity — the resumed
 // world follows the EXACT walker trajectories of an uninterrupted run, even
 // at a different rank count — and the rejection paths for corrupted or
 // mismatched manifests. The pipelined member — walkers running up to two
@@ -11,13 +11,15 @@
 // wave files' exact boundary states, and its own run-ahead counter; the
 // leader bound against a long segment, a run-ahead leader in a preempted
 // world, leader frames that precede the member's hook, and malformed
-// solved/leader frames each have a case. Successive hunts on one World
-// (DistHunts) are pinned against the same oracle: back to back, across a
-// join, a joiner's departure, a host death and a dropped connection between
-// hunts, with a drawn seed, after refused requests, and against another
-// hunt's stale frames; a fresh join answered with one hunt's outcome is not
-// carried into the next, and a rejoin that arrives hunts late learns every
-// outcome it missed before the next opening admits it.
+// solved/leader frames each have a case, and so does an opening a member
+// cannot build. Successive hunts on one World (DistHunts) are pinned against
+// the same oracle: back to back, with members that hold no requests and
+// follow the host's hunts until its close, across a join, a joiner's
+// departure, a host death and a dropped connection between hunts, with a
+// drawn seed, after requests the host refused, and against another hunt's
+// stale frames; every join answered with one hunt's outcome is admitted
+// into the next, and a rejoin that arrives hunts late learns every outcome
+// it missed before the next opening admits it.
 //
 // Seeds are pinned to instances probed long enough for the membership event
 // under test to land strictly before the hunt completes (e.g. size-14
@@ -143,6 +145,55 @@ ElasticOptions base_opts(uint64_t ckpt_iters = 300) {
   eo.ckpt_iters = ckpt_iters;
   eo.control_timeout_seconds = 60.0;
   return eo;
+}
+
+/// The request a coordinator-level test opens a hunt with, as the host's
+/// definition carries it: resolved, as canonical JSON.
+util::Json hunt_request(int walkers = kWalkers, uint64_t seed = kSeed) {
+  return runtime::resolve(costas_request(kSize, walkers, seed)).canonical_json();
+}
+
+/// A world whose host runs `reqs` (host_opts(k) for request k) while every
+/// other rank holds no request and follows (dist::follow) until the host's
+/// finalize closes the world — or, promoted, until the hunt it finished.
+/// The host stops once a fault injection crashed its world.
+struct Followed {
+  std::vector<runtime::SolveReport> host;                  // one per request it ran
+  std::vector<std::vector<runtime::SolveReport>> members;  // [rank - 1]: one per hunt
+};
+
+Followed run_followed(int ranks, const std::vector<runtime::SolveRequest>& reqs,
+                      const std::function<ElasticOptions(size_t k)>& host_opts,
+                      bool standby = false) {
+  Followed out;
+  out.members.resize(static_cast<size_t>(ranks - 1));
+  std::promise<uint16_t> port_promise;
+  std::shared_future<uint16_t> port = port_promise.get_future().share();
+  std::vector<std::jthread> threads;
+  for (int r = 0; r < ranks; ++r) {
+    threads.emplace_back([&, r] {
+      WorldOptions wo;
+      wo.rank = r;
+      wo.ranks = ranks;
+      wo.standby = standby;
+      if (r == 0) {
+        World world(wo, [&](uint16_t p) { port_promise.set_value(p); });
+        for (size_t k = 0; k < reqs.size() && world.is_host(); ++k)
+          out.host.push_back(
+              solve_elastic(world, reqs[k], runtime::StrategyContext{}, host_opts(k)));
+        world.finalize();
+        return;
+      }
+      wo.port = port.get();
+      World world(wo);
+      // A member's own options carry no hunt definition: the host's win.
+      out.members[static_cast<size_t>(r - 1)] =
+          follow(world, runtime::StrategyContext{}, base_opts(/*ckpt_iters=*/7));
+      world.finalize();
+    });
+  }
+  threads.clear();  // join
+  return out;
 }
 
 /// What every elastic run of a request must report, however its walkers
@@ -314,18 +365,19 @@ TEST(DistElastic, DrainingMemberLeavesAndTheWorldFinishes) {
   EXPECT_TRUE(dist_extras(r1).at("left").as_bool());
 }
 
-TEST(DistElastic, LateJoinerIsAdmittedByHuntKey) {
+TEST(DistElastic, LateJoinerWithoutARequestIsAdmitted) {
   // Long hunt (size 16 / 2 walkers / seed 10 solves at iteration 37644, so
-  // a 200-iteration epoch world runs ~190 waves) — the joiner is admitted
-  // within the first few.
+  // a 200-iteration epoch world runs ~190 waves) — the joiner, which holds
+  // no request, is admitted within the first few and follows the hunt to
+  // the host's close.
   const runtime::SolveRequest req = costas_request(16, 2, 10);
-  const std::string key = elastic_hunt_key(runtime::resolve(req));
 
   std::promise<uint16_t> port_promise;
   std::shared_future<uint16_t> port = port_promise.get_future().share();
   std::promise<void> hunt_announced;
   std::shared_future<void> announced = hunt_announced.get_future().share();
-  runtime::SolveReport host_report, join_report;
+  runtime::SolveReport host_report;
+  std::vector<runtime::SolveReport> join_reports;
 
   std::jthread host([&] {
     WorldOptions wo;
@@ -344,10 +396,9 @@ TEST(DistElastic, LateJoinerIsAdmittedByHuntKey) {
     wo.rank = -1;
     wo.ranks = 0;
     wo.port = port.get();
-    wo.hunt_key = key;
     wo.connect_timeout_seconds = 30.0;
     World world(wo);  // blocks until admitted at a wave boundary
-    join_report = solve_elastic(world, req, runtime::StrategyContext{}, base_opts(200));
+    join_reports = follow(world, runtime::StrategyContext{}, ElasticOptions{});
     world.finalize();
   });
   host.join();
@@ -357,9 +408,13 @@ TEST(DistElastic, LateJoinerIsAdmittedByHuntKey) {
   EXPECT_TRUE(host_report.solved);
   EXPECT_TRUE(host_report.check_passed);
   EXPECT_GE(coordinator_counter(host_report, "joins"), 1);
+  ASSERT_EQ(join_reports.size(), 1u);
+  const runtime::SolveReport& join_report = join_reports[0];
   ASSERT_TRUE(join_report.error.empty()) << join_report.error;
   EXPECT_TRUE(join_report.solved);
   EXPECT_EQ(join_report.winner, host_report.winner);
+  EXPECT_EQ(join_report.request.seed, req.seed);
+  EXPECT_EQ(join_report.request.size, req.size);
 }
 
 TEST(DistHunts, JoinBetweenHuntsTakesPartInTheNextHunt) {
@@ -391,7 +446,6 @@ TEST(DistHunts, JoinBetweenHuntsTakesPartInTheNextHunt) {
     wo.rank = -1;
     wo.ranks = 0;
     wo.port = port;
-    wo.hunt_key = elastic_hunt_key(runtime::resolve(second));
     wo.connect_timeout_seconds = 30.0;
     World world(wo);  // blocks until hunt 2 opens
     join_report = solve_elastic(world, second, runtime::StrategyContext{}, base_opts());
@@ -447,7 +501,6 @@ TEST(DistHunts, JoinerThatFinalizesAfterHuntOneLeavesHuntTwoToTheRest) {
     wo.rank = -1;
     wo.ranks = 0;
     wo.port = port_promise.get_future().get();
-    wo.hunt_key = elastic_hunt_key(runtime::resolve(first));
     wo.connect_timeout_seconds = 30.0;
     World world(wo);  // blocks until hunt 1 opens
     join_report = solve_elastic(world, first, runtime::StrategyContext{}, base_opts());
@@ -473,10 +526,9 @@ TEST(DistHunts, JoinerThatFinalizesAfterHuntOneLeavesHuntTwoToTheRest) {
   EXPECT_TRUE(host_second.check_passed);
 }
 
-TEST(DistHunts, AFreshJoinAnsweredAtAFinalIsNotAdmittedIntoTheNextHunt) {
-  // A fresh join for hunt 1 that is still pending at hunt 1's final is
-  // answered with the outcome, which ends its request: hunt 2, under
-  // another key, opens without it and sends it nothing.
+TEST(DistHunts, AFreshJoinAnsweredAtAFinalIsAdmittedIntoTheNextHunt) {
+  // Every joiner follows the host: a fresh join still pending at hunt 1's
+  // final is answered with the outcome and admitted at hunt 2's opening.
   CoordinatorOptions co;
   co.heartbeat_timeout_seconds = 0;
   Coordinator coord(co);
@@ -492,9 +544,9 @@ TEST(DistHunts, AFreshJoinAnsweredAtAFinalIsNotAdmittedIntoTheNextHunt) {
     ASSERT_FALSE(final_frame.is_null());
     EXPECT_TRUE(frame_bool(final_frame, "final", false));
   };
-  coord.open_hunt(1, "one", kSeed, kWalkers, 0);
+  coord.open_hunt(1, hunt_request(), 300, 0, 0);
   ASSERT_FALSE(member.await("rebalance").is_null());
-  test::FakeRank joiner(coord.port(), make_join("one", 0));
+  test::FakeRank joiner(coord.port(), make_join(0));
   while (coord.stats().joins.load() == 0)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   finish(1);
@@ -506,15 +558,22 @@ TEST(DistHunts, AFreshJoinAnsweredAtAFinalIsNotAdmittedIntoTheNextHunt) {
   EXPECT_TRUE(frame_bool(outcome, "final", false));
   EXPECT_EQ(frame_u64(outcome, "hunt"), 1u);
 
-  coord.open_hunt(2, "two", kSeed, kWalkers, 0);
+  coord.open_hunt(2, hunt_request(kWalkers, 5), 300, 0, 0);
   const util::Json opening = member.await("rebalance");
   ASSERT_FALSE(opening.is_null());
   EXPECT_EQ(frame_u64(opening, "hunt"), 2u);
-  EXPECT_EQ(frame_int(opening, "ranks"), 1);
-  EXPECT_TRUE(opening.at("joined").as_array().empty());
-  finish(2);
+  EXPECT_EQ(frame_int(opening, "ranks"), 2);
+  ASSERT_EQ(opening.at("joined").as_array().size(), 1u);
+  const util::Json admitted = joiner.await("welcome");
+  ASSERT_FALSE(admitted.is_null());
+  EXPECT_EQ(frame_int(admitted, "rank"), 1);
+  const util::Json joined = joiner.await("rebalance");
+  ASSERT_FALSE(joined.is_null()) << "the joiner heard nothing of hunt 2";
+  EXPECT_EQ(frame_u64(joined, "hunt"), 2u);
+  EXPECT_FALSE(frame_bool(joined, "final", true));
+  EXPECT_EQ(frame_int(joined, "your_rank"), 1);
+  EXPECT_EQ(joined.at("request").dump(0), hunt_request(kWalkers, 5).dump(0));
   coord.stop();
-  EXPECT_TRUE(joiner.await("rebalance").is_null()) << "the joiner heard of hunt 2";
 }
 
 TEST(DistHunts, ARejoinAfterTwoFinishedHuntsLearnsBothOutcomesAndJoinsTheThird) {
@@ -528,7 +587,7 @@ TEST(DistHunts, ARejoinAfterTwoFinishedHuntsLearnsBothOutcomesAndJoinsTheThird) 
   test::FakeRank member(coord.port(), 0, 1);
   ASSERT_FALSE(member.await("welcome").is_null());
   for (uint64_t hunt = 1; hunt <= 2; ++hunt) {
-    coord.open_hunt(hunt, "hunt", kSeed, kWalkers, 0);
+    coord.open_hunt(hunt, hunt_request(), 300, 0, 0);
     ASSERT_FALSE(member.await("rebalance").is_null());
     util::Json report = make_epoch_base(0, hunt, 0);
     report["done"] = true;
@@ -539,7 +598,7 @@ TEST(DistHunts, ARejoinAfterTwoFinishedHuntsLearnsBothOutcomesAndJoinsTheThird) 
     ASSERT_FALSE(final_frame.is_null());
     ASSERT_TRUE(frame_bool(final_frame, "final", false));
   }
-  test::FakeRank rejoiner(coord.port(), make_join("hunt", 1));
+  test::FakeRank rejoiner(coord.port(), make_join(1));
   const util::Json welcome = rejoiner.await("welcome");
   ASSERT_FALSE(welcome.is_null()) << "the rejoin was refused";
   EXPECT_EQ(frame_int(welcome, "rank"), -1);
@@ -551,7 +610,7 @@ TEST(DistHunts, ARejoinAfterTwoFinishedHuntsLearnsBothOutcomesAndJoinsTheThird) 
     EXPECT_EQ(frame_int(outcome, "your_rank"), -1);
   }
 
-  coord.open_hunt(3, "three", kSeed, kWalkers, 0);
+  coord.open_hunt(3, hunt_request(), 300, 0, 0);
   const util::Json admitted = rejoiner.await("welcome");
   ASSERT_FALSE(admitted.is_null());
   EXPECT_EQ(frame_int(admitted, "rank"), 1);
@@ -580,48 +639,18 @@ TEST(DistElasticWire, AJoinOnAMemberConnectionDropsThatMember) {
     test::FakeRank member(coord.port(), 1, 2);
     ASSERT_FALSE(member.await("welcome").is_null());
     member.send(make_hb(1));
-    member.send(make_join("hunt", 0));
+    member.send(make_join(0));
   }
   ASSERT_FALSE(host.await("welcome").is_null());
   while (coord.stats().evictions.load() == 0)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  coord.open_hunt(1, "hunt", kSeed, kWalkers, 0);
+  coord.open_hunt(1, hunt_request(), 300, 0, 0);
   const util::Json opening = host.await("rebalance");
   ASSERT_FALSE(opening.is_null());
   EXPECT_EQ(frame_int(opening, "ranks"), 1);
   EXPECT_EQ(opening.at("evicted").as_array().size(), 1u);
   EXPECT_EQ(coord.stats().joins.load(), 0u);
   coord.stop();
-}
-
-TEST(DistElastic, JoinerWithWrongKeyIsRefused) {
-  const runtime::SolveRequest req = costas_request(16, 2, 10);
-  std::promise<uint16_t> port_promise;
-  std::shared_future<uint16_t> port = port_promise.get_future().share();
-  std::promise<void> hunt_announced;
-  runtime::SolveReport host_report;
-
-  std::jthread host([&] {
-    WorldOptions wo;
-    wo.rank = 0;
-    wo.ranks = 1;
-    World world(wo, [&](uint16_t p) { port_promise.set_value(p); });
-    hunt_announced.set_value();
-    host_report = solve_elastic(world, req, runtime::StrategyContext{}, base_opts(200));
-    world.finalize();
-  });
-  hunt_announced.get_future().wait();
-  WorldOptions wo;
-  wo.join = true;
-  wo.rank = -1;
-  wo.ranks = 0;
-  wo.port = port.get();
-  wo.hunt_key = "some other hunt entirely";
-  wo.connect_timeout_seconds = 30.0;
-  EXPECT_THROW(World world(wo), CommError);  // refused at the handshake or the opening
-  host.join();
-  ASSERT_TRUE(host_report.error.empty()) << host_report.error;
-  EXPECT_TRUE(host_report.solved);
 }
 
 TEST(DistElastic, PreemptedWorldResumesWithIdenticalTrajectory) {
@@ -821,7 +850,7 @@ TEST(DistElasticWire, PreemptedWorldNamesNoRunAheadLeader) {
     CoordinatorOptions co;
     co.heartbeat_timeout_seconds = 0;
     Coordinator coord(co);
-    coord.open_hunt(1, "hunt", kSeed, kWalkers, 0);
+    coord.open_hunt(1, hunt_request(), 300, 0, 0);
     test::FakeRank member(coord.port(), 0, 1);
     ASSERT_FALSE(member.await("welcome").is_null());
     ASSERT_FALSE(member.await("rebalance").is_null());  // the opening
@@ -889,7 +918,7 @@ TEST(DistElasticWire, MalformedSolvedFramesAbortTheWorldWithAReason) {
   };
   for (const auto& [bad, reason] : cases) {
     Coordinator coord(CoordinatorOptions{});
-    coord.open_hunt(1, "hunt", 1, kWalkers, 0);
+    coord.open_hunt(1, hunt_request(kWalkers, 1), 300, 0, 0);
     test::FakeRank fake(coord.port(), 0, 1);
     ASSERT_FALSE(fake.await("welcome").is_null());
     // A member solves only after the opening; a solve the coordinator reads
@@ -1030,8 +1059,9 @@ TEST(DistElasticPipeline, SettledMemberSkipsItsWaveFileOnlyWhenTheWaveDecides) {
       view["ranks"] = 1;
       view["your_rank"] = 0;
       view["ckpt_epoch"] = -1;
-      view["seed"] = wire_u64(kSeed);
-      view["walkers"] = kWalkers;
+      view["request"] = runtime::resolve(req).canonical_json();
+      view["ckpt_iters"] = wire_u64(300);
+      view["max_epochs"] = wire_u64(0);
       util::Json leader = util::Json::object();
       leader["id"] = wire_u64(0);
       leader["iters"] = wire_u64(leader_iters);
@@ -1048,7 +1078,6 @@ TEST(DistElasticPipeline, SettledMemberSkipsItsWaveFileOnlyWhenTheWaveDecides) {
     wo.ranks = 0;
     wo.join = true;
     wo.port = net::local_port(listener.get());
-    wo.hunt_key = elastic_hunt_key(runtime::resolve(req));
     World world(wo);
     ElasticOptions eo = base_opts();
     eo.ckpt_dir = dir;
@@ -1126,43 +1155,112 @@ TEST(DistHunts, StochasticSeedIsDrawnOnceForEveryRank) {
   }
 }
 
-TEST(DistHunts, InvalidRequestFailsOnEveryRankAndTheNextHuntRuns) {
+TEST(DistHunts, InvalidRequestFailsOnTheHostAndTheNextHuntRuns) {
+  // The host refuses a portfolio request and an unknown problem; neither
+  // opens a hunt, so the members, which hold no requests, see the valid
+  // request as hunt 1 and return at the host's close.
   runtime::SolveRequest portfolio = costas_request(12, kWalkers, 3);
   portfolio.strategy = "portfolio";
   runtime::SolveRequest unknown = costas_request(12, kWalkers, 3);
   unknown.problem = "no-such-problem";
   const runtime::SolveRequest valid = costas_request(13, kWalkers, 5);
   const Oracle want = oracle_of(valid, 200);
-  const auto reports =
-      run_hunts(2, {portfolio, unknown, valid}, [](int, size_t) { return base_opts(200); });
-  for (const auto& hunts : reports) {
-    EXPECT_NE(hunts[0].error.find("elastic worlds support only the multiwalk strategy"),
-              std::string::npos)
-        << hunts[0].error;
-    EXPECT_FALSE(hunts[1].error.empty());
-    EXPECT_EQ(hunts[1].error, reports[0][1].error);
-    const runtime::SolveReport& rep = hunts[2];
-    ASSERT_TRUE(rep.error.empty()) << rep.error;
-    EXPECT_EQ(rep.winner, want.winner);
-    // The refused requests opened no hunt.
-    EXPECT_EQ(dist_extras(rep).at("hunt").as_int(), 1);
-  }
-  EXPECT_EQ(reports[0][2].total_iterations, want.total_iterations);
+  const Followed world =
+      run_followed(2, {portfolio, unknown, valid}, [](size_t) { return base_opts(200); });
+  ASSERT_EQ(world.host.size(), 3u);
+  EXPECT_NE(world.host[0].error.find("elastic worlds support only the multiwalk strategy"),
+            std::string::npos)
+      << world.host[0].error;
+  EXPECT_NE(world.host[1].error.find("no-such-problem"), std::string::npos)
+      << world.host[1].error;
+  const runtime::SolveReport& hunt = world.host[2];
+  ASSERT_TRUE(hunt.error.empty()) << hunt.error;
+  EXPECT_EQ(dist_extras(hunt).at("hunt").as_int(), 1) << "a refused request opened a hunt";
+  EXPECT_EQ(hunt.winner, want.winner);
+  EXPECT_EQ(hunt.total_iterations, want.total_iterations);
+  ASSERT_EQ(world.members[0].size(), 1u);
+  const runtime::SolveReport& followed = world.members[0][0];
+  ASSERT_TRUE(followed.error.empty()) << followed.error;
+  EXPECT_EQ(dist_extras(followed).at("hunt").as_int(), 1);
+  EXPECT_EQ(followed.winner, want.winner);
 }
 
-TEST(DistHunts, CheckpointDirectoryOnASecondHuntIsRefusedEverywhere) {
+TEST(DistHunts, CheckpointDirectoryOnASecondHuntIsRefusedByTheHost) {
+  // A checkpoint directory belongs to a World's first hunt: the host
+  // refuses the second request, which opens no hunt, and the member
+  // returns at the close after hunt 1.
   const std::string dir = make_temp_dir();
   const std::vector<runtime::SolveRequest> reqs = {costas_request(12, kWalkers, 3),
                                                    costas_request(13, kWalkers, 5)};
-  const auto reports = run_hunts(2, reqs, [&](int, size_t) {
+  const Followed world = run_followed(2, reqs, [&](size_t) {
     ElasticOptions eo = base_opts(200);
     eo.ckpt_dir = dir;
     return eo;
   });
-  for (const auto& hunts : reports) {
-    EXPECT_TRUE(hunts[0].error.empty()) << hunts[0].error;
-    EXPECT_NE(hunts[1].error.find("first hunt"), std::string::npos) << hunts[1].error;
+  ASSERT_EQ(world.host.size(), 2u);
+  EXPECT_TRUE(world.host[0].error.empty()) << world.host[0].error;
+  EXPECT_NE(world.host[1].error.find("first hunt"), std::string::npos) << world.host[1].error;
+  ASSERT_EQ(world.members[0].size(), 1u);
+  EXPECT_TRUE(world.members[0][0].error.empty()) << world.members[0][0].error;
+  EXPECT_EQ(world.members[0][0].winner, world.host[0].winner);
+}
+
+TEST(DistHunts, MembersWithoutRequestsFollowTheHostsHunts) {
+  // Three requests on the host; two members hold none and take the hunt
+  // definition — request, segment length and epoch bound — from each
+  // opening (their own options say 7-iteration segments). Every rank names
+  // each hunt's oracle winner, and the members return at the host's close.
+  const std::vector<runtime::SolveRequest> reqs = {costas_request(12, kWalkers, 3),
+                                                   costas_request(kSize, kWalkers, kSeed),
+                                                   costas_request(13, kWalkers, 5)};
+  const Followed world = run_followed(3, reqs, [](size_t) { return base_opts(300); });
+  ASSERT_EQ(world.host.size(), reqs.size());
+  for (const auto& reports : world.members) ASSERT_EQ(reports.size(), reqs.size());
+  for (size_t k = 0; k < reqs.size(); ++k) {
+    const Oracle want = oracle_of(reqs[k], 300);
+    const runtime::SolveReport& host = world.host[k];
+    ASSERT_TRUE(host.error.empty()) << "hunt " << k + 1 << ": " << host.error;
+    EXPECT_EQ(host.winner, want.winner) << "hunt " << k + 1;
+    EXPECT_EQ(host.winner_stats.iterations, want.winner_iters) << "hunt " << k + 1;
+    EXPECT_EQ(host.total_iterations, want.total_iterations) << "hunt " << k + 1;
+    for (const auto& reports : world.members) {
+      const runtime::SolveReport& rep = reports[k];
+      ASSERT_TRUE(rep.error.empty()) << "hunt " << k + 1 << ": " << rep.error;
+      EXPECT_EQ(dist_extras(rep).at("hunt").as_int(), static_cast<int64_t>(k + 1));
+      EXPECT_EQ(rep.winner, want.winner) << "hunt " << k + 1;
+      EXPECT_EQ(rep.winner_stats.iterations, want.winner_iters) << "hunt " << k + 1;
+      EXPECT_EQ(rep.request.seed, reqs[k].seed);
+      EXPECT_EQ(dist_extras(rep).at("ckpt").at("ckpt_iters").as_int(), 300);
+    }
   }
+
+  // With a standby, the host dies at epoch 2 of hunt 2 (the reference hunt
+  // solves at 982, in segment 3). The standby, a follower, finishes hunt 2
+  // as host — it holds no request to open hunt 3 — and closes the world;
+  // the other member returns at that close.
+  const Followed failed = run_followed(
+      3, reqs,
+      [](size_t k) {
+        ElasticOptions eo = base_opts(300);
+        if (k == 1) eo.die_at_epoch = 2;
+        return eo;
+      },
+      /*standby=*/true);
+  ASSERT_EQ(failed.host.size(), 2u);
+  EXPECT_NE(failed.host[1].error.find("fault injection"), std::string::npos)
+      << failed.host[1].error;
+  const Oracle second = oracle_of(reqs[1], 300);
+  for (const auto& reports : failed.members) {
+    ASSERT_EQ(reports.size(), 2u) << "a member followed past the promoted host's close";
+    ASSERT_TRUE(reports[1].error.empty()) << reports[1].error;
+    EXPECT_EQ(reports[1].winner, second.winner);
+    EXPECT_EQ(reports[1].winner_stats.iterations, second.winner_iters);
+  }
+  const runtime::SolveReport& promoted = failed.members[0][1];
+  EXPECT_EQ(dist_extras(promoted).at("promoted_from").as_int(), 0);
+  EXPECT_EQ(dist_extras(promoted).at("hunt").as_int(), 2);
+  EXPECT_EQ(promoted.total_iterations, second.total_iterations);
+  EXPECT_TRUE(promoted.check_passed);
 }
 
 TEST(DistHunts, ConnectionDroppedLateInHuntOneLearnsItsOutcomeAndJoinsHuntTwo) {
@@ -1253,7 +1351,7 @@ TEST(DistHunts, AFinishedHuntsSolveMovesNoLeaderInTheNext) {
   test::FakeRank member(coord.port(), 0, 1);
   ASSERT_FALSE(member.await("welcome").is_null());
   for (uint64_t hunt = 1; hunt <= 2; ++hunt) {
-    coord.open_hunt(hunt, "hunt", kSeed, kWalkers, 0);
+    coord.open_hunt(hunt, hunt_request(), 300, 0, 0);
     const util::Json opening = member.await("rebalance");
     ASSERT_FALSE(opening.is_null());
     EXPECT_EQ(frame_u64(opening, "hunt"), hunt);
@@ -1312,6 +1410,58 @@ TEST(DistHunts, AFinishedHuntsLeaderReachesNoHook) {
   comm.finalize();
 }
 
+TEST(DistElasticWire, AnOpeningTheMemberCannotBuildEndsItsHuntNamingWhy) {
+  // A fake coordinator admits one joiner with an opening whose request the
+  // member cannot build: not an object, an unknown problem, no walkers, a
+  // size past the limit. Its solve_elastic returns an error that says so,
+  // and its finalize says bye — no crash, no hang.
+  util::Json unknown = hunt_request();
+  unknown["problem"] = "nonesuch";
+  util::Json no_walkers = hunt_request();
+  no_walkers["walkers"] = 0;
+  util::Json oversized = hunt_request();
+  oversized["size"] = 20000;
+  const std::vector<std::pair<util::Json, std::string>> cases = {
+      {util::Json("costas"), "expected a JSON object"},
+      {unknown, "nonesuch"},
+      {no_walkers, "walkers must be >= 1"},
+      {oversized, "limit of 64"},
+  };
+  for (const auto& [request, reason] : cases) {
+    std::string err;
+    net::Fd listener = net::listen_tcp("127.0.0.1", 0, 4, err);
+    ASSERT_TRUE(listener.valid()) << err;
+    bool said_bye = false;
+    std::jthread coordinator([&] {
+      test::FakeRank joiner(net::Fd(::accept(listener.get(), nullptr, nullptr)));
+      ASSERT_FALSE(joiner.await("join").is_null());
+      util::Json view = make_rebalance_base(1, 0);
+      view["final"] = false;
+      view["ranks"] = 1;
+      view["your_rank"] = 0;
+      view["ckpt_epoch"] = -1;
+      view["request"] = request;
+      view["ckpt_iters"] = wire_u64(300);
+      view["max_epochs"] = wire_u64(0);
+      joiner.send(make_welcome(0, 1));
+      joiner.send(view);
+      said_bye = !joiner.await("bye").is_null();
+    });
+    WorldOptions wo;
+    wo.rank = -1;
+    wo.ranks = 0;
+    wo.join = true;
+    wo.port = net::local_port(listener.get());
+    World world(wo);
+    const runtime::SolveReport rep = solve_elastic(
+        world, costas_request(kSize, kWalkers, kSeed), runtime::StrategyContext{}, base_opts());
+    world.finalize();
+    coordinator.join();
+    EXPECT_NE(rep.error.find(reason), std::string::npos) << rep.error;
+    EXPECT_TRUE(said_bye) << reason;
+  }
+}
+
 TEST(DistElasticWire, HugeControlTimeoutWaitsForALateRebalance) {
   // A member waits for each rebalance with the scenario's control timeout;
   // 1e12 s must wait for a frame that comes late (here: the opening of a
@@ -1322,7 +1472,7 @@ TEST(DistElasticWire, HugeControlTimeoutWaitsForALateRebalance) {
   RankComm comm(o);
   std::jthread late([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    coord.open_hunt(1, "hunt", 1, 1, 0);
+    coord.open_hunt(1, hunt_request(1, 1), 300, 0, 0);
   });
   const auto t0 = std::chrono::steady_clock::now();
   const std::optional<util::Json> rb = comm.take_control(1e12);

@@ -110,6 +110,12 @@ ElasticOptions base_opts(uint64_t ckpt_iters = 300) {
   return eo;
 }
 
+/// The request a coordinator-level test opens a hunt with, as the host's
+/// definition carries it: resolved, as canonical JSON.
+util::Json hunt_request() {
+  return runtime::resolve(costas_request(kSize, kWalkers, kSeed)).canonical_json();
+}
+
 ElasticOptions kill_host_at(uint64_t epoch) {
   ElasticOptions eo = base_opts();
   eo.die_at_epoch = epoch;  // host death: World::crash() takes the coordinator down
@@ -172,7 +178,6 @@ TEST(DistFailover, PromotionFromAMirroredLeaderNamesItAsWinner) {
   // mirror names that leader as the winner: from the first once the
   // survivor settles against it, from the second (a report had listed the
   // solve) even when the survivor halts unsettled.
-  const std::string key = "hunt";
   const util::Json stats = run_stats_to_json([] {
     core::RunStats st;
     st.solved = true;
@@ -192,7 +197,7 @@ TEST(DistFailover, PromotionFromAMirroredLeaderNamesItAsWinner) {
   util::Json leader_mirror, decided_mirror;
   {
     Coordinator coord(co);
-    coord.open_hunt(1, key, kSeed, kWalkers, 0);
+    coord.open_hunt(1, hunt_request(), 300, 0, 0);
     util::Json standby_hello = make_hello(1, 2);
     standby_hello["failover"] = "127.0.0.1:1";  // makes it eligible; never dialed here
     test::FakeRank host(coord.port(), make_hello(0, 2));
@@ -258,6 +263,43 @@ TEST(DistFailover, PromotionFromAMirroredLeaderNamesItAsWinner) {
   }
 }
 
+TEST(DistFailover, APromotionFromAMalformedRequestThrows) {
+  // The state a standby promotes from carries the hunt's definition; a
+  // request the promoted coordinator could not send on — not an object, an
+  // unknown problem, no walkers — fails the promotion with CommError.
+  CoordinatorOptions co;
+  co.ranks = 2;
+  co.standby = true;
+  co.heartbeat_timeout_seconds = 0;
+  util::Json sync;
+  {
+    Coordinator coord(co);
+    coord.open_hunt(1, hunt_request(), 300, 0, 0);
+    util::Json standby_hello = make_hello(1, 2);
+    standby_hello["failover"] = "127.0.0.1:1";  // makes it eligible; never dialed here
+    test::FakeRank host(coord.port(), make_hello(0, 2));
+    test::FakeRank standby(coord.port(), standby_hello);
+    sync = standby.await("state_sync");  // the opening's mirror
+    ASSERT_FALSE(sync.is_null());
+    EXPECT_EQ(sync.at("state").at("request").dump(0), hunt_request().dump(0));
+    coord.stop();
+  }
+  util::Json unknown = hunt_request();
+  unknown["problem"] = "nonesuch";
+  util::Json no_walkers = hunt_request();
+  no_walkers["walkers"] = 0;
+  for (const util::Json& request : {util::Json("costas"), unknown, no_walkers}) {
+    util::Json state = sync.at("state");
+    state["request"] = request;
+    std::string err;
+    net::Fd listener = net::listen_tcp("127.0.0.1", 0, 4, err);
+    ASSERT_TRUE(listener.valid()) << err;
+    CoordinatorOptions po = co;
+    po.host_member = 1;
+    EXPECT_THROW(Coordinator(po, std::move(listener), state), CommError) << request.dump(0);
+  }
+}
+
 TEST(DistFailover, SurvivorAlreadyInTheNextHuntReconnectsToAStateBetweenHunts) {
   // The host opens hunt 2 — every member's opening goes out before the
   // standby's state_sync — and dies in between: the standby promotes from
@@ -282,7 +324,7 @@ TEST(DistFailover, SurvivorAlreadyInTheNextHuntReconnectsToAStateBetweenHunts) {
     test::FakeRank host(coord.port(), make_hello(0, 3));
     test::FakeRank standby(coord.port(), standby_hello);
     test::FakeRank survivor(coord.port(), make_hello(2, 3));
-    coord.open_hunt(1, "hunt", kSeed, kWalkers, 0);
+    coord.open_hunt(1, hunt_request(), 300, 0, 0);
     for (test::FakeRank* r : {&host, &standby, &survivor}) {
       ASSERT_FALSE(r->await("welcome").is_null());
       ASSERT_FALSE(r->await("rebalance").is_null());  // hunt 1's opening
@@ -294,7 +336,7 @@ TEST(DistFailover, SurvivorAlreadyInTheNextHuntReconnectsToAStateBetweenHunts) {
     between = standby.await("state_sync");  // after hunt 1's final
     ASSERT_FALSE(between.is_null());
     EXPECT_FALSE(frame_bool(between.at("state"), "hunting", true));
-    coord.open_hunt(2, "hunt", kSeed, kWalkers, 0);
+    coord.open_hunt(2, hunt_request(), 300, 0, 0);
     for (const uint64_t hunt : {1u, 2u}) {  // hunt 1's final, then hunt 2's opening
       const util::Json rb = survivor.await("rebalance");
       ASSERT_FALSE(rb.is_null());
@@ -313,7 +355,7 @@ TEST(DistFailover, SurvivorAlreadyInTheNextHuntReconnectsToAStateBetweenHunts) {
   test::FakeRank survivor(promoted.port(), make_reconnect(2, 2, 0));
   ASSERT_FALSE(standby.await("welcome").is_null());
   ASSERT_FALSE(survivor.await("welcome").is_null()) << "the survivor's stamp was refused";
-  promoted.open_hunt(2, "hunt", kSeed, kWalkers, 0);
+  promoted.open_hunt(2, hunt_request(), 300, 0, 0);
   for (test::FakeRank* r : {&standby, &survivor}) {
     const util::Json opening = r->await("rebalance");
     ASSERT_FALSE(opening.is_null());
@@ -359,7 +401,7 @@ TEST(DistRebind, AReHelloIsAnsweredWithTheWelcomeTheViewAndTheLeader) {
     test::FakeRank lost(coord.port(), make_hello(1, 2));
     ASSERT_FALSE(host.await("welcome").is_null());  // both hellos arrived
   }
-  coord.open_hunt(1, "hunt", kSeed, kWalkers, 0);
+  coord.open_hunt(1, hunt_request(), 300, 0, 0);
   ASSERT_FALSE(host.await("rebalance").is_null());
   core::RunStats st;
   st.solved = true;
@@ -377,8 +419,8 @@ TEST(DistRebind, AReHelloIsAnsweredWithTheWelcomeTheViewAndTheLeader) {
   EXPECT_EQ(frame_u64(view, "epoch"), 0u);
   EXPECT_FALSE(frame_bool(view, "final", true));
   EXPECT_EQ(frame_int(view, "your_rank"), 1);
-  EXPECT_EQ(frame_u64(view, "seed"), kSeed);
-  EXPECT_EQ(frame_int(view, "walkers"), kWalkers);
+  EXPECT_EQ(view.at("request").dump(0), hunt_request().dump(0));  // the hunt's definition
+  EXPECT_EQ(frame_u64(view, "ckpt_iters"), 300u);
   const util::Json leader = again.await("leader");
   ASSERT_FALSE(leader.is_null());
   EXPECT_EQ(frame_u64(leader, "id"), 0u);
@@ -459,7 +501,7 @@ TEST(DistRebind, AReHelloAfterTheVacancyGraceIsRefusedAndTheWorldLivesOn) {
   ASSERT_FALSE(refusal.is_null());
   EXPECT_NE(reason_of(refusal).find("already retired"), std::string::npos)
       << reason_of(refusal);
-  coord.open_hunt(1, "hunt", kSeed, kWalkers, 0);
+  coord.open_hunt(1, hunt_request(), 300, 0, 0);
   const util::Json opening = host.await("rebalance");
   ASSERT_FALSE(opening.is_null());
   EXPECT_EQ(frame_int(opening, "ranks"), 1);
@@ -484,7 +526,7 @@ TEST(DistRebind, ARetriedReconnectIsWelcomedAgainAndGetsTheResume) {
     test::FakeRank host(coord.port(), make_hello(0, 3));
     test::FakeRank standby(coord.port(), standby_hello);
     test::FakeRank survivor(coord.port(), make_hello(2, 3));
-    coord.open_hunt(1, "hunt", kSeed, kWalkers, 0);
+    coord.open_hunt(1, hunt_request(), 300, 0, 0);
     sync = standby.await("state_sync");  // the opening's mirror
     ASSERT_FALSE(sync.is_null());
     coord.stop();  // the host dies
@@ -590,7 +632,6 @@ TEST(DistFailover, JoinerAdmittedMidHuntSurvivesThePromotion) {
   // waves, the host dies at epoch 8, and both the promoted standby and the
   // joiner must carry the hunt to the verified solve.
   const runtime::SolveRequest req = costas_request(16, 2, 10);
-  const std::string key = elastic_hunt_key(runtime::resolve(req));
 
   std::promise<uint16_t> port_promise;
   std::shared_future<uint16_t> port = port_promise.get_future().share();
@@ -628,7 +669,6 @@ TEST(DistFailover, JoinerAdmittedMidHuntSurvivesThePromotion) {
     wo.ranks = 0;
     wo.standby = true;
     wo.port = port.get();
-    wo.hunt_key = key;
     wo.connect_timeout_seconds = 30.0;
     World world(wo);  // blocks until admitted at a wave boundary
     join_report = solve_elastic(world, req, runtime::StrategyContext{}, base_opts(200));

@@ -1,9 +1,10 @@
 // Dist-frame fuzzing: seeded mutations of every frame a world's members and
-// its coordinator exchange (wire v6). Valid hello, join, reconnect, hb, bye,
+// its coordinator exchange (wire v7). Valid hello, join, reconnect, hb, bye,
 // leave, epoch, ckpt and solved frames go from bare-socket members to a live
-// Coordinator; valid welcome, rebalance, leader, state_sync and abort frames
-// go to a RankComm from a bare socket playing the coordinator. Each frame is
-// mutated byte-wise or has one field pushed to an extreme. The invariant:
+// Coordinator; valid welcome, rebalance and state_sync frames (both carrying
+// a hunt's definition), leader, close and abort frames go to a RankComm from
+// a bare socket playing the coordinator. Each frame is mutated byte-wise or
+// has one field pushed to an extreme. The invariant:
 // every input is accepted, or ends in a dropped peer, an aborted world or a
 // failed communicator with a reason — never a crash, a hang (a probe frame
 // must come back) or an allocation over 64 MB.
@@ -35,7 +36,7 @@ constexpr int kWalkers = 4;
 /// A byte mutation of `frame`, or the frame with one field (type excluded)
 /// set to an extreme.
 std::string mutated(const util::Json& frame, core::Rng& rng) {
-  if (rng.below(2) == 0) return fuzz::mutate(frame.dump(0), rng);
+  if (rng.below(2) == 0 || frame.size() < 2) return fuzz::mutate(frame.dump(0), rng);
   util::Json j = frame;
   std::vector<std::string> keys;
   for (const auto& [key, value] : j.as_object())
@@ -43,6 +44,18 @@ std::string mutated(const util::Json& frame, core::Rng& rng) {
   const std::string& extreme = fuzz::kFieldExtremes[rng.below(fuzz::kFieldExtremes.size())];
   j[keys[rng.below(keys.size())]] = util::Json::parse(extreme);
   return j.dump(0);
+}
+
+/// A hunt's request as the host's definition carries it.
+util::Json hunt_request() {
+  util::Json r = util::Json::object();
+  r["problem"] = "costas";
+  r["size"] = 12;
+  r["engine"] = "as";
+  r["strategy"] = "multiwalk";
+  r["walkers"] = kWalkers;
+  r["seed"] = wire_u64(7);
+  return r;
 }
 
 util::Json solved_stats() {
@@ -67,7 +80,7 @@ struct CoordinatorSession {
     co.heartbeat_timeout_seconds = 0;
     co.standby = true;
     coord = std::make_unique<Coordinator>(co);
-    coord->open_hunt(1, "hunt", 7, kWalkers, 0);
+    coord->open_hunt(1, hunt_request(), 300, 0, 0);
     host.emplace(coord->port(), 0, 2);
     util::Json hello = make_hello(1, 2);
     hello["failover"] = "127.0.0.1:1";
@@ -89,7 +102,7 @@ struct CoordinatorSession {
 /// it refuses. Returns the first abort reason that comes back — the probe's
 /// own refusal while the world lives — or "" once the connection is gone.
 std::string probe(test::FakeRank& r) {
-  util::Json bad = make_join("probe", 0);
+  util::Json bad = make_join(0);
   bad["v"] = 0;
   if (!r.send_raw(bad.dump(0))) return "";
   const util::Json abort = r.await("abort");
@@ -115,7 +128,7 @@ TEST(FuzzDistFrames, MutatedMemberFramesAreAcceptedDroppedOrAbortTheWorld) {
   const std::vector<util::Json> on_member = {
       make_hb(1), make_bye(1), make_leave(1), epoch, make_ckpt(1, 0, 4096, 250),
       make_solved(1, 1, 2, 10, stats)};
-  const std::vector<util::Json> handshakes = {hello, make_join("hunt", 0), make_join("hunt", 1),
+  const std::vector<util::Json> handshakes = {hello, make_join(0), make_join(1),
                                               make_reconnect(1, 1, 0)};
   int accepted = 0, dropped = 0, aborted = 0;
   std::unique_ptr<CoordinatorSession> session;
@@ -189,14 +202,18 @@ TEST(FuzzDistFrames, MutatedCoordinatorFramesAreAcceptedOrFailTheCommunicator) {
   view["your_rank"] = 0;
   view["final"] = false;
   view["ckpt_epoch"] = -1;
-  view["seed"] = wire_u64(7);
-  view["walkers"] = kWalkers;
+  view["request"] = hunt_request();
+  view["ckpt_iters"] = wire_u64(300);
+  view["max_epochs"] = wire_u64(0);
   view["members"] = util::Json::parse("[0]");
   util::Json state = util::Json::object();
   state["hunt"] = wire_u64(1);
   state["wave"] = wire_u64(0);
+  state["request"] = hunt_request();
+  state["ckpt_iters"] = wire_u64(300);
+  state["max_epochs"] = wire_u64(0);
   const std::vector<util::Json> after_welcome = {view, make_leader(1, 2, 10),
-                                                 make_state_sync(0, state),
+                                                 make_state_sync(0, state), make_close(),
                                                  make_abort("coordinator: fuzz")};
   FakeCoordinator fake;
   int accepted = 0, failed = 0;
@@ -230,7 +247,8 @@ TEST(FuzzDistFrames, MutatedCoordinatorFramesAreAcceptedOrFailTheCommunicator) {
       while (!probed) {
         const std::optional<util::Json> rb = comm->take_control(10.0);
         ASSERT_TRUE(rb.has_value()) << "no probe within 10 s: " << input;
-        probed = rb->find("probe") != nullptr;
+        // A close ends the world for good: every later take returns it.
+        probed = rb->find("probe") != nullptr || frame_type(*rb) == "close";
       }
       ++accepted;
     } catch (const CommError& e) {

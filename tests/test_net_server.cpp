@@ -206,6 +206,31 @@ TEST(NetServer, OversizedSolveIsRejectedNamingTheLimit) {
   EXPECT_EQ(ts.server.service().stats().solved, 0u);
 }
 
+TEST(NetServer, UnresolvableSolveIsRejectedWithoutAnExecution) {
+  // An unknown problem and a retired strategy come back over the socket as
+  // rejections naming what resolve() refused; the service runs nothing.
+  TestServer ts(fast_options());
+  BlockingClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", ts.port())) << client.error();
+  util::Json unknown = solve_frame("unknown", 12, 1);
+  unknown["request"]["problem"] = "nonesuch";
+  util::Json retired = solve_frame("retired", 12, 1);
+  retired["request"]["strategy"] = "cooperative";
+  ASSERT_TRUE(client.send_json(unknown));
+  const util::Json u = await_report(client, "unknown");
+  ASSERT_TRUE(client.send_json(retired));
+  const util::Json r = await_report(client, "retired");
+  ASSERT_TRUE(u.is_object() && r.is_object());
+  EXPECT_EQ(u.at("served_by").as_string(), "rejected");
+  EXPECT_EQ(r.at("served_by").as_string(), "rejected");
+  EXPECT_NE(u.at("error").as_string().find("nonesuch"), std::string::npos);
+  EXPECT_NE(r.at("error").as_string().find("cooperative"), std::string::npos);
+  const runtime::ServiceStats stats = ts.server.service().stats();
+  EXPECT_EQ(stats.executions, 0u);
+  EXPECT_EQ(stats.rejected, 2u);
+  EXPECT_EQ(ts.server.service().inflight(), 0u);
+}
+
 TEST(NetServer, BackpressurePausesStalledReaderThenRecovers) {
   ServerOptions opts = fast_options();
   opts.write_buffer_limit = 4096;  // tiny high-water mark

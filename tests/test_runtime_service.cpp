@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 
 #include "costas/checker.hpp"
@@ -127,6 +128,34 @@ TEST(SolverService, FailedRequestsCountedNotThrown) {
   EXPECT_FALSE(rep.error.empty());
   EXPECT_EQ(service.stats().failed, 1u);
   EXPECT_EQ(service.stats().completed, 1u);
+}
+
+TEST(SolverService, UnresolvableRequestsAreRejectedAtSubmit) {
+  // An unknown problem and a retired strategy are answered inside submit,
+  // as an admission rejection is: no thread, no pool time, no execution.
+  SolverService service({/*pool_threads=*/2});
+  SolveRequest unknown = costas_request("unknown", 11, 1);
+  unknown.problem = "nonesuch";
+  SolveRequest retired = costas_request("retired", 11, 1);
+  retired.strategy = "cooperative";
+  for (const SolveRequest& req : {unknown, retired}) {
+    std::future<SolveReport> fut = service.submit(req);
+    ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)), std::future_status::ready) << req.id;
+    EXPECT_EQ(service.inflight(), 0u) << req.id;
+    const SolveReport rep = fut.get();
+    EXPECT_EQ(rep.served_by, "rejected") << req.id;
+    EXPECT_EQ(rep.request.id, req.id);
+    EXPECT_FALSE(rep.solved);
+    EXPECT_NE(rep.error.find(req.id == "unknown" ? "nonesuch" : "cooperative"), std::string::npos)
+        << rep.error;
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.executions, 0u);
+  EXPECT_EQ(stats.rejected, 2u);
+  EXPECT_EQ(stats.failed, 2u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.latency_executed.count(), 0u);
+  EXPECT_EQ(stats.latency_rejected.count(), 2u);
 }
 
 TEST(SolverService, DestructorDrainsInFlightWork) {

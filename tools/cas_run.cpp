@@ -21,6 +21,9 @@
 // "description" and "expect" keys are ignored by cas_run itself — the CI
 // corpus checker (tools/check_report.py) reads them.
 //
+// In a world only rank 0 reads requests and serves them; a member follows:
+//   $ cas_run --ranks=4 --rank=2 --coordinator=10.0.0.1:7000
+//
 // Catalog listing (what names the registries accept):
 //   $ cas_run --list
 #include <sys/wait.h>
@@ -94,33 +97,19 @@ void print_catalogs() {
 }
 
 /// Distributed-mode settings, from the scenario's "dist" block and/or the
-/// --ranks/--rank/--coordinator flags (flags win). ranks > 1 turns the run
-/// into one rank of a multi-process world: rank 0 hosts the rendezvous and
-/// (absent an explicit --coordinator) forks the sibling ranks over loopback.
-/// So do --ckpt-dir, --resume and --join, even on one rank.
+/// dist flags (flags win) — the deployment settings every process reads.
+/// ranks > 1 turns the run into one rank of a multi-process world: rank 0
+/// hosts the rendezvous and (absent an explicit --coordinator) forks the
+/// sibling ranks over loopback. So do --ckpt-dir, --resume and --join, even
+/// on one rank. See docs/OPERATIONS.md.
 struct DistConfig {
-  int ranks = 1;
-  int rank = 0;
-  std::string host = "127.0.0.1";
-  uint16_t port = 0;  // 0 = ephemeral (launcher mode)
-  bool explicit_coordinator = false;
-  double connect_timeout = 15.0;
-  double heartbeat_timeout = 10.0;
-  double collective_timeout = 120.0;  // the wait for each rebalance
-
-  // --- membership + checkpoint/restore (see docs/OPERATIONS.md) ---
-  std::string ckpt_dir;        // durable checkpoints (empty = off)
-  uint64_t ckpt_iters = 100000;  // iterations per walker per epoch
-  uint64_t max_epochs = 0;       // absolute epoch bound (0 = unbounded)
-  bool resume = false;           // restore from ckpt_dir's manifest
-  std::string join;              // host:port of a running world
-  uint64_t die_at_epoch = 0;     // fault injection (with die_rank)
-  int die_rank = -1;
-  uint64_t drop_conn_at_epoch = 0;  // fault injection (with drop_conn_rank)
-  int drop_conn_rank = -1;
-  bool standby = false;          // coordinator failover (wire v3)
+  dist::WorldOptions world;      // identity, coordinator address, timeouts, standby
+  dist::ElasticOptions elastic;  // checkpoints, resume; the host's segment length and
+                                 // epoch bound define each hunt
+  bool explicit_coordinator = false;  // --coordinator: dial it, fork nothing
 };
 
+/// What the host (or a single process) serves: requests and service options.
 struct Scenario {
   // Caching defaults OFF in the CLI (a one-shot driver), unlike the
   // library's serving default; the scenario file's "cache" key or the
@@ -134,7 +123,6 @@ struct Scenario {
   /// wave. Cache state persists across waves, so a wave re-issuing an
   /// earlier wave's requests demonstrates (and tests) cache hits.
   std::vector<std::vector<runtime::SolveRequest>> waves;
-  DistConfig dist;
 };
 
 std::vector<runtime::SolveRequest> parse_requests(const util::Json& arr) {
@@ -144,13 +132,37 @@ std::vector<runtime::SolveRequest> parse_requests(const util::Json& arr) {
   return out;
 }
 
-Scenario load_scenario(const std::string& path) {
+util::Json read_scenario(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open scenario file '" + path + "'");
   std::stringstream buf;
   buf << in.rdbuf();
-  const util::Json doc = util::Json::parse(buf.str());
+  return util::Json::parse(buf.str());
+}
 
+/// The scenario's "dist" block, if any.
+DistConfig dist_of(const util::Json& doc) {
+  DistConfig d;
+  const util::Json* dist = doc.is_object() ? doc.find("dist") : nullptr;
+  if (dist == nullptr) return d;
+  if (!dist->is_object()) throw std::runtime_error("scenario: 'dist' must be an object");
+  dist::WorldOptions& w = d.world;
+  dist::ElasticOptions& e = d.elastic;
+  if (const auto* p = dist->find("ranks")) w.ranks = static_cast<int>(p->as_int());
+  if (const auto* p = dist->find("host")) w.host = p->as_string();
+  if (const auto* p = dist->find("port")) w.port = static_cast<uint16_t>(p->as_int());
+  if (const auto* p = dist->find("connect_timeout")) w.connect_timeout_seconds = p->as_number();
+  if (const auto* p = dist->find("heartbeat_timeout")) w.heartbeat_timeout_seconds = p->as_number();
+  if (const auto* p = dist->find("standby")) w.standby = p->as_bool();
+  if (const auto* p = dist->find("collective_timeout")) e.control_timeout_seconds = p->as_number();
+  if (const auto* p = dist->find("ckpt_dir")) e.ckpt_dir = p->as_string();
+  if (const auto* p = dist->find("ckpt_iters")) e.ckpt_iters = static_cast<uint64_t>(p->as_int());
+  if (const auto* p = dist->find("max_epochs")) e.max_epochs = static_cast<uint64_t>(p->as_int());
+  return d;
+}
+
+/// The scenario's requests and service options.
+Scenario scenario_of(const util::Json& doc) {
   Scenario sc;
   if (!doc.is_object()) {
     sc.waves.push_back(parse_requests(doc));
@@ -166,23 +178,6 @@ Scenario load_scenario(const std::string& path) {
   if (const auto* p = doc.find("auto_calibrate")) sc.service.auto_calibrate = p->as_bool();
   if (const auto* p = doc.find("auto_calibrate_min_samples"))
     sc.service.auto_calibrate_min_samples = static_cast<int>(p->as_int());
-  if (const auto* dist = doc.find("dist")) {
-    if (!dist->is_object()) throw std::runtime_error("scenario: 'dist' must be an object");
-    if (const auto* p = dist->find("ranks")) sc.dist.ranks = static_cast<int>(p->as_int());
-    if (const auto* p = dist->find("host")) sc.dist.host = p->as_string();
-    if (const auto* p = dist->find("port")) sc.dist.port = static_cast<uint16_t>(p->as_int());
-    if (const auto* p = dist->find("connect_timeout")) sc.dist.connect_timeout = p->as_number();
-    if (const auto* p = dist->find("heartbeat_timeout"))
-      sc.dist.heartbeat_timeout = p->as_number();
-    if (const auto* p = dist->find("collective_timeout"))
-      sc.dist.collective_timeout = p->as_number();
-    if (const auto* p = dist->find("ckpt_dir")) sc.dist.ckpt_dir = p->as_string();
-    if (const auto* p = dist->find("ckpt_iters"))
-      sc.dist.ckpt_iters = static_cast<uint64_t>(p->as_int());
-    if (const auto* p = dist->find("max_epochs"))
-      sc.dist.max_epochs = static_cast<uint64_t>(p->as_int());
-    if (const auto* p = dist->find("standby")) sc.dist.standby = p->as_bool();
-  }
   if (const auto* waves = doc.find("waves")) {
     if (!waves->is_array()) throw std::runtime_error("scenario: 'waves' must be an array of request arrays");
     for (const auto& wave : waves->as_array()) sc.waves.push_back(parse_requests(wave));
@@ -214,8 +209,8 @@ void parse_coordinator(const std::string& spec, DistConfig& dist) {
   const size_t colon = spec.rfind(':');
   if (colon == std::string::npos || colon + 1 >= spec.size())
     throw std::runtime_error("--coordinator expects host:port, got '" + spec + "'");
-  dist.host = spec.substr(0, colon);
-  dist.port = static_cast<uint16_t>(std::stoi(spec.substr(colon + 1)));
+  dist.world.host = spec.substr(0, colon);
+  dist.world.port = static_cast<uint16_t>(std::stoi(spec.substr(colon + 1)));
   dist.explicit_coordinator = true;
 }
 
@@ -313,13 +308,16 @@ int main(int argc, char** argv) {
   flags.add_double("admit-budget", 0.0,
                    "reject requests whose estimated cost (fitted iterations to solution / this "
                    "host's measured iteration rate) exceeds this many walker-seconds "
-                   "(0 = admit everything; refused in a distributed world)");
+                   "(0 = admit everything; in a world the host decides, and a rejected request "
+                   "opens no hunt)");
   flags.add_bool("auto-calibrate", true,
                  "refit the admission cost model from this run's own completed reports");
   flags.add_int("ranks", 0,
                 "distributed mode: total ranks of the multi-process world (0/1 = off); "
                 "without --coordinator, rank 0 forks the sibling ranks over loopback");
-  flags.add_int("rank", 0, "this process's rank in the distributed world");
+  flags.add_int("rank", 0,
+                "this process's rank in the distributed world; a rank > 0 reads only the dist "
+                "flags and block, and follows the hunts rank 0 opens");
   flags.add_string("coordinator", "",
                    "host:port of the rank-0 rendezvous (join an existing world instead "
                    "of launching one)");
@@ -328,16 +326,17 @@ int main(int argc, char** argv) {
                    "checkpoints; hosts a world; one request only)");
   flags.add_int("ckpt-iters", 0,
                 "distributed world: iterations each walker advances per epoch (0 = default "
-                "100000); epoch boundaries are where membership changes and checkpoints cut");
+                "100000); epoch boundaries are where membership changes and checkpoints cut "
+                "(the host's value: members take it from each hunt's opening)");
   flags.add_int("max-epochs", 0,
                 "distributed world: stop cleanly after this absolute epoch (0 = unbounded) — "
-                "the whole-world preemption knob");
+                "the whole-world preemption knob (the host's value, as --ckpt-iters)");
   flags.add_string("resume", "",
                    "resume a hunt from this checkpoint directory's manifest (rank count may "
                    "differ from the original world; one request only)");
   flags.add_string("join", "",
-                   "host:port of a RUNNING world to join late (admitted at the next epoch "
-                   "boundary or hunt; one request only)");
+                   "host:port of a RUNNING world to join late as a member (admitted at the next "
+                   "epoch boundary or hunt; carries no request: it follows the host's hunts)");
   flags.add_int("die-at-epoch", 0,
                 "fault injection: the rank named by --die-rank hard-kills its "
                 "communicator after this many executed epochs (0 = off)");
@@ -381,75 +380,78 @@ int main(int argc, char** argv) {
   doc["provenance"] = util::build_provenance();
 
   std::vector<runtime::SolveReport> reports;
-  int my_rank = 0;
-  bool promoted_host = false;  // this participant ended up hosting (failover)
+  bool member = false;         // a rank > 0 or a joiner: it follows the host's hunts
+  bool promoted_host = false;  // a member that ended up hosting (failover)
   std::vector<pid_t> children;
   try {
-    Scenario sc;
+    // Deployment settings: every process reads these, members nothing else.
+    util::Json scenario;
     if (!flags.get_string("scenario").empty())
-      sc = load_scenario(flags.get_string("scenario"));
-    else
-      sc.waves.push_back({request_from_flags(flags)});
-    // CLI flags override the scenario file's service options.
-    if (flags.get_int("pool-threads") > 0)
-      sc.service.pool_threads = static_cast<unsigned>(flags.get_int("pool-threads"));
-    if (flags.get_int("cache") > 0)
-      sc.service.cache_capacity = static_cast<size_t>(flags.get_int("cache"));
-    if (flags.get_double("cache-ttl") > 0)
-      sc.service.cache_ttl_seconds = flags.get_double("cache-ttl");
-    if (flags.get_double("admit-budget") > 0)
-      sc.service.admission_budget_walker_seconds = flags.get_double("admit-budget");
-    if (!flags.get_bool("auto-calibrate")) sc.service.auto_calibrate = false;
-    if (flags.get_int("ranks") > 0) sc.dist.ranks = static_cast<int>(flags.get_int("ranks"));
-    sc.dist.rank = static_cast<int>(flags.get_int("rank"));
+      scenario = read_scenario(flags.get_string("scenario"));
+    DistConfig dist = dist_of(scenario);
+    dist::WorldOptions& wo = dist.world;
+    dist::ElasticOptions& eo = dist.elastic;
+    if (flags.get_int("ranks") > 0) wo.ranks = static_cast<int>(flags.get_int("ranks"));
+    wo.rank = static_cast<int>(flags.get_int("rank"));
     if (!flags.get_string("coordinator").empty())
-      parse_coordinator(flags.get_string("coordinator"), sc.dist);
-    if (!flags.get_string("ckpt-dir").empty()) sc.dist.ckpt_dir = flags.get_string("ckpt-dir");
+      parse_coordinator(flags.get_string("coordinator"), dist);
+    if (flags.get_bool("standby")) wo.standby = true;
+    if (!flags.get_string("ckpt-dir").empty()) eo.ckpt_dir = flags.get_string("ckpt-dir");
     if (flags.get_int("ckpt-iters") > 0)
-      sc.dist.ckpt_iters = static_cast<uint64_t>(flags.get_int("ckpt-iters"));
+      eo.ckpt_iters = static_cast<uint64_t>(flags.get_int("ckpt-iters"));
     if (flags.get_int("max-epochs") > 0)
-      sc.dist.max_epochs = static_cast<uint64_t>(flags.get_int("max-epochs"));
+      eo.max_epochs = static_cast<uint64_t>(flags.get_int("max-epochs"));
     if (!flags.get_string("resume").empty()) {
-      sc.dist.resume = true;
-      sc.dist.ckpt_dir = flags.get_string("resume");
+      eo.resume = true;
+      eo.ckpt_dir = flags.get_string("resume");
     }
-    sc.dist.join = flags.get_string("join");
-    sc.dist.die_at_epoch = static_cast<uint64_t>(flags.get_int("die-at-epoch"));
-    sc.dist.die_rank = static_cast<int>(flags.get_int("die-rank"));
-    sc.dist.drop_conn_at_epoch = static_cast<uint64_t>(flags.get_int("drop-conn-at-epoch"));
-    sc.dist.drop_conn_rank = static_cast<int>(flags.get_int("drop-conn-rank"));
-    if (flags.get_bool("standby")) sc.dist.standby = true;
-    my_rank = sc.dist.rank;
-    const bool joiner = !sc.dist.join.empty();
-    const bool hosts_world =
-        sc.dist.ranks > 1 || !sc.dist.ckpt_dir.empty() || sc.dist.resume || joiner;
+    const std::string join = flags.get_string("join");
+    const bool joiner = !join.empty();
+    member = wo.rank > 0 || joiner;
+    const bool hosts_world = member || wo.ranks > 1 || !eo.ckpt_dir.empty() || eo.resume;
+    // Fault injection applies to the rank its flag names.
+    const int die_rank = static_cast<int>(flags.get_int("die-rank"));
+    if (!joiner && die_rank == wo.rank) {
+      eo.die_at_epoch = static_cast<uint64_t>(flags.get_int("die-at-epoch"));
+      // In a multi-process world "die" means PROCESS death: raise SIGKILL
+      // so the coordinator (in-process on rank 0) dies with the member,
+      // instead of a comm-only kill followed by a live process racing the
+      // survivors for the report file.
+      eo.die_sigkill = wo.ranks > 1;
+    }
+    if (!joiner && flags.get_int("drop-conn-rank") == wo.rank)
+      eo.drop_conn_at_epoch = static_cast<uint64_t>(flags.get_int("drop-conn-at-epoch"));
 
-    // Every rank of a world runs its own SolverService, and each prices a
-    // request with its own rate probe, so one budget can admit a request on
-    // one rank and reject it on another — which leaves the admitting ranks
-    // waiting for a hunt that never opens. Refuse the combination before
-    // any rendezvous.
-    if (hosts_world && sc.service.admission_budget_walker_seconds > 0)
-      throw std::runtime_error(
-          "an admission budget (--admit-budget / scenario 'admit_budget') cannot be used "
-          "with a distributed world (--ranks > 1, --ckpt-dir, --join, --resume): every rank "
-          "prices requests with its own rate probe, so the ranks could disagree on admission");
-
-    if (hosts_world) {
-      // A checkpoint directory and a joiner's request key each belong to
-      // one hunt.
+    // What the host serves: requests and service options (CLI flags
+    // override the scenario file's).
+    Scenario sc;
+    if (!member) {
+      if (!scenario.is_null())
+        sc = scenario_of(scenario);
+      else
+        sc.waves.push_back({request_from_flags(flags)});
+      if (flags.get_int("pool-threads") > 0)
+        sc.service.pool_threads = static_cast<unsigned>(flags.get_int("pool-threads"));
+      if (flags.get_int("cache") > 0)
+        sc.service.cache_capacity = static_cast<size_t>(flags.get_int("cache"));
+      if (flags.get_double("cache-ttl") > 0)
+        sc.service.cache_ttl_seconds = flags.get_double("cache-ttl");
+      if (flags.get_double("admit-budget") > 0)
+        sc.service.admission_budget_walker_seconds = flags.get_double("admit-budget");
+      if (!flags.get_bool("auto-calibrate")) sc.service.auto_calibrate = false;
+      // A checkpoint directory belongs to one hunt.
       size_t total_requests = 0;
       for (const auto& wave : sc.waves) total_requests += wave.size();
-      if (total_requests != 1 && (!sc.dist.ckpt_dir.empty() || sc.dist.resume || joiner))
+      if (total_requests != 1 && (!eo.ckpt_dir.empty() || eo.resume))
         throw std::runtime_error(util::strf(
-            "--ckpt-dir, --resume and --join take exactly one request (this run has %zu): a "
-            "checkpoint directory and a joiner's request key each belong to one hunt",
+            "--ckpt-dir and --resume take exactly one request (this run has %zu): a checkpoint "
+            "directory belongs to one hunt",
             total_requests));
-      // Graceful drain: SIGTERM is a request to stop at the next epoch
-      // boundary, not to die. Installed before the launcher forks so the
-      // children inherit the disposition.
-      std::signal(SIGTERM, on_drain_signal);
     }
+    // Graceful drain: SIGTERM is a request to stop at the next epoch
+    // boundary, not to die. Installed before the launcher forks so the
+    // children inherit the disposition.
+    if (hosts_world) std::signal(SIGTERM, on_drain_signal);
 
     // Supervised launch: when the coordinator-hosting rank itself may die
     // (failover drills: --standby, or rank 0 named by --die-rank), the
@@ -458,14 +460,13 @@ int main(int argc, char** argv) {
     // reaps and aggregates. Without this, SIGKILLing the coordinator would
     // take the launcher down with it and orphan the surviving ranks.
     const int port_fd = static_cast<int>(flags.get_int("port-fd"));
-    const bool supervise = sc.dist.ranks > 1 && sc.dist.rank == 0 &&
-                           !sc.dist.explicit_coordinator && !joiner && port_fd < 0 &&
-                           (sc.dist.standby || sc.dist.die_rank == 0);
+    const bool supervise = wo.ranks > 1 && wo.rank == 0 && !dist.explicit_coordinator &&
+                           !joiner && port_fd < 0 && (wo.standby || die_rank == 0);
     if (supervise) {
       int pfd[2];
       if (pipe(pfd) != 0) throw std::runtime_error("supervisor: pipe failed");
       std::vector<std::pair<int, pid_t>> kids;
-      const pid_t r0 = spawn_rank(argc, argv, 0, sc.dist.ranks, 0, pfd[1]);
+      const pid_t r0 = spawn_rank(argc, argv, 0, wo.ranks, 0, pfd[1]);
       close(pfd[1]);
       if (r0 < 0) {
         close(pfd[0]);
@@ -485,9 +486,8 @@ int main(int argc, char** argv) {
         waitpid(r0, nullptr, 0);
         throw std::runtime_error("supervisor: rank 0 never reported its coordinator port");
       }
-      for (int r = 1; r < sc.dist.ranks; ++r) {
-        const pid_t pid =
-            spawn_rank(argc, argv, r, sc.dist.ranks, static_cast<uint16_t>(port));
+      for (int r = 1; r < wo.ranks; ++r) {
+        const pid_t pid = spawn_rank(argc, argv, r, wo.ranks, static_cast<uint16_t>(port));
         if (pid > 0) kids.emplace_back(r, pid);
       }
       // Signal deaths are membership events the world absorbs (that is the
@@ -520,35 +520,21 @@ int main(int argc, char** argv) {
 
     std::optional<dist::World> world;
     if (hosts_world) {
-      dist::WorldOptions wo;
-      wo.rank = sc.dist.rank;
-      wo.ranks = sc.dist.ranks;
-      wo.host = sc.dist.host;
-      wo.port = sc.dist.port;
-      wo.connect_timeout_seconds = sc.dist.connect_timeout;
-      wo.heartbeat_timeout_seconds = sc.dist.heartbeat_timeout;
-      wo.standby = sc.dist.standby;
       if (joiner) {
-        // Late joiner: no rank claim, no coordinator hosting. The hunt key
-        // authenticates us against the hunt in progress; admission happens
-        // at the next epoch boundary or hunt, so allow a generous
-        // rendezvous.
-        parse_coordinator(sc.dist.join, sc.dist);
+        // No rank claim, no hosting, and a generous rendezvous: admission
+        // waits for the next epoch boundary or hunt.
+        parse_coordinator(join, dist);
         wo.join = true;
         wo.rank = -1;
         wo.ranks = 0;
-        wo.host = sc.dist.host;
-        wo.port = sc.dist.port;
-        wo.hunt_key = dist::elastic_hunt_key(runtime::resolve(sc.waves.at(0).at(0)));
-        wo.connect_timeout_seconds = std::max(sc.dist.connect_timeout, 60.0);
-        my_rank = 1;  // participant, not the reporting rank
+        wo.connect_timeout_seconds = std::max(wo.connect_timeout_seconds, 60.0);
       }
       // Single-command loopback launch: rank 0 without an explicit
       // coordinator forks the sibling ranks once its port is known. A
       // supervised rank 0 (--port-fd) instead reports the port to its
       // supervisor, which does the forking.
-      const bool launch = sc.dist.rank == 0 && !sc.dist.explicit_coordinator && !joiner &&
-                          port_fd < 0 && sc.dist.ranks > 1;
+      const bool launch = wo.rank == 0 && !dist.explicit_coordinator && port_fd < 0 &&
+                          wo.ranks > 1;
       world.emplace(wo, [&](uint16_t port) {
         if (port_fd >= 0) {
           const std::string line = std::to_string(port) + "\n";
@@ -556,63 +542,53 @@ int main(int argc, char** argv) {
           close(port_fd);
         }
         if (!launch) return;
-        for (int r = 1; r < sc.dist.ranks; ++r) {
-          const pid_t pid = spawn_rank(argc, argv, r, sc.dist.ranks, port);
+        for (int r = 1; r < wo.ranks; ++r) {
+          const pid_t pid = spawn_rank(argc, argv, r, wo.ranks, port);
           if (pid > 0) children.push_back(pid);
         }
       });
-      // The serving layer wraps the distributed runner unchanged — dedup,
-      // cache, and stats apply (admission is refused above). Requests go
-      // through one at a time: each is one hunt every rank takes part in,
-      // and sequential submission keeps serving decisions rank-consistent.
-      dist::ElasticOptions eo;
-      eo.ckpt_dir = sc.dist.ckpt_dir;
-      eo.ckpt_iters = sc.dist.ckpt_iters;
-      eo.max_epochs = sc.dist.max_epochs;
-      eo.resume = sc.dist.resume;
       eo.drain = &g_drain;
-      eo.control_timeout_seconds = sc.dist.collective_timeout;
-      if (!joiner && sc.dist.die_rank >= 0 && sc.dist.die_rank == sc.dist.rank) {
-        eo.die_at_epoch = sc.dist.die_at_epoch;
-        // In a multi-process world "die" means PROCESS death: raise
-        // SIGKILL so the coordinator (in-process on rank 0) dies with the
-        // member, instead of a comm-only kill followed by a live process
-        // racing the survivors for the report file.
-        eo.die_sigkill = sc.dist.ranks > 1;
-      }
-      if (!joiner && sc.dist.drop_conn_rank >= 0 && sc.dist.drop_conn_rank == sc.dist.rank)
-        eo.drop_conn_at_epoch = sc.dist.drop_conn_at_epoch;
-      sc.service.solve_fn = [&world, eo](const runtime::SolveRequest& req,
-                                         const runtime::StrategyContext& ctx) {
-        return dist::solve_elastic(*world, req, ctx, eo);
-      };
     }
 
-    runtime::SolverService service(sc.service);
-    for (const auto& wave : sc.waves) {
-      if (world.has_value()) {
-        for (const auto& req : wave) reports.push_back(service.submit(req).get());
-      } else {
-        auto batch = service.solve_batch(wave);
-        reports.insert(reports.end(), std::make_move_iterator(batch.begin()),
-                       std::make_move_iterator(batch.end()));
+    if (member) {  // it holds no requests and serves nothing itself
+      reports = dist::follow(*world, runtime::StrategyContext{}, eo);
+      doc["service"] = runtime::ServiceStats().to_json();
+    } else {
+      // The serving layer wraps the distributed runner: only a request it
+      // executes opens a hunt. Requests go through one at a time.
+      if (world.has_value())
+        sc.service.solve_fn = [&world, eo](const runtime::SolveRequest& req,
+                                           const runtime::StrategyContext& ctx) {
+          return dist::solve_elastic(*world, req, ctx, eo);
+        };
+      runtime::SolverService service(sc.service);
+      for (const auto& wave : sc.waves) {
+        if (world.has_value()) {
+          for (const auto& req : wave) reports.push_back(service.submit(req).get());
+        } else {
+          auto batch = service.solve_batch(wave);
+          reports.insert(reports.end(), std::make_move_iterator(batch.begin()),
+                         std::make_move_iterator(batch.end()));
+        }
       }
+      doc["pool_threads"] = static_cast<uint64_t>(service.pool().size());
+      doc["waves"] = static_cast<uint64_t>(sc.waves.size());
+      doc["service"] = service.stats().to_json();
     }
-    doc["pool_threads"] = static_cast<uint64_t>(service.pool().size());
-    doc["waves"] = static_cast<uint64_t>(sc.waves.size());
-    doc["service"] = service.stats().to_json();
     if (world.has_value()) {
       util::Json dj = util::Json::object();
-      dj["ranks"] = static_cast<int64_t>(sc.dist.ranks);
-      dj["rank"] = static_cast<int64_t>(sc.dist.rank);
+      dj["ranks"] = static_cast<int64_t>(wo.ranks);
+      dj["rank"] = static_cast<int64_t>(wo.rank);
       dj["coordinator_port"] = static_cast<int64_t>(world->port());
-      if (!sc.dist.ckpt_dir.empty()) dj["ckpt_dir"] = sc.dist.ckpt_dir;
-      if (sc.dist.resume) dj["resumed"] = true;
-      if (sc.dist.standby) dj["standby"] = true;
+      if (!eo.ckpt_dir.empty()) dj["ckpt_dir"] = eo.ckpt_dir;
+      if (eo.resume) dj["resumed"] = true;
+      if (wo.standby) dj["standby"] = true;
       if (world->promoted_from() >= 0) dj["promoted_from"] = world->promoted_from();
-      // A participant promoted to coordinator host mid-hunt holds the
-      // merged world report — it writes --out in the dead rank 0's stead.
-      promoted_host = my_rank > 0 && world->is_host();
+      // A member promoted to coordinator host mid-hunt holds the merged
+      // world report of the hunt it finished — it writes --out in the dead
+      // rank 0's stead, and its finalize closes the world.
+      promoted_host = member && world->is_host();
+      if (promoted_host && reports.size() > 1) reports.erase(reports.begin(), reports.end() - 1);
       doc["dist"] = std::move(dj);
       world->finalize();
     }
@@ -633,13 +609,13 @@ int main(int argc, char** argv) {
                    "dead member\n", describe_exit(status).c_str());
   }
 
-  // Ranks > 0 are participants, not reporters: rank 0's report is the
-  // merged, authoritative one — unless a failover made THIS participant
-  // the host, in which case it reports for the world.
-  if (my_rank > 0 && !promoted_host) {
+  // Members are participants, not reporters: rank 0's report is the
+  // merged, authoritative one — unless a failover made THIS member the
+  // host, in which case it reports for the world.
+  if (member && !promoted_host) {
     for (const auto& rep : reports)
       if (!rep.error.empty()) {
-        std::fprintf(stderr, "rank %d error: %s\n", my_rank, rep.error.c_str());
+        std::fprintf(stderr, "member error: %s\n", rep.error.c_str());
         return 1;
       }
     return 0;

@@ -30,21 +30,59 @@ step "4-process loopback scenario"
 "$CAS_RUN" --scenario="$S12" --ranks=4 --out="$OUT/dist_report.json"
 python3 tools/check_report.py "$S12" "$OUT/dist_report.json"
 
-# Every rank of a world prices requests with its own rate probe, so an
-# admission budget could split the world; cas_run must refuse it at once,
-# before any rendezvous, and say why. So must a checkpoint directory with
-# more than one request: it belongs to one hunt. A hang (timeout's 124) or a crash is
-# a failure, and so is an exit without the reason.
-step "An admission budget is refused in a distributed world"
-rc=0
-timeout 30 "$CAS_RUN" --ranks=2 --size=17 --walkers=4 --admit-budget=0.65 \
-    --out="$OUT/admit_report.json" 2>"$OUT/admit_stderr.txt" || rc=$?
-cat "$OUT/admit_stderr.txt"
-if [ "$rc" -eq 0 ] || [ "$rc" -eq 124 ] || [ "$rc" -gt 128 ]; then
-  echo "negative control: expected a prompt refusal, got exit $rc"
-  exit 1
-fi
-grep -q "admission budget" "$OUT/admit_stderr.txt"
+# A world serves: only the host runs the SolverService, so a request is
+# resolved, priced, admitted, cached and deduplicated once, and only a
+# request it executes opens a hunt. Positive control: the admission
+# scenario passes its corpus contract unedited on a 2-rank world. Then three
+# budgets below, between and above the host's prices reject 2, 1 and 0 of
+# its requests and open 0, 1 and 2 hunts; every rank exits within 30 s
+# (the launcher reaps its ranks, so a member left waiting is a timeout).
+step "Admission in a world is decided once, on the host"
+S8=tools/scenarios/s8_admission_budget.json
+# A rejected request makes cas_run exit 1, as in the corpus job; a hang
+# (timeout's 124), a crash or any other exit fails the step.
+admitted_run() {
+  local rc=0
+  timeout -k 5 30 "$CAS_RUN" --scenario="$S8" --ranks=2 "$@" || rc=$?
+  if [ "$rc" -gt 1 ]; then
+    echo "admission run $*: expected exit 0 or 1, got $rc"
+    exit 1
+  fi
+}
+admitted_run --out="$OUT/admit_report.json"
+python3 tools/check_report.py "$S8" "$OUT/admit_report.json"
+for case in "1e-9 2 0" "0.1 1 1" "1000 0 2"; do
+  read -r budget rejected hunts <<<"$case"
+  admitted_run --admit-budget="$budget" --out="$OUT/admit_$budget.json"
+  python3 - "$OUT/admit_$budget.json" "$rejected" "$hunts" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+rejected, hunts = int(sys.argv[2]), int(sys.argv[3])
+assert doc["service"]["rejected"] == rejected, doc["service"]
+opened = sorted(r["extras"]["dist"]["hunt"] for r in doc["results"]
+                if r.get("served_by") == "executed")
+assert opened == list(range(1, hunts + 1)), f"expected {hunts} hunts, opened {opened}"
+print(f"{sys.argv[1]}: rejected {rejected}, hunts {opened}")
+EOF
+done
+# A cached request opens no hunt either: the cache scenario passes its
+# contract on a 2-rank world, and only its executions open hunts.
+S7=tools/scenarios/s7_dedup_cache_waves.json
+timeout -k 5 30 "$CAS_RUN" --scenario="$S7" --ranks=2 --out="$OUT/cache_report.json"
+python3 tools/check_report.py "$S7" "$OUT/cache_report.json"
+python3 - "$OUT/cache_report.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+opened = sorted(r["extras"]["dist"]["hunt"] for r in doc["results"]
+                if r.get("served_by") == "executed")
+assert opened == list(range(1, doc["service"]["executions"] + 1)), opened
+assert doc["service"]["cache_hits"] >= 2, doc["service"]
+print(f"cache hits {doc['service']['cache_hits']}, hunts {opened}")
+EOF
+# A checkpoint directory belongs to one hunt: the host refuses one with
+# more than one request at once, before any rendezvous, and says why. A
+# hang (timeout's 124) or a crash is a failure, and so is an exit without
+# the reason.
 rc=0
 timeout 30 "$CAS_RUN" --scenario="$S12" --ranks=2 --ckpt-dir="$OUT/ckpt_refused" \
     --out="$OUT/ckpt_refused_report.json" 2>"$OUT/ckpt_refused_stderr.txt" || rc=$?
@@ -53,7 +91,66 @@ if [ "$rc" -eq 0 ] || [ "$rc" -eq 124 ] || [ "$rc" -gt 128 ]; then
   echo "negative control: expected a prompt refusal, got exit $rc"
   exit 1
 fi
-grep -q "exactly one request" "$OUT/ckpt_refused_stderr.txt"
+grep -q -- "--ckpt-dir and --resume take exactly one request" "$OUT/ckpt_refused_stderr.txt"
+# A host that fails before its first hunt (a resume of an empty directory)
+# opens none, and its close ends every member, so the launcher returns with
+# the host's error report.
+rc=0
+mkdir -p "$OUT/ckpt_empty"
+timeout -k 5 30 "$CAS_RUN" --scenario="$S13" --ranks=3 --resume="$OUT/ckpt_empty" \
+    --out="$OUT/resume_empty_report.json" || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "a resume of an empty directory: expected exit 1 (an error report), got $rc"
+  exit 1
+fi
+
+# Members hold no requests: hand-launched ranks 1-3 get only their identity
+# and the coordinator's address, while rank 0 alone reads the scenario and
+# hosts on a free port. Every hunt's definition comes from the host — for
+# s13 its 300-iteration segments too — so the world names the loopback
+# run's winners at the loopback run's iterations, and every member exits 0
+# within 10 s of the host.
+step "Members without a scenario follow the host's hunts"
+free_port() {
+  python3 -c 'import socket; s = socket.socket(); s.bind(("127.0.0.1", 0)); print(s.getsockname()[1])'
+}
+same_winners() {
+  python3 - "$1" "$2" <<'EOF'
+import json, sys
+def winners(path):
+    return {r["request"]["id"]: (r["winner"], r["winner_iterations"])
+            for r in json.load(open(path))["results"]}
+a, b = winners(sys.argv[1]), winners(sys.argv[2])
+assert a == b, f"{sys.argv[1]}: {a} != {sys.argv[2]}: {b}"
+print(f"same winners: {a}")
+EOF
+}
+for scenario in "$S12" "$S13"; do
+  name=$(basename "$scenario" .json)
+  "$CAS_RUN" --scenario="$scenario" --ranks=4 --out="$OUT/${name}_loopback.json"
+  port=$(free_port)
+  "$CAS_RUN" --scenario="$scenario" --ranks=4 --coordinator="127.0.0.1:$port" \
+      --out="$OUT/${name}_hand.json" &
+  host=$!
+  members=()
+  for r in 1 2 3; do
+    "$CAS_RUN" --ranks=4 --rank="$r" --coordinator="127.0.0.1:$port" &
+    members+=($!)
+  done
+  wait "$host"
+  deadline=$((SECONDS + 10))
+  for pid in "${members[@]}"; do
+    while kill -0 "$pid" 2>/dev/null && [ "$SECONDS" -lt "$deadline" ]; do sleep 0.1; done
+    if kill -0 "$pid" 2>/dev/null; then
+      echo "member $pid still running 10 s after the host returned"
+      kill -9 "${members[@]}" 2>/dev/null || true
+      exit 1
+    fi
+    wait "$pid"
+  done
+  python3 tools/check_report.py "$scenario" "$OUT/${name}_hand.json"
+  same_winners "$OUT/${name}_loopback.json" "$OUT/${name}_hand.json"
+done
 
 # A collective_timeout (the wait for each rebalance) past the clock's range
 # means "no deadline": the world must wait for each rebalance, not give up
