@@ -11,7 +11,6 @@
 #include "dist/wire.hpp"
 #include "net/fault.hpp"
 #include "net/frame_io.hpp"
-#include "runtime/strategy.hpp"
 #include "util/strings.hpp"
 
 namespace cas::dist {
@@ -49,13 +48,11 @@ util::Json CoordinatorStats::to_json() const {
   return j;
 }
 
-void Coordinator::open_hunt(uint64_t index, util::Json request, uint64_t ckpt_iters,
-                            uint64_t max_epochs, uint64_t epoch) {
-  const int walkers = static_cast<int>(request.at("walkers").as_int());
+void Coordinator::open_hunt(uint64_t index, HuntDefinition def) {
   {
     std::scoped_lock lock(open_mu_);
     if (index <= opened_.index) return;
-    opened_ = Hunt{index, std::move(request), walkers, ckpt_iters, max_epochs, epoch};
+    opened_ = Hunt{index, std::move(def)};
     open_pending_ = true;
   }
   wakeup_.notify();
@@ -396,8 +393,10 @@ void Coordinator::handle_join(Peer& p, const util::Json& j) {
   p.pending_join = true;
   pending_join_fds_.push_back(fd);
   stats_.joins.fetch_add(1, std::memory_order_relaxed);
-  if (finished) catch_up(fd, -1, hunt);
-  if (closed_ && peers_.count(fd) != 0) enqueue(*peers_.at(fd), make_close().dump(0));
+  if (finished)
+    catch_up(fd, -1, hunt);
+  else if (closed_)
+    enqueue(p, make_close().dump(0));
 }
 
 void Coordinator::handle_epoch(const util::Json& j) {
@@ -452,7 +451,8 @@ void Coordinator::handle_solved(const util::Json& j) {
     return;
   }
   if (!hunting_ || hunt != hunt_.index) return;  // another hunt's solve
-  if (id >= static_cast<uint64_t>(hunt_.walkers) || !stats.solved || stats.iterations != iters) {
+  if (id >= static_cast<uint64_t>(hunt_.def.request.walkers) || !stats.solved ||
+      stats.iterations != iters) {
     abort_world(util::strf("coordinator: member %d reported an impossible solve (walker %llu)",
                            member, static_cast<unsigned long long>(id)));
     return;
@@ -497,8 +497,8 @@ void Coordinator::maybe_open() {
   if (hunting_) complete_wave(/*final=*/true);  // the host left the running hunt undecided
   hunt_ = std::move(next);
   hunting_ = true;
-  wave_ = hunt_.epoch;
-  ckpt_epoch_ = static_cast<int64_t>(hunt_.epoch) - 1;
+  ckpt_epoch_ = hunt_.def.resumed_epoch;
+  wave_ = static_cast<uint64_t>(ckpt_epoch_ + 1);
   have_leader_ = decided_ = false;
   winner_member_ = -1;
   winner_stats_ = {};
@@ -547,7 +547,7 @@ void Coordinator::maybe_complete_wave() {
   // by the wave's end, or when every member settled: no walker can beat the
   // leader any more. A member lost mid-wave leaves its walkers uncovered
   // until the next view re-homes them.
-  const bool covered = walkers >= hunt_.walkers;
+  const bool covered = walkers >= hunt_.def.request.walkers;
   if (covered && (listed || all_settled)) decided_ = true;
   complete_wave(/*final=*/any_halt || all_done || (covered && all_settled));
 }
@@ -657,9 +657,7 @@ util::Json Coordinator::next_view(uint64_t epoch, bool final, const std::vector<
     base["standby_member"] = standby_member_;
     base["standby_addr"] = standby_addr_;
   }
-  base["request"] = hunt_.request;
-  base["ckpt_iters"] = wire_u64(hunt_.ckpt_iters);
-  base["max_epochs"] = wire_u64(hunt_.max_epochs);
+  put_definition(base, hunt_.def);
   if (have_leader_) {
     util::Json leader = util::Json::object();
     leader["id"] = wire_u64(leader_id_);
@@ -694,9 +692,7 @@ util::Json Coordinator::export_state() {
   s["v"] = kWireVersion;
   s["hunt"] = wire_u64(hunt_.index);
   s["hunting"] = hunting_;
-  s["request"] = hunt_.request;
-  s["ckpt_iters"] = wire_u64(hunt_.ckpt_iters);
-  s["max_epochs"] = wire_u64(hunt_.max_epochs);
+  put_definition(s, hunt_.def);
   s["wave"] = wire_u64(wave_);
   s["ckpt_epoch"] = static_cast<int64_t>(ckpt_epoch_);
   s["next_member"] = next_member_;
@@ -732,10 +728,7 @@ void Coordinator::import_state(const util::Json& state) {
   try {
     hunt_.index = frame_u64(state, "hunt");
     hunting_ = frame_bool(state, "hunting", false);
-    hunt_.request = state.at("request");  // sent on in every view
-    hunt_.walkers = runtime::resolve(runtime::SolveRequest::from_json(hunt_.request)).walkers;
-    hunt_.ckpt_iters = frame_u64(state, "ckpt_iters");
-    hunt_.max_epochs = frame_u64(state, "max_epochs");
+    hunt_.def = definition_from(state);  // a request that does not resolve fails it
     wave_ = frame_u64(state, "wave");
     ckpt_epoch_ = state.at("ckpt_epoch").as_int();
     next_member_ = frame_int(state, "next_member");
@@ -911,6 +904,10 @@ void Coordinator::catch_up(int fd, int member, uint64_t from_hunt) {
   if (!send(make_welcome(member, active_count()).dump(0))) return;
   for (auto it = finals_.lower_bound(from_hunt); it != finals_.end(); ++it)
     if (!send(it->second)) return;
+  if (closed_) {  // e.g. a survivor that reconnects after the promoted host closed
+    send(make_close().dump(0));
+    return;
+  }
   // No wave completes without a member's report, and a member caught up
   // here has not sent one since the view of the wave in progress.
   if (member < 0 || !hunting_ || reconnect_mode_) return;

@@ -43,6 +43,7 @@
 #include <thread>
 #include <vector>
 
+#include "dist/wire.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
@@ -134,14 +135,12 @@ class Coordinator {
   [[nodiscard]] bool all_detached() const;
   static constexpr double kRejoinGraceSeconds = 1.0;
 
-  /// Host only: open hunt `index` at `epoch` (a resume's manifest epoch + 1,
-  /// else 0) with the definition every view carries: the resolved request
-  /// (canonical JSON with its id), the segment length and the epoch bound
-  /// (0 = none). No-op when hunt `index` or a later one was opened already
-  /// (a promoted coordinator resumes the hunt it replicated). A hunt still
-  /// running is ended undecided first. Thread-safe.
-  void open_hunt(uint64_t index, util::Json request, uint64_t ckpt_iters, uint64_t max_epochs,
-                 uint64_t epoch);
+  /// Host only: open hunt `index` with the definition every view carries,
+  /// at its first epoch (a resume's manifest wave + 1, else 0). No-op when
+  /// hunt `index` or a later one was opened already (a promoted coordinator
+  /// resumes the hunt it replicated). A hunt still running is ended
+  /// undecided first. Thread-safe.
+  void open_hunt(uint64_t index, HuntDefinition def);
 
   /// Host only: the world is done — send every connection a close frame
   /// and open no further hunt. Thread-safe.
@@ -188,14 +187,10 @@ class Coordinator {
     util::Json summary;  // its latest epoch frame (final-report rows)
   };
 
-  /// What a hunt is: its index, definition and opening epoch.
+  /// What a hunt is: its index and definition.
   struct Hunt {
     uint64_t index = 0;
-    util::Json request;
-    int walkers = 0;
-    uint64_t ckpt_iters = 0;
-    uint64_t max_epochs = 0;
-    uint64_t epoch = 0;
+    HuntDefinition def;
   };
 
   void run();
@@ -215,9 +210,10 @@ class Coordinator {
   void rebind(Peer& p, int member, uint64_t from_hunt);
   /// Answer a connection from state: a welcome naming `member` (-1 for a
   /// joiner answered with outcomes), the final of every finished hunt from
-  /// `from_hunt` on, and, for a member while a hunt runs outside a
-  /// promotion window, the view of the wave in progress and the leader.
-  /// Stops if the peer is gone; a write error may drop it.
+  /// `from_hunt` on, then the close once the world is closed or, for a
+  /// member while a hunt runs outside a promotion window, the view of the
+  /// wave in progress and the leader. Stops if the peer is gone; a write
+  /// error may drop it.
   void catch_up(int fd, int member, uint64_t from_hunt);
   void abort_world(const std::string& reason);
   void check_liveness(double now);

@@ -125,12 +125,9 @@ std::map<int, util::Json> load_wave_snapshots(const std::string& dir, uint64_t e
   return out;
 }
 
-/// What the host's resume adopted from the manifest.
-struct Resumed {
-  uint64_t elapsed_micros = 0;
-  int64_t epoch = -1;      // the manifest's wave
-  bool fell_back = false;  // torn manifest: resumed from the predecessor cut
-};
+bool draining(const ElasticOptions& opts) {
+  return opts.drain != nullptr && opts.drain->load(std::memory_order_relaxed);
+}
 
 /// Everything one epoch-loop pass needs; kept in a struct so the view
 /// adoption, the crew and the report builders stay readable.
@@ -138,7 +135,7 @@ struct ElasticRun {
   RankComm* comm = nullptr;
   uint64_t hunt = 0;
   const ElasticOptions* opts = nullptr;
-  const runtime::SolveRequest* resolved = nullptr;
+  const HuntDefinition* def = nullptr;  // from the hunt's first view
   par::ThreadPool* executor = nullptr;  // null: the crew fans out on jthreads
 
   std::vector<uint64_t> seeds;  // global walker id -> engine seed
@@ -147,7 +144,6 @@ struct ElasticRun {
   std::map<int, OwnedWalker> owned;  // reshaped only while the crew is stopped
   uint64_t executed_local = 0;     // iterations run here, through the last wave reported
   uint64_t epochs_executed = 0;    // waves this process reported
-  Resumed resumed;  // the host's resume
   util::WallTimer timer;
 
   // Checkpoint provenance.
@@ -181,14 +177,11 @@ struct ElasticRun {
   }
 
   [[nodiscard]] uint64_t elapsed_micros() const {
-    return resumed.elapsed_micros + static_cast<uint64_t>(timer.seconds() * 1e6);
+    return def->elapsed_micros + static_cast<uint64_t>(timer.seconds() * 1e6);
   }
   [[nodiscard]] bool out_of_time() const {
-    return resolved->timeout_seconds > 0 &&
-           static_cast<double>(elapsed_micros()) * 1e-6 >= resolved->timeout_seconds;
-  }
-  [[nodiscard]] bool draining() const {
-    return opts->drain != nullptr && opts->drain->load(std::memory_order_relaxed);
+    return def->request.timeout_seconds > 0 &&
+           static_cast<double>(elapsed_micros()) * 1e-6 >= def->request.timeout_seconds;
   }
 
   /// Tell the coordinator walker `id` solved; sent before the walker
@@ -222,7 +215,7 @@ struct ElasticRun {
   /// walkers restore from wave `cut` files when available, else replay,
   /// and catch up to the boundary or their bound, whichever comes first.
   void adopt_view(int rank, int ranks, uint64_t boundary, int64_t cut) {
-    const int walkers = resolved->walkers;
+    const int walkers = def->request.walkers;
     const int share = share_of(walkers, ranks, rank);
     const int offset = offset_of(walkers, ranks, rank);
     {
@@ -266,7 +259,7 @@ struct ElasticRun {
       }();
       const Step step = w.walk->stats().solved
                             ? Step::kSolved
-                            : advance_to(*w.walk, std::min(boundary * opts->ckpt_iters, bound));
+                            : advance_to(*w.walk, std::min(boundary * def->ckpt_iters, bound));
       const uint64_t iters = w.walk->stats().iterations;
       if (step == Step::kSolved) announce(id, *w.walk);
       executed_local += iters - before;
@@ -287,8 +280,8 @@ struct ElasticRun {
       std::scoped_lock lock(mu);
       note_leader(known->first, known->second);
     }
-    const int share = share_of(resolved->walkers, ranks, rank);
-    const int offset = offset_of(resolved->walkers, ranks, rank);
+    const int share = share_of(def->request.walkers, ranks, rank);
+    const int offset = offset_of(def->request.walkers, ranks, rank);
     const bool kept = static_cast<int>(owned.size()) == share &&
                       (share == 0 || (owned.begin()->first == offset &&
                                       owned.rbegin()->first == offset + share - 1));
@@ -314,8 +307,8 @@ struct ElasticRun {
       for (const auto& [id, w] : owned) live += w.frozen ? 0 : 1;
     }
     if (live == 0) return;
-    const unsigned cap = resolved->num_threads != 0 ? resolved->num_threads
-                                                    : std::thread::hardware_concurrency();
+    const unsigned cap = def->request.num_threads != 0 ? def->request.num_threads
+                                                       : std::thread::hardware_concurrency();
     crew = std::jthread([this, live, cap] {
       try {
         // Each worker runs one crew loop to its end; the indices left over
@@ -383,7 +376,7 @@ struct ElasticRun {
         continue;
       }
       const uint64_t seg = next->next_seg;
-      const uint64_t seg_end = (seg + 1) * opts->ckpt_iters;
+      const uint64_t seg_end = (seg + 1) * def->ckpt_iters;
       const uint64_t target = std::min(seg_end, bound_of(leader, next->id));
       const uint64_t gen = leader_gen.load(std::memory_order_relaxed);
       if (!next->paused && seg > reporting) ++run_ahead_segments;
@@ -452,10 +445,10 @@ struct ElasticRun {
     // world runs out of epochs first, and names no winner.
     out.settled = std::all_of(owned.begin(), owned.end(),
                               [](const auto& kv) { return kv.second.frozen; }) &&
-                  (!leader || opts->max_epochs == 0 ||
-                   leader->first <= opts->max_epochs * opts->ckpt_iters);
+                  (!leader || def->max_epochs == 0 ||
+                   leader->first <= def->max_epochs * def->ckpt_iters);
     const bool ckpt = !opts->ckpt_dir.empty();
-    const uint64_t wave_end = (wave + 1) * opts->ckpt_iters;
+    const uint64_t wave_end = (wave + 1) * def->ckpt_iters;
     out.decides = leader && leader->first <= wave_end;
     for (auto& [id, w] : owned) {
       uint64_t iters = 0;
@@ -510,10 +503,10 @@ struct ElasticRun {
     util::Json m = util::Json::object();
     m["v"] = kCkptVersion;
     m["epoch"] = wire_u64(static_cast<uint64_t>(cut));
-    m["seed"] = wire_u64(resolved->seed);
-    m["walkers"] = resolved->walkers;
+    m["seed"] = wire_u64(def->request.seed);
+    m["walkers"] = def->request.walkers;
     m["ranks"] = ranks;
-    m["request"] = resolved->canonical_json();
+    m["request"] = def->request.canonical_json();
     m["elapsed_micros"] = wire_u64(elapsed_micros());
     m["members"] = members;
     util::Json files = util::Json::array();
@@ -530,14 +523,14 @@ struct ElasticRun {
     util::Json c = util::Json::object();
     c["enabled"] = !opts->ckpt_dir.empty();
     if (!opts->ckpt_dir.empty()) c["dir"] = opts->ckpt_dir;
-    c["ckpt_iters"] = static_cast<int64_t>(opts->ckpt_iters);
+    c["ckpt_iters"] = static_cast<int64_t>(def->ckpt_iters);
     c["written"] = static_cast<int64_t>(ckpt_written);
     c["bytes"] = static_cast<int64_t>(ckpt_bytes);
     c["restored"] = static_cast<int64_t>(walkers_restored);
     c["replayed"] = static_cast<int64_t>(walkers_replayed);
-    c["resumed_from_epoch"] = resumed.epoch;
+    c["resumed_from_epoch"] = def->resumed_epoch;
     c["manifest_epoch"] = manifest_epoch;
-    if (resumed.epoch >= 0) c["resume_fell_back"] = resumed.fell_back;
+    if (def->resumed_epoch >= 0) c["resume_fell_back"] = def->resume_fell_back;
     if (ckpt_write_seconds.count() > 0) {
       util::Json lat = util::Json::object();
       lat["count"] = static_cast<int64_t>(ckpt_write_seconds.count());
@@ -604,20 +597,10 @@ util::Json await_view(RankComm& comm, uint64_t lo, uint64_t hi, double timeout_s
   }
 }
 
-/// The request `view` defines its hunt with; the host's segment length and
-/// epoch bound go into `opts`. Throws what resolve() throws for a request a
-/// member cannot build.
-runtime::SolveRequest definition_of(const util::Json& view, ElasticOptions& opts) {
-  opts.ckpt_iters = frame_u64(view, "ckpt_iters");
-  opts.max_epochs = frame_u64(view, "max_epochs");
-  if (opts.ckpt_iters == 0) throw std::invalid_argument("elastic: the hunt's ckpt_iters is 0");
-  return runtime::resolve(runtime::SolveRequest::from_json(view.at("request")));
-}
-
 /// Host: check `req` once, adopt a resume's manifest or draw a stochastic
 /// seed, and open it as hunt `index`. Throws before opening anything.
-Resumed open_for(World& world, const runtime::SolveRequest& req, const ElasticOptions& opts,
-                 uint64_t index, runtime::SolveReport& report) {
+void open_for(World& world, const runtime::SolveRequest& req, const ElasticOptions& opts,
+              uint64_t index, runtime::SolveReport& report) {
   runtime::SolveRequest resolved = runtime::resolve(req);
   report.request = resolved;
   if (resolved.strategy != "multiwalk")
@@ -635,8 +618,9 @@ Resumed open_for(World& world, const runtime::SolveRequest& req, const ElasticOp
   if (!runtime::entry_of(resolved).make_resumable_walker)
     throw std::invalid_argument("elastic: problem '" + resolved.problem +
                                 "' has no resumable walker factory");
-  Resumed resumed;
-  uint64_t epoch = 0;  // the wave the hunt opens at
+  HuntDefinition def;
+  def.ckpt_iters = opts.ckpt_iters;
+  def.max_epochs = opts.max_epochs;
   if (opts.resume) {
     // The manifest must describe this request, up to seed, num_threads and
     // timeout_seconds — execution-shape fields an operator may change.
@@ -646,40 +630,41 @@ Resumed open_for(World& world, const runtime::SolveRequest& req, const ElasticOp
       r.timeout_seconds = 0.0;
       return r.canonical_key();
     };
-    const util::Json manifest = read_manifest_file(opts.ckpt_dir, &resumed.fell_back);
+    const util::Json manifest = read_manifest_file(opts.ckpt_dir, &def.resume_fell_back);
     const runtime::SolveRequest stored = runtime::SolveRequest::from_json(manifest.at("request"));
     if (identity(stored) != identity(resolved))
       throw CkptError(
           "resume: the checkpoint manifest describes a different request "
           "(seed/threads/timeout may differ; problem, size, configs, and walkers may not)");
     resolved.seed = u64_from(manifest.at("seed"), "manifest seed");
-    resumed.elapsed_micros = u64_from(manifest.at("elapsed_micros"), "manifest elapsed_micros");
+    def.elapsed_micros = u64_from(manifest.at("elapsed_micros"), "manifest elapsed_micros");
     const uint64_t manifest_wave = u64_from(manifest.at("epoch"), "manifest epoch");
-    resumed.epoch = static_cast<int64_t>(manifest_wave);
-    epoch = manifest_wave + 1;
+    if (manifest_wave >= static_cast<uint64_t>(std::numeric_limits<int64_t>::max()))
+      throw CkptError("resume: the manifest's epoch is out of range");
+    def.resumed_epoch = static_cast<int64_t>(manifest_wave);
   } else if (resolved.seed == 0) {
     // Stochastic request: the host draws, everyone adopts it from the
     // opening (the report then echoes the drawn seed, keeping the run
     // replayable).
     resolved.seed = runtime::draw_seed();
   }
-  // The request travels with its id, so every member's report names it.
-  util::Json request = resolved.canonical_json();
-  if (!resolved.id.empty()) request["id"] = resolved.id;
-  world.open_hunt(index, std::move(request), opts.ckpt_iters, opts.max_epochs, epoch);
-  return resumed;
+  def.request = std::move(resolved);
+  world.open_hunt(index, std::move(def));
 }
 
 /// Run hunt `want` — or, when this member joins late, the first hunt after
 /// it that admits this member — from the views the coordinator sends: the
-/// first builds the walkers.
-void run_hunt(World& world, const runtime::StrategyContext& ctx, ElasticOptions opts,
-              uint64_t want, const Resumed& resumed, runtime::SolveReport& report) {
+/// first builds the walkers from the hunt's definition. Throws what
+/// resolve() throws for a request a member cannot build (definition_from).
+void run_hunt(World& world, const runtime::StrategyContext& ctx, const ElasticOptions& opts,
+              uint64_t want, runtime::SolveReport& report) {
   RankComm& comm = world.comm();
   const util::Json first_view =
       await_view(comm, want, std::numeric_limits<uint64_t>::max(), opts.control_timeout_seconds);
   world.note_view(first_view);
-  const runtime::SolveRequest resolved = definition_of(first_view, opts);
+  const HuntDefinition def = definition_from(first_view);
+  if (def.ckpt_iters == 0) throw std::invalid_argument("elastic: the hunt's ckpt_iters is 0");
+  const runtime::SolveRequest& resolved = def.request;
   report.request = resolved;
   if (frame_bool(first_view, "final", false)) {
     // A hunt it came too late for: it learns the outcome.
@@ -695,10 +680,9 @@ void run_hunt(World& world, const runtime::StrategyContext& ctx, ElasticOptions 
 
   ElasticRun run;
   run.opts = &opts;
-  run.resolved = &resolved;
+  run.def = &def;
   run.executor = ctx.executor;
-  run.resumed = resumed;
-  run.manifest_epoch = resumed.epoch;
+  run.manifest_epoch = def.resumed_epoch;
   run.comm = &comm;
   run.hunt = frame_u64(first_view, "hunt");
   comm.on_leader(run.hunt, [&run](uint64_t iters, int id) {
@@ -724,12 +708,12 @@ void run_hunt(World& world, const runtime::StrategyContext& ctx, ElasticOptions 
     const ElasticRun::Wave wave = run.await_wave(epoch);
     run.executed_local += wave.executed;
     ++run.epochs_executed;
-    if (opts.max_epochs > 0 && epoch + 1 >= opts.max_epochs) {
+    if (def.max_epochs > 0 && epoch + 1 >= def.max_epochs) {
       done = true;
       preempted = true;
     }
     if (run.out_of_time()) halt = true;
-    if (run.draining()) {
+    if (draining(opts)) {
       if (world.is_host()) {
         halt = true;
       } else if (!leaving) {
@@ -889,8 +873,7 @@ void run_hunt(World& world, const runtime::StrategyContext& ctx, ElasticOptions 
 }
 
 /// solve_elastic, and follow's step with a null `req`. nullopt (a null `req`
-/// only): the host closed the world, or this member was promoted with no
-/// hunt open and none to open.
+/// only): the host closed the world.
 std::optional<runtime::SolveReport> next_hunt(World& world, const runtime::SolveRequest* req,
                                               const runtime::StrategyContext& ctx,
                                               const ElasticOptions& opts) {
@@ -914,7 +897,6 @@ std::optional<runtime::SolveReport> next_hunt(World& world, const runtime::Solve
   // wave replays idempotently, so no recovery can change the verified
   // outcome.
   ElasticOptions eopts = opts;
-  Resumed resumed;
   int rejoins = 0;
   int failovers = 0;
   net::Backoff backoff({}, 0xE1A5u + static_cast<uint64_t>(world.comm().member() + 1));
@@ -924,11 +906,14 @@ std::optional<runtime::SolveReport> next_hunt(World& world, const runtime::Solve
       // The host opens the hunt; a member promoted before it saw the hunt
       // open opens one for its own request, if it has one.
       if (world.is_host() && world.hunt() < want) {
-        if (req == nullptr) return std::nullopt;
-        resumed = open_for(world, *req, opts, want, report);
+        if (req == nullptr)
+          throw std::runtime_error(
+              "promoted to host between hunts, with no request to open: requests the dead "
+              "host had not opened did not run");
+        open_for(world, *req, opts, want, report);
       }
       // A retry stays in the hunt the first attempt saw open.
-      run_hunt(world, ctx, eopts, std::max(want, world.hunt()), resumed, report);
+      run_hunt(world, ctx, eopts, std::max(want, world.hunt()), report);
     } catch (const WorldClosed&) {
       if (req == nullptr) return std::nullopt;
       report.error = "elastic: the host closed the world";
@@ -997,7 +982,8 @@ std::vector<runtime::SolveReport> follow(World& world, const runtime::StrategyCo
   std::vector<runtime::SolveReport> reports;
   while (std::optional<runtime::SolveReport> report = next_hunt(world, nullptr, ctx, opts)) {
     reports.push_back(std::move(*report));
-    if (!reports.back().error.empty() || world.is_host()) break;
+    // A drained member was retired (or its hunt ended first): it is done.
+    if (!reports.back().error.empty() || world.is_host() || draining(opts)) break;
   }
   return reports;
 }

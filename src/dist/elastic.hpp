@@ -5,7 +5,8 @@
 // Only the host knows what a world runs: it opens each hunt for a request it
 // resolved and checked, and every member builds its walkers from the
 // opening `rebalance` frame, which carries the hunt's definition (resolved
-// request, segment length, epoch bound). Members hold no requests. Each
+// request, segment length, epoch bound, and a resume's manifest wave and
+// spent budget). Members hold no requests. Each
 // member advances every owned walker a fixed iteration segment per epoch,
 // checkpoints the mid-walk state, and reports to the coordinator; the
 // coordinator completes the wave once every active member reported,
@@ -84,13 +85,16 @@ struct ElasticOptions {
   /// the host's, so every member agrees on the final wave — this is the
   /// clean whole-world preemption knob.
   uint64_t max_epochs = 0;
-  /// Host only: restore from ckpt_dir's manifest — adopt its seed and
-  /// elapsed budget and open the hunt at manifest epoch + 1; every member
-  /// restores its owned walkers from the manifest wave's files.
+  /// Host only: restore from ckpt_dir's manifest — adopt its seed and open
+  /// the hunt at manifest epoch + 1. The hunt's definition carries the
+  /// manifest wave and the budget spent before it, so every member (and a
+  /// promoted host) counts that budget; every member restores its owned
+  /// walkers from the manifest wave's files.
   bool resume = false;
-  /// Graceful-drain latch (cas_run's SIGTERM handler): when set, member 0
+  /// Graceful-drain latch (cas_run's SIGTERM handler): when set, the host
   /// halts the world at the next epoch boundary; other members send
-  /// `leave` and retire once the coordinator rebalances them out.
+  /// `leave` and retire once the coordinator rebalances them out, and
+  /// follow() returns.
   const std::atomic<bool>* drain = nullptr;
   /// Fault injection: hard-kill the communicator (no bye — exactly what
   /// SIGKILL looks like to the coordinator) after this member has executed
@@ -133,8 +137,11 @@ runtime::SolveReport solve_elastic(World& world, const runtime::SolveRequest& re
                                    const ElasticOptions& opts);
 
 /// A member without requests: run every hunt the host opens, one report
-/// each, until the host closes the world, a hunt fails, or a promotion
-/// made this member the host (it has no request to open another with).
+/// each, until the host closes the world, a hunt fails, the drain latch is
+/// set (the member was retired, or its hunt ended first), or a promotion
+/// made this member the host: it finishes the hunt it mirrored and opens no
+/// other. A member promoted between hunts has no hunt to finish; its last
+/// report is an error that says so.
 std::vector<runtime::SolveReport> follow(World& world, const runtime::StrategyContext& ctx,
                                          const ElasticOptions& opts);
 

@@ -2,7 +2,9 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 
+#include "runtime/strategy.hpp"
 #include "util/strings.hpp"
 
 namespace cas::dist {
@@ -118,6 +120,34 @@ util::Json make_state_sync(uint64_t epoch, util::Json state) {
   j["epoch"] = wire_u64(epoch);
   j["state"] = std::move(state);
   return j;
+}
+
+void put_definition(util::Json& frame, const HuntDefinition& def) {
+  // The request travels with its id, so every member's report names it.
+  frame["request"] = def.request.canonical_json();
+  if (!def.request.id.empty()) frame["request"]["id"] = def.request.id;
+  frame["ckpt_iters"] = wire_u64(def.ckpt_iters);
+  frame["max_epochs"] = wire_u64(def.max_epochs);
+  if (def.resumed_epoch < 0) return;
+  frame["resumed_epoch"] = wire_u64(static_cast<uint64_t>(def.resumed_epoch));
+  frame["elapsed_micros"] = wire_u64(def.elapsed_micros);
+  frame["resume_fell_back"] = def.resume_fell_back;
+}
+
+HuntDefinition definition_from(const util::Json& frame) {
+  HuntDefinition def;
+  def.request = runtime::resolve(runtime::SolveRequest::from_json(require(frame, "request")));
+  def.ckpt_iters = frame_u64(frame, "ckpt_iters");
+  def.max_epochs = frame_u64(frame, "max_epochs");
+  if (frame.find("resumed_epoch") != nullptr) {
+    const uint64_t epoch = frame_u64(frame, "resumed_epoch");
+    if (epoch >= static_cast<uint64_t>(std::numeric_limits<int64_t>::max()))
+      throw CommError("wire: 'resumed_epoch' is out of range");
+    def.resumed_epoch = static_cast<int64_t>(epoch);
+    def.elapsed_micros = frame_u64(frame, "elapsed_micros");
+    def.resume_fell_back = frame_bool(frame, "resume_fell_back", false);
+  }
+  return def;
 }
 
 util::Json make_reconnect(int member, uint64_t hunt, uint64_t epoch) {

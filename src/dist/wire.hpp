@@ -25,8 +25,8 @@
 //   rebalance  coordinator -> every member when a hunt opens and whenever a
 //              wave completes: the membership view, the member's dense rank,
 //              the hunt's definition (the resolved request, the segment
-//              length and the epoch bound), and (on the final wave) the
-//              winner + merged summaries
+//              length, the epoch bound and a resume's base), and (on the
+//              final wave) the winner + merged summaries
 //   solved     member -> coordinator the moment one of its walkers solves
 //   leader     coordinator -> every member whenever the minimum (solve
 //              iteration, walker id) over the solves it has seen improves
@@ -54,6 +54,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "runtime/spec.hpp"
 #include "util/json.hpp"
 
 namespace cas::dist {
@@ -99,6 +100,24 @@ util::Json make_rebalance_base(uint64_t hunt, uint64_t epoch);
 util::Json make_solved(int member, uint64_t hunt, uint64_t id, uint64_t iters, util::Json stats);
 /// The hunt's current leader: walker `id`, solved at iteration `iters`.
 util::Json make_leader(uint64_t hunt, uint64_t id, uint64_t iters);
+
+/// What a hunt runs, as its host defines it: every view of the hunt and the
+/// standby's state_sync carry these fields.
+struct HuntDefinition {
+  runtime::SolveRequest request;  // resolved; sent as canonical JSON with its id
+  uint64_t ckpt_iters = 0;        // the segment length
+  uint64_t max_epochs = 0;        // the absolute epoch bound, 0 = none
+  int64_t resumed_epoch = -1;     // a resume's manifest wave (it opens at the next); -1: none
+  uint64_t elapsed_micros = 0;    // a resume: the time budget spent before it
+  bool resume_fell_back = false;  // a resume: the manifest was torn, its predecessor was read
+};
+/// Write `def` into a rebalance frame or a state (the resume fields only
+/// for a resumed hunt).
+void put_definition(util::Json& frame, const HuntDefinition& def);
+/// Read a definition back and resolve its request. Throws CommError on a
+/// missing or mistyped field, and what resolve() throws for a request that
+/// does not resolve (not an object, an unknown problem, no walkers, ...).
+HuntDefinition definition_from(const util::Json& frame);
 
 /// Coordinator -> standby: the full serialized wave-machine state (`state`
 /// is Coordinator::export_state()) as of wave `epoch`.

@@ -93,10 +93,8 @@ void World::redial(util::Json handshake) {
   opts_.rank = -1;
 }
 
-void World::open_hunt(uint64_t index, util::Json request, uint64_t ckpt_iters,
-                      uint64_t max_epochs, uint64_t epoch) {
-  if (coordinator_ != nullptr)
-    coordinator_->open_hunt(index, std::move(request), ckpt_iters, max_epochs, epoch);
+void World::open_hunt(uint64_t index, HuntDefinition def) {
+  if (coordinator_ != nullptr) coordinator_->open_hunt(index, std::move(def));
 }
 
 void World::note_view(const util::Json& rebalance) {
@@ -137,9 +135,7 @@ void World::promote() {
   co.host_member = member;
   coordinator_ = std::make_unique<Coordinator>(co, std::move(failover_listen_), *state);
   // The host died between a hunt's opening and its mirror: open it again.
-  if (hunt() > frame_u64(*state, "hunt"))
-    coordinator_->open_hunt(hunt(), view_.at("request"), frame_u64(view_, "ckpt_iters"),
-                            frame_u64(view_, "max_epochs"), frame_u64(view_, "epoch"));
+  if (hunt() > frame_u64(*state, "hunt")) coordinator_->open_hunt(hunt(), definition_from(view_));
   port_ = coordinator_->port();
   opts_.port = port_;
   failover_addr_.clear();  // the host is never its own standby

@@ -76,8 +76,7 @@ class World {
 
   /// Host only: open hunt `index` (see Coordinator::open_hunt). No-op on
   /// worlds without a coordinator.
-  void open_hunt(uint64_t index, util::Json request, uint64_t ckpt_iters, uint64_t max_epochs,
-                 uint64_t epoch);
+  void open_hunt(uint64_t index, HuntDefinition def);
 
   /// The elastic runner notes every rebalance frame it adopts: the hunt
   /// and wave it names, and the standby election — where recovery goes

@@ -14,10 +14,11 @@
 // solved/leader frames each have a case, and so does an opening a member
 // cannot build. Successive hunts on one World (DistHunts) are pinned against
 // the same oracle: back to back, with members that hold no requests and
-// follow the host's hunts until its close, across a join, a joiner's
-// departure, a host death and a dropped connection between hunts, with a
-// drawn seed, after requests the host refused, and against another hunt's
-// stale frames; every join answered with one hunt's outcome is admitted
+// follow the host's hunts until its close, a drain or a promotion (a
+// follower promoted between hunts says what did not run), across a join, a
+// joiner's departure, a host death and a dropped connection between hunts,
+// with a drawn seed, after requests the host refused, and against another
+// hunt's stale frames; every join answered with one hunt's outcome is admitted
 // into the next, and a rejoin that arrives hunts late learns every outcome
 // it missed before the next opening admits it.
 //
@@ -147,16 +148,17 @@ ElasticOptions base_opts(uint64_t ckpt_iters = 300) {
   return eo;
 }
 
-/// The request a coordinator-level test opens a hunt with, as the host's
-/// definition carries it: resolved, as canonical JSON.
-util::Json hunt_request(int walkers = kWalkers, uint64_t seed = kSeed) {
-  return runtime::resolve(costas_request(kSize, walkers, seed)).canonical_json();
+/// The request a coordinator-level test opens a hunt with, resolved as the
+/// host's definition carries it.
+runtime::SolveRequest hunt_request(int walkers = kWalkers, uint64_t seed = kSeed) {
+  return runtime::resolve(costas_request(kSize, walkers, seed));
 }
 
 /// A world whose host runs `reqs` (host_opts(k) for request k) while every
 /// other rank holds no request and follows (dist::follow) until the host's
 /// finalize closes the world — or, promoted, until the hunt it finished.
-/// The host stops once a fault injection crashed its world.
+/// The host stops once a fault injection crashed its world, or crashes it
+/// (World::crash) itself instead of running request `crash_before`.
 struct Followed {
   std::vector<runtime::SolveReport> host;                  // one per request it ran
   std::vector<std::vector<runtime::SolveReport>> members;  // [rank - 1]: one per hunt
@@ -164,7 +166,8 @@ struct Followed {
 
 Followed run_followed(int ranks, const std::vector<runtime::SolveRequest>& reqs,
                       const std::function<ElasticOptions(size_t k)>& host_opts,
-                      bool standby = false) {
+                      bool standby = false,
+                      size_t crash_before = std::numeric_limits<size_t>::max()) {
   Followed out;
   out.members.resize(static_cast<size_t>(ranks - 1));
   std::promise<uint16_t> port_promise;
@@ -178,9 +181,13 @@ Followed run_followed(int ranks, const std::vector<runtime::SolveRequest>& reqs,
       wo.standby = standby;
       if (r == 0) {
         World world(wo, [&](uint16_t p) { port_promise.set_value(p); });
-        for (size_t k = 0; k < reqs.size() && world.is_host(); ++k)
-          out.host.push_back(
-              solve_elastic(world, reqs[k], runtime::StrategyContext{}, host_opts(k)));
+        for (size_t k = 0; k < reqs.size() && world.is_host(); ++k) {
+          if (k == crash_before)
+            world.crash();
+          else
+            out.host.push_back(
+                solve_elastic(world, reqs[k], runtime::StrategyContext{}, host_opts(k)));
+        }
         world.finalize();
         return;
       }
@@ -544,7 +551,7 @@ TEST(DistHunts, AFreshJoinAnsweredAtAFinalIsAdmittedIntoTheNextHunt) {
     ASSERT_FALSE(final_frame.is_null());
     EXPECT_TRUE(frame_bool(final_frame, "final", false));
   };
-  coord.open_hunt(1, hunt_request(), 300, 0, 0);
+  coord.open_hunt(1, {hunt_request(), 300});
   ASSERT_FALSE(member.await("rebalance").is_null());
   test::FakeRank joiner(coord.port(), make_join(0));
   while (coord.stats().joins.load() == 0)
@@ -558,7 +565,7 @@ TEST(DistHunts, AFreshJoinAnsweredAtAFinalIsAdmittedIntoTheNextHunt) {
   EXPECT_TRUE(frame_bool(outcome, "final", false));
   EXPECT_EQ(frame_u64(outcome, "hunt"), 1u);
 
-  coord.open_hunt(2, hunt_request(kWalkers, 5), 300, 0, 0);
+  coord.open_hunt(2, {hunt_request(kWalkers, 5), 300});
   const util::Json opening = member.await("rebalance");
   ASSERT_FALSE(opening.is_null());
   EXPECT_EQ(frame_u64(opening, "hunt"), 2u);
@@ -572,7 +579,7 @@ TEST(DistHunts, AFreshJoinAnsweredAtAFinalIsAdmittedIntoTheNextHunt) {
   EXPECT_EQ(frame_u64(joined, "hunt"), 2u);
   EXPECT_FALSE(frame_bool(joined, "final", true));
   EXPECT_EQ(frame_int(joined, "your_rank"), 1);
-  EXPECT_EQ(joined.at("request").dump(0), hunt_request(kWalkers, 5).dump(0));
+  EXPECT_EQ(joined.at("request").dump(0), hunt_request(kWalkers, 5).canonical_json().dump(0));
   coord.stop();
 }
 
@@ -587,7 +594,7 @@ TEST(DistHunts, ARejoinAfterTwoFinishedHuntsLearnsBothOutcomesAndJoinsTheThird) 
   test::FakeRank member(coord.port(), 0, 1);
   ASSERT_FALSE(member.await("welcome").is_null());
   for (uint64_t hunt = 1; hunt <= 2; ++hunt) {
-    coord.open_hunt(hunt, hunt_request(), 300, 0, 0);
+    coord.open_hunt(hunt, {hunt_request(), 300});
     ASSERT_FALSE(member.await("rebalance").is_null());
     util::Json report = make_epoch_base(0, hunt, 0);
     report["done"] = true;
@@ -610,7 +617,7 @@ TEST(DistHunts, ARejoinAfterTwoFinishedHuntsLearnsBothOutcomesAndJoinsTheThird) 
     EXPECT_EQ(frame_int(outcome, "your_rank"), -1);
   }
 
-  coord.open_hunt(3, hunt_request(), 300, 0, 0);
+  coord.open_hunt(3, {hunt_request(), 300});
   const util::Json admitted = rejoiner.await("welcome");
   ASSERT_FALSE(admitted.is_null());
   EXPECT_EQ(frame_int(admitted, "rank"), 1);
@@ -644,7 +651,7 @@ TEST(DistElasticWire, AJoinOnAMemberConnectionDropsThatMember) {
   ASSERT_FALSE(host.await("welcome").is_null());
   while (coord.stats().evictions.load() == 0)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  coord.open_hunt(1, hunt_request(), 300, 0, 0);
+  coord.open_hunt(1, {hunt_request(), 300});
   const util::Json opening = host.await("rebalance");
   ASSERT_FALSE(opening.is_null());
   EXPECT_EQ(frame_int(opening, "ranks"), 1);
@@ -850,7 +857,7 @@ TEST(DistElasticWire, PreemptedWorldNamesNoRunAheadLeader) {
     CoordinatorOptions co;
     co.heartbeat_timeout_seconds = 0;
     Coordinator coord(co);
-    coord.open_hunt(1, hunt_request(), 300, 0, 0);
+    coord.open_hunt(1, {hunt_request(), 300});
     test::FakeRank member(coord.port(), 0, 1);
     ASSERT_FALSE(member.await("welcome").is_null());
     ASSERT_FALSE(member.await("rebalance").is_null());  // the opening
@@ -918,7 +925,7 @@ TEST(DistElasticWire, MalformedSolvedFramesAbortTheWorldWithAReason) {
   };
   for (const auto& [bad, reason] : cases) {
     Coordinator coord(CoordinatorOptions{});
-    coord.open_hunt(1, hunt_request(kWalkers, 1), 300, 0, 0);
+    coord.open_hunt(1, {hunt_request(kWalkers, 1), 300});
     test::FakeRank fake(coord.port(), 0, 1);
     ASSERT_FALSE(fake.await("welcome").is_null());
     // A member solves only after the opening; a solve the coordinator reads
@@ -1263,6 +1270,85 @@ TEST(DistHunts, MembersWithoutRequestsFollowTheHostsHunts) {
   EXPECT_TRUE(promoted.check_passed);
 }
 
+TEST(DistHunts, AFollowerPromotedBetweenHuntsSaysTheRestDidNotRun) {
+  // The host dies after hunt 1, before it opens hunt 2. The standby, a
+  // follower, is promoted with no hunt to finish and no request to open:
+  // its last report is an error that says so, and its close ends the other
+  // member's follow after hunt 1, even when that member reconnects after
+  // the close.
+  const std::vector<runtime::SolveRequest> reqs = {costas_request(12, kWalkers, 3),
+                                                   costas_request(13, kWalkers, 5)};
+  const Oracle first = oracle_of(reqs[0], 200);
+  const Followed world = run_followed(
+      3, reqs, [](size_t) { return base_opts(200); }, /*standby=*/true, /*crash_before=*/1);
+  ASSERT_EQ(world.host.size(), 1u);
+  ASSERT_TRUE(world.host[0].error.empty()) << world.host[0].error;
+  for (const auto& reports : world.members) {
+    ASSERT_GE(reports.size(), 1u);
+    ASSERT_TRUE(reports[0].error.empty()) << reports[0].error;
+    EXPECT_EQ(reports[0].winner, first.winner);
+    EXPECT_EQ(reports[0].winner_stats.iterations, first.winner_iters);
+  }
+  const std::vector<runtime::SolveReport>& promoted = world.members[0];
+  ASSERT_EQ(promoted.size(), 2u);
+  EXPECT_NE(promoted[1].error.find("promoted to host between hunts"), std::string::npos)
+      << promoted[1].error;
+  EXPECT_FALSE(promoted[1].solved);
+  EXPECT_EQ(dist_extras(promoted[1]).at("promoted_from").as_int(), 0);
+  EXPECT_EQ(world.members[1].size(), 1u) << "the other member did not return at the close";
+}
+
+TEST(DistHunts, ADrainedFollowerReturnsBeforeTheHostsClose) {
+  // Rank 1 follows with its drain latch set: it leaves at its first
+  // boundary and is retired, and follow() returns that hunt's report at
+  // once. The host finishes the hunt alone and closes the world only after
+  // the follower returned (or 30 s passed), so a follower that waited for
+  // the next opening would miss the deadline.
+  std::promise<uint16_t> port_promise;
+  std::shared_future<uint16_t> port = port_promise.get_future().share();
+  std::promise<void> returned;
+  std::future<void> follower_returned = returned.get_future();
+  runtime::SolveReport host_report;
+  bool returned_before_close = false;
+  std::vector<runtime::SolveReport> followed;
+  std::jthread host([&] {
+    WorldOptions wo;
+    wo.rank = 0;
+    wo.ranks = 2;
+    World world(wo, [&](uint16_t p) { port_promise.set_value(p); });
+    host_report = solve_elastic(world, costas_request(kSize, kWalkers, kSeed),
+                                runtime::StrategyContext{}, base_opts());
+    returned_before_close =
+        follower_returned.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+    world.finalize();
+  });
+  std::jthread member([&] {
+    WorldOptions wo;
+    wo.rank = 1;
+    wo.ranks = 2;
+    wo.port = port.get();
+    World world(wo);
+    std::atomic<bool> drain{true};
+    ElasticOptions eo = base_opts();
+    eo.drain = &drain;
+    followed = follow(world, runtime::StrategyContext{}, eo);
+    returned.set_value();
+    world.finalize();
+  });
+  host.join();
+  member.join();
+
+  ASSERT_TRUE(host_report.error.empty()) << host_report.error;
+  EXPECT_EQ(host_report.winner, kRefWinner);
+  EXPECT_EQ(host_report.winner_stats.iterations, kRefWinnerIters);
+  EXPECT_EQ(coordinator_counter(host_report, "leaves"), 1);
+  EXPECT_TRUE(returned_before_close) << "the drained follower waited for the host's close";
+  ASSERT_EQ(followed.size(), 1u);
+  ASSERT_TRUE(followed[0].error.empty()) << followed[0].error;
+  EXPECT_TRUE(dist_extras(followed[0]).at("left").as_bool());
+  EXPECT_EQ(dist_extras(followed[0]).at("hunt").as_int(), 1);
+}
+
 TEST(DistHunts, ConnectionDroppedLateInHuntOneLearnsItsOutcomeAndJoinsHuntTwo) {
   // Rank 1's transport is cut after its third wave of hunt 1 (the winner
   // solves in the fourth). Its rejoin either lands inside hunt 1 or is
@@ -1351,7 +1437,7 @@ TEST(DistHunts, AFinishedHuntsSolveMovesNoLeaderInTheNext) {
   test::FakeRank member(coord.port(), 0, 1);
   ASSERT_FALSE(member.await("welcome").is_null());
   for (uint64_t hunt = 1; hunt <= 2; ++hunt) {
-    coord.open_hunt(hunt, hunt_request(), 300, 0, 0);
+    coord.open_hunt(hunt, {hunt_request(), 300});
     const util::Json opening = member.await("rebalance");
     ASSERT_FALSE(opening.is_null());
     EXPECT_EQ(frame_u64(opening, "hunt"), hunt);
@@ -1415,11 +1501,11 @@ TEST(DistElasticWire, AnOpeningTheMemberCannotBuildEndsItsHuntNamingWhy) {
   // member cannot build: not an object, an unknown problem, no walkers, a
   // size past the limit. Its solve_elastic returns an error that says so,
   // and its finalize says bye — no crash, no hang.
-  util::Json unknown = hunt_request();
+  util::Json unknown = hunt_request().canonical_json();
   unknown["problem"] = "nonesuch";
-  util::Json no_walkers = hunt_request();
+  util::Json no_walkers = hunt_request().canonical_json();
   no_walkers["walkers"] = 0;
-  util::Json oversized = hunt_request();
+  util::Json oversized = hunt_request().canonical_json();
   oversized["size"] = 20000;
   const std::vector<std::pair<util::Json, std::string>> cases = {
       {util::Json("costas"), "expected a JSON object"},
@@ -1472,7 +1558,7 @@ TEST(DistElasticWire, HugeControlTimeoutWaitsForALateRebalance) {
   RankComm comm(o);
   std::jthread late([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    coord.open_hunt(1, hunt_request(1, 1), 300, 0, 0);
+    coord.open_hunt(1, {hunt_request(1, 1), 300});
   });
   const auto t0 = std::chrono::steady_clock::now();
   const std::optional<util::Json> rb = comm.take_control(1e12);

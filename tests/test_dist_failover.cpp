@@ -7,8 +7,11 @@
 // happy path: the double failure (coordinator, then standby) aborts
 // promptly, a world launched without --standby stays host-fatal, a
 // manifest written by the PROMOTED coordinator resumes a fresh world, a
-// coordinator promoted from a mirrored leader names it as the winner, and
-// one promoted between hunts takes back a survivor already in the next.
+// coordinator promoted in a resumed hunt keeps the budget spent before the
+// resume, a coordinator promoted from a mirrored leader names it as the
+// winner, one promoted between hunts takes back a survivor already in the
+// next, and one that closed the world sends the close to a survivor that
+// reconnects after it.
 // The DistRebind cases pin how a coordinator answers a connection that
 // dials in again: a re-hello before the member ever spoke, a duplicate
 // hello, a second hello on one connection, a re-hello after the vacancy
@@ -110,10 +113,10 @@ ElasticOptions base_opts(uint64_t ckpt_iters = 300) {
   return eo;
 }
 
-/// The request a coordinator-level test opens a hunt with, as the host's
-/// definition carries it: resolved, as canonical JSON.
-util::Json hunt_request() {
-  return runtime::resolve(costas_request(kSize, kWalkers, kSeed)).canonical_json();
+/// The request a coordinator-level test opens a hunt with, resolved as the
+/// host's definition carries it.
+runtime::SolveRequest hunt_request() {
+  return runtime::resolve(costas_request(kSize, kWalkers, kSeed));
 }
 
 ElasticOptions kill_host_at(uint64_t epoch) {
@@ -197,7 +200,7 @@ TEST(DistFailover, PromotionFromAMirroredLeaderNamesItAsWinner) {
   util::Json leader_mirror, decided_mirror;
   {
     Coordinator coord(co);
-    coord.open_hunt(1, hunt_request(), 300, 0, 0);
+    coord.open_hunt(1, {hunt_request(), 300});
     util::Json standby_hello = make_hello(1, 2);
     standby_hello["failover"] = "127.0.0.1:1";  // makes it eligible; never dialed here
     test::FakeRank host(coord.port(), make_hello(0, 2));
@@ -274,19 +277,19 @@ TEST(DistFailover, APromotionFromAMalformedRequestThrows) {
   util::Json sync;
   {
     Coordinator coord(co);
-    coord.open_hunt(1, hunt_request(), 300, 0, 0);
+    coord.open_hunt(1, {hunt_request(), 300});
     util::Json standby_hello = make_hello(1, 2);
     standby_hello["failover"] = "127.0.0.1:1";  // makes it eligible; never dialed here
     test::FakeRank host(coord.port(), make_hello(0, 2));
     test::FakeRank standby(coord.port(), standby_hello);
     sync = standby.await("state_sync");  // the opening's mirror
     ASSERT_FALSE(sync.is_null());
-    EXPECT_EQ(sync.at("state").at("request").dump(0), hunt_request().dump(0));
+    EXPECT_EQ(sync.at("state").at("request").dump(0), hunt_request().canonical_json().dump(0));
     coord.stop();
   }
-  util::Json unknown = hunt_request();
+  util::Json unknown = hunt_request().canonical_json();
   unknown["problem"] = "nonesuch";
-  util::Json no_walkers = hunt_request();
+  util::Json no_walkers = hunt_request().canonical_json();
   no_walkers["walkers"] = 0;
   for (const util::Json& request : {util::Json("costas"), unknown, no_walkers}) {
     util::Json state = sync.at("state");
@@ -324,7 +327,7 @@ TEST(DistFailover, SurvivorAlreadyInTheNextHuntReconnectsToAStateBetweenHunts) {
     test::FakeRank host(coord.port(), make_hello(0, 3));
     test::FakeRank standby(coord.port(), standby_hello);
     test::FakeRank survivor(coord.port(), make_hello(2, 3));
-    coord.open_hunt(1, hunt_request(), 300, 0, 0);
+    coord.open_hunt(1, {hunt_request(), 300});
     for (test::FakeRank* r : {&host, &standby, &survivor}) {
       ASSERT_FALSE(r->await("welcome").is_null());
       ASSERT_FALSE(r->await("rebalance").is_null());  // hunt 1's opening
@@ -336,7 +339,7 @@ TEST(DistFailover, SurvivorAlreadyInTheNextHuntReconnectsToAStateBetweenHunts) {
     between = standby.await("state_sync");  // after hunt 1's final
     ASSERT_FALSE(between.is_null());
     EXPECT_FALSE(frame_bool(between.at("state"), "hunting", true));
-    coord.open_hunt(2, hunt_request(), 300, 0, 0);
+    coord.open_hunt(2, {hunt_request(), 300});
     for (const uint64_t hunt : {1u, 2u}) {  // hunt 1's final, then hunt 2's opening
       const util::Json rb = survivor.await("rebalance");
       ASSERT_FALSE(rb.is_null());
@@ -355,7 +358,7 @@ TEST(DistFailover, SurvivorAlreadyInTheNextHuntReconnectsToAStateBetweenHunts) {
   test::FakeRank survivor(promoted.port(), make_reconnect(2, 2, 0));
   ASSERT_FALSE(standby.await("welcome").is_null());
   ASSERT_FALSE(survivor.await("welcome").is_null()) << "the survivor's stamp was refused";
-  promoted.open_hunt(2, hunt_request(), 300, 0, 0);
+  promoted.open_hunt(2, {hunt_request(), 300});
   for (test::FakeRank* r : {&standby, &survivor}) {
     const util::Json opening = r->await("rebalance");
     ASSERT_FALSE(opening.is_null());
@@ -369,6 +372,45 @@ TEST(DistFailover, SurvivorAlreadyInTheNextHuntReconnectsToAStateBetweenHunts) {
   const util::Json final_frame = survivor.await("rebalance");
   ASSERT_FALSE(final_frame.is_null());
   EXPECT_TRUE(frame_bool(final_frame, "final", false));
+  promoted.stop();
+}
+
+TEST(DistFailover, ASurvivorReconnectingAfterThePromotedHostClosedIsSentTheClose) {
+  // A promoted host may close the world before every survivor reconnected
+  // (a cas_run member promoted between hunts closes it at once). A
+  // survivor whose reconnect arrives after the close is welcomed and then
+  // sent the close, so it stops waiting for a hunt that never opens.
+  CoordinatorOptions co;
+  co.ranks = 3;
+  co.standby = true;
+  co.heartbeat_timeout_seconds = 0;
+  util::Json sync;
+  {
+    Coordinator coord(co);
+    coord.open_hunt(1, {hunt_request(), 300});
+    util::Json standby_hello = make_hello(1, 3);
+    standby_hello["failover"] = "127.0.0.1:1";  // makes it eligible; never dialed here
+    test::FakeRank host(coord.port(), make_hello(0, 3));
+    test::FakeRank standby(coord.port(), standby_hello);
+    test::FakeRank survivor(coord.port(), make_hello(2, 3));
+    sync = standby.await("state_sync");  // the opening's mirror
+    ASSERT_FALSE(sync.is_null());
+    coord.stop();  // the host dies
+  }
+  std::string err;
+  net::Fd listener = net::listen_tcp("127.0.0.1", 0, 4, err);
+  ASSERT_TRUE(listener.valid()) << err;
+  CoordinatorOptions po = co;
+  po.host_member = 1;
+  Coordinator promoted(po, std::move(listener), sync.at("state"));
+  const uint64_t wave = frame_u64(sync, "epoch");
+  test::FakeRank standby(promoted.port(), make_reconnect(1, 1, wave));
+  ASSERT_FALSE(standby.await("welcome").is_null());
+  promoted.close();
+  ASSERT_FALSE(standby.await("close").is_null());
+  test::FakeRank survivor(promoted.port(), make_reconnect(2, 1, wave));
+  ASSERT_FALSE(survivor.await("welcome").is_null()) << "the late reconnect was refused";
+  EXPECT_FALSE(survivor.await("close").is_null()) << "the late survivor was not sent the close";
   promoted.stop();
 }
 
@@ -401,7 +443,7 @@ TEST(DistRebind, AReHelloIsAnsweredWithTheWelcomeTheViewAndTheLeader) {
     test::FakeRank lost(coord.port(), make_hello(1, 2));
     ASSERT_FALSE(host.await("welcome").is_null());  // both hellos arrived
   }
-  coord.open_hunt(1, hunt_request(), 300, 0, 0);
+  coord.open_hunt(1, {hunt_request(), 300});
   ASSERT_FALSE(host.await("rebalance").is_null());
   core::RunStats st;
   st.solved = true;
@@ -419,7 +461,8 @@ TEST(DistRebind, AReHelloIsAnsweredWithTheWelcomeTheViewAndTheLeader) {
   EXPECT_EQ(frame_u64(view, "epoch"), 0u);
   EXPECT_FALSE(frame_bool(view, "final", true));
   EXPECT_EQ(frame_int(view, "your_rank"), 1);
-  EXPECT_EQ(view.at("request").dump(0), hunt_request().dump(0));  // the hunt's definition
+  // The hunt's definition.
+  EXPECT_EQ(view.at("request").dump(0), hunt_request().canonical_json().dump(0));
   EXPECT_EQ(frame_u64(view, "ckpt_iters"), 300u);
   const util::Json leader = again.await("leader");
   ASSERT_FALSE(leader.is_null());
@@ -501,7 +544,7 @@ TEST(DistRebind, AReHelloAfterTheVacancyGraceIsRefusedAndTheWorldLivesOn) {
   ASSERT_FALSE(refusal.is_null());
   EXPECT_NE(reason_of(refusal).find("already retired"), std::string::npos)
       << reason_of(refusal);
-  coord.open_hunt(1, hunt_request(), 300, 0, 0);
+  coord.open_hunt(1, {hunt_request(), 300});
   const util::Json opening = host.await("rebalance");
   ASSERT_FALSE(opening.is_null());
   EXPECT_EQ(frame_int(opening, "ranks"), 1);
@@ -526,7 +569,7 @@ TEST(DistRebind, ARetriedReconnectIsWelcomedAgainAndGetsTheResume) {
     test::FakeRank host(coord.port(), make_hello(0, 3));
     test::FakeRank standby(coord.port(), standby_hello);
     test::FakeRank survivor(coord.port(), make_hello(2, 3));
-    coord.open_hunt(1, hunt_request(), 300, 0, 0);
+    coord.open_hunt(1, {hunt_request(), 300});
     sync = standby.await("state_sync");  // the opening's mirror
     ASSERT_FALSE(sync.is_null());
     coord.stop();  // the host dies
@@ -624,6 +667,59 @@ TEST(DistFailover, PromotedCoordinatorWritesAResumableManifest) {
   EXPECT_EQ(r0.winner, kRefWinner);
   EXPECT_EQ(r0.winner_stats.iterations, kRefWinnerIters);
   EXPECT_GE(dist_extras(r0).at("ckpt").at("restored").as_int(), 1);
+}
+
+TEST(DistFailover, APromotionInAResumedHuntKeepsTheBudgetSpentBeforeIt) {
+  const std::string dir = make_temp_dir();
+  runtime::SolveRequest req = costas_request(kSize, kWalkers, kSeed);
+
+  // Phase 1: preempt after two epochs. Say the hunt had spent 10 s by
+  // then, past the 5 s timeout it resumes with (the manifest's identity
+  // check ignores timeouts).
+  const auto preempted = run_standby_world(
+      2, req,
+      [&](int) {
+        ElasticOptions eo = base_opts();
+        eo.ckpt_dir = dir;
+        eo.max_epochs = 2;
+        return eo;
+      },
+      /*standby=*/false);
+  ASSERT_TRUE(preempted[0].error.empty()) << preempted[0].error;
+  util::Json manifest = read_manifest_file(dir);
+  ASSERT_EQ(u64_from(manifest.at("epoch"), "epoch"), 1u);
+  constexpr uint64_t kSpent = 10'000'000;
+  manifest["elapsed_micros"] = wire_u64(kSpent);
+  write_manifest_file(dir, manifest);
+  req.timeout_seconds = 5.0;
+
+  // Phase 2: resume with a standby; the host dies in its first wave
+  // (epoch 2). The opening carried the budget to every member, so the
+  // promoted standby and the survivor count it: the world halts at that
+  // wave for the timeout (its walkers may still have settled on the
+  // reference solve by running ahead), the promoted report names the
+  // resume, and the promoted host's manifest keeps the spent budget.
+  const auto resumed = run_standby_world(3, req, [&](int rank) {
+    ElasticOptions eo = rank == 0 ? kill_host_at(1) : base_opts();
+    eo.ckpt_dir = dir;
+    eo.resume = true;
+    return eo;
+  });
+  EXPECT_NE(resumed[0].error.find("fault injection"), std::string::npos) << resumed[0].error;
+  const auto& promoted = resumed[1];
+  ASSERT_TRUE(promoted.error.empty()) << promoted.error;
+  EXPECT_EQ(dist_extras(promoted).at("promoted_from").as_int(), 0);
+  EXPECT_EQ(dist_extras(promoted).at("epochs").as_int(), 3) << "it ran past the timeout";
+  EXPECT_GE(promoted.wall_seconds, 10.0);
+  const util::Json& ckpt = dist_extras(promoted).at("ckpt");
+  EXPECT_EQ(ckpt.at("resumed_from_epoch").as_int(), 1);
+  EXPECT_FALSE(ckpt.at("resume_fell_back").as_bool());
+  const util::Json after = read_manifest_file(dir);
+  EXPECT_EQ(u64_from(after.at("epoch"), "epoch"), 2u);
+  EXPECT_GE(u64_from(after.at("elapsed_micros"), "elapsed_micros"), kSpent)
+      << "the promoted host's manifest gave the spent budget back";
+  ASSERT_TRUE(resumed[2].error.empty()) << resumed[2].error;
+  EXPECT_GE(resumed[2].wall_seconds, 10.0);
 }
 
 TEST(DistFailover, JoinerAdmittedMidHuntSurvivesThePromotion) {

@@ -2,9 +2,9 @@
 // its coordinator exchange (wire v7). Valid hello, join, reconnect, hb, bye,
 // leave, epoch, ckpt and solved frames go from bare-socket members to a live
 // Coordinator; valid welcome, rebalance and state_sync frames (both carrying
-// a hunt's definition), leader, close and abort frames go to a RankComm from
-// a bare socket playing the coordinator. Each frame is mutated byte-wise or
-// has one field pushed to an extreme. The invariant:
+// a resumed hunt's definition), leader, close and abort frames go to a
+// RankComm from a bare socket playing the coordinator. Each frame is mutated
+// byte-wise or has one field pushed to an extreme. The invariant:
 // every input is accepted, or ends in a dropped peer, an aborted world or a
 // failed communicator with a reason — never a crash, a hang (a probe frame
 // must come back) or an allocation over 64 MB.
@@ -27,6 +27,7 @@
 #include "fuzz_support.hpp"
 #include "net/frame_io.hpp"
 #include "net/socket.hpp"
+#include "runtime/strategy.hpp"
 
 namespace cas::dist {
 namespace {
@@ -46,16 +47,14 @@ std::string mutated(const util::Json& frame, core::Rng& rng) {
   return j.dump(0);
 }
 
-/// A hunt's request as the host's definition carries it.
-util::Json hunt_request() {
-  util::Json r = util::Json::object();
-  r["problem"] = "costas";
-  r["size"] = 12;
-  r["engine"] = "as";
-  r["strategy"] = "multiwalk";
-  r["walkers"] = kWalkers;
-  r["seed"] = wire_u64(7);
-  return r;
+/// A hunt's request (Costas n=12, multiwalk), resolved as the host's
+/// definition carries it.
+runtime::SolveRequest hunt_request() {
+  runtime::SolveRequest r;
+  r.size = 12;
+  r.walkers = kWalkers;
+  r.seed = 7;
+  return runtime::resolve(r);
 }
 
 util::Json solved_stats() {
@@ -80,7 +79,7 @@ struct CoordinatorSession {
     co.heartbeat_timeout_seconds = 0;
     co.standby = true;
     coord = std::make_unique<Coordinator>(co);
-    coord->open_hunt(1, hunt_request(), 300, 0, 0);
+    coord->open_hunt(1, {hunt_request(), 300});
     host.emplace(coord->port(), 0, 2);
     util::Json hello = make_hello(1, 2);
     hello["failover"] = "127.0.0.1:1";
@@ -202,16 +201,14 @@ TEST(FuzzDistFrames, MutatedCoordinatorFramesAreAcceptedOrFailTheCommunicator) {
   view["your_rank"] = 0;
   view["final"] = false;
   view["ckpt_epoch"] = -1;
-  view["request"] = hunt_request();
-  view["ckpt_iters"] = wire_u64(300);
-  view["max_epochs"] = wire_u64(0);
+  // A resumed hunt's definition: every field a view can carry.
+  const HuntDefinition def{hunt_request(), 300, 0, /*resumed_epoch=*/1, 812000, false};
+  put_definition(view, def);
   view["members"] = util::Json::parse("[0]");
   util::Json state = util::Json::object();
   state["hunt"] = wire_u64(1);
   state["wave"] = wire_u64(0);
-  state["request"] = hunt_request();
-  state["ckpt_iters"] = wire_u64(300);
-  state["max_epochs"] = wire_u64(0);
+  put_definition(state, def);
   const std::vector<util::Json> after_welcome = {view, make_leader(1, 2, 10),
                                                  make_state_sync(0, state), make_close(),
                                                  make_abort("coordinator: fuzz")};

@@ -586,7 +586,9 @@ int main(int argc, char** argv) {
       if (world->promoted_from() >= 0) dj["promoted_from"] = world->promoted_from();
       // A member promoted to coordinator host mid-hunt holds the merged
       // world report of the hunt it finished — it writes --out in the dead
-      // rank 0's stead, and its finalize closes the world.
+      // rank 0's stead, and its finalize closes the world. One promoted
+      // between hunts finished none: its last report is the error that says
+      // the dead host's unopened requests did not run, and the run fails.
       promoted_host = member && world->is_host();
       if (promoted_host && reports.size() > 1) reports.erase(reports.begin(), reports.end() - 1);
       doc["dist"] = std::move(dj);
