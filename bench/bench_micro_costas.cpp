@@ -87,10 +87,12 @@ BENCHMARK(BM_CostIfSwapDoUndo)->Arg(14)->Arg(18)->Arg(22)->Arg(26);
 // --- batched row-delta scan: SIMD vs scalar batch vs per-j loop ---------
 // One item == one full culprit row (n - 1 move deltas): what an Adaptive
 // Search iteration pays for its min-conflict scan. The three variants are
-// the dispatch-selected kernel (AVX2 on the CI leg), the same batched walk
-// pinned to the scalar backend, and the historical per-j delta_cost loop
-// the engines used before the batched API. n = 17 is the benchmark's size,
-// where the AVX2 fill's compacted lanes make exactly two 8-lane blocks.
+// the dispatch-selected kernel (AVX-512 or AVX2, whichever the host
+// runs; CAS_SIMD=avx2 pins the latter), the same batched walk pinned to
+// the scalar backend, and the historical per-j delta_cost loop the engines
+// used before the batched API. n = 17 is the benchmark's size, where the
+// fill's compacted lanes make exactly two 8-lane AVX2 blocks or one
+// 16-lane AVX-512 block; n = 18 adds a block with one live lane to each.
 
 void BM_DeltaRow(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

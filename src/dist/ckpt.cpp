@@ -251,10 +251,7 @@ util::Json run_stats_to_json(const core::RunStats& st) {
   j["reset_seconds"] = st.reset_seconds;
   j["wall_seconds"] = st.wall_seconds;
   if (!st.solution.empty()) {
-    util::Json::Array sol;
-    sol.reserve(st.solution.size());
-    for (int v : st.solution) sol.push_back(v);
-    j["solution"] = util::Json(std::move(sol));
+    j["solution"] = util::Json(util::Json::Array(st.solution.begin(), st.solution.end()));
   }
   return j;
 }
@@ -287,10 +284,7 @@ core::RunStats run_stats_from_json(const util::Json& j) {
 
 util::Json walk_snapshot_to_json(const runtime::WalkSnapshot& s) {
   util::Json j = util::Json::object();
-  util::Json::Array config;
-  config.reserve(s.config.size());
-  for (int v : s.config) config.push_back(v);
-  j["config"] = util::Json(std::move(config));
+  j["config"] = util::Json(util::Json::Array(s.config.begin(), s.config.end()));
   util::Json::Array rng;
   for (uint64_t w : s.engine.rng) rng.push_back(wire_u64(w));
   j["rng"] = util::Json(std::move(rng));

@@ -1,19 +1,28 @@
 // Internal contract between the dispatching kernel fronts (reduce.cpp,
 // costas_kernels.cpp) and the per-ISA backend translation units. Each
-// backend TU is compiled with its target flags (-mavx2 / -msse4.2) and
-// ONLY when CMake enabled it, so every declaration here may be missing at
-// link time — call sites must guard with the same CAS_SIMD_* macros CMake
-// sets on the dispatch-aware sources.
+// backend TU is compiled with its target flags (-mavx512f ... / -mavx2 /
+// -msse4.2) and ONLY when CMake enabled it, so every declaration here may
+// be missing at link time — call sites must guard with the same CAS_SIMD_*
+// macros CMake sets on the dispatch-aware sources.
 //
 // Backend functions implement exactly the semantics documented on their
 // public fronts (reduce.hpp, costas_kernels.hpp) and must be bit-identical
 // to the scalar reference: the parity fuzz suite holds every backend to
 // that bar, and trajectory identity of SIMD-on vs SIMD-off search runs
 // depends on it.
+//
+// A backend unit emits no weak symbol: its helpers live in an anonymous
+// namespace and it instantiates no library template (no std::vector, no
+// std::min). A weak symbol compiled with a backend's target flags could be
+// the copy the linker keeps for the whole program, and would fault on a
+// host without that ISA. The fronts own every scratch buffer and pass it
+// in; tools/ci/codegen.sh fails on a weak symbol in a backend object.
 #pragma once
 
 #include <cstdint>
 #include <cstddef>
+
+#include "simd/simd.hpp"
 
 namespace cas::simd {
 
@@ -21,8 +30,56 @@ struct CostasCtx;  // costas_kernels.hpp
 
 namespace detail {
 
-// Candidate-batch row walk (costas_evaluate_batch): count, for each of the
-// 8 candidate lanes starting at `base` (column-major, stride lane_stride),
+/// The tier whose code a front without an AVX-512 kernel of its own runs:
+/// the AVX-512 tier brings only the culprit-row fill and the reset's
+/// candidate pass, and sends every other kernel to its AVX2 code.
+[[nodiscard]] constexpr Isa avx2_for_avx512(Isa isa) {
+  return isa == Isa::kAvx512 ? Isa::kAvx2 : isa;
+}
+
+/// Int32 words of the scratch a culprit-row fill backend takes (64-byte
+/// aligned): the AVX-512 fill's per-row count copies, 2n - 1 words rounded
+/// up to 16 each, then the padded permutation, depth cells either side of
+/// the culprit's n - 1 swaps rounded up to whole 16-lane blocks.
+[[nodiscard]] constexpr size_t delta_row_scratch_words(int n, int depth) {
+  return static_cast<size_t>(depth * ((2 * n - 1 + 15) & ~15) + ((n - 1 + 15) & ~15) +
+                             2 * depth + 1);
+}
+
+/// Int32 words of the scratch the AVX-512 candidate pass takes (64-byte
+/// aligned): a partial-sum snapshot per row, then the pair's values staged
+/// 16 lanes per position, once plain and twice offset per 64-slot window
+/// of the rows' 2n - 1 difference slots.
+[[nodiscard]] constexpr size_t chunk_pair_scratch_words(int n, int depth) {
+  return static_cast<size_t>(16 * (depth + n * (1 + 2 * ((2 * n - 1 + 63) / 64))));
+}
+
+#if defined(CAS_SIMD_AVX512)
+/// The culprit-row fill (costas_delta_row up to n = 768) in one call, the
+/// AVX2 fill's lane layout and ledger run 16 lanes wide: one block at
+/// n <= 17, two up to n = 33. Each row's counts are read from a copy
+/// without the culprit's own two pairs: up to n = 32 the 2n - 1 counts fit
+/// a 64-byte table read with vpermb, past that the fill gathers. scratch
+/// holds delta_row_scratch_words(n, depth) words.
+void costas_delta_row_avx512(const CostasCtx& ctx, int i, int64_t* out, int32_t* scratch);
+/// costas_evaluate_batch's walk over the `lanes` (1..16) candidates at
+/// base as two 8-lane chunks in one pass, each row's hits counted 16 lanes
+/// wide with vpopcntd. Fills partial[0, lanes) and aborted[0..1] exactly
+/// as the 8-lane walk would: chunk 0 under `bound`, chunk 1 under the
+/// bound chunk 0 leaves (its best exact cost when it completed). Chunk 1
+/// walks alongside chunk 0 under `bound` and keeps a partial-sum snapshot
+/// per row in scratch (chunk_pair_scratch_words(n, depth) words), from
+/// which its abort row is re-read when chunk 0 completes and tightens the
+/// bound.
+void evaluate_chunk_pair_avx512(const CostasCtx& ctx, const int32_t* base, size_t lane_stride,
+                                int lanes, int64_t bound, int64_t* partial, bool* aborted,
+                                int32_t* scratch);
+#endif
+
+// Candidate-batch row walk (costas_evaluate_batch; the AVX-512 tier walks
+// two chunks per pass with evaluate_chunk_pair_avx512 above and takes none
+// of these): count, for each of the 8 candidate lanes starting at `base`
+// (column-major, stride lane_stride),
 // the number of colliding pairs triangle row d contributes — i.e. the
 // positions whose difference already appeared earlier in the row, which is
 // m - (distinct differences) for the row's m = n - d positions. All 8 lanes
@@ -37,12 +94,13 @@ int64_t min_value_avx2(const int64_t* v, int n);
 int64_t max_value_where_le_avx2(const int64_t* v, const uint64_t* gate, uint64_t bound,
                                 int n, bool* any);
 /// The whole culprit-row fill (costas_delta_row up to n = 768) in one
-/// call: it stages a padded copy of the permutation, runs 8-lane blocks
-/// over the culprit's n - 1 swaps compacted past i in every triangle row
-/// (the two swaps that share a pair with the culprit in that row
-/// included), and scatters the sums to out with the sentinel at out[i].
-/// No lane is left to a scalar pass.
-void costas_delta_row_avx2(const CostasCtx& ctx, int i, int64_t* out);
+/// call: it stages a padded copy of the permutation in scratch
+/// (delta_row_scratch_words(n, depth) words), runs 8-lane blocks over the
+/// culprit's n - 1 swaps compacted past i in every triangle row (the two
+/// swaps that share a pair with the culprit in that row included), and
+/// scatters the sums to out with the sentinel at out[i]. No lane is left
+/// to a scalar pass.
+void costas_delta_row_avx2(const CostasCtx& ctx, int i, int64_t* out, int32_t* scratch);
 void costas_errors_row_avx2(const CostasCtx& ctx, int d, int64_t* errs);
 void batch_row_hits_avx2(const int32_t* base, size_t lane_stride, int n, int d,
                          int32_t* hits);

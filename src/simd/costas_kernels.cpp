@@ -1,6 +1,7 @@
 #include "simd/costas_kernels.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "simd/backends.hpp"
@@ -8,6 +9,17 @@
 namespace cas::simd {
 
 namespace {
+
+/// The calling thread's fill scratch, at least `words` int32 from a 64-byte
+/// boundary; grown once per thread so hot loops stay allocation-free. The
+/// vector backends take it as a raw pointer (see backends.hpp).
+[[maybe_unused]] int32_t* fill_scratch(size_t words) {
+  thread_local std::vector<int32_t> scratch;
+  constexpr size_t kAlignWords = 64 / sizeof(int32_t);
+  if (scratch.size() < words + kAlignWords) scratch.resize(words + kAlignWords);
+  const auto misalign = reinterpret_cast<uintptr_t>(scratch.data()) % 64;
+  return scratch.data() + (misalign == 0 ? 0 : (64 - misalign) / sizeof(int32_t));
+}
 
 [[nodiscard]] inline const int32_t* row_ptr(const CostasCtx& ctx, int d) {
   // Offset by n - 1 so the row is indexable by a (possibly negative)
@@ -124,9 +136,18 @@ void costas_delta_row(const CostasCtx& ctx, int i, int64_t* out) {
     return;
   }
 
+  const Isa isa = active_isa();
+#if defined(CAS_SIMD_AVX512)
+  if (isa == Isa::kAvx512) {
+    detail::costas_delta_row_avx512(
+        ctx, i, out, fill_scratch(detail::delta_row_scratch_words(n, ctx.depth)));
+    return;
+  }
+#endif
 #if defined(CAS_SIMD_AVX2)
-  if (active_isa() == Isa::kAvx2) {
-    detail::costas_delta_row_avx2(ctx, i, out);
+  if (isa == Isa::kAvx2) {
+    detail::costas_delta_row_avx2(ctx, i, out,
+                                  fill_scratch(detail::delta_row_scratch_words(n, ctx.depth)));
     return;
   }
 #endif
@@ -134,7 +155,7 @@ void costas_delta_row(const CostasCtx& ctx, int i, int64_t* out) {
   acc.assign(static_cast<size_t>(n), 0);
   bool vectorized = false;
 #if defined(CAS_SIMD_NEON)
-  if (active_isa() == Isa::kNeon && n >= 4) {
+  if (isa == Isa::kNeon && n >= 4) {
     // The NEON block kernel has no gather: it fetches the occ counts with
     // per-lane scalar loads through a transposed index/mask spill (see
     // kernels_neon.cpp).
@@ -199,6 +220,51 @@ int costas_evaluate_batch(const CostasCtx& ctx, const int32_t* values, size_t la
   const int n = ctx.n;
   // One row pass per call, whatever force_isa() does meanwhile.
   const Isa isa = active_isa();
+
+  // Settles a walked chunk, in chunk order: reports its partials, counts
+  // an abort, and otherwise tightens the shared bound to its best exact
+  // cost. True when the walk stops there: the caller is hunting the FIRST
+  // candidate below escape_below, and later ones can never be it.
+  const auto settle = [&](int c0, int lanes, const int64_t* partial, bool aborted) {
+    int64_t chunk_best = INT64_MAX;
+    for (int l = 0; l < lanes; ++l) {
+      out[c0 + l] = partial[l];
+      chunk_best = std::min(chunk_best, partial[l]);
+    }
+    if (aborted) {
+      ++aborted_chunks;
+      return false;
+    }
+    bound = std::min(bound, chunk_best);
+    return chunk_best < escape_below;
+  };
+  const auto filled = [&](int leading) {
+    if (escaped_chunks != nullptr) *escaped_chunks = aborted_chunks;
+    return leading;
+  };
+
+#if defined(CAS_SIMD_AVX512)
+  if (isa == Isa::kAvx512) {
+    // Two chunks per pass; the pass resolves the second one under the
+    // bound the first leaves, so settling them in order is the 8-lane walk.
+    int32_t* const scratch = fill_scratch(detail::chunk_pair_scratch_words(n, ctx.depth));
+    for (int c0 = 0; c0 < count; c0 += 2 * kChunk) {
+      const int lanes = std::min(2 * kChunk, count - c0);
+      int64_t partial[2 * kChunk];
+      bool aborted[2];
+      detail::evaluate_chunk_pair_avx512(ctx, values + c0, lane_stride, lanes, bound, partial,
+                                         aborted, scratch);
+      for (int h = 0; h * kChunk < lanes; ++h) {
+        const int first = c0 + h * kChunk;
+        const int chunk_lanes = std::min(kChunk, lanes - h * kChunk);
+        if (settle(first, chunk_lanes, partial + h * kChunk, aborted[h]))
+          return filled(first + chunk_lanes);
+      }
+    }
+    return filled(count);
+  }
+#endif
+
   // Scratches, grown once per thread so hot reset loops stay
   // allocation-free: the pairwise legs stage one row's per-lane difference
   // columns; the scalar reference keeps a touched-slot histogram. Both are
@@ -253,28 +319,12 @@ int costas_evaluate_batch(const CostasCtx& ctx, const int32_t* values, size_t la
       // rows and report the (truncated) partials.
       if (min_partial >= bound) {
         aborted = true;
-        ++aborted_chunks;
         break;
       }
     }
-    int64_t chunk_best = INT64_MAX;
-    for (int l = 0; l < lanes; ++l) {
-      out[c0 + l] = partial[l];
-      chunk_best = std::min(chunk_best, partial[l]);
-    }
-    if (!aborted) {
-      // Completed chunk: exact costs. Tighten the shared bound, and stop
-      // the whole walk if the caller's escape condition is satisfied —
-      // later candidates can never be the FIRST escape.
-      bound = std::min(bound, chunk_best);
-      if (chunk_best < escape_below) {
-        if (escaped_chunks != nullptr) *escaped_chunks = aborted_chunks;
-        return c0 + lanes;
-      }
-    }
+    if (settle(c0, lanes, partial, aborted)) return filled(c0 + lanes);
   }
-  if (escaped_chunks != nullptr) *escaped_chunks = aborted_chunks;
-  return count;
+  return filled(count);
 }
 
 void costas_errors(const CostasCtx& ctx, int64_t* errs) {
@@ -282,7 +332,7 @@ void costas_errors(const CostasCtx& ctx, int64_t* errs) {
   std::fill(errs, errs + n, int64_t{0});
   for (int d = 1; d <= ctx.depth; ++d) {
 #if defined(CAS_SIMD_AVX2)
-    if (active_isa() == Isa::kAvx2 && n - d >= 8) {
+    if (detail::avx2_for_avx512(active_isa()) == Isa::kAvx2 && n - d >= 8) {
       detail::costas_errors_row_avx2(ctx, d, errs);
       continue;
     }

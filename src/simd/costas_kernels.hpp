@@ -54,18 +54,21 @@ void costas_errors(const CostasCtx& ctx, int64_t* errs);
 ///
 /// Candidates are processed in fixed 8-lane chunks, each chunk walking the
 /// difference triangle row by row with all lanes in flight. A row's hits
-/// are m - (distinct differences) over its m positions: AVX2 counts the
-/// distinct differences with a per-lane bitset over the 2n - 1 difference
-/// slots (linear in m); SSE4.2 and NEON compare each difference with the
-/// earlier ones (quadratic in m); with no vector backend active, a scalar
-/// touched-slot histogram per lane is the bit-identical reference. One
-/// best-so-far bound is shared across chunks:
+/// are m - (distinct differences) over its m positions: AVX-512 and AVX2
+/// count the distinct differences with a per-lane bitset over the 2n - 1
+/// difference slots (linear in m); SSE4.2 and NEON compare each difference
+/// with the earlier ones (quadratic in m); with no vector backend active, a
+/// scalar touched-slot histogram per lane is the bit-identical reference.
+/// One best-so-far bound is shared across chunks:
 ///   * a chunk aborts once EVERY lane's partial cost has reached the
 ///     bound (costs only grow row by row, so none of its candidates can
 ///     win any more); aborted lanes report their partial sums;
 ///   * a completed chunk tightens the bound to its best exact cost.
 /// The chunking, row order, and abort points are ISA-independent, so the
-/// filled out[] is bit-identical under every backend.
+/// filled out[] is bit-identical under every backend. The 8-lane chunk
+/// stays the contract under AVX-512 too, which walks two chunks per pass,
+/// 16 lanes wide: the second chunk's abort row is taken under the bound
+/// the first one leaves, exactly as if the chunks ran one after another.
 ///
 /// `escape_below` (optional, INT64_MIN disables): stop after the first
 /// chunk that completed with some exact cost < escape_below — the caller

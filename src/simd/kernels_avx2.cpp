@@ -2,15 +2,15 @@
 // (CAS_SIMD_AVX2); the whole file is a no-op otherwise, so a GLOB build on
 // a non-x86 host or with -DCAS_SIMD=OFF never sees an AVX2 instruction.
 // It is the only unit built with -mavx2, so the culprit-row fill lives
-// here whole (staging, blocks and scatter): one call per fill.
+// here whole (staging, blocks and scatter): one call per fill, into scratch
+// the front owns. It emits no weak symbol (see backends.hpp).
 #if defined(CAS_SIMD_AVX2)
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <limits>
-#include <vector>
 
 #include "simd/backends.hpp"
 #include "simd/costas_kernels.hpp"
@@ -122,7 +122,7 @@ int64_t max_value_where_le_avx2(const int64_t* v, const uint64_t* gate, uint64_t
   return out;
 }
 
-void costas_delta_row_avx2(const CostasCtx& ctx, int i, int64_t* out) {
+void costas_delta_row_avx2(const CostasCtx& ctx, int i, int64_t* out, int32_t* scratch) {
   const int n = ctx.n;
   const int depth = ctx.depth;
   // Lane k scores the swap (i, j), j = k + (k >= i): the culprit's n - 1
@@ -132,10 +132,9 @@ void costas_delta_row_avx2(const CostasCtx& ctx, int i, int64_t* out) {
   // Padded copy of the permutation: a block's 8-wide loads start at
   // p[k0 + s + t], s in {0, 1} and t in [-depth, depth], so depth cells on
   // the left and depth + 1 past the last block on the right hold them all.
-  thread_local std::vector<int32_t> padded;
-  padded.assign(static_cast<size_t>(lanes + 2 * depth + 1), 0);
-  int32_t* const p = padded.data() + depth;
-  std::copy(ctx.perm, ctx.perm + n, p);
+  std::memset(scratch, 0, static_cast<size_t>(lanes + 2 * depth + 1) * sizeof(int32_t));
+  int32_t* const p = scratch + depth;
+  std::memcpy(p, ctx.perm, static_cast<size_t>(n) * sizeof(int32_t));
   const int vi = p[i];
 
   const __m256i zero = _mm256_setzero_si256();
@@ -271,7 +270,7 @@ void costas_delta_row_avx2(const CostasCtx& ctx, int i, int64_t* out) {
     // Scatter the block's live lanes to their j; masked lanes hold garbage.
     alignas(32) int32_t sums[8];
     _mm256_store_si256(reinterpret_cast<__m256i*>(sums), sum);
-    for (int k = k0; k < std::min(k0 + 8, n - 1); ++k) out[k + (k >= i)] = sums[k - k0];
+    for (int k = k0; k < k0 + 8 && k < n - 1; ++k) out[k + (k >= i)] = sums[k - k0];
   }
   out[i] = kDeltaRowExcluded;
 }

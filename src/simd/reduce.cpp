@@ -32,7 +32,7 @@ int64_t max_value_where_le_scalar(const int64_t* v, const uint64_t* gate, uint64
 
 int64_t min_value(std::span<const int64_t> v) {
   const int n = static_cast<int>(v.size());
-  switch (active_isa()) {
+  switch (detail::avx2_for_avx512(active_isa())) {
 #if defined(CAS_SIMD_AVX2)
     case Isa::kAvx2:
       if (n >= 8) return detail::min_value_avx2(v.data(), n);
@@ -57,7 +57,7 @@ int64_t min_value(std::span<const int64_t> v) {
 int64_t max_value_where_le(std::span<const int64_t> v, std::span<const uint64_t> gate,
                            uint64_t bound, bool* any) {
   const int n = static_cast<int>(v.size());
-  switch (active_isa()) {
+  switch (detail::avx2_for_avx512(active_isa())) {
 #if defined(CAS_SIMD_AVX2)
     case Isa::kAvx2:
       if (n >= 8) return detail::max_value_where_le_avx2(v.data(), gate.data(), bound, n, any);

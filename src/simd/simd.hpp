@@ -1,7 +1,7 @@
 // Runtime ISA dispatch for the SIMD kernel layer (src/simd/).
 //
-// The kernels come in per-ISA backends (AVX2 / SSE4.2 / NEON) compiled in
-// separate translation units with the matching target flags, plus a scalar
+// The kernels come in per-ISA backends (AVX-512 / AVX2 / SSE4.2 / NEON)
+// compiled in separate translation units with the matching target flags, plus a scalar
 // fallback that is always available. Which backend actually runs is decided
 // ONCE at startup from the CPU's capabilities (cpuid on x86, compile-time
 // on aarch64), so the hot loops pay one predictable branch per kernel call
@@ -12,8 +12,8 @@
 //     and this CPU runs; used by the scalar-vs-SIMD micro benches and the
 //     parity/trajectory tests to run every code path in one process.
 //   * the CAS_SIMD environment variable ("scalar"/"off", "sse42", "avx2",
-//     "neon", "auto") — the no-rebuild kill switch for production triage,
-//     resolved the same way as force_isa().
+//     "avx512", "neon", "auto") — the no-rebuild kill switch for production
+//     triage, resolved the same way as force_isa().
 //
 // Building with -DCAS_SIMD=OFF (CMake) compiles no backends at all and
 // pins the dispatch to kScalar; every kernel keeps working through its
@@ -30,6 +30,8 @@ enum class Isa {
   kNeon = 1,   // aarch64 baseline
   kSse42 = 2,  // x86-64 + SSE4.2 (64-bit integer compares)
   kAvx2 = 3,   // x86-64 + AVX2 (256-bit integer ops + gathers)
+  kAvx512 = 4, // x86-64 + AVX-512 F/BW/VBMI/VPOPCNTDQ (16-lane row fill and
+               // reset pass; the other kernels run their AVX2 code)
 };
 
 /// The backend the dispatch currently selects. Detected once (CPU caps
@@ -42,7 +44,7 @@ enum class Isa {
 
 /// Force the dispatch to `isa` when this build compiled it and the CPU runs
 /// it; otherwise install the strongest weaker tier of the same family
-/// (AVX2 -> SSE4.2), or scalar for a tier of another family (NEON on
+/// (AVX-512 -> AVX2 -> SSE4.2), or scalar for a tier of another family (NEON on
 /// x86-64, an x86 tier on aarch64). Returns the ISA actually installed.
 /// Used by benches ("measure the scalar path on this AVX2 machine") and by
 /// the parity suites; call sites are expected to restore the previous

@@ -5,6 +5,8 @@
 #include <ctime>
 #include <thread>
 
+#include "simd/simd.hpp"
+
 // Regenerated by cmake/git_sha.cmake on every build, so the stamped SHA
 // tracks HEAD without reconfiguring. Absent under other build setups.
 #if defined(__has_include)
@@ -61,6 +63,7 @@ Json build_provenance() {
   j["cxx_flags"] = CAS_CXX_FLAGS;
   j["compiler"] = compiler_id();
   j["hardware_threads"] = static_cast<uint64_t>(std::thread::hardware_concurrency());
+  j["simd_isa"] = simd::isa_name(simd::active_isa());
   j["timestamp_utc"] = utc_timestamp();
   return j;
 }

@@ -20,12 +20,13 @@ constexpr bool native_family(simd::Isa isa) {
 }
 
 /// Every tier of the host's family that simd::force_isa() installs when
-/// asked for it, scalar first: on an AVX2 x86-64 host {scalar, sse42,
-/// avx2}, on aarch64 {scalar, neon}, with -DCAS_SIMD=OFF {scalar}.
+/// asked for it, scalar first: on an AVX-512 x86-64 host {scalar, sse42,
+/// avx2, avx512}, on an AVX2 one {scalar, sse42, avx2}, on aarch64
+/// {scalar, neon}, with -DCAS_SIMD=OFF {scalar}.
 inline std::vector<simd::Isa> installable_isas() {
   std::vector<simd::Isa> tiers;
-  for (const simd::Isa isa :
-       {simd::Isa::kScalar, simd::Isa::kNeon, simd::Isa::kSse42, simd::Isa::kAvx2}) {
+  for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kNeon, simd::Isa::kSse42,
+                              simd::Isa::kAvx2, simd::Isa::kAvx512}) {
     const simd::ScopedIsa guard(isa);
     if (native_family(isa) && simd::active_isa() == isa) tiers.push_back(isa);
   }

@@ -5,7 +5,8 @@
 //     kernel's bitset word boundaries (n = 16/17, 32/33, 64/65) — and
 //     bit-identical ACROSS ISAs including the truncated partials of
 //     bound-pruned chunks (the chunking and abort points are part of the
-//     contract, not an implementation detail),
+//     contract, not an implementation detail), as are the kernel's
+//     returned count and escaped_chunks under an escape bound,
 //   * the core::evaluate_batch serial default == recorded per-candidate
 //     costs for the six side problems and the do/undo adapter,
 //   * the batched custom_reset == a faithful reimplementation of the
@@ -36,6 +37,7 @@
 #include "problems/magic_square.hpp"
 #include "problems/partition.hpp"
 #include "problems/queens.hpp"
+#include "simd/costas_kernels.hpp"
 #include "simd/simd.hpp"
 #include "isa_tiers.hpp"
 
@@ -152,6 +154,47 @@ TEST(FuzzResetParity, CostasEvaluateBatchMatchesSerialUnderEveryIsa) {
           p.evaluate_batch(batch, bound, {simd_out.data(), simd_out.size()});
           ASSERT_EQ(scalar_out, simd_out)
               << "n=" << n << " bound=" << bound << " isa=" << simd::isa_name(isa);
+        }
+        // The kernel itself, with an escape bound: the returned count,
+        // escaped_chunks (reported as winner_reset_escape_chunks) and the
+        // filled prefix of out are the same under every tier. It reads
+        // ctx for n, depth and the row weights only.
+        {
+          std::vector<Cost> errw(static_cast<size_t>(p.checked_rows()) + 1, 0);
+          for (int d = 1; d <= p.checked_rows(); ++d)
+            errw[static_cast<size_t>(d)] = static_cast<Cost>(n) * n - static_cast<Cost>(d) * d;
+          const simd::CostasCtx ctx{p.permutation().data(), nullptr, errw.data(), n,
+                                    p.checked_rows(), static_cast<size_t>(2 * n - 1)};
+          const auto [lo, hi] = std::minmax_element(expect.begin(), expect.end());
+          const Cost escape_below =
+              rng.below(4) == 0 ? std::numeric_limits<Cost>::min()
+                                : *lo + static_cast<Cost>(rng.below(static_cast<uint64_t>(*hi - *lo + 2)));
+          const Cost kernel_bound = rng.below(2) == 0 ? std::numeric_limits<Cost>::max() : bound;
+          struct Walk {
+            int filled = -1;
+            int escaped_chunks = -1;
+            std::vector<Cost> out;
+          };
+          const auto walk = [&](simd::Isa isa) {
+            simd::ScopedIsa guard(isa);
+            Walk w;
+            w.out.assign(static_cast<size_t>(count), -3);
+            w.filled = simd::costas_evaluate_batch(ctx, batch.data(), batch.lane_stride(), count,
+                                                   kernel_bound, w.out.data(), escape_below,
+                                                   &w.escaped_chunks);
+            w.out.resize(static_cast<size_t>(std::max(w.filled, 0)));
+            return w;
+          };
+          const Walk scalar = walk(simd::Isa::kScalar);
+          for (const simd::Isa isa : test::vector_isas()) {
+            const Walk got = walk(isa);
+            const std::string tag = "n=" + std::to_string(n) + " bound=" +
+                                    std::to_string(kernel_bound) + " escape_below=" +
+                                    std::to_string(escape_below) + " isa=" + simd::isa_name(isa);
+            ASSERT_EQ(got.filled, scalar.filled) << tag;
+            ASSERT_EQ(got.escaped_chunks, scalar.escaped_chunks) << tag;
+            ASSERT_EQ(got.out, scalar.out) << tag;
+          }
         }
         // Pruning soundness: the true minimum and its first achiever are
         // preserved verbatim whenever the bound admits it.
@@ -339,8 +382,8 @@ TEST(FuzzResetParity, EveryRequestedIsaInstallsAnAvailableTier) {
   // x86 tier on aarch64) must install one it can, and the batched reset
   // must still match the oracle under it.
   const std::vector<simd::Isa> tiers = test::installable_isas();
-  for (const simd::Isa isa :
-       {simd::Isa::kScalar, simd::Isa::kNeon, simd::Isa::kSse42, simd::Isa::kAvx2}) {
+  for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kNeon, simd::Isa::kSse42,
+                              simd::Isa::kAvx2, simd::Isa::kAvx512}) {
     simd::ScopedIsa guard(isa);
     ASSERT_NE(std::find(tiers.begin(), tiers.end(), simd::active_isa()), tiers.end())
         << "requested " << simd::isa_name(isa) << ", installed "

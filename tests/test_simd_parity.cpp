@@ -7,7 +7,7 @@
 //     == the scalar projection,
 //   * the reduce kernels (min_value, max_value_where_le) == scalar scans,
 //   * the two-pass selection helpers consume the RNG identically under
-//     every ISA,
+//     every ISA, and provenance names the tier that ran,
 // plus the end-to-end guarantee all of that buys: a seeded engine run is
 // bit-identical under every tier (same solution, same iteration count,
 // same RNG stream).
@@ -33,6 +33,7 @@
 #include "simd/reduce.hpp"
 #include "simd/select.hpp"
 #include "simd/simd.hpp"
+#include "util/provenance.hpp"
 #include "isa_tiers.hpp"
 
 namespace cas {
@@ -82,11 +83,16 @@ void fuzz_rows(P& p, uint64_t seed, const char* tag, int states = 6) {
 }
 
 TEST(FuzzSimdParity, CostasDeltaRowMatchesScalarUnderEveryIsa) {
-  // The AVX2 fill compacts the culprit's n - 1 swaps into 8-lane blocks:
-  // n = 2-7 fit in one masked block, and at n = 17, 25 and 33 no lane is
-  // masked. Every culprit of the last state covers the lanes that share a
-  // pair with the culprit at both row edges and the last compacted lane.
-  for (const int n : {2, 3, 4, 5, 6, 7, 8, 9, 11, 14, 15, 17, 18, 19, 23, 25, 26, 33}) {
+  // The fills compact the culprit's n - 1 swaps into blocks. AVX2's are 8
+  // lanes: n = 2-7 fit in one masked block, and at n = 17, 25 and 33 no
+  // lane is masked. AVX-512's are 16: n = 17, 33 and 49 fill them
+  // exactly, n = 18 and 34 leave one live lane in the last block, n = 16
+  // and 32 one masked lane. It reads byte tables up to n = 32 (n = 31 and
+  // 32 fill them widest) and gathers from n = 33. Every
+  // culprit of the last state covers the lanes that share a pair with the
+  // culprit at both row edges and the last compacted lane.
+  for (const int n :
+       {2, 3, 4, 5, 6, 7, 8, 9, 11, 14, 15, 16, 17, 18, 19, 23, 25, 26, 31, 32, 33, 34, 49}) {
     for (const bool chang : {true, false}) {
       for (const auto err : {costas::ErrFunction::kQuadratic, costas::ErrFunction::kUnit}) {
         costas::CostasProblem p(n, {err, chang});
@@ -187,6 +193,13 @@ TEST(FuzzSimdParity, ReduceKernelsMatchScalarScan) {
                 expect_any ? expect_max : std::numeric_limits<int64_t>::min());
       EXPECT_EQ(any, expect_any) << "n=" << n << " isa=" << simd::isa_name(isa);
     }
+  }
+}
+
+TEST(FuzzSimdParity, ProvenanceNamesTheDispatchedTier) {
+  for (const simd::Isa isa : test::installable_isas()) {
+    simd::ScopedIsa guard(isa);
+    EXPECT_EQ(util::build_provenance().at("simd_isa").as_string(), simd::isa_name(isa));
   }
 }
 

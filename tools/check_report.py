@@ -4,7 +4,7 @@
 Usage: check_report.py SCENARIO.json REPORT.json
 
 Always enforced, for every report:
-  * provenance is stamped (git_sha / compiler / timestamp_utc);
+  * provenance is stamped (git_sha / compiler / timestamp_utc / simd_isa);
   * the service stats block is present and internally consistent
     (completed == executions + dedup_hits + cache_hits + rejected);
   * every result echoes a nonzero seed (stochastic seed-0 requests must
@@ -70,7 +70,7 @@ def main():
 
     # --- provenance & service stats ------------------------------------
     prov = report.get("provenance", {})
-    missing = {"git_sha", "compiler", "timestamp_utc"} - set(prov)
+    missing = {"git_sha", "compiler", "timestamp_utc", "simd_isa"} - set(prov)
     if missing:
         fail(f"provenance missing {sorted(missing)}")
     service = report.get("service")

@@ -7,10 +7,14 @@
 # BUILD_DIR must hold a gcc Release cas_run. The guard fails when the binary
 # has an out-of-line simd::pick_min: AdaptiveSearch<CostasProblem>::
 # advance_walk is meant to inline it, and the out-of-line call once cost
-# 7-11% iterations/s (ROADMAP item 7). It also prints how far advance_walk
-# starts past a 64-byte boundary. That line is information only: the
-# function's placement is a suspect for iteration-rate swings between
-# builds, not a finding.
+# 7-11% iterations/s (ROADMAP item 7). It also fails when a SIMD backend
+# object (CMakeFiles/cas.dir/src/simd/kernels_*.cpp.o) defines a weak
+# symbol: such a copy, compiled with the backend's target flags (-mavx2,
+# -mavx512f ...), can be the one the linker keeps for the whole program and
+# would fault on a host without that ISA (src/simd/backends.hpp). It also
+# prints how far advance_walk starts past a 64-byte boundary. That line is
+# information only: the function's placement is a suspect for
+# iteration-rate swings between builds, not a finding.
 set -euo pipefail
 
 BUILD=$(cd "${1:?usage: $0 BUILD_DIR}" && pwd)
@@ -27,6 +31,24 @@ if grep "cas::simd::pick_min" <<<"$SYMBOLS"; then
   exit 1
 fi
 echo "codegen: no out-of-line pick_min"
+
+shopt -s nullglob
+BACKENDS=("$BUILD"/CMakeFiles/cas.dir/src/simd/kernels_*.cpp.o)
+if [ ${#BACKENDS[@]} -eq 0 ]; then
+  echo "codegen: FAIL — no SIMD backend objects under $BUILD/CMakeFiles/cas.dir/src/simd"
+  exit 1
+fi
+WEAK=$(for obj in "${BACKENDS[@]}"; do
+         nm -C --defined-only "$obj" | awk -v obj="${obj##*/}" '$2 ~ /^[WVu]$/ {print obj ": " $0}'
+       done)
+if [ -n "$WEAK" ]; then
+  echo "$WEAK"
+  echo "codegen: FAIL — a SIMD backend object defines the weak symbols above; the linker may"
+  echo "         keep that ISA-specific copy for every caller (keep library templates and"
+  echo "         scratch buffers in the kernel fronts)"
+  exit 1
+fi
+echo "codegen: no weak symbol in the ${#BACKENDS[@]} SIMD backend objects"
 
 ADDR=$(grep "AdaptiveSearch<cas::costas::CostasProblem>::advance_walk(" <<<"$SYMBOLS" |
        awk '{print $1}' | head -n 1)
