@@ -16,9 +16,10 @@ report's provenance (simd_isa) and printed in the header.
   tools/bench/size_ladder.py --cas-run build-release/cas_run
   tools/bench/size_ladder.py --cas-run build/cas_run --sizes 17,18 --seeds 40,20
 
-The default ladder (17-20 with 24, 12, 6 and 3 seeds) takes about 6 minutes
-on a 4-vCPU host. The shifted-exponential fit and the predicted speedup of
-ROADMAP item 10 are not computed here.
+The default ladder (17-20 with 24, 12, 6 and 3 seeds) took 3.5 minutes on a
+4-vCPU x86-64 host; the n = 20 solves take most of it and vary most. The
+shifted-exponential fit and the predicted speedup of ROADMAP item 10 are not
+computed here.
 """
 import argparse
 import json
