@@ -15,8 +15,9 @@
 // namespace and it instantiates no library template (no std::vector, no
 // std::min). A weak symbol compiled with a backend's target flags could be
 // the copy the linker keeps for the whole program, and would fault on a
-// host without that ISA. The fronts own every scratch buffer and pass it
-// in; tools/ci/codegen.sh fails on a weak symbol in a backend object.
+// host without that ISA. The kernels keep their scratch in fixed-size
+// stack arrays; tools/ci/codegen.sh fails on a weak symbol in a backend
+// object.
 #pragma once
 
 #include <cstdint>
@@ -37,49 +38,37 @@ namespace detail {
   return isa == Isa::kAvx512 ? Isa::kAvx2 : isa;
 }
 
-/// Int32 words of the scratch a culprit-row fill backend takes (64-byte
-/// aligned): the AVX-512 fill's per-row count copies, 2n - 1 words rounded
-/// up to 16 each, then the padded permutation, depth cells either side of
-/// the culprit's n - 1 swaps rounded up to whole 16-lane blocks.
-[[nodiscard]] constexpr size_t delta_row_scratch_words(int n, int depth) {
-  return static_cast<size_t>(depth * ((2 * n - 1 + 15) & ~15) + ((n - 1 + 15) & ~15) +
-                             2 * depth + 1);
-}
+/// The largest n the culprit-row fill runs on a vector backend: its int32
+/// lanes hold |delta| up to there (see costas_delta_row).
+inline constexpr int kDeltaRowMaxVectorN = 768;
 
-/// Int32 words of the scratch the AVX-512 candidate pass takes (64-byte
-/// aligned): a partial-sum snapshot per row, then the pair's values staged
-/// 16 lanes per position, once plain and twice offset per 64-slot window
-/// of the rows' 2n - 1 difference slots.
-[[nodiscard]] constexpr size_t chunk_pair_scratch_words(int n, int depth) {
-  return static_cast<size_t>(16 * (depth + n * (1 + 2 * ((2 * n - 1 + 63) / 64))));
-}
+/// The largest n the AVX-512 tier's two kernels take: a triangle row's
+/// 2n - 1 difference slots fit one 64-byte table and one 64-slot bitset.
+/// Under that tier larger sizes run the AVX2 kernels.
+inline constexpr int kAvx512MaxN = 32;
 
 #if defined(CAS_SIMD_AVX512)
-/// The culprit-row fill (costas_delta_row up to n = 768) in one call, the
-/// AVX2 fill's lane layout and ledger run 16 lanes wide: one block at
-/// n <= 17, two up to n = 33. Each row's counts are read from a copy
-/// without the culprit's own two pairs: up to n = 32 the 2n - 1 counts fit
-/// a 64-byte table read with vpermb, past that the fill gathers. scratch
-/// holds delta_row_scratch_words(n, depth) words.
-void costas_delta_row_avx512(const CostasCtx& ctx, int i, int64_t* out, int32_t* scratch);
-/// costas_evaluate_batch's walk over the `lanes` (1..16) candidates at
-/// base as two 8-lane chunks in one pass, each row's hits counted 16 lanes
-/// wide with vpopcntd. Fills partial[0, lanes) and aborted[0..1] exactly
-/// as the 8-lane walk would: chunk 0 under `bound`, chunk 1 under the
-/// bound chunk 0 leaves (its best exact cost when it completed). Chunk 1
-/// walks alongside chunk 0 under `bound` and keeps a partial-sum snapshot
-/// per row in scratch (chunk_pair_scratch_words(n, depth) words), from
-/// which its abort row is re-read when chunk 0 completes and tightens the
-/// bound.
+/// The culprit-row fill (costas_delta_row, n <= kAvx512MaxN) in one call:
+/// the AVX2 fill's lane layout and ledger run 16 lanes wide, one block at
+/// n <= 17 and two up to n = 32. Each row's 2n - 1 counts, without the
+/// culprit's own two pairs, sit in a 64-byte table read with vpermb.
+void costas_delta_row_avx512(const CostasCtx& ctx, int i, int64_t* out);
+/// costas_evaluate_batch's walk (n <= kAvx512MaxN) over the `lanes`
+/// (1..16) candidates at base as two 8-lane chunks in one pass, each row's
+/// hits counted 16 lanes wide with vpopcntd. Fills partial[0, lanes) and
+/// aborted[0..1] exactly as the 8-lane walk would: chunk 0 under `bound`,
+/// chunk 1 under the bound chunk 0 leaves (its best exact cost when it
+/// completed). Chunk 1 walks alongside chunk 0 under `bound` and keeps a
+/// partial-sum snapshot per row, from which its abort row is re-read when
+/// chunk 0 completes and tightens the bound.
 void evaluate_chunk_pair_avx512(const CostasCtx& ctx, const int32_t* base, size_t lane_stride,
-                                int lanes, int64_t bound, int64_t* partial, bool* aborted,
-                                int32_t* scratch);
+                                int lanes, int64_t bound, int64_t* partial, bool* aborted);
 #endif
 
 // Candidate-batch row walk (costas_evaluate_batch; the AVX-512 tier walks
-// two chunks per pass with evaluate_chunk_pair_avx512 above and takes none
-// of these): count, for each of the 8 candidate lanes starting at `base`
-// (column-major, stride lane_stride),
+// two chunks per pass with evaluate_chunk_pair_avx512 above up to
+// kAvx512MaxN, and the AVX2 leg past it): count, for each of the 8
+// candidate lanes starting at `base` (column-major, stride lane_stride),
 // the number of colliding pairs triangle row d contributes — i.e. the
 // positions whose difference already appeared earlier in the row, which is
 // m - (distinct differences) for the row's m = n - d positions. All 8 lanes
@@ -93,14 +82,13 @@ void evaluate_chunk_pair_avx512(const CostasCtx& ctx, const int32_t* base, size_
 int64_t min_value_avx2(const int64_t* v, int n);
 int64_t max_value_where_le_avx2(const int64_t* v, const uint64_t* gate, uint64_t bound,
                                 int n, bool* any);
-/// The whole culprit-row fill (costas_delta_row up to n = 768) in one
-/// call: it stages a padded copy of the permutation in scratch
-/// (delta_row_scratch_words(n, depth) words), runs 8-lane blocks over the
-/// culprit's n - 1 swaps compacted past i in every triangle row (the two
-/// swaps that share a pair with the culprit in that row included), and
-/// scatters the sums to out with the sentinel at out[i]. No lane is left
-/// to a scalar pass.
-void costas_delta_row_avx2(const CostasCtx& ctx, int i, int64_t* out, int32_t* scratch);
+/// The whole culprit-row fill (costas_delta_row up to
+/// kDeltaRowMaxVectorN) in one call: it stages a padded copy of the
+/// permutation, runs 8-lane blocks over the culprit's n - 1 swaps
+/// compacted past i in every triangle row (the two swaps that share a pair
+/// with the culprit in that row included), and scatters the sums to out
+/// with the sentinel at out[i]. No lane is left to a scalar pass.
+void costas_delta_row_avx2(const CostasCtx& ctx, int i, int64_t* out);
 void costas_errors_row_avx2(const CostasCtx& ctx, int d, int64_t* errs);
 void batch_row_hits_avx2(const int32_t* base, size_t lane_stride, int n, int d,
                          int32_t* hits);

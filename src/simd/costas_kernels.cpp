@@ -10,17 +10,6 @@ namespace cas::simd {
 
 namespace {
 
-/// The calling thread's fill scratch, at least `words` int32 from a 64-byte
-/// boundary; grown once per thread so hot loops stay allocation-free. The
-/// vector backends take it as a raw pointer (see backends.hpp).
-[[maybe_unused]] int32_t* fill_scratch(size_t words) {
-  thread_local std::vector<int32_t> scratch;
-  constexpr size_t kAlignWords = 64 / sizeof(int32_t);
-  if (scratch.size() < words + kAlignWords) scratch.resize(words + kAlignWords);
-  const auto misalign = reinterpret_cast<uintptr_t>(scratch.data()) % 64;
-  return scratch.data() + (misalign == 0 ? 0 : (64 - misalign) / sizeof(int32_t));
-}
-
 [[nodiscard]] inline const int32_t* row_ptr(const CostasCtx& ctx, int d) {
   // Offset by n - 1 so the row is indexable by a (possibly negative)
   // difference value, mirroring the scalar delta.
@@ -122,7 +111,7 @@ void costas_delta_row(const CostasCtx& ctx, int i, int64_t* out) {
   // no Chang cut), which stays inside int32 for n <= 812. Costas search
   // sizes sit two orders of magnitude under that; a synthetic giant
   // instance falls back to direct int64 accumulation.
-  if (n > 768) {
+  if (n > detail::kDeltaRowMaxVectorN) {
     for (int j = 0; j < n; ++j) {
       if (j == i) {
         out[j] = kDeltaRowExcluded;
@@ -138,16 +127,14 @@ void costas_delta_row(const CostasCtx& ctx, int i, int64_t* out) {
 
   const Isa isa = active_isa();
 #if defined(CAS_SIMD_AVX512)
-  if (isa == Isa::kAvx512) {
-    detail::costas_delta_row_avx512(
-        ctx, i, out, fill_scratch(detail::delta_row_scratch_words(n, ctx.depth)));
+  if (isa == Isa::kAvx512 && n <= detail::kAvx512MaxN) {
+    detail::costas_delta_row_avx512(ctx, i, out);
     return;
   }
 #endif
 #if defined(CAS_SIMD_AVX2)
-  if (isa == Isa::kAvx2) {
-    detail::costas_delta_row_avx2(ctx, i, out,
-                                  fill_scratch(detail::delta_row_scratch_words(n, ctx.depth)));
+  if (detail::avx2_for_avx512(isa) == Isa::kAvx2) {
+    detail::costas_delta_row_avx2(ctx, i, out);
     return;
   }
 #endif
@@ -244,16 +231,15 @@ int costas_evaluate_batch(const CostasCtx& ctx, const int32_t* values, size_t la
   };
 
 #if defined(CAS_SIMD_AVX512)
-  if (isa == Isa::kAvx512) {
+  if (isa == Isa::kAvx512 && n <= detail::kAvx512MaxN) {
     // Two chunks per pass; the pass resolves the second one under the
     // bound the first leaves, so settling them in order is the 8-lane walk.
-    int32_t* const scratch = fill_scratch(detail::chunk_pair_scratch_words(n, ctx.depth));
     for (int c0 = 0; c0 < count; c0 += 2 * kChunk) {
       const int lanes = std::min(2 * kChunk, count - c0);
       int64_t partial[2 * kChunk];
       bool aborted[2];
       detail::evaluate_chunk_pair_avx512(ctx, values + c0, lane_stride, lanes, bound, partial,
-                                         aborted, scratch);
+                                         aborted);
       for (int h = 0; h * kChunk < lanes; ++h) {
         const int first = c0 + h * kChunk;
         const int chunk_lanes = std::min(kChunk, lanes - h * kChunk);
@@ -285,7 +271,7 @@ int costas_evaluate_batch(const CostasCtx& ctx, const int32_t* values, size_t la
     bool aborted = false;
     for (int d = 1; d <= ctx.depth; ++d) {
       // Per-ISA row pass; every variant produces the same exact counts.
-      switch (isa) {
+      switch (detail::avx2_for_avx512(isa)) {
 #if defined(CAS_SIMD_AVX2)
         case Isa::kAvx2:
           detail::batch_row_hits_avx2(chunk_base, lane_stride, n, d, hits);

@@ -66,9 +66,10 @@ void costas_errors(const CostasCtx& ctx, int64_t* errs);
 ///   * a completed chunk tightens the bound to its best exact cost.
 /// The chunking, row order, and abort points are ISA-independent, so the
 /// filled out[] is bit-identical under every backend. The 8-lane chunk
-/// stays the contract under AVX-512 too, which walks two chunks per pass,
-/// 16 lanes wide: the second chunk's abort row is taken under the bound
-/// the first one leaves, exactly as if the chunks ran one after another.
+/// stays the contract under AVX-512 too, which up to n = 32 walks two
+/// chunks per pass, 16 lanes wide (larger n run the AVX2 walk): the second
+/// chunk's abort row is taken under the bound the first one leaves, exactly
+/// as if the chunks ran one after another.
 ///
 /// `escape_below` (optional, INT64_MIN disables): stop after the first
 /// chunk that completed with some exact cost < escape_below — the caller

@@ -2,8 +2,8 @@
 // (CAS_SIMD_AVX2); the whole file is a no-op otherwise, so a GLOB build on
 // a non-x86 host or with -DCAS_SIMD=OFF never sees an AVX2 instruction.
 // It is the only unit built with -mavx2, so the culprit-row fill lives
-// here whole (staging, blocks and scatter): one call per fill, into scratch
-// the front owns. It emits no weak symbol (see backends.hpp).
+// here whole (staging, blocks and scatter): one call per fill. It emits no
+// weak symbol (see backends.hpp).
 #if defined(CAS_SIMD_AVX2)
 
 #include <immintrin.h>
@@ -122,7 +122,7 @@ int64_t max_value_where_le_avx2(const int64_t* v, const uint64_t* gate, uint64_t
   return out;
 }
 
-void costas_delta_row_avx2(const CostasCtx& ctx, int i, int64_t* out, int32_t* scratch) {
+void costas_delta_row_avx2(const CostasCtx& ctx, int i, int64_t* out) {
   const int n = ctx.n;
   const int depth = ctx.depth;
   // Lane k scores the swap (i, j), j = k + (k >= i): the culprit's n - 1
@@ -131,9 +131,12 @@ void costas_delta_row_avx2(const CostasCtx& ctx, int i, int64_t* out, int32_t* s
   const int lanes = (n - 1 + 7) & ~7;
   // Padded copy of the permutation: a block's 8-wide loads start at
   // p[k0 + s + t], s in {0, 1} and t in [-depth, depth], so depth cells on
-  // the left and depth + 1 past the last block on the right hold them all.
-  std::memset(scratch, 0, static_cast<size_t>(lanes + 2 * depth + 1) * sizeof(int32_t));
-  int32_t* const p = scratch + depth;
+  // the left and depth + 1 past the last block on the right hold them all
+  // (depth <= n - 1).
+  constexpr int kMaxN = kDeltaRowMaxVectorN;
+  alignas(32) int32_t padded[kMaxN + 2 * (kMaxN - 1) + 1];
+  std::memset(padded, 0, static_cast<size_t>(lanes + 2 * depth + 1) * sizeof(int32_t));
+  int32_t* const p = padded + depth;
   std::memcpy(p, ctx.perm, static_cast<size_t>(n) * sizeof(int32_t));
   const int vi = p[i];
 

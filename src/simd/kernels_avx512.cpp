@@ -1,9 +1,10 @@
 // AVX-512 backend (F, BW, VBMI, VPOPCNTDQ). Compiled with those target
 // flags only when CMake enables it (CAS_SIMD_AVX512); the whole file is a
 // no-op otherwise. It holds the tier's two kernels, the culprit-row fill
-// and the reset's candidate pass, each one call into scratch the front
-// owns; every other kernel of the tier is the AVX2 one. It emits no weak
-// symbol (see backends.hpp).
+// and the reset's candidate pass, each one call for n <= kAvx512MaxN
+// (32), where a triangle row's 2n - 1 difference slots fit 64 bytes;
+// every other kernel of the tier, and these two past that size, is the
+// AVX2 one. It emits no weak symbol (see backends.hpp).
 #if defined(CAS_SIMD_AVX512)
 
 #include <immintrin.h>
@@ -40,11 +41,11 @@ template <int kHalf>
 
 /// Where the culprit-row fill's byte tables keep a row's counts: byte p
 /// holds the count of difference slot (p + n - 1) & 63, i.e. of the
-/// difference diff with diff & 63 == p. A row of n <= 32 has 2n - 1 <= 63
-/// slots, so every difference owns a byte. `pick` is the vpermt2b index
-/// of each byte's slot (byte 0 of its count in the row's int32 counts,
-/// slots 0-31 from the first register pair and 32-63 from the second),
-/// `upper` the bytes whose slot sits in the second pair.
+/// difference diff with diff & 63 == p. A row of n <= kAvx512MaxN has
+/// 2n - 1 <= 63 slots, so every difference owns a byte. `pick` is the
+/// vpermt2b index of each byte's slot (byte 0 of its count in the row's
+/// int32 counts, slots 0-31 from the first register pair and 32-63 from
+/// the second), `upper` the bytes whose slot sits in the second pair.
 struct TableLayout {
   __m512i pick;
   __mmask64 upper;
@@ -77,37 +78,36 @@ struct TableLayout {
                                 _mm512_permutex2var_epi8(counts(2), layout.pick, counts(3)));
 }
 
+}  // namespace
+
 /// The culprit-row fill's 16-lane blocks. Lane layout, masks and ledger
 /// are the AVX2 fill's (kernels_avx2.cpp), with compares into mask
-/// registers, and one change: each row's counts are read from a copy with
-/// the culprit's own pairs A and B already removed. That folds the ledger's
-/// corrections for a j-side difference equal to oldA or oldB into the
-/// lookup (the corrections for oldA, oldB are exactly those removals), so
-/// only the j-side differences are compared with each other. kByteTable
-/// keeps that copy as a byte table read by vpermb (n <= 32); otherwise as
-/// int32 counts read by masked gathers.
-template <bool kByteTable>
-void delta_row_blocks(const CostasCtx& ctx, int i, int64_t* out, int32_t* scratch) {
+/// registers, and one change: each row's counts are read from a byte table
+/// with the culprit's own pairs A and B already removed. That folds the
+/// ledger's corrections for a j-side difference equal to oldA or oldB into
+/// the lookup (the corrections for oldA, oldB are exactly those removals),
+/// so only the j-side differences are compared with each other.
+void costas_delta_row_avx512(const CostasCtx& ctx, int i, int64_t* out) {
   const int n = ctx.n;
-  const int depth = ctx.depth;
+  const int depth = ctx.depth;  // <= n - 1
   // Lane k scores the swap (i, j), j = k + (k >= i), 16 lanes per block.
   const int lanes = (n - 1 + 15) & ~15;
-  // The first block builds each row's count copy in scratch (the byte
-  // table only when a later block reads it back).
-  const size_t table_words = (ctx.stride + 15) & ~size_t{15};
-  int32_t* const tables = scratch;
+  // Each row's byte table, built by the first block and kept for the
+  // second (n >= 18).
+  constexpr int kMaxN = kAvx512MaxN;
+  alignas(64) int32_t tables[16 * (kMaxN - 1)];
   // Padded copy of the permutation, as in the AVX2 fill.
-  int32_t* const padded = scratch + static_cast<size_t>(depth) * table_words;
+  alignas(64) int32_t padded[kMaxN + 2 * (kMaxN - 1) + 1];
   std::memset(padded, 0, static_cast<size_t>(lanes + 2 * depth + 1) * sizeof(int32_t));
   int32_t* const p = padded + depth;
   std::memcpy(p, ctx.perm, static_cast<size_t>(n) * sizeof(int32_t));
   const int vi = p[i];
-  // The table path carries every difference biased by 64: a biased
-  // difference (33..95) is its own vpermb index with zero upper bytes,
-  // which read byte 0, the count of the impossible difference 0, so a
-  // lookup needs no masking. Equal differences stay equal.
-  constexpr int kBias = kByteTable ? 64 : 0;
-  const TableLayout layout = kByteTable ? table_layout(n) : TableLayout{};
+  // Every difference is carried biased by 64: a biased difference (33..95)
+  // is its own vpermb index with zero upper bytes, which read byte 0, the
+  // count of the impossible difference 0, so a lookup needs no masking.
+  // Equal differences stay equal.
+  constexpr int kBias = 64;
+  const TableLayout layout = table_layout(n);
 
   const __m512i zero = _mm512_setzero_si512();
   const __m512i one = _mm512_set1_epi32(1);
@@ -152,28 +152,19 @@ void delta_row_blocks(const CostasCtx& ctx, int i, int64_t* out, int32_t* scratc
       if (eB && row[oldB + n - 1] - static_cast<int32_t>(eA && oldB == oldA) >= 2) --base;
 
       // The row's counts with A and B removed.
-      int32_t* const copy = tables + static_cast<size_t>(d - 1) * table_words;
-      __m512i table = zero;
-      if constexpr (kByteTable) {
-        if (k0 == 0) {
-          const __m512i one_byte = _mm512_set1_epi8(1);
-          table = byte_table(row, n, layout);
-          if (eA) table = _mm512_mask_sub_epi8(table, __mmask64{1} << (oldA & 63), table, one_byte);
-          if (eB) table = _mm512_mask_sub_epi8(table, __mmask64{1} << (oldB & 63), table, one_byte);
-          if (lanes > 16) _mm512_store_si512(copy, table);
-        } else {
-          table = _mm512_load_si512(copy);
-        }
-      } else if (k0 == 0) {
-        std::memcpy(copy, row, ctx.stride * sizeof(int32_t));
-        if (eA) --copy[oldA + n - 1];
-        if (eB) --copy[oldB + n - 1];
+      int32_t* const kept = tables + 16 * (d - 1);
+      __m512i table;
+      if (k0 == 0) {
+        const __m512i one_byte = _mm512_set1_epi8(1);
+        table = byte_table(row, n, layout);
+        if (eA) table = _mm512_mask_sub_epi8(table, __mmask64{1} << (oldA & 63), table, one_byte);
+        if (eB) table = _mm512_mask_sub_epi8(table, __mmask64{1} << (oldB & 63), table, one_byte);
+        if (lanes > 16) _mm512_store_si512(kept, table);
+      } else {
+        table = _mm512_load_si512(kept);
       }
-      const auto count = [&](__m512i diff, __mmask16 k) {
-        if constexpr (kByteTable)
-          return _mm512_maskz_permutexvar_epi8(kAll64, diff, table);
-        else
-          return _mm512_mask_i32gather_epi32(zero, k, diff, copy + n - 1, 4);
+      const auto count = [&](__m512i diff) {
+        return _mm512_maskz_permutexvar_epi8(kAll64, diff, table);
       };
 
       const __mmask16 kA = eA ? 0xFFFF : 0;
@@ -190,7 +181,7 @@ void delta_row_blocks(const CostasCtx& ctx, int i, int64_t* out, int32_t* scratc
       const __mmask16 mA = kA & live;
       const __mmask16 mB = kB & live;
 
-      // The j-side differences, biased by kBias.
+      // The j-side differences, biased.
       const __m512i oldC = _mm512_sub_epi32(vj_plus, pjm);
       const __m512i oldD = _mm512_sub_epi32(pjp, vj_minus);
       const __m512i newA = _mm512_add_epi32(
@@ -204,33 +195,32 @@ void delta_row_blocks(const CostasCtx& ctx, int i, int64_t* out, int32_t* scratc
       const __m512i newC = _mm512_sub_epi32(vi_plus, pjm);
       const __m512i newD = _mm512_sub_epi32(pjp, vi_minus);
 
-      // Every count is only read in the lanes of its pair's existence
-      // mask; the gathers address nothing outside them.
+      // Every count is only read in the lanes of its pair's existence mask.
       __m512i hits = _mm512_set1_epi32(base);
 
       // Removals of the j-side pairs, ledger order C, D.
-      hits = dec(hits, _mm512_mask_cmpgt_epi32_mask(eC, count(oldC, eC), one));
-      const __m512i cD = dec(count(oldD, eD), eq(eC, oldD, oldC));
+      hits = dec(hits, _mm512_mask_cmpgt_epi32_mask(eC, count(oldC), one));
+      const __m512i cD = dec(count(oldD), eq(eC, oldD, oldC));
       hits = dec(hits, _mm512_mask_cmpgt_epi32_mask(eD, cD, one));
 
       // Additions: the count after every removal, plus the earlier
       // additions in the ledger order A, B, C, D. A new difference never
       // equals its own pair's old one (vd != 0).
-      __m512i cA = dec(count(newA, mA), eq(eC, newA, oldC));
+      __m512i cA = dec(count(newA), eq(eC, newA, oldC));
       cA = dec(cA, eq(eD, newA, oldD));
       hits = inc(hits, _mm512_mask_cmpgt_epi32_mask(mA, cA, zero));
 
-      __m512i cB = dec(count(newB, mB), eq(eC, newB, oldC));
+      __m512i cB = dec(count(newB), eq(eC, newB, oldC));
       cB = dec(cB, eq(eD, newB, oldD));
       cB = inc(cB, eq(kA, newB, newA));
       hits = inc(hits, _mm512_mask_cmpgt_epi32_mask(mB, cB, zero));
 
-      __m512i cC = dec(count(newC, eC), eq(eD, newC, oldD));
+      __m512i cC = dec(count(newC), eq(eD, newC, oldD));
       cC = inc(cC, eq(kA, newC, newA));
       cC = inc(cC, eq(kB, newC, newB));
       hits = inc(hits, _mm512_mask_cmpgt_epi32_mask(eC, cC, zero));
 
-      __m512i cDn = dec(count(newD, eD), eq(eC, newD, oldC));
+      __m512i cDn = dec(count(newD), eq(eC, newD, oldC));
       cDn = inc(cDn, eq(kA, newD, newA));
       cDn = inc(cDn, eq(kB, newD, newB));
       cDn = inc(cDn, eq(eC, newD, newC));
@@ -255,45 +245,41 @@ void delta_row_blocks(const CostasCtx& ctx, int i, int64_t* out, int32_t* scratc
   out[i] = kDeltaRowExcluded;
 }
 
-/// The candidate pair pass's values, staged once per pass in scratch,
-/// 16 lanes (64 bytes) per position so the row walks run on aligned plain
-/// loads: x[a] holds the lanes' values at position a, and for each 64-slot
-/// window w of the row's 2n - 1 difference slots, lo_w[a] = x[a] - (n - 1
-/// - 64w) and hi_w[a] = lo_w[a] + 32, so that x[a + d] - lo_w[a] is the
-/// slot of position a's difference in row d relative to the window's low
-/// word and x[a + d] - hi_w[a] relative to its high word.
-struct StagedPair {
-  int32_t* x;
-  int n = 0;
-  int windows = 0;
+namespace {
 
-  [[nodiscard]] int32_t* lo(int w) const { return x + 16 * n * (1 + 2 * w); }
-  [[nodiscard]] int32_t* hi(int w) const { return x + 16 * n * (2 + 2 * w); }
+/// The candidate pair pass's values, staged once per pass 16 lanes (64
+/// bytes) per position so the row walks run on aligned plain loads: x[a]
+/// holds the lanes' values at position a, lo[a] = x[a] - (n - 1) and
+/// hi[a] = lo[a] + 32, so that x[a + d] - lo[a] is the slot (0..2n - 2,
+/// under 64) of position a's difference in row d relative to the bitset's
+/// low word and x[a + d] - hi[a] relative to its high word.
+struct StagedPair {
+  int n;
+  alignas(64) int32_t x[16 * kAvx512MaxN];
+  alignas(64) int32_t lo[16 * kAvx512MaxN];
+  alignas(64) int32_t hi[16 * kAvx512MaxN];
 };
 
-/// Stages the lanes of `live` (the others read as zero) into `to`, which
-/// holds 16 * n * (1 + 2 * windows) words.
-[[nodiscard]] StagedPair stage_pair(const int32_t* base, size_t lane_stride, int n,
-                                    __mmask16 live, int32_t* to) {
-  const StagedPair staged{to, n, (2 * n - 1 + 63) / 64};
-  for (int a = 0; a < n; ++a) {
+/// Stages the lanes of `live` (the others read as zero) into `to`, whose
+/// n is set.
+void stage_pair(const int32_t* base, size_t lane_stride, __mmask16 live, StagedPair& to) {
+  const __m512i offset = _mm512_set1_epi32(to.n - 1);
+  const __m512i half = _mm512_set1_epi32(32);
+  for (int a = 0; a < to.n; ++a) {
     const __m512i v = _mm512_maskz_loadu_epi32(live, base + static_cast<size_t>(a) * lane_stride);
-    _mm512_store_si512(to + 16 * a, v);
-    for (int w = 0; w < staged.windows; ++w) {
-      const __m512i lo = _mm512_sub_epi32(v, _mm512_set1_epi32(n - 1 - 64 * w));
-      _mm512_store_si512(staged.lo(w) + 16 * a, lo);
-      _mm512_store_si512(staged.hi(w) + 16 * a, _mm512_add_epi32(lo, _mm512_set1_epi32(32)));
-    }
+    const __m512i lo = _mm512_sub_epi32(v, offset);
+    _mm512_store_si512(to.x + 16 * a, v);
+    _mm512_store_si512(to.lo + 16 * a, lo);
+    _mm512_store_si512(to.hi + 16 * a, _mm512_add_epi32(lo, half));
   }
-  return staged;
 }
 
 /// Triangle row d's hits for the 16 staged lanes (garbage in lanes staged
 /// as zero): m minus the distinct differences over the row's m = n - d
-/// positions, counted per lane with a bitset of the row's slots in 64-slot
-/// windows of two words, as the AVX2 leg does 8 lanes wide. A shift count
-/// outside 0..31 sets no bit, so no lane addresses memory by its data.
-/// Two positions per step fold their bits in with one vpternlogd per word.
+/// positions, counted per lane with a two-word bitset of the row's slots,
+/// as the AVX2 leg does 8 lanes wide. A shift count outside 0..31 sets no
+/// bit, so no lane addresses memory by its data. Two positions per step
+/// fold their bits in with one vpternlogd per word.
 [[nodiscard]] __m512i row_hits(const StagedPair& staged, int d) {
   const int m = staged.n - d;
   const __m512i one = _mm512_set1_epi32(1);
@@ -301,27 +287,24 @@ struct StagedPair {
   const auto bit = [&](__m512i x, const int32_t* column, int a) {
     return _mm512_maskz_sllv_epi32(kAll16, one, _mm512_sub_epi32(x, at(column, a)));
   };
-  __m512i distinct = _mm512_setzero_si512();
-  for (int w = 0; w < staged.windows; ++w) {
-    const int32_t* const lo = staged.lo(w);
-    const int32_t* const hi = staged.hi(w);
-    __m512i seen_lo = _mm512_setzero_si512();
-    __m512i seen_hi = _mm512_setzero_si512();
-    int a = 0;
-    for (; a + 1 < m; a += 2) {
-      const __m512i x0 = at(staged.x, a + d);
-      const __m512i x1 = at(staged.x, a + 1 + d);
-      seen_lo = _mm512_ternarylogic_epi32(seen_lo, bit(x0, lo, a), bit(x1, lo, a + 1), 0xFE);
-      seen_hi = _mm512_ternarylogic_epi32(seen_hi, bit(x0, hi, a), bit(x1, hi, a + 1), 0xFE);
-    }
-    if (a < m) {
-      const __m512i x0 = at(staged.x, a + d);
-      seen_lo = _mm512_or_si512(seen_lo, bit(x0, lo, a));
-      seen_hi = _mm512_or_si512(seen_hi, bit(x0, hi, a));
-    }
-    distinct = _mm512_add_epi32(
-        distinct, _mm512_add_epi32(_mm512_popcnt_epi32(seen_lo), _mm512_popcnt_epi32(seen_hi)));
+  __m512i seen_lo = _mm512_setzero_si512();
+  __m512i seen_hi = _mm512_setzero_si512();
+  int a = 0;
+  for (; a + 1 < m; a += 2) {
+    const __m512i x0 = at(staged.x, a + d);
+    const __m512i x1 = at(staged.x, a + 1 + d);
+    seen_lo = _mm512_ternarylogic_epi32(seen_lo, bit(x0, staged.lo, a),
+                                        bit(x1, staged.lo, a + 1), 0xFE);
+    seen_hi = _mm512_ternarylogic_epi32(seen_hi, bit(x0, staged.hi, a),
+                                        bit(x1, staged.hi, a + 1), 0xFE);
   }
+  if (a < m) {
+    const __m512i x0 = at(staged.x, a + d);
+    seen_lo = _mm512_or_si512(seen_lo, bit(x0, staged.lo, a));
+    seen_hi = _mm512_or_si512(seen_hi, bit(x0, staged.hi, a));
+  }
+  const __m512i distinct =
+      _mm512_add_epi32(_mm512_popcnt_epi32(seen_lo), _mm512_popcnt_epi32(seen_hi));
   return _mm512_sub_epi32(_mm512_set1_epi32(m), distinct);
 }
 
@@ -336,22 +319,14 @@ struct StagedPair {
 
 }  // namespace
 
-void costas_delta_row_avx512(const CostasCtx& ctx, int i, int64_t* out, int32_t* scratch) {
-  if (2 * ctx.n - 1 <= 64)
-    delta_row_blocks<true>(ctx, i, out, scratch);
-  else
-    delta_row_blocks<false>(ctx, i, out, scratch);
-}
-
 void evaluate_chunk_pair_avx512(const CostasCtx& ctx, const int32_t* base, size_t lane_stride,
-                                int lanes, int64_t bound, int64_t* partial, bool* aborted,
-                                int32_t* scratch) {
+                                int lanes, int64_t bound, int64_t* partial, bool* aborted) {
   const __mmask16 live = low_lanes(lanes);
-  // Scratch: chunk 1's partial-sum snapshot per row (8 int64 in 16
-  // words), then the staged pair.
-  int32_t* const snapshots = scratch;
-  const StagedPair staged =
-      stage_pair(base, lane_stride, ctx.n, live, scratch + 16 * ctx.depth);
+  // Chunk 1's partial-sum snapshot per row (depth <= n - 1).
+  alignas(64) int64_t snapshots[8 * (kAvx512MaxN - 1)];
+  StagedPair staged;
+  staged.n = ctx.n;
+  stage_pair(base, lane_stride, live, staged);
   const __mmask8 live0 = static_cast<__mmask8>(live);
   const __mmask8 live1 = static_cast<__mmask8>(live >> 8);
   const __m512i v_bound = _mm512_set1_epi64(bound);
@@ -376,7 +351,7 @@ void evaluate_chunk_pair_avx512(const CostasCtx& ctx, const int32_t* base, size_
     }
     if (walk1) {
       sum1 = _mm512_add_epi64(sum1, weigh(widen_half<1>(hits), w, w_high));
-      _mm512_store_si512(snapshots + 16 * rows1++, sum1);
+      _mm512_store_si512(snapshots + 8 * rows1++, sum1);
       stop1 = reached(live1, sum1, v_bound);
       walk1 = !stop1;
     }
@@ -391,7 +366,7 @@ void evaluate_chunk_pair_avx512(const CostasCtx& ctx, const int32_t* base, size_
     const __m512i v_best0 = _mm512_set1_epi64(best0);
     stop1 = false;
     for (int r = 0; r < rows1 && !stop1; ++r) {
-      const __m512i snapshot = _mm512_load_si512(snapshots + 16 * r);
+      const __m512i snapshot = _mm512_load_si512(snapshots + 8 * r);
       if (reached(live1, snapshot, v_best0)) {
         sum1 = snapshot;
         stop1 = true;

@@ -31,7 +31,7 @@ enum class Isa {
   kSse42 = 2,  // x86-64 + SSE4.2 (64-bit integer compares)
   kAvx2 = 3,   // x86-64 + AVX2 (256-bit integer ops + gathers)
   kAvx512 = 4, // x86-64 + AVX-512 F/BW/VBMI/VPOPCNTDQ (16-lane row fill and
-               // reset pass; the other kernels run their AVX2 code)
+               // reset pass up to n = 32; the rest runs the AVX2 code)
 };
 
 /// The backend the dispatch currently selects. Detected once (CPU caps

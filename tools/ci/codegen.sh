@@ -44,8 +44,8 @@ WEAK=$(for obj in "${BACKENDS[@]}"; do
 if [ -n "$WEAK" ]; then
   echo "$WEAK"
   echo "codegen: FAIL — a SIMD backend object defines the weak symbols above; the linker may"
-  echo "         keep that ISA-specific copy for every caller (keep library templates and"
-  echo "         scratch buffers in the kernel fronts)"
+  echo "         keep that ISA-specific copy for every caller (keep library templates in"
+  echo "         the kernel fronts, and backend scratch in fixed-size stack arrays)"
   exit 1
 fi
 echo "codegen: no weak symbol in the ${#BACKENDS[@]} SIMD backend objects"
